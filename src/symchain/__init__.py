@@ -15,6 +15,7 @@ from .complexes import (
     is_homotopy,
     identity_map,
     koszul,
+    mapping_cone,
     shift,
     tensor,
     tensor_map,

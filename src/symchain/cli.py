@@ -132,6 +132,8 @@ def cmd_quasi_iso(args):
     if verdict.ok and verdict.bounded:
         state = f"true-up-to-bound-{verdict.bound}"
     print(f"quasi-isomorphism: {state}")
+    # failures are degrees n (graded: (n, d)) where the mapping cone has
+    # homology: H_n(f) is not onto or H_{n-1}(f) is not injective there
     if verdict.failures:
         print(f"failures: {verdict.failures[:5]}")
     return OK if verdict.ok else CHECK_FAILED
@@ -272,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int)
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("quasi-iso", help="test a chain-map document")
+    p = sub.add_parser(
+        "quasi-iso", help="test a chain-map document: is its mapping cone exact?"
+    )
     p.add_argument("file")
     p.add_argument("--bound", type=int)
     p.set_defaults(func=cmd_quasi_iso)

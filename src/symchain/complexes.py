@@ -36,8 +36,8 @@ __all__ = [
     "identity_map",
     "zero_map",
     "compose",
-    "map_add",
     "is_chain_map",
+    "mapping_cone",
     "is_homotopy",
     "unit_complex",
     "zero_complex",
@@ -224,10 +224,6 @@ def shift(X: FreeComplex, i: int) -> FreeComplex:
     return FreeComplex(X.ring, ranks, diffs, gdegs)
 
 
-def suspend(ring: Ring, i: int) -> FreeComplex:
-    return shift(unit_complex(ring), i)
-
-
 def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
     """Block-diagonal sum; X-generators precede Y-generators in each degree."""
     if X.ring != Y.ring:
@@ -407,12 +403,39 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     )
 
 
-def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
-    return f + g
-
-
 def is_chain_map(f: ChainMap) -> bool:
     return f.is_chain_map()
+
+
+def mapping_cone(f: ChainMap) -> FreeComplex:
+    """cone(f)_n = X_{n-1} (+) Y_n with d(x, y) = (-dX(x), f(x) + dY(y)).
+
+    X-generators precede Y-generators in each degree; over graded rings the
+    generator degrees are those of X_{n-1} followed by those of Y_n.  The
+    cone is exact exactly when f is a quasi-isomorphism (Weibel, An
+    Introduction to Homological Algebra, Cor. 1.5.4).  d.d = 0 on the cone
+    is the chain-map condition, so anything else is rejected.
+    """
+    if not f.is_chain_map():
+        raise ShapeError("mapping cone of a map that does not commute with the differentials")
+    X, Y = f.source, f.target
+    degrees = sorted({n + 1 for n in X.degrees()} | set(Y.degrees()))
+    ranks = {n: X.rank(n - 1) + Y.rank(n) for n in degrees}
+    diffs = {}
+    for n in degrees:
+        rows = X.rank(n - 2) + Y.rank(n - 1)
+        if rows == 0:
+            continue
+        entries = {(i, j): -v for (i, j), v in X.diff(n - 1).entries.items()}
+        for (i, j), v in f.component(n - 1).entries.items():
+            entries[(i + X.rank(n - 2), j)] = v
+        for (i, j), v in Y.diff(n).entries.items():
+            entries[(i + X.rank(n - 2), j + X.rank(n - 1))] = v
+        diffs[n] = SparseMatrix(X.ring, rows, ranks[n], entries)
+    gdegs = None
+    if X.ring.kind == "Poly":
+        gdegs = {n: X.gdeg(n - 1) + Y.gdeg(n) for n in degrees}
+    return FreeComplex(X.ring, ranks, diffs, gdegs)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:

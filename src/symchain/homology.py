@@ -12,20 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import ChainMap, FreeComplex
+from .complexes import ChainMap, FreeComplex, mapping_cone
 from .errors import GradingError, RingMismatchError, SymchainError, UnsupportedRingError
 from .linalg import (
     SparseMatrix,
     cokernel_invariants,
     image_basis_pid,
-    in_image_pid,
-    kernel_basis,
     kernel_pid,
     qq_rank,
     rref,
     slice_matrix,
     smith_normal_form,
-    solve_field,
     solve_pid,
 )
 from .sym2 import PresentedComplex
@@ -156,16 +153,7 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
         if not X.graded:
             raise GradingError("graded homology needs generator degrees")
         D = default_bound(X) if bound is None else bound
-        values = {}
-        dmin = X.min_gdeg()
-        for n in X.degrees():
-            table = {}
-            for d in range(dmin, D + 1):
-                h = _graded_slice_dim(X, n, d)
-                if h:
-                    table[d] = h
-            if table:
-                values[n] = table
+        values = {n: t for n in X.degrees() if (t := _graded_table(X, n, D))}
         return HomologyReport("hilbert", ring, values, bound=D)
     raise UnsupportedRingError(f"homology unsupported over {ring}")
 
@@ -237,7 +225,13 @@ def homology_presented(P: PresentedComplex) -> HomologyReport:
 
 @dataclass
 class QuasiIsoVerdict:
-    """Outcome of a quasi-isomorphism test; graded verdicts are bounded."""
+    """Outcome of a quasi-isomorphism test; graded verdicts are bounded.
+
+    The test decides whether the mapping cone of f is exact.  Each failure
+    is a degree n with H_n(cone f) != 0: there H_n(f) is not onto or
+    H_{n-1}(f) is not injective.  A graded failure (n, d) says the same
+    in internal degree d.
+    """
 
     ok: bool
     bounded: bool = False
@@ -249,105 +243,22 @@ class QuasiIsoVerdict:
 
 
 def is_quasi_iso(f: ChainMap, bound: int | None = None) -> QuasiIsoVerdict:
-    """Does f induce bijections on all homology (within the graded bound)?"""
+    """Does f induce bijections on all homology (within the graded bound)?
+
+    Decided as exactness of the mapping cone, through homology() on the
+    cone; raises ShapeError when f is not a chain map.
+    """
     X, Y = f.source, f.target
     if X.ring != Y.ring:
         raise RingMismatchError("quasi-isomorphism test needs one backend")
-    ring = X.ring
-    degrees = sorted(set(X.degrees()) | set(Y.degrees()))
-    failures = []
-    if ring.is_field:
-        for n in degrees:
-            if not _field_induced_bijective(
-                X.diff(n), X.diff(n + 1), Y.diff(n), Y.diff(n + 1), f.component(n)
-            ):
-                failures.append(n)
+    if X.ring.kind == "Poly" and bound is None:
+        bound = max(default_bound(X), default_bound(Y))
+    h = homology(mapping_cone(f), bound=bound)
+    if h.kind != "hilbert":
+        failures = h.nonzero_degrees()
         return QuasiIsoVerdict(not failures, failures=failures)
-    if ring.kind in ("ZZ", "ZLoc"):
-        for n in degrees:
-            if not _pid_induced_bijective(
-                X.diff(n), X.diff(n + 1), Y.diff(n), Y.diff(n + 1), f.component(n)
-            ):
-                failures.append(n)
-        return QuasiIsoVerdict(not failures, failures=failures)
-    if ring.kind == "Poly":
-        D = max(default_bound(X), default_bound(Y)) if bound is None else bound
-        dmin = min(X.min_gdeg(), Y.min_gdeg())
-        for n in degrees:
-            for d in range(dmin, D + 1):
-                dXn, _, _ = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)
-                dXn1, _, _ = slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)
-                dYn, _, _ = slice_matrix(Y.diff(n), Y.gdeg(n), Y.gdeg(n - 1), d)
-                dYn1, _, _ = slice_matrix(Y.diff(n + 1), Y.gdeg(n + 1), Y.gdeg(n), d)
-                fn, _, _ = slice_matrix(f.component(n), X.gdeg(n), Y.gdeg(n), d)
-                if not _field_induced_bijective(dXn, dXn1, dYn, dYn1, fn):
-                    failures.append((n, d))
-        return QuasiIsoVerdict(not failures, bounded=True, bound=D, failures=failures)
-    raise UnsupportedRingError(f"quasi-isomorphism test unsupported over {ring}")
-
-
-def _field_induced_bijective(dXn, dXn1, dYn, dYn1, fn) -> bool:
-    ZX = kernel_basis(dXn)
-    repsX = _homology_representatives(dXn1, ZX)
-    ZY = kernel_basis(dYn)
-    repsY = _homology_representatives(dYn1, ZY)
-    hX, hY = repsX.cols, repsY.cols
-    if hX != hY:
-        return False
-    if hX == 0:
-        return True
-    BY = _pivot_columns(dYn1)
-    basisY = BY.hstack(repsY)
-    coeffs = solve_field(basisY, fn @ repsX)
-    induced = SparseMatrix(
-        fn.ring, hY, hX,
-        {(i - BY.cols, j): v for (i, j), v in coeffs.entries.items() if i >= BY.cols},
-    )
-    return len(rref(induced)[1]) == hX
-
-
-def _pivot_columns(M: SparseMatrix) -> SparseMatrix:
-    _, pivots = rref(M)
-    return M.submatrix_columns([c for _, c in pivots])
-
-
-def _homology_representatives(boundaries, cycles) -> SparseMatrix:
-    """Columns of `cycles` extending a basis of the boundary space."""
-    B = _pivot_columns(boundaries)
-    stacked = B.hstack(cycles)
-    _, pivots = rref(stacked)
-    reps = [c - B.cols for _, c in pivots if c >= B.cols]
-    return cycles.submatrix_columns(reps)
-
-
-def _pid_induced_bijective(dXn, dXn1, dYn, dYn1, fn) -> bool:
-    KX = kernel_pid(dXn)
-    KY = kernel_pid(dYn)
-    RX = solve_pid(KX, dXn1) if KX.cols else SparseMatrix.zero(dXn.ring, 0, dXn1.cols)
-    RY = solve_pid(KY, dYn1) if KY.cols else SparseMatrix.zero(dYn.ring, 0, dYn1.cols)
-    if RX is None or RY is None:
-        raise SymchainError("boundaries do not lie in the cycle lattice")
-    M = solve_pid(KY, fn @ KX) if KY.cols else SparseMatrix.zero(dYn.ring, 0, KX.cols)
-    if M is None:
-        raise SymchainError("map does not carry cycles to cycles")
-    # trivial cokernel: [M | RY] spans the target lattice with unit factors
-    free, factors = cokernel_invariants(M.hstack(RY))
-    if free != 0 or factors:
-        return False
-    # trivial kernel: {v : Mv in im(RY)} is contained in im(RX)
-    stacked = M.hstack(-RY) if RY.cols else M
-    full_kernel = kernel_pid(stacked)
-    v_part = SparseMatrix(
-        M.ring, KX.cols, full_kernel.cols,
-        {(i, j): v for (i, j), v in full_kernel.entries.items() if i < KX.cols},
-    )
-    for j in range(v_part.cols):
-        col = v_part.submatrix_columns([j])
-        if col.is_zero():
-            continue
-        if not in_image_pid(RX, col):
-            return False
-    return True
+    failures = [(n, d) for n in h.nonzero_degrees() for d in sorted(h.table(n))]
+    return QuasiIsoVerdict(not failures, bounded=True, bound=h.bound, failures=failures)
 
 
 def is_exact(X: FreeComplex, bound: int | None = None) -> bool:

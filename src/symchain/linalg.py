@@ -27,9 +27,6 @@ __all__ = [
     "SparseMatrix",
     "SNFResult",
     "smith_normal_form",
-    "matmul",
-    "mat_add",
-    "scale",
     "kernel_basis",
     "rref",
     "rank",
@@ -213,18 +210,6 @@ class SparseMatrix:
             "[" + ", ".join(str(v) for v in row) + "]" for row in self.to_rows()
         ]
         return f"SparseMatrix({self.ring}, {self.rows}x{self.cols}, [" + "; ".join(rows) + "])"
-
-
-def matmul(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
-    return A @ B
-
-
-def mat_add(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
-    return A + B
-
-
-def scale(c, A: SparseMatrix) -> SparseMatrix:
-    return A.scale(c)
 
 
 # -- dense helpers (field elimination works on lists of Scalars) --------------

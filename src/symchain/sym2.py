@@ -173,7 +173,11 @@ def sym_reduction(X: FreeComplex, include_odd_diagonal: bool = False) -> SymRedu
 
 def alpha(X: FreeComplex) -> ChainMap:
     """The chain endomorphism x(x)x' -> x(x)x' - (-1)^{|x||x'|} x'(x)x of X(x)X."""
-    T = tensor(X, X)
+    return _alpha(X, tensor(X, X))
+
+
+def _alpha(X: FreeComplex, T: FreeComplex) -> ChainMap:
+    """alpha on T, which must be tensor(X, X)."""
     maps = {}
     for n in T.degrees():
         tbasis = tensor_basis(X, X, n)
@@ -204,6 +208,7 @@ class Sym2Result:
     proj: ChainMap  # X(x)X -> S
     reduction: SymReduction
     tensor_square: FreeComplex
+    alpha: ChainMap  # endomorphism of tensor_square
 
 
 def sym2(X: FreeComplex) -> Sym2Result:
@@ -216,7 +221,7 @@ def sym2(X: FreeComplex) -> Sym2Result:
     ring = X.ring
     T = tensor(X, X)
     red = sym_reduction(X, include_odd_diagonal=False)
-    al = alpha(X)
+    al = _alpha(X, T)
     ranks = {n: len(red.basis.degree(n)) for n in red.basis.labels}
     diffs = {}
     gdegs = None
@@ -245,7 +250,7 @@ def sym2(X: FreeComplex) -> Sym2Result:
         diffs[n] = rd @ red.sigma[n]
     S = FreeComplex(ring, ranks, diffs, gdegs)
     proj = ChainMap(T, S, {n: red.rho[n] for n in red.rho if red.rho[n].rows})
-    return Sym2Result(S, proj, red, T)
+    return Sym2Result(S, proj, red, T, al)
 
 
 # -- presented complexes (weak square when 2 is not a unit) ----------------------
@@ -507,9 +512,9 @@ def split_decomposition(X: FreeComplex) -> SplitDecomposition:
     ring = X.ring
     if not ring.two_is_unit():
         raise TwoNotUnitError(f"2 is not a unit in {ring}")
-    al = alpha(X)
-    T = al.source
     S = sym2(X)
+    T = S.tensor_square
+    al = S.alpha
     half = ring.scalar(2).inverse()
     e = ChainMap(T, T, {n: M.scale(half) for n, M in al.maps.items()})
     image = endo_image_complex(T, al)

@@ -25,16 +25,16 @@ from .complexes import (
     zero_map,
 )
 from .errors import SymchainError, TwoNotUnitError, UnsupportedRingError
-from .homology import (
-    homology,
-    homology_presented,
-    is_quasi_iso,
-    _graded_inf,
-    _graded_table,
-    _homology_representatives,
-    _pivot_columns,
+from .homology import homology, homology_presented, is_quasi_iso, _graded_inf, _graded_table
+from .linalg import (
+    SparseMatrix,
+    kernel_basis,
+    qq_rank,
+    rref,
+    slice_matrix,
+    solve_exact,
+    solve_field,
 )
-from .linalg import SparseMatrix, kernel_basis, qq_rank, slice_matrix, solve_exact, solve_field
 from .scalars import QQ, Ring, ZZ, graded_poly
 from .series import minimize, rank_series, verify_series_identity
 from .sym2 import (
@@ -151,7 +151,7 @@ def check_symm07(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     if v1.failures:
         witnesses["i"] = v1.failures[:3]
 
-    al = alpha(X)
+    al = S.alpha
     image = endo_image_complex(T, al)
     h_im = homology(image.complex, bound=D)
     cond2 = h_im.is_exact()
@@ -194,7 +194,7 @@ def check_symm07pp(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     D = bound if bound is not None else (_checker_bound(X) if _graded(X.ring) else None)
     witnesses = {}
 
-    al = alpha(X)
+    al = S.alpha
     v1 = is_quasi_iso(al, bound=D)
     if v1.failures:
         witnesses["i"] = v1.failures[:3]
@@ -307,6 +307,20 @@ def _predicted_lowest_invariants(group, parity_even: bool):
     rank = sum(1 for c in out if c is None)
     factors = tuple(sorted(c for c in out if c is not None))
     return rank, factors
+
+
+def _pivot_columns(M: SparseMatrix) -> SparseMatrix:
+    _, pivots = rref(M)
+    return M.submatrix_columns([c for _, c in pivots])
+
+
+def _homology_representatives(boundaries, cycles) -> SparseMatrix:
+    """Columns of `cycles` extending a basis of the boundary space."""
+    B = _pivot_columns(boundaries)
+    stacked = B.hstack(cycles)
+    _, pivots = rref(stacked)
+    reps = [c - B.cols for _, c in pivots if c >= B.cols]
+    return cycles.submatrix_columns(reps)
 
 
 def _graded_homology_module(X: FreeComplex, n: int, D: int):
