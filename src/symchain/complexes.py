@@ -440,8 +440,11 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g on tensor complexes: blockwise Kronecker products, no signs."""
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
+    return _tensor_map(f, g, tensor(f.source, g.source), tensor(f.target, g.target))
+
+
+def _tensor_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex) -> ChainMap:
+    """tensor_map(f, g) given its source and target tensor complexes."""
     ring = src.ring
     maps = {}
     for n in src.degrees():

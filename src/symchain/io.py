@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .complexes import ChainMap, FreeComplex, validate
-from .errors import DocumentError, ScalarParseError, SymchainError
+from .errors import DocumentError, SymchainError
 from .linalg import SparseMatrix
 from .scalars import GF, QQ, Ring, ZLoc, ZZ, graded_poly
 from .sym2 import PresentedComplex
@@ -94,7 +94,7 @@ def _matrix_from_rows(ring: Ring, rows, nrows: int, ncols: int, where: str) -> S
         for j, text in enumerate(row):
             try:
                 entries[(i, j)] = ring.scalar(text)
-            except ScalarParseError as exc:
+            except SymchainError as exc:
                 raise DocumentError(f"{where}: entry ({i},{j}): {exc}") from exc
     return SparseMatrix(ring, nrows, ncols, entries)
 

@@ -160,7 +160,7 @@ def two_is_unit(ring: Ring) -> bool:
 
 def _canon_fraction(ring: Ring, value) -> Fraction:
     f = Fraction(value)
-    if ring.kind == "ZLoc" and f.denominator % ring.p == 0:
+    if ring.kind in ("ZLoc", "GF") and f.denominator % ring.p == 0:
         raise UnsupportedRingError(
             f"denominator {f.denominator} not invertible in {ring}"
         )
@@ -177,6 +177,8 @@ def _canon_poly(ring: Ring, value) -> dict:
         exp = tuple(int(e) for e in exp)
         if len(exp) != nvars or any(e < 0 for e in exp):
             raise SymchainError(f"bad exponent vector {exp} for {ring}")
+        if isinstance(coeff, float):
+            raise ScalarParseError(f"float coefficient {coeff!r} is not exact")
         c = Fraction(coeff)
         if c != 0:
             out[exp] = out.get(exp, Fraction(0)) + c
@@ -191,6 +193,8 @@ class Scalar:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: Ring, value):
+        if isinstance(value, float):
+            raise ScalarParseError(f"float {value!r} is not an exact scalar of {ring}")
         object.__setattr__(self, "ring", ring)
         kind = ring.kind
         if kind == "ZZ":
@@ -203,8 +207,8 @@ class Scalar:
             canon = _canon_fraction(ring, value)
         elif kind == "GF":
             if isinstance(value, Fraction):
-                inv = pow(value.denominator % ring.p, ring.p - 2, ring.p)
-                value = value.numerator * inv
+                value = _canon_fraction(ring, value)
+                value = value.numerator * pow(value.denominator, -1, ring.p)
             canon = int(value) % ring.p
         else:
             canon = _canon_poly(ring, value)

@@ -22,17 +22,16 @@ complexes on one and two elements exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import (
     ChainMap,
     FreeComplex,
     Homotopy,
+    _tensor_map,
     direct_sum,
     shift,
     tensor,
     tensor_basis,
-    tensor_map,
 )
 from .errors import (
     GradingError,
@@ -44,6 +43,8 @@ from .errors import (
 )
 from .linalg import (
     SparseMatrix,
+    _constant_to_poly,
+    _poly_to_qq,
     image_basis_pid,
     kernel_basis,
     kernel_pid,
@@ -51,7 +52,7 @@ from .linalg import (
     solve_exact,
     solve_pid,
 )
-from .scalars import QQ, Ring, Scalar
+from .scalars import Ring, Scalar
 
 __all__ = [
     "SymBasis",
@@ -383,7 +384,11 @@ def sym2_map(f: ChainMap) -> ChainMap:
     """The induced map on symmetric squares: class(x (x) y) -> class(fx (x) fy)."""
     SX = sym2(f.source)
     SY = sym2(f.target)
-    ff = tensor_map(f, f)
+    return _sym2_map(_tensor_map(f, f, SX.tensor_square, SY.tensor_square), SX, SY)
+
+
+def _sym2_map(ff: ChainMap, SX: Sym2Result, SY: Sym2Result) -> ChainMap:
+    """sym2_map(f) given ff = f (x) f and the squares of its source and target."""
     maps = {}
     for n in SX.complex.degrees():
         if SY.complex.rank(n) == 0:
@@ -411,11 +416,7 @@ def _column_space_basis(M: SparseMatrix) -> SparseMatrix:
     ring = M.ring
     if ring.is_field:
         R, pivots = rref(M.transpose())
-        rows = [R.transpose().submatrix_columns([r]) for r, _ in pivots]
-        out = SparseMatrix.zero(ring, M.rows, 0)
-        for col in rows:
-            out = out.hstack(col)
-        return out
+        return R.transpose().submatrix_columns(range(len(pivots)))
     if ring.kind == "Poly":
         return _constant_to_poly(_column_space_basis(_poly_to_qq(M)), ring)
     if ring.kind in ("ZZ", "ZLoc"):
@@ -432,22 +433,6 @@ def _kernel_columns(M: SparseMatrix) -> SparseMatrix:
     if ring.kind in ("ZZ", "ZLoc"):
         return kernel_pid(M)
     raise UnsupportedRingError(f"no kernel basis over {ring}")
-
-
-def _poly_to_qq(M: SparseMatrix) -> SparseMatrix:
-    entries = {}
-    for key, v in M.entries.items():
-        if v.homogeneous_degree() not in (0, None):
-            raise GradingError("expected a constant matrix over the polynomial ring")
-        const = next(iter(v.value.values()))
-        entries[key] = const
-    return SparseMatrix(QQ, M.rows, M.cols, entries)
-
-
-def _constant_to_poly(M: SparseMatrix, ring: Ring) -> SparseMatrix:
-    return SparseMatrix(
-        ring, M.rows, M.cols, {k: Fraction(v.value) for k, v in M.entries.items()}
-    )
 
 
 def _basis_gdegs(T: FreeComplex, n: int, basis: SparseMatrix):
@@ -636,8 +621,10 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
     if not Homotopy(f, g, s.maps).check():
         raise SymchainError("s is not a homotopy between f and g")
     X, Y = f.source, f.target
-    TX = tensor(X, X)
-    TY = tensor(Y, Y)
+    SX = sym2(X)
+    SY = sym2(Y)
+    TX = SX.tensor_square
+    TY = SY.tensor_square
     half = ring.scalar(2).inverse()
     fg = {n: f.component(n) + g.component(n) for n in set(f.maps) | set(g.maps)}
 
@@ -687,13 +674,13 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
         M = SparseMatrix(ring, TY.rank(n + 1), TX.rank(n), entries).scale(half)
         if not M.is_zero():
             sigma_maps[n] = M
-    ff = tensor_map(f, f)
-    gg = tensor_map(g, g)
+    ff = _tensor_map(f, f, TX, TY)
+    gg = _tensor_map(g, g, TX, TY)
     sigma = Homotopy(ff, gg, sigma_maps)
     if not sigma.check():
         raise SymchainError("transported homotopy fails its contract")
-    alX = alpha(X)
-    alY = alpha(Y)
+    alX = SX.alpha
+    alY = SY.alpha
     for n in TX.degrees():
         def sig(k):
             M = sigma_maps.get(k)
@@ -703,8 +690,6 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
 
         if sig(n) @ alX.component(n) != alY.component(n + 1) @ sig(n):
             raise SymchainError("transported homotopy does not commute with alpha")
-    SX = sym2(X)
-    SY = sym2(Y)
     bar_maps = {}
     for n in SX.complex.degrees():
         if SY.complex.rank(n + 1) == 0:
@@ -715,7 +700,7 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
         bar = SY.reduction.rho[n + 1] @ M @ SX.reduction.sigma[n]
         if not bar.is_zero():
             bar_maps[n] = bar
-    sigma_bar = Homotopy(sym2_map(f), sym2_map(g), bar_maps)
+    sigma_bar = Homotopy(_sym2_map(ff, SX, SY), _sym2_map(gg, SX, SY), bar_maps)
     if not sigma_bar.check():
         raise SymchainError("induced homotopy on symmetric squares fails its contract")
     return sigma, sigma_bar

@@ -3,6 +3,7 @@
 import json
 
 from symchain import (
+    GF,
     ZZ,
     direct_sum,
     graded_poly,
@@ -59,6 +60,16 @@ def test_validate_exit_codes(tmp_path, capsys):
     bad_path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "validate", str(bad_path))
     assert code == 2  # rejected at parse time with a degree witness
+
+
+def test_gf_entry_with_denominator_p_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(serialize(koszul([GF(5).scalar(3)])))
+    doc["differentials"] = [[["1/5"]]]
+    path = tmp_path / "gf5.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "entry (0,0)" in err and "not invertible in GF(5)" in err
 
 
 def test_shift_dsum_tensor_match_library(tmp_path, capsys):

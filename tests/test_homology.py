@@ -75,6 +75,28 @@ def test_graded_homology_of_koszul_square():
     assert h.inf == 0
 
 
+def test_graded_homology_builds_each_slice_once(monkeypatch):
+    import importlib
+
+    module = importlib.import_module("symchain.homology")
+    built = []
+
+    def counting_slice_matrix(M, src, tgt, d):
+        built.append((tuple(src), tuple(tgt), d))
+        return slice_matrix(M, src, tgt, d)
+
+    monkeypatch.setattr(module, "slice_matrix", counting_slice_matrix)
+    S = sym2(koszul([X_VAR, Y_VAR])).complex
+    assert homology(S, bound=6).table(2) == {2: 1}
+    # one slice of d_n per (n, d): n runs over the degrees of S and one above
+    assert len(built) == len(set(built)) == (len(S.degrees()) + 1) * 7
+    built.clear()
+    cone = mapping_cone(identity_map(S))  # exact, so every slice is scanned
+    lo, hi = cone.support
+    assert module._graded_inf(cone, 6) is None
+    assert len(built) == (hi - lo + 2) * (6 - cone.min_gdeg() + 1)
+
+
 def test_graded_homology_needs_grading_info():
     with pytest.raises(GradingError):
         FreeComplex(POLY, {0: 1}, {})

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import GF as SympyGF
+from sympy import Matrix, Rational
+from sympy.polys.matrices import DomainMatrix
 
 from symchain import GF, QQ, SparseMatrix, ZLoc, ZZ, graded_poly, kernel_basis, smith_normal_form
-from symchain.errors import ShapeError, UnsupportedRingError
+from symchain.errors import LinearSolveError, ShapeError, UnsupportedRingError
 from symchain.linalg import (
-    determinant,
     image_basis_pid,
     in_image_pid,
     kernel_pid,
@@ -17,6 +19,7 @@ from symchain.linalg import (
     rref,
     slice_matrix,
     solve_exact,
+    solve_field,
     solve_pid,
 )
 
@@ -68,6 +71,19 @@ def test_kernel_requires_field():
         kernel_basis(rows(ZZ, [[2]]))
 
 
+def _sympy_matrix(M):
+    return Matrix(M.rows, M.cols, lambda i, j: Rational(M.entry(i, j).value))
+
+
+def _assert_unimodular(M, p=None):
+    """sympy's exact det is a unit: +-1 over ZZ, p-adic valuation 0 over ZLoc(p)."""
+    det = _sympy_matrix(M).det()
+    if p is None:
+        assert det in (1, -1)
+    else:
+        assert det != 0 and det.p % p != 0 and det.q % p != 0
+
+
 # independent oracle for the SNF example: d1 = gcd of the entries,
 # d1*d2 = |det|
 def test_snf_two_by_two():
@@ -76,8 +92,8 @@ def test_snf_two_by_two():
     diag = [d.value for d in snf.diagonal]
     assert diag == [2, 4]
     assert snf.U @ A @ snf.V == snf.D
-    assert determinant(snf.U).is_unit()
-    assert determinant(snf.V).is_unit()
+    _assert_unimodular(snf.U)
+    _assert_unimodular(snf.V)
 
 
 def test_snf_identity():
@@ -111,8 +127,8 @@ def test_snf_invariants_random():
             assert b % a == 0
         assert all(d > 0 for d in diag)
         if m and n:
-            assert determinant(snf.U).is_unit()
-            assert determinant(snf.V).is_unit()
+            _assert_unimodular(snf.U)
+            _assert_unimodular(snf.V)
         # off-diagonal of D vanishes
         assert all(i == j for (i, j) in snf.D.entries)
         assert len(diag) == rank(A)
@@ -140,8 +156,8 @@ def test_snf_invariants_random_zloc():
             while v % 3 == 0:
                 v /= 3
             assert v == 1
-        assert determinant(snf.U).is_unit()
-        assert determinant(snf.V).is_unit()
+        _assert_unimodular(snf.U, 3)
+        _assert_unimodular(snf.V, 3)
 
 
 def test_kernel_and_image_lattices():
@@ -241,7 +257,7 @@ def test_qq_rank_matches_rref_rank():
                 if rng.random() < 0.6:
                     entries[(i, j)] = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
         A = SparseMatrix(QQ, m, n, entries)
-        assert qq_rank(A) == len(rref(A)[1])
+        assert qq_rank(A) == len(rref(A)[1]) == _sympy_matrix(A).rank()
 
 
 def test_rank_of_integer_lift():
@@ -251,3 +267,102 @@ def test_rank_of_integer_lift():
         lifted = SparseMatrix(QQ, A.rows, A.cols, {k: Fraction(v.value) for k, v in A.entries.items()})
         assert rank(A) == len(rref(lifted)[1])
         assert rank(A) == len(smith_normal_form(A).nonzero_diagonal())
+
+
+# -- the elimination core against sympy --------------------------------------------
+
+
+def _random_field_matrix(ring, rng, rows_, cols, density):
+    def value():
+        if ring == QQ:
+            return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+        return rng.randrange(ring.p)
+
+    return SparseMatrix(
+        ring, rows_, cols,
+        {(i, j): value() for i in range(rows_) for j in range(cols) if rng.random() < density},
+    )
+
+
+def _sympy_rref(A):
+    """(nonzero entries of R as raw values, pivot columns), computed by sympy."""
+    if A.ring == QQ:
+        R, pivots = _sympy_matrix(A).rref()
+        cells = {(i, j): R[i, j] for i in range(A.rows) for j in range(A.cols)}
+        return {k: Fraction(int(v.p), int(v.q)) for k, v in cells.items() if v != 0}, list(pivots)
+    K = SympyGF(A.ring.p)
+    data = [[K(A.entry(i, j).value) for j in range(A.cols)] for i in range(A.rows)]
+    R, pivots = DomainMatrix(data, (A.rows, A.cols), K).rref()
+    cells = {
+        (i, j): int(v) % A.ring.p for i, row in enumerate(R.to_list()) for j, v in enumerate(row)
+    }
+    return {k: v for k, v in cells.items() if v}, list(pivots)
+
+
+FIELDS = [QQ, GF(5), GF(7)]
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+def test_rank_and_rref_match_sympy(ring):
+    rng = random.Random(47)
+    for _ in range(60):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        A = _random_field_matrix(ring, rng, m, n, rng.choice([0.0, 0.2, 0.5, 0.9]))
+        R, pivots = rref(A)
+        entries, pivot_cols = _sympy_rref(A)
+        assert {k: v.value for k, v in R.entries.items()} == entries
+        assert pivots == list(enumerate(pivot_cols))
+        assert rank(A) == len(pivot_cols)
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+def test_solve_field_matches_sympy(ring):
+    rng = random.Random(53)
+    inconsistent = 0
+    for _ in range(60):
+        m, n, k = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 3)
+        A = _random_field_matrix(ring, rng, m, n, rng.choice([0.3, 0.7]))
+        if rng.random() < 0.5:
+            B = A @ _random_field_matrix(ring, rng, n, k, 0.6)
+        else:
+            B = _random_field_matrix(ring, rng, m, k, 0.6)
+        # the solution with free variables 0, read off sympy's rref of [A | B]
+        entries, pivot_cols = _sympy_rref(A.hstack(B))
+        if any(c >= n for c in pivot_cols):
+            inconsistent += 1
+            with pytest.raises(LinearSolveError):
+                solve_field(A, B)
+            continue
+        expected = {
+            (pivot_cols[i], j - n): v for (i, j), v in entries.items() if j >= n
+        }
+        X = solve_field(A, B)
+        assert A @ X == B
+        assert {key: v.value for key, v in X.entries.items()} == expected
+    assert inconsistent > 0
+
+
+def test_solve_exact_over_poly_lifts_constant_matrices():
+    x, y = POLY.variable("x"), POLY.variable("y")
+    rng = random.Random(59)
+    choices = [POLY.zero(), POLY.one(), x, -(y + y), x * y + y * y, x * x * x]
+    inconsistent = 0
+    for _ in range(20):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        A_qq = _random_field_matrix(QQ, rng, m, n, 0.6)
+        A = SparseMatrix(POLY, m, n, {key: v.value for key, v in A_qq.entries.items()})
+        X0 = SparseMatrix.from_rows(POLY, [[rng.choice(choices) for _ in range(2)] for _ in range(n)])
+        B = A @ X0
+        assert A @ solve_exact(A, B) == B
+        if rank(A_qq) < m:
+            # x*y times a vector orthogonal to the column space of A
+            K = kernel_basis(A_qq.transpose())
+            bad = SparseMatrix(
+                POLY, m, 1, {(i, 0): {(1, 1): v.value} for (i, j), v in K.entries.items() if j == 0}
+            )
+            inconsistent += 1
+            with pytest.raises(LinearSolveError):
+                solve_exact(A, bad)
+    assert inconsistent > 0
+    with pytest.raises(LinearSolveError):
+        solve_exact(rows(POLY, [[x, 0], [0, 1]]), rows(POLY, [[x], [1]]))

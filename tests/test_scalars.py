@@ -82,6 +82,26 @@ def test_zloc_rejects_bad_denominator():
         ZLoc(3).scalar(Fraction(1, 3))
 
 
+def test_gf_rejects_denominator_divisible_by_p():
+    with pytest.raises(UnsupportedRingError):
+        parse_scalar(GF(5), "1/5")
+    with pytest.raises(UnsupportedRingError):
+        GF(5).scalar(Fraction(3, 10))
+    # a denominator prime to p is inverted: 3 * 2 = 1 and 3 * 5 = 1 in GF(5), GF(7)
+    assert parse_scalar(GF(5), "1/3") == GF(5).scalar(2)
+    assert GF(7).scalar(Fraction(-1, 3)) == GF(7).scalar(2)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5), ZLoc(3), POLY], ids=str)
+def test_floats_are_rejected(ring):
+    for value in (2.7, 0.5, 2.0):
+        with pytest.raises(ScalarParseError):
+            ring.scalar(value)
+    if ring == POLY:
+        with pytest.raises(ScalarParseError):
+            ring.scalar({(1, 0): 0.5})
+
+
 def _random_scalar(ring, rng):
     if ring.kind == "ZZ":
         return ring.scalar(rng.randint(-9, 9))

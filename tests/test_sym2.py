@@ -240,7 +240,7 @@ def test_split_decomposition_rank_additivity_koszul():
 
 
 def _constant_qq(M):
-    from symchain.sym2 import _poly_to_qq
+    from symchain.linalg import _poly_to_qq
 
     return _poly_to_qq(M)
 
