@@ -49,3 +49,10 @@ print("H_3 of its square:", homology(sym2(K11).complex).group(3))
 z = zero_map(K11, K11)
 print("zero map is a quasi-isomorphism:", bool(is_quasi_iso(z)))
 print("its square is a quasi-isomorphism:", bool(is_quasi_iso(sym2_map(z))))
+
+# Koszul on five primes: the ideal is the unit ideal, so K is split exact,
+# yet its square carries 2-torsion.  homology() reads it from invariant
+# factors computed modulo a determinant, without Smith transforms.
+K5 = koszul([ZZ.scalar(v) for v in (2, 3, 5, 7, 11)])
+h5 = homology(sym2(K5).complex)
+print("\nsquare of K(2,3,5,7,11):", {n: str(g) for n, g in h5.values.items()})

@@ -5,7 +5,7 @@ and graded polynomial rings over QQ.  All arithmetic is exact.
 """
 
 from .scalars import GF, QQ, Ring, Scalar, ZLoc, ZZ, graded_poly, two_is_unit
-from .linalg import SparseMatrix, SNFResult, kernel_basis, smith_normal_form
+from .linalg import SparseMatrix, SNFResult, invariant_factors, kernel_basis, smith_normal_form
 from .complexes import (
     ChainMap,
     FreeComplex,

@@ -15,9 +15,9 @@ import os
 import sys
 
 from . import io as docio
-from .complexes import FreeComplex, direct_sum, koszul, shift, tensor, validate
+from .complexes import FreeComplex, direct_sum, koszul, mapping_cone, shift, tensor, validate
 from .errors import SymchainError
-from .homology import homology, homology_presented, is_quasi_iso
+from .homology import check_bound, homology, homology_presented, is_quasi_iso
 from .series import minimize, pd_finite, poinc_check, rank_series, verify_series_identity
 from .sym2 import PresentedComplex, alpha, sym2, weak_sym2
 from .theorems import check_s2fpd02, check_symm07, check_symm07pp, check_symm09, run_paper_corpus
@@ -44,7 +44,12 @@ def _env_bound(args) -> int | None:
     if getattr(args, "bound", None) is not None:
         return args.bound
     env = os.environ.get("SYMCHAIN_DEGREE_BOUND")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise SymchainError(f"SYMCHAIN_DEGREE_BOUND must be an integer, got {env!r}") from None
 
 
 def _emit(value):
@@ -116,7 +121,9 @@ def cmd_homology(args):
     if isinstance(value, PresentedComplex):
         report = homology_presented(value)
     elif isinstance(value, FreeComplex):
-        report = homology(value, bound=_env_bound(args))
+        bound = _env_bound(args)
+        check_bound(value, bound)
+        report = homology(value, bound=bound)
     else:
         raise SymchainError("homology expects a complex or presented-complex document")
     _print_homology(report)
@@ -127,7 +134,9 @@ def cmd_quasi_iso(args):
     f = _read(args.file)
     if isinstance(f, FreeComplex) or isinstance(f, PresentedComplex):
         raise SymchainError("quasi-iso expects a chain-map document")
-    verdict = is_quasi_iso(f, bound=_env_bound(args))
+    bound = _env_bound(args)
+    check_bound(mapping_cone(f), bound)
+    verdict = is_quasi_iso(f, bound=bound)
     state = "true" if verdict.ok else "false"
     if verdict.ok and verdict.bounded:
         state = f"true-up-to-bound-{verdict.bound}"
@@ -160,7 +169,10 @@ def cmd_minimize(args):
 
 
 def cmd_poinc(args):
-    coeffs = [int(c) for c in args.coeffs.split(",") if c.strip()]
+    try:
+        coeffs = [int(c) for c in args.coeffs.split(",") if c.strip()]
+    except ValueError:
+        raise SymchainError(f"--coeffs must be integers, got {args.coeffs!r}") from None
     report = poinc_check(coeffs, args.sign, args.order)
     print(f"order: {report.order}")
     print(f"sign: {report.sign}")

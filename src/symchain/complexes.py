@@ -51,10 +51,11 @@ class FreeComplex:
 
     def __init__(self, ring: Ring, ranks, diffs=None, gdegs=None):
         self.ring = ring
-        self._ranks = {int(n): int(r) for n, r in dict(ranks).items() if int(r) > 0}
-        for n, r in self._ranks.items():
+        ranks = {int(n): int(r) for n, r in dict(ranks).items()}
+        for n, r in ranks.items():
             if r < 0:
                 raise ShapeError(f"negative rank at degree {n}")
+        self._ranks = {n: r for n, r in ranks.items() if r > 0}
         if ring.kind == "Poly":
             if gdegs is None:
                 raise GradingError(f"complexes over {ring} need generator degrees")

@@ -1,11 +1,12 @@
 """Exact homology of free and presented complexes, per coefficient backend.
 
-Over ZZ and ZLoc(p) homology groups are reported as invariant factors via
-Smith normal form; over QQ and GF(p) as dimensions; over graded polynomial
-rings as Hilbert tables (dimension of each internal-degree slice over QQ)
-up to a degree bound.  Graded verdicts are bounded verification, never
-silently exact: every report and quasi-isomorphism verdict carries the
-bound it was computed with.
+Over ZZ and ZLoc(p) homology groups are reported as invariant factors,
+the Smith diagonal computed modulo a determinant without transforms; over
+QQ and GF(p) as dimensions; over graded polynomial rings as Hilbert tables
+(dimension of each internal-degree slice over QQ) up to a degree bound.
+Graded verdicts are bounded verification, never silently exact: every
+report and quasi-isomorphism verdict carries the bound it was computed
+with.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from .linalg import (
     SparseMatrix,
     cokernel_invariants,
     image_basis_pid,
+    invariant_factors,
     kernel_pid,
     qq_rank,
     rank,
     slice_matrix,
-    smith_normal_form,
     solve_pid,
 )
 from .sym2 import PresentedComplex
@@ -30,6 +31,7 @@ from .sym2 import PresentedComplex
 __all__ = [
     "FpAbelianGroup",
     "HomologyReport",
+    "check_bound",
     "QuasiIsoVerdict",
     "default_bound",
     "homology",
@@ -122,6 +124,18 @@ class HomologyReport:
         return dict(self.values.get(n, {}))
 
 
+def check_bound(X: FreeComplex, bound: int | None) -> None:
+    """Reject a graded bound below the lowest generator degree of X.
+
+    Every slice such a bound admits is empty, so each table would be empty
+    and each verdict vacuous; raises GradingError.
+    """
+    if bound is not None and X.graded and not X.is_zero() and bound < X.min_gdeg():
+        raise GradingError(
+            f"degree bound {bound} is below the lowest generator degree {X.min_gdeg()}"
+        )
+
+
 def default_bound(X: FreeComplex) -> int:
     """Internal-degree bound heuristic: max generator degree + total rank + 2."""
     return X.max_gdeg() + X.total_rank() + 2
@@ -132,11 +146,11 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
     ring = X.ring
     if ring.kind in ("ZZ", "ZLoc"):
         values = {}
-        diag = {n: smith_normal_form(X.diff(n)).nonzero_diagonal() for n in X.degrees()}
+        diag = {n: invariant_factors(X.diff(n)) for n in X.degrees()}
         for n in X.degrees():
             z = X.rank(n) - len(diag.get(n, []))
             incoming = diag.get(n + 1, [])
-            torsion = tuple(int(d.value) for d in incoming if int(d.value) > 1)
+            torsion = tuple(d for d in incoming if d > 1)
             g = FpAbelianGroup(z - len(incoming), torsion)
             if not g.is_zero():
                 values[n] = g

@@ -4,7 +4,9 @@ The format is a JSON text profile: fixed key order, matrices as dense
 row-major lists of scalar strings in the textual grammar, two-space
 indentation.  Serialization of equal objects is byte-identical, and
 serialize(parse(serialize(x))) == serialize(x).  Parsed complexes must
-pass validation; failures carry the offending degree.
+pass validation; failures carry the offending degree.  Integers must be
+JSON integers and matrix rows JSON lists; every malformed field raises
+DocumentError naming it.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ def ring_from_obj(obj) -> Ring:
         if kind == "QQ":
             return QQ
         if kind == "GF":
-            return GF(int(obj["p"]))
+            return GF(_int(obj["p"], "ring p"))
         if kind == "ZLoc":
-            return ZLoc(int(obj["p"]))
+            return ZLoc(_int(obj["p"], "ring p"))
         if kind == "GradedPoly":
             return graded_poly(*obj["variables"])
     except (KeyError, TypeError, SymchainError) as exc:
@@ -69,14 +71,48 @@ def parse_ring_string(text: str) -> Ring:
         return ZZ
     if text == "QQ":
         return QQ
-    if text.startswith("GF(") and text.endswith(")"):
-        return GF(int(text[3:-1]))
-    if text.startswith("ZLoc(") and text.endswith(")"):
-        return ZLoc(int(text[5:-1]))
+    try:
+        if text.startswith("GF(") and text.endswith(")"):
+            return GF(int(text[3:-1]))
+        if text.startswith("ZLoc(") and text.endswith(")"):
+            return ZLoc(int(text[5:-1]))
+    except ValueError as exc:
+        raise DocumentError(f"cannot parse ring {text!r}: the prime is not an integer") from exc
     if text.startswith("GradedPoly(") and text.endswith(")"):
         names = [v.strip() for v in text[11:-1].split(",") if v.strip()]
         return graded_poly(*names)
     raise DocumentError(f"cannot parse ring {text!r}")
+
+
+def _int(value, where: str) -> int:
+    """A JSON integer; booleans, floats and strings are not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{where}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _count(value, where: str) -> int:
+    n = _int(value, where)
+    if n < 0:
+        raise DocumentError(f"{where}: expected a nonnegative integer, got {n}")
+    return n
+
+
+def _list(value, where: str, length=None) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{where}: expected a list, got {json.dumps(value)}")
+    if length is not None and len(value) != length:
+        raise DocumentError(f"{where}: expected {length} items, got {len(value)}")
+    return value
+
+
+def _support(obj):
+    """(lo, hi) from the document's support, or None for the zero object."""
+    support = obj.get("support")
+    if support is None:
+        return None
+    lo, hi = (_int(v, "support") for v in _list(support, "support", 2))
+    return lo, hi
 
 
 def _matrix_to_rows(M: SparseMatrix):
@@ -84,6 +120,9 @@ def _matrix_to_rows(M: SparseMatrix):
 
 
 def _matrix_from_rows(ring: Ring, rows, nrows: int, ncols: int, where: str) -> SparseMatrix:
+    _list(rows, where)
+    for i, row in enumerate(rows):
+        _list(row, f"{where}: row {i}")
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise DocumentError(
             f"{where}: expected a {nrows}x{ncols} matrix, got "
@@ -92,6 +131,10 @@ def _matrix_from_rows(ring: Ring, rows, nrows: int, ncols: int, where: str) -> S
     entries = {}
     for i, row in enumerate(rows):
         for j, text in enumerate(row):
+            if isinstance(text, bool) or not isinstance(text, (str, int)):
+                raise DocumentError(
+                    f"{where}: entry ({i},{j}): expected a scalar string, got {json.dumps(text)}"
+                )
             try:
                 entries[(i, j)] = ring.scalar(text)
             except SymchainError as exc:
@@ -115,23 +158,28 @@ def _complex_to_obj(X: FreeComplex) -> dict:
 
 
 def _complex_from_obj(obj) -> FreeComplex:
+    if not isinstance(obj, dict):
+        raise DocumentError(f"expected a complex object, got {json.dumps(obj)}")
     ring = ring_from_obj(obj.get("ring"))
-    support = obj.get("support")
+    support = _support(obj)
     if support is None:
         return FreeComplex(ring, {}, {}, {} if ring.kind == "Poly" else None)
-    lo, hi = int(support[0]), int(support[1])
+    lo, hi = support
     ranks_list = obj.get("ranks")
     if not isinstance(ranks_list, list) or len(ranks_list) != hi - lo + 1:
         raise DocumentError("ranks do not match the support interval")
-    ranks = {lo + k: int(r) for k, r in enumerate(ranks_list)}
+    ranks = {lo + k: _count(r, f"ranks[{k}]") for k, r in enumerate(ranks_list)}
     gdegs = None
     if ring.kind == "Poly":
         degrees = obj.get("degrees")
         if not isinstance(degrees, list) or len(degrees) != hi - lo + 1:
             raise DocumentError("graded documents need a degrees list matching the support")
-        gdegs = {lo + k: tuple(int(d) for d in ds) for k, ds in enumerate(degrees)}
+        gdegs = {
+            lo + k: tuple(_int(d, f"degrees[{k}]") for d in _list(ds, f"degrees[{k}]"))
+            for k, ds in enumerate(degrees)
+        }
         gdegs = {n: ds for n, ds in gdegs.items() if ranks.get(n, 0) > 0}
-    diff_rows = obj.get("differentials", [])
+    diff_rows = _list(obj.get("differentials", []), "differentials")
     if len(diff_rows) != max(hi - lo, 0):
         raise DocumentError("differentials do not match the support interval")
     diffs = {}
@@ -166,9 +214,15 @@ def _map_from_obj(obj) -> ChainMap:
     target = _complex_from_obj(obj.get("target"))
     if source.ring != ring or target.ring != ring:
         raise DocumentError("map ring differs from the endpoint rings")
+    components = obj.get("maps") or {}
+    if not isinstance(components, dict):
+        raise DocumentError(f"maps: expected an object keyed by degree, got {components!r}")
     maps = {}
-    for key, rows in (obj.get("maps") or {}).items():
-        n = int(key)
+    for key, rows in components.items():
+        try:
+            n = int(key)
+        except ValueError as exc:
+            raise DocumentError(f"maps: degree {key!r} is not an integer") from exc
         maps[n] = _matrix_from_rows(
             ring, rows, target.rank(n), source.rank(n), f"map at degree {n}"
         )
@@ -194,25 +248,28 @@ def _presented_to_obj(P: PresentedComplex) -> dict:
 
 def _presented_from_obj(obj) -> PresentedComplex:
     ring = ring_from_obj(obj.get("ring"))
-    support = obj.get("support")
+    support = _support(obj)
     if support is None:
         return PresentedComplex(ring, {}, {}, {})
-    lo, hi = int(support[0]), int(support[1])
+    lo, hi = support
     counts = obj.get("generators")
     if not isinstance(counts, list) or len(counts) != hi - lo + 1:
         raise DocumentError("generator counts do not match the support interval")
-    generators = {lo + k: list(range(int(c))) for k, c in enumerate(counts) if int(c) > 0}
+    counts = [_count(c, f"generators[{k}]") for k, c in enumerate(counts)]
+    generators = {lo + k: list(range(c)) for k, c in enumerate(counts) if c > 0}
     relations = {}
-    for k, rows in enumerate(obj.get("relations", [])):
+    for k, rows in enumerate(_list(obj.get("relations", []), "relations")):
         n = lo + k
         if n not in generators:
             continue
-        relations[n] = _matrix_from_rows(
-            ring, rows, len(generators[n]), len(rows[0]) if rows else 0,
-            f"relations at degree {n}",
-        ) if rows else SparseMatrix.zero(ring, len(generators[n]), 0)
+        where = f"relations at degree {n}"
+        if not _list(rows, where):
+            relations[n] = SparseMatrix.zero(ring, len(generators[n]), 0)
+            continue
+        ncols = len(_list(rows[0], f"{where}: row 0"))
+        relations[n] = _matrix_from_rows(ring, rows, len(generators[n]), ncols, where)
     diffs = {}
-    for k, rows in enumerate(obj.get("differentials", [])):
+    for k, rows in enumerate(_list(obj.get("differentials", []), "differentials")):
         n = lo + 1 + k
         if n not in generators or (n - 1) not in generators:
             continue

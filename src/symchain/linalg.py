@@ -7,10 +7,20 @@ mod p for GF(p), fraction-free integers for QQ (and for the rank of ZZ and
 ZLoc(p) matrices over their fraction field), and constant polynomial
 matrices through their QQ lift.  Values become Scalars only at the API
 edge.  Graded slices reach about 1000x800 at under 1% density, which is
-why the core keeps rows sparse.  Smith normal form covers ZZ and ZLoc(p)
-with the convention D = U*A*V, diagonal entries nonnegative (ZZ) or
-powers of p (ZLoc) in a divisibility chain.  Lattice utilities (kernel,
-image basis, membership, solve) are derived from the SNF.
+why the core keeps rows sparse.
+
+Over ZZ and ZLoc(p) one Smith pivot loop, _snf_loop, serves two paths:
+
+- invariant_factors returns only the nonzero Smith diagonal.  It runs the
+  loop on residues modulo the determinant of a nonsingular maximal minor,
+  so entries never outgrow that determinant, and builds no transforms.
+  homology() over ZZ/ZLoc and cokernel_invariants (hence presented
+  homology's last step) take this path.
+- smith_normal_form carries U and V, with the convention D = U*A*V and a
+  diagonal that is nonnegative (ZZ) or powers of p (ZLoc) in a
+  divisibility chain.  Only the lattice utilities that need a basis take
+  it: kernel_pid, image_basis_pid and solve_pid (hence in_image_pid and
+  solve_exact over ZZ/ZLoc).
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ __all__ = [
     "SparseMatrix",
     "SNFResult",
     "smith_normal_form",
+    "invariant_factors",
     "kernel_basis",
     "rref",
     "rank",
@@ -227,7 +238,8 @@ def _echelon(rows, p=None, reduced=False):
     scaled to integers, over ZZ and ZLoc; with p prime they are residues mod
     p and each pivot row is scaled to a leading 1.  The pivot is the leading
     column of each incoming row, taken in row order.  Rows are consumed.
-    Returns {pivot col: row}; with reduced=True every pivot column is zero
+    Returns ({pivot col: row}, {pivot col: index of the input row that
+    became that pivot row}); with reduced=True every pivot column is zero
     outside its own pivot row.
     """
 
@@ -261,8 +273,8 @@ def _echelon(rows, p=None, reduced=False):
             for k, v in row.items():
                 row[k] = v // g if p is None else v * g % p
 
-    pivots = {}
-    for row in rows:
+    pivots, sources = {}, {}
+    for index, row in enumerate(rows):
         while row:
             c = min(row)
             if c not in pivots:
@@ -280,7 +292,8 @@ def _echelon(rows, p=None, reduced=False):
                     clear(prow, row, c)
                     normalize(prow, pc)
         pivots[c] = row
-    return pivots
+        sources[c] = index
+    return pivots, sources
 
 
 def _int_rows(A: SparseMatrix):
@@ -311,7 +324,7 @@ def rref(A: SparseMatrix):
     if not A.ring.is_field:
         raise UnsupportedRingError(f"rref needs a field, got {A.ring}")
     rows, p = _int_rows(A)
-    echelon = _echelon(rows, p, reduced=True)
+    echelon, _ = _echelon(rows, p, reduced=True)
     entries = {}
     pivots = []
     for r, c in enumerate(sorted(echelon)):
@@ -324,7 +337,7 @@ def rref(A: SparseMatrix):
 
 def rank(A: SparseMatrix) -> int:
     """Rank over the fraction field (exact for ZZ/ZLoc/QQ; GF(p) as itself)."""
-    return len(_echelon(*_int_rows(A)))
+    return len(_echelon(*_int_rows(A))[0])
 
 
 def qq_rank(A: SparseMatrix) -> int:
@@ -357,7 +370,7 @@ def solve_field(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     if not A.ring.is_field:
         raise UnsupportedRingError(f"solve_field needs a field, got {A.ring}")
     rows, p = _int_rows(A.hstack(B))
-    echelon = _echelon(rows, p, reduced=True)
+    echelon, _ = _echelon(rows, p, reduced=True)
     entries = {}
     for c, row in echelon.items():
         if c >= A.cols:
@@ -415,12 +428,65 @@ def smith_normal_form(A: SparseMatrix) -> SNFResult:
     raise UnsupportedRingError(f"Smith normal form needs ZZ or ZLoc, got {ring}")
 
 
+def invariant_factors(A: SparseMatrix) -> list:
+    """The nonzero Smith diagonal of A over ZZ or ZLoc(p), as ints; no U or V.
+
+    With r = rank A, the input rows I that the echelon core turns into
+    pivots and their pivot columns J give a nonsingular r x r minor, and
+    D = |det A[I, J]| (over ZLoc(p), its power of p).  d_1...d_r divides
+    every nonzero r x r minor, so each d_i divides D and A is equivalent
+    over Z/D to diag(d_i).  The Smith loop therefore runs on residues mod D
+    and reads d_i = gcd(entry, D); an entry that vanishes mod D reads as D
+    (Hafner-McCurley, SIAM J. Comput. 20, 1991; Cohen, GTM 138, 2.4).
+    """
+    ring = A.ring
+    if ring.kind not in ("ZZ", "ZLoc"):
+        raise UnsupportedRingError(f"invariant factors need ZZ or ZLoc, got {ring}")
+    rows, _ = _int_rows(A)
+    echelon, sources = _echelon([dict(row) for row in rows])
+    minor = [{j: v for j, v in rows[sources[c]].items() if j in echelon} for c in echelon]
+    D = _abs_det(minor)
+    if ring.kind == "ZLoc":
+        D = ring.p ** _valuation(D, ring.p)
+    if D == 1:
+        return [1] * len(echelon)
+    cols = sorted({j for row in rows for j in row})
+    M = [[row.get(j, 0) % D for j in cols] for row in rows]
+    _snf_loop(M, _mod_ops(D))
+    return [gcd(M[i][i], D) for i in range(len(echelon))]
+
+
+def _abs_det(rows) -> int:
+    """|det| of a nonsingular square integer matrix, by fraction-free Bareiss
+    elimination.  Rows are {col: int} dicts over the same columns; consumed."""
+    prev = 1
+    for k, c in enumerate(sorted({j for row in rows for j in row})):
+        # pivot on the sparsest remaining row with an entry in column c
+        i = min((i for i in range(k, len(rows)) if c in rows[i]), key=lambda i: len(rows[i]))
+        rows[k], rows[i] = rows[i], rows[k]
+        prow = rows[k]
+        a = prow[c]
+        for i in range(k + 1, len(rows)):
+            row = rows[i]
+            b = row.pop(c, 0)
+            new = {j: a * v for j, v in row.items()}
+            if b:
+                for j, v in prow.items():
+                    if j != c:
+                        new[j] = new.get(j, 0) - b * v
+            rows[i] = {j: v // prev for j, v in new.items() if v}
+        prev = a
+    return abs(prev)
+
+
 def _zz_ops():
     return {
         "key": lambda v: abs(v),
+        "least": 1,
         "divides": lambda d, v: v % d == 0,
         "quot": lambda v, d: v // d,
         "normalizer": lambda v: -1 if v < 0 else 1,  # unit u with u*v canonical
+        "mod": None,
     }
 
 
@@ -432,9 +498,37 @@ def _zloc_ops(p: int):
 
     return {
         "key": lambda v: _valuation(v, p),
+        "least": 0,
         "divides": lambda d, v: _valuation(v, p) >= _valuation(d, p),
         "quot": lambda v, d: v / d,
         "normalizer": normalizer,
+        "mod": None,
+    }
+
+
+def _mod_ops(D: int):
+    """Residues mod D, where a residue a stands for the ideal gcd(a, D)."""
+
+    def quot(v, d):  # x with x*d = v mod D, given gcd(d, D) | v
+        g = gcd(d, D)
+        return v // g * pow(d // g, -1, D // g)
+
+    def normalizer(v):  # unit u mod D with u*v = gcd(v, D) mod D
+        g = gcd(v, D)
+        m = D // g
+        u = pow(v // g, -1, m)
+        c = D  # the largest divisor of D prime to m; u is lifted to 1 mod c
+        while (h := gcd(c, m)) > 1:
+            c //= h
+        return u + m * ((1 - u) * pow(m, -1, c) % c)
+
+    return {
+        "key": lambda v: gcd(v, D),
+        "least": 1,
+        "divides": lambda d, v: v % gcd(d, D) == 0,
+        "quot": quot,
+        "normalizer": normalizer,
+        "mod": D,
     }
 
 
@@ -443,47 +537,83 @@ def _snf(A: SparseMatrix, ops) -> SNFResult:
     m, n = A.rows, A.cols
     M = [[v.value for v in row] for row in A.to_rows()]
     zero = 0 if ring.kind == "ZZ" else Fraction(0)
-    U = [[zero] * m for _ in range(m)]
-    V = [[zero] * n for _ in range(n)]
     one = 1 if ring.kind == "ZZ" else Fraction(1)
-    for i in range(m):
-        U[i][i] = one
-    for j in range(n):
-        V[j][j] = one
+    U = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    V = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    _snf_loop(M, ops, U, V)
+
+    def pack(data, rows, cols):
+        entries = {}
+        for i in range(rows):
+            for j in range(cols):
+                if data[i][j] != zero:
+                    entries[(i, j)] = Scalar(ring, data[i][j])
+        return SparseMatrix(ring, rows, cols, entries)
+
+    return SNFResult(U=pack(U, m, m), D=pack(M, m, n), V=pack(V, n, n))
+
+
+def _snf_loop(M, ops, U=None, V=None):
+    """The Smith pivot loop, in place on the dense rows M.
+
+    ops describes the ring: key orders pivot candidates (least is the key of
+    a unit), divides, quot and normalizer act on values, and mod, when not
+    None, is the modulus every entry is reduced by.  U and V, when given,
+    receive the same row and column operations, so U*A*V is the final M.
+    """
+    m, n = len(M), len(M[0]) if M else 0
+    key, least, divides, quot = ops["key"], ops["least"], ops["divides"], ops["quot"]
+    mod = ops["mod"]
+
+    def combine(x, y, q):  # x - q*y, entrywise
+        if mod is None:
+            return [a - q * b for a, b in zip(x, y)]
+        return [(a - q * b) % mod for a, b in zip(x, y)]
 
     def row_op(i, k, q):  # row_i -= q * row_k, on M and U
-        M[i] = [a - q * b for a, b in zip(M[i], M[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        M[i] = combine(M[i], M[k], q)
+        if U is not None:
+            U[i] = combine(U[i], U[k], q)
 
     def col_op(j, k, q):  # col_j -= q * col_k, on M and V
         for row in M:
             row[j] -= q * row[k]
-        for row in V:
+            if mod is not None:
+                row[j] %= mod
+        for row in V or ():
             row[j] -= q * row[k]
 
     def swap_rows(i, k):
         M[i], M[k] = M[k], M[i]
-        U[i], U[k] = U[k], U[i]
+        if U is not None:
+            U[i], U[k] = U[k], U[i]
 
     def swap_cols(j, k):
         for row in M:
             row[j], row[k] = row[k], row[j]
-        for row in V:
+        for row in V or ():
             row[j], row[k] = row[k], row[j]
 
     def scale_row(i, u):
-        M[i] = [u * a for a in M[i]]
-        U[i] = [u * a for a in U[i]]
+        M[i] = [u * a for a in M[i]] if mod is None else [u * a % mod for a in M[i]]
+        if U is not None:
+            U[i] = [u * a for a in U[i]]
 
     t = 0
     while t < min(m, n):
+        # the first entry of least key in row-major order; a unit is least
         best = None
         for i in range(t, m):
+            row = M[i]
             for j in range(t, n):
-                if M[i][j] != zero:
-                    k = ops["key"](M[i][j])
+                if row[j]:
+                    k = key(row[j])
                     if best is None or k < best[0]:
                         best = (k, i, j)
+                        if k == least:
+                            break
+            if best is not None and best[0] == least:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -496,10 +626,10 @@ def _snf(A: SparseMatrix, ops) -> SNFResult:
             # clear the pivot column
             restart = False
             for i in range(t + 1, m):
-                if M[i][t] == zero:
+                if not M[i][t]:
                     continue
-                if ops["divides"](M[t][t], M[i][t]):
-                    row_op(i, t, ops["quot"](M[i][t], M[t][t]))
+                if divides(M[t][t], M[i][t]):
+                    row_op(i, t, quot(M[i][t], M[t][t]))
                 else:
                     q = M[i][t] // M[t][t]
                     row_op(i, t, q)
@@ -510,10 +640,10 @@ def _snf(A: SparseMatrix, ops) -> SNFResult:
                 continue
             # clear the pivot row
             for j in range(t + 1, n):
-                if M[t][j] == zero:
+                if not M[t][j]:
                     continue
-                if ops["divides"](M[t][t], M[t][j]):
-                    col_op(j, t, ops["quot"](M[t][j], M[t][t]))
+                if divides(M[t][t], M[t][j]):
+                    col_op(j, t, quot(M[t][j], M[t][t]))
                 else:
                     q = M[t][j] // M[t][t]
                     col_op(j, t, q)
@@ -522,34 +652,22 @@ def _snf(A: SparseMatrix, ops) -> SNFResult:
                     break
             if restart:
                 continue
-            if any(M[i][t] != zero for i in range(t + 1, m)):
+            if any(M[i][t] for i in range(t + 1, m)):
                 continue
-            # enforce that the pivot divides the remaining block
+            # enforce that the pivot divides the remaining block (a unit does)
             offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if M[i][j] != zero and not ops["divides"](M[t][t], M[i][j]):
+            if key(M[t][t]) != least:
+                for i in range(t + 1, m):
+                    if any(M[i][j] and not divides(M[t][t], M[i][j]) for j in range(t + 1, n)):
                         offender = i
                         break
-                if offender is not None:
-                    break
             if offender is None:
                 break
-            row_op(t, offender, -one)  # row_t += row_offender
+            row_op(t, offender, -1)  # row_t += row_offender
         u = ops["normalizer"](M[t][t])
-        if u != one:
+        if u != 1:
             scale_row(t, u)
         t += 1
-
-    def pack(data, rows, cols):
-        entries = {}
-        for i in range(rows):
-            for j in range(cols):
-                if data[i][j] != zero:
-                    entries[(i, j)] = Scalar(ring, data[i][j])
-        return SparseMatrix(ring, rows, cols, entries)
-
-    return SNFResult(U=pack(U, m, m), D=pack(M, m, n), V=pack(V, n, n))
 
 
 # -- lattice utilities over ZZ / ZLoc -------------------------------------------
@@ -606,11 +724,8 @@ def cokernel_invariants(A: SparseMatrix):
 
     Factors are integers > 1 in a divisibility chain (powers of p for ZLoc).
     """
-    snf = smith_normal_form(A)
-    nonzero = snf.nonzero_diagonal()
-    free = A.rows - len(nonzero)
-    factors = [int(d.value) for d in nonzero if int(d.value) > 1]
-    return free, tuple(factors)
+    nonzero = invariant_factors(A)
+    return A.rows - len(nonzero), tuple(d for d in nonzero if d > 1)
 
 
 def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:

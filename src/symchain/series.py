@@ -219,6 +219,8 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
     u_inv = M.entries[(i, j)].inverse()
     keep_cols = [c for c in range(X.rank(n)) if c != j]
     keep_rows = [r for r in range(X.rank(n - 1)) if r != i]
+    col_pos = {c: k for k, c in enumerate(keep_cols)}
+    row_pos = {r: k for k, r in enumerate(keep_rows)}
     # d'_n = D - v u^{-1} w on the kept generators
     entries = {}
     col_j = {r: v for (r, c), v in M.entries.items() if c == j}
@@ -226,14 +228,14 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
     for (r, c), v in M.entries.items():
         if r == i or c == j:
             continue
-        entries[(keep_rows.index(r), keep_cols.index(c))] = v
+        entries[(row_pos[r], col_pos[c])] = v
     for r, vr in col_j.items():
         if r == i:
             continue
         for c, wc in row_i.items():
             if c == j:
                 continue
-            key = (keep_rows.index(r), keep_cols.index(c))
+            key = (row_pos[r], col_pos[c])
             corr = vr * u_inv * wc
             prev = entries.get(key)
             entries[key] = -corr if prev is None else prev - corr
@@ -251,13 +253,13 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
             D = X.diff(m)
             diffs[m] = SparseMatrix(
                 ring, len(keep_cols), D.cols,
-                {(keep_cols.index(r), c): v for (r, c), v in D.entries.items() if r != j},
+                {(col_pos[r], c): v for (r, c), v in D.entries.items() if r != j},
             )
         elif m == n - 1:
             D = X.diff(m)
             diffs[m] = SparseMatrix(
                 ring, D.rows, len(keep_rows),
-                {(r, keep_rows.index(c)): v for (r, c), v in D.entries.items() if c != i},
+                {(r, row_pos[c]): v for (r, c), v in D.entries.items() if c != i},
             )
         else:
             diffs[m] = X.diff(m)
@@ -285,7 +287,7 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
             entries = {(k, r): ring.one() for k, r in enumerate(keep_rows)}
             for r, vr in col_j.items():
                 if r != i:
-                    entries[(keep_rows.index(r), i)] = -(u_inv * vr)
+                    entries[(row_pos[r], i)] = -(u_inv * vr)
             proj_maps[m] = SparseMatrix(ring, len(keep_rows), X.rank(n - 1), entries)
         else:
             proj_maps[m] = SparseMatrix.identity(ring, X.rank(m))

@@ -25,7 +25,14 @@ from .complexes import (
     zero_map,
 )
 from .errors import SymchainError, TwoNotUnitError, UnsupportedRingError
-from .homology import homology, homology_presented, is_quasi_iso, _graded_inf, _graded_table
+from .homology import (
+    _graded_inf,
+    _graded_table,
+    check_bound,
+    homology,
+    homology_presented,
+    is_quasi_iso,
+)
 from .linalg import (
     SparseMatrix,
     kernel_basis,
@@ -97,9 +104,15 @@ def _graded(ring: Ring) -> bool:
     return ring.kind == "Poly"
 
 
-def _checker_bound(X: FreeComplex) -> int:
-    # max generator degree of the tensor square plus the total rank of X
-    return 2 * X.max_gdeg() + X.total_rank() + 2
+def _checker_bound(X: FreeComplex, bound: int | None):
+    """The bound a checker runs at: the given one, which check_bound rejects
+    when it lies below X's lowest generator degree, or on graded rings by
+    default the max generator degree of the tensor square plus the total
+    rank of X."""
+    check_bound(X, bound)
+    if bound is None and _graded(X.ring):
+        return 2 * X.max_gdeg() + X.total_rank() + 2
+    return bound
 
 
 def _is_zero_or_single_shift(M: FreeComplex, parity: int | None):
@@ -144,7 +157,7 @@ def check_symm07(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     _require_local_two_unit(X.ring)
     S = sym2(X)
     T = S.tensor_square
-    D = bound if bound is not None else (_checker_bound(X) if _graded(X.ring) else None)
+    D = _checker_bound(X, bound)
     witnesses = {}
 
     v1 = is_quasi_iso(S.proj, bound=D)
@@ -191,7 +204,7 @@ def check_symm07pp(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     _require_local_two_unit(X.ring)
     S = sym2(X)
     T = S.tensor_square
-    D = bound if bound is not None else (_checker_bound(X) if _graded(X.ring) else None)
+    D = _checker_bound(X, bound)
     witnesses = {}
 
     al = S.alpha
@@ -246,6 +259,7 @@ def check_s2fpd02(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     Reports the shift degree j when the conditions hold.
     """
     _require_local_two_unit(X.ring)
+    check_bound(X, bound)
     M, _ = minimize(X)
     even_shift, _d = _is_zero_or_single_shift(M, parity=0)
     cond1 = (even_shift and not M.is_zero()) or _is_two_odd_shifts(M)
@@ -458,7 +472,7 @@ def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     _require_local_two_unit(X.ring)
     ring = X.ring
     S = sym2(X).complex
-    D = bound if bound is not None else (_checker_bound(X) if _graded(ring) else None)
+    D = _checker_bound(X, bound)
 
     def trivial():
         return VerdictReport(

@@ -199,3 +199,68 @@ def test_input_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "validate", missing)
     assert code == 2
     assert "error:" in err
+
+
+def _write_doc(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_non_integer_fields_exit_2(tmp_path, capsys):
+    zz = json.loads(serialize(koszul([ZZ.scalar(3)])))
+    graded = json.loads(serialize(koszul([X_VAR, Y_VAR])))
+    cases = [
+        (zz, "ranks", ["a", 1], "ranks[0]"),
+        (zz, "ranks", [1, 1.0], "ranks[1]"),
+        (zz, "support", ["0", 1], "support"),
+        (zz, "support", 0, "support"),
+        (zz, "ring", {"kind": "ZLoc", "p": 3.5}, "ring p"),
+        (graded, "degrees", [[0], ["a", 1], [2]], "degrees[1]"),
+        (graded, "degrees", [[0], [1, True], [2]], "degrees[1]"),
+    ]
+    for base, key, value, where in cases:
+        doc = dict(base, **{key: value})
+        code, _, err = run(capsys, "validate", _write_doc(tmp_path, doc))
+        assert code == 2, (key, value)
+        assert where in err and "Traceback" not in err
+    code, _, err = run(capsys, "koszul", "--ring", "GF(x)", "--elements", "1")
+    assert code == 2 and "GF(x)" in err
+
+
+def test_degree_bound_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
+    sfile = write(tmp_path, "s.json", sym2(koszul([X_VAR, Y_VAR])).complex)
+    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "abc")
+    code, _, err = run(capsys, "homology", sfile)
+    assert code == 2 and "SYMCHAIN_DEGREE_BOUND" in err
+
+
+def test_bad_matrix_rows_exit_2_with_position(tmp_path, capsys):
+    doc = json.loads(serialize(koszul([ZZ.scalar(3)])))
+    # a row given as a string was once split into the row [1, 2]
+    doc["differentials"] = [["12"]]
+    code, _, err = run(capsys, "validate", _write_doc(tmp_path, doc))
+    assert code == 2 and "degree 1: row 0" in err
+    # JSON true was once read as 1
+    doc["differentials"] = [[[True]]]
+    code, _, err = run(capsys, "validate", _write_doc(tmp_path, doc))
+    assert code == 2 and "entry (0,0)" in err and "true" in err
+    doc["differentials"] = [[["1"]]]
+    code, out, _ = run(capsys, "validate", _write_doc(tmp_path, doc))
+    assert code == 0 and "valid: true" in out
+
+
+def test_bound_below_lowest_generator_degree_exits_2(tmp_path, capsys):
+    kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
+    # every slice below degree 0 is empty, which once read as equivalent: false
+    code, out, err = run(capsys, "check", "symm07pp", kfile, "--bound", "-1")
+    assert code == 2
+    assert "equivalent" not in out and "lowest generator degree 0" in err
+    code, out, err = run(capsys, "homology", kfile, "--bound", "-1")
+    assert code == 2 and "lowest generator degree" in err
+    # the projection is no quasi-isomorphism; below degree 0 it once read as one
+    mfile = write(tmp_path, "m.json", sym2(koszul([X_VAR, Y_VAR])).proj)
+    code, out, err = run(capsys, "quasi-iso", mfile, "--bound", "-1")
+    assert code == 2 and "quasi-isomorphism" not in out
+    code, out, _ = run(capsys, "check", "symm07pp", kfile, "--bound", "0")
+    assert code == 0 and "equivalent: true" in out

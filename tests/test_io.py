@@ -21,7 +21,7 @@ from symchain import (
     weak_sym2,
     zero_complex,
 )
-from symchain.errors import DocumentError
+from symchain.errors import DocumentError, ShapeError
 from symchain.io import parse_ring_string, ring_from_obj, ring_to_obj
 
 from randgen import random_chain_map, random_complex
@@ -134,3 +134,26 @@ def test_ring_obj_round_trip():
 def test_unknown_format_rejected():
     with pytest.raises(DocumentError):
         parse('{"format": "mystery"}')
+
+
+def test_matrix_rows_must_be_lists_of_scalars():
+    import json
+
+    doc = json.loads(serialize(koszul([ZZ.scalar(3)])))
+    for rows, where in (["12"], "row 0"), ([[True]], "entry (0,0)"), ([[None]], "entry (0,0)"):
+        doc["differentials"] = [rows]
+        with pytest.raises(DocumentError) as err:
+            parse(json.dumps(doc))
+        assert "differential at degree 1" in str(err.value) and where in str(err.value)
+
+
+def test_negative_rank_rejected():
+    import json
+
+    doc = json.loads(serialize(koszul([ZZ.scalar(3)])))
+    doc["ranks"] = [1, -1]
+    with pytest.raises(DocumentError) as err:
+        parse(json.dumps(doc))
+    assert "ranks[1]" in str(err.value)
+    with pytest.raises(ShapeError):
+        FreeComplex(ZZ, {0: 1, 1: -1})

@@ -2,17 +2,33 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from sympy import GF as SympyGF
+from sympy import ZZ as SympyZZ
 from sympy import Matrix, Rational
 from sympy.polys.matrices import DomainMatrix
 
-from symchain import GF, QQ, SparseMatrix, ZLoc, ZZ, graded_poly, kernel_basis, smith_normal_form
+from symchain import (
+    GF,
+    QQ,
+    SparseMatrix,
+    ZLoc,
+    ZZ,
+    base_change,
+    graded_poly,
+    homology,
+    kernel_basis,
+    koszul,
+    smith_normal_form,
+    sym2,
+)
 from symchain.errors import LinearSolveError, ShapeError, UnsupportedRingError
 from symchain.linalg import (
     image_basis_pid,
     in_image_pid,
+    invariant_factors,
     kernel_pid,
     monomials_of_degree,
     rank,
@@ -158,6 +174,121 @@ def test_snf_invariants_random_zloc():
             assert v == 1
         _assert_unimodular(snf.U, 3)
         _assert_unimodular(snf.V, 3)
+
+
+# -- invariant factors: the diagonal-only path against SNF and sympy ----------------
+
+
+def _zloc_value(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4, 5]))
+
+
+def _random_matrix(ring, rng, m, n, density):
+    value = (lambda: rng.randint(-9, 9)) if ring == ZZ else (lambda: _zloc_value(rng))
+    return SparseMatrix(
+        ring, m, n, {(i, j): value() for i in range(m) for j in range(n) if rng.random() < density}
+    )
+
+
+def _unimodular(ring, rng, n):
+    """Upper unitriangular times lower triangular with diagonal +-1."""
+    upper = {(i, j): rng.randint(-3, 3) for i in range(n) for j in range(i + 1, n)}
+    lower = {(i, j): rng.randint(-3, 3) for i in range(n) for j in range(i)}
+    for i in range(n):
+        upper[(i, i)] = 1
+        lower[(i, i)] = rng.choice([1, -1])
+    return SparseMatrix(ring, n, n, upper) @ SparseMatrix(ring, n, n, lower)
+
+
+def _invariant_factor_cases(ring, rng):
+    """(matrix, expected factors or None) for the cross-checks."""
+    cases = [(SparseMatrix.zero(ring, m, n), []) for m, n in [(0, 0), (0, 3), (3, 0), (3, 4)]]
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append((_random_matrix(ring, rng, m, n, rng.choice([0.3, 0.6, 1.0])), None))
+    for _ in range(15):  # rank deficient: a product through a thinner space
+        m, n, k = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 2)
+        thin = _random_matrix(ring, rng, m, k, 1.0) @ _random_matrix(ring, rng, k, n, 1.0)
+        cases.append((thin, None))
+    for n in range(1, 6):  # unimodular, so the minor's determinant D is 1
+        cases.append((_unimodular(ring, rng, n), [1] * n))
+    # known diagonals in disguise; the last factor of each equals D
+    p = 3 if ring.kind == "ZLoc" else None
+    for diag in ([2], [9], [1, 6], [3, 3, 0], [1, 3, 9, 0]):
+        n = len(diag)
+        D = SparseMatrix(ring, n, n + 1, {(i, i): d for i, d in enumerate(diag)})
+        A = _unimodular(ring, rng, n) @ D @ _unimodular(ring, rng, n + 1)
+        want = [d for d in diag if d]
+        if p:
+            want = [p ** _p_valuation(d, p) for d in want]
+        cases.append((A, want))
+    return cases
+
+
+def _p_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _sympy_invariant_factors(A, normalforms):
+    """Nonzero invariant factors from sympy, on rows scaled to integers.
+
+    Over ZLoc(p) the row scalings are units and the answer is the p-part.
+    """
+    data = []
+    for i in range(A.rows):
+        row = [Fraction(A.entry(i, j).value) for j in range(A.cols)]
+        m = lcm(*(v.denominator for v in row))
+        data.extend(int(v * m) for v in row)
+    factors = [
+        abs(int(f))
+        for f in normalforms.invariant_factors(Matrix(A.rows, A.cols, data), domain=SympyZZ)
+        if f != 0
+    ]
+    if A.ring.kind == "ZLoc":
+        factors = [A.ring.p ** _p_valuation(f, A.ring.p) for f in factors]
+    return factors
+
+
+@pytest.mark.parametrize("ring", [ZZ, ZLoc(3)], ids=str)
+def test_invariant_factors_match_snf_and_sympy(ring):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    cases = _invariant_factor_cases(ring, random.Random(61 if ring == ZZ else 67))
+    for A, want in cases:
+        got = invariant_factors(A)
+        assert got == [int(d.value) for d in smith_normal_form(A).nonzero_diagonal()]
+        assert got == _sympy_invariant_factors(A, normalforms)
+        if want is not None:
+            assert got == want
+    # the cross-checks reach a nontrivial factor on every ring
+    assert any(d > 1 for A, _ in cases for d in invariant_factors(A))
+
+
+def test_invariant_factors_reject_fields():
+    with pytest.raises(UnsupportedRingError):
+        invariant_factors(rows(QQ, [[2]]))
+
+
+def test_universal_coefficients_on_sym2_koszul_of_five_primes():
+    """Field dimensions on the rank path agree with the ZZ invariant factors.
+
+    This row took minutes with transforms, too slow for sympy or the SNF.
+    """
+    X = sym2(koszul([ZZ.scalar(v) for v in (2, 3, 5, 7, 11)])).complex
+    h_z = homology(X)
+    assert any(h_z.group(n).factors for n in X.degrees())
+    for ring in (GF(2), GF(3), QQ):
+        h = homology(base_change(X, ring))
+        p = ring.p if ring.kind == "GF" else None
+
+        def torsion(n):
+            return sum(1 for f in h_z.group(n).factors if p and f % p == 0)
+
+        for n in X.degrees():
+            assert h.dimension(n) == h_z.group(n).rank + torsion(n) + torsion(n - 1)
 
 
 def test_kernel_and_image_lattices():
