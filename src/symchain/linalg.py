@@ -3,24 +3,27 @@
 Matrices are immutable-by-convention sparse maps (row, col) -> nonzero
 Scalar over a single ring.  Rank, rref, kernel and solve all run on one
 sparse elimination core, _echelon, over rows of raw Python ints: residues
-mod p for GF(p), fraction-free integers for QQ (and for the rank of ZZ and
-ZLoc(p) matrices over their fraction field), and constant polynomial
+mod p for GF(p), fraction-free integers for QQ (and for ZZ and ZLoc(p)
+matrices over their fraction field), and constant polynomial
 matrices through their QQ lift.  Values become Scalars only at the API
 edge.  Graded slices reach about 1000x800 at under 1% density, which is
 why the core keeps rows sparse.
 
-Over ZZ and ZLoc(p) one Smith pivot loop, _snf_loop, serves two paths:
+Over ZZ and ZLoc(p) no library path builds a lattice transform:
 
+- solve_exact needs A to have independent columns, solves once over the
+  fraction field on the same core, and accepts the solution only when
+  every entry lies in the ring.
 - invariant_factors returns only the nonzero Smith diagonal.  It runs the
-  loop on residues modulo the determinant of a nonsingular maximal minor,
-  so entries never outgrow that determinant, and builds no transforms.
-  homology() over ZZ/ZLoc and cokernel_invariants (hence presented
-  homology's last step) take this path.
-- smith_normal_form carries U and V, with the convention D = U*A*V and a
-  diagonal that is nonnegative (ZZ) or powers of p (ZLoc) in a
-  divisibility chain.  Only the lattice utilities that need a basis take
-  it: kernel_pid, image_basis_pid and solve_pid (hence in_image_pid and
-  solve_exact over ZZ/ZLoc).
+  Smith pivot loop, _snf_loop, on residues modulo the determinant of a
+  nonsingular maximal minor, so entries never outgrow that determinant.
+  homology() over ZZ/ZLoc takes this path.
+
+smith_normal_form carries U and V, with the convention D = U*A*V and a
+diagonal that is nonnegative (ZZ) or powers of p (ZLoc) in a divisibility
+chain.  It and the lattice utilities built on it, kernel_pid,
+image_basis_pid and solve_pid, are reference implementations: tests
+compare the library against them, and no library function calls them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .errors import (
     GradingError,
@@ -51,8 +55,6 @@ __all__ = [
     "kernel_pid",
     "image_basis_pid",
     "solve_pid",
-    "in_image_pid",
-    "cokernel_invariants",
     "solve_exact",
     "monomials_of_degree",
     "slice_matrix",
@@ -364,11 +366,17 @@ def kernel_basis(A: SparseMatrix) -> SparseMatrix:
 def solve_field(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """One exact solution X of A @ X = B over a field; raises if none.
 
-    Eliminates [A | B]; a pivot in a B column means no solution.  The
-    result is verified exactly before returning.
+    The result is verified exactly before returning.
     """
     if not A.ring.is_field:
         raise UnsupportedRingError(f"solve_field needs a field, got {A.ring}")
+    entries, _ = _solve_echelon(A, B)
+    return _verified(A, SparseMatrix(A.ring, A.cols, B.cols, entries), B)
+
+
+def _solve_echelon(A: SparseMatrix, B: SparseMatrix):
+    """Entries of one solution of A @ X = B over the fraction field (GF(p) as
+    itself), from one elimination of [A | B], and the rank of A."""
     rows, p = _int_rows(A.hstack(B))
     echelon, _ = _echelon(rows, p, reduced=True)
     entries = {}
@@ -378,7 +386,7 @@ def solve_field(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
         for j, v in row.items():
             if j >= A.cols:
                 entries[(c, j - A.cols)] = v if p else Fraction(v, row[c])
-    return _verified(A, SparseMatrix(A.ring, A.cols, B.cols, entries), B)
+    return entries, len(echelon)
 
 
 def _verified(A: SparseMatrix, X: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
@@ -670,7 +678,7 @@ def _snf_loop(M, ops, U=None, V=None):
         t += 1
 
 
-# -- lattice utilities over ZZ / ZLoc -------------------------------------------
+# -- reference lattice utilities over ZZ / ZLoc, for tests only -------------------
 
 
 def kernel_pid(A: SparseMatrix) -> SparseMatrix:
@@ -715,33 +723,25 @@ def solve_pid(A: SparseMatrix, B: SparseMatrix):
     return snf.V @ Y
 
 
-def in_image_pid(A: SparseMatrix, v: SparseMatrix) -> bool:
-    return solve_pid(A, v) is not None
-
-
-def cokernel_invariants(A: SparseMatrix):
-    """(free_rank, invariant_factors) of coker(A) over ZZ or ZLoc.
-
-    Factors are integers > 1 in a divisibility chain (powers of p for ZLoc).
-    """
-    nonzero = invariant_factors(A)
-    return A.rows - len(nonzero), tuple(d for d in nonzero if d > 1)
-
-
 def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """Solve A @ X = B exactly over the matrix ring; raises LinearSolveError.
 
-    Over a polynomial ring A must be constant: it is lifted to QQ and solved
-    against one column per (column of B, monomial) of B's coefficients.
+    Over ZZ and ZLoc(p) A must have independent columns; the unique solution
+    over the fraction field must then lie in the ring (denominators 1, or
+    prime to p).  Over a polynomial ring A must be constant: it is lifted to
+    QQ and solved against one column per (column of B, monomial) of B.
     """
     if A.ring.is_field:
         return solve_field(A, B)
-    if A.ring.kind in ("ZZ", "ZLoc"):
-        X = solve_pid(A, B)
-        if X is None:
-            raise LinearSolveError("no solution over the ring")
-        return X
     A._check_ring(B)
+    if A.ring.kind in ("ZZ", "ZLoc"):
+        entries, r = _solve_echelon(A, B)
+        if r < A.cols:
+            raise LinearSolveError("the columns of A are not independent")
+        p = A.ring.p if A.ring.kind == "ZLoc" else None
+        if any(f.denominator % p == 0 if p else f.denominator != 1 for f in entries.values()):
+            raise LinearSolveError("no solution over the ring")
+        return _verified(A, SparseMatrix(A.ring, A.cols, B.cols, entries), B)
     try:
         A_qq = _poly_to_qq(A)
     except GradingError as exc:
@@ -769,12 +769,6 @@ def _poly_to_qq(M: SparseMatrix) -> SparseMatrix:
             raise GradingError("expected a constant matrix over the polynomial ring")
         entries[key] = v.value[const]
     return SparseMatrix(QQ, M.rows, M.cols, entries)
-
-
-def _constant_to_poly(M: SparseMatrix, ring: Ring) -> SparseMatrix:
-    return SparseMatrix(
-        ring, M.rows, M.cols, {k: Fraction(v.value) for k, v in M.entries.items()}
-    )
 
 
 # -- graded degree slices ---------------------------------------------------------
@@ -821,22 +815,22 @@ def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
     src_basis = slice_basis(nvars, src_degrees, d)
     tgt_basis = slice_basis(nvars, tgt_degrees, d)
     tgt_index = {key: r for r, key in enumerate(tgt_basis)}
+    by_col = {}
+    for (i, j), poly in M.entries.items():
+        by_col.setdefault(j, []).append((i, poly.value))
     entries = {}
     for c, (j, mono) in enumerate(src_basis):
-        for (i, jj), poly in M.entries.items():
-            if jj != j:
-                continue
-            for exp, coeff in poly.value.items():
-                target = tuple(a + b for a, b in zip(exp, mono))
-                r = tgt_index.get((i, target))
+        for i, value in by_col.get(j, ()):
+            for exp, coeff in value.items():
+                r = tgt_index.get((i, tuple(map(add, exp, mono))))
                 if r is None:
                     continue
                 key = (r, c)
-                prev = entries.get(key, Fraction(0))
-                val = prev + coeff
-                if val == 0:
-                    entries.pop(key, None)
-                else:
+                prev = entries.get(key)
+                val = coeff if prev is None else prev + coeff
+                if val:
                     entries[key] = val
+                else:
+                    del entries[key]
     mat = SparseMatrix(QQ, len(tgt_basis), len(src_basis), entries)
     return mat, tgt_basis, src_basis

@@ -17,6 +17,10 @@ on a canonical generator basis:
 Reduction (rho), section (sigma), and the induced differentials
 rho . d . sigma reproduce the classical small matrices for Koszul
 complexes on one and two elements exactly.
+
+When 2 is a unit, alpha/2 is idempotent, so Im(alpha) and Ker(alpha) =
+Im(2 - alpha) are direct summands of T; their bases are columns at pivots
+over the residue field, and no lattice transform is built.
 """
 
 from __future__ import annotations
@@ -35,24 +39,15 @@ from .complexes import (
 )
 from .errors import (
     GradingError,
+    LinearSolveError,
     RingMismatchError,
     ShapeError,
     SymchainError,
     TwoNotUnitError,
     UnsupportedRingError,
 )
-from .linalg import (
-    SparseMatrix,
-    _constant_to_poly,
-    _poly_to_qq,
-    image_basis_pid,
-    kernel_basis,
-    kernel_pid,
-    rref,
-    solve_exact,
-    solve_pid,
-)
-from .scalars import Ring, Scalar
+from .linalg import SparseMatrix, _poly_to_qq, rank, rref, solve_exact
+from .scalars import GF, Ring, Scalar
 
 __all__ = [
     "SymBasis",
@@ -258,7 +253,10 @@ def sym2(X: FreeComplex) -> Sym2Result:
 
 
 class PresentedComplex:
-    """A complex of cokernels: degree n is R^{g_n} / column span of rel_n."""
+    """A complex of cokernels: degree n is R^{g_n} / column span of rel_n.
+
+    Over ZZ and ZLoc(p) the columns of each rel_n must be independent.
+    """
 
     __slots__ = ("ring", "generators", "relations", "diffs")
 
@@ -275,6 +273,8 @@ class PresentedComplex:
                 continue
             if M.rows != len(self.generators[n]):
                 raise ShapeError(f"relation matrix at degree {n} has wrong height")
+            if ring.kind in ("ZZ", "ZLoc") and rank(M) < M.cols:
+                raise ShapeError(f"relations at degree {n} are not independent")
             self.relations[n] = M
         for n, M in diffs.items():
             n = int(n)
@@ -331,14 +331,10 @@ class PresentedComplex:
     def _in_span(self, A: SparseMatrix, B: SparseMatrix) -> bool:
         if B.is_zero():
             return True
-        if A.cols == 0:
-            return False
-        if self.ring.kind in ("ZZ", "ZLoc"):
-            return solve_pid(A, B) is not None
         try:
             solve_exact(A, B)
             return True
-        except SymchainError:
+        except LinearSolveError:
             return False
 
     def __repr__(self):
@@ -411,28 +407,22 @@ class SubcomplexData:
     bases: dict  # degree -> SparseMatrix whose columns are the basis
 
 
-def _column_space_basis(M: SparseMatrix) -> SparseMatrix:
-    """Echelon basis of the column space (fields; constant-entry Poly via QQ)."""
+def _pivot_columns(M: SparseMatrix) -> SparseMatrix:
+    """The columns of M at its pivot columns over the residue field: QQ for
+    QQ and constant Poly matrices, GF(p) for GF(p) and ZLoc(p).  They are a
+    basis of the column space, and over ZLoc(p) of a column lattice that is
+    a direct summand, since by Nakayama lifts of a basis mod p generate it."""
     ring = M.ring
-    if ring.is_field:
-        R, pivots = rref(M.transpose())
-        return R.transpose().submatrix_columns(range(len(pivots)))
     if ring.kind == "Poly":
-        return _constant_to_poly(_column_space_basis(_poly_to_qq(M)), ring)
-    if ring.kind in ("ZZ", "ZLoc"):
-        return image_basis_pid(M)
-    raise UnsupportedRingError(f"no column-space basis over {ring}")
-
-
-def _kernel_columns(M: SparseMatrix) -> SparseMatrix:
-    ring = M.ring
-    if ring.is_field:
-        return kernel_basis(M)
-    if ring.kind == "Poly":
-        return _constant_to_poly(kernel_basis(_poly_to_qq(M)), ring)
-    if ring.kind in ("ZZ", "ZLoc"):
-        return kernel_pid(M)
-    raise UnsupportedRingError(f"no kernel basis over {ring}")
+        residue = _poly_to_qq(M)
+    elif ring.kind == "ZLoc":
+        residue = base_change_matrix(M, GF(ring.p))
+    elif ring.is_field:
+        residue = M
+    else:
+        raise UnsupportedRingError(f"no residue field for {ring}")
+    _, pivots = rref(residue)
+    return M.submatrix_columns([c for _, c in pivots])
 
 
 def _basis_gdegs(T: FreeComplex, n: int, basis: SparseMatrix):
@@ -462,15 +452,40 @@ def _subcomplex_from_bases(T: FreeComplex, bases: dict) -> SubcomplexData:
     return SubcomplexData(sub, inclusion, {n: bases[n] for n in ranks})
 
 
+def _check_twice_idempotent(T: FreeComplex, f: ChainMap) -> None:
+    """Raise unless 2 is a unit and f.f = 2f in every degree of T."""
+    if not T.ring.two_is_unit():
+        raise TwoNotUnitError(f"2 is not a unit in {T.ring}")
+    for n in T.degrees():
+        F = f.component(n)
+        if F.ring.kind == "Poly":
+            F = _poly_to_qq(F)  # exact for the constant matrices taken here, and cheaper
+        if F @ F != F + F:
+            raise SymchainError(f"f.f != 2f in degree {n}")
+
+
 def endo_image_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
-    """The image of a chain endomorphism of T, realized as a free subcomplex."""
-    bases = {n: _column_space_basis(f.component(n)) for n in T.degrees()}
+    """The image of a chain endomorphism f of T with f.f = 2f, as a subcomplex.
+
+    f/2 is idempotent, so Im f is a direct summand, spanned by the columns
+    of f at its residue-field pivots.  Needs 2 a unit and f.f = 2f.
+    """
+    _check_twice_idempotent(T, f)
+    bases = {n: _pivot_columns(f.component(n)) for n in T.degrees()}
     return _subcomplex_from_bases(T, bases)
 
 
 def endo_kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
-    """The kernel of a chain endomorphism of T, realized as a free subcomplex."""
-    bases = {n: _kernel_columns(f.component(n)) for n in T.degrees()}
+    """The kernel of a chain endomorphism f of T with f.f = 2f, as a subcomplex.
+
+    Ker f is the image of 2 - f, a direct summand found as in
+    endo_image_complex.  Needs 2 a unit and f.f = 2f.
+    """
+    _check_twice_idempotent(T, f)
+    bases = {}
+    for n in T.degrees():
+        two = SparseMatrix(T.ring, T.rank(n), T.rank(n), {(i, i): 2 for i in range(T.rank(n))})
+        bases[n] = _pivot_columns(two - f.component(n))
     return _subcomplex_from_bases(T, bases)
 
 

@@ -45,6 +45,7 @@ from .linalg import (
 from .scalars import QQ, Ring, ZZ, graded_poly
 from .series import minimize, rank_series, verify_series_identity
 from .sym2 import (
+    _pivot_columns,
     alpha,
     endo_image_complex,
     endo_kernel_complex,
@@ -321,11 +322,6 @@ def _predicted_lowest_invariants(group, parity_even: bool):
     rank = sum(1 for c in out if c is None)
     factors = tuple(sorted(c for c in out if c is not None))
     return rank, factors
-
-
-def _pivot_columns(M: SparseMatrix) -> SparseMatrix:
-    _, pivots = rref(M)
-    return M.submatrix_columns([c for _, c in pivots])
 
 
 def _homology_representatives(boundaries, cycles) -> SparseMatrix:

@@ -95,6 +95,16 @@ def test_weak_sym2_and_presented_homology(tmp_path, capsys):
     assert "H[0]: Z/3" in out and "H[2]: Z/2" in out
 
 
+def test_dependent_relations_are_an_input_error(tmp_path, capsys):
+    doc = json.loads(serialize(weak_sym2(koszul([ZZ.scalar(3)]))))
+    doc["relations"][2] = [["2", "3"]]  # two relations on one generator
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "homology", str(path))
+    assert code == 2
+    assert "relations at degree 2 are not independent" in err
+
+
 def test_homology_graded_with_bound(tmp_path, capsys):
     sfile = write(tmp_path, "s.json", sym2(koszul([X_VAR, Y_VAR])).complex)
     code, out, _ = run(capsys, "homology", sfile, "--bound", "6")

@@ -31,13 +31,14 @@ from symchain import (
     zero_map,
 )
 from symchain.errors import GradingError, ShapeError, SymchainError, UnsupportedRingError
+from symchain.homology import _presented_cone
 from symchain.linalg import (
-    cokernel_invariants,
-    in_image_pid,
+    image_basis_pid,
     kernel_basis,
     kernel_pid,
     rref,
     slice_matrix,
+    smith_normal_form,
     solve_field,
     solve_pid,
 )
@@ -125,6 +126,69 @@ def test_homology_presented_requires_zz():
     P = PresentedComplex(QQ, {0: [0]}, {}, {})
     with pytest.raises(UnsupportedRingError):
         homology_presented(P)
+
+
+def _cokernel_invariants(A):
+    """Oracle: (free rank, invariant factors > 1) of coker(A) over ZZ or
+    ZLoc(p), read off the Smith diagonal of the transform path."""
+    diagonal = [int(d.value) for d in smith_normal_form(A).nonzero_diagonal()]
+    return A.rows - len(diagonal), tuple(d for d in diagonal if d > 1)
+
+
+def _presented_homology_oracle(P):
+    """Oracle over ZZ: H_n = cycles / boundaries as lattices.  Cycles are
+    the v with d(v) in the span of the lower relations, taken as a lattice
+    basis L; boundaries and relations are written in L's coordinates, and
+    the group is the cokernel of that coordinate matrix."""
+    values = {}
+    for n in P.degrees():
+        dn, rel_prev = P.diff(n), P.relation(n - 1)
+        stacked = dn.hstack(-rel_prev) if rel_prev.cols else dn
+        full_kernel = kernel_pid(stacked)
+        v_part = SparseMatrix(
+            P.ring, P.rank_free_cover(n), full_kernel.cols,
+            {(i, j): v for (i, j), v in full_kernel.entries.items() if i < P.rank_free_cover(n)},
+        )
+        L = image_basis_pid(v_part)
+        if L.cols == 0:
+            continue
+        coords = solve_pid(L, P.diff(n + 1).hstack(P.relation(n)))
+        assert coords is not None, "boundaries escape the cycle lattice"
+        g = FpAbelianGroup(*_cokernel_invariants(coords))
+        if not g.is_zero():
+            values[n] = g
+    return values
+
+
+def test_presented_homology_matches_lattice_oracle_on_random_weak_squares():
+    rng = random.Random(41)
+    torsion = twisted = 0
+    for _ in range(100):
+        P = weak_sym2(random_complex(ZZ, rng, max_rank=3, max_len=3))
+        h = homology_presented(P)
+        assert h.values == _presented_homology_oracle(P)
+        torsion += any(g.factors for g in h.values.values())
+        twisted += any(not (P.diff(n - 1) @ P.diff(n)).is_zero() for n in P.degrees())
+    # both torsion and a nonzero d.d (the cone's correction term) occur
+    assert torsion > 20 and twisted > 5
+
+
+def test_presented_homology_matches_lattice_oracle_on_koszul_weak_square():
+    P = weak_sym2(koszul([ZZ.scalar(v) for v in (2, 9, 25, 49)]))
+    assert homology_presented(P).values == _presented_homology_oracle(P)
+
+
+def test_presented_cone_needs_the_correction_term():
+    # d.d lands in the relations but is not zero, so the cone needs h
+    P = weak_sym2(koszul([ZZ.scalar(2), ZZ.scalar(9)]))
+    assert not (P.diff(3) @ P.diff(4)).is_zero()
+    assert validate(_presented_cone(P)).ok
+    assert homology_presented(P).values == _presented_homology_oracle(P)
+
+
+def test_presented_homology_of_four_element_koszul_weak_square():
+    h = homology_presented(weak_sym2(koszul([ZZ.scalar(v) for v in (3, 5, -7, 11)])))
+    assert h.values == {2: FpAbelianGroup(0, (2,)), 6: FpAbelianGroup(0, (2, 2, 2))}
 
 
 def test_free_complex_wrapped_as_presented_agrees():
@@ -303,8 +367,7 @@ def _pid_induced_bijective(dXn, dXn1, dYn, dYn1, fn) -> bool:
     RY = solve_pid(KY, dYn1) if KY.cols else SparseMatrix.zero(dYn.ring, 0, dYn1.cols)
     M = solve_pid(KY, fn @ KX) if KY.cols else SparseMatrix.zero(dYn.ring, 0, KX.cols)
     assert RX is not None and RY is not None and M is not None
-    free, factors = cokernel_invariants(M.hstack(RY))
-    if free != 0 or factors:
+    if _cokernel_invariants(M.hstack(RY)) != (0, ()):
         return False
     # trivial kernel: {v : Mv in im(RY)} is contained in im(RX)
     full_kernel = kernel_pid(M.hstack(-RY) if RY.cols else M)
@@ -313,7 +376,7 @@ def _pid_induced_bijective(dXn, dXn1, dYn, dYn1, fn) -> bool:
         {(i, j): v for (i, j), v in full_kernel.entries.items() if i < KX.cols},
     )
     columns = (v_part.submatrix_columns([j]) for j in range(v_part.cols))
-    return all(col.is_zero() or in_image_pid(RX, col) for col in columns)
+    return all(col.is_zero() or solve_pid(RX, col) is not None for col in columns)
 
 
 def _induced_map_oracle(f) -> bool:

@@ -27,7 +27,6 @@ from symchain import (
 from symchain.errors import LinearSolveError, ShapeError, UnsupportedRingError
 from symchain.linalg import (
     image_basis_pid,
-    in_image_pid,
     invariant_factors,
     kernel_pid,
     monomials_of_degree,
@@ -301,7 +300,7 @@ def test_kernel_and_image_lattices():
         B = image_basis_pid(A)
         assert rank(B) == B.cols == rank(A)
         for j in range(B.cols):
-            assert in_image_pid(A, B.submatrix_columns([j]))
+            assert solve_pid(A, B.submatrix_columns([j])) is not None
 
 
 def test_solve_pid_round_trip():
@@ -313,6 +312,41 @@ def test_solve_pid_round_trip():
         Y = solve_pid(A, B)
         assert Y is not None and A @ Y == B
     assert solve_pid(rows(ZZ, [[2]]), rows(ZZ, [[1]])) is None
+
+
+@pytest.mark.parametrize("ring", [ZZ, ZLoc(3)])
+def test_solve_exact_matches_solve_pid_on_independent_columns(ring):
+    rng = random.Random(43)
+    outcomes = []
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        A = _random_matrix(ring, rng, m, rng.randint(0, m), 0.7)
+        if rank(A) < A.cols:
+            continue
+        B = A @ _random_matrix(ring, rng, A.cols, 2, 0.7)
+        if rng.random() < 0.5:  # may leave the lattice or the rational span
+            B = B + _random_matrix(ring, rng, m, 2, 0.3)
+        want = solve_pid(A, B)
+        if want is None:
+            with pytest.raises(LinearSolveError):
+                solve_exact(A, B)
+        else:
+            assert solve_exact(A, B) == want
+        outcomes.append(want is None)
+    assert len(outcomes) > 30 and set(outcomes) == {True, False}
+
+
+def test_solve_exact_rejects_fractions_and_dependent_columns():
+    with pytest.raises(LinearSolveError):
+        solve_exact(rows(ZZ, [[2]]), rows(ZZ, [[1]]))
+    with pytest.raises(LinearSolveError):
+        solve_exact(rows(ZLoc(3), [[3]]), rows(ZLoc(3), [[1]]))
+    assert solve_exact(rows(ZLoc(3), [[2]]), rows(ZLoc(3), [[1]])) == rows(ZLoc(3), [["1/2"]])
+    for ring in (ZZ, ZLoc(3)):
+        # solvable, by (1, 0) among others, but A has dependent columns
+        assert solve_pid(rows(ring, [[1, 2]]), rows(ring, [[1]])) is not None
+        with pytest.raises(LinearSolveError):
+            solve_exact(rows(ring, [[1, 2]]), rows(ring, [[1]]))
 
 
 def test_solve_exact_over_fields_and_poly_constants():

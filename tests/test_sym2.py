@@ -35,10 +35,23 @@ from symchain import (
     zero_map,
 )
 from symchain.complexes import Homotopy, compose
-from symchain.errors import TwoNotUnitError, UnsupportedRingError
+from symchain.errors import SymchainError, TwoNotUnitError, UnsupportedRingError
 from symchain.homology import homology_presented, is_exact
-from symchain.linalg import rank, solve_field
-from symchain.sym2 import PresentedComplex, sym_basis
+from symchain.linalg import (
+    image_basis_pid,
+    kernel_basis,
+    kernel_pid,
+    rank,
+    rref,
+    solve_exact,
+    solve_field,
+)
+from symchain.sym2 import (
+    PresentedComplex,
+    endo_image_complex,
+    endo_kernel_complex,
+    sym_basis,
+)
 
 from randgen import (
     random_chain_map,
@@ -268,6 +281,59 @@ def test_split_decomposition_contracts(ring):
         for n in T.degrees():
             fg = d.iso.component(n) @ d.iso_inverse.component(n)
             assert fg == SparseMatrix.identity(ring, fg.rows)
+
+
+def _reference_image(M):
+    if M.ring.is_field:
+        R, pivots = rref(M.transpose())
+        return R.transpose().submatrix_columns(range(len(pivots)))
+    return image_basis_pid(M)
+
+
+def _reference_kernel(M):
+    return kernel_basis(M) if M.ring.is_field else kernel_pid(M)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZLoc(3), ZLoc(5), POLY])
+def test_alpha_summand_bases_match_reference_bases(ring):
+    rng = random.Random(47)
+    if ring == POLY:
+        complexes = [koszul([X_VAR, Y_VAR]), direct_sum(koszul([X_VAR]), shift(koszul([Y_VAR]), 1))]
+    else:
+        complexes = [random_complex(ring, rng, max_rank=3, max_len=3) for _ in range(6)]
+    lift = _constant_qq if ring == POLY else (lambda M: M)
+    for X in complexes:
+        S = sym2(X)
+        T, al = S.tensor_square, S.alpha
+        image, kernel = endo_image_complex(T, al), endo_kernel_complex(T, al)
+        for n in T.degrees():
+            M = lift(al.component(n))
+            for got, want in ((image.bases.get(n), _reference_image(M)),
+                              (kernel.bases.get(n), _reference_kernel(M))):
+                if got is None:
+                    assert want.cols == 0
+                    continue
+                got = lift(got)
+                assert got.cols == want.cols
+                # same lattice (or space): each basis solves against the other
+                assert got @ solve_exact(got, want) == want
+                assert want @ solve_exact(want, got) == got
+
+
+def test_alpha_summand_complexes_need_twice_an_idempotent():
+    S = sym2(koszul([QQ.scalar(3), QQ.scalar(5)]))
+    T = S.tensor_square
+    twice = ChainMap(T, T, {n: M.scale(2) for n, M in S.alpha.maps.items()})
+    for f in (identity_map(T), twice):
+        with pytest.raises(SymchainError, match="f.f != 2f"):
+            endo_image_complex(T, f)
+        with pytest.raises(SymchainError, match="f.f != 2f"):
+            endo_kernel_complex(T, f)
+    S_zz = sym2(koszul([ZZ.scalar(3)]))
+    with pytest.raises(TwoNotUnitError):
+        endo_image_complex(S_zz.tensor_square, S_zz.alpha)
+    with pytest.raises(TwoNotUnitError):
+        endo_kernel_complex(S_zz.tensor_square, S_zz.alpha)
 
 
 def test_split_decomposition_needs_two_invertible():
