@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GradingError, RingMismatchError, ShapeError, SymchainError
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _columns
 from .scalars import Ring, Scalar
 
 __all__ = [
@@ -185,11 +185,12 @@ def validate(X: FreeComplex) -> ValidationReport:
             M = X.diff(n)
             src = X.gdeg(n)
             tgt = X.gdeg(n - 1)
-            for (i, j), v in sorted(M.entries.items()):
+            for (i, j) in sorted(M.entries):
                 want = src[j] - tgt[i]
-                if not v.is_homogeneous_of_degree(want):
+                if any(sum(e) != want for e in M.entries[(i, j)]):
                     failures.append(
-                        f"degree {n}: entry ({i},{j}) = {v} is not homogeneous of degree {want}"
+                        f"degree {n}: entry ({i},{j}) = {M.entry(i, j)} "
+                        f"is not homogeneous of degree {want}"
                     )
                     if first is None:
                         first = (n, (i, j))
@@ -241,7 +242,7 @@ def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
             entries[(i, j)] = v
         for (i, j), v in Y.diff(n).entries.items():
             entries[(i + X.rank(n - 1), j + X.rank(n))] = v
-        diffs[n] = SparseMatrix(X.ring, rows, ranks[n], entries)
+        diffs[n] = SparseMatrix._of(X.ring, rows, ranks[n], entries)
     gdegs = None
     if X.ring.kind == "Poly":
         gdegs = {n: tuple(X.gdeg(n)) + tuple(Y.gdeg(n)) for n in degrees}
@@ -276,30 +277,27 @@ def tensor(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
     bases = {n: tensor_basis(X, Y, n) for n in range(lo, hi + 1)}
     ranks = {n: len(b) for n, b in bases.items()}
     index = {n: {lab: k for k, lab in enumerate(b)} for n, b in bases.items()}
+    dX = {p: _columns(X.diff(p)) for p in X.degrees()}
+    dY = {q: _columns(Y.diff(q)) for q in Y.degrees()}
+    neg = ring.ops.neg
     diffs = {}
     for n in range(lo + 1, hi + 1):
         if ranks.get(n, 0) == 0 or ranks.get(n - 1, 0) == 0:
             continue
+        # each target row is hit at most once per column: the X part lands in
+        # block p - 1, the Y part in block p
         entries = {}
         tgt = index[n - 1]
         for col, ((p, i), (q, j)) in enumerate(bases[n]):
-            dX = X.diff(p)
-            for (ii, jj), v in dX.entries.items():
-                if jj == i:
-                    row = tgt.get(((p - 1, ii), (q, j)))
-                    if row is not None:
-                        prev = entries.get((row, col))
-                        entries[(row, col)] = v if prev is None else prev + v
-            dY = Y.diff(q)
-            sign = -1 if p % 2 else 1
-            for (ii, jj), v in dY.entries.items():
-                if jj == j:
-                    row = tgt.get(((p, i), (q - 1, ii)))
-                    if row is not None:
-                        w = v if sign == 1 else -v
-                        prev = entries.get((row, col))
-                        entries[(row, col)] = w if prev is None else prev + w
-        diffs[n] = SparseMatrix(ring, ranks[n - 1], ranks[n], entries)
+            for ii, v in dX[p].get(i, ()):
+                row = tgt.get(((p - 1, ii), (q, j)))
+                if row is not None:
+                    entries[(row, col)] = v
+            for ii, v in dY[q].get(j, ()):
+                row = tgt.get(((p, i), (q - 1, ii)))
+                if row is not None:
+                    entries[(row, col)] = neg(v) if p % 2 else v
+        diffs[n] = SparseMatrix._of(ring, ranks[n - 1], ranks[n], entries)
     gdegs = None
     if ring.kind == "Poly":
         gdegs = {
@@ -427,12 +425,13 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
         rows = X.rank(n - 2) + Y.rank(n - 1)
         if rows == 0:
             continue
-        entries = {(i, j): -v for (i, j), v in X.diff(n - 1).entries.items()}
+        neg = X.ring.ops.neg
+        entries = {(i, j): neg(v) for (i, j), v in X.diff(n - 1).entries.items()}
         for (i, j), v in f.component(n - 1).entries.items():
             entries[(i + X.rank(n - 2), j)] = v
         for (i, j), v in Y.diff(n).entries.items():
             entries[(i + X.rank(n - 2), j + X.rank(n - 1))] = v
-        diffs[n] = SparseMatrix(X.ring, rows, ranks[n], entries)
+        diffs[n] = SparseMatrix._of(X.ring, rows, ranks[n], entries)
     gdegs = None
     if X.ring.kind == "Poly":
         gdegs = {n: X.gdeg(n - 1) + Y.gdeg(n) for n in degrees}
@@ -447,28 +446,23 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
 def _tensor_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex) -> ChainMap:
     """tensor_map(f, g) given its source and target tensor complexes."""
     ring = src.ring
+    mul = ring.ops.mul
+    fc = {p: _columns(M) for p, M in f.maps.items()}
+    gc = {q: _columns(M) for q, M in g.maps.items()}
     maps = {}
     for n in src.degrees():
         if tgt.rank(n) == 0:
             continue
-        src_index = {lab: k for k, lab in enumerate(tensor_basis(f.source, g.source, n))}
         tgt_index = {lab: k for k, lab in enumerate(tensor_basis(f.target, g.target, n))}
-        entries = {}
-        for ((p, i), (q, j)), col in src_index.items():
-            fp = f.component(p)
-            gq = g.component(q)
-            for (fi, fj), fv in fp.entries.items():
-                if fj != i:
-                    continue
-                for (gi, gj), gv in gq.entries.items():
-                    if gj != j:
-                        continue
+        entries = {}  # each (row, col) is one pair of entries of f_p and g_q
+        for col, ((p, i), (q, j)) in enumerate(tensor_basis(f.source, g.source, n)):
+            gcol = gc.get(q, {}).get(j, ())
+            for fi, fv in fc.get(p, {}).get(i, ()):
+                for gi, gv in gcol:
                     row = tgt_index.get(((p, fi), (q, gi)))
                     if row is not None:
-                        v = fv * gv
-                        prev = entries.get((row, col))
-                        entries[(row, col)] = v if prev is None else prev + v
-        M = SparseMatrix(ring, tgt.rank(n), src.rank(n), entries)
+                        entries[(row, col)] = mul(fv, gv)
+        M = SparseMatrix._of(ring, tgt.rank(n), src.rank(n), entries)
         if not M.is_zero():
             maps[n] = M
     return ChainMap(src, tgt, maps)

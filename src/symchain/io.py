@@ -136,10 +136,10 @@ def _matrix_from_rows(ring: Ring, rows, nrows: int, ncols: int, where: str) -> S
                     f"{where}: entry ({i},{j}): expected a scalar string, got {json.dumps(text)}"
                 )
             try:
-                entries[(i, j)] = ring.scalar(text)
+                entries[(i, j)] = ring.raw(text)
             except SymchainError as exc:
                 raise DocumentError(f"{where}: entry ({i},{j}): {exc}") from exc
-    return SparseMatrix(ring, nrows, ncols, entries)
+    return SparseMatrix._of(ring, nrows, ncols, entries)
 
 
 def _complex_to_obj(X: FreeComplex) -> dict:

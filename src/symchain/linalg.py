@@ -1,13 +1,20 @@
 """Exact sparse matrices: products, field elimination, Smith normal form.
 
 Matrices are immutable-by-convention sparse maps (row, col) -> nonzero
-Scalar over a single ring.  Rank, rref, kernel and solve all run on one
-sparse elimination core, _echelon, over rows of raw Python ints: residues
-mod p for GF(p), fraction-free integers for QQ (and for ZZ and ZLoc(p)
-matrices over their fraction field), and constant polynomial
-matrices through their QQ lift.  Values become Scalars only at the API
-edge.  Graded slices reach about 1000x800 at under 1% density, which is
-why the core keeps rows sparse.
+raw value over a single ring, in the canonical forms the scalars module
+names: int for ZZ and GF(p), Fraction for QQ and ZLoc(p), and a monomial
+dict for polynomials.  Products, sums and stacking run on those values
+through the ring's ops table.  Outside values are coerced and validated by
+the public constructor, from_rows and column; results of ring operations
+go through SparseMatrix._of, which only drops zeros.  Values become
+Scalars only at the API edge: entry(), to_rows() and column_vector().
+
+Rank, rref, kernel and solve all run on one sparse elimination core,
+_echelon, over rows of raw Python ints: residues mod p for GF(p),
+fraction-free integers for QQ (and for ZZ and ZLoc(p) matrices over their
+fraction field), and constant polynomial matrices through their QQ lift.
+Graded slices reach about 1000x800 at under 1% density, which is why the
+core keeps rows sparse.
 
 Over ZZ and ZLoc(p) no library path builds a lattice transform:
 
@@ -62,7 +69,11 @@ __all__ = [
 
 
 class SparseMatrix:
-    """Sparse exact matrix over one ring; no explicit zeros are stored."""
+    """Sparse exact matrix over one ring; no explicit zeros are stored.
+
+    entries maps (row, col) to a nonzero canonical raw value of the ring
+    (see scalars); entry(), to_rows() and column_vector() return Scalars.
+    """
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -76,10 +87,21 @@ class SparseMatrix:
         for (i, j), value in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeError(f"entry ({i},{j}) outside {rows}x{cols}")
-            s = ring.scalar(value)
-            if not s.is_zero():
-                clean[(i, j)] = s
+            v = ring.raw(value)
+            if v:
+                clean[(i, j)] = v
         self.entries = clean
+
+    @classmethod
+    def _of(cls, ring: Ring, rows: int, cols: int, entries) -> "SparseMatrix":
+        """The matrix of raw results of ring operations, at positions inside
+        rows x cols; zeros are dropped and nothing is validated again."""
+        M = object.__new__(cls)
+        M.ring = ring
+        M.rows = rows
+        M.cols = cols
+        M.entries = {k: v for k, v in entries.items() if v}
+        return M
 
     # -- constructors -------------------------------------------------------
 
@@ -89,8 +111,10 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "SparseMatrix":
-        one = ring.one()
-        return cls(ring, n, n, {(i, i): one for i in range(n)})
+        if n < 0:
+            raise ShapeError("negative dimensions")
+        one = ring.ops.one
+        return cls._of(ring, n, n, {(i, i): one for i in range(n)})
 
     @classmethod
     def from_rows(cls, ring: Ring, rows_data) -> "SparseMatrix":
@@ -102,8 +126,8 @@ class SparseMatrix:
             if len(row) != ncols:
                 raise ShapeError("ragged rows")
             for j, v in enumerate(row):
-                entries[(i, j)] = ring.scalar(v)
-        return cls(ring, nrows, ncols, entries)
+                entries[(i, j)] = ring.raw(v)
+        return cls._of(ring, nrows, ncols, entries)
 
     @classmethod
     def column(cls, ring: Ring, values) -> "SparseMatrix":
@@ -113,13 +137,13 @@ class SparseMatrix:
     # -- access ---------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.entries.get((i, j), self.ring.zero())
+        return Scalar._wrap(self.ring, self.entries.get((i, j), self.ring.ops.zero))
 
     def to_rows(self):
         zero = self.ring.zero()
         out = [[zero] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
-            out[i][j] = v
+            out[i][j] = Scalar._wrap(self.ring, v)
         return out
 
     def column_vector(self, j: int):
@@ -127,31 +151,33 @@ class SparseMatrix:
         col = [zero] * self.rows
         for (i, jj), v in self.entries.items():
             if jj == j:
-                col[i] = v
+                col[i] = Scalar._wrap(self.ring, v)
         return col
 
     def is_zero(self) -> bool:
         return not self.entries
 
-    # -- arithmetic -----------------------------------------------------------
+    # -- arithmetic on raw values ----------------------------------------------
 
     def _check_ring(self, other: "SparseMatrix"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"cannot mix {self.ring} and {other.ring}")
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
+        add = self.ring.ops.add
         entries = dict(self.entries)
         for key, v in other.entries.items():
             s = entries.get(key)
-            entries[key] = v if s is None else s + v
-        return SparseMatrix(self.ring, self.rows, self.cols, entries)
+            entries[key] = v if s is None else add(s, v)
+        return SparseMatrix._of(self.ring, self.rows, self.cols, entries)
 
     def __neg__(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.ring, self.rows, self.cols, {k: -v for k, v in self.entries.items()}
+        neg = self.ring.ops.neg
+        return SparseMatrix._of(
+            self.ring, self.rows, self.cols, {k: neg(v) for k, v in self.entries.items()}
         )
 
     def __sub__(self, other):
@@ -161,6 +187,7 @@ class SparseMatrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        add, mul = self.ring.ops.add, self.ring.ops.mul
         by_row = {}
         for (i, k), v in self.entries.items():
             by_row.setdefault(k, []).append((i, v))
@@ -168,19 +195,20 @@ class SparseMatrix:
         for (k, j), w in other.entries.items():
             for i, v in by_row.get(k, ()):
                 key = (i, j)
-                p = v * w
+                p = mul(v, w)
                 s = acc.get(key)
-                acc[key] = p if s is None else s + p
-        return SparseMatrix(self.ring, self.rows, other.cols, acc)
+                acc[key] = p if s is None else add(s, p)
+        return SparseMatrix._of(self.ring, self.rows, other.cols, acc)
 
     def scale(self, c) -> "SparseMatrix":
-        c = self.ring.scalar(c)
-        return SparseMatrix(
-            self.ring, self.rows, self.cols, {k: c * v for k, v in self.entries.items()}
+        c = self.ring.raw(c)
+        mul = self.ring.ops.mul
+        return SparseMatrix._of(
+            self.ring, self.rows, self.cols, {k: mul(c, v) for k, v in self.entries.items()}
         )
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
+        return SparseMatrix._of(
             self.ring, self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
@@ -191,7 +219,7 @@ class SparseMatrix:
         entries = dict(self.entries)
         for (i, j), v in other.entries.items():
             entries[(i, j + self.cols)] = v
-        return SparseMatrix(self.ring, self.rows, self.cols + other.cols, entries)
+        return SparseMatrix._of(self.ring, self.rows, self.cols + other.cols, entries)
 
     def vstack(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_ring(other)
@@ -200,7 +228,7 @@ class SparseMatrix:
         entries = dict(self.entries)
         for (i, j), v in other.entries.items():
             entries[(i + self.rows, j)] = v
-        return SparseMatrix(self.ring, self.rows + other.rows, self.cols, entries)
+        return SparseMatrix._of(self.ring, self.rows + other.rows, self.cols, entries)
 
     def submatrix_columns(self, js) -> "SparseMatrix":
         js = list(js)
@@ -209,7 +237,7 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             if j in pos:
                 entries[(i, pos[j])] = v
-        return SparseMatrix(self.ring, self.rows, len(js), entries)
+        return SparseMatrix._of(self.ring, self.rows, len(js), entries)
 
     def __eq__(self, other):
         return (
@@ -220,13 +248,24 @@ class SparseMatrix:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, frozenset(self.entries.items())))
+        items = self.entries.items()
+        if self.ring.kind == "Poly":  # dict values are unhashable
+            items = ((k, frozenset(v.items())) for k, v in items)
+        return hash((self.ring, self.rows, self.cols, frozenset(items)))
 
     def __repr__(self):
         rows = [
             "[" + ", ".join(str(v) for v in row) + "]" for row in self.to_rows()
         ]
         return f"SparseMatrix({self.ring}, {self.rows}x{self.cols}, [" + "; ".join(rows) + "])"
+
+
+def _columns(M: SparseMatrix) -> dict:
+    """{col: [(row, raw value)]} over the nonzero entries of M."""
+    cols = {}
+    for (i, j), v in M.entries.items():
+        cols.setdefault(j, []).append((i, v))
+    return cols
 
 
 # -- field elimination: one sparse core on raw integers ------------------------
@@ -306,7 +345,7 @@ def _int_rows(A: SparseMatrix):
     """
     by_row = {}
     for (i, j), v in A.entries.items():
-        by_row.setdefault(i, {})[j] = v.value
+        by_row.setdefault(i, {})[j] = v
     rows = [by_row[i] for i in sorted(by_row)]
     if A.ring.kind in ("QQ", "ZLoc"):
         for row in rows:
@@ -334,7 +373,7 @@ def rref(A: SparseMatrix):
         for j, v in row.items():
             entries[(r, j)] = v if p else Fraction(v, row[c])
         pivots.append((r, c))
-    return SparseMatrix(A.ring, A.rows, A.cols, entries), pivots
+    return SparseMatrix._of(A.ring, A.rows, A.cols, entries), pivots
 
 
 def rank(A: SparseMatrix) -> int:
@@ -350,17 +389,17 @@ def qq_rank(A: SparseMatrix) -> int:
 def kernel_basis(A: SparseMatrix) -> SparseMatrix:
     """Columns spanning ker(A) over a field; count = cols - rank."""
     R, pivots = rref(A)
-    pivot_cols = {c: r for r, c in pivots}
-    free_cols = [c for c in range(A.cols) if c not in pivot_cols]
-    entries = {}
-    one = A.ring.one()
-    for k, fc in enumerate(free_cols):
-        entries[(fc, k)] = one
-        for c, r in pivot_cols.items():
-            v = R.entry(r, fc)
-            if not v.is_zero():
-                entries[(c, k)] = -v
-    return SparseMatrix(A.ring, A.cols, len(free_cols), entries)
+    pivot_of_row = dict(pivots)
+    pivot_cols = set(pivot_of_row.values())
+    free = [c for c in range(A.cols) if c not in pivot_cols]
+    ops = A.ring.ops
+    entries = {(fc, k): ops.one for k, fc in enumerate(free)}
+    free_index = {fc: k for k, fc in enumerate(free)}
+    for (r, j), v in R.entries.items():
+        k = free_index.get(j)
+        if k is not None:
+            entries[(pivot_of_row[r], k)] = ops.neg(v)
+    return SparseMatrix._of(A.ring, A.cols, len(free), entries)
 
 
 def solve_field(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
@@ -371,7 +410,7 @@ def solve_field(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     if not A.ring.is_field:
         raise UnsupportedRingError(f"solve_field needs a field, got {A.ring}")
     entries, _ = _solve_echelon(A, B)
-    return _verified(A, SparseMatrix(A.ring, A.cols, B.cols, entries), B)
+    return _verified(A, SparseMatrix._of(A.ring, A.cols, B.cols, entries), B)
 
 
 def _solve_echelon(A: SparseMatrix, B: SparseMatrix):
@@ -543,19 +582,16 @@ def _mod_ops(D: int):
 def _snf(A: SparseMatrix, ops) -> SNFResult:
     ring = A.ring
     m, n = A.rows, A.cols
-    M = [[v.value for v in row] for row in A.to_rows()]
-    zero = 0 if ring.kind == "ZZ" else Fraction(0)
-    one = 1 if ring.kind == "ZZ" else Fraction(1)
+    zero, one = ring.ops.zero, ring.ops.one
+    M = [[zero] * n for _ in range(m)]
+    for (i, j), v in A.entries.items():
+        M[i][j] = v
     U = [[one if i == j else zero for j in range(m)] for i in range(m)]
     V = [[one if i == j else zero for j in range(n)] for i in range(n)]
     _snf_loop(M, ops, U, V)
 
     def pack(data, rows, cols):
-        entries = {}
-        for i in range(rows):
-            for j in range(cols):
-                if data[i][j] != zero:
-                    entries[(i, j)] = Scalar(ring, data[i][j])
+        entries = {(i, j): data[i][j] for i in range(rows) for j in range(cols)}
         return SparseMatrix(ring, rows, cols, entries)
 
     return SNFResult(U=pack(U, m, m), D=pack(M, m, n), V=pack(V, n, n))
@@ -741,7 +777,9 @@ def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
         p = A.ring.p if A.ring.kind == "ZLoc" else None
         if any(f.denominator % p == 0 if p else f.denominator != 1 for f in entries.values()):
             raise LinearSolveError("no solution over the ring")
-        return _verified(A, SparseMatrix(A.ring, A.cols, B.cols, entries), B)
+        if not p:
+            entries = {k: f.numerator for k, f in entries.items()}
+        return _verified(A, SparseMatrix._of(A.ring, A.cols, B.cols, entries), B)
     try:
         A_qq = _poly_to_qq(A)
     except GradingError as exc:
@@ -749,15 +787,15 @@ def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     columns = {}  # (column of B, monomial) -> column of the lifted right side
     entries = {}
     for (i, j), v in B.entries.items():
-        for exp, coeff in v.value.items():
+        for exp, coeff in v.items():
             entries[(i, columns.setdefault((j, exp), len(columns)))] = coeff
-    X_qq = solve_field(A_qq, SparseMatrix(QQ, B.rows, len(columns), entries))
+    X_qq = solve_field(A_qq, SparseMatrix._of(QQ, B.rows, len(columns), entries))
     keys = list(columns)
     terms = {}
     for (i, k), v in X_qq.entries.items():
         j, exp = keys[k]
-        terms.setdefault((i, j), {})[exp] = v.value
-    return _verified(A, SparseMatrix(A.ring, A.cols, B.cols, terms), B)
+        terms.setdefault((i, j), {})[exp] = v
+    return _verified(A, SparseMatrix._of(A.ring, A.cols, B.cols, terms), B)
 
 
 def _poly_to_qq(M: SparseMatrix) -> SparseMatrix:
@@ -765,10 +803,10 @@ def _poly_to_qq(M: SparseMatrix) -> SparseMatrix:
     const = (0,) * len(M.ring.variables)
     entries = {}
     for key, v in M.entries.items():
-        if set(v.value) != {const}:
+        if len(v) != 1 or const not in v:
             raise GradingError("expected a constant matrix over the polynomial ring")
-        entries[key] = v.value[const]
-    return SparseMatrix(QQ, M.rows, M.cols, entries)
+        entries[key] = v[const]
+    return SparseMatrix._of(QQ, M.rows, M.cols, entries)
 
 
 # -- graded degree slices ---------------------------------------------------------
@@ -815,9 +853,7 @@ def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
     src_basis = slice_basis(nvars, src_degrees, d)
     tgt_basis = slice_basis(nvars, tgt_degrees, d)
     tgt_index = {key: r for r, key in enumerate(tgt_basis)}
-    by_col = {}
-    for (i, j), poly in M.entries.items():
-        by_col.setdefault(j, []).append((i, poly.value))
+    by_col = _columns(M)
     entries = {}
     for c, (j, mono) in enumerate(src_basis):
         for i, value in by_col.get(j, ()):
@@ -832,5 +868,5 @@ def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
                     entries[key] = val
                 else:
                     del entries[key]
-    mat = SparseMatrix(QQ, len(tgt_basis), len(src_basis), entries)
+    mat = SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), entries)
     return mat, tgt_basis, src_basis

@@ -4,18 +4,32 @@ Rings: the integers ZZ, the rationals QQ, prime fields GF(p), the integers
 localized at a prime ZLoc(p) (fractions with denominator coprime to p), and
 graded polynomial rings over QQ with a fixed ordered variable list.
 
-Scalars are immutable and kept in a canonical form: integers as Python ints,
-fractions normalized with positive denominator, GF(p) residues in [0, p),
-polynomials as maps from exponent vectors to nonzero rational coefficients.
-Monomials compare by exponent vector in the declared variable order;
-serialization lists terms by descending (total degree, exponent vector).
+Every ring element has one canonical raw value, which is what Scalar.value
+holds and what SparseMatrix stores for each nonzero entry:
+
+  * ZZ: an int;
+  * GF(p): an int residue in [0, p);
+  * QQ and ZLoc(p): a Fraction (normalized, positive denominator; over
+    ZLoc(p) the denominator is prime to p);
+  * polynomials: a dict from exponent tuples (in the declared variable
+    order) to nonzero Fraction coefficients.
+
+Zero is the only falsy raw value.  Ring.ops is the one table of arithmetic
+on raw values (add, mul, neg, is_unit, inverse); Scalar arithmetic and the
+matrix kernels both use it.  Ring.raw and the Scalar constructor coerce and
+validate outside input; results of ring operations are canonical already
+and are not checked again.  Serialization lists polynomial terms by
+descending (total degree, exponent vector).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .errors import (
     NonUnitError,
@@ -84,10 +98,10 @@ class Ring:
     # -- constructors -----------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return Scalar(self, 0)
+        return Scalar._wrap(self, self.ops.zero)
 
     def one(self) -> "Scalar":
-        return Scalar(self, 1)
+        return Scalar._wrap(self, self.ops.one)
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, str, monomial dict, or Scalar into this ring."""
@@ -98,6 +112,16 @@ class Ring:
         if isinstance(value, str):
             return parse_scalar(self, value)
         return Scalar(self, value)
+
+    def raw(self, value):
+        """The canonical raw value of what scalar() accepts, validated alike."""
+        if isinstance(value, (Scalar, str)):
+            return self.scalar(value).value
+        return _canon(self, value)
+
+    @cached_property
+    def ops(self) -> "RingOps":
+        return _ring_ops(self)
 
     def variable(self, name: str) -> "Scalar":
         if self.kind != "Poly":
@@ -187,32 +211,107 @@ def _canon_poly(ring: Ring, value) -> dict:
     return out
 
 
+def _canon(ring: Ring, value):
+    """Validate an int, Fraction or monomial dict and return its raw value."""
+    if isinstance(value, float):
+        raise ScalarParseError(f"float {value!r} is not an exact scalar of {ring}")
+    kind = ring.kind
+    if kind == "ZZ":
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                raise SymchainError(f"{value} is not an integer")
+            value = value.numerator
+        return int(value)
+    if kind in ("QQ", "ZLoc"):
+        return _canon_fraction(ring, value)
+    if kind == "GF":
+        if isinstance(value, Fraction):
+            value = _canon_fraction(ring, value)
+            value = value.numerator * pow(value.denominator, -1, ring.p)
+        return int(value) % ring.p
+    return _canon_poly(ring, value)
+
+
+# -- arithmetic on raw values ---------------------------------------------------
+
+
+class RingOps(NamedTuple):
+    """Arithmetic on one ring's canonical raw values; results are canonical.
+
+    inverse takes a unit.  Polynomial values are never mutated in place, so
+    matrices and Scalars may share them.
+    """
+
+    zero: object
+    one: object
+    add: Callable
+    mul: Callable
+    neg: Callable
+    is_unit: Callable
+    inverse: Callable
+
+
+def _poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exp, c in b.items():
+        s = out.get(exp, 0) + c
+        if s:
+            out[exp] = s
+        else:
+            del out[exp]
+    return out
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(map(operator.add, e1, e2))
+            s = out.get(exp, 0) + c1 * c2
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+    return out
+
+
+def _ring_ops(ring: Ring) -> RingOps:
+    kind, p = ring.kind, ring.p
+    if kind == "ZZ":
+        return RingOps(0, 1, operator.add, operator.mul, operator.neg,
+                       lambda a: a in (1, -1), lambda a: a)
+    if kind == "GF":
+        return RingOps(0, 1, lambda a, b: (a + b) % p, lambda a, b: a * b % p,
+                       lambda a: -a % p, bool, lambda a: pow(a, -1, p))
+    if kind in ("QQ", "ZLoc"):
+        is_unit = bool if kind == "QQ" else (lambda a: a.numerator % p != 0)
+        return RingOps(Fraction(0), Fraction(1), operator.add, operator.mul, operator.neg,
+                       is_unit, lambda a: 1 / a)
+    const = (0,) * len(ring.variables)
+    return RingOps(
+        {}, {const: Fraction(1)}, _poly_add, _poly_mul,
+        lambda a: {e: -c for e, c in a.items()},
+        lambda a: len(a) == 1 and const in a,
+        lambda a: {const: 1 / a[const]},
+    )
+
+
 class Scalar:
     """An element of one of the supported rings, in canonical form."""
 
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: Ring, value):
-        if isinstance(value, float):
-            raise ScalarParseError(f"float {value!r} is not an exact scalar of {ring}")
         object.__setattr__(self, "ring", ring)
-        kind = ring.kind
-        if kind == "ZZ":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise SymchainError(f"{value} is not an integer")
-                value = value.numerator
-            canon = int(value)
-        elif kind in ("QQ", "ZLoc"):
-            canon = _canon_fraction(ring, value)
-        elif kind == "GF":
-            if isinstance(value, Fraction):
-                value = _canon_fraction(ring, value)
-                value = value.numerator * pow(value.denominator, -1, ring.p)
-            canon = int(value) % ring.p
-        else:
-            canon = _canon_poly(ring, value)
-        object.__setattr__(self, "value", canon)
+        object.__setattr__(self, "value", _canon(ring, value))
+
+    @classmethod
+    def _wrap(cls, ring: Ring, value) -> "Scalar":
+        """The Scalar of a value already in ring's canonical raw form; no checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ring", ring)
+        object.__setattr__(s, "value", value)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -228,71 +327,31 @@ class Scalar:
 
     def __add__(self, other):
         other = self._check(other)
-        if self.ring.kind == "Poly":
-            out = dict(self.value)
-            for exp, c in other.value.items():
-                s = out.get(exp, Fraction(0)) + c
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-            return Scalar(self.ring, out)
-        return Scalar(self.ring, self.value + other.value)
+        return Scalar._wrap(self.ring, self.ring.ops.add(self.value, other.value))
 
     def __neg__(self):
-        if self.ring.kind == "Poly":
-            return Scalar(self.ring, {e: -c for e, c in self.value.items()})
-        return Scalar(self.ring, -self.value)
+        return Scalar._wrap(self.ring, self.ring.ops.neg(self.value))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         other = self._check(other)
-        if self.ring.kind == "Poly":
-            out = {}
-            for e1, c1 in self.value.items():
-                for e2, c2 in other.value.items():
-                    exp = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(exp, Fraction(0)) + c1 * c2
-                    if s == 0:
-                        out.pop(exp, None)
-                    else:
-                        out[exp] = s
-            return Scalar(self.ring, out)
-        return Scalar(self.ring, self.value * other.value)
+        return Scalar._wrap(self.ring, self.ring.ops.mul(self.value, other.value))
 
     def is_zero(self) -> bool:
-        if self.ring.kind == "Poly":
-            return not self.value
-        return self.value == 0
+        return not self.value
 
     def is_one(self) -> bool:
-        return self == self.ring.one()
+        return self.value == self.ring.ops.one
 
     def is_unit(self) -> bool:
-        kind = self.ring.kind
-        if kind == "ZZ":
-            return self.value in (1, -1)
-        if kind in ("QQ", "GF"):
-            return not self.is_zero()
-        if kind == "ZLoc":
-            return self.value != 0 and self.value.numerator % self.ring.p != 0
-        const = (0,) * len(self.ring.variables)
-        return set(self.value) == {const}
+        return self.ring.ops.is_unit(self.value)
 
     def inverse(self) -> "Scalar":
         if not self.is_unit():
             raise NonUnitError(f"{self} is not a unit in {self.ring}")
-        kind = self.ring.kind
-        if kind == "ZZ":
-            return Scalar(self.ring, self.value)
-        if kind in ("QQ", "ZLoc"):
-            return Scalar(self.ring, 1 / self.value)
-        if kind == "GF":
-            return Scalar(self.ring, pow(self.value, self.ring.p - 2, self.ring.p))
-        const = (0,) * len(self.ring.variables)
-        return Scalar(self.ring, {const: 1 / self.value[const]})
+        return Scalar._wrap(self.ring, self.ring.ops.inverse(self.value))
 
     def divide_exact(self, other: "Scalar") -> "Scalar":
         """Exact division; raises unless other divides self in the ring."""

@@ -188,22 +188,18 @@ def _require_local(X: FreeComplex):
 def is_minimal(X: FreeComplex) -> bool:
     """No differential entry is a unit (entries lie in the maximal ideal)."""
     _require_local(X)
-    for n in X.degrees():
-        for v in X.diff(n).entries.values():
-            if v.is_unit():
-                return False
-    return True
+    is_unit = X.ring.ops.is_unit
+    return not any(is_unit(v) for n in X.degrees() for v in X.diff(n).entries.values())
 
 
 def _first_unit_pivot(X: FreeComplex):
     # scan degrees ascending, then rows, then columns: first unit entry wins
+    is_unit = X.ring.ops.is_unit
     for n in X.degrees():
         M = X.diff(n)
-        if M.is_zero():
-            continue
-        for (i, j) in sorted(M.entries):
-            if M.entries[(i, j)].is_unit():
-                return n, i, j
+        units = [key for key, v in M.entries.items() if is_unit(v)]
+        if units:
+            return (n, *min(units))
     return None
 
 
@@ -215,8 +211,9 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
     and the differential at n picks up the Schur-complement correction.
     """
     ring = X.ring
+    add, mul, neg, one = ring.ops.add, ring.ops.mul, ring.ops.neg, ring.ops.one
     M = X.diff(n)
-    u_inv = M.entries[(i, j)].inverse()
+    u_inv = ring.ops.inverse(M.entries[(i, j)])
     keep_cols = [c for c in range(X.rank(n)) if c != j]
     keep_rows = [r for r in range(X.rank(n - 1)) if r != i]
     col_pos = {c: k for k, c in enumerate(keep_cols)}
@@ -236,10 +233,10 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
             if c == j:
                 continue
             key = (row_pos[r], col_pos[c])
-            corr = vr * u_inv * wc
+            corr = neg(mul(mul(vr, u_inv), wc))
             prev = entries.get(key)
-            entries[key] = -corr if prev is None else prev - corr
-    new_dn = SparseMatrix(ring, len(keep_rows), len(keep_cols), entries)
+            entries[key] = corr if prev is None else add(prev, corr)
+    new_dn = SparseMatrix._of(ring, len(keep_rows), len(keep_cols), entries)
 
     ranks = X.ranks
     ranks[n] -= 1
@@ -251,13 +248,13 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
         elif m == n + 1:
             # drop row j of d_{n+1}; the killed row is forced by d.d = 0
             D = X.diff(m)
-            diffs[m] = SparseMatrix(
+            diffs[m] = SparseMatrix._of(
                 ring, len(keep_cols), D.cols,
                 {(col_pos[r], c): v for (r, c), v in D.entries.items() if r != j},
             )
         elif m == n - 1:
             D = X.diff(m)
-            diffs[m] = SparseMatrix(
+            diffs[m] = SparseMatrix._of(
                 ring, D.rows, len(keep_rows),
                 {(r, row_pos[c]): v for (r, c), v in D.entries.items() if c != i},
             )
@@ -279,16 +276,16 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
     proj_maps = {}
     for m in smaller.degrees():
         if m == n:
-            proj_maps[m] = SparseMatrix(
+            proj_maps[m] = SparseMatrix._of(
                 ring, len(keep_cols), X.rank(n),
-                {(k, c): ring.one() for k, c in enumerate(keep_cols)},
+                {(k, c): one for k, c in enumerate(keep_cols)},
             )
         elif m == n - 1:
-            entries = {(k, r): ring.one() for k, r in enumerate(keep_rows)}
+            entries = {(k, r): one for k, r in enumerate(keep_rows)}
             for r, vr in col_j.items():
                 if r != i:
-                    entries[(row_pos[r], i)] = -(u_inv * vr)
-            proj_maps[m] = SparseMatrix(ring, len(keep_rows), X.rank(n - 1), entries)
+                    entries[(row_pos[r], i)] = neg(mul(u_inv, vr))
+            proj_maps[m] = SparseMatrix._of(ring, len(keep_rows), X.rank(n - 1), entries)
         else:
             proj_maps[m] = SparseMatrix.identity(ring, X.rank(m))
     return smaller, ChainMap(X, smaller, proj_maps)

@@ -26,6 +26,7 @@ over the residue field, and no lattice transform is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .complexes import (
     ChainMap,
@@ -46,8 +47,8 @@ from .errors import (
     TwoNotUnitError,
     UnsupportedRingError,
 )
-from .linalg import SparseMatrix, _poly_to_qq, rank, rref, solve_exact
-from .scalars import GF, Ring, Scalar
+from .linalg import SparseMatrix, _columns, _poly_to_qq, rank, rref, solve_exact
+from .scalars import GF, Ring
 
 __all__ = [
     "SymBasis",
@@ -144,7 +145,7 @@ def sym_reduction(X: FreeComplex, include_odd_diagonal: bool = False) -> SymRedu
         labels[n] = sbasis
         index = {lab: k for k, lab in enumerate(sbasis)}
         rho_entries = {}
-        one = ring.one()
+        one = ring.ops.one
         for col, ((p, i), (q, j)) in enumerate(tbasis):
             if (p, i) <= (q, j):
                 row = index.get(((p, i), (q, j)))
@@ -154,13 +155,13 @@ def sym_reduction(X: FreeComplex, include_odd_diagonal: bool = False) -> SymRedu
                 sign = -1 if (p * q) % 2 else 1
             if row is None:
                 continue  # odd diagonal square, killed
-            rho_entries[(row, col)] = one if sign == 1 else -one
+            rho_entries[(row, col)] = one if sign == 1 else ring.ops.neg(one)
         tindex = {lab: k for k, lab in enumerate(tbasis)}
         sigma_entries = {}
         for k, lab in enumerate(sbasis):
             sigma_entries[(tindex[lab], k)] = one
-        rho[n] = SparseMatrix(ring, len(sbasis), len(tbasis), rho_entries)
-        sigma[n] = SparseMatrix(ring, len(tbasis), len(sbasis), sigma_entries)
+        rho[n] = SparseMatrix._of(ring, len(sbasis), len(tbasis), rho_entries)
+        sigma[n] = SparseMatrix._of(ring, len(tbasis), len(sbasis), sigma_entries)
     return SymReduction(SymBasis(labels, include_odd_diagonal), rho, sigma)
 
 
@@ -174,23 +175,22 @@ def alpha(X: FreeComplex) -> ChainMap:
 
 def _alpha(X: FreeComplex, T: FreeComplex) -> ChainMap:
     """alpha on T, which must be tensor(X, X)."""
+    ops = X.ring.ops
+    one, minus_one = ops.one, ops.neg(ops.one)
     maps = {}
     for n in T.degrees():
         tbasis = tensor_basis(X, X, n)
         index = {lab: k for k, lab in enumerate(tbasis)}
         entries = {}
-        one = X.ring.one()
         for col, ((p, i), (q, j)) in enumerate(tbasis):
-            sign_swap = -1 if (p * q) % 2 else 1
-
-            def add(row, v):
-                prev = entries.get((row, col))
-                entries[(row, col)] = v if prev is None else prev + v
-
-            add(col, one)
             swapped = index[((q, j), (p, i))]
-            add(swapped, -one if sign_swap == 1 else one)
-        M = SparseMatrix(X.ring, len(tbasis), len(tbasis), entries)
+            v = one if (p * q) % 2 else minus_one
+            if swapped == col:  # a diagonal generator is its own swap: 1 + v is 0 or 2
+                entries[(col, col)] = ops.add(one, v)
+            else:
+                entries[(col, col)] = one
+                entries[(swapped, col)] = v
+        M = SparseMatrix._of(X.ring, len(tbasis), len(tbasis), entries)
         if not M.is_zero():
             maps[n] = M
     return ChainMap(T, T, maps)
@@ -359,14 +359,14 @@ def weak_sym2(X: FreeComplex):
     ring = X.ring
     T = tensor(X, X)
     red = sym_reduction(X, include_odd_diagonal=True)
-    two = ring.scalar(2)
+    two = ring.raw(2)
     generators = {n: labs for n, labs in red.basis.labels.items() if labs}
     relations = {}
     diffs = {}
     for n, labs in generators.items():
         rel_cols = [k for k, ((p, i), (q, j)) in enumerate(labs) if (p, i) == (q, j) and p % 2]
         entries = {(k, c): two for c, k in enumerate(rel_cols)}
-        relations[n] = SparseMatrix(ring, len(labs), len(rel_cols), entries)
+        relations[n] = SparseMatrix._of(ring, len(labs), len(rel_cols), entries)
     for n in generators:
         if (n - 1) in generators:
             diffs[n] = red.rho[n - 1] @ T.diff(n) @ red.sigma[n]
@@ -464,6 +464,21 @@ def _check_twice_idempotent(T: FreeComplex, f: ChainMap) -> None:
             raise SymchainError(f"f.f != 2f in degree {n}")
 
 
+def _image_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
+    return _subcomplex_from_bases(T, {n: _pivot_columns(f.component(n)) for n in T.degrees()})
+
+
+def _kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
+    ops = T.ring.ops
+    two = ops.add(ops.one, ops.one)
+    bases = {}
+    for n in T.degrees():
+        r = T.rank(n)
+        twice = SparseMatrix._of(T.ring, r, r, {(i, i): two for i in range(r)})
+        bases[n] = _pivot_columns(twice - f.component(n))
+    return _subcomplex_from_bases(T, bases)
+
+
 def endo_image_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
     """The image of a chain endomorphism f of T with f.f = 2f, as a subcomplex.
 
@@ -471,8 +486,7 @@ def endo_image_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
     of f at its residue-field pivots.  Needs 2 a unit and f.f = 2f.
     """
     _check_twice_idempotent(T, f)
-    bases = {n: _pivot_columns(f.component(n)) for n in T.degrees()}
-    return _subcomplex_from_bases(T, bases)
+    return _image_complex(T, f)
 
 
 def endo_kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
@@ -482,11 +496,14 @@ def endo_kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
     endo_image_complex.  Needs 2 a unit and f.f = 2f.
     """
     _check_twice_idempotent(T, f)
-    bases = {}
-    for n in T.degrees():
-        two = SparseMatrix(T.ring, T.rank(n), T.rank(n), {(i, i): 2 for i in range(T.rank(n))})
-        bases[n] = _pivot_columns(two - f.component(n))
-    return _subcomplex_from_bases(T, bases)
+    return _kernel_complex(T, f)
+
+
+def _endo_summands(T: FreeComplex, f: ChainMap):
+    """(endo_image_complex(T, f), endo_kernel_complex(T, f)) with f.f = 2f
+    checked once."""
+    _check_twice_idempotent(T, f)
+    return _image_complex(T, f), _kernel_complex(T, f)
 
 
 # -- split decomposition when 2 is a unit ------------------------------------------
@@ -515,10 +532,9 @@ def split_decomposition(X: FreeComplex) -> SplitDecomposition:
     S = sym2(X)
     T = S.tensor_square
     al = S.alpha
-    half = ring.scalar(2).inverse()
+    half = ring.ops.inverse(ring.raw(2))
     e = ChainMap(T, T, {n: M.scale(half) for n, M in al.maps.items()})
-    image = endo_image_complex(T, al)
-    kernel = endo_kernel_complex(T, al)
+    image, kernel = _endo_summands(T, al)
     q_maps = {}
     for n in image.complex.degrees():
         q_maps[n] = solve_exact(image.bases[n], al.component(n))
@@ -576,7 +592,7 @@ def sum_decomposition_iso(X: FreeComplex, Y: FreeComplex):
     XY = tensor(X, Y)
     target = direct_sum(direct_sum(SX.complex, XY), SY.complex)
     maps = {}
-    one = ring.one()
+    one = ring.ops.one
     for n in SW.complex.degrees():
         labs = SW.reduction.basis.degree(n)
         sx_index = {lab: k for k, lab in enumerate(SX.reduction.basis.degree(n))}
@@ -603,8 +619,8 @@ def sum_decomposition_iso(X: FreeComplex, Y: FreeComplex):
                 # canonical form lists the Y factor first: swap to X (x) Y
                 lab = ((q, j), (p, i - X.rank(p)))
                 row = off_xy + xy_index[lab]
-                entries[(row, col)] = one if (p * q) % 2 == 0 else -one
-        M = SparseMatrix(ring, target.rank(n), len(labs), entries)
+                entries[(row, col)] = one if (p * q) % 2 == 0 else ring.ops.neg(one)
+        M = SparseMatrix._of(ring, target.rank(n), len(labs), entries)
         if not M.is_zero():
             maps[n] = M
     return ChainMap(SW.complex, target, maps)
@@ -640,14 +656,10 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
     SY = sym2(Y)
     TX = SX.tensor_square
     TY = SY.tensor_square
-    half = ring.scalar(2).inverse()
-    fg = {n: f.component(n) + g.component(n) for n in set(f.maps) | set(g.maps)}
-
-    def fg_at(n):
-        M = fg.get(n)
-        if M is None:
-            return SparseMatrix.zero(ring, Y.rank(n), X.rank(n))
-        return M
+    ops = ring.ops
+    half = ops.inverse(ring.raw(2))
+    fg = {n: _columns(f.component(n) + g.component(n)) for n in set(f.maps) | set(g.maps)}
+    sc = {n: _columns(M) for n, M in s.maps.items()}
 
     sigma_maps = {}
     for n in TX.degrees():
@@ -655,38 +667,22 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
             continue
         src = tensor_basis(X, X, n)
         tgt_index = {lab: k for k, lab in enumerate(tensor_basis(Y, Y, n + 1))}
+        # each (row, col) is one pair of entries: (f+g)_p (x) s_q lands in
+        # block p of the target, s_p (x) (f+g)_q in block p + 1
         entries = {}
         for col, ((p, i), (q, j)) in enumerate(src):
-            sign = -1 if p % 2 else 1
-            A = fg_at(p)
-            B = s.component(q)
-            for (ai, aj), av in A.entries.items():
-                if aj != i:
-                    continue
-                for (bi, bj), bv in B.entries.items():
-                    if bj != j:
-                        continue
+            for ai, av in fg.get(p, {}).get(i, ()):
+                for bi, bv in sc.get(q, {}).get(j, ()):
                     row = tgt_index.get(((p, ai), (q + 1, bi)))
                     if row is not None:
-                        v = av * bv
-                        if sign == -1:
-                            v = -v
-                        prev = entries.get((row, col))
-                        entries[(row, col)] = v if prev is None else prev + v
-            A = s.component(p)
-            B = fg_at(q)
-            for (ai, aj), av in A.entries.items():
-                if aj != i:
-                    continue
-                for (bi, bj), bv in B.entries.items():
-                    if bj != j:
-                        continue
+                        v = ops.mul(half, ops.mul(av, bv))
+                        entries[(row, col)] = ops.neg(v) if p % 2 else v
+            for ai, av in sc.get(p, {}).get(i, ()):
+                for bi, bv in fg.get(q, {}).get(j, ()):
                     row = tgt_index.get(((p + 1, ai), (q, bi)))
                     if row is not None:
-                        v = av * bv
-                        prev = entries.get((row, col))
-                        entries[(row, col)] = v if prev is None else prev + v
-        M = SparseMatrix(ring, TY.rank(n + 1), TX.rank(n), entries).scale(half)
+                        entries[(row, col)] = ops.mul(half, ops.mul(av, bv))
+        M = SparseMatrix._of(ring, TY.rank(n + 1), TX.rank(n), entries)
         if not M.is_zero():
             sigma_maps[n] = M
     ff = _tensor_map(f, f, TX, TY)
@@ -735,26 +731,25 @@ def _base_change_supported(src: Ring, tgt: Ring) -> bool:
     return False
 
 
-def base_change_scalar(s: Scalar, target: Ring) -> Scalar:
-    src = s.ring
-    if src == target:
-        return s
+def _base_change_raw(src: Ring, target: Ring):
+    """The coefficient map src -> target on raw values, for a supported pair."""
     if not _base_change_supported(src, target):
         raise UnsupportedRingError(f"no supported map {src} -> {target}")
-    if src.kind == "ZZ":
-        return target.scalar(s.value)
-    # ZLoc source: a normalized fraction with denominator coprime to p
-    if target.kind == "QQ":
-        return target.scalar(s.value)
-    assert s.value.denominator % target.p != 0  # ZLoc invariant
-    inv = pow(s.value.denominator % target.p, target.p - 2, target.p)
-    return target.scalar(s.value.numerator * inv)
+    if src == target:
+        return lambda v: v
+    if target.kind == "GF":
+        p = target.p
+        if src.kind == "ZZ":
+            return lambda v: v % p
+        # ZLoc(p): the denominator of a canonical fraction is prime to p
+        return lambda v: v.numerator * pow(v.denominator, -1, p) % p
+    return Fraction  # into QQ or ZLoc(p): ints become fractions, fractions stay
 
 
 def base_change_matrix(M: SparseMatrix, target: Ring) -> SparseMatrix:
-    return SparseMatrix(
-        target, M.rows, M.cols,
-        {k: base_change_scalar(v, target) for k, v in M.entries.items()},
+    f = _base_change_raw(M.ring, target)
+    return SparseMatrix._of(
+        target, M.rows, M.cols, {k: f(v) for k, v in M.entries.items()}
     )
 
 

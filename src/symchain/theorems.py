@@ -45,10 +45,9 @@ from .linalg import (
 from .scalars import QQ, Ring, ZZ, graded_poly
 from .series import minimize, rank_series, verify_series_identity
 from .sym2 import (
+    _endo_summands,
     _pivot_columns,
     alpha,
-    endo_image_complex,
-    endo_kernel_complex,
     sym2,
     sym2_map,
     weak_sym2,
@@ -165,14 +164,12 @@ def check_symm07(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     if v1.failures:
         witnesses["i"] = v1.failures[:3]
 
-    al = S.alpha
-    image = endo_image_complex(T, al)
+    image, kernel = _endo_summands(T, S.alpha)
     h_im = homology(image.complex, bound=D)
     cond2 = h_im.is_exact()
     if not cond2:
         witnesses["ii"] = h_im.nonzero_degrees()[:3]
 
-    kernel = endo_kernel_complex(T, al)
     v3 = is_quasi_iso(kernel.inclusion, bound=D)
     if v3.failures:
         witnesses["iii"] = v3.failures[:3]
@@ -213,7 +210,7 @@ def check_symm07pp(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     if v1.failures:
         witnesses["i"] = v1.failures[:3]
 
-    image = endo_image_complex(T, al)
+    image, kernel = _endo_summands(T, al)
     q = _corestriction(T, al, image)
     v2 = is_quasi_iso(q, bound=D)
     if v2.failures:
@@ -228,7 +225,6 @@ def check_symm07pp(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     if not cond4:
         witnesses["iv"] = h_s.nonzero_degrees()[:3]
 
-    kernel = endo_kernel_complex(T, al)
     h_k = homology(kernel.complex, bound=D)
     cond5 = h_k.is_exact()
     if not cond5:
@@ -368,11 +364,11 @@ def _graded_homology_module(X: FreeComplex, n: int, D: int):
                 target[v] += 1
                 r = index1.get((gen, tuple(target)))
                 if r is not None:
-                    entries[(r, j)] = entries.get((r, j), QQ.zero()) + val
-            moved = SparseMatrix(QQ, len(src1), R.cols, entries)
+                    entries[(r, j)] = entries.get((r, j), 0) + val
+            moved = SparseMatrix._of(QQ, len(src1), R.cols, entries)
             basisY = B1.hstack(reps[d + 1])
             coeffs = solve_field(basisY, moved)
-            mults[(v, d)] = SparseMatrix(
+            mults[(v, d)] = SparseMatrix._of(
                 QQ, reps[d + 1].cols, R.cols,
                 {(i - B1.cols, j): val for (i, j), val in coeffs.entries.items() if i >= B1.cols},
             )
@@ -421,12 +417,12 @@ def _module_pair_table(dimsA, multsA, dimsB, multsB, nvars, dminA, dminB, D, sig
                             for (r, c), val in Ma.entries.items():
                                 if c == i:
                                     key = gen_index(a + 1, b, r, j)
-                                    col[key] = col.get(key, Fraction(0)) + val.value
+                                    col[key] = col.get(key, Fraction(0)) + val
                         if (a, b + 1) in offsets:
                             for (r, c), val in Mb.entries.items():
                                 if c == j:
                                     key = gen_index(a, b + 1, i, r)
-                                    col[key] = col.get(key, Fraction(0)) - val.value
+                                    col[key] = col.get(key, Fraction(0)) - val
                         if col:
                             rel_cols.append(col)
         if sign is not None:
@@ -445,7 +441,7 @@ def _module_pair_table(dimsA, multsA, dimsB, multsB, nvars, dminA, dminB, D, sig
             for r, val in col.items():
                 if val:
                     entries[(r, c)] = val
-        rel = SparseMatrix(QQ, total, len(rel_cols), entries)
+        rel = SparseMatrix._of(QQ, total, len(rel_cols), entries)
         dim = total - qq_rank(rel)
         if dim:
             table[e] = dim

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchain import (
     FreeComplex,
@@ -24,7 +26,7 @@ from symchain import (
 from symchain.errors import DocumentError, ShapeError
 from symchain.io import parse_ring_string, ring_from_obj, ring_to_obj
 
-from randgen import random_chain_map, random_complex
+from randgen import random_chain_map, random_complex, random_graded_minimal
 
 POLY = graded_poly("x", "y")
 X_VAR = POLY.variable("x")
@@ -157,3 +159,21 @@ def test_negative_rank_rejected():
     assert "ranks[1]" in str(err.value)
     with pytest.raises(ShapeError):
         FreeComplex(ZZ, {0: 1, 1: -1})
+
+
+ROUND_TRIP_RINGS = [ZZ, QQ, GF(2), GF(5), ZLoc(3), POLY]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(ring=st.sampled_from(ROUND_TRIP_RINGS), seed=st.integers(0, 2**32 - 1))
+def test_parse_inverts_serialize_on_random_complexes(ring, seed):
+    rng = random.Random(seed)
+    if ring.kind == "Poly":
+        X = random_graded_minimal(ring, rng)
+    else:
+        X = random_complex(ring, rng)
+        f = random_chain_map(X, X, rng)
+        assert parse(serialize(f)) == f
+    back = parse(serialize(X))
+    assert back == X
+    assert all(back.diff(n).entries == X.diff(n).entries for n in X.degrees())

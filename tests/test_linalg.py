@@ -405,7 +405,7 @@ def test_degree_slice_kernel_matches_dense_oracle():
     assert _dense_qq_kernel_dim(dense) == 1
     # the kernel vector is (y, -x) in generator coordinates: the basis pairs
     # (generator 0, monomial y) and (generator 1, monomial x) with opposite signs
-    coords = {src_basis[i]: v.value for (i, _), v in K.entries.items()}
+    coords = {src_basis[i]: v for (i, _), v in K.entries.items()}
     assert coords[(0, (0, 1))] == -coords[(1, (1, 0))]
     assert set(coords) == {(0, (0, 1)), (1, (1, 0))}
 
@@ -429,7 +429,7 @@ def test_rank_of_integer_lift():
     rng = random.Random(41)
     for _ in range(20):
         A = _random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        lifted = SparseMatrix(QQ, A.rows, A.cols, {k: Fraction(v.value) for k, v in A.entries.items()})
+        lifted = SparseMatrix(QQ, A.rows, A.cols, {k: Fraction(v) for k, v in A.entries.items()})
         assert rank(A) == len(rref(lifted)[1])
         assert rank(A) == len(smith_normal_form(A).nonzero_diagonal())
 
@@ -475,7 +475,7 @@ def test_rank_and_rref_match_sympy(ring):
         A = _random_field_matrix(ring, rng, m, n, rng.choice([0.0, 0.2, 0.5, 0.9]))
         R, pivots = rref(A)
         entries, pivot_cols = _sympy_rref(A)
-        assert {k: v.value for k, v in R.entries.items()} == entries
+        assert {k: v for k, v in R.entries.items()} == entries
         assert pivots == list(enumerate(pivot_cols))
         assert rank(A) == len(pivot_cols)
 
@@ -503,7 +503,7 @@ def test_solve_field_matches_sympy(ring):
         }
         X = solve_field(A, B)
         assert A @ X == B
-        assert {key: v.value for key, v in X.entries.items()} == expected
+        assert {key: v for key, v in X.entries.items()} == expected
     assert inconsistent > 0
 
 
@@ -515,7 +515,7 @@ def test_solve_exact_over_poly_lifts_constant_matrices():
     for _ in range(20):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A_qq = _random_field_matrix(QQ, rng, m, n, 0.6)
-        A = SparseMatrix(POLY, m, n, {key: v.value for key, v in A_qq.entries.items()})
+        A = SparseMatrix(POLY, m, n, {key: v for key, v in A_qq.entries.items()})
         X0 = SparseMatrix.from_rows(POLY, [[rng.choice(choices) for _ in range(2)] for _ in range(n)])
         B = A @ X0
         assert A @ solve_exact(A, B) == B
@@ -523,7 +523,7 @@ def test_solve_exact_over_poly_lifts_constant_matrices():
             # x*y times a vector orthogonal to the column space of A
             K = kernel_basis(A_qq.transpose())
             bad = SparseMatrix(
-                POLY, m, 1, {(i, 0): {(1, 1): v.value} for (i, j), v in K.entries.items() if j == 0}
+                POLY, m, 1, {(i, 0): {(1, 1): v} for (i, j), v in K.entries.items() if j == 0}
             )
             inconsistent += 1
             with pytest.raises(LinearSolveError):

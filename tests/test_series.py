@@ -211,7 +211,7 @@ def _chain_iso_exists(A, B, rng, tries=60):
             if w:
                 for (i, j), v in K.entries.items():
                     if j == c:
-                        flat[i] += w * v.value
+                        flat[i] += w * v
         ok = True
         for n in degrees:
             size = A.rank(n)

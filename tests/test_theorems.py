@@ -1,5 +1,6 @@
 """Theorem checkers: condition vectors must be constant; corpus must pass."""
 
+import importlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from symchain import (
     minimize,
     run_paper_corpus,
     shift,
+    split_decomposition,
     sym2,
     sym2_map,
     unit_complex,
@@ -211,3 +213,21 @@ def test_corpus_all_pass():
     report = run_paper_corpus()
     assert report.all_pass, str(report)
     assert len(report.results) >= 8
+
+
+def test_checkers_check_twice_idempotence_once(monkeypatch):
+    sym2_module = importlib.import_module("symchain.sym2")  # the name sym2 is the function
+    calls = []
+    check = sym2_module._check_twice_idempotent
+
+    def counting(T, f):
+        calls.append(T)
+        check(T, f)
+
+    monkeypatch.setattr(sym2_module, "_check_twice_idempotent", counting)
+    x, y = POLY.generators()
+    for X in (koszul([ZLoc(3).scalar(3), ZLoc(3).scalar(1)]), koszul([x, y])):
+        for run in (check_symm07, check_symm07pp, split_decomposition):
+            calls.clear()
+            run(X)
+            assert len(calls) == 1, run.__name__
