@@ -51,6 +51,7 @@ from .homology import (
 from .series import (
     RankSeries,
     is_minimal,
+    minimal_model,
     minimize,
     pd_finite,
     poinc_check,

@@ -173,6 +173,20 @@ class ValidationReport:
         return self.ok
 
 
+def _inhomogeneous_entries(X: FreeComplex):
+    """(n, (i, j), wanted degree) for each differential entry of a graded X
+    that is not homogeneous of degree gdeg_n[j] - gdeg_{n-1}[i]."""
+    if not X.graded:
+        return
+    for n in X.degrees():
+        M = X.diff(n)
+        src, tgt = X.gdeg(n), X.gdeg(n - 1)
+        for (i, j) in sorted(M.entries):
+            want = src[j] - tgt[i]
+            if any(sum(e) != want for e in M.entries[(i, j)]):
+                yield n, (i, j), want
+
+
 def validate(X: FreeComplex) -> ValidationReport:
     """Check d(d(x)) = 0 and, for graded complexes, entry homogeneity."""
     failures = []
@@ -180,20 +194,13 @@ def validate(X: FreeComplex) -> ValidationReport:
     if X.is_zero():
         return ValidationReport(True)
     lo, hi = X.support
-    if X.graded:
-        for n in range(lo + 1, hi + 1):
-            M = X.diff(n)
-            src = X.gdeg(n)
-            tgt = X.gdeg(n - 1)
-            for (i, j) in sorted(M.entries):
-                want = src[j] - tgt[i]
-                if any(sum(e) != want for e in M.entries[(i, j)]):
-                    failures.append(
-                        f"degree {n}: entry ({i},{j}) = {M.entry(i, j)} "
-                        f"is not homogeneous of degree {want}"
-                    )
-                    if first is None:
-                        first = (n, (i, j))
+    for n, (i, j), want in _inhomogeneous_entries(X):
+        failures.append(
+            f"degree {n}: entry ({i},{j}) = {X.diff(n).entry(i, j)} "
+            f"is not homogeneous of degree {want}"
+        )
+        if first is None:
+            first = (n, (i, j))
     for n in range(lo + 2, hi + 1):
         P = X.diff(n - 1) @ X.diff(n)
         if not P.is_zero():

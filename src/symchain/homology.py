@@ -3,21 +3,25 @@
 Over ZZ and ZLoc(p) homology groups are reported as invariant factors,
 the Smith diagonal computed modulo a determinant without transforms; over
 QQ and GF(p) as dimensions; over graded polynomial rings as Hilbert tables
-(dimension of each internal-degree slice over QQ) up to a degree bound.
-Presented homology over ZZ is the homology of a free complex, a twisted
-cone of the relations, so it builds no lattice bases and no transforms.
-Graded verdicts are bounded verification, never silently exact: every
-report and quasi-isomorphism verdict carries the bound it was computed
-with.
+(dimension of each internal-degree slice over QQ) up to a degree bound,
+which every such report carries.  Presented homology over ZZ is the
+homology of a free complex, a twisted cone of the relations, so it builds
+no lattice bases and no transforms.
+
+Exactness and quasi-isomorphism (exactness of the mapping cone) are exact
+verdicts on every backend.  Over a graded ring they need no degree
+bound: a bounded complex of graded free modules with homogeneous
+differentials is exact exactly when its minimal model is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import ChainMap, FreeComplex, mapping_cone
+from .complexes import ChainMap, FreeComplex, _inhomogeneous_entries, mapping_cone
 from .errors import GradingError, SymchainError, UnsupportedRingError
 from .linalg import invariant_factors, qq_rank, rank, slice_matrix, solve_exact
+from .series import minimal_model
 from .sym2 import PresentedComplex
 
 __all__ = [
@@ -244,7 +248,7 @@ def _presented_cone(P: PresentedComplex) -> FreeComplex:
 
 @dataclass
 class QuasiIsoVerdict:
-    """Outcome of a quasi-isomorphism test; graded verdicts are bounded.
+    """Outcome of a quasi-isomorphism test, exact on every backend.
 
     The test decides whether the mapping cone of f is exact.  Each failure
     is a degree n with H_n(cone f) != 0: there H_n(f) is not onto or
@@ -253,34 +257,51 @@ class QuasiIsoVerdict:
     """
 
     ok: bool
-    bounded: bool = False
-    bound: int | None = None
     failures: list = field(default_factory=list)
 
     def __bool__(self):
         return self.ok
 
 
-def is_quasi_iso(f: ChainMap, bound: int | None = None) -> QuasiIsoVerdict:
-    """Does f induce bijections on all homology (within the graded bound)?
+def _exactness_failures(X: FreeComplex) -> list:
+    """Witnesses that X is not exact; empty exactly when X is exact.
 
-    Decided as exactness of the mapping cone, through homology() on the
-    cone; raises ShapeError when f is not a chain map.
+    Over ZZ, QQ, GF(p) and ZLoc(p): every degree with nonzero homology.
+    Over a graded ring, with no degree bound: X is exact exactly when its
+    minimal model M is zero (graded Nakayama).  Otherwise the witness is
+    [(n0, d0)], n0 the lowest degree where M is nonzero and d0 the lowest
+    generator degree of M_{n0}; H_{n0}(X)_{d0} != 0, since the image of
+    the next differential lies in the maximal ideal times M_{n0}.  Both
+    facts need homogeneous entries, so any other raises GradingError.
     """
-    X, Y = f.source, f.target
-    if X.ring.kind == "Poly" and bound is None:
-        bound = max(default_bound(X), default_bound(Y))
-    h = homology(mapping_cone(f), bound=bound)
-    if h.kind != "hilbert":
-        failures = h.nonzero_degrees()
-        return QuasiIsoVerdict(not failures, failures=failures)
-    failures = [(n, d) for n in h.nonzero_degrees() for d in sorted(h.table(n))]
-    return QuasiIsoVerdict(not failures, bounded=True, bound=h.bound, failures=failures)
+    if X.ring.kind != "Poly":
+        return homology(X).nonzero_degrees()
+    bad = next(_inhomogeneous_entries(X), None)
+    if bad is not None:
+        n, (i, j), want = bad
+        raise GradingError(
+            f"differential at degree {n}: entry ({i},{j}) is not homogeneous of degree {want}"
+        )
+    M = minimal_model(X)
+    if M.is_zero():
+        return []
+    n0 = M.degrees()[0]
+    return [(n0, min(M.gdeg(n0)))]
 
 
-def is_exact(X: FreeComplex, bound: int | None = None) -> bool:
-    """True when all homology vanishes (within the graded bound, if any)."""
-    return homology(X, bound=bound).is_exact()
+def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
+    """Does f induce bijections on all homology?
+
+    Decided as exactness of the mapping cone (see _exactness_failures);
+    raises ShapeError when f is not a chain map.
+    """
+    failures = _exactness_failures(mapping_cone(f))
+    return QuasiIsoVerdict(not failures, failures=failures)
+
+
+def is_exact(X: FreeComplex) -> bool:
+    """True when all homology vanishes; graded complexes need no bound."""
+    return not _exactness_failures(X)
 
 
 def inf_h(X: FreeComplex, bound: int | None = None):

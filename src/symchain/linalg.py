@@ -232,11 +232,8 @@ class SparseMatrix:
 
     def submatrix_columns(self, js) -> "SparseMatrix":
         js = list(js)
-        pos = {j: k for k, j in enumerate(js)}
-        entries = {}
-        for (i, j), v in self.entries.items():
-            if j in pos:
-                entries[(i, pos[j])] = v
+        by_col = _columns(self)
+        entries = {(i, k): v for k, j in enumerate(js) for i, v in by_col.get(j, ())}
         return SparseMatrix._of(self.ring, self.rows, len(js), entries)
 
     def __eq__(self, other):

@@ -10,7 +10,9 @@ square satisfies
 which verify_series_identity checks exactly.  Minimalization repeatedly
 splits off contractible two-term summands at unit differential entries; it
 is the workhorse behind the "quasi-isomorphic to a shifted copy of R"
-decisions of the theorem checkers.
+decisions of the theorem checkers and behind graded exactness.  minimize
+also composes the projection onto the minimal complex; minimal_model,
+which the checkers and exactness tests call, builds no projection.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "PoincReport",
     "poinc_check",
     "is_minimal",
+    "minimal_model",
     "minimize",
     "PdReport",
     "pd_finite",
@@ -203,15 +206,15 @@ def _first_unit_pivot(X: FreeComplex):
     return None
 
 
-def _eliminate(X: FreeComplex, n: int, i: int, j: int):
+def _eliminate(X: FreeComplex, n: int, i: int, j: int) -> FreeComplex:
     """Split off the contractible summand at the unit entry (i, j) of d_n.
 
-    Returns (smaller complex, projection chain map).  The new degree-n
-    module drops generator j, the new degree-(n-1) module drops generator i,
-    and the differential at n picks up the Schur-complement correction.
+    The new degree-n module drops generator j, the new degree-(n-1) module
+    drops generator i, and the differential at n picks up the
+    Schur-complement correction.
     """
     ring = X.ring
-    add, mul, neg, one = ring.ops.add, ring.ops.mul, ring.ops.neg, ring.ops.one
+    add, mul, neg = ring.ops.add, ring.ops.mul, ring.ops.neg
     M = X.diff(n)
     u_inv = ring.ops.inverse(M.entries[(i, j)])
     keep_cols = [c for c in range(X.rank(n)) if c != j]
@@ -271,8 +274,23 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
                 gdegs[m] = tuple(d for c, d in enumerate(degs) if c != i)
             else:
                 gdegs[m] = degs
-    smaller = FreeComplex(ring, ranks, diffs, gdegs)
+    return FreeComplex(ring, ranks, diffs, gdegs)
 
+
+def _projection(X: FreeComplex, smaller: FreeComplex, n: int, i: int, j: int) -> ChainMap:
+    """The projection X -> smaller of the step _eliminate(X, n, i, j).
+
+    Identity on the kept generators, except that X_{n-1} -> smaller_{n-1}
+    sends generator i to -u^{-1} v, the column of d_n at j outside row i
+    scaled by the inverse of the pivot u.
+    """
+    ring = X.ring
+    one, mul, neg = ring.ops.one, ring.ops.mul, ring.ops.neg
+    M = X.diff(n)
+    u_inv = ring.ops.inverse(M.entries[(i, j)])
+    keep_cols = [c for c in range(X.rank(n)) if c != j]
+    keep_rows = [r for r in range(X.rank(n - 1)) if r != i]
+    row_pos = {r: k for k, r in enumerate(keep_rows)}
     proj_maps = {}
     for m in smaller.degrees():
         if m == n:
@@ -282,13 +300,26 @@ def _eliminate(X: FreeComplex, n: int, i: int, j: int):
             )
         elif m == n - 1:
             entries = {(k, r): one for k, r in enumerate(keep_rows)}
-            for r, vr in col_j.items():
-                if r != i:
-                    entries[(row_pos[r], i)] = neg(mul(u_inv, vr))
+            for (r, c), v in M.entries.items():
+                if c == j and r != i:
+                    entries[(row_pos[r], i)] = neg(mul(u_inv, v))
             proj_maps[m] = SparseMatrix._of(ring, len(keep_rows), X.rank(n - 1), entries)
         else:
             proj_maps[m] = SparseMatrix.identity(ring, X.rank(m))
-    return smaller, ChainMap(X, smaller, proj_maps)
+    return ChainMap(X, smaller, proj_maps)
+
+
+def minimal_model(X: FreeComplex) -> FreeComplex:
+    """The minimal complex of minimize(X), without building its projection.
+
+    X is exact exactly when this is zero: over a field, over ZLoc(p) by
+    Nakayama, and over a graded ring, for homogeneous differentials, by
+    graded Nakayama (Eisenbud, Commutative Algebra, GTM 150, sections 19-20).
+    """
+    _require_local(X)
+    while (pivot := _first_unit_pivot(X)) is not None:
+        X = _eliminate(X, *pivot)
+    return X
 
 
 def minimize(X: FreeComplex):
@@ -300,12 +331,11 @@ def minimize(X: FreeComplex):
     _require_local(X)
     current = X
     q = identity_map(X)
-    while True:
-        pivot = _first_unit_pivot(current)
-        if pivot is None:
-            return current, q
-        current, step = _eliminate(current, *pivot)
-        q = compose(step, q)
+    while (pivot := _first_unit_pivot(current)) is not None:
+        smaller = _eliminate(current, *pivot)
+        q = compose(_projection(current, smaller, *pivot), q)
+        current = smaller
+    return current, q
 
 
 @dataclass
@@ -326,8 +356,8 @@ class PdReport:
 
 def pd_finite(X: FreeComplex) -> PdReport:
     _require_local(X)
-    M, _ = minimize(X)
-    SM, _ = minimize(sym2(X).complex)
+    M = minimal_model(X)
+    SM = minimal_model(sym2(X).complex)
     S_of_minimal = sym2(M).complex
     ok = True
     degrees = M.degrees()

@@ -3,9 +3,11 @@ replayable corpus of worked examples with frozen expected values.
 
 Each checker evaluates every condition of its theorem by a separate
 computation (no condition is derived from another), reports the condition
-vector, and flags whether the vector is constant.  Over graded polynomial
-backends all homological verdicts are bounded verification and the report
-carries the bound.
+vector, and flags whether the vector is constant.  The exactness and
+quasi-isomorphism conditions of symm07, symm07pp and s2fpd02 are exact on
+every backend and take no degree bound; over graded polynomial backends
+only symm09, which compares Hilbert tables, is bounded verification, and
+its report carries the bound.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .complexes import (
 )
 from .errors import SymchainError, TwoNotUnitError, UnsupportedRingError
 from .homology import (
+    _exactness_failures,
     _graded_inf,
     _graded_table,
     check_bound,
@@ -43,7 +46,7 @@ from .linalg import (
     solve_field,
 )
 from .scalars import QQ, Ring, ZZ, graded_poly
-from .series import minimize, rank_series, verify_series_identity
+from .series import minimal_model, rank_series, verify_series_identity
 from .sym2 import (
     _endo_summands,
     _pivot_columns,
@@ -104,17 +107,6 @@ def _graded(ring: Ring) -> bool:
     return ring.kind == "Poly"
 
 
-def _checker_bound(X: FreeComplex, bound: int | None):
-    """The bound a checker runs at: the given one, which check_bound rejects
-    when it lies below X's lowest generator degree, or on graded rings by
-    default the max generator degree of the tensor square plus the total
-    rank of X."""
-    check_bound(X, bound)
-    if bound is None and _graded(X.ring):
-        return 2 * X.max_gdeg() + X.total_rank() + 2
-    return bound
-
-
 def _is_zero_or_single_shift(M: FreeComplex, parity: int | None):
     """Is the minimal complex zero, or a single rank-1 module in a degree of
     the given parity (None for any parity)?  Returns (bool, degree|None)."""
@@ -146,7 +138,7 @@ def _corestriction(T, al, image):
     return ChainMap(T, image.complex, maps)
 
 
-def check_symm07(X: FreeComplex, bound: int | None = None) -> VerdictReport:
+def check_symm07(X: FreeComplex) -> VerdictReport:
     """Four equivalent statements characterizing even single-shift complexes.
 
     (i) the projection of the tensor square onto the symmetric square is a
@@ -157,27 +149,24 @@ def check_symm07(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     _require_local_two_unit(X.ring)
     S = sym2(X)
     T = S.tensor_square
-    D = _checker_bound(X, bound)
     witnesses = {}
 
-    v1 = is_quasi_iso(S.proj, bound=D)
+    v1 = is_quasi_iso(S.proj)
     if v1.failures:
         witnesses["i"] = v1.failures[:3]
 
     image, kernel = _endo_summands(T, S.alpha)
-    h_im = homology(image.complex, bound=D)
-    cond2 = h_im.is_exact()
-    if not cond2:
-        witnesses["ii"] = h_im.nonzero_degrees()[:3]
+    fail2 = _exactness_failures(image.complex)
+    if fail2:
+        witnesses["ii"] = fail2[:3]
 
-    v3 = is_quasi_iso(kernel.inclusion, bound=D)
+    v3 = is_quasi_iso(kernel.inclusion)
     if v3.failures:
         witnesses["iii"] = v3.failures[:3]
 
-    M, _ = minimize(X)
-    cond4, _deg = _is_zero_or_single_shift(M, parity=0)
+    cond4, _deg = _is_zero_or_single_shift(minimal_model(X), parity=0)
 
-    conditions = (bool(v1), cond2, bool(v3), cond4)
+    conditions = (bool(v1), not fail2, bool(v3), cond4)
     return VerdictReport(
         theorem="symm07",
         labels=("i", "ii", "iii", "iv"),
@@ -186,12 +175,10 @@ def check_symm07(X: FreeComplex, bound: int | None = None) -> VerdictReport:
         holds=conditions[0] if len(set(conditions)) == 1 else None,
         witnesses=witnesses,
         backend=str(X.ring),
-        bounded=_graded(X.ring),
-        bound=D,
     )
 
 
-def check_symm07pp(X: FreeComplex, bound: int | None = None) -> VerdictReport:
+def check_symm07pp(X: FreeComplex) -> VerdictReport:
     """Six equivalent statements characterizing odd single-shift complexes.
 
     (i) the alternation is a quasi-isomorphism; (ii) its corestriction onto
@@ -202,38 +189,34 @@ def check_symm07pp(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     _require_local_two_unit(X.ring)
     S = sym2(X)
     T = S.tensor_square
-    D = _checker_bound(X, bound)
     witnesses = {}
 
     al = S.alpha
-    v1 = is_quasi_iso(al, bound=D)
+    v1 = is_quasi_iso(al)
     if v1.failures:
         witnesses["i"] = v1.failures[:3]
 
     image, kernel = _endo_summands(T, al)
     q = _corestriction(T, al, image)
-    v2 = is_quasi_iso(q, bound=D)
+    v2 = is_quasi_iso(q)
     if v2.failures:
         witnesses["ii"] = v2.failures[:3]
 
-    v3 = is_quasi_iso(image.inclusion, bound=D)
+    v3 = is_quasi_iso(image.inclusion)
     if v3.failures:
         witnesses["iii"] = v3.failures[:3]
 
-    h_s = homology(S.complex, bound=D)
-    cond4 = h_s.is_exact()
-    if not cond4:
-        witnesses["iv"] = h_s.nonzero_degrees()[:3]
+    fail4 = _exactness_failures(S.complex)
+    if fail4:
+        witnesses["iv"] = fail4[:3]
 
-    h_k = homology(kernel.complex, bound=D)
-    cond5 = h_k.is_exact()
-    if not cond5:
-        witnesses["v"] = h_k.nonzero_degrees()[:3]
+    fail5 = _exactness_failures(kernel.complex)
+    if fail5:
+        witnesses["v"] = fail5[:3]
 
-    M, _ = minimize(X)
-    cond6, _deg = _is_zero_or_single_shift(M, parity=1)
+    cond6, _deg = _is_zero_or_single_shift(minimal_model(X), parity=1)
 
-    conditions = (bool(v1), bool(v2), bool(v3), cond4, cond5, cond6)
+    conditions = (bool(v1), bool(v2), bool(v3), not fail4, not fail5, cond6)
     return VerdictReport(
         theorem="symm07pp",
         labels=("i", "ii", "iii", "iv", "v", "vi"),
@@ -242,12 +225,10 @@ def check_symm07pp(X: FreeComplex, bound: int | None = None) -> VerdictReport:
         holds=conditions[0] if len(set(conditions)) == 1 else None,
         witnesses=witnesses,
         backend=str(X.ring),
-        bounded=_graded(X.ring),
-        bound=D,
     )
 
 
-def check_s2fpd02(X: FreeComplex, bound: int | None = None) -> VerdictReport:
+def check_s2fpd02(X: FreeComplex) -> VerdictReport:
     """Three equivalent statements: the symmetric square is a single shift.
 
     (i) the minimal complex of X is a single even shift of R, or a sum of
@@ -256,12 +237,11 @@ def check_s2fpd02(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     Reports the shift degree j when the conditions hold.
     """
     _require_local_two_unit(X.ring)
-    check_bound(X, bound)
-    M, _ = minimize(X)
+    M = minimal_model(X)
     even_shift, _d = _is_zero_or_single_shift(M, parity=0)
     cond1 = (even_shift and not M.is_zero()) or _is_two_odd_shifts(M)
 
-    SM, _ = minimize(sym2(X).complex)
+    SM = minimal_model(sym2(X).complex)
     even_s, j_even = _is_zero_or_single_shift(SM, parity=0)
     cond2 = even_s and not SM.is_zero()
     any_s, j_any = _is_zero_or_single_shift(SM, parity=None)
@@ -279,8 +259,6 @@ def check_s2fpd02(X: FreeComplex, bound: int | None = None) -> VerdictReport:
         holds=conditions[0] if len(set(conditions)) == 1 else None,
         witnesses=witnesses,
         backend=str(X.ring),
-        bounded=_graded(X.ring),
-        bound=bound,
     )
 
 
@@ -464,7 +442,10 @@ def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     _require_local_two_unit(X.ring)
     ring = X.ring
     S = sym2(X).complex
-    D = _checker_bound(X, bound)
+    # a bound below X's lowest generator degree is rejected; the graded
+    # default is the top generator degree of X (x) X plus the rank of X
+    check_bound(X, bound)
+    D = 2 * X.max_gdeg() + X.total_rank() + 2 if bound is None and _graded(ring) else bound
 
     def trivial():
         return VerdictReport(
@@ -675,10 +656,11 @@ def _fixture_projection_not_quasi_iso():
     ring = graded_poly("x", "y")
     x, y = ring.generators()
     S = sym2(koszul([x, y]))
-    v = is_quasi_iso(S.proj, bound=6)
-    if bool(v):
-        return False, "projection onto the symmetric square looks like a quasi-isomorphism"
-    return True, f"projection fails at (degree, internal degree) {v.failures[:2]}"
+    v = is_quasi_iso(S.proj)
+    # H_1 of the tensor square is QQ^2 in internal degree 1, H_1 of S2 is 0
+    if bool(v) or v.failures != [(2, 1)]:
+        return False, f"projection onto the symmetric square: {v}"
+    return True, f"projection fails at (degree, internal degree) {v.failures[0]}"
 
 
 def _fixture_split_exact_two_torsion():

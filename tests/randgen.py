@@ -148,7 +148,11 @@ def random_graded_minimal(ring: Ring, rng, max_pieces=2) -> FreeComplex:
 
 
 def random_degreewise_map(X: FreeComplex, Y: FreeComplex, rng, degree_shift=0, density=0.5):
-    """Arbitrary degreewise maps X_n -> Y_{n+degree_shift} (no chain condition)."""
+    """Arbitrary degreewise maps X_n -> Y_{n+degree_shift} (no chain condition).
+
+    Over a graded ring each entry is a constant times a monomial of the
+    degree that makes it homogeneous, and zero where no such monomial exists.
+    """
     maps = {}
     for n in X.degrees():
         m = n + degree_shift
@@ -159,6 +163,12 @@ def random_degreewise_map(X: FreeComplex, Y: FreeComplex, rng, degree_shift=0, d
             for j in range(X.rank(n)):
                 if rng.random() < density:
                     v = small_scalar(X.ring, rng)
+                    if X.graded:
+                        e = X.gdeg(n)[j] - Y.gdeg(m)[i]
+                        if e < 0:
+                            continue
+                        for _ in range(e):
+                            v = v * rng.choice(X.ring.generators())
                     if not v.is_zero():
                         entries[(i, j)] = v
         if entries:

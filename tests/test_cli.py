@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from symchain import (
     GF,
     ZZ,
@@ -121,20 +123,48 @@ def test_degree_bound_env_override(tmp_path, capsys, monkeypatch):
     assert code == 0 and "bound: 4" in out
 
 
-def test_quasi_iso_command(tmp_path, capsys):
+def test_quasi_iso_command(tmp_path, capsys, monkeypatch):
     proj = sym2(koszul([X_VAR, Y_VAR])).proj
     mfile = write(tmp_path, "m.json", proj)
-    code, out, _ = run(capsys, "quasi-iso", mfile, "--bound", "6")
+    code, out, _ = run(capsys, "quasi-iso", mfile)
     assert code == 1
-    assert "quasi-isomorphism: false" in out
-    # graded verdicts that pass are labeled with the bound they used
+    assert out.splitlines() == ["quasi-isomorphism: false", "failures: [(2, 1)]"]
+    # graded verdicts are exact: a passing one is plain true, with no bound,
+    # and the degree-bound variable does not reach it
     from symchain import identity_map
 
     ident = identity_map(koszul([X_VAR, Y_VAR]))
     ifile = write(tmp_path, "i.json", ident)
-    code, out, _ = run(capsys, "quasi-iso", ifile, "--bound", "5")
+    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "-5")
+    code, out, _ = run(capsys, "quasi-iso", ifile)
     assert code == 0
-    assert "quasi-isomorphism: true-up-to-bound-5" in out
+    assert out.splitlines() == ["quasi-isomorphism: true"]
+    # quasi-iso has no --bound option any more
+    with pytest.raises(SystemExit) as exc:
+        main(["quasi-iso", ifile, "--bound", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 5" in capsys.readouterr().err
+
+
+def test_repeated_main_calls_agree(tmp_path, capsys):
+    # one parser serves every call; nothing from one call leaks into the next
+    kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
+    mfile = write(tmp_path, "m.json", sym2(koszul([X_VAR, Y_VAR])).proj)
+    for argv in (
+        ["check", "symm07pp", kfile],
+        ["check", "symm09", kfile, "--bound", "5"],
+        ["check", "symm07", kfile, "--bound", "5"],
+        ["quasi-iso", mfile],
+        ["homology", kfile],
+    ):
+        first = run(capsys, *argv)
+        for _ in range(3):
+            assert run(capsys, *argv) == first
+    assert run(capsys, "check", "symm07", kfile, "--bound", "5")[0] == 2
+    assert "bound: 5 (bounded verification)" in run(capsys, "check", "symm09", kfile, "--bound", "5")[1]
+    # the bound of an earlier call does not stick: the default is 2*2 + 4 + 2
+    code, out, _ = run(capsys, "check", "symm09", kfile)
+    assert code == 0 and "bound: 10 (bounded verification)" in out
 
 
 def test_series_verify(tmp_path, capsys):
@@ -260,17 +290,24 @@ def test_bad_matrix_rows_exit_2_with_position(tmp_path, capsys):
     assert code == 0 and "valid: true" in out
 
 
-def test_bound_below_lowest_generator_degree_exits_2(tmp_path, capsys):
+def test_bound_below_lowest_generator_degree_exits_2(tmp_path, capsys, monkeypatch):
     kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
     # every slice below degree 0 is empty, which once read as equivalent: false
-    code, out, err = run(capsys, "check", "symm07pp", kfile, "--bound", "-1")
+    code, out, err = run(capsys, "check", "symm09", kfile, "--bound", "-1")
     assert code == 2
-    assert "equivalent" not in out and "lowest generator degree 0" in err
+    assert "holds" not in out and "lowest generator degree 0" in err
     code, out, err = run(capsys, "homology", kfile, "--bound", "-1")
     assert code == 2 and "lowest generator degree" in err
-    # the projection is no quasi-isomorphism; below degree 0 it once read as one
-    mfile = write(tmp_path, "m.json", sym2(koszul([X_VAR, Y_VAR])).proj)
-    code, out, err = run(capsys, "quasi-iso", mfile, "--bound", "-1")
-    assert code == 2 and "quasi-isomorphism" not in out
-    code, out, _ = run(capsys, "check", "symm07pp", kfile, "--bound", "0")
+    # symm07pp needs no bound: any explicit one is an input error naming it
+    for bound in ("-1", "0", "12"):
+        code, out, err = run(capsys, "check", "symm07pp", kfile, "--bound", bound)
+        assert code == 2 and out == ""
+        assert "symm07pp needs no degree bound" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "check", "symm07pp", kfile)
+    assert code == 0 and "equivalent: true" in out and "bound" not in out.split("json:")[0]
+    # the degree-bound variable reaches only homology and symm09
+    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "-1")
+    code, out, _ = run(capsys, "check", "symm07pp", kfile)
     assert code == 0 and "equivalent: true" in out
+    code, out, err = run(capsys, "check", "symm09", kfile)
+    assert code == 2 and "lowest generator degree 0" in err

@@ -45,7 +45,7 @@ from symchain.linalg import (
 from symchain.sym2 import PresentedComplex
 from symchain.theorems import _homology_representatives, _pivot_columns
 
-from randgen import random_chain_map, random_complex
+from randgen import random_chain_map, random_complex, random_graded_minimal, summand_inclusion
 
 POLY = graded_poly("x", "y")
 X_VAR = POLY.variable("x")
@@ -217,12 +217,15 @@ def test_identity_is_quasi_iso():
 
 def test_projection_onto_sym2_not_quasi_iso_graded():
     S = sym2(koszul([X_VAR, Y_VAR]))
-    verdict = is_quasi_iso(S.proj, bound=6)
+    verdict = is_quasi_iso(S.proj)
     assert not verdict
-    assert verdict.bounded and verdict.bound == 6
+    # the verdict is exact: it carries no degree bound at all
+    assert not hasattr(verdict, "bound") and not hasattr(verdict, "bounded")
     # H_1 of the tensor square is two copies of QQ in internal degree 1 and
     # H_1 of S2 vanishes: H_1(proj) is not injective, so the cone fails at (2, 1)
     assert verdict.failures == [(2, 1)]
+    oracle = homology(mapping_cone(S.proj), bound=6)
+    assert oracle.nonzero_degrees()[0] == 2 and oracle.table(2)[1] == 2
 
 
 def test_augmentation_of_split_exact_complex_is_quasi_iso():
@@ -422,13 +425,78 @@ def test_quasi_iso_agrees_with_induced_map_oracle():
 
 def test_graded_quasi_iso_agrees_with_induced_map_oracle_per_slice():
     f = sym2(koszul([X_VAR, Y_VAR])).proj
-    verdict = is_quasi_iso(f, bound=6)
-    failing_slices = {d for _, d in verdict.failures}
+    cone = homology(mapping_cone(f), bound=6)
+    failing = {(n, d) for n in cone.nonzero_degrees() for d in cone.table(n)}
+    failing_slices = {d for _, d in failing}
     degrees = sorted(set(f.source.degrees()) | set(f.target.degrees()))
     for d in range(0, 7):
         bijective = all(_graded_slice_oracle(f, n, d) for n in degrees)
         assert bijective == (d not in failing_slices)
-    assert failing_slices  # the slice comparison covers both outcomes
+    assert failing_slices and set(range(7)) - failing_slices  # both outcomes
+    verdict = is_quasi_iso(f)
+    assert not verdict
+    assert len(verdict.failures) == 1 and verdict.failures[0] in failing
+
+
+def _graded_contractible(rng):
+    """0 -> R(-e) -(1)-> R(-e) -> 0 in a random degree: exact, not minimal."""
+    e = rng.randint(0, 2)
+    C = FreeComplex(POLY, {0: 1, 1: 1}, {1: SparseMatrix.identity(POLY, 1)}, {0: (e,), 1: (e,)})
+    return shift(C, rng.randint(0, 2))
+
+
+def _twisted_minimal(rng):
+    """random_graded_minimal with every internal degree raised by 0, 1 or 2."""
+    X = random_graded_minimal(POLY, rng)
+    t = rng.randint(0, 2)
+    gdegs = {n: tuple(d + t for d in X.gdeg(n)) for n in X.degrees()}
+    return FreeComplex(POLY, X.ranks, {n: X.diff(n) for n in X.degrees()}, gdegs)
+
+
+def _random_graded_map(rng):
+    """A homogeneous chain map: a perturbed self-map, a null-homotopic map,
+    or a summand inclusion, whose complement is exact half of the time."""
+    X = _twisted_minimal(rng)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_chain_map(X, X, rng)
+    if kind == 1:
+        return random_chain_map(X, _twisted_minimal(rng), rng)
+    Y = _graded_contractible(rng) if rng.random() < 0.5 else _twisted_minimal(rng)
+    return summand_inclusion(X, Y, 0) if rng.random() < 0.5 else summand_inclusion(Y, X, 1)
+
+
+def test_graded_quasi_iso_by_minimal_model_matches_bounded_cone_oracle():
+    """The unbounded verdict against homology of the cone to its default
+    bound: the same outcome, and each witness (n0, d0) is a nonzero slice
+    of the cone's homology with nothing nonzero in a degree below n0."""
+    rng = random.Random(2024)
+    outcomes = []
+    for _ in range(110):
+        f = _random_graded_map(rng)
+        verdict = is_quasi_iso(f)
+        oracle = homology(mapping_cone(f))
+        assert bool(verdict) == oracle.is_exact()
+        outcomes.append(bool(verdict))
+        if not verdict:
+            [(n0, d0)] = verdict.failures
+            assert oracle.table(n0).get(d0, 0) > 0
+            assert oracle.nonzero_degrees()[0] == n0
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def test_graded_exactness_needs_homogeneous_differentials():
+    # the constant 1 from a generator of degree 0 to one of degree 1 is not
+    # homogeneous; neither a minimal model nor a slice means anything then
+    X = FreeComplex(POLY, {0: 1}, {}, {0: (0,)})
+    Y = FreeComplex(POLY, {0: 1}, {}, {0: (1,)})
+    f = ChainMap(X, Y, {0: SparseMatrix.identity(POLY, 1)})
+    with pytest.raises(GradingError, match="entry \\(0,0\\) is not homogeneous of degree -1"):
+        is_quasi_iso(f)
+    with pytest.raises(GradingError):
+        is_exact(mapping_cone(f))
+    # the same map between generators of equal degree is an isomorphism
+    assert is_quasi_iso(ChainMap(X, X, {0: SparseMatrix.identity(POLY, 1)}))
 
 
 def test_mapping_cone_matches_oracle_construction():

@@ -113,6 +113,7 @@ def test_matrix_arithmetic_matches_scalar_oracle(ring):
         assert _dense(A.vstack(A2)) == _dense(A) + _dense(A2)
         assert _dense(A.transpose()) == [list(col) for col in zip(*_dense(A))]
         js = rng.sample(range(k), rng.randint(0, k))
+        js += js[::2]  # repeated columns, each copied to several positions
         assert _dense(A.submatrix_columns(js)) == [[row[j] for j in js] for row in _dense(A)]
 
         for M in (product, total, difference, scaled, A.hstack(A2), A.vstack(A2),

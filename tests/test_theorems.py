@@ -16,8 +16,10 @@ from symchain import (
     check_symm09,
     direct_sum,
     graded_poly,
+    homology,
     is_quasi_iso,
     koszul,
+    mapping_cone,
     minimize,
     run_paper_corpus,
     shift,
@@ -67,7 +69,29 @@ def test_symm07_koszul_all_false_graded():
     report = check_symm07(koszul([X_VAR, Y_VAR]))
     assert report.conditions == (False, False, False, False)
     assert report.equivalent and report.holds is False
-    assert report.bounded and report.bound is not None
+    # exact verdicts over the graded ring: no bound, and none reported
+    assert not report.bounded and report.bound is None
+    assert report.as_dict()["bounded"] is False and report.as_dict()["bound"] is None
+
+
+def test_three_variable_koszul_verdicts_need_no_bound():
+    """koszul([x0, x1, x2]): the condition vectors a bounded check found
+    (all False, equivalent), and the two quasi-isomorphism witnesses, each
+    a nonzero slice of the cone's homology with nothing below it."""
+    R = graded_poly("x0", "x1", "x2")
+    K = koszul(list(R.generators()))
+    r07 = check_symm07(K)
+    assert r07.conditions == (False,) * 4 and r07.equivalent
+    r07pp = check_symm07pp(K)
+    assert r07pp.conditions == (False,) * 6 and r07pp.equivalent
+    assert not r07.bounded and not r07pp.bounded and r07.bound is r07pp.bound is None
+    S = sym2(K)
+    for f, witness in ((S.proj, (2, 1)), (S.alpha, (0, 0))):
+        verdict = is_quasi_iso(f)
+        assert not verdict and verdict.failures == [witness]
+        n0, d0 = witness
+        oracle = homology(mapping_cone(f), bound=2)
+        assert oracle.nonzero_degrees()[0] == n0 and oracle.table(n0)[d0] > 0
 
 
 def test_symm07_odd_shift_all_false():
