@@ -84,6 +84,11 @@ class FreeComplex:
                 )
             if not M.is_zero():
                 self._diffs[n] = M
+        if self._gdegs is not None:
+            for n in sorted(self._diffs):
+                _check_homogeneous(
+                    self._diffs[n], self.gdeg(n), self.gdeg(n - 1), f"differential at degree {n}"
+                )
 
     # -- shape ---------------------------------------------------------------
 
@@ -173,34 +178,31 @@ class ValidationReport:
         return self.ok
 
 
-def _inhomogeneous_entries(X: FreeComplex):
-    """(n, (i, j), wanted degree) for each differential entry of a graded X
-    that is not homogeneous of degree gdeg_n[j] - gdeg_{n-1}[i]."""
-    if not X.graded:
-        return
-    for n in X.degrees():
-        M = X.diff(n)
-        src, tgt = X.gdeg(n), X.gdeg(n - 1)
-        for (i, j) in sorted(M.entries):
-            want = src[j] - tgt[i]
-            if any(sum(e) != want for e in M.entries[(i, j)]):
-                yield n, (i, j), want
+def _check_homogeneous(M: SparseMatrix, src, tgt, where: str) -> None:
+    """Raise GradingError unless each entry (i, j) of M is homogeneous of
+    degree src[j] - tgt[i]; the lowest bad entry is named."""
+    bad = []
+    for (i, j), v in M.entries.items():  # plain loops: this runs on every graded build
+        w = src[j] - tgt[i]
+        for e in v:
+            if sum(e) != w:
+                bad.append((i, j))
+                break
+    if bad:
+        i, j = min(bad)
+        raise GradingError(
+            f"{where}: entry ({i},{j}) is not homogeneous of degree {src[j] - tgt[i]}"
+        )
 
 
 def validate(X: FreeComplex) -> ValidationReport:
-    """Check d(d(x)) = 0 and, for graded complexes, entry homogeneity."""
+    """Check d(d(x)) = 0; graded entries were checked homogeneous when X
+    was built."""
     failures = []
     first = None
     if X.is_zero():
         return ValidationReport(True)
     lo, hi = X.support
-    for n, (i, j), want in _inhomogeneous_entries(X):
-        failures.append(
-            f"degree {n}: entry ({i},{j}) = {X.diff(n).entry(i, j)} "
-            f"is not homogeneous of degree {want}"
-        )
-        if first is None:
-            first = (n, (i, j))
     for n in range(lo + 2, hi + 1):
         P = X.diff(n - 1) @ X.diff(n)
         if not P.is_zero():
@@ -341,6 +343,11 @@ class ChainMap:
                 raise RingMismatchError("chain map matrix over the wrong ring")
             if not M.is_zero():
                 self.maps[n] = M
+        if source.graded:
+            for n in sorted(self.maps):
+                _check_homogeneous(
+                    self.maps[n], source.gdeg(n), target.gdeg(n), f"map at degree {n}"
+                )
 
     def component(self, n: int) -> SparseMatrix:
         M = self.maps.get(n)

@@ -4,9 +4,9 @@ Over ZZ and ZLoc(p) homology groups are reported as invariant factors,
 the Smith diagonal computed modulo a determinant without transforms; over
 QQ and GF(p) as dimensions; over graded polynomial rings as Hilbert tables
 (dimension of each internal-degree slice over QQ) up to a degree bound,
-which every such report carries.  Presented homology over ZZ is the
-homology of a free complex, a twisted cone of the relations, so it builds
-no lattice bases and no transforms.
+which every such report carries.  Presented homology over ZZ and
+ZLoc(p) is the homology of a free complex, a twisted cone of the
+relations, so it builds no lattice bases and no transforms.
 
 Exactness and quasi-isomorphism (exactness of the mapping cone) are exact
 verdicts on every backend.  Over a graded ring they need no degree
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import ChainMap, FreeComplex, _inhomogeneous_entries, mapping_cone
+from .complexes import ChainMap, FreeComplex, mapping_cone
 from .errors import GradingError, SymchainError, UnsupportedRingError
 from .linalg import invariant_factors, qq_rank, rank, slice_matrix, solve_exact
 from .series import minimal_model
@@ -186,24 +186,6 @@ def _graded_slice_dim(X: FreeComplex, n: int, d: int, slices: dict) -> int:
     return size - r - _slice_rank(X, n + 1, d, slices)[1]
 
 
-def _graded_inf(X: FreeComplex, D: int):
-    """Least degree with a nonzero homology slice of internal degree <= D.
-
-    Scans upward and stops at the first hit, which avoids computing the
-    expensive full tables of the higher degrees.
-    """
-    if X.is_zero():
-        return None
-    dmin = X.min_gdeg()
-    lo, hi = X.support
-    slices = {}
-    for n in range(lo, hi + 1):
-        for d in range(dmin, D + 1):
-            if _graded_slice_dim(X, n, d, slices):
-                return n
-    return None
-
-
 def _graded_table(X: FreeComplex, n: int, D: int, slices=None) -> dict:
     """{d: dim H_n(X)_d} for d <= D; slices may carry ranks shared between calls."""
     slices = {} if slices is None else slices
@@ -216,9 +198,13 @@ def _graded_table(X: FreeComplex, n: int, D: int, slices=None) -> dict:
 
 
 def homology_presented(P: PresentedComplex) -> HomologyReport:
-    """Homology of a complex of finitely presented abelian groups (ZZ only)."""
-    if P.ring.kind != "ZZ":
-        raise UnsupportedRingError("presented homology is implemented over ZZ")
+    """Homology of a complex of finitely presented modules over ZZ or ZLoc(p).
+
+    Fields and graded rings are refused: the cone needs injective relations,
+    and there a weak square's relation columns can be zero (2 = 0 in GF(2)).
+    """
+    if P.ring.kind not in ("ZZ", "ZLoc"):
+        raise UnsupportedRingError("presented homology is implemented over ZZ and ZLoc(p)")
     return homology(_presented_cone(P))
 
 
@@ -272,16 +258,10 @@ def _exactness_failures(X: FreeComplex) -> list:
     [(n0, d0)], n0 the lowest degree where M is nonzero and d0 the lowest
     generator degree of M_{n0}; H_{n0}(X)_{d0} != 0, since the image of
     the next differential lies in the maximal ideal times M_{n0}.  Both
-    facts need homogeneous entries, so any other raises GradingError.
+    facts need homogeneous entries, which FreeComplex enforces.
     """
     if X.ring.kind != "Poly":
         return homology(X).nonzero_degrees()
-    bad = next(_inhomogeneous_entries(X), None)
-    if bad is not None:
-        n, (i, j), want = bad
-        raise GradingError(
-            f"differential at degree {n}: entry ({i},{j}) is not homogeneous of degree {want}"
-        )
     M = minimal_model(X)
     if M.is_zero():
         return []

@@ -506,6 +506,12 @@ def _endo_summands(T: FreeComplex, f: ChainMap):
     return _image_complex(T, f), _kernel_complex(T, f)
 
 
+def _corestriction(T: FreeComplex, f: ChainMap, image: SubcomplexData) -> ChainMap:
+    """f : T -> T as a map onto its image subcomplex, in the image's basis."""
+    maps = {n: solve_exact(image.bases[n], f.component(n)) for n in image.complex.degrees()}
+    return ChainMap(T, image.complex, maps)
+
+
 # -- split decomposition when 2 is a unit ------------------------------------------
 
 
@@ -535,10 +541,7 @@ def split_decomposition(X: FreeComplex) -> SplitDecomposition:
     half = ring.ops.inverse(ring.raw(2))
     e = ChainMap(T, T, {n: M.scale(half) for n, M in al.maps.items()})
     image, kernel = _endo_summands(T, al)
-    q_maps = {}
-    for n in image.complex.degrees():
-        q_maps[n] = solve_exact(image.bases[n], al.component(n))
-    q = ChainMap(T, image.complex, q_maps)
+    q = _corestriction(T, al, image)
     target = direct_sum(image.complex, S.complex)
     fwd = {}
     inv = {}

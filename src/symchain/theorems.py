@@ -5,15 +5,15 @@ Each checker evaluates every condition of its theorem by a separate
 computation (no condition is derived from another), reports the condition
 vector, and flags whether the vector is constant.  The exactness and
 quasi-isomorphism conditions of symm07, symm07pp and s2fpd02 are exact on
-every backend and take no degree bound; over graded polynomial backends
-only symm09, which compares Hilbert tables, is bounded verification, and
-its report carries the bound.
+every backend and take no degree bound.  symm09 reads both infima from
+minimal models, so they are exact too; on graded polynomial backends only
+its comparison of two Hilbert tables stops at a degree bound, which its
+report carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .complexes import (
@@ -29,27 +29,18 @@ from .complexes import (
 from .errors import SymchainError, TwoNotUnitError, UnsupportedRingError
 from .homology import (
     _exactness_failures,
-    _graded_inf,
     _graded_table,
     check_bound,
     homology,
     homology_presented,
     is_quasi_iso,
 )
-from .linalg import (
-    SparseMatrix,
-    kernel_basis,
-    qq_rank,
-    rref,
-    slice_matrix,
-    solve_exact,
-    solve_field,
-)
+from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
 from .series import minimal_model, rank_series, verify_series_identity
 from .sym2 import (
+    _corestriction,
     _endo_summands,
-    _pivot_columns,
     alpha,
     sym2,
     sym2_map,
@@ -129,13 +120,6 @@ def _is_two_odd_shifts(M: FreeComplex) -> bool:
         return False
     # odd degrees are never adjacent, so no differential can survive
     return all(M.diff(n).is_zero() for n in degs)
-
-
-def _corestriction(T, al, image):
-    maps = {}
-    for n in image.complex.degrees():
-        maps[n] = solve_exact(image.bases[n], al.component(n))
-    return ChainMap(T, image.complex, maps)
 
 
 def check_symm07(X: FreeComplex) -> VerdictReport:
@@ -265,257 +249,108 @@ def check_s2fpd02(X: FreeComplex) -> VerdictReport:
 # -- lowest homology of the symmetric square ---------------------------------------
 
 
-def _tensor_of_cyclics(a, b):
-    # a, b: None for R, or a prime power for R/(p^e) over ZLoc
-    if a is None and b is None:
-        return None
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _square_presentation(M: FreeComplex, i: int, even: bool) -> FreeComplex:
+    """A two-term complex whose H_0 is S2 (even) or Lambda2 (odd) of the
+    cokernel of d = d_{i+1} : G = M_{i+1} -> F = M_i.
 
-
-def _predicted_lowest_invariants(group, parity_even: bool):
-    """Invariant factors of the predicted lowest homology over ZLoc.
-
-    Components of the input group: `rank` copies of R and one cyclic
-    R/(p^e) per factor.  The prediction is the symmetric square of the
-    group (even inf) or the quotient of the tensor square by the symmetric
-    elements (odd inf; with 2 invertible this is the alternating square).
+    S2(coker d) is S2(F) modulo the products d(e).f, and Lambda2(coker d)
+    is Lambda2(F) modulo the d(e)^f, for generators e of G and f of F
+    (Eisenbud, Commutative Algebra, GTM 150, Appendix A2).  Degree 1 is
+    G (x) F, generator (e, f) at e * rank F + f; degree 0 is S2(F) on the
+    f_k f_l with k <= l, or Lambda2(F) on the f_k ^ f_l with k < l, where
+    f_l ^ f_k = -f_k ^ f_l and f_k ^ f_k = 0.  It is written from the
+    entries of d, not through sym2, which it checks.
     """
-    comps = [None] * group.rank + list(group.factors)
-    out = []
-    for k in range(len(comps)):
-        for l in range(k, len(comps)):
-            if k == l:
-                if parity_even:
-                    out.append(comps[k])  # S2 of a cyclic module is itself
-            else:
-                out.append(_tensor_of_cyclics(comps[k], comps[l]))
-    rank = sum(1 for c in out if c is None)
-    factors = tuple(sorted(c for c in out if c is not None))
-    return rank, factors
-
-
-def _homology_representatives(boundaries, cycles) -> SparseMatrix:
-    """Columns of `cycles` extending a basis of the boundary space."""
-    B = _pivot_columns(boundaries)
-    stacked = B.hstack(cycles)
-    _, pivots = rref(stacked)
-    reps = [c - B.cols for _, c in pivots if c >= B.cols]
-    return cycles.submatrix_columns(reps)
-
-
-def _graded_homology_module(X: FreeComplex, n: int, D: int):
-    """Slicewise structure of H_n(X) over a graded backend: dimensions,
-    chosen representative cycles, and the action of each variable."""
-    ring = X.ring
-    nvars = len(ring.variables)
-    dmin = X.min_gdeg()
-    dims = {}
-    reps = {}
-    basis_data = {}
-    for d in range(dmin, D + 2):
-        dn, _, src = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)
-        dn1, _, _ = slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)
-        Z = kernel_basis(dn)
-        R = _homology_representatives(dn1, Z)
-        B = _pivot_columns(dn1)
-        dims[d] = R.cols
-        reps[d] = R
-        basis_data[d] = (B, src)
-    mults = {}
-    for v in range(nvars):
-        for d in range(dmin, D + 1):
-            R = reps[d]
-            if R.cols == 0 or dims.get(d + 1, 0) == 0:
-                mults[(v, d)] = SparseMatrix(QQ, dims.get(d + 1, 0), R.cols)
+    ring = M.ring
+    r0, r1 = M.rank(i), M.rank(i + 1)
+    pairs = [(k, l) for k in range(r0) for l in range(k if even else k + 1, r0)]
+    row = {kl: r for r, kl in enumerate(pairs)}
+    neg = ring.ops.neg
+    entries = {}
+    # d(e) f = sum_k d[k, e] f_k f
+    for (k, e), v in M.diff(i + 1).entries.items():
+        for f in range(r0):
+            if k == f and not even:
                 continue
-            B1, src1 = basis_data[d + 1]
-            index1 = {key: r for r, key in enumerate(src1)}
-            _, src0 = basis_data[d]
-            entries = {}
-            for (i, j), val in R.entries.items():
-                gen, mono = src0[i]
-                target = list(mono)
-                target[v] += 1
-                r = index1.get((gen, tuple(target)))
-                if r is not None:
-                    entries[(r, j)] = entries.get((r, j), 0) + val
-            moved = SparseMatrix._of(QQ, len(src1), R.cols, entries)
-            basisY = B1.hstack(reps[d + 1])
-            coeffs = solve_field(basisY, moved)
-            mults[(v, d)] = SparseMatrix._of(
-                QQ, reps[d + 1].cols, R.cols,
-                {(i - B1.cols, j): val for (i, j), val in coeffs.entries.items() if i >= B1.cols},
-            )
-    return dims, mults, dmin
+            w = neg(v) if k > f and not even else v
+            entries[(row[(min(k, f), max(k, f))], e * r0 + f)] = w
+    gdegs = None
+    if ring.kind == "Poly":
+        g0, g1 = M.gdeg(i), M.gdeg(i + 1)
+        gdegs = {
+            0: tuple(g0[k] + g0[l] for k, l in pairs),
+            1: tuple(g1[e] + g0[f] for e in range(r1) for f in range(r0)),
+        }
+    d = SparseMatrix._of(ring, len(pairs), r1 * r0, entries)
+    return FreeComplex(ring, {0: len(pairs), 1: r1 * r0}, {1: d}, gdegs)
 
 
-def _module_pair_table(dimsA, multsA, dimsB, multsB, nvars, dminA, dminB, D, sign=None):
-    """Hilbert table of M (x)_R N from slice data, optionally symmetrized.
-
-    Generators in internal degree e are the blocks M_a (x) N_b with
-    a + b = e; relations impose bilinearity over the ring generators,
-    (x_v u) (x) w = u (x) (x_v w), and, when sign is given (requires
-    M = N), the symmetry u (x) w = sign * w (x) u.
-    """
-    table = {}
-    for e in range(dminA + dminB, D + 1):
-        blocks = [
-            (a, e - a)
-            for a in range(dminA, e - dminB + 1)
-            if dimsA.get(a) and dimsB.get(e - a)
-        ]
-        offsets = {}
-        total = 0
-        for (a, b) in blocks:
-            offsets[(a, b)] = total
-            total += dimsA[a] * dimsB[b]
-        if total == 0:
-            continue
-        rel_cols = []
-
-        def gen_index(a, b, i, j):
-            return offsets[(a, b)] + i * dimsB[b] + j
-
-        # bilinearity over the ring: (x_v u) (x) w = u (x) (x_v w)
-        for v in range(nvars):
-            for a in range(dminA, e - dminB):
-                b = e - 1 - a
-                if not dimsA.get(a) or not dimsB.get(b):
-                    continue
-                Ma = multsA[(v, a)]
-                Mb = multsB[(v, b)]
-                for i in range(dimsA[a]):
-                    for j in range(dimsB[b]):
-                        col = {}
-                        if (a + 1, b) in offsets:
-                            for (r, c), val in Ma.entries.items():
-                                if c == i:
-                                    key = gen_index(a + 1, b, r, j)
-                                    col[key] = col.get(key, Fraction(0)) + val
-                        if (a, b + 1) in offsets:
-                            for (r, c), val in Mb.entries.items():
-                                if c == j:
-                                    key = gen_index(a, b + 1, i, r)
-                                    col[key] = col.get(key, Fraction(0)) - val
-                        if col:
-                            rel_cols.append(col)
-        if sign is not None:
-            # symmetry relations u (x) w - sign * w (x) u
-            for (a, b) in blocks:
-                for i in range(dimsA[a]):
-                    for j in range(dimsB[b]):
-                        col = {gen_index(a, b, i, j): Fraction(1)}
-                        if (b, a) in offsets:
-                            key = gen_index(b, a, j, i)
-                            col[key] = col.get(key, Fraction(0)) - Fraction(sign)
-                        if any(v != 0 for v in col.values()):
-                            rel_cols.append(col)
-        entries = {}
-        for c, col in enumerate(rel_cols):
-            for r, val in col.items():
-                if val:
-                    entries[(r, c)] = val
-        rel = SparseMatrix._of(QQ, total, len(rel_cols), entries)
-        dim = total - qq_rank(rel)
-        if dim:
-            table[e] = dim
-    return table
-
-
-def _module_square_table(dims, mults, nvars, sign: int, dmin: int, D: int):
-    """Hilbert table of (M (x)_R M) / <u(x)w - sign * w(x)u> from slice data."""
-    return _module_pair_table(dims, mults, dims, mults, nvars, dmin, dmin, D, sign=sign)
+def _homology_value(C: FreeComplex, n: int, D: int | None):
+    """H_n(C) as symm09 compares it: the Hilbert table up to D on a graded
+    ring, (rank, invariant factors) over ZLoc(p), the dimension over a field."""
+    if _graded(C.ring):
+        return _graded_table(C, n, D)
+    h = homology(C)
+    if h.kind == "dimensions":
+        return h.dimension(n)
+    g = h.group(n)
+    return g.rank, g.factors
 
 
 def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     """Lower bound and lowest-degree formula for homology of the square.
 
-    Checks inf(H(S2 X)) >= 2 inf(H(X)); equality when the infimum is even;
-    and that the lowest homology of the square matches the symmetric square
-    (even infimum) or the quotient by symmetric elements (odd infimum) of
-    the lowest homology of X, computed from an independent presentation.
+    Checks inf H(S2 X) >= 2i for i = inf H(X); equality when i is even; and
+    that H_2i(S2 X) is S2(H_i X) (even i) or Lambda2(H_i X) (odd i).  Over a
+    local ring the minimal model M of X starts in degree i (Nakayama), so
+    H_i X = coker(M_{i+1} -> M_i), and the prediction is the homology of
+    one free presentation built from M (_square_presentation).  Both infima
+    come from minimal models and are exact; on a graded ring only the
+    comparison of the two Hilbert tables stops at the bound.
     """
     _require_local_two_unit(X.ring)
     ring = X.ring
-    S = sym2(X).complex
     # a bound below X's lowest generator degree is rejected; the graded
     # default is the top generator degree of X (x) X plus the rank of X
     check_bound(X, bound)
     D = 2 * X.max_gdeg() + X.total_rank() + 2 if bound is None and _graded(ring) else bound
-
-    def trivial():
-        return VerdictReport(
-            theorem="symm09",
-            labels=(),
-            conditions=(),
-            equivalent=None,
-            holds=True,
-            backend=str(ring),
-            bounded=_graded(ring),
-            bound=D,
-            note="input complex is exact; nothing to check",
-        )
-
-    witnesses = {}
-    if _graded(ring):
-        i = _graded_inf(X, D)
-        if i is None:
-            return trivial()
-        s_inf = _graded_inf(S, D)
-        even = i % 2 == 0
-        dims, mults, dmin = _graded_homology_module(X, i, D)
-        sign = 1 if even else -1
-        want = _module_square_table(dims, mults, len(ring.variables), sign, dmin, D)
-        got = _graded_table(S, 2 * i, D)
-        lowest_ok = want == got
-        if not lowest_ok:
-            witnesses["lowest"] = (want, got)
-    else:
-        hX = homology(X)
-        if hX.is_exact():
-            return trivial()
-        i = hX.inf
-        hS = homology(S)
-        s_inf = hS.inf
-        even = i % 2 == 0
-        if hX.kind == "invariant_factors":
-            want = _predicted_lowest_invariants(hX.group(i), parity_even=even)
-            got_group = hS.group(2 * i)
-            got = (got_group.rank, tuple(sorted(got_group.factors)))
-        else:
-            h = hX.dimension(i)
-            want = comb(h + 1, 2) if even else comb(h, 2)
-            got = hS.dimension(2 * i)
-        lowest_ok = want == got
-        if not lowest_ok:
-            witnesses["lowest"] = (want, got)
+    report = VerdictReport(
+        theorem="symm09",
+        labels=(),
+        conditions=(),
+        equivalent=None,
+        holds=True,
+        backend=str(ring),
+        bounded=_graded(ring),
+        bound=D,
+    )
+    M = minimal_model(X)
+    if M.is_zero():
+        report.note = "input complex is exact; nothing to check"
+        return report
+    i = M.degrees()[0]
+    even = i % 2 == 0
+    S = sym2(X).complex
+    SM = minimal_model(S)
+    s_inf = None if SM.is_zero() else SM.degrees()[0]
+    witnesses = report.witnesses
+    want = _homology_value(_square_presentation(M, i, even), 0, D)
+    got = _homology_value(S, 2 * i, D)
+    if want != got:
+        witnesses["lowest"] = (want, got)
 
     labels = ["inf_lower_bound", "lowest_module_matches"]
-    cond_bound = s_inf is None or s_inf >= 2 * i
-    if not cond_bound:
+    conds = [s_inf is None or s_inf >= 2 * i]
+    if not conds[0]:
         witnesses["inf"] = (i, s_inf)
-    conds = [cond_bound]
     if even:
         labels.insert(1, "inf_equality_even")
         conds.append(s_inf == 2 * i)
         if s_inf != 2 * i:
             witnesses["inf_equality"] = (i, s_inf)
-    conds.append(lowest_ok)
-    return VerdictReport(
-        theorem="symm09",
-        labels=tuple(labels),
-        conditions=tuple(conds),
-        equivalent=None,
-        holds=all(conds),
-        witnesses=witnesses,
-        backend=str(ring),
-        bounded=_graded(ring),
-        bound=D,
-    )
+    conds.append(want == got)
+    report.labels, report.conditions, report.holds = tuple(labels), tuple(conds), all(conds)
+    return report
 
 
 # -- worked-example corpus -----------------------------------------------------------

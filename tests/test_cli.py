@@ -311,3 +311,34 @@ def test_bound_below_lowest_generator_degree_exits_2(tmp_path, capsys, monkeypat
     assert code == 0 and "equivalent: true" in out
     code, out, err = run(capsys, "check", "symm09", kfile)
     assert code == 2 and "lowest generator degree 0" in err
+
+
+def test_inhomogeneous_map_document_exits_2_naming_the_map(tmp_path, capsys):
+    from symchain import identity_map
+
+    # (1 + x) id on koszul([x]) commutes with d but is not homogeneous; the
+    # error names the document's map, not a position in its mapping cone
+    doc = json.loads(serialize(identity_map(koszul([X_VAR]))))
+    doc["maps"] = {"0": [["1 + x"]], "1": [["1 + x"]]}
+    code, out, err = run(capsys, "quasi-iso", _write_doc(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "map at degree 0: entry (0,0) is not homogeneous of degree 0" in err
+
+
+def test_presented_homology_over_zloc(tmp_path, capsys):
+    from symchain import ZLoc
+
+    R = ZLoc(2)
+    P = weak_sym2(koszul([R.scalar(4), R.scalar(6)]))
+    pfile = write(tmp_path, "p.json", P)
+    code, out, _ = run(capsys, "homology", pfile)
+    assert code == 0
+    # the ideal (4, 6) is (2) there; the lattice oracle agrees on each group
+    assert out.splitlines()[:6] == [
+        "backend: ZLoc(2)",
+        "kind: invariant_factors",
+        "H[0]: Z/2",
+        "H[1]: Z/2",
+        "H[2]: Z/2 + Z/2 + Z/2",
+        "H[3]: Z/4",
+    ]

@@ -62,8 +62,15 @@ def test_validate_empty_complex():
 
 def test_validate_graded_homogeneity():
     # a degree-0 entry between generators of different internal degrees
-    bad = FreeComplex(POLY, {0: 1, 1: 1}, {1: rows(POLY, [[1]])}, {0: (0,), 1: (1,)})
-    assert not validate(bad).ok
+    # is refused when the complex is built
+    message = "differential at degree 1: entry \\(0,0\\) is not homogeneous of degree 1"
+    with pytest.raises(GradingError, match=message):
+        FreeComplex(POLY, {0: 1, 1: 1}, {1: rows(POLY, [[1]])}, {0: (0,), 1: (1,)})
+    # so is x + x*y, whose x*y term slices once dropped: homology() read
+    # the Hilbert table of R/(x) and symm09 held
+    d1 = rows(POLY, [[X_VAR + X_VAR * Y_VAR]])
+    with pytest.raises(GradingError, match=message):
+        FreeComplex(POLY, {0: 1, 1: 1}, {1: d1}, {0: (0,), 1: (1,)})
     good = FreeComplex(POLY, {0: 1, 1: 1}, {1: rows(POLY, [[X_VAR]])}, {0: (0,), 1: (1,)})
     assert validate(good).ok
 
@@ -262,8 +269,8 @@ def test_lowest_homology_of_tensor_is_additive_over_graded():
     """Graded analog, verified to a degree bound: the infima add under
     tensor, and the lowest Hilbert table equals that of the module tensor
     product, computed independently from the slice data of each factor."""
-    from symchain.homology import _graded_inf, _graded_table
-    from symchain.theorems import _graded_homology_module, _module_pair_table
+    from symchain.homology import _graded_table
+    from oracles import graded_homology_module, module_pair_table
     from randgen import random_graded_minimal
 
     rng = random.Random(47)
@@ -271,13 +278,13 @@ def test_lowest_homology_of_tensor_is_additive_over_graded():
         P = random_graded_minimal(POLY, rng, max_pieces=1)
         Q = random_graded_minimal(POLY, rng, max_pieces=1)
         D = 2 * (P.max_gdeg() + Q.max_gdeg()) + P.total_rank() + Q.total_rank() + 2
-        iP = _graded_inf(P, D)
-        iQ = _graded_inf(Q, D)
+        iP = inf_h(P, D)
+        iQ = inf_h(Q, D)
         T = tensor(P, Q)
-        assert _graded_inf(T, D) == iP + iQ
-        dimsP, multsP, dminP = _graded_homology_module(P, iP, D)
-        dimsQ, multsQ, dminQ = _graded_homology_module(Q, iQ, D)
-        want = _module_pair_table(dimsP, multsP, dimsQ, multsQ, 2, dminP, dminQ, D)
+        assert inf_h(T, D) == iP + iQ
+        dimsP, multsP, dminP = graded_homology_module(P, iP, D)
+        dimsQ, multsQ, dminQ = graded_homology_module(Q, iQ, D)
+        want = module_pair_table(dimsP, multsP, dimsQ, multsQ, 2, dminP, dminQ, D)
         got = _graded_table(T, iP + iQ, D)
         assert want == got, (P.ranks, Q.ranks, want, got)
 

@@ -7,7 +7,9 @@ import pytest
 
 from symchain import (
     GF,
+    FreeComplex,
     QQ,
+    SparseMatrix,
     ZLoc,
     ZZ,
     check_s2fpd02,
@@ -17,6 +19,7 @@ from symchain import (
     direct_sum,
     graded_poly,
     homology,
+    is_exact,
     is_quasi_iso,
     koszul,
     mapping_cone,
@@ -33,10 +36,13 @@ from symchain import (
 from symchain.complexes import compose
 from symchain.errors import TwoNotUnitError, UnsupportedRingError
 
+from oracles import lowest_square_oracle
 from randgen import (
     conjugate,
     contractible_piece,
     null_homotopic_map,
+    random_complex,
+    random_graded_minimal,
     random_minimal_complex,
     summand_inclusion,
     summand_projection,
@@ -200,6 +206,102 @@ def test_symm09_random_graded_minimal():
         X = random_graded_minimal(POLY, rng)
         report = check_symm09(X)
         assert report.holds, (X, report.witnesses)
+
+
+def _dense_column(ring, entries, gdegs=None):
+    """0 -> R -> R^3 -> 0 in degrees 1, 0 with d = (a, b, c)^T: the case
+    where the sign of f_l ^ f_k = -f_k ^ f_l changes Lambda2 of the cokernel."""
+    d = SparseMatrix.from_rows(ring, [[v] for v in entries])
+    return FreeComplex(ring, {0: 3, 1: 1}, {1: d}, gdegs)
+
+
+def _symm09_inputs():
+    """Seeded inputs for symm09 on every backend: graded sums of shifted
+    Koszul pieces (some padded with a contractible R(-1) -> R(-1), so not
+    minimal), dense columns, and random minimal or arbitrary complexes over
+    ZLoc(3), ZLoc(5), QQ, GF(5) and GF(7)."""
+    rng = random.Random(59)
+    x, y = X_VAR, Y_VAR
+    pad = FreeComplex(POLY, {0: 1, 1: 1}, {1: SparseMatrix.identity(POLY, 1)}, {0: (1,), 1: (1,)})
+    for _ in range(40):
+        yield random_graded_minimal(POLY, rng, max_pieces=3)
+    for _ in range(20):
+        yield direct_sum(random_graded_minimal(POLY, rng), shift(pad, rng.randint(0, 2)))
+    for s in (0, 1):
+        yield shift(_dense_column(POLY, [x, y, x + y], {0: (0, 0, 0), 1: (1,)}), s)
+        for R in (ZLoc(3), ZLoc(5)):
+            yield shift(_dense_column(R, [R.p, R.p, R.p * R.p]), s)
+    for R in (ZLoc(3), ZLoc(5), QQ, GF(5), GF(7)):
+        for _ in range(55):
+            pick = random_minimal_complex if rng.random() < 0.6 else random_complex
+            yield pick(R, rng, max_rank=3, max_len=3)
+
+
+def test_symm09_prediction_matches_oracles(monkeypatch):
+    """The presentation built from the minimal model against the slow
+    oracles: module tables from slice data (graded), S2/Lambda2 of a sum of
+    cyclic groups (ZLoc), a binomial coefficient (fields)."""
+    theorems = importlib.import_module("symchain.theorems")
+    built = []
+    square_presentation = theorems._square_presentation
+
+    def recording(M, i, even):
+        P = square_presentation(M, i, even)
+        built.append((i, even, P))
+        return P
+
+    monkeypatch.setattr(theorems, "_square_presentation", recording)
+    parities, zloc_torsion, multi_slice, padded, cases = set(), 0, 0, 0, 0
+    for X in _symm09_inputs():
+        built.clear()
+        report = check_symm09(X)
+        assert report.holds, (X, report.witnesses)
+        oracle = lowest_square_oracle(X, report.bound)
+        if oracle is None:
+            assert report.note and not built
+            continue
+        [(i, even, P)] = built
+        oi, want = oracle
+        assert (i, even) == (oi, oi % 2 == 0), X
+        assert theorems._homology_value(P, 0, report.bound) == want, (X, i)
+        cases += 1
+        kind = X.ring.kind
+        parities.add((kind, even))
+        if kind == "ZLoc" and want[1]:
+            zloc_torsion += 1
+        if kind == "Poly":
+            multi_slice += len(want) > 1
+            padded += X.degrees()[0] < i
+    assert cases >= 300
+    assert parities == {(k, e) for k in ("Poly", "ZLoc", "QQ", "GF") for e in (True, False)}
+    assert zloc_torsion >= 20 and multi_slice >= 20 and padded >= 3
+
+
+def test_symm09_lowest_module_by_hand_over_zloc():
+    # coker (3, 3, 3)^T is R^2 + R/3: its S2 is R^3 + (R/3)^3 and its Lambda2,
+    # which the sign f_l ^ f_k = -f_k ^ f_l decides, is R + (R/3)^2
+    theorems = importlib.import_module("symchain.theorems")
+    R = ZLoc(3)
+    X = _dense_column(R, [3, 3, 3])
+    for s, want in ((0, (3, (3, 3, 3))), (1, (1, (3, 3)))):
+        P = theorems._square_presentation(shift(X, s), s, s % 2 == 0)
+        assert theorems._homology_value(P, 0, None) == want
+        assert check_symm09(shift(X, s)).holds
+
+
+def test_symm09_infimum_is_not_read_to_the_bound():
+    # R(-3) (+) (R --1--> R): H_0 = R(-3) lives above the bound 1, which
+    # once made the report say "input complex is exact"
+    X = FreeComplex(
+        POLY, {0: 2, 1: 1},
+        {1: SparseMatrix.from_rows(POLY, [[0], [1]])},
+        {0: (3, 0), 1: (0,)},
+    )
+    assert not is_exact(X)
+    report = check_symm09(X, bound=1)
+    assert report.labels == ("inf_lower_bound", "inf_equality_even", "lowest_module_matches")
+    assert report.conditions == (True, True, True)
+    assert report.note is None and report.bound == 1 and report.bounded
 
 
 def test_square_preserves_quasi_isos_over_qq():
