@@ -342,9 +342,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.value
 
-    def is_one(self) -> bool:
-        return self.value == self.ring.ops.one
-
     def is_unit(self) -> bool:
         return self.ring.ops.is_unit(self.value)
 
@@ -386,11 +383,6 @@ class Scalar:
         if len(degrees) > 1:
             return None
         return degrees.pop()
-
-    def is_homogeneous_of_degree(self, d: int) -> bool:
-        if self.ring.kind != "Poly":
-            return self.value == 0 or d == 0
-        return all(sum(e) == d for e in self.value)
 
     # -- comparison / hashing ------------------------------------------------
 

@@ -7,11 +7,12 @@ square satisfies
 
     P_{S2(X)}(t) = (1/2) * [P_X(t)^2 + P_X(-t^2)]
 
-which verify_series_identity checks exactly.  Minimalization repeatedly
-splits off contractible two-term summands at unit differential entries; it
-is the workhorse behind the "quasi-isomorphic to a shifted copy of R"
-decisions of the theorem checkers and behind graded exactness.  minimize
-also composes the projection onto the minimal complex; minimal_model,
+which verify_series_identity checks exactly.  Minimalization splits off
+contractible two-term summands at unit differential entries in one
+in-place elimination pass over the differentials; it is the workhorse
+behind the "quasi-isomorphic to a shifted copy of R" decisions of the
+theorem checkers and behind graded exactness.  minimize also tracks the
+projection q onto the minimal complex in the same pass; minimal_model,
 which the checkers and exactness tests call, builds no projection.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ChainMap, FreeComplex, compose, identity_map
+from .complexes import ChainMap, FreeComplex
 from .errors import SymchainError, UnsupportedRingError
 from .linalg import SparseMatrix
 from .sym2 import sym2
@@ -195,118 +196,80 @@ def is_minimal(X: FreeComplex) -> bool:
     return not any(is_unit(v) for n in X.degrees() for v in X.diff(n).entries.values())
 
 
-def _first_unit_pivot(X: FreeComplex):
-    # scan degrees ascending, then rows, then columns: first unit entry wins
-    is_unit = X.ring.ops.is_unit
-    for n in X.degrees():
-        M = X.diff(n)
-        units = [key for key, v in M.entries.items() if is_unit(v)]
-        if units:
-            return (n, *min(units))
-    return None
-
-
-def _eliminate(X: FreeComplex, n: int, i: int, j: int) -> FreeComplex:
-    """Split off the contractible summand at the unit entry (i, j) of d_n.
-
-    The new degree-n module drops generator j, the new degree-(n-1) module
-    drops generator i, and the differential at n picks up the
-    Schur-complement correction.
-    """
-    ring = X.ring
-    add, mul, neg = ring.ops.add, ring.ops.mul, ring.ops.neg
-    M = X.diff(n)
-    u_inv = ring.ops.inverse(M.entries[(i, j)])
-    keep_cols = [c for c in range(X.rank(n)) if c != j]
-    keep_rows = [r for r in range(X.rank(n - 1)) if r != i]
-    col_pos = {c: k for k, c in enumerate(keep_cols)}
-    row_pos = {r: k for k, r in enumerate(keep_rows)}
-    # d'_n = D - v u^{-1} w on the kept generators
-    entries = {}
-    col_j = {r: v for (r, c), v in M.entries.items() if c == j}
-    row_i = {c: v for (r, c), v in M.entries.items() if r == i}
-    for (r, c), v in M.entries.items():
-        if r == i or c == j:
-            continue
-        entries[(row_pos[r], col_pos[c])] = v
-    for r, vr in col_j.items():
-        if r == i:
-            continue
-        for c, wc in row_i.items():
-            if c == j:
-                continue
-            key = (row_pos[r], col_pos[c])
-            corr = neg(mul(mul(vr, u_inv), wc))
-            prev = entries.get(key)
-            entries[key] = corr if prev is None else add(prev, corr)
-    new_dn = SparseMatrix._of(ring, len(keep_rows), len(keep_cols), entries)
-
-    ranks = X.ranks
-    ranks[n] -= 1
-    ranks[n - 1] -= 1
-    diffs = {}
-    for m in X.degrees():
-        if m == n:
-            diffs[m] = new_dn
-        elif m == n + 1:
-            # drop row j of d_{n+1}; the killed row is forced by d.d = 0
-            D = X.diff(m)
-            diffs[m] = SparseMatrix._of(
-                ring, len(keep_cols), D.cols,
-                {(col_pos[r], c): v for (r, c), v in D.entries.items() if r != j},
-            )
-        elif m == n - 1:
-            D = X.diff(m)
-            diffs[m] = SparseMatrix._of(
-                ring, D.rows, len(keep_rows),
-                {(r, row_pos[c]): v for (r, c), v in D.entries.items() if c != i},
-            )
+def _add_scaled(target: dict, s, source: dict, ops) -> None:
+    """target += s * source, on sparse {index: raw value} rows."""
+    for c, v in source.items():
+        t = ops.add(target[c], ops.mul(s, v)) if c in target else ops.mul(s, v)
+        if t:
+            target[c] = t
         else:
-            diffs[m] = X.diff(m)
-    gdegs = None
-    if X.graded:
-        gdegs = {}
-        for m in X.degrees():
-            degs = X.gdeg(m)
-            if m == n:
-                gdegs[m] = tuple(d for c, d in enumerate(degs) if c != j)
-            elif m == n - 1:
-                gdegs[m] = tuple(d for c, d in enumerate(degs) if c != i)
-            else:
-                gdegs[m] = degs
-    return FreeComplex(ring, ranks, diffs, gdegs)
+            target.pop(c, None)
 
 
-def _projection(X: FreeComplex, smaller: FreeComplex, n: int, i: int, j: int) -> ChainMap:
-    """The projection X -> smaller of the step _eliminate(X, n, i, j).
+def _split_units(X: FreeComplex, with_q: bool):
+    """Split off the contractible summand at every unit entry, in one pass.
 
-    Identity on the kept generators, except that X_{n-1} -> smaller_{n-1}
-    sends generator i to -u^{-1} v, the column of d_n at j outside row i
-    scaled by the inverse of the pivot u.
+    Each d_n is held as {row: {col: raw value}} on the indices of X.
+    Degrees are walked ascending, and while d_n has a unit, its least unit
+    (i, j) is the pivot: d_n gets the Schur update D - v u^{-1} w, row j of
+    d_{n+1} and column i of d_{n-1} go.  That gives no lower degree a unit,
+    so these are the pivots of eliminating the first unit of the whole
+    complex each time.  With q, the rows of the projection X -> M follow:
+    q_{n-1} gets row_r += -v_r u^{-1} row_i and loses row i, q_n loses
+    row j.  Returns (M, q or None); M is X when X is minimal.
     """
-    ring = X.ring
-    one, mul, neg = ring.ops.one, ring.ops.mul, ring.ops.neg
-    M = X.diff(n)
-    u_inv = ring.ops.inverse(M.entries[(i, j)])
-    keep_cols = [c for c in range(X.rank(n)) if c != j]
-    keep_rows = [r for r in range(X.rank(n - 1)) if r != i]
-    row_pos = {r: k for k, r in enumerate(keep_rows)}
-    proj_maps = {}
-    for m in smaller.degrees():
-        if m == n:
-            proj_maps[m] = SparseMatrix._of(
-                ring, len(keep_cols), X.rank(n),
-                {(k, c): one for k, c in enumerate(keep_cols)},
-            )
-        elif m == n - 1:
-            entries = {(k, r): one for k, r in enumerate(keep_rows)}
-            for (r, c), v in M.entries.items():
-                if c == j and r != i:
-                    entries[(row_pos[r], i)] = neg(mul(u_inv, v))
-            proj_maps[m] = SparseMatrix._of(ring, len(keep_rows), X.rank(n - 1), entries)
-        else:
-            proj_maps[m] = SparseMatrix.identity(ring, X.rank(m))
-    return ChainMap(X, smaller, proj_maps)
+    ring, ops = X.ring, X.ring.ops
+    degrees = X.degrees()
+    d = {n: {} for n in degrees}
+    for n in degrees:
+        for (r, c), v in X.diff(n).entries.items():
+            d[n].setdefault(r, {})[c] = v
+    alive = {n: set(range(X.rank(n))) for n in degrees}
+    q = {n: {r: {r: ops.one} for r in alive[n]} for n in degrees} if with_q else None
+    split = False
+    for n in degrees:
+        D = d[n]
+        while units := [(r, c) for r, row in D.items() for c, v in row.items() if ops.is_unit(v)]:
+            i, j = min(units)
+            split = True
+            w = D.pop(i)
+            u_inv = ops.inverse(w.pop(j))
+            for r in list(D):
+                v = D[r].pop(j, None)
+                if v is not None:
+                    s = ops.neg(ops.mul(v, u_inv))
+                    _add_scaled(D[r], s, w, ops)
+                    if with_q:
+                        _add_scaled(q[n - 1][r], s, q[n - 1][i], ops)
+                if not D[r]:
+                    del D[r]
+            for row in d.get(n - 1, {}).values():
+                row.pop(i, None)
+            d.get(n + 1, {}).pop(j, None)
+            alive[n - 1].discard(i)
+            alive[n].discard(j)
+            if with_q:
+                del q[n - 1][i], q[n][j]
+    pos = {n: {k: p for p, k in enumerate(sorted(alive[n]))} for n in degrees}
+    M = X
+    if split:
+        diffs = {
+            n: SparseMatrix._of(ring, len(pos[n - 1]), len(pos[n]), {
+                (pos[n - 1][r], pos[n][c]): v for r, row in d[n].items() for c, v in row.items()
+            })
+            for n in degrees if n - 1 in pos
+        }
+        gdegs = {n: tuple(X.gdeg(n)[k] for k in pos[n]) for n in degrees} if X.graded else None
+        M = FreeComplex(ring, {n: len(pos[n]) for n in degrees}, diffs, gdegs)
+    if not with_q:
+        return M, None
+    maps = {
+        n: SparseMatrix._of(ring, len(pos[n]), X.rank(n), {
+            (pos[n][r], c): v for r, row in q[n].items() for c, v in row.items()
+        })
+        for n in degrees if pos[n]
+    }
+    return M, ChainMap(X, M, maps)
 
 
 def minimal_model(X: FreeComplex) -> FreeComplex:
@@ -317,25 +280,17 @@ def minimal_model(X: FreeComplex) -> FreeComplex:
     graded Nakayama (Eisenbud, Commutative Algebra, GTM 150, sections 19-20).
     """
     _require_local(X)
-    while (pivot := _first_unit_pivot(X)) is not None:
-        X = _eliminate(X, *pivot)
-    return X
+    return _split_units(X, with_q=False)[0]
 
 
 def minimize(X: FreeComplex):
     """Gaussian-eliminate unit pivots until minimal.
 
-    Returns (M, q) with M minimal and q : X -> M the composite projection,
-    a quasi-isomorphism (each step splits off a contractible summand).
+    Returns (M, q) with M minimal and q : X -> M the projection, a
+    quasi-isomorphism (each pivot splits off a contractible summand).
     """
     _require_local(X)
-    current = X
-    q = identity_map(X)
-    while (pivot := _first_unit_pivot(current)) is not None:
-        smaller = _eliminate(current, *pivot)
-        q = compose(_projection(current, smaller, *pivot), q)
-        current = smaller
-    return current, q
+    return _split_units(X, with_q=True)
 
 
 @dataclass

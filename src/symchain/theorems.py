@@ -311,9 +311,12 @@ def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     _require_local_two_unit(X.ring)
     ring = X.ring
     # a bound below X's lowest generator degree is rejected; the graded
-    # default is the top generator degree of X (x) X plus the rank of X
+    # default is the top generator degree of X (x) X plus the rank of X.
+    # Off graded rings nothing reads a bound, so the report carries none.
     check_bound(X, bound)
-    D = 2 * X.max_gdeg() + X.total_rank() + 2 if bound is None and _graded(ring) else bound
+    D = None
+    if _graded(ring):
+        D = 2 * X.max_gdeg() + X.total_rank() + 2 if bound is None else bound
     report = VerdictReport(
         theorem="symm09",
         labels=(),

@@ -6,12 +6,18 @@ M (x)_R N, S2(M) or Lambda2(M) from the slice data of M = H_i(X)
 (dimensions, representative cycles and the action of each variable);
 over ZLoc(p) the invariant factors of S2 or Lambda2 of a sum of cyclic
 modules; over a field a binomial coefficient.
+
+The stepwise minimalization below is the reference for
+`series.minimal_model` and `series.minimize`: it splits off one
+contractible summand at a time, building a new complex and a projection
+chain map per pivot.
 """
 
 from fractions import Fraction
 from math import comb
 
-from symchain import QQ, SparseMatrix, homology, inf_h
+from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map, inf_h
+from symchain.complexes import compose
 from symchain.linalg import kernel_basis, qq_rank, rref, slice_matrix, solve_field
 from symchain.sym2 import _pivot_columns
 
@@ -204,3 +210,131 @@ def lowest_square_oracle(X, D=None):
         return i, predicted_lowest_invariants(h.group(i), parity_even=i % 2 == 0)
     dim = h.dimension(i)
     return i, comb(dim + 1, 2) if i % 2 == 0 else comb(dim, 2)
+
+
+# -- stepwise minimalization ------------------------------------------------
+
+
+def _first_unit_pivot(X: FreeComplex):
+    # scan degrees ascending, then rows, then columns: first unit entry wins
+    is_unit = X.ring.ops.is_unit
+    for n in X.degrees():
+        M = X.diff(n)
+        units = [key for key, v in M.entries.items() if is_unit(v)]
+        if units:
+            return (n, *min(units))
+    return None
+
+
+def _eliminate(X: FreeComplex, n: int, i: int, j: int) -> FreeComplex:
+    """Split off the contractible summand at the unit entry (i, j) of d_n.
+
+    The new degree-n module drops generator j, the new degree-(n-1) module
+    drops generator i, and the differential at n picks up the
+    Schur-complement correction.
+    """
+    ring = X.ring
+    add, mul, neg = ring.ops.add, ring.ops.mul, ring.ops.neg
+    M = X.diff(n)
+    u_inv = ring.ops.inverse(M.entries[(i, j)])
+    keep_cols = [c for c in range(X.rank(n)) if c != j]
+    keep_rows = [r for r in range(X.rank(n - 1)) if r != i]
+    col_pos = {c: k for k, c in enumerate(keep_cols)}
+    row_pos = {r: k for k, r in enumerate(keep_rows)}
+    # d'_n = D - v u^{-1} w on the kept generators
+    entries = {}
+    col_j = {r: v for (r, c), v in M.entries.items() if c == j}
+    row_i = {c: v for (r, c), v in M.entries.items() if r == i}
+    for (r, c), v in M.entries.items():
+        if r == i or c == j:
+            continue
+        entries[(row_pos[r], col_pos[c])] = v
+    for r, vr in col_j.items():
+        if r == i:
+            continue
+        for c, wc in row_i.items():
+            if c == j:
+                continue
+            key = (row_pos[r], col_pos[c])
+            corr = neg(mul(mul(vr, u_inv), wc))
+            prev = entries.get(key)
+            entries[key] = corr if prev is None else add(prev, corr)
+    new_dn = SparseMatrix._of(ring, len(keep_rows), len(keep_cols), entries)
+
+    ranks = X.ranks
+    ranks[n] -= 1
+    ranks[n - 1] -= 1
+    diffs = {}
+    for m in X.degrees():
+        if m == n:
+            diffs[m] = new_dn
+        elif m == n + 1:
+            # drop row j of d_{n+1}; the killed row is forced by d.d = 0
+            D = X.diff(m)
+            diffs[m] = SparseMatrix._of(
+                ring, len(keep_cols), D.cols,
+                {(col_pos[r], c): v for (r, c), v in D.entries.items() if r != j},
+            )
+        elif m == n - 1:
+            D = X.diff(m)
+            diffs[m] = SparseMatrix._of(
+                ring, D.rows, len(keep_rows),
+                {(r, row_pos[c]): v for (r, c), v in D.entries.items() if c != i},
+            )
+        else:
+            diffs[m] = X.diff(m)
+    gdegs = None
+    if X.graded:
+        gdegs = {}
+        for m in X.degrees():
+            degs = X.gdeg(m)
+            if m == n:
+                gdegs[m] = tuple(d for c, d in enumerate(degs) if c != j)
+            elif m == n - 1:
+                gdegs[m] = tuple(d for c, d in enumerate(degs) if c != i)
+            else:
+                gdegs[m] = degs
+    return FreeComplex(ring, ranks, diffs, gdegs)
+
+
+def _projection(X: FreeComplex, smaller: FreeComplex, n: int, i: int, j: int) -> ChainMap:
+    """The projection X -> smaller of the step _eliminate(X, n, i, j).
+
+    Identity on the kept generators, except that X_{n-1} -> smaller_{n-1}
+    sends generator i to -u^{-1} v, the column of d_n at j outside row i
+    scaled by the inverse of the pivot u.
+    """
+    ring = X.ring
+    one, mul, neg = ring.ops.one, ring.ops.mul, ring.ops.neg
+    M = X.diff(n)
+    u_inv = ring.ops.inverse(M.entries[(i, j)])
+    keep_cols = [c for c in range(X.rank(n)) if c != j]
+    keep_rows = [r for r in range(X.rank(n - 1)) if r != i]
+    row_pos = {r: k for k, r in enumerate(keep_rows)}
+    proj_maps = {}
+    for m in smaller.degrees():
+        if m == n:
+            proj_maps[m] = SparseMatrix._of(
+                ring, len(keep_cols), X.rank(n),
+                {(k, c): one for k, c in enumerate(keep_cols)},
+            )
+        elif m == n - 1:
+            entries = {(k, r): one for k, r in enumerate(keep_rows)}
+            for (r, c), v in M.entries.items():
+                if c == j and r != i:
+                    entries[(row_pos[r], i)] = neg(mul(u_inv, v))
+            proj_maps[m] = SparseMatrix._of(ring, len(keep_rows), X.rank(n - 1), entries)
+        else:
+            proj_maps[m] = SparseMatrix.identity(ring, X.rank(m))
+    return ChainMap(X, smaller, proj_maps)
+
+
+def stepwise_minimize(X: FreeComplex):
+    """(M, q) by eliminating the first unit of the whole complex, one
+    pivot at a time, composing the projection of each step."""
+    q = identity_map(X)
+    while (pivot := _first_unit_pivot(X)) is not None:
+        smaller = _eliminate(X, *pivot)
+        q = compose(_projection(X, smaller, *pivot), q)
+        X = smaller
+    return X, q

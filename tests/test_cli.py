@@ -7,6 +7,7 @@ import pytest
 from symchain import (
     GF,
     ZZ,
+    ZLoc,
     direct_sum,
     graded_poly,
     koszul,
@@ -165,6 +166,16 @@ def test_repeated_main_calls_agree(tmp_path, capsys):
     # the bound of an earlier call does not stick: the default is 2*2 + 4 + 2
     code, out, _ = run(capsys, "check", "symm09", kfile)
     assert code == 0 and "bound: 10 (bounded verification)" in out
+
+
+def test_symm09_prints_no_bound_off_graded_rings(tmp_path, capsys, monkeypatch):
+    zfile = write(tmp_path, "z.json", koszul([ZLoc(3).scalar(3)]))
+    code, out, _ = run(capsys, "check", "symm09", zfile, "--bound", "5")
+    assert code == 0 and "holds: true" in out and "bound:" not in out
+    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "5")
+    code, out, _ = run(capsys, "check", "symm09", zfile)
+    assert code == 0 and "bound:" not in out
+    assert json.loads(out.split("json: ", 1)[1])["bound"] is None
 
 
 def test_series_verify(tmp_path, capsys):

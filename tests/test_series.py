@@ -16,21 +16,34 @@ from symchain import (
     is_minimal,
     is_quasi_iso,
     koszul,
+    mapping_cone,
+    minimal_model,
     minimize,
     pd_finite,
     poinc_check,
     rank_series,
+    serialize,
     shift,
     sym2,
+    tensor,
     unit_complex,
     verify_series_identity,
     zero_complex,
 )
+from symchain import complexes
 from symchain.errors import SymchainError, UnsupportedRingError
-from symchain.linalg import kernel_basis
+from symchain.linalg import SparseMatrix, kernel_basis
 from symchain.series import RankSeries
+from symchain.sym2 import alpha
 
-from randgen import contractible_piece, conjugate, random_complex, random_minimal_complex
+from oracles import stepwise_minimize
+from randgen import (
+    contractible_piece,
+    conjugate,
+    random_complex,
+    random_graded_minimal,
+    random_minimal_complex,
+)
 
 POLY = graded_poly("x", "y")
 X_VAR = POLY.variable("x")
@@ -153,6 +166,65 @@ def test_minimize_invariants():
     X = random_complex(QQ, random.Random(13))
     M, _ = minimize(X)
     assert all(M.diff(n).is_zero() for n in M.degrees())
+
+
+def _oracle_inputs():
+    """Seeded complexes with unit entries to split off, on every local backend."""
+    rng = random.Random(29)
+    for ring in (QQ, GF(5), ZLoc(3)):
+        for k in range(30):
+            X = random_complex(ring, rng, max_rank=5, max_len=4)
+            yield X
+            padded = direct_sum(X, contractible_piece(ring, rng.randint(1, 4)))
+            yield conjugate(direct_sum(padded, contractible_piece(ring, rng.randint(1, 4))), rng)
+            if k < 6:  # pivots in adjacent degrees that compete for generators
+                S = sym2(X)
+                yield S.complex
+                yield mapping_cone(S.proj)
+    # R(-1) -> R(-1): a contractible graded piece with a unit differential
+    pad = FreeComplex(POLY, {0: 1, 1: 1}, {1: SparseMatrix.identity(POLY, 1)}, {0: (1,), 1: (1,)})
+    for _ in range(15):
+        X = random_graded_minimal(POLY, rng)
+        yield direct_sum(shift(pad, rng.randint(0, 2)), direct_sum(X, shift(pad, rng.randint(0, 2))))
+    three = graded_poly("x0", "x1", "x2")
+    for K in (koszul([X_VAR, Y_VAR]), koszul(list(three.generators()))):
+        S = sym2(K)
+        yield K
+        yield S.complex
+        yield tensor(K, K)
+        yield mapping_cone(S.proj)
+        yield mapping_cone(alpha(K))
+
+
+def test_minimal_model_matches_stepwise_oracle():
+    """The one-pass elimination picks the stepwise oracle's pivots: the same
+    minimal complex and the same projection, entry for entry."""
+    split = 0
+    for X in _oracle_inputs():
+        M, q = stepwise_minimize(X)
+        expected_M, expected_q = serialize(M), serialize(q)
+        assert serialize(minimal_model(X)) == expected_M
+        got_M, got_q = minimize(X)
+        assert serialize(got_M) == expected_M
+        assert serialize(got_q) == expected_q
+        split += M.total_rank() < X.total_rank()
+    assert split >= 100
+
+
+def test_minimal_model_checks_homogeneity_once_per_result_differential(monkeypatch):
+    cone = mapping_cone(alpha(sym2(koszul([X_VAR, Y_VAR])).complex))
+    checked = []
+    original = complexes._check_homogeneous
+
+    def counting(M, src, tgt, where):
+        checked.append(where)
+        original(M, src, tgt, where)
+
+    monkeypatch.setattr(complexes, "_check_homogeneous", counting)
+    M = minimal_model(cone)
+    assert cone.total_rank() - M.total_rank() >= 2 * 5  # several pivots
+    nonzero = [n for n in M.degrees() if not M.diff(n).is_zero()]
+    assert nonzero and len(checked) == len(nonzero)
 
 
 def _chain_iso_exists(A, B, rng, tries=60):

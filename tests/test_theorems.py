@@ -304,6 +304,16 @@ def test_symm09_infimum_is_not_read_to_the_bound():
     assert report.note is None and report.bound == 1 and report.bounded
 
 
+def test_symm09_reports_no_bound_off_graded_rings():
+    # only graded Hilbert tables stop at a bound; elsewhere the report says none
+    X = koszul([ZLoc(3).scalar(3)])
+    for bound in (None, 5):
+        report = check_symm09(X, bound=bound)
+        assert report.holds and not report.bounded and report.bound is None
+    graded = check_symm09(koszul([X_VAR, Y_VAR]), bound=5)
+    assert graded.bounded and graded.bound == 5
+
+
 def test_square_preserves_quasi_isos_over_qq():
     """Quasi-isomorphisms built from minimal cores and contractible padding."""
     rng = random.Random(37)
