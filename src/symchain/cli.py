@@ -120,14 +120,19 @@ def _print_homology(report):
 
 def cmd_homology(args):
     value = _read(args.file)
+    if not isinstance(value, (FreeComplex, PresentedComplex)):
+        raise SymchainError("homology expects a complex or presented-complex document")
+    if args.bound is not None and not (isinstance(value, FreeComplex) and value.graded):
+        raise SymchainError(
+            f"--bound applies only to graded complexes; homology over {value.ring} "
+            "needs no degree bound"
+        )
     if isinstance(value, PresentedComplex):
         report = homology_presented(value)
-    elif isinstance(value, FreeComplex):
+    else:
         bound = _env_bound(args)
         check_bound(value, bound)
         report = homology(value, bound=bound)
-    else:
-        raise SymchainError("homology expects a complex or presented-complex document")
     _print_homology(report)
     return OK
 
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="homology report of a complex")
     p.add_argument("file")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, help="internal-degree bound (graded complexes only)")
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser(

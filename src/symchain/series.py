@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .complexes import ChainMap, FreeComplex
 from .errors import SymchainError, UnsupportedRingError
@@ -214,11 +215,16 @@ def _split_units(X: FreeComplex, with_q: bool):
     (i, j) is the pivot: d_n gets the Schur update D - v u^{-1} w, row j of
     d_{n+1} and column i of d_{n-1} go.  That gives no lower degree a unit,
     so these are the pivots of eliminating the first unit of the whole
-    complex each time.  With q, the rows of the projection X -> M follow:
+    complex each time.  A min-heap holds the unit positions of d_n, and an
+    entry that changed or left since it was pushed is skipped when popped;
+    a column -> rows index finds the rows the Schur update touches, and
+    the columns of d_{n-1} that went are dropped when M is assembled.
+    With q, the rows of the projection X -> M follow:
     q_{n-1} gets row_r += -v_r u^{-1} row_i and loses row i, q_n loses
     row j.  Returns (M, q or None); M is X when X is minimal.
     """
     ring, ops = X.ring, X.ring.ops
+    is_unit = ops.is_unit
     degrees = X.degrees()
     d = {n: {} for n in degrees}
     for n in degrees:
@@ -229,22 +235,40 @@ def _split_units(X: FreeComplex, with_q: bool):
     split = False
     for n in degrees:
         D = d[n]
-        while units := [(r, c) for r, row in D.items() for c, v in row.items() if ops.is_unit(v)]:
-            i, j = min(units)
+        units = [(r, c) for r, row in D.items() for c, v in row.items() if is_unit(v)]
+        heapify(units)
+        col_rows = {}
+        for r, row in D.items():
+            for c in row:
+                col_rows.setdefault(c, set()).add(r)
+        while units:
+            i, j = heappop(units)
+            w = D.get(i)
+            if w is None or j not in w or not is_unit(w[j]):
+                continue  # stale: the entry changed or left since it was pushed
             split = True
-            w = D.pop(i)
+            del D[i]
+            for c in w:
+                col_rows[c].discard(i)
             u_inv = ops.inverse(w.pop(j))
-            for r in list(D):
-                v = D[r].pop(j, None)
-                if v is not None:
-                    s = ops.neg(ops.mul(v, u_inv))
-                    _add_scaled(D[r], s, w, ops)
-                    if with_q:
-                        _add_scaled(q[n - 1][r], s, q[n - 1][i], ops)
-                if not D[r]:
+            for r in col_rows.pop(j):
+                row = D[r]
+                s = ops.neg(ops.mul(row.pop(j), u_inv))
+                for c, v in w.items():
+                    t = ops.add(row[c], ops.mul(s, v)) if c in row else ops.mul(s, v)
+                    if t:
+                        if c not in row:
+                            col_rows[c].add(r)
+                        row[c] = t
+                        if is_unit(t):
+                            heappush(units, (r, c))
+                    elif c in row:
+                        del row[c]
+                        col_rows[c].discard(r)
+                if with_q:
+                    _add_scaled(q[n - 1][r], s, q[n - 1][i], ops)
+                if not row:
                     del D[r]
-            for row in d.get(n - 1, {}).values():
-                row.pop(i, None)
             d.get(n + 1, {}).pop(j, None)
             alive[n - 1].discard(i)
             alive[n].discard(j)
@@ -253,9 +277,11 @@ def _split_units(X: FreeComplex, with_q: bool):
     pos = {n: {k: p for p, k in enumerate(sorted(alive[n]))} for n in degrees}
     M = X
     if split:
+        # column i of d_{n-1} goes with each pivot (i, j) of d_n: skipped here
         diffs = {
             n: SparseMatrix._of(ring, len(pos[n - 1]), len(pos[n]), {
-                (pos[n - 1][r], pos[n][c]): v for r, row in d[n].items() for c, v in row.items()
+                (pos[n - 1][r], pos[n][c]): v
+                for r, row in d[n].items() for c, v in row.items() if c in pos[n]
             })
             for n in degrees if n - 1 in pos
         }

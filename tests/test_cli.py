@@ -6,6 +6,7 @@ import pytest
 
 from symchain import (
     GF,
+    QQ,
     ZZ,
     ZLoc,
     direct_sum,
@@ -176,6 +177,30 @@ def test_symm09_prints_no_bound_off_graded_rings(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "symm09", zfile)
     assert code == 0 and "bound:" not in out
     assert json.loads(out.split("json: ", 1)[1])["bound"] is None
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        koszul([ZZ.scalar(3)]),
+        koszul([QQ.scalar(3)]),
+        koszul([GF(5).scalar(2)]),
+        koszul([ZLoc(3).scalar(3)]),
+        weak_sym2(koszul([ZZ.scalar(3)])),
+    ],
+    ids=["ZZ", "QQ", "GF5", "ZLoc3", "presented"],
+)
+def test_homology_bound_off_graded_complexes_exits_2(tmp_path, capsys, monkeypatch, value):
+    path = write(tmp_path, "x.json", value)
+    for bound in ("-5", "0", "7"):
+        code, out, err = run(capsys, "homology", path, "--bound", bound)
+        assert code == 2 and out == ""
+        assert "--bound applies only to graded complexes" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "homology", path)
+    assert code == 0 and "bound:" not in out
+    # the degree-bound variable is a graded default, not an error elsewhere
+    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "5")
+    assert run(capsys, "homology", path) == (code, out, "")
 
 
 def test_series_verify(tmp_path, capsys):

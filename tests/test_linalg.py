@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 from sympy import GF as SympyGF
+from sympy import QQ as SympyQQ
 from sympy import ZZ as SympyZZ
 from sympy import Matrix, Rational
 from sympy.polys.matrices import DomainMatrix
@@ -26,6 +27,8 @@ from symchain import (
 )
 from symchain.errors import LinearSolveError, ShapeError, UnsupportedRingError
 from symchain.linalg import (
+    _echelon,
+    _int_rows,
     image_basis_pid,
     invariant_factors,
     kernel_pid,
@@ -531,3 +534,85 @@ def test_solve_exact_over_poly_lifts_constant_matrices():
     assert inconsistent > 0
     with pytest.raises(LinearSolveError):
         solve_exact(rows(POLY, [[x, 0], [0, 1]]), rows(POLY, [[x], [1]]))
+
+
+# -- the Markowitz rank kernel against the echelon core and sympy --------------------
+
+
+def _sympy_rank(A):
+    """Rank over the fraction field (GF(p) as itself), by sympy's exact
+    DomainMatrix; Matrix.rank() takes seconds on the larger slices."""
+    K = SympyGF(A.ring.p) if A.ring.kind == "GF" else SympyQQ
+    data = {}
+    for (i, j), v in A.entries.items():
+        v = Fraction(v)
+        data.setdefault(i, {})[j] = K(v.numerator) / K(v.denominator)
+    return DomainMatrix(data, (A.rows, A.cols), K).rank()
+
+
+def _echelon_rank(A):
+    return len(_echelon(*_int_rows(A))[0])
+
+
+def _rank_case(ring, rng):
+    """A sparse matrix with non-unit entries, and with rows that are planted
+    combinations of other rows, shuffled among them."""
+    kind = ring.kind
+
+    def value():
+        if kind == "GF":
+            return rng.randrange(1, ring.p)
+        v = rng.choice([1, -1, 2, -2, 3, -3, 4, 6, -6, 9, 10, -15])
+        if kind == "QQ":
+            return Fraction(v, rng.choice([1, 1, 2, 3, 7]))
+        if kind == "ZLoc":
+            return Fraction(v, rng.choice([1, 1, 2, 4, 5]))
+        return v
+
+    m, n = rng.randint(0, 10), rng.randint(0, 12)
+    density = rng.choice([0.1, 0.25, 0.5, 0.9])
+    A = SparseMatrix(
+        ring, m, n, {(i, j): value() for i in range(m) for j in range(n) if rng.random() < density}
+    )
+    if m and n:
+        k = rng.randint(1, 4)
+        C = SparseMatrix(
+            ring, k, m, {(i, j): value() for i in range(k) for j in range(m) if rng.random() < 0.4}
+        )
+        A = A.vstack(C @ A)
+    order = list(range(A.rows))
+    rng.shuffle(order)
+    shuffled = {(order[i], j): v for (i, j), v in A.entries.items()}
+    return SparseMatrix._of(ring, A.rows, A.cols, shuffled)
+
+
+RANK_RINGS = [QQ, GF(2), GF(3), GF(7), ZZ, ZLoc(3)]
+
+
+@pytest.mark.parametrize("ring", RANK_RINGS, ids=str)
+def test_rank_matches_echelon_and_sympy(ring):
+    rng = random.Random(71)
+    deficient = 0
+    for _ in range(150):
+        A = _rank_case(ring, rng)
+        r = rank(A)
+        assert r == _echelon_rank(A) == _sympy_rank(A)
+        deficient += r < min(A.rows, A.cols)
+    # the planted rows make many cases rank deficient
+    assert deficient >= 30
+
+
+def test_rank_of_every_sym2_koszul_slice_matches_sympy():
+    from symchain.linalg import qq_rank
+
+    R = graded_poly("x0", "x1", "x2")
+    S = sym2(koszul(list(R.generators()))).complex
+    checked = 0
+    for n in S.degrees():
+        if n - 1 not in S.degrees():
+            continue
+        for d in range(9):
+            A, _, _ = slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)
+            assert qq_rank(A) == rank(A) == _echelon_rank(A) == _sympy_rank(A)
+            checked += A.rows * A.cols > 0
+    assert checked >= 30
