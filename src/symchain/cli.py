@@ -3,10 +3,11 @@
 Every subcommand is a thin wrapper over the library: it reads documents,
 writes documents or line-oriented reports, and encodes verdicts in the
 exit code: 0 success, 1 mathematical-check failure, 2 input error.
-Only graded Hilbert tables (homology) and symm09 take an internal-degree
-bound; the environment variable SYMCHAIN_DEGREE_BOUND overrides their
-default bound when --bound is not given.  Exactness and
-quasi-isomorphism verdicts need no bound.
+Only graded Hilbert tables (homology) and symm09 on graded complexes take
+an internal-degree bound; the environment variable SYMCHAIN_DEGREE_BOUND
+overrides their default bound when --bound is not given.  On any other
+input --bound is an input error and the variable is not read.  Exactness
+and quasi-isomorphism verdicts need no bound.
 """
 
 from __future__ import annotations
@@ -42,10 +43,22 @@ def _read_complex(path: str) -> FreeComplex:
     return value
 
 
-def _env_bound(args) -> int | None:
-    if getattr(args, "bound", None) is not None:
+def _graded_bound(args, value, command: str) -> int | None:
+    """The internal-degree bound of a graded complex: --bound, else
+    SYMCHAIN_DEGREE_BOUND, else None (the command's default).
+
+    Off graded complexes nothing reads a bound: --bound is an input error
+    and the variable, a graded default, is not read at all.
+    """
+    graded = isinstance(value, FreeComplex) and value.graded
+    if args.bound is not None:
+        if not graded:
+            raise SymchainError(
+                f"--bound applies only to graded complexes; {command} over {value.ring} "
+                "needs no degree bound"
+            )
         return args.bound
-    env = os.environ.get("SYMCHAIN_DEGREE_BOUND")
+    env = os.environ.get("SYMCHAIN_DEGREE_BOUND") if graded else None
     if not env:
         return None
     try:
@@ -122,15 +135,10 @@ def cmd_homology(args):
     value = _read(args.file)
     if not isinstance(value, (FreeComplex, PresentedComplex)):
         raise SymchainError("homology expects a complex or presented-complex document")
-    if args.bound is not None and not (isinstance(value, FreeComplex) and value.graded):
-        raise SymchainError(
-            f"--bound applies only to graded complexes; homology over {value.ring} "
-            "needs no degree bound"
-        )
+    bound = _graded_bound(args, value, "homology")
     if isinstance(value, PresentedComplex):
         report = homology_presented(value)
     else:
-        bound = _env_bound(args)
         check_bound(value, bound)
         report = homology(value, bound=bound)
     _print_homology(report)
@@ -220,7 +228,7 @@ def cmd_check(args):
         print(f"rank-inequality: {'true' if report.rank_inequality_holds else 'false'}")
         return OK if report.rank_inequality_holds else CHECK_FAILED
     if args.theorem == "symm09":
-        report = check_symm09(X, bound=_env_bound(args))
+        report = check_symm09(X, bound=_graded_bound(args, X, "symm09"))
     else:
         checker = {"symm07": check_symm07, "symm07pp": check_symm07pp, "s2fpd02": check_s2fpd02}
         report = checker[args.theorem](X)

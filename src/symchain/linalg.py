@@ -12,8 +12,13 @@ Scalars only at the API edge: entry(), to_rows() and column_vector().
 Elimination runs on rows of raw Python ints: residues mod p for GF(p),
 fraction-free integers for QQ (and for ZZ and ZLoc(p) matrices over their
 fraction field), and constant polynomial matrices through their QQ lift.
+_int_rows makes them; a rational row whose entries are all integral, as
+in every slice of a Koszul complex, takes its numerators without an lcm.
 Graded slices reach about 1000x800 at under 1% density, which is why rows
-stay sparse.  There are two kernels on those rows:
+stay sparse.  slice_matrix builds each slice from index tables made once
+per call: the monomials of each complementary degree, packed into
+integers, and the row of every target monomial.  There are two kernels on
+the rows:
 
 - rank, and through it qq_rank, field homology and the independence test
   of presented relations, runs _markowitz_rank: right-looking elimination
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add
+from operator import mul
 
 from .errors import (
     GradingError,
@@ -351,17 +356,28 @@ def _int_rows(A: SparseMatrix):
     """Nonzero rows of A as {col: int} dicts, and the prime to work mod.
 
     Rational rows (QQ, ZLoc) are scaled by the lcm of their denominators,
-    which leaves row spaces unchanged; the prime is None outside GF(p).
+    which leaves row spaces unchanged; a row whose entries are all integral
+    just takes their numerators.  The prime is None outside GF(p).
     """
     by_row = {}
     for (i, j), v in A.entries.items():
-        by_row.setdefault(i, {})[j] = v
+        row = by_row.get(i)
+        if row is None:
+            by_row[i] = {j: v}
+        else:
+            row[j] = v
     rows = [by_row[i] for i in sorted(by_row)]
     if A.ring.kind in ("QQ", "ZLoc"):
         for row in rows:
-            m = lcm(*(f.denominator for f in row.values()))
-            for j, f in row.items():
-                row[j] = f.numerator * (m // f.denominator)
+            for f in row.values():
+                if f.denominator != 1:
+                    m = lcm(*(f.denominator for f in row.values()))
+                    for j, f in row.items():
+                        row[j] = f.numerator * (m // f.denominator)
+                    break
+            else:
+                for j, f in row.items():
+                    row[j] = f.numerator
     elif A.ring.kind not in ("ZZ", "GF"):
         raise UnsupportedRingError(f"no elimination over {A.ring}")
     return rows, A.ring.p if A.ring.kind == "GF" else None
@@ -392,19 +408,26 @@ def _markowitz_rank(rows, p=None) -> int:
 
     The next pivot row is the live row with the fewest entries (ties to the
     least index), and its pivot column the one of its columns with the fewest
-    live rows (ties to the least column); choosing sparse rows and columns
-    keeps fill-in low (Markowitz, Management Science 3, 1957; Duff, Erisman
-    and Reid, Direct Methods for Sparse Matrices, ch. 7).  That column is
-    cleared from every other live row: fraction-free and then divided by the
-    row's content with p=None, mod p otherwise.  A min-heap of row lengths,
-    whose stale entries are skipped when popped, and a column -> live rows
-    index keep each step local to the rows it touches.
+    other live rows (ties to the least column), found in the same pass that
+    takes the pivot row out of the column index; choosing sparse rows and
+    columns keeps fill-in low (Markowitz, Management Science 3, 1957; Duff,
+    Erisman and Reid, Direct Methods for Sparse Matrices, ch. 7).  That
+    column is cleared from every other live row: fraction-free and then
+    divided by the row's content with p=None, mod p otherwise.  A negative
+    fraction-free pivot row is negated first, so a row b is cleared with
+    a/gcd(a, b) > 0 and, when a | b, not scaled at all.  A min-heap of row
+    lengths, whose stale entries are skipped when popped, and a column ->
+    live rows index keep each step local to the rows it touches.
     """
     live = {i: row for i, row in enumerate(rows) if row}
     col_rows = {}
     for i, row in live.items():
         for c in row:
-            col_rows.setdefault(c, set()).add(i)
+            others = col_rows.get(c)
+            if others is None:
+                col_rows[c] = {i}
+            else:
+                others.add(i)
     heap = [(len(row), i) for i, row in live.items()]
     heapify(heap)
     r = 0
@@ -415,12 +438,20 @@ def _markowitz_rank(rows, p=None) -> int:
             continue
         del live[i]
         r += 1
-        c = min(prow, key=lambda k: (len(col_rows[k]), k))
+        c, least = None, None
         for k in prow:
-            col_rows[k].discard(i)
+            others = col_rows[k]
+            others.discard(i)
+            m = len(others)
+            if least is None or m < least or (m == least and k < c):
+                c, least = k, m
         a = prow.pop(c)
         if p is not None:
             a = pow(a, -1, p)
+        elif a < 0:
+            a = -a
+            for k in prow:
+                prow[k] = -prow[k]
         for t in col_rows.pop(c):
             row = live[t]
             b = row.pop(c)
@@ -921,31 +952,64 @@ def slice_basis(nvars: int, gen_degrees, d: int):
 def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
     """QQ matrix of the degree-d slice of a graded map between free modules.
 
-    Every entry of M must be homogeneous of degree src - tgt for its
-    position (the complex/chain-map validators enforce this).  Returns
-    (matrix over QQ, target_basis, source_basis).
+    Returns (matrix over QQ, target_basis, source_basis), the bases ordered
+    as slice_basis orders them.  Per call, the monomials of each
+    complementary degree are listed once and the target ones indexed once,
+    so the row of the term x^e of entry (i, j) on the source monomial m is
+    offset[i] + index[d - tgt_degrees[i]][e + m].  Monomials are packed into
+    integers in base B, one more than the largest complementary degree
+    (Kronecker substitution): e + m is one integer addition whose digits
+    never carry.  Distinct terms of a column land in distinct rows, so each
+    cell is written once.  A term of entry (i, j) whose degree is not
+    src_degrees[j] - tgt_degrees[i] would leave the target slice; it raises
+    GradingError naming (i, j).  No state outlives the call.
     """
     ring = M.ring
     if ring.kind != "Poly":
         raise UnsupportedRingError("slice_matrix needs a graded polynomial ring")
     nvars = len(ring.variables)
-    src_basis = slice_basis(nvars, src_degrees, d)
-    tgt_basis = slice_basis(nvars, tgt_degrees, d)
-    tgt_index = {key: r for r, key in enumerate(tgt_basis)}
-    by_col = _columns(M)
+    monos = {}  # complementary degree -> its monomials, descending lex
+
+    def layout(degrees):  # (basis, offset of each generator's block)
+        basis, offsets = [], []
+        for j, a in enumerate(degrees):
+            block = monos.get(d - a)
+            if block is None:
+                block = monos[d - a] = monomials_of_degree(nvars, d - a)
+            offsets.append(len(basis))
+            basis += [(j, mono) for mono in block]
+        return basis, offsets
+
+    src_basis, src_offsets = layout(src_degrees)
+    tgt_basis, tgt_offsets = layout(tgt_degrees)
+    weights = [(max([0, *monos]) + 1) ** k for k in range(nvars)]
+
+    def code(exp):
+        return sum(map(mul, exp, weights))
+
+    src_codes = {}  # source degree -> codes of its block's monomials
+    tgt_index = {}  # target degree -> {code of monomial: position in its block}
     entries = {}
-    for c, (j, mono) in enumerate(src_basis):
-        for i, value in by_col.get(j, ()):
-            for exp, coeff in value.items():
-                r = tgt_index.get((i, tuple(map(add, exp, mono))))
-                if r is None:
-                    continue
-                key = (r, c)
-                prev = entries.get(key)
-                val = coeff if prev is None else prev + coeff
-                if val:
-                    entries[key] = val
-                else:
-                    del entries[key]
-    mat = SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), entries)
+    for (i, j), value in M.entries.items():
+        a, b = src_degrees[j], tgt_degrees[i]
+        sources = src_codes.get(a)
+        if sources is None:
+            sources = src_codes[a] = [code(mono) for mono in monos[d - a]]
+        if not sources:
+            continue
+        index = tgt_index.get(b)
+        if index is None:
+            index = tgt_index[b] = {code(mono): r for r, mono in enumerate(monos[d - b])}
+        r0 = tgt_offsets[i]
+        for exp, coeff in value.items():
+            if sum(exp) != a - b:
+                raise GradingError(
+                    f"entry ({i},{j}) has a term of degree {sum(exp)}, which leaves "
+                    f"the degree-{d} slice: it needs degree {a} - {b} = {a - b}"
+                )
+            e = code(exp)
+            for c, s in enumerate(sources, src_offsets[j]):
+                entries[(r0 + index[e + s], c)] = coeff
+    mat = SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), {})
+    mat.entries = entries  # nonzero coefficients, each cell written once
     return mat, tgt_basis, src_basis

@@ -10,15 +10,18 @@ modules; over a field a binomial coefficient.
 The stepwise minimalization below is the reference for
 `series.minimal_model` and `series.minimize`: it splits off one
 contractible summand at a time, building a new complex and a projection
-chain map per pivot.
+chain map per pivot.  `reference_slice_matrix` is the reference for
+`linalg.slice_matrix`: it looks every target row up by its
+(generator, monomial) pair.
 """
 
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map, inf_h
 from symchain.complexes import compose
-from symchain.linalg import kernel_basis, qq_rank, rref, slice_matrix, solve_field
+from symchain.linalg import kernel_basis, qq_rank, rref, slice_basis, slice_matrix, solve_field
 from symchain.sym2 import _pivot_columns
 
 
@@ -338,3 +341,36 @@ def stepwise_minimize(X: FreeComplex):
         q = compose(_projection(X, smaller, *pivot), q)
         X = smaller
     return X, q
+
+
+# -- degree slices by (generator, monomial) lookup ------------------------------
+
+
+def reference_slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
+    """(QQ matrix, target_basis, source_basis) of the degree-d slice of M,
+    with both bases from slice_basis and each term's row found in a
+    {(generator, monomial): row} dictionary; terms whose monomial is not in
+    the target slice are dropped."""
+    nvars = len(M.ring.variables)
+    src_basis = slice_basis(nvars, src_degrees, d)
+    tgt_basis = slice_basis(nvars, tgt_degrees, d)
+    tgt_index = {key: r for r, key in enumerate(tgt_basis)}
+    by_col = {}
+    for (i, j), v in M.entries.items():
+        by_col.setdefault(j, []).append((i, v))
+    entries = {}
+    for c, (j, mono) in enumerate(src_basis):
+        for i, value in by_col.get(j, ()):
+            for exp, coeff in value.items():
+                r = tgt_index.get((i, tuple(map(add, exp, mono))))
+                if r is None:
+                    continue
+                key = (r, c)
+                prev = entries.get(key)
+                val = coeff if prev is None else prev + coeff
+                if val:
+                    entries[key] = val
+                else:
+                    del entries[key]
+    mat = SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), entries)
+    return mat, tgt_basis, src_basis

@@ -171,7 +171,12 @@ def test_repeated_main_calls_agree(tmp_path, capsys):
 
 def test_symm09_prints_no_bound_off_graded_rings(tmp_path, capsys, monkeypatch):
     zfile = write(tmp_path, "z.json", koszul([ZLoc(3).scalar(3)]))
-    code, out, _ = run(capsys, "check", "symm09", zfile, "--bound", "5")
+    # an explicit bound off graded rings is an input error, as for homology
+    for bound in ("5", "-5"):
+        code, out, err = run(capsys, "check", "symm09", zfile, "--bound", bound)
+        assert code == 2 and out == ""
+        assert "--bound applies only to graded complexes" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "check", "symm09", zfile)
     assert code == 0 and "holds: true" in out and "bound:" not in out
     monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "5")
     code, out, _ = run(capsys, "check", "symm09", zfile)
@@ -309,6 +314,23 @@ def test_degree_bound_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "abc")
     code, _, err = run(capsys, "homology", sfile)
     assert code == 2 and "SYMCHAIN_DEGREE_BOUND" in err
+    kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
+    code, out, err = run(capsys, "check", "symm09", kfile)
+    assert code == 2 and out == "" and "SYMCHAIN_DEGREE_BOUND must be an integer" in err
+
+
+def test_degree_bound_env_is_not_read_off_graded_complexes(tmp_path, capsys, monkeypatch):
+    zfile = write(tmp_path, "z.json", koszul([ZZ.scalar(3)]))
+    lfile = write(tmp_path, "l.json", koszul([ZLoc(3).scalar(3)]))
+    expected = {
+        ("homology", zfile): run(capsys, "homology", zfile),
+        ("symm09", lfile): run(capsys, "check", "symm09", lfile),
+    }
+    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "abc")
+    code, out, err = run(capsys, "homology", zfile)
+    assert code == 0 and err == "" and (code, out, err) == expected[("homology", zfile)]
+    code, out, err = run(capsys, "check", "symm09", lfile)
+    assert code == 0 and err == "" and (code, out, err) == expected[("symm09", lfile)]
 
 
 def test_bad_matrix_rows_exit_2_with_position(tmp_path, capsys):

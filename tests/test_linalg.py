@@ -24,8 +24,9 @@ from symchain import (
     koszul,
     smith_normal_form,
     sym2,
+    tensor,
 )
-from symchain.errors import LinearSolveError, ShapeError, UnsupportedRingError
+from symchain.errors import GradingError, LinearSolveError, ShapeError, UnsupportedRingError
 from symchain.linalg import (
     _echelon,
     _int_rows,
@@ -40,6 +41,8 @@ from symchain.linalg import (
     solve_field,
     solve_pid,
 )
+
+from oracles import reference_slice_matrix
 
 POLY = graded_poly("x", "y")
 
@@ -413,6 +416,81 @@ def test_degree_slice_kernel_matches_dense_oracle():
     assert set(coords) == {(0, (0, 1)), (1, (1, 0))}
 
 
+def _slice_sequences(rng):
+    """Seeded homogeneous sequences in 2 and 3 variables, by kind: monomials,
+    linear forms with small rational coefficients, and mixed degrees."""
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    out = []
+    for names in (("x", "y"), ("x0", "x1", "x2")):
+        R = graded_poly(*names)
+        v = R.generators()
+        k = len(v)
+        out.append(("monomial", list(v)))
+
+        def form():
+            return sum((R.scalar(rng.choice(coeffs)) * g for g in v), R.zero())
+
+        out.append(("linear", [form() for _ in range(k)]))
+        out.append(("mixed", [v[0], v[1] * v[1], v[-1] * form() * form()][:k + 1]))
+    return out
+
+
+def _assert_slices_match_reference(X, top=8) -> int:
+    """Compare every slice of every differential of X up to internal degree
+    top with the reference; returns the number of nonzero cells seen."""
+    nnz = 0
+    for n in range(X.support[0], X.support[1] + 2):
+        M = X.diff(n)
+        for d in range(X.min_gdeg() - 1, top + 1):
+            got = slice_matrix(M, X.gdeg(n), X.gdeg(n - 1), d)
+            want = reference_slice_matrix(M, X.gdeg(n), X.gdeg(n - 1), d)
+            assert got == want, (n, d)
+            assert all(got[0].entries.values())
+            nnz += len(got[0].entries)
+    return nnz
+
+
+def test_slice_matrix_matches_reference_oracle():
+    rng = random.Random(83)
+    seen = {}
+    for kind, elements in _slice_sequences(rng):
+        K = koszul(elements)
+        for X in (K, sym2(K).complex, tensor(K, K)):
+            seen[kind] = seen.get(kind, 0) + _assert_slices_match_reference(X)
+    assert all(nnz > 5000 for nnz in seen.values()), seen
+
+
+def test_slice_matrix_of_a_matrix_whose_terms_cancel():
+    x, y = POLY.variable("x"), POLY.variable("y")
+    # terms cancel in the ring arithmetic that builds M: x*y - y*x leaves
+    # cell (0, 0) zero, and y^2 - y^2 drops out of (x+y)(x-y) + y^2; in a
+    # slice, distinct terms of one column still land in distinct cells
+    A = rows(POLY, [[x, y], [x + y, 0]])
+    B = rows(POLY, [[y, x], [-x, y]])
+    M = A @ B + rows(POLY, [[0, (x + y) * (x - y) + y * y], [x * y, 0]])
+    assert (0, 0) not in M.entries
+    for d in range(-1, 6):
+        got = slice_matrix(M, [2, 2], [0, 0], d)
+        assert got == reference_slice_matrix(M, [2, 2], [0, 0], d)
+        assert all(got[0].entries.values())
+
+
+def test_slice_matrix_rejects_a_term_outside_the_slice():
+    x, y = POLY.variable("x"), POLY.variable("y")
+    # entry (1, 0) must have degree 2 - 0 = 2; its term x has degree 1
+    M = rows(POLY, [[x * x, y * y], [x + y * y, x * y]])
+    for d in (2, 3, 5):
+        with pytest.raises(GradingError, match=r"entry \(1,0\)"):
+            slice_matrix(M, [2, 2], [0, 0], d)
+    # below degree 2 the source slice is empty, so no term lands anywhere
+    sliced, _, src_basis = slice_matrix(M, [2, 2], [0, 0], 1)
+    assert src_basis == [] and sliced.is_zero()
+    # a term of the right degree whose target lies below degree 0
+    N = rows(POLY, [[x * x, y]])
+    with pytest.raises(GradingError, match=r"entry \(0,1\)"):
+        slice_matrix(N, [2, 2], [0], 2)
+
+
 def test_qq_rank_matches_rref_rank():
     from symchain.linalg import qq_rank
 
@@ -600,6 +678,71 @@ def test_rank_matches_echelon_and_sympy(ring):
         deficient += r < min(A.rows, A.cols)
     # the planted rows make many cases rank deficient
     assert deficient >= 30
+
+
+def _fast_path_case(ring, rng, kind):
+    """A sparse matrix whose rows are all integral ("integral"), whose rows
+    are integral or carry denominators at random ("mixed"), or whose
+    entries are all negative, so that Markowitz pivots are too ("negative")."""
+    m, n = rng.randint(1, 9), rng.randint(1, 10)
+    dens = [2, 4, 5] if ring.kind == "ZLoc" else [2, 3, 7]
+    entries = {}
+    for i in range(m):
+        fractional = kind == "mixed" and rng.random() < 0.5
+        for j in range(n):
+            if rng.random() < 0.4:
+                v = rng.choice([1, 2, 3, 6, 9, 10]) * (-1 if kind == "negative" else rng.choice([1, -1]))
+                entries[(i, j)] = Fraction(v, rng.choice(dens)) if fractional else v
+    A = SparseMatrix(ring, m, n, entries)
+    if kind != "negative":  # plant dependent rows
+        C = SparseMatrix(ring, 2, m, {(0, rng.randrange(m)): 2, (1, rng.randrange(m)): -1})
+        A = A.vstack(C @ A)
+    return A
+
+
+def _lcm_scaled_rows(A):
+    """Rows of A scaled by the lcm of their denominators, computed apart
+    from _int_rows; the rows _int_rows must return."""
+    out = {}
+    for (i, j), v in A.entries.items():
+        out.setdefault(i, {})[j] = Fraction(v)
+    rows = []
+    for i in sorted(out):
+        m = lcm(*(f.denominator for f in out[i].values()))
+        rows.append({j: int(f * m) for j, f in out[i].items()})
+    return rows
+
+
+FAST_PATH_CASES = [
+    (ring, kind)
+    for kind, rings in (
+        ("integral", [QQ, ZZ, ZLoc(3)]),
+        ("mixed", [QQ, ZLoc(3)]),
+        ("negative", [QQ, ZZ, ZLoc(3)]),
+    )
+    for ring in rings
+]
+
+
+@pytest.mark.parametrize(
+    "ring, kind", FAST_PATH_CASES, ids=[f"{ring}-{kind}" for ring, kind in FAST_PATH_CASES]
+)
+def test_rank_fast_paths_match_echelon_and_sympy(ring, kind):
+    rng = random.Random(89)
+    integral_rows = fractional_rows = 0
+    for _ in range(120):
+        A = _fast_path_case(ring, rng, kind)
+        assert _int_rows(A)[0] == _lcm_scaled_rows(A)
+        r = rank(A)
+        assert r == _echelon_rank(A) == _sympy_rank(A)
+        if kind == "negative":
+            assert rank(-A) == r
+        for i in range(A.rows):
+            row = [Fraction(v) for (k, _), v in A.entries.items() if k == i]
+            integral_rows += all(f.denominator == 1 for f in row)
+            fractional_rows += not all(f.denominator == 1 for f in row)
+    assert integral_rows > 100
+    assert (fractional_rows > 100) == (kind == "mixed")
 
 
 def test_rank_of_every_sym2_koszul_slice_matches_sympy():
