@@ -11,6 +11,13 @@ index is the slower one) inside each block, and the differential carries
 the sign (-1)^p on the right factor.  Koszul complexes on one or two
 elements use their classical small presentations; three or more elements
 build the left-associated iterated tensor of the one-element complexes.
+
+Each structural property is checked once, where outside values enter.  The
+public constructors FreeComplex(...) and ChainMap(...) check shapes, rings,
+homogeneity of graded entries, d.d = 0 and f.d = d.f, and raise naming the
+degree and the lowest bad entry.  Library results are built with
+FreeComplex._of and ChainMap._of, which drop zero ranks and zero matrices
+and check nothing, like SparseMatrix._of.
 """
 
 from __future__ import annotations
@@ -89,6 +96,23 @@ class FreeComplex:
                 _check_homogeneous(
                     self._diffs[n], self.gdeg(n), self.gdeg(n - 1), f"differential at degree {n}"
                 )
+        report = validate(self)
+        if not report:
+            raise ShapeError(
+                f"complex fails validation at degree {report.first_failure[0]}: "
+                f"{report.failures[0]}"
+            )
+
+    @classmethod
+    def _of(cls, ring: Ring, ranks, diffs, gdegs=None) -> "FreeComplex":
+        """The complex of a library result; zero ranks and zero matrices are
+        dropped and nothing is validated again."""
+        X = object.__new__(cls)
+        X.ring = ring
+        X._ranks = {n: r for n, r in ranks.items() if r > 0}
+        X._diffs = {n: M for n, M in diffs.items() if not M.is_zero()}
+        X._gdegs = {n: tuple(gdegs[n]) for n in X._ranks} if ring.kind == "Poly" else None
+        return X
 
     # -- shape ---------------------------------------------------------------
 
@@ -182,7 +206,7 @@ def _check_homogeneous(M: SparseMatrix, src, tgt, where: str) -> None:
     """Raise GradingError unless each entry (i, j) of M is homogeneous of
     degree src[j] - tgt[i]; the lowest bad entry is named."""
     bad = []
-    for (i, j), v in M.entries.items():  # plain loops: this runs on every graded build
+    for (i, j), v in M.entries.items():  # plain loops: this runs on every graded input
         w = src[j] - tgt[i]
         for e in v:
             if sum(e) != w:
@@ -196,8 +220,7 @@ def _check_homogeneous(M: SparseMatrix, src, tgt, where: str) -> None:
 
 
 def validate(X: FreeComplex) -> ValidationReport:
-    """Check d(d(x)) = 0; graded entries were checked homogeneous when X
-    was built."""
+    """Check d(d(x)) = 0; the FreeComplex constructor runs this on its input."""
     failures = []
     first = None
     if X.is_zero():
@@ -214,25 +237,21 @@ def validate(X: FreeComplex) -> ValidationReport:
 
 
 def zero_complex(ring: Ring) -> FreeComplex:
-    return FreeComplex(ring, {}, {}, {} if ring.kind == "Poly" else None)
+    return FreeComplex._of(ring, {}, {})
 
 
 def unit_complex(ring: Ring) -> FreeComplex:
     """The ring itself, concentrated in degree 0."""
     gdegs = {0: (0,)} if ring.kind == "Poly" else None
-    return FreeComplex(ring, {0: 1}, {}, gdegs)
+    return FreeComplex._of(ring, {0: 1}, {}, gdegs)
 
 
 def shift(X: FreeComplex, i: int) -> FreeComplex:
     """Suspension: degree n of the result is degree n-i of X; odd i negates d."""
     ranks = {n + i: r for n, r in X.ranks.items()}
-    diffs = {}
-    for n in X.degrees():
-        M = X.diff(n)
-        if not M.is_zero():
-            diffs[n + i] = M if i % 2 == 0 else -M
+    diffs = {n + i: M if i % 2 == 0 else -M for n, M in X._diffs.items()}
     gdegs = {n + i: X.gdeg(n) for n in X.degrees()} if X.graded else None
-    return FreeComplex(X.ring, ranks, diffs, gdegs)
+    return FreeComplex._of(X.ring, ranks, diffs, gdegs)
 
 
 def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
@@ -255,7 +274,7 @@ def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
     gdegs = None
     if X.ring.kind == "Poly":
         gdegs = {n: tuple(X.gdeg(n)) + tuple(Y.gdeg(n)) for n in degrees}
-    return FreeComplex(X.ring, ranks, diffs, gdegs)
+    return FreeComplex._of(X.ring, ranks, diffs, gdegs)
 
 
 def tensor_basis(X: FreeComplex, Y: FreeComplex, n: int):
@@ -314,7 +333,7 @@ def tensor(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
             for n in bases
             if bases[n]
         }
-    return FreeComplex(ring, ranks, diffs, gdegs)
+    return FreeComplex._of(ring, ranks, diffs, gdegs)
 
 
 class ChainMap:
@@ -348,6 +367,22 @@ class ChainMap:
                 _check_homogeneous(
                     self.maps[n], source.gdeg(n), target.gdeg(n), f"map at degree {n}"
                 )
+        bad = self._first_noncommuting()
+        if bad is not None:
+            n, (i, j) = bad
+            raise ShapeError(
+                f"map at degree {n} does not commute with the differentials at entry ({i},{j})"
+            )
+
+    @classmethod
+    def _of(cls, source: FreeComplex, target: FreeComplex, maps) -> "ChainMap":
+        """The chain map of a library result; zero matrices are dropped and
+        nothing is validated again."""
+        f = object.__new__(cls)
+        f.source = source
+        f.target = target
+        f.maps = {n: M for n, M in maps.items() if not M.is_zero()}
+        return f
 
     def component(self, n: int) -> SparseMatrix:
         M = self.maps.get(n)
@@ -356,26 +391,31 @@ class ChainMap:
         return M
 
     def is_chain_map(self) -> bool:
+        return self._first_noncommuting() is None
+
+    def _first_noncommuting(self):
+        """(n, (i, j)): the lowest degree n where f d_n != d_n f, with the
+        lowest entry where they differ; None for a chain map."""
         degrees = set(self.source.degrees()) | set(self.target.degrees())
         for n in sorted(degrees):
             lhs = self.component(n - 1) @ self.source.diff(n)
             rhs = self.target.diff(n) @ self.component(n)
             if lhs != rhs:
-                return False
-        return True
+                return n, min((lhs - rhs).entries)
+        return None
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         if self.source != other.source or self.target != other.target:
             raise ShapeError("cannot add maps with different endpoints")
         degrees = set(self.maps) | set(other.maps)
-        return ChainMap(
+        return ChainMap._of(
             self.source,
             self.target,
             {n: self.component(n) + other.component(n) for n in degrees},
         )
 
     def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, {n: -M for n, M in self.maps.items()})
+        return ChainMap._of(self.source, self.target, {n: -M for n, M in self.maps.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -396,20 +436,20 @@ class ChainMap:
 
 
 def identity_map(X: FreeComplex) -> ChainMap:
-    return ChainMap(
+    return ChainMap._of(
         X, X, {n: SparseMatrix.identity(X.ring, X.rank(n)) for n in X.degrees()}
     )
 
 
 def zero_map(X: FreeComplex, Y: FreeComplex) -> ChainMap:
-    return ChainMap(X, Y, {})
+    return ChainMap._of(X, Y, {})
 
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
     if f.target != g.source:
         raise ShapeError("composition endpoints do not match")
-    return ChainMap(
+    return ChainMap._of(
         f.source,
         g.target,
         {n: g.component(n) @ f.component(n) for n in set(f.maps) & set(g.maps)},
@@ -426,11 +466,8 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
     X-generators precede Y-generators in each degree; over graded rings the
     generator degrees are those of X_{n-1} followed by those of Y_n.  The
     cone is exact exactly when f is a quasi-isomorphism (Weibel, An
-    Introduction to Homological Algebra, Cor. 1.5.4).  d.d = 0 on the cone
-    is the chain-map condition, so anything else is rejected.
+    Introduction to Homological Algebra, Cor. 1.5.4).
     """
-    if not f.is_chain_map():
-        raise ShapeError("mapping cone of a map that does not commute with the differentials")
     X, Y = f.source, f.target
     degrees = sorted({n + 1 for n in X.degrees()} | set(Y.degrees()))
     ranks = {n: X.rank(n - 1) + Y.rank(n) for n in degrees}
@@ -449,7 +486,7 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
     gdegs = None
     if X.ring.kind == "Poly":
         gdegs = {n: X.gdeg(n - 1) + Y.gdeg(n) for n in degrees}
-    return FreeComplex(X.ring, ranks, diffs, gdegs)
+    return FreeComplex._of(X.ring, ranks, diffs, gdegs)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -476,10 +513,8 @@ def _tensor_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex) ->
                     row = tgt_index.get(((p, fi), (q, gi)))
                     if row is not None:
                         entries[(row, col)] = mul(fv, gv)
-        M = SparseMatrix._of(ring, tgt.rank(n), src.rank(n), entries)
-        if not M.is_zero():
-            maps[n] = M
-    return ChainMap(src, tgt, maps)
+        maps[n] = SparseMatrix._of(ring, tgt.rank(n), src.rank(n), entries)
+    return ChainMap._of(src, tgt, maps)
 
 
 class Homotopy:
@@ -553,7 +588,7 @@ def koszul(elements) -> FreeComplex:
         gdegs = None
         if ring.kind == "Poly":
             gdegs = {0: (0,), 1: (x.homogeneous_degree(),)}
-        return FreeComplex(
+        return FreeComplex._of(
             ring,
             {0: 1, 1: 1},
             {1: SparseMatrix.from_rows(ring, [[x]])},
@@ -569,7 +604,7 @@ def koszul(elements) -> FreeComplex:
             dx = x.homogeneous_degree()
             dy = y.homogeneous_degree()
             gdegs = {0: (0,), 1: (dx, dy), 2: (dx + dy,)}
-        return FreeComplex(
+        return FreeComplex._of(
             ring,
             {0: 1, 1: 2, 2: 1},
             {

@@ -138,7 +138,8 @@ def default_bound(X: FreeComplex) -> int:
 
 
 def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
-    """Exact homology per backend; graded complexes honor the degree bound."""
+    """Exact homology per backend; graded complexes honor the degree bound,
+    and one below the lowest generator degree raises GradingError."""
     ring = X.ring
     if ring.kind in ("ZZ", "ZLoc"):
         values = {}
@@ -162,6 +163,7 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
     if ring.kind == "Poly":
         if not X.graded:
             raise GradingError("graded homology needs generator degrees")
+        check_bound(X, bound)
         D = default_bound(X) if bound is None else bound
         slices = {}
         values = {n: t for n in X.degrees() if (t := _graded_table(X, n, D, slices))}
@@ -220,7 +222,7 @@ def _presented_cone(P: PresentedComplex) -> FreeComplex:
     mapping cone of r; cf. Weibel, section 1.5).
     """
     if P.support is None:
-        return FreeComplex(P.ring, {})
+        return FreeComplex._of(P.ring, {}, {})
     lo, hi = P.support
     ranks, diffs = {}, {}
     for n in range(lo, hi + 2):
@@ -229,7 +231,7 @@ def _presented_cone(P: PresentedComplex) -> FreeComplex:
         # (g, f) -> -d^G g + h f, solved in one go: r_{n-2} top = -d_{n-1} bottom
         top = solve_exact(P.relation(n - 2), -(P.diff(n - 1) @ bottom))
         diffs[n] = top.vstack(bottom)
-    return FreeComplex(P.ring, ranks, diffs)
+    return FreeComplex._of(P.ring, ranks, diffs)
 
 
 @dataclass
@@ -258,7 +260,8 @@ def _exactness_failures(X: FreeComplex) -> list:
     [(n0, d0)], n0 the lowest degree where M is nonzero and d0 the lowest
     generator degree of M_{n0}; H_{n0}(X)_{d0} != 0, since the image of
     the next differential lies in the maximal ideal times M_{n0}.  Both
-    facts need homogeneous entries, which FreeComplex enforces.
+    facts need homogeneous entries: the FreeComplex constructor checks
+    them on input, and every library builder keeps them homogeneous.
     """
     if X.ring.kind != "Poly":
         return homology(X).nonzero_degrees()
@@ -272,8 +275,7 @@ def _exactness_failures(X: FreeComplex) -> list:
 def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
     """Does f induce bijections on all homology?
 
-    Decided as exactness of the mapping cone (see _exactness_failures);
-    raises ShapeError when f is not a chain map.
+    Decided as exactness of the mapping cone (see _exactness_failures).
     """
     failures = _exactness_failures(mapping_cone(f))
     return QuasiIsoVerdict(not failures, failures=failures)

@@ -3,8 +3,9 @@
 The format is a JSON text profile: fixed key order, matrices as dense
 row-major lists of scalar strings in the textual grammar, two-space
 indentation.  Serialization of equal objects is byte-identical, and
-serialize(parse(serialize(x))) == serialize(x).  Parsed complexes must
-pass validation; failures carry the offending degree.  Integers must be
+serialize(parse(serialize(x))) == serialize(x).  Parsed complexes and
+chain maps are checked once, by the FreeComplex and ChainMap constructors;
+their failures carry the offending degree and entry.  Integers must be
 JSON integers and matrix rows JSON lists; every malformed field raises
 DocumentError naming it.
 """
@@ -13,8 +14,8 @@ from __future__ import annotations
 
 import json
 
-from .complexes import ChainMap, FreeComplex, validate
-from .errors import DocumentError, SymchainError
+from .complexes import ChainMap, FreeComplex
+from .errors import DocumentError, ShapeError, SymchainError
 from .linalg import SparseMatrix
 from .scalars import GF, QQ, Ring, ZLoc, ZZ, graded_poly
 from .sym2 import PresentedComplex
@@ -188,12 +189,10 @@ def _complex_from_obj(obj) -> FreeComplex:
         diffs[n] = _matrix_from_rows(
             ring, rows, ranks.get(n - 1, 0), ranks.get(n, 0), f"differential at degree {n}"
         )
-    X = FreeComplex(ring, ranks, diffs, gdegs)
-    report = validate(X)
-    if not report:
-        degree = report.first_failure[0] if report.first_failure else "?"
-        raise DocumentError(f"complex fails validation at degree {degree}: {report.failures[0]}")
-    return X
+    try:
+        return FreeComplex(ring, ranks, diffs, gdegs)
+    except ShapeError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def _map_to_obj(f: ChainMap) -> dict:
@@ -226,10 +225,10 @@ def _map_from_obj(obj) -> ChainMap:
         maps[n] = _matrix_from_rows(
             ring, rows, target.rank(n), source.rank(n), f"map at degree {n}"
         )
-    f = ChainMap(source, target, maps)
-    if not f.is_chain_map():
-        raise DocumentError("document does not describe a chain map")
-    return f
+    try:
+        return ChainMap(source, target, maps)
+    except ShapeError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def _presented_to_obj(P: PresentedComplex) -> dict:

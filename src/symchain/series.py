@@ -286,7 +286,7 @@ def _split_units(X: FreeComplex, with_q: bool):
             for n in degrees if n - 1 in pos
         }
         gdegs = {n: tuple(X.gdeg(n)[k] for k in pos[n]) for n in degrees} if X.graded else None
-        M = FreeComplex(ring, {n: len(pos[n]) for n in degrees}, diffs, gdegs)
+        M = FreeComplex._of(ring, {n: len(pos[n]) for n in degrees}, diffs, gdegs)
     if not with_q:
         return M, None
     maps = {
@@ -295,7 +295,7 @@ def _split_units(X: FreeComplex, with_q: bool):
         })
         for n in degrees if pos[n]
     }
-    return M, ChainMap(X, M, maps)
+    return M, ChainMap._of(X, M, maps)
 
 
 def minimal_model(X: FreeComplex) -> FreeComplex:

@@ -190,10 +190,8 @@ def _alpha(X: FreeComplex, T: FreeComplex) -> ChainMap:
             else:
                 entries[(col, col)] = one
                 entries[(swapped, col)] = v
-        M = SparseMatrix._of(X.ring, len(tbasis), len(tbasis), entries)
-        if not M.is_zero():
-            maps[n] = M
-    return ChainMap(T, T, maps)
+        maps[n] = SparseMatrix._of(X.ring, len(tbasis), len(tbasis), entries)
+    return ChainMap._of(T, T, maps)
 
 
 @dataclass
@@ -244,8 +242,8 @@ def sym2(X: FreeComplex) -> Sym2Result:
         if any(c in odd_diagonal_cols for (_, c) in rd.entries):
             raise SymchainError("reduction does not annihilate odd diagonal squares")
         diffs[n] = rd @ red.sigma[n]
-    S = FreeComplex(ring, ranks, diffs, gdegs)
-    proj = ChainMap(T, S, {n: red.rho[n] for n in red.rho if red.rho[n].rows})
+    S = FreeComplex._of(ring, ranks, diffs, gdegs)
+    proj = ChainMap._of(T, S, red.rho)
     return Sym2Result(S, proj, red, T, al)
 
 
@@ -389,10 +387,8 @@ def _sym2_map(ff: ChainMap, SX: Sym2Result, SY: Sym2Result) -> ChainMap:
     for n in SX.complex.degrees():
         if SY.complex.rank(n) == 0:
             continue
-        M = SY.reduction.rho[n] @ ff.component(n) @ SX.reduction.sigma[n]
-        if not M.is_zero():
-            maps[n] = M
-    return ChainMap(SX.complex, SY.complex, maps)
+        maps[n] = SY.reduction.rho[n] @ ff.component(n) @ SX.reduction.sigma[n]
+    return ChainMap._of(SX.complex, SY.complex, maps)
 
 
 # -- image / kernel subcomplexes of a chain endomorphism --------------------------
@@ -447,8 +443,8 @@ def _subcomplex_from_bases(T: FreeComplex, bases: dict) -> SubcomplexData:
     gdegs = None
     if ring.kind == "Poly":
         gdegs = {n: _basis_gdegs(T, n, bases[n]) for n in ranks}
-    sub = FreeComplex(ring, ranks, diffs, gdegs)
-    inclusion = ChainMap(sub, T, {n: bases[n] for n in ranks})
+    sub = FreeComplex._of(ring, ranks, diffs, gdegs)
+    inclusion = ChainMap._of(sub, T, {n: bases[n] for n in ranks})
     return SubcomplexData(sub, inclusion, {n: bases[n] for n in ranks})
 
 
@@ -509,7 +505,7 @@ def _endo_summands(T: FreeComplex, f: ChainMap):
 def _corestriction(T: FreeComplex, f: ChainMap, image: SubcomplexData) -> ChainMap:
     """f : T -> T as a map onto its image subcomplex, in the image's basis."""
     maps = {n: solve_exact(image.bases[n], f.component(n)) for n in image.complex.degrees()}
-    return ChainMap(T, image.complex, maps)
+    return ChainMap._of(T, image.complex, maps)
 
 
 # -- split decomposition when 2 is a unit ------------------------------------------
@@ -539,7 +535,7 @@ def split_decomposition(X: FreeComplex) -> SplitDecomposition:
     T = S.tensor_square
     al = S.alpha
     half = ring.ops.inverse(ring.raw(2))
-    e = ChainMap(T, T, {n: M.scale(half) for n, M in al.maps.items()})
+    e = ChainMap._of(T, T, {n: M.scale(half) for n, M in al.maps.items()})
     image, kernel = _endo_summands(T, al)
     q = _corestriction(T, al, image)
     target = direct_sum(image.complex, S.complex)
@@ -559,8 +555,8 @@ def split_decomposition(X: FreeComplex) -> SplitDecomposition:
             raise SymchainError("rank additivity fails in the split decomposition")
         if inv[n] @ fwd[n] != ident:
             raise SymchainError("split decomposition is not an isomorphism")
-    iso = ChainMap(T, target, fwd)
-    iso_inverse = ChainMap(target, T, inv)
+    iso = ChainMap._of(T, target, fwd)
+    iso_inverse = ChainMap._of(target, T, inv)
     return SplitDecomposition(
         idempotent=e,
         im_alpha=image.complex,
@@ -623,21 +619,17 @@ def sum_decomposition_iso(X: FreeComplex, Y: FreeComplex):
                 lab = ((q, j), (p, i - X.rank(p)))
                 row = off_xy + xy_index[lab]
                 entries[(row, col)] = one if (p * q) % 2 == 0 else ring.ops.neg(one)
-        M = SparseMatrix._of(ring, target.rank(n), len(labs), entries)
-        if not M.is_zero():
-            maps[n] = M
-    return ChainMap(SW.complex, target, maps)
+        maps[n] = SparseMatrix._of(ring, target.rank(n), len(labs), entries)
+    return ChainMap._of(SW.complex, target, maps)
 
 
 def shift_iso(X: FreeComplex, n: int) -> ChainMap:
     """Identity-matrix isomorphism S2(shift(X, 2n)) -> shift(S2(X), 4n)."""
     left = sym2(shift(X, 2 * n)).complex
     right = shift(sym2(X).complex, 4 * n)
-    if left.ranks != right.ranks or any(
-        left.diff(k) != right.diff(k) for k in left.degrees()
-    ):
+    if left != right:
         raise SymchainError("even-shift compatibility failed")
-    return ChainMap(
+    return ChainMap._of(
         left, right, {k: SparseMatrix.identity(X.ring, left.rank(k)) for k in left.degrees()}
     )
 
@@ -763,21 +755,15 @@ def base_change(X: FreeComplex, target: Ring) -> FreeComplex:
     if X.ring == target:
         return X
     diffs = {n: base_change_matrix(X.diff(n), target) for n in X.degrees()}
-    return FreeComplex(target, X.ranks, diffs, None)
+    return FreeComplex._of(target, X.ranks, diffs)
 
 
 def sym2_base_change_iso(X: FreeComplex, target: Ring) -> ChainMap:
     """Identity-permutation isomorphism S2 of the pushed complex vs pushed S2."""
     left = sym2(base_change(X, target)).complex
-    right_src = sym2(X).complex
-    right = FreeComplex(
-        target,
-        right_src.ranks,
-        {n: base_change_matrix(right_src.diff(n), target) for n in right_src.degrees()},
-        None,
-    )
+    right = base_change(sym2(X).complex, target)
     if left != right:
         raise SymchainError("symmetric square does not commute with base change")
-    return ChainMap(
+    return ChainMap._of(
         left, right, {n: SparseMatrix.identity(target, left.rank(n)) for n in left.degrees()}
     )

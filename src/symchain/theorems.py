@@ -282,7 +282,7 @@ def _square_presentation(M: FreeComplex, i: int, even: bool) -> FreeComplex:
             1: tuple(g1[e] + g0[f] for e in range(r1) for f in range(r0)),
         }
     d = SparseMatrix._of(ring, len(pairs), r1 * r0, entries)
-    return FreeComplex(ring, {0: len(pairs), 1: r1 * r0}, {1: d}, gdegs)
+    return FreeComplex._of(ring, {0: len(pairs), 1: r1 * r0}, {1: d}, gdegs)
 
 
 def _homology_value(C: FreeComplex, n: int, D: int | None):

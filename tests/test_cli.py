@@ -63,7 +63,9 @@ def test_validate_exit_codes(tmp_path, capsys):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "validate", str(bad_path))
-    assert code == 2  # rejected at parse time with a degree witness
+    # rejected at parse time with a degree witness; validate exits only 0 or 2
+    assert code == 2 and out == ""
+    assert "fails validation at degree 2" in err and "entry (0,0)" in err
 
 
 def test_gf_entry_with_denominator_p_is_an_input_error(tmp_path, capsys):
@@ -400,3 +402,16 @@ def test_presented_homology_over_zloc(tmp_path, capsys):
         "H[2]: Z/2 + Z/2 + Z/2",
         "H[3]: Z/4",
     ]
+
+
+def test_non_chain_map_document_exits_2_naming_degree_and_entry(tmp_path, capsys):
+    from symchain import identity_map
+
+    # the identity in degree 0 alone does not commute with d1 = (3)
+    doc = json.loads(serialize(identity_map(koszul([ZZ.scalar(3)]))))
+    doc["maps"] = {"0": [["1"]]}
+    code, out, err = run(capsys, "quasi-iso", _write_doc(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "map at degree 1 does not commute with the differentials at entry (0,0)" in err
+    assert "Traceback" not in err
+

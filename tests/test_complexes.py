@@ -27,7 +27,7 @@ from symchain import (
     zero_map,
 )
 from symchain.complexes import compose, tensor_basis
-from symchain.errors import GradingError, RingMismatchError
+from symchain.errors import GradingError, RingMismatchError, ShapeError
 from symchain.homology import homology, inf_h
 from symchain.linalg import solve_pid
 
@@ -47,11 +47,13 @@ def test_validate_koszul_ok():
 
 
 def test_validate_catches_nonzero_composite():
-    bad = FreeComplex(
-        ZZ, {0: 1, 1: 1, 2: 1},
-        {1: rows(ZZ, [[1]]), 2: rows(ZZ, [[1]])},
-    )
-    report = validate(bad)
+    ranks = {0: 1, 1: 1, 2: 1}
+    diffs = {1: rows(ZZ, [[1]]), 2: rows(ZZ, [[1]])}
+    # the public constructor refuses d.d != 0, naming the degree and entry
+    with pytest.raises(ShapeError, match=r"at degree 2: .* at entry \(0,0\)"):
+        FreeComplex(ZZ, ranks, diffs)
+    # the trusted builder checks nothing; validate reports the same witness
+    report = validate(FreeComplex._of(ZZ, ranks, diffs))
     assert not report.ok
     assert report.first_failure == (2, (0, 0))
 

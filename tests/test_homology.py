@@ -623,9 +623,20 @@ def test_graded_mapping_cone_generator_degrees():
 
 def test_mapping_cone_rejects_non_chain_map():
     K = koszul([ZZ.scalar(3)])
-    # the identity in degree 0 alone does not commute with d1 = (3)
-    f = ChainMap(K, K, {0: SparseMatrix.identity(ZZ, 1)})
-    with pytest.raises(ShapeError):
-        mapping_cone(f)
-    with pytest.raises(ShapeError):
-        is_quasi_iso(f)
+    # the identity in degree 0 alone does not commute with d1 = (3); the
+    # ChainMap constructor refuses it, so no cone of it is ever built
+    message = r"map at degree 1 does not commute with the differentials at entry \(0,0\)"
+    with pytest.raises(ShapeError, match=message):
+        ChainMap(K, K, {0: SparseMatrix.identity(ZZ, 1)})
+
+
+def test_graded_homology_rejects_a_bound_below_the_lowest_generator_degree():
+    # every slice below degree 0 is empty: the tables would read exact
+    S = sym2(koszul([X_VAR, Y_VAR])).complex
+    assert not is_exact(S)
+    message = "degree bound -1 is below the lowest generator degree 0"
+    with pytest.raises(GradingError, match=message):
+        homology(S, bound=-1)
+    with pytest.raises(GradingError, match=message):
+        inf_h(S, bound=-1)
+    assert inf_h(S, bound=0) == 0

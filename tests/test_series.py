@@ -30,7 +30,6 @@ from symchain import (
     verify_series_identity,
     zero_complex,
 )
-from symchain import complexes
 from symchain.errors import SymchainError, UnsupportedRingError
 from symchain.linalg import SparseMatrix, kernel_basis
 from symchain.series import RankSeries
@@ -213,18 +212,19 @@ def test_minimal_model_matches_stepwise_oracle():
 
 def test_minimal_model_checks_homogeneity_once_per_result_differential(monkeypatch):
     cone = mapping_cone(alpha(sym2(koszul([X_VAR, Y_VAR])).complex))
-    checked = []
-    original = complexes._check_homogeneous
+    built = []
+    original = FreeComplex._of.__func__
 
-    def counting(M, src, tgt, where):
-        checked.append(where)
-        original(M, src, tgt, where)
+    def counting(cls, *args):
+        result = original(cls, *args)
+        built.append(result)
+        return result
 
-    monkeypatch.setattr(complexes, "_check_homogeneous", counting)
+    monkeypatch.setattr(FreeComplex, "_of", classmethod(counting))
     M = minimal_model(cone)
     assert cone.total_rank() - M.total_rank() >= 2 * 5  # several pivots
-    nonzero = [n for n in M.degrees() if not M.diff(n).is_zero()]
-    assert nonzero and len(checked) == len(nonzero)
+    # one complex per result, by the trusted builder, and none per pivot
+    assert len(built) == 1 and built[0] is M
 
 
 def _chain_iso_exists(A, B, rng, tries=60):

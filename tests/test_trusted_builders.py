@@ -1,0 +1,175 @@
+"""Library results are built with FreeComplex._of and ChainMap._of, which
+check nothing; outside values go through the public constructors, which
+check shapes, rings, homogeneity, d.d = 0 and f.d = d.f.  What the trusted
+builders make must pass those checks, and each check runs where outside
+values enter, not again on the library's own results."""
+
+import random
+
+import pytest
+
+from symchain import (
+    GF,
+    QQ,
+    ZZ,
+    ChainMap,
+    FreeComplex,
+    ZLoc,
+    alpha,
+    base_change,
+    direct_sum,
+    graded_poly,
+    identity_map,
+    koszul,
+    mapping_cone,
+    minimal_model,
+    minimize,
+    parse,
+    serialize,
+    shift,
+    split_decomposition,
+    sum_decomposition_iso,
+    sym2,
+    sym2_base_change_iso,
+    sym2_map,
+    tensor,
+    tensor_map,
+    unit_complex,
+    weak_sym2,
+    zero_complex,
+    zero_map,
+)
+from symchain import complexes
+from symchain.complexes import compose
+from symchain.homology import _presented_cone
+from symchain.sym2 import endo_image_complex, endo_kernel_complex, shift_iso
+from symchain.theorems import _square_presentation, check_symm07pp
+
+from randgen import random_chain_map, random_complex, random_graded_minimal
+
+POLY = graded_poly("x", "y")
+RINGS = [ZZ, QQ, GF(2), GF(5), ZLoc(3), POLY]
+BASE_CHANGES = {ZZ: [QQ, GF(5), ZLoc(3)], ZLoc(3): [QQ, GF(3)]}
+
+
+def _random(ring, rng):
+    if ring.kind == "Poly":
+        return random_graded_minimal(ring, rng)
+    return random_complex(ring, rng, max_rank=3, max_len=3)
+
+
+def _koszul_elements(ring):
+    if ring.kind == "Poly":
+        return list(ring.generators())
+    return [ring.scalar(v) for v in (2, 3, 1)]
+
+
+def _library_results(ring, rng):
+    """Outputs of every builder that uses the trusted constructors."""
+    X, Y = _random(ring, rng), _random(ring, rng)
+    f, g = random_chain_map(X, X, rng), random_chain_map(X, X, rng)
+    out = [
+        zero_complex(ring),
+        unit_complex(ring),
+        shift(X, 1),
+        shift(X, 2),
+        direct_sum(X, Y),
+        tensor(X, Y),
+        koszul(_koszul_elements(ring)[:1]),
+        koszul(_koszul_elements(ring)[:2]),
+        koszul(_koszul_elements(ring)),
+        mapping_cone(f),
+        f + g,
+        -f,
+        identity_map(X),
+        zero_map(X, Y),
+        compose(g, f),
+        tensor_map(f, g),
+        alpha(X),
+        sym2_map(f),
+        sum_decomposition_iso(X, Y),
+        shift_iso(X, 1),
+    ]
+    S = sym2(X)
+    out += [S.complex, S.proj]
+    if ring.is_local:
+        M, q = minimize(X)
+        out += [M, q, minimal_model(mapping_cone(f))]
+        for n in M.degrees():
+            out += [_square_presentation(M, n, True), _square_presentation(M, n, False)]
+    if ring.two_is_unit():
+        T, al = S.tensor_square, S.alpha
+        for sub in (endo_image_complex(T, al), endo_kernel_complex(T, al)):
+            out += [sub.complex, sub.inclusion]
+        sd = split_decomposition(X)
+        out += [sd.idempotent, sd.im_alpha, sd.ker_alpha, sd.iota, sd.q, sd.j]
+        out += [sd.iso, sd.iso_inverse]
+    else:
+        W = weak_sym2(X)
+        if ring.kind == "ZZ":
+            out.append(_presented_cone(W))
+    for target in BASE_CHANGES.get(ring, []):
+        out += [base_change(X, target), sym2_base_change_iso(X, target)]
+    return out
+
+
+def _rebuilt(value):
+    """value rebuilt from its parts by the public, checking constructor."""
+    if isinstance(value, ChainMap):
+        return ChainMap(_rebuilt(value.source), _rebuilt(value.target), value.maps)
+    X = value
+    gdegs = {n: X.gdeg(n) for n in X.degrees()} if X.graded else None
+    return FreeComplex(X.ring, X.ranks, {n: X.diff(n) for n in X.degrees()}, gdegs)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_public_constructors_accept_what_the_trusted_builders_make(ring, seed):
+    rng = random.Random(1000 * seed + RINGS.index(ring))
+    results = _library_results(ring, rng)
+    assert len(results) >= 20
+    for value in results:
+        assert _rebuilt(value) == value, value
+
+
+class _Counter:
+    """Counts calls of validate, of ChainMap.is_chain_map and of the
+    f.d = d.f loop that is_chain_map and the ChainMap constructor share."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"validate": 0, "is_chain_map": 0, "_first_noncommuting": 0}
+        for owner, name in (
+            (complexes, "validate"),
+            (ChainMap, "is_chain_map"),
+            (ChainMap, "_first_noncommuting"),
+        ):
+            monkeypatch.setattr(owner, name, self._wrap(name, getattr(owner, name)))
+
+    def _wrap(self, name, function):
+        def counted(*args):
+            self.calls[name] += 1
+            return function(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("which", ["zloc3", "koszul_xy"])
+def test_checkers_run_no_complex_or_chain_map_check(which, monkeypatch):
+    if which == "zloc3":
+        X = random_complex(ZLoc(3), random.Random(7), max_rank=3, max_len=3)
+    else:
+        X = koszul(list(POLY.generators()))
+    counter = _Counter(monkeypatch)
+    report = check_symm07pp(X)
+    assert report.equivalent
+    assert counter.calls == {"validate": 0, "is_chain_map": 0, "_first_noncommuting": 0}
+
+
+def test_parse_checks_each_complex_and_the_map_once(monkeypatch):
+    X = koszul(list(POLY.generators()))
+    text = serialize(sym2_map(identity_map(X)))
+    counter = _Counter(monkeypatch)
+    f = parse(text)
+    assert isinstance(f, ChainMap)
+    # source and target once each; the map once, in its constructor
+    assert counter.calls == {"validate": 2, "is_chain_map": 0, "_first_noncommuting": 1}
