@@ -3,11 +3,12 @@
 The format is a JSON text profile: fixed key order, matrices as dense
 row-major lists of scalar strings in the textual grammar, two-space
 indentation.  Serialization of equal objects is byte-identical, and
-serialize(parse(serialize(x))) == serialize(x).  Parsed complexes and
-chain maps are checked once, by the FreeComplex and ChainMap constructors;
-their failures carry the offending degree and entry.  Integers must be
-JSON integers and matrix rows JSON lists; every malformed field raises
-DocumentError naming it.
+serialize(parse(serialize(x))) == serialize(x).  Parsed complexes, chain
+maps and presentations are checked once, by the FreeComplex, ChainMap and
+PresentedComplex constructors; their failures carry the offending degree,
+and for complexes and maps the entry.  Integers must be JSON integers and
+matrix rows JSON lists; every malformed field raises DocumentError naming
+it.
 """
 
 from __future__ import annotations
@@ -254,32 +255,29 @@ def _presented_from_obj(obj) -> PresentedComplex:
     counts = obj.get("generators")
     if not isinstance(counts, list) or len(counts) != hi - lo + 1:
         raise DocumentError("generator counts do not match the support interval")
-    counts = [_count(c, f"generators[{k}]") for k, c in enumerate(counts)]
-    generators = {lo + k: list(range(c)) for k, c in enumerate(counts) if c > 0}
+    counts = {lo + k: _count(c, f"generators[{k}]") for k, c in enumerate(counts)}
+    generators = {n: list(range(c)) for n, c in counts.items() if c > 0}
     relations = {}
-    for k, rows in enumerate(_list(obj.get("relations", []), "relations")):
+    relation_rows = _list(obj.get("relations", []), "relations", hi - lo + 1)
+    for k, rows in enumerate(relation_rows):
         n = lo + k
-        if n not in generators:
-            continue
         where = f"relations at degree {n}"
-        if not _list(rows, where):
-            relations[n] = SparseMatrix.zero(ring, len(generators[n]), 0)
+        if not _list(rows, where):  # no relations
+            relations[n] = SparseMatrix.zero(ring, counts[n], 0)
             continue
         ncols = len(_list(rows[0], f"{where}: row 0"))
-        relations[n] = _matrix_from_rows(ring, rows, len(generators[n]), ncols, where)
+        relations[n] = _matrix_from_rows(ring, rows, counts[n], ncols, where)
     diffs = {}
-    for k, rows in enumerate(_list(obj.get("differentials", []), "differentials")):
+    diff_rows = _list(obj.get("differentials", []), "differentials", max(hi - lo, 0))
+    for k, rows in enumerate(diff_rows):
         n = lo + 1 + k
-        if n not in generators or (n - 1) not in generators:
-            continue
         diffs[n] = _matrix_from_rows(
-            ring, rows, len(generators[n - 1]), len(generators[n]),
-            f"presented differential at degree {n}",
+            ring, rows, counts[n - 1], counts[n], f"presented differential at degree {n}"
         )
-    P = PresentedComplex(ring, generators, relations, diffs)
-    if not P.validate():
-        raise DocumentError("presented complex fails relation compatibility")
-    return P
+    try:
+        return PresentedComplex(ring, generators, relations, diffs)
+    except ShapeError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def serialize(value) -> str:

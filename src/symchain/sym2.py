@@ -14,9 +14,13 @@ on a canonical generator basis:
   * rewriting a tensor generator to canonical form contributes the sign
     (-1)^{pq} when the two factors must be swapped.
 
-Reduction (rho), section (sigma), and the induced differentials
-rho . d . sigma reproduce the classical small matrices for Koszul
-complexes on one and two elements exactly.
+The reduction rho (tensor coordinates onto canonical generators) and the
+section sigma (each generator as its canonical tensor generator) give the
+induced differentials rho . d . sigma, which reproduce the classical small
+matrices for Koszul complexes on one and two elements exactly.  A
+Sym2Result keeps each once: rho as the chain map `proj`, sigma as
+`section[n]` and the generators as `labels[n]`, beside `complex`,
+`tensor_square` and `alpha`.
 
 When 2 is a unit, alpha/2 is idempotent, so Im(alpha) and Ker(alpha) =
 Im(2 - alpha) are direct summands of T; their bases are columns at pivots
@@ -51,12 +55,9 @@ from .linalg import SparseMatrix, _columns, _poly_to_qq, rank, rref, solve_exact
 from .scalars import GF, Ring
 
 __all__ = [
-    "SymBasis",
-    "SymReduction",
     "Sym2Result",
     "PresentedComplex",
     "sym_basis",
-    "sym_reduction",
     "alpha",
     "sym2",
     "weak_sym2",
@@ -104,65 +105,40 @@ def sym_basis(X: FreeComplex, n: int, include_odd_diagonal: bool = False):
     return labels
 
 
-@dataclass
-class SymBasis:
-    """Canonical generator labels per degree."""
+def _reduction(X: FreeComplex, keep_odd_diagonal: bool):
+    """(labels, rho, sigma), three dicts over the degrees of X (x) X.
 
-    labels: dict  # degree -> list of ((p,i),(q,j))
-    include_odd_diagonal: bool
-
-    def degree(self, n: int):
-        return self.labels.get(n, [])
-
-
-@dataclass
-class SymReduction:
-    """Reduction rho, section sigma, and the basis they are written in.
-
-    rho[n] maps tensor coordinates onto canonical generators (applying the
-    swap sign and killing odd diagonal squares unless they are retained);
-    sigma[n] embeds a generator as its canonical tensor representative, so
-    rho[n] @ sigma[n] is the identity.
+    labels[n] is sym_basis(X, n, keep_odd_diagonal); rho[n] maps tensor
+    coordinates onto those generators, applying the swap sign and killing
+    the odd diagonal squares that are not kept; sigma[n] embeds each
+    generator as its canonical tensor generator, so rho[n] @ sigma[n] is
+    the identity.
     """
-
-    basis: SymBasis
-    rho: dict  # degree -> SparseMatrix (gens x tensor-rank)
-    sigma: dict  # degree -> SparseMatrix (tensor-rank x gens)
-
-
-def sym_reduction(X: FreeComplex, include_odd_diagonal: bool = False) -> SymReduction:
     ring = X.ring
-    T_support = []
-    if not X.is_zero():
-        lo, hi = X.support
-        T_support = range(2 * lo, 2 * hi + 1)
-    labels = {}
-    rho = {}
-    sigma = {}
-    for n in T_support:
+    one = ring.ops.one
+    minus_one = ring.ops.neg(one)
+    labels, rho, sigma = {}, {}, {}
+    if X.is_zero():
+        return labels, rho, sigma
+    lo, hi = X.support
+    for n in range(2 * lo, 2 * hi + 1):
+        labs = sym_basis(X, n, keep_odd_diagonal)
+        row_of = {lab: k for k, lab in enumerate(labs)}
         tbasis = tensor_basis(X, X, n)
-        sbasis = sym_basis(X, n, include_odd_diagonal)
-        labels[n] = sbasis
-        index = {lab: k for k, lab in enumerate(sbasis)}
-        rho_entries = {}
-        one = ring.ops.one
-        for col, ((p, i), (q, j)) in enumerate(tbasis):
-            if (p, i) <= (q, j):
-                row = index.get(((p, i), (q, j)))
-                sign = 1
-            else:
-                row = index.get(((q, j), (p, i)))
-                sign = -1 if (p * q) % 2 else 1
-            if row is None:
-                continue  # odd diagonal square, killed
-            rho_entries[(row, col)] = one if sign == 1 else ring.ops.neg(one)
-        tindex = {lab: k for k, lab in enumerate(tbasis)}
-        sigma_entries = {}
-        for k, lab in enumerate(sbasis):
-            sigma_entries[(tindex[lab], k)] = one
-        rho[n] = SparseMatrix._of(ring, len(sbasis), len(tbasis), rho_entries)
-        sigma[n] = SparseMatrix._of(ring, len(tbasis), len(sbasis), sigma_entries)
-    return SymReduction(SymBasis(labels, include_odd_diagonal), rho, sigma)
+        rho_entries, sigma_entries = {}, {}
+        for col, (a, b) in enumerate(tbasis):
+            if a > b:  # never diagonal, so its swap is a generator
+                sign = minus_one if (a[0] * b[0]) % 2 else one
+                rho_entries[(row_of[(b, a)], col)] = sign
+                continue
+            row = row_of.get((a, b))
+            if row is not None:  # else an odd diagonal square, killed
+                rho_entries[(row, col)] = one
+                sigma_entries[(col, row)] = one
+        labels[n] = labs
+        rho[n] = SparseMatrix._of(ring, len(labs), len(tbasis), rho_entries)
+        sigma[n] = SparseMatrix._of(ring, len(tbasis), len(labs), sigma_entries)
+    return labels, rho, sigma
 
 
 # -- alpha and the symmetric square ---------------------------------------------
@@ -196,11 +172,13 @@ def _alpha(X: FreeComplex, T: FreeComplex) -> ChainMap:
 
 @dataclass
 class Sym2Result:
-    """Symmetric square with its projection and reduction data."""
+    """The symmetric square S of X with the data that present it as a
+    quotient of T = X (x) X: rho once, as proj."""
 
     complex: FreeComplex
-    proj: ChainMap  # X(x)X -> S
-    reduction: SymReduction
+    proj: ChainMap  # rho : X(x)X -> S
+    section: dict  # degree -> sigma_n, with proj.component(n) @ section[n] = 1
+    labels: dict  # degree -> sym_basis(X, n), the generators of S_n
     tensor_square: FreeComplex
     alpha: ChainMap  # endomorphism of tensor_square
 
@@ -214,37 +192,32 @@ def sym2(X: FreeComplex) -> Sym2Result:
     """
     ring = X.ring
     T = tensor(X, X)
-    red = sym_reduction(X, include_odd_diagonal=False)
+    labels, rho, section = _reduction(X, keep_odd_diagonal=False)
     al = _alpha(X, T)
-    ranks = {n: len(red.basis.degree(n)) for n in red.basis.labels}
-    diffs = {}
+    ranks = {n: len(labs) for n, labs in labels.items()}
     gdegs = None
     if ring.kind == "Poly":
-        gdegs = {}
-        for n, labs in red.basis.labels.items():
-            if labs:
-                gdegs[n] = tuple(
-                    X.gdeg(p)[i] + X.gdeg(q)[j] for ((p, i), (q, j)) in labs
-                )
-    for n in sorted(red.basis.labels):
-        if ranks.get(n, 0) == 0 or ranks.get(n - 1, 0) == 0:
+        gdegs = {
+            n: tuple(X.gdeg(p)[i] + X.gdeg(q)[j] for ((p, i), (q, j)) in labs)
+            for n, labs in labels.items()
+            if labs
+        }
+    diffs = {}
+    for n in sorted(labels):
+        if ranks[n] == 0 or ranks.get(n - 1, 0) == 0:
             continue
-        rd = red.rho[n - 1] @ T.diff(n)
+        rd = rho[n - 1] @ T.diff(n)
         # Independence from the section: rho.d vanishes on Im(alpha) and on
         # the odd diagonal squares, so rd.sigma is the full induced map.
         if not (rd @ al.component(n)).is_zero():
             raise SymchainError("reduction does not annihilate the alternating image")
-        odd_diagonal_cols = {
-            col
-            for col, ((p, i), (q, j)) in enumerate(tensor_basis(X, X, n))
-            if (p, i) == (q, j) and p % 2 == 1
-        }
-        if any(c in odd_diagonal_cols for (_, c) in rd.entries):
+        # the odd diagonal squares are exactly the columns rho_n does not hit
+        hit = {c for (_, c) in rho[n].entries}
+        if any(c not in hit for (_, c) in rd.entries):
             raise SymchainError("reduction does not annihilate odd diagonal squares")
-        diffs[n] = rd @ red.sigma[n]
+        diffs[n] = rd @ section[n]
     S = FreeComplex._of(ring, ranks, diffs, gdegs)
-    proj = ChainMap._of(T, S, red.rho)
-    return Sym2Result(S, proj, red, T, al)
+    return Sym2Result(S, ChainMap._of(T, S, rho), section, labels, T, al)
 
 
 # -- presented complexes (weak square when 2 is not a unit) ----------------------
@@ -269,6 +242,7 @@ class PresentedComplex:
                 if M is not None and M.cols:
                     raise ShapeError(f"relations at empty degree {n}")
                 continue
+            self._check_matrix(M, f"relation matrix at degree {n}")
             if M.rows != len(self.generators[n]):
                 raise ShapeError(f"relation matrix at degree {n} has wrong height")
             if ring.kind in ("ZZ", "ZLoc") and rank(M) < M.cols:
@@ -280,9 +254,19 @@ class PresentedComplex:
                 if M is not None and not M.is_zero():
                     raise ShapeError(f"differential at degree {n} to/from empty degree")
                 continue
+            self._check_matrix(M, f"presented differential at degree {n}")
             if (M.rows, M.cols) != (len(self.generators[n - 1]), len(self.generators[n])):
                 raise ShapeError(f"presented differential at degree {n} has wrong shape")
             self.diffs[n] = M
+        failure = self._first_failure()
+        if failure is not None:
+            raise ShapeError(f"presented complex fails relation compatibility: {failure}")
+
+    def _check_matrix(self, M, where: str) -> None:
+        if M is None:
+            raise ShapeError(f"{where} is missing")
+        if M.ring != self.ring:
+            raise RingMismatchError(f"{where} is over {M.ring}, not {self.ring}")
 
     def gens(self, n: int):
         return self.generators.get(n, [])
@@ -315,16 +299,20 @@ class PresentedComplex:
 
     def validate(self) -> bool:
         """Differentials carry relations into relations; d.d lands in relations."""
+        return self._first_failure() is None
+
+    def _first_failure(self):
+        """What fails validation at the lowest degree, or None."""
         for n in self.degrees():
             rel = self.relation(n)
             if rel.cols:
                 target = self.diff(n) @ rel
                 if not self._in_span(self.relation(n - 1), target):
-                    return False
+                    return f"the differential at degree {n} does not carry relations into relations"
             dd = self.diff(n - 1) @ self.diff(n)
             if not self._in_span(self.relation(n - 2), dd):
-                return False
-        return True
+                return f"d.d at degree {n} does not land in the relations"
+        return None
 
     def _in_span(self, A: SparseMatrix, B: SparseMatrix) -> bool:
         if B.is_zero():
@@ -356,28 +344,24 @@ def weak_sym2(X: FreeComplex):
         return sym2(X).complex
     ring = X.ring
     T = tensor(X, X)
-    red = sym_reduction(X, include_odd_diagonal=True)
+    labels, rho, sigma = _reduction(X, keep_odd_diagonal=True)
     two = ring.raw(2)
-    generators = {n: labs for n, labs in red.basis.labels.items() if labs}
+    generators = {n: labs for n, labs in labels.items() if labs}
     relations = {}
-    diffs = {}
     for n, labs in generators.items():
-        rel_cols = [k for k, ((p, i), (q, j)) in enumerate(labs) if (p, i) == (q, j) and p % 2]
+        rel_cols = [k for k, (a, b) in enumerate(labs) if a == b and a[0] % 2]
         entries = {(k, c): two for c, k in enumerate(rel_cols)}
         relations[n] = SparseMatrix._of(ring, len(labs), len(rel_cols), entries)
-    for n in generators:
-        if (n - 1) in generators:
-            diffs[n] = red.rho[n - 1] @ T.diff(n) @ red.sigma[n]
-    P = PresentedComplex(ring, generators, relations, diffs)
-    if not P.validate():
-        raise SymchainError("weak square presentation failed validation")
-    return P
+    diffs = {
+        n: rho[n - 1] @ T.diff(n) @ sigma[n] for n in generators if (n - 1) in generators
+    }
+    return PresentedComplex(ring, generators, relations, diffs)  # validated there
 
 
 def sym2_map(f: ChainMap) -> ChainMap:
     """The induced map on symmetric squares: class(x (x) y) -> class(fx (x) fy)."""
     SX = sym2(f.source)
-    SY = sym2(f.target)
+    SY = SX if f.target == f.source else sym2(f.target)
     return _sym2_map(_tensor_map(f, f, SX.tensor_square, SY.tensor_square), SX, SY)
 
 
@@ -387,7 +371,7 @@ def _sym2_map(ff: ChainMap, SX: Sym2Result, SY: Sym2Result) -> ChainMap:
     for n in SX.complex.degrees():
         if SY.complex.rank(n) == 0:
             continue
-        maps[n] = SY.reduction.rho[n] @ ff.component(n) @ SX.reduction.sigma[n]
+        maps[n] = SY.proj.component(n) @ ff.component(n) @ SX.section[n]
     return ChainMap._of(SX.complex, SY.complex, maps)
 
 
@@ -545,11 +529,8 @@ def split_decomposition(X: FreeComplex) -> SplitDecomposition:
         top = q.component(n).scale(half)
         fwd[n] = top.vstack(S.proj.component(n))
         # section of proj with image in ker(e): (id - e) . sigma
-        sect = S.reduction.sigma.get(n)
-        if sect is None:
-            sect = SparseMatrix.zero(ring, T.rank(n), S.complex.rank(n))
         ident = SparseMatrix.identity(ring, T.rank(n))
-        sect = (ident - e.component(n)) @ sect
+        sect = (ident - e.component(n)) @ S.section[n]
         inv[n] = image.inclusion.component(n).hstack(sect)
         if image.complex.rank(n) + S.complex.rank(n) != T.rank(n):
             raise SymchainError("rank additivity fails in the split decomposition")
@@ -593,9 +574,9 @@ def sum_decomposition_iso(X: FreeComplex, Y: FreeComplex):
     maps = {}
     one = ring.ops.one
     for n in SW.complex.degrees():
-        labs = SW.reduction.basis.degree(n)
-        sx_index = {lab: k for k, lab in enumerate(SX.reduction.basis.degree(n))}
-        sy_index = {lab: k for k, lab in enumerate(SY.reduction.basis.degree(n))}
+        labs = SW.labels[n]
+        sx_index = {lab: k for k, lab in enumerate(SX.labels.get(n, ()))}
+        sy_index = {lab: k for k, lab in enumerate(SY.labels.get(n, ()))}
         xy_index = {lab: k for k, lab in enumerate(tensor_basis(X, Y, n))}
         off_xy = SX.complex.rank(n)
         off_sy = off_xy + XY.rank(n)
@@ -648,7 +629,7 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
         raise SymchainError("s is not a homotopy between f and g")
     X, Y = f.source, f.target
     SX = sym2(X)
-    SY = sym2(Y)
+    SY = SX if Y == X else sym2(Y)
     TX = SX.tensor_square
     TY = SY.tensor_square
     ops = ring.ops
@@ -703,7 +684,7 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
         M = sigma_maps.get(n)
         if M is None:
             continue
-        bar = SY.reduction.rho[n + 1] @ M @ SX.reduction.sigma[n]
+        bar = SY.proj.component(n + 1) @ M @ SX.section[n]
         if not bar.is_zero():
             bar_maps[n] = bar
     sigma_bar = Homotopy(_sym2_map(ff, SX, SY), _sym2_map(gg, SX, SY), bar_maps)
@@ -715,46 +696,38 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
 # -- base change --------------------------------------------------------------------
 
 
-def _base_change_supported(src: Ring, tgt: Ring) -> bool:
-    if src == tgt:
-        return True
-    pair = (src.kind, tgt.kind)
-    if pair in (("ZZ", "QQ"), ("ZZ", "GF"), ("ZZ", "ZLoc"), ("ZLoc", "QQ")):
-        return True
-    if pair == ("ZLoc", "GF"):
-        return src.p == tgt.p
-    return False
-
-
 def _base_change_raw(src: Ring, target: Ring):
-    """The coefficient map src -> target on raw values, for a supported pair."""
-    if not _base_change_supported(src, target):
-        raise UnsupportedRingError(f"no supported map {src} -> {target}")
+    """The coefficient map src -> target on raw values; raises
+    UnsupportedRingError unless the pair is supported."""
     if src == target:
         return lambda v: v
-    if target.kind == "GF":
+    pair = (src.kind, target.kind)
+    if pair == ("ZZ", "GF"):
         p = target.p
-        if src.kind == "ZZ":
-            return lambda v: v % p
-        # ZLoc(p): the denominator of a canonical fraction is prime to p
+        return lambda v: v % p
+    if pair == ("ZLoc", "GF") and src.p == target.p:
+        p = target.p
+        # the denominator of a canonical fraction is prime to p
         return lambda v: v.numerator * pow(v.denominator, -1, p) % p
-    return Fraction  # into QQ or ZLoc(p): ints become fractions, fractions stay
+    if pair in (("ZZ", "QQ"), ("ZZ", "ZLoc"), ("ZLoc", "QQ")):
+        return Fraction  # ints become fractions, fractions stay
+    raise UnsupportedRingError(f"no supported map {src} -> {target}")
+
+
+def _mapped(M: SparseMatrix, target: Ring, f) -> SparseMatrix:
+    return SparseMatrix._of(target, M.rows, M.cols, {k: f(v) for k, v in M.entries.items()})
 
 
 def base_change_matrix(M: SparseMatrix, target: Ring) -> SparseMatrix:
-    f = _base_change_raw(M.ring, target)
-    return SparseMatrix._of(
-        target, M.rows, M.cols, {k: f(v) for k, v in M.entries.items()}
-    )
+    return _mapped(M, target, _base_change_raw(M.ring, target))
 
 
 def base_change(X: FreeComplex, target: Ring) -> FreeComplex:
     """Entrywise image of the complex under a supported coefficient map."""
-    if not _base_change_supported(X.ring, target):
-        raise UnsupportedRingError(f"no supported map {X.ring} -> {target}")
+    f = _base_change_raw(X.ring, target)
     if X.ring == target:
         return X
-    diffs = {n: base_change_matrix(X.diff(n), target) for n in X.degrees()}
+    diffs = {n: _mapped(X.diff(n), target, f) for n in X.degrees()}
     return FreeComplex._of(target, X.ranks, diffs)
 
 

@@ -111,6 +111,32 @@ def test_dependent_relations_are_an_input_error(tmp_path, capsys):
     assert "relations at degree 2 are not independent" in err
 
 
+@pytest.mark.parametrize("key", ["differentials", "relations"])
+def test_presented_lists_of_the_wrong_length_are_input_errors(tmp_path, capsys, key):
+    # dropping either list used to lose H[0] = Z/3 (differentials) or the
+    # Z/2 of degree 2 (relations) and exit 0
+    doc = json.loads(serialize(weak_sym2(koszul([ZZ.scalar(3)]))))
+    doc[key] = []
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "homology", str(path))
+    assert code == 2 and out == ""
+    assert f"{key}: expected" in err
+
+
+def test_presented_entries_at_empty_degrees_are_checked(tmp_path, capsys):
+    doc = json.loads(serialize(weak_sym2(shift(unit_complex(ZZ), 1))))
+    doc["support"] = [1, 2]
+    doc["generators"] = [0, 1]
+    doc["relations"] = [[["1"]], [["2"]]]  # one row at a degree without generators
+    doc["differentials"] = [[]]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "homology", str(path))
+    assert code == 2
+    assert "relations at degree 1: expected a 0x1 matrix" in err
+
+
 def test_homology_graded_with_bound(tmp_path, capsys):
     sfile = write(tmp_path, "s.json", sym2(koszul([X_VAR, Y_VAR])).complex)
     code, out, _ = run(capsys, "homology", sfile, "--bound", "6")

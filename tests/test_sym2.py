@@ -1,5 +1,6 @@
 """The symmetric square construction and its natural maps."""
 
+import importlib
 import random
 from math import comb
 
@@ -34,8 +35,14 @@ from symchain import (
     zero_complex,
     zero_map,
 )
-from symchain.complexes import Homotopy, compose
-from symchain.errors import SymchainError, TwoNotUnitError, UnsupportedRingError
+from symchain.complexes import Homotopy, compose, tensor_basis, tensor_map
+from symchain.errors import (
+    RingMismatchError,
+    ShapeError,
+    SymchainError,
+    TwoNotUnitError,
+    UnsupportedRingError,
+)
 from symchain.homology import homology_presented, is_exact
 from symchain.linalg import (
     image_basis_pid,
@@ -48,6 +55,8 @@ from symchain.linalg import (
 )
 from symchain.sym2 import (
     PresentedComplex,
+    _reduction,
+    _sym2_map,
     endo_image_complex,
     endo_kernel_complex,
     sym_basis,
@@ -56,6 +65,7 @@ from symchain.sym2 import (
 from randgen import (
     random_chain_map,
     random_complex,
+    random_graded_minimal,
     random_homotopic_pair,
 )
 
@@ -175,6 +185,30 @@ def test_weak_sym2_of_integer_koszul_degree_two_is_z_mod_2():
     assert [str(h.group(n)) for n in (0, 1, 2)] == ["Z/3", "0", "Z/2"]
 
 
+def test_presented_complex_rejects_wrong_ring_and_missing_matrices():
+    gens = {0: [0], 1: [0]}
+    d1 = SparseMatrix.from_rows(ZZ, [[3]])
+    with pytest.raises(RingMismatchError, match="relation matrix at degree 1"):
+        PresentedComplex(ZZ, gens, {1: SparseMatrix.from_rows(QQ, [[2]])}, {1: d1})
+    with pytest.raises(RingMismatchError, match="differential at degree 1"):
+        PresentedComplex(ZZ, gens, {}, {1: SparseMatrix.from_rows(QQ, [[3]])})
+    with pytest.raises(ShapeError, match="relation matrix at degree 0 is missing"):
+        PresentedComplex(ZZ, gens, {0: None}, {1: d1})
+    with pytest.raises(ShapeError, match="differential at degree 1 is missing"):
+        PresentedComplex(ZZ, gens, {}, {1: None})
+
+
+def test_presented_complex_is_validated_when_built():
+    # d carries the relation 2 of degree 1 to 2, outside the span of 4 in degree 0
+    with pytest.raises(ShapeError, match="degree 1"):
+        PresentedComplex(
+            ZZ,
+            {0: [0], 1: [0]},
+            {0: SparseMatrix.from_rows(ZZ, [[4]]), 1: SparseMatrix.from_rows(ZZ, [[2]])},
+            {1: SparseMatrix.from_rows(ZZ, [[1]])},
+        )
+
+
 def test_weak_square_shape_over_zz():
     """Generator/relation counts of the presentation match the classical
     degreewise decomposition: V free generators plus, in even degrees,
@@ -203,6 +237,99 @@ def test_sym_basis_excludes_odd_diagonals():
     assert labels == [((0, 0), (2, 0)), ((1, 0), (1, 1))]
     with_diag = sym_basis(K, 2, include_odd_diagonal=True)
     assert ((1, 0), (1, 0)) in with_diag and ((1, 1), (1, 1)) in with_diag
+
+
+RECORD_RINGS = [ZZ, QQ, GF(2), GF(5), ZLoc(3), POLY]
+
+
+def _record_inputs(ring, seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        if ring.kind == "Poly":
+            yield random_graded_minimal(ring, rng)
+        else:
+            yield random_complex(ring, rng, max_rank=3, max_len=3)
+    yield shift(unit_complex(ring), 1)
+
+
+def _odd_diagonal_columns(X, n):
+    return {col for col, (a, b) in enumerate(tensor_basis(X, X, n)) if a == b and a[0] % 2}
+
+
+@pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
+def test_sym2_record_labels_section_and_killed_columns(ring):
+    """labels[n] is sym_basis(X, n), proj_n . section[n] = 1, and the tensor
+    columns that proj_n does not hit are exactly the odd diagonal squares."""
+    for X in _record_inputs(ring, 5):
+        S = sym2(X)
+        T = S.tensor_square
+        assert set(S.labels) >= set(T.degrees())
+        for n, labs in S.labels.items():
+            assert labs == sym_basis(X, n)
+            assert S.complex.rank(n) == len(labs)
+            rho = S.proj.component(n)
+            assert rho @ S.section[n] == SparseMatrix.identity(ring, len(labs))
+            hit = {c for (_, c) in rho.entries}
+            assert set(range(T.rank(n))) - hit == _odd_diagonal_columns(X, n)
+
+
+@pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
+def test_weak_reduction_hits_every_tensor_column(ring):
+    for X in _record_inputs(ring, 6):
+        labels, rho, sigma = _reduction(X, keep_odd_diagonal=True)
+        for n, labs in labels.items():
+            assert labs == sym_basis(X, n, include_odd_diagonal=True)
+            assert {c for (_, c) in rho[n].entries} == set(range(rho[n].cols))
+            assert rho[n] @ sigma[n] == SparseMatrix.identity(ring, len(labs))
+
+
+# the package's `sym2` attribute is the function, so fetch the module by name
+sym2_module = importlib.import_module("symchain.sym2")
+
+
+def _counting_sym2(monkeypatch):
+    calls = []
+    real = sym2_module.sym2
+
+    def counted(X):
+        calls.append(X)
+        return real(X)
+
+    monkeypatch.setattr(sym2_module, "sym2", counted)
+    return calls
+
+
+def test_sym2_map_of_an_endomorphism_builds_one_square(monkeypatch):
+    K = koszul([X_VAR, Y_VAR])
+    f = identity_map(K)
+    calls = _counting_sym2(monkeypatch)
+    got = sym2_map(f)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the same map as from two separately built squares
+    SX, SY = sym2(K), sym2(K)
+    assert got == _sym2_map(tensor_map(f, f), SX, SY)
+    assert got == identity_map(SX.complex)
+
+
+def test_induced_homotopy_of_an_endomorphism_pair_builds_one_square(monkeypatch):
+    rng = random.Random(23)
+    X = random_complex(GF(7), rng, max_rank=3, max_len=3)
+    f, g, s = random_homotopic_pair(X, X, rng)
+    calls = _counting_sym2(monkeypatch)
+    sigma, sigma_bar = induced_homotopy(f, g, s)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    SX, SY = sym2(X), sym2(X)
+    assert sigma_bar.f == _sym2_map(tensor_map(f, f), SX, SY)
+    assert sigma_bar.g == _sym2_map(tensor_map(g, g), SX, SY)
+    want = {}
+    for n, M in sigma.maps.items():
+        if SX.complex.rank(n) and SY.complex.rank(n + 1):
+            bar = SY.proj.component(n + 1) @ M @ SX.section[n]
+            if not bar.is_zero():
+                want[n] = bar
+    assert sigma_bar.maps == want
 
 
 def test_sym2_map_identity_and_composition():
