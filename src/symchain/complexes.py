@@ -82,6 +82,8 @@ class FreeComplex:
                 if M is not None and not M.is_zero():
                     raise ShapeError(f"differential at degree {n} maps to/from a zero module")
                 continue
+            if M is None:
+                raise ShapeError(f"differential at degree {n} is missing")
             if M.ring != ring:
                 raise RingMismatchError("differential over the wrong ring")
             if (M.rows, M.cols) != (self.rank(n - 1), self.rank(n)):
@@ -353,6 +355,8 @@ class ChainMap:
                 if M is not None and not M.is_zero():
                     raise ShapeError(f"map at degree {n} to/from a zero module")
                 continue
+            if M is None:
+                raise ShapeError(f"map at degree {n} is missing")
             if (M.rows, M.cols) != (target.rank(n), source.rank(n)):
                 raise ShapeError(
                     f"map at degree {n} is {M.rows}x{M.cols}, expected "

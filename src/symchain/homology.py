@@ -9,9 +9,12 @@ ZLoc(p) is the homology of a free complex, a twisted cone of the
 relations, so it builds no lattice bases and no transforms.
 
 Exactness and quasi-isomorphism (exactness of the mapping cone) are exact
-verdicts on every backend.  Over a graded ring they need no degree
-bound: a bounded complex of graded free modules with homogeneous
-differentials is exact exactly when its minimal model is zero.
+verdicts on every backend.  Over every local backend (QQ, GF(p), ZLoc(p)
+and graded rings) a bounded complex of finite free modules is exact
+exactly when its minimal model is zero (Nakayama; graded Nakayama for
+homogeneous differentials), so the verdict minimizes first, needs no
+degree bound, and computes homology only of the minimal model, for the
+witness degrees.  Over ZZ, which is not local, it reads homology().
 """
 
 from __future__ import annotations
@@ -254,20 +257,25 @@ class QuasiIsoVerdict:
 def _exactness_failures(X: FreeComplex) -> list:
     """Witnesses that X is not exact; empty exactly when X is exact.
 
-    Over ZZ, QQ, GF(p) and ZLoc(p): every degree with nonzero homology.
-    Over a graded ring, with no degree bound: X is exact exactly when its
-    minimal model M is zero (graded Nakayama).  Otherwise the witness is
-    [(n0, d0)], n0 the lowest degree where M is nonzero and d0 the lowest
-    generator degree of M_{n0}; H_{n0}(X)_{d0} != 0, since the image of
-    the next differential lies in the maximal ideal times M_{n0}.  Both
-    facts need homogeneous entries: the FreeComplex constructor checks
-    them on input, and every library builder keeps them homogeneous.
+    Over a local backend (QQ, GF(p), ZLoc(p), graded): X is exact exactly
+    when its minimal model M is zero (Nakayama; graded Nakayama needs the
+    homogeneous entries that the FreeComplex constructor checks and every
+    library builder keeps).  X is M plus a contractible summand, so
+    H(X) = H(M), and the witnesses are every degree where H(M) is nonzero;
+    the Smith loop or rank then runs on M alone.  Over a graded ring,
+    with no degree bound, the witness is [(n0, d0)] instead: n0 the lowest
+    degree where M is nonzero and d0 the lowest generator degree of
+    M_{n0}; H_{n0}(X)_{d0} != 0, since the image of the next differential
+    lies in the maximal ideal times M_{n0}.  Over ZZ, which is not local:
+    every degree where homology(X) is nonzero.
     """
-    if X.ring.kind != "Poly":
+    if not X.ring.is_local:
         return homology(X).nonzero_degrees()
     M = minimal_model(X)
     if M.is_zero():
         return []
+    if not M.graded:
+        return homology(M).nonzero_degrees()
     n0 = M.degrees()[0]
     return [(n0, min(M.gdeg(n0)))]
 
@@ -275,7 +283,10 @@ def _exactness_failures(X: FreeComplex) -> list:
 def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
     """Does f induce bijections on all homology?
 
-    Decided as exactness of the mapping cone (see _exactness_failures).
+    Decided as exactness of the mapping cone (see _exactness_failures): by
+    its minimal model over a local backend, by homology() over ZZ.  The
+    failures are the cone degrees with nonzero homology, or one (n0, d0)
+    over a graded ring.
     """
     failures = _exactness_failures(mapping_cone(f))
     return QuasiIsoVerdict(not failures, failures=failures)

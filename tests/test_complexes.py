@@ -58,6 +58,16 @@ def test_validate_catches_nonzero_composite():
     assert report.first_failure == (2, (0, 0))
 
 
+def test_free_complex_rejects_missing_differential():
+    with pytest.raises(ShapeError, match="differential at degree 1 is missing"):
+        FreeComplex(ZZ, {0: 1, 1: 1}, {1: None})
+
+
+def test_chain_map_rejects_missing_component():
+    with pytest.raises(ShapeError, match="map at degree 0 is missing"):
+        ChainMap(unit_complex(ZZ), unit_complex(ZZ), {0: None})
+
+
 def test_validate_empty_complex():
     assert validate(zero_complex(ZZ)).ok
 

@@ -1,6 +1,7 @@
 """Homology over each backend, presented complexes, quasi-isomorphism tests."""
 
 import random
+from importlib import import_module
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from symchain import (
     ZLoc,
     ZZ,
     base_change,
+    check_symm07pp,
     direct_sum,
     graded_poly,
     homology,
@@ -25,6 +27,7 @@ from symchain import (
     is_quasi_iso,
     koszul,
     mapping_cone,
+    minimal_model,
     shift,
     sym2,
     tensor,
@@ -33,8 +36,9 @@ from symchain import (
     weak_sym2,
     zero_map,
 )
+from symchain.complexes import compose
 from symchain.errors import GradingError, ShapeError, SymchainError, UnsupportedRingError
-from symchain.homology import _presented_cone
+from symchain.homology import _exactness_failures, _presented_cone
 from symchain.linalg import (
     image_basis_pid,
     kernel_basis,
@@ -51,17 +55,21 @@ from symchain.sym2 import _pivot_columns
 from oracles import homology_representatives
 from randgen import (
     conjugate,
+    contractible_piece,
     random_chain_map,
     random_complex,
     random_graded_minimal,
     random_minimal_complex,
     summand_inclusion,
+    summand_projection,
     two_term,
 )
 
 POLY = graded_poly("x", "y")
 X_VAR = POLY.variable("x")
 Y_VAR = POLY.variable("y")
+# the package's `homology` is the function, which shadows the submodule
+homology_module = import_module("symchain.homology")
 
 
 def test_homology_of_integer_koszul():
@@ -89,16 +97,13 @@ def test_graded_homology_of_koszul_square():
 
 
 def test_graded_homology_builds_each_slice_once(monkeypatch):
-    import importlib
-
-    module = importlib.import_module("symchain.homology")
     built = []
 
     def counting_slice_matrix(M, src, tgt, d):
         built.append((tuple(src), tuple(tgt), d))
         return slice_matrix(M, src, tgt, d)
 
-    monkeypatch.setattr(module, "slice_matrix", counting_slice_matrix)
+    monkeypatch.setattr(homology_module, "slice_matrix", counting_slice_matrix)
     S = sym2(koszul([X_VAR, Y_VAR])).complex
     assert homology(S, bound=6).table(2) == {2: 1}
     # one slice of d_n per (n, d): n runs over the degrees of S and one above
@@ -526,6 +531,86 @@ def test_quasi_iso_agrees_with_induced_map_oracle():
             assert bool(is_quasi_iso(f)) == want
             seen.add(want)
         assert seen == {True, False}
+
+
+def _padded(X, rng):
+    """X plus a contractible R -1-> R in a random degree, basis mixed."""
+    return conjugate(direct_sum(X, contractible_piece(X.ring, rng.randint(1, 3))), rng)
+
+
+def _padded_map(f, rng):
+    """f between X + C and Y + C' for contractible C, C': the same homology
+    of the cone, which is no longer minimal."""
+    X, Y = f.source, f.target
+    C = contractible_piece(X.ring, rng.randint(1, 3))
+    C2 = contractible_piece(X.ring, rng.randint(1, 3))
+    return compose(summand_inclusion(Y, C2, 0), compose(f, summand_projection(X, C, 0)))
+
+
+def test_local_exactness_witnesses_match_homology_of_the_unreduced_complex():
+    """Over fields and ZLoc(p) the witnesses come from the minimal model;
+    they must be exactly the degrees where the whole complex has homology.
+    Over ZLoc(p), random_minimal_complex brings p-torsion, so the minimal
+    model is nonzero in degrees where the homology vanishes."""
+    rng = random.Random(43)
+    for ring in (QQ, GF(5), ZLoc(3), ZLoc(5)):
+        outcomes = []
+        for k in range(4):
+            pick = random_minimal_complex if k % 2 else random_complex
+            X = _padded(pick(ring, rng, max_rank=3, max_len=3), rng)
+            Y = X if rng.random() < 0.5 else _padded(random_complex(ring, rng, max_rank=2), rng)
+            S = sym2(X)
+            for C in (X, S.complex):
+                assert minimal_model(C).total_rank() < C.total_rank()
+                assert _exactness_failures(C) == homology(C).nonzero_degrees()
+                outcomes.append(not homology(C).nonzero_degrees())
+            for f in (S.proj, S.alpha, _padded_map(random_chain_map(X, Y, rng), rng)):
+                cone = mapping_cone(f)
+                assert minimal_model(cone).total_rank() < cone.total_rank()
+                want = homology(cone).nonzero_degrees()
+                assert is_quasi_iso(f).failures == want
+                assert _exactness_failures(cone) == want
+                outcomes.append(not want)
+        assert True in outcomes and False in outcomes, ring
+
+
+def _count_invariant_factors(monkeypatch):
+    """Record the shape of every matrix homology() hands to the Smith loop."""
+    seen = []
+    real = homology_module.invariant_factors
+
+    def counting(M):
+        seen.append((M.rows, M.cols))
+        return real(M)
+
+    monkeypatch.setattr(homology_module, "invariant_factors", counting)
+    return seen
+
+
+def test_zloc_exact_verdicts_run_no_smith_loop(monkeypatch):
+    R = ZLoc(3)
+    X = direct_sum(shift(unit_complex(R), 1), contractible_piece(R, 2))
+    seen = _count_invariant_factors(monkeypatch)
+    report = check_symm07pp(X)
+    assert report.holds is True
+    assert seen == []
+
+
+def test_zloc_non_exact_verdict_runs_the_smith_loop_on_the_minimal_model(monkeypatch):
+    R = ZLoc(3)
+    rng = random.Random(8)
+    X = _padded(direct_sum(two_term(R, 1, R.scalar(3)), shift(unit_complex(R), 2)), rng)
+    f = zero_map(X, X)
+    cone = mapping_cone(f)
+    M = minimal_model(cone)
+    seen = _count_invariant_factors(monkeypatch)
+    verdict = is_quasi_iso(f)
+    assert verdict.failures == [0, 1, 2, 3]
+    # exactly the differentials of M, which together are smaller than the cone's
+    assert sorted(seen) == sorted((M.rank(n - 1), M.rank(n)) for n in M.degrees())
+    assert sum(r * c for r, c in seen) < sum(
+        cone.rank(n - 1) * cone.rank(n) for n in cone.degrees()
+    )
 
 
 def test_graded_quasi_iso_agrees_with_induced_map_oracle_per_slice():
