@@ -23,8 +23,13 @@ Sym2Result keeps each once: rho as the chain map `proj`, sigma as
 `tensor_square` and `alpha`.
 
 When 2 is a unit, alpha/2 is idempotent, so Im(alpha) and Ker(alpha) =
-Im(2 - alpha) are direct summands of T; their bases are columns at pivots
-over the residue field, and no lattice transform is built.
+Im(2 - alpha) are direct summands of T.  For the alpha of a square both
+have closed forms read off the pairs {c, c'} of swapped tensor generators:
+no elimination, no solve and no check of alpha.alpha = 2 alpha, since the
+library built alpha itself (_alpha_summands).  endo_image_complex and
+endo_kernel_complex take any endomorphism f with f.f = 2f; they check that
+and take as bases the columns of f and 2 - f at their pivots over the
+residue field, so no lattice transform is built.
 """
 
 from __future__ import annotations
@@ -186,9 +191,11 @@ class Sym2Result:
 def sym2(X: FreeComplex) -> Sym2Result:
     """The symmetric square complex on the canonical generator basis.
 
-    The differential is rho . d^{X(x)X} . sigma; independence from the
-    section is asserted by checking that rho . d kills both the image of
-    alpha and the odd diagonal squares.
+    The differential is rho . d^{X(x)X} . sigma.  It does not depend on the
+    section, as rho . d kills Im(alpha) (rho . alpha = 0 and alpha is a
+    chain map) and the odd diagonal squares (d(x (x) x) = alpha(dx (x) x)
+    for x of odd degree).  That holds by construction, so it is not checked
+    at run time; the tests check it as a property.
     """
     ring = X.ring
     T = tensor(X, X)
@@ -202,20 +209,11 @@ def sym2(X: FreeComplex) -> Sym2Result:
             for n, labs in labels.items()
             if labs
         }
-    diffs = {}
-    for n in sorted(labels):
-        if ranks[n] == 0 or ranks.get(n - 1, 0) == 0:
-            continue
-        rd = rho[n - 1] @ T.diff(n)
-        # Independence from the section: rho.d vanishes on Im(alpha) and on
-        # the odd diagonal squares, so rd.sigma is the full induced map.
-        if not (rd @ al.component(n)).is_zero():
-            raise SymchainError("reduction does not annihilate the alternating image")
-        # the odd diagonal squares are exactly the columns rho_n does not hit
-        hit = {c for (_, c) in rho[n].entries}
-        if any(c not in hit for (_, c) in rd.entries):
-            raise SymchainError("reduction does not annihilate odd diagonal squares")
-        diffs[n] = rd @ section[n]
+    diffs = {
+        n: rho[n - 1] @ T.diff(n) @ section[n]
+        for n in sorted(labels)
+        if ranks[n] and ranks.get(n - 1, 0)
+    }
     S = FreeComplex._of(ring, ranks, diffs, gdegs)
     return Sym2Result(S, ChainMap._of(T, S, rho), section, labels, T, al)
 
@@ -444,11 +442,23 @@ def _check_twice_idempotent(T: FreeComplex, f: ChainMap) -> None:
             raise SymchainError(f"f.f != 2f in degree {n}")
 
 
-def _image_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
+def endo_image_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
+    """The image of a chain endomorphism f of T with f.f = 2f, as a subcomplex.
+
+    f/2 is idempotent, so Im f is a direct summand, spanned by the columns
+    of f at its residue-field pivots.  Needs 2 a unit and f.f = 2f.
+    """
+    _check_twice_idempotent(T, f)
     return _subcomplex_from_bases(T, {n: _pivot_columns(f.component(n)) for n in T.degrees()})
 
 
-def _kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
+def endo_kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
+    """The kernel of a chain endomorphism f of T with f.f = 2f, as a subcomplex.
+
+    Ker f is the image of 2 - f, a direct summand found as in
+    endo_image_complex.  Needs 2 a unit and f.f = 2f.
+    """
+    _check_twice_idempotent(T, f)
     ops = T.ring.ops
     two = ops.add(ops.one, ops.one)
     bases = {}
@@ -459,37 +469,76 @@ def _kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
     return _subcomplex_from_bases(T, bases)
 
 
-def endo_image_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
-    """The image of a chain endomorphism f of T with f.f = 2f, as a subcomplex.
+def _alpha_bases(T: FreeComplex, al: ChainMap):
+    """Closed-form bases of Im(alpha) and Ker(alpha) for the alpha of a
+    square, 2 a unit: two dicts, degree -> (B, L, generator degrees), with
+    L @ B = 1.
 
-    f/2 is idempotent, so Im f is a direct summand, spanned by the columns
-    of f at its residue-field pivots.  Needs 2 a unit and f.f = 2f.
+    _alpha gives alpha(e_c) = e_c + v e_c' for a tensor generator c whose
+    swap is c' != c, and (1 + v) e_c on the diagonal: 2 on odd diagonals,
+    0 on even ones.  So Im(alpha) has the basis e_c + v e_c' at the lower
+    index of each pair plus 2 e_c at each odd diagonal, and Ker(alpha) =
+    Im(2 - alpha) has e_c - v e_c' per pair plus 2 e_c at each even
+    diagonal, in increasing index order: the columns endo_image_complex and
+    endo_kernel_complex pick.  L is the rows at those indices, with the
+    diagonal rows halved.  Each basis vector has the generator degree of
+    the tensor generator at its index.
     """
-    _check_twice_idempotent(T, f)
-    return _image_complex(T, f)
+    ring = T.ring
+    ops = ring.ops
+    one = ops.one
+    two = ops.add(one, one)
+    half = ops.inverse(two)
+    parts = ({}, {})  # image, kernel
+    for n in T.degrees():
+        r = T.rank(n)
+        cols = _columns(al.component(n))
+        vectors = ([], [])  # image, kernel: (index, {row: entry of B}, entry of L)
+        for c in range(r):
+            col = cols.get(c, ())
+            pair = [(i, v) for i, v in col if i != c]
+            if pair:
+                c2, v = pair[0]
+                if c < c2:
+                    vectors[0].append((c, {c: one, c2: v}, one))
+                    vectors[1].append((c, {c: one, c2: ops.neg(v)}, one))
+            else:  # alpha is 2 on an odd diagonal and 0 on an even one
+                vectors[0 if col else 1].append((c, {c: two}, half))
+        for part, vs in zip(parts, vectors):
+            B = {(i, k): w for k, (_, vector, _) in enumerate(vs) for i, w in vector.items()}
+            L = {(k, c): w for k, (c, _, w) in enumerate(vs)}
+            gd = tuple(T.gdeg(n)[c] for c, _, _ in vs) if ring.kind == "Poly" else None
+            part[n] = (
+                SparseMatrix._of(ring, r, len(vs), B),
+                SparseMatrix._of(ring, len(vs), r, L),
+                gd,
+            )
+    return parts
 
 
-def endo_kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
-    """The kernel of a chain endomorphism f of T with f.f = 2f, as a subcomplex.
-
-    Ker f is the image of 2 - f, a direct summand found as in
-    endo_image_complex.  Needs 2 a unit and f.f = 2f.
-    """
-    _check_twice_idempotent(T, f)
-    return _kernel_complex(T, f)
-
-
-def _endo_summands(T: FreeComplex, f: ChainMap):
-    """(endo_image_complex(T, f), endo_kernel_complex(T, f)) with f.f = 2f
-    checked once."""
-    _check_twice_idempotent(T, f)
-    return _image_complex(T, f), _kernel_complex(T, f)
+def _summand(T: FreeComplex, part: dict) -> SubcomplexData:
+    """The subcomplex of T on the bases B_n of part[n] = (B_n, L_n, degrees):
+    its differential is L_{n-1} d_n B_n, as L_{n-1} is a left inverse of B_{n-1}."""
+    bases = {n: B for n, (B, _, _) in part.items() if B.cols}
+    ranks = {n: B.cols for n, B in bases.items()}
+    diffs = {n: part[n - 1][1] @ T.diff(n) @ bases[n] for n in ranks if ranks.get(n - 1)}
+    gdegs = {n: part[n][2] for n in ranks} if T.ring.kind == "Poly" else None
+    sub = FreeComplex._of(T.ring, ranks, diffs, gdegs)
+    return SubcomplexData(sub, ChainMap._of(sub, T, bases), bases)
 
 
-def _corestriction(T: FreeComplex, f: ChainMap, image: SubcomplexData) -> ChainMap:
-    """f : T -> T as a map onto its image subcomplex, in the image's basis."""
-    maps = {n: solve_exact(image.bases[n], f.component(n)) for n in image.complex.degrees()}
-    return ChainMap._of(T, image.complex, maps)
+def _alpha_summands(S: Sym2Result):
+    """(image, kernel, q): Im(alpha) and Ker(alpha) of the square S as
+    subcomplexes of its tensor square, and alpha corestricted onto its
+    image, L alpha, all from _alpha_bases with no elimination or solve.
+    The library built alpha, so alpha.alpha = 2 alpha is not re-checked."""
+    T, al = S.tensor_square, S.alpha
+    image_part, kernel_part = _alpha_bases(T, al)
+    image = _summand(T, image_part)
+    q = ChainMap._of(
+        T, image.complex, {n: image_part[n][1] @ al.component(n) for n in image.complex.degrees()}
+    )
+    return image, _summand(T, kernel_part), q
 
 
 # -- split decomposition when 2 is a unit ------------------------------------------
@@ -520,8 +569,7 @@ def split_decomposition(X: FreeComplex) -> SplitDecomposition:
     al = S.alpha
     half = ring.ops.inverse(ring.raw(2))
     e = ChainMap._of(T, T, {n: M.scale(half) for n, M in al.maps.items()})
-    image, kernel = _endo_summands(T, al)
-    q = _corestriction(T, al, image)
+    image, kernel, q = _alpha_summands(S)
     target = direct_sum(image.complex, S.complex)
     fwd = {}
     inv = {}

@@ -39,8 +39,7 @@ from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
 from .series import minimal_model, rank_series, verify_series_identity
 from .sym2 import (
-    _corestriction,
-    _endo_summands,
+    _alpha_summands,
     alpha,
     sym2,
     sym2_map,
@@ -132,14 +131,13 @@ def check_symm07(X: FreeComplex) -> VerdictReport:
     """
     _require_local_two_unit(X.ring)
     S = sym2(X)
-    T = S.tensor_square
     witnesses = {}
 
     v1 = is_quasi_iso(S.proj)
     if v1.failures:
         witnesses["i"] = v1.failures[:3]
 
-    image, kernel = _endo_summands(T, S.alpha)
+    image, kernel, _q = _alpha_summands(S)
     fail2 = _exactness_failures(image.complex)
     if fail2:
         witnesses["ii"] = fail2[:3]
@@ -172,16 +170,13 @@ def check_symm07pp(X: FreeComplex) -> VerdictReport:
     """
     _require_local_two_unit(X.ring)
     S = sym2(X)
-    T = S.tensor_square
     witnesses = {}
 
-    al = S.alpha
-    v1 = is_quasi_iso(al)
+    v1 = is_quasi_iso(S.alpha)
     if v1.failures:
         witnesses["i"] = v1.failures[:3]
 
-    image, kernel = _endo_summands(T, al)
-    q = _corestriction(T, al, image)
+    image, kernel, q = _alpha_summands(S)
     v2 = is_quasi_iso(q)
     if v2.failures:
         witnesses["ii"] = v2.failures[:3]
@@ -304,9 +299,10 @@ def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     that H_2i(S2 X) is S2(H_i X) (even i) or Lambda2(H_i X) (odd i).  Over a
     local ring the minimal model M of X starts in degree i (Nakayama), so
     H_i X = coker(M_{i+1} -> M_i), and the prediction is the homology of
-    one free presentation built from M (_square_presentation).  Both infima
-    come from minimal models and are exact; on a graded ring only the
-    comparison of the two Hilbert tables stops at the bound.
+    one free presentation built from M (_square_presentation), compared
+    with H_2i of the minimal model of S2 X.  Both infima come from minimal
+    models and are exact; on a graded ring only the comparison of the two
+    Hilbert tables stops at the bound.
     """
     _require_local_two_unit(X.ring)
     ring = X.ring
@@ -333,12 +329,11 @@ def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
         return report
     i = M.degrees()[0]
     even = i % 2 == 0
-    S = sym2(X).complex
-    SM = minimal_model(S)
+    SM = minimal_model(sym2(X).complex)
     s_inf = None if SM.is_zero() else SM.degrees()[0]
     witnesses = report.witnesses
     want = _homology_value(_square_presentation(M, i, even), 0, D)
-    got = _homology_value(S, 2 * i, D)
+    got = _homology_value(SM, 2 * i, D)  # S2X and its minimal model have one homology
     if want != got:
         witnesses["lowest"] = (want, got)
 

@@ -55,6 +55,8 @@ from symchain.linalg import (
 )
 from symchain.sym2 import (
     PresentedComplex,
+    _alpha_bases,
+    _alpha_summands,
     _reduction,
     _sym2_map,
     endo_image_complex,
@@ -63,6 +65,8 @@ from symchain.sym2 import (
 )
 
 from randgen import (
+    conjugate,
+    contractible_piece,
     random_chain_map,
     random_complex,
     random_graded_minimal,
@@ -461,6 +465,53 @@ def test_alpha_summand_complexes_need_twice_an_idempotent():
         endo_image_complex(S_zz.tensor_square, S_zz.alpha)
     with pytest.raises(TwoNotUnitError):
         endo_kernel_complex(S_zz.tensor_square, S_zz.alpha)
+
+
+def _closed_form_inputs(ring, rng):
+    """Random complexes over ring, each also padded with a contractible
+    piece, so not minimal (graded: a shifted R(-1) -1-> R(-1))."""
+    pad = FreeComplex(POLY, {0: 1, 1: 1}, {1: SparseMatrix.identity(POLY, 1)}, {0: (1,), 1: (1,)})
+    for _ in range(6):
+        if ring == POLY:
+            X = random_graded_minimal(POLY, rng, max_pieces=3)
+            yield X
+            yield direct_sum(X, shift(pad, rng.randint(0, 2)))
+        else:
+            X = random_complex(ring, rng, max_rank=3, max_len=3)
+            yield X
+            yield conjugate(direct_sum(X, contractible_piece(ring, rng.randint(1, 3))), rng)
+    if ring == POLY:
+        yield koszul([X_VAR, Y_VAR])
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5), ZLoc(3), ZLoc(5), POLY], ids=str)
+def test_alpha_summands_closed_form_matches_the_checked_rref_path(ring):
+    """The closed form of Im(alpha), Ker(alpha) and the corestriction gives,
+    matrix for matrix, what the checked rref path of endo_image_complex and
+    endo_kernel_complex and a solve against the image basis give."""
+    rng = random.Random(61 + [QQ, GF(5), ZLoc(3), ZLoc(5), POLY].index(ring))
+    for X in _closed_form_inputs(ring, rng):
+        S = sym2(X)
+        T, al = S.tensor_square, S.alpha
+        image, kernel, q = _alpha_summands(S)
+        for got, want in ((image, endo_image_complex(T, al)), (kernel, endo_kernel_complex(T, al))):
+            assert got.bases == want.bases
+            assert got.complex.ranks == want.complex.ranks
+            for n in want.complex.degrees():
+                assert got.complex.diff(n) == want.complex.diff(n)
+                if ring == POLY:
+                    assert got.complex.gdeg(n) == want.complex.gdeg(n)
+            assert got.complex == want.complex
+            assert got.inclusion == want.inclusion
+        assert q.source == T and q.target == image.complex
+        for n in T.degrees():
+            if n in image.bases:
+                assert q.component(n) == solve_exact(image.bases[n], al.component(n))
+            else:
+                assert q.component(n).is_zero()
+        for part in _alpha_bases(T, al):
+            for n, (B, L, _) in part.items():
+                assert L @ B == SparseMatrix.identity(ring, B.cols)
 
 
 def test_split_decomposition_needs_two_invertible():

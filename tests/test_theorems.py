@@ -23,6 +23,7 @@ from symchain import (
     is_quasi_iso,
     koszul,
     mapping_cone,
+    minimal_model,
     minimize,
     run_paper_corpus,
     shift,
@@ -46,6 +47,7 @@ from randgen import (
     random_minimal_complex,
     summand_inclusion,
     summand_projection,
+    two_term,
 )
 
 POLY = graded_poly("x", "y")
@@ -351,19 +353,61 @@ def test_corpus_all_pass():
     assert len(report.results) >= 8
 
 
-def test_checkers_check_twice_idempotence_once(monkeypatch):
+def test_checkers_trust_alpha_and_endo_functions_check_once(monkeypatch):
+    """The checkers and split_decomposition read the summands of the alpha
+    that sym2 built off its closed form: no check of alpha.alpha = 2 alpha
+    and no pivot search.  endo_image_complex and endo_kernel_complex take
+    an outside f, so each checks f.f = 2f exactly once."""
     sym2_module = importlib.import_module("symchain.sym2")  # the name sym2 is the function
-    calls = []
-    check = sym2_module._check_twice_idempotent
+    calls = {"_check_twice_idempotent": 0, "_pivot_columns": 0}
+    for name in calls:
+        function = getattr(sym2_module, name)
 
-    def counting(T, f):
-        calls.append(T)
-        check(T, f)
+        def counting(*args, name=name, function=function):
+            calls[name] += 1
+            return function(*args)
 
-    monkeypatch.setattr(sym2_module, "_check_twice_idempotent", counting)
+        monkeypatch.setattr(sym2_module, name, counting)
     x, y = POLY.generators()
     for X in (koszul([ZLoc(3).scalar(3), ZLoc(3).scalar(1)]), koszul([x, y])):
         for run in (check_symm07, check_symm07pp, split_decomposition):
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             run(X)
-            assert len(calls) == 1, run.__name__
+            assert calls == {"_check_twice_idempotent": 0, "_pivot_columns": 0}, run.__name__
+        S = sym2(X)
+        T = S.tensor_square
+        for run in (sym2_module.endo_image_complex, sym2_module.endo_kernel_complex):
+            calls.update(dict.fromkeys(calls, 0))
+            run(T, S.alpha)
+            assert calls == {"_check_twice_idempotent": 1, "_pivot_columns": len(T.degrees())}
+
+
+def test_symm09_reads_homology_off_the_minimal_model_of_the_square(monkeypatch):
+    """Over ZLoc(p) the Smith loop sees only the differentials of the
+    minimal model of S2X and of the square presentation, never those of
+    the unreduced S2X."""
+    homology_module = importlib.import_module("symchain.homology")
+    theorems = importlib.import_module("symchain.theorems")
+    seen = []
+    invariant_factors = homology_module.invariant_factors
+
+    def recording(M):
+        seen.append(M)
+        return invariant_factors(M)
+
+    monkeypatch.setattr(homology_module, "invariant_factors", recording)
+    R = ZLoc(3)
+    rng = random.Random(37)
+    pieces = direct_sum(contractible_piece(R, 1), contractible_piece(R, 2))
+    X = conjugate(direct_sum(two_term(R, 1, R.scalar(3)), pieces), rng)
+    report = check_symm09(X)
+    assert report.holds
+    S = sym2(X).complex
+    SM = minimal_model(S)
+    M = minimal_model(X)
+    P = theorems._square_presentation(M, M.degrees()[0], M.degrees()[0] % 2 == 0)
+    allowed = [C.diff(n) for C in (SM, P) for n in C.degrees()]
+    assert SM.total_rank() < S.total_rank()
+    assert seen and all(any(A == B for B in allowed) for A in seen)
+
+

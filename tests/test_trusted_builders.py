@@ -40,7 +40,7 @@ from symchain import (
     zero_map,
 )
 from symchain import complexes
-from symchain.complexes import compose
+from symchain.complexes import compose, tensor_basis
 from symchain.homology import _presented_cone
 from symchain.sym2 import endo_image_complex, endo_kernel_complex, shift_iso
 from symchain.theorems import _square_presentation, check_symm07pp
@@ -130,6 +130,33 @@ def test_public_constructors_accept_what_the_trusted_builders_make(ring, seed):
     assert len(results) >= 20
     for value in results:
         assert _rebuilt(value) == value, value
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_sym2_reduction_kills_alpha_and_odd_squares(ring, seed):
+    """What sym2 no longer checks at run time, as properties of what it
+    builds: proj . d kills Im(alpha) and the odd diagonal squares, and
+    alpha.alpha = 2 alpha where 2 is a unit.  The values checked are
+    independent of the section, which enters none of proj, d and alpha;
+    the first two make the induced differential proj . d . section the
+    same for every section."""
+    rng = random.Random(2000 * seed + RINGS.index(ring))
+    odd_squares_hit = 0  # odd diagonal squares with a nonzero d
+    for X in (_random(ring, rng), _random(ring, rng), koszul(_koszul_elements(ring))):
+        S = sym2(X)
+        T, al = S.tensor_square, S.alpha
+        for n in T.degrees():
+            d = T.diff(n)
+            rd = S.proj.component(n - 1) @ d
+            assert (rd @ al.component(n)).is_zero()
+            odd = {c for c, (a, b) in enumerate(tensor_basis(X, X, n)) if a == b and a[0] % 2}
+            assert not any(c in odd for (_, c) in rd.entries)
+            odd_squares_hit += len(odd & {c for (_, c) in d.entries})
+            if ring.two_is_unit():
+                A = al.component(n)
+                assert A @ A == A + A
+    assert odd_squares_hit
 
 
 class _Counter:
