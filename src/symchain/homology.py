@@ -202,14 +202,18 @@ def _graded_table(X: FreeComplex, n: int, D: int, slices=None) -> dict:
     return table
 
 
-def homology_presented(P: PresentedComplex) -> HomologyReport:
+def homology_presented(P: PresentedComplex | FreeComplex) -> HomologyReport:
     """Homology of a complex of finitely presented modules over ZZ or ZLoc(p).
 
     Fields and graded rings are refused: the cone needs injective relations,
     and there a weak square's relation columns can be zero (2 = 0 in GF(2)).
+    A free complex, which weak_sym2 returns when 2 is a unit, has no
+    relations, and its homology is homology(P).
     """
     if P.ring.kind not in ("ZZ", "ZLoc"):
         raise UnsupportedRingError("presented homology is implemented over ZZ and ZLoc(p)")
+    if isinstance(P, FreeComplex):
+        return homology(P)
     return homology(_presented_cone(P))
 
 

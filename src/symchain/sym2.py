@@ -14,13 +14,16 @@ on a canonical generator basis:
   * rewriting a tensor generator to canonical form contributes the sign
     (-1)^{pq} when the two factors must be swapped.
 
-The reduction rho (tensor coordinates onto canonical generators) and the
-section sigma (each generator as its canonical tensor generator) give the
-induced differentials rho . d . sigma, which reproduce the classical small
-matrices for Koszul complexes on one and two elements exactly.  A
-Sym2Result keeps each once: rho as the chain map `proj`, sigma as
-`section[n]` and the generators as `labels[n]`, beside `complex`,
-`tensor_square` and `alpha`.
+One involution fixes all of it: the signed swap c = a (x) b ->
+(-1)^{|a||b|} b (x) a.  One walk over the generators of each degree of T
+(_walk) looks up each swap and its sign once and writes, in the same pass,
+the canonical labels, alpha, the reduction rho (tensor coordinates onto
+canonical generators) and the section sigma (each generator as its
+canonical tensor generator).  The induced differentials rho . d . sigma
+reproduce the classical small matrices for Koszul complexes on one and two
+elements exactly.  A Sym2Result keeps each once: rho as the chain map
+`proj`, sigma as `section[n]` and the generators as `labels[n]`, beside
+`complex`, `tensor_square` and `alpha`; alpha(X) is sym2(X).alpha.
 
 When 2 is a unit, alpha/2 is idempotent, so Im(alpha) and Ker(alpha) =
 Im(2 - alpha) are direct summands of T.  For the alpha of a square both
@@ -84,6 +87,11 @@ __all__ = [
 # -- canonical bases -----------------------------------------------------------
 
 
+def _in_square(a, b, keep_odd_diagonal: bool) -> bool:
+    """Is the tensor generator a (x) b a canonical generator of the square?"""
+    return a < b or (a == b and (a[0] % 2 == 0 or keep_odd_diagonal))
+
+
 def sym_basis(X: FreeComplex, n: int, include_odd_diagonal: bool = False):
     """Ordered canonical generator labels of the degree-n symmetric square.
 
@@ -91,59 +99,51 @@ def sym_basis(X: FreeComplex, n: int, include_odd_diagonal: bool = False):
     lexicographic order.  Diagonal labels with p odd appear only when
     include_odd_diagonal is set (the weak-square presentation basis).
     """
-    labels = []
-    for p in X.degrees():
-        q = n - p
-        if p > q or X.rank(q) == 0:
-            continue
-        rp, rq = X.rank(p), X.rank(q)
-        if p < q:
-            for i in range(rp):
-                for j in range(rq):
-                    labels.append(((p, i), (q, j)))
-        else:
-            for i in range(rp):
-                for j in range(i, rq):
-                    if i == j and p % 2 == 1 and not include_odd_diagonal:
-                        continue
-                    labels.append(((p, i), (q, j)))
-    return labels
+    return sorted(lab for lab in tensor_basis(X, X, n) if _in_square(*lab, include_odd_diagonal))
 
 
-def _reduction(X: FreeComplex, keep_odd_diagonal: bool):
-    """(labels, rho, sigma), three dicts over the degrees of X (x) X.
+def _walk(X: FreeComplex, keep_odd_diagonal: bool):
+    """(T, labels, rho, sigma, alpha) from one walk of each degree of T = X (x) X.
 
-    labels[n] is sym_basis(X, n, keep_odd_diagonal); rho[n] maps tensor
-    coordinates onto those generators, applying the swap sign and killing
-    the odd diagonal squares that are not kept; sigma[n] embeds each
-    generator as its canonical tensor generator, so rho[n] @ sigma[n] is
-    the identity.
+    Each tensor generator c = a (x) b is visited once, with its swap
+    c' = b (x) a and the sign v = (-1)^{|a||b|}.  alpha(e_c) is e_c - v e_c'
+    off the diagonal and (1 - v) e_c on it: 2 e_c for odd |a|, 0 for even.
+    labels[n] is sym_basis(X, n, keep_odd_diagonal); rho[n] sends e_c to its
+    canonical generator, times v when c is the swapped one (a > b), and
+    kills the odd diagonal squares that are not kept; sigma[n] embeds each
+    generator as its canonical tensor generator, so rho[n] @ sigma[n] = 1.
+    The dicts are keyed by T.degrees(); alpha is a chain map of T.
     """
     ring = X.ring
-    one = ring.ops.one
-    minus_one = ring.ops.neg(one)
-    labels, rho, sigma = {}, {}, {}
-    if X.is_zero():
-        return labels, rho, sigma
-    lo, hi = X.support
-    for n in range(2 * lo, 2 * hi + 1):
-        labs = sym_basis(X, n, keep_odd_diagonal)
-        row_of = {lab: k for k, lab in enumerate(labs)}
+    ops = ring.ops
+    one, minus_one = ops.one, ops.neg(ops.one)
+    two = ops.add(one, one)
+    T = tensor(X, X)
+    labels, rho, sigma, al = {}, {}, {}, {}
+    for n in T.degrees():
         tbasis = tensor_basis(X, X, n)
-        rho_entries, sigma_entries = {}, {}
+        index = {lab: k for k, lab in enumerate(tbasis)}
+        labs = sorted(lab for lab in tbasis if _in_square(*lab, keep_odd_diagonal))
+        row_of = {lab: k for k, lab in enumerate(labs)}
+        rho_entries, sigma_entries, alpha_entries = {}, {}, {}
         for col, (a, b) in enumerate(tbasis):
-            if a > b:  # never diagonal, so its swap is a generator
-                sign = minus_one if (a[0] * b[0]) % 2 else one
-                rho_entries[(row_of[(b, a)], col)] = sign
-                continue
-            row = row_of.get((a, b))
-            if row is not None:  # else an odd diagonal square, killed
+            odd = (a[0] * b[0]) % 2
+            if a != b:
+                alpha_entries[(col, col)] = one
+                alpha_entries[(index[(b, a)], col)] = one if odd else minus_one
+            elif odd:
+                alpha_entries[(col, col)] = two
+            if a > b:
+                rho_entries[(row_of[(b, a)], col)] = minus_one if odd else one
+            elif (row := row_of.get((a, b))) is not None:  # else an odd diagonal square, killed
                 rho_entries[(row, col)] = one
                 sigma_entries[(col, row)] = one
+        r = len(tbasis)
         labels[n] = labs
-        rho[n] = SparseMatrix._of(ring, len(labs), len(tbasis), rho_entries)
-        sigma[n] = SparseMatrix._of(ring, len(tbasis), len(labs), sigma_entries)
-    return labels, rho, sigma
+        rho[n] = SparseMatrix._of(ring, len(labs), r, rho_entries)
+        sigma[n] = SparseMatrix._of(ring, r, len(labs), sigma_entries)
+        al[n] = SparseMatrix._of(ring, r, r, alpha_entries)
+    return T, labels, rho, sigma, ChainMap._of(T, T, al)
 
 
 # -- alpha and the symmetric square ---------------------------------------------
@@ -151,34 +151,17 @@ def _reduction(X: FreeComplex, keep_odd_diagonal: bool):
 
 def alpha(X: FreeComplex) -> ChainMap:
     """The chain endomorphism x(x)x' -> x(x)x' - (-1)^{|x||x'|} x'(x)x of X(x)X."""
-    return _alpha(X, tensor(X, X))
-
-
-def _alpha(X: FreeComplex, T: FreeComplex) -> ChainMap:
-    """alpha on T, which must be tensor(X, X)."""
-    ops = X.ring.ops
-    one, minus_one = ops.one, ops.neg(ops.one)
-    maps = {}
-    for n in T.degrees():
-        tbasis = tensor_basis(X, X, n)
-        index = {lab: k for k, lab in enumerate(tbasis)}
-        entries = {}
-        for col, ((p, i), (q, j)) in enumerate(tbasis):
-            swapped = index[((q, j), (p, i))]
-            v = one if (p * q) % 2 else minus_one
-            if swapped == col:  # a diagonal generator is its own swap: 1 + v is 0 or 2
-                entries[(col, col)] = ops.add(one, v)
-            else:
-                entries[(col, col)] = one
-                entries[(swapped, col)] = v
-        maps[n] = SparseMatrix._of(X.ring, len(tbasis), len(tbasis), entries)
-    return ChainMap._of(T, T, maps)
+    return sym2(X).alpha
 
 
 @dataclass
 class Sym2Result:
     """The symmetric square S of X with the data that present it as a
-    quotient of T = X (x) X: rho once, as proj."""
+    quotient of T = X (x) X: rho once, as proj.
+
+    section and labels are keyed by T.degrees(): a degree where T is zero
+    has no entry, and one where only odd diagonal squares live has an
+    empty list of labels."""
 
     complex: FreeComplex
     proj: ChainMap  # rho : X(x)X -> S
@@ -198,9 +181,7 @@ def sym2(X: FreeComplex) -> Sym2Result:
     at run time; the tests check it as a property.
     """
     ring = X.ring
-    T = tensor(X, X)
-    labels, rho, section = _reduction(X, keep_odd_diagonal=False)
-    al = _alpha(X, T)
+    T, labels, rho, section, al = _walk(X, keep_odd_diagonal=False)
     ranks = {n: len(labs) for n, labs in labels.items()}
     gdegs = None
     if ring.kind == "Poly":
@@ -211,7 +192,7 @@ def sym2(X: FreeComplex) -> Sym2Result:
         }
     diffs = {
         n: rho[n - 1] @ T.diff(n) @ section[n]
-        for n in sorted(labels)
+        for n in labels
         if ranks[n] and ranks.get(n - 1, 0)
     }
     S = FreeComplex._of(ring, ranks, diffs, gdegs)
@@ -341,8 +322,7 @@ def weak_sym2(X: FreeComplex):
     if X.ring.two_is_unit():
         return sym2(X).complex
     ring = X.ring
-    T = tensor(X, X)
-    labels, rho, sigma = _reduction(X, keep_odd_diagonal=True)
+    T, labels, rho, sigma, _ = _walk(X, keep_odd_diagonal=True)
     two = ring.raw(2)
     generators = {n: labs for n, labs in labels.items() if labs}
     relations = {}
@@ -474,15 +454,15 @@ def _alpha_bases(T: FreeComplex, al: ChainMap):
     square, 2 a unit: two dicts, degree -> (B, L, generator degrees), with
     L @ B = 1.
 
-    _alpha gives alpha(e_c) = e_c + v e_c' for a tensor generator c whose
-    swap is c' != c, and (1 + v) e_c on the diagonal: 2 on odd diagonals,
-    0 on even ones.  So Im(alpha) has the basis e_c + v e_c' at the lower
-    index of each pair plus 2 e_c at each odd diagonal, and Ker(alpha) =
-    Im(2 - alpha) has e_c - v e_c' per pair plus 2 e_c at each even
-    diagonal, in increasing index order: the columns endo_image_complex and
-    endo_kernel_complex pick.  L is the rows at those indices, with the
-    diagonal rows halved.  Each basis vector has the generator degree of
-    the tensor generator at its index.
+    _walk gives alpha(e_c) = e_c + v e_c' for a tensor generator c = a (x) b
+    whose swap is c' != c, with v = -(-1)^{|a||b|}, and (1 + v) e_c on the
+    diagonal: 2 on odd diagonals, 0 on even ones.  So Im(alpha) has the
+    basis e_c + v e_c' at the lower index of each pair plus 2 e_c at each
+    odd diagonal, and Ker(alpha) = Im(2 - alpha) has e_c - v e_c' per pair
+    plus 2 e_c at each even diagonal, in increasing index order: the
+    columns endo_image_complex and endo_kernel_complex pick.  L is the rows
+    at those indices, with the diagonal rows halved.  Each basis vector has
+    the generator degree of the tensor generator at its index.
     """
     ring = T.ring
     ops = ring.ops

@@ -121,6 +121,30 @@ def _is_two_odd_shifts(M: FreeComplex) -> bool:
     return all(M.diff(n).is_zero() for n in degs)
 
 
+def _equivalence(theorem: str, X: FreeComplex, conditions: dict, witnesses=None) -> VerdictReport:
+    """The report of an equivalence theorem from its conditions, label ->
+    value in order.  A value is a bool or a failure list, which holds when
+    empty and gives its first three entries as the witnesses of its label."""
+    witnesses = dict(witnesses or {})
+    values = []
+    for label, value in conditions.items():
+        if isinstance(value, list):
+            if value:
+                witnesses[label] = value[:3]
+            value = not value
+        values.append(value)
+    equivalent = len(set(values)) == 1
+    return VerdictReport(
+        theorem=theorem,
+        labels=tuple(conditions),
+        conditions=tuple(values),
+        equivalent=equivalent,
+        holds=values[0] if equivalent else None,
+        witnesses=witnesses,
+        backend=str(X.ring),
+    )
+
+
 def check_symm07(X: FreeComplex) -> VerdictReport:
     """Four equivalent statements characterizing even single-shift complexes.
 
@@ -131,32 +155,16 @@ def check_symm07(X: FreeComplex) -> VerdictReport:
     """
     _require_local_two_unit(X.ring)
     S = sym2(X)
-    witnesses = {}
-
-    v1 = is_quasi_iso(S.proj)
-    if v1.failures:
-        witnesses["i"] = v1.failures[:3]
-
     image, kernel, _q = _alpha_summands(S)
-    fail2 = _exactness_failures(image.complex)
-    if fail2:
-        witnesses["ii"] = fail2[:3]
-
-    v3 = is_quasi_iso(kernel.inclusion)
-    if v3.failures:
-        witnesses["iii"] = v3.failures[:3]
-
-    cond4, _deg = _is_zero_or_single_shift(minimal_model(X), parity=0)
-
-    conditions = (bool(v1), not fail2, bool(v3), cond4)
-    return VerdictReport(
-        theorem="symm07",
-        labels=("i", "ii", "iii", "iv"),
-        conditions=conditions,
-        equivalent=len(set(conditions)) == 1,
-        holds=conditions[0] if len(set(conditions)) == 1 else None,
-        witnesses=witnesses,
-        backend=str(X.ring),
+    return _equivalence(
+        "symm07",
+        X,
+        {
+            "i": is_quasi_iso(S.proj).failures,
+            "ii": _exactness_failures(image.complex),
+            "iii": is_quasi_iso(kernel.inclusion).failures,
+            "iv": _is_zero_or_single_shift(minimal_model(X), parity=0)[0],
+        },
     )
 
 
@@ -170,40 +178,18 @@ def check_symm07pp(X: FreeComplex) -> VerdictReport:
     """
     _require_local_two_unit(X.ring)
     S = sym2(X)
-    witnesses = {}
-
-    v1 = is_quasi_iso(S.alpha)
-    if v1.failures:
-        witnesses["i"] = v1.failures[:3]
-
     image, kernel, q = _alpha_summands(S)
-    v2 = is_quasi_iso(q)
-    if v2.failures:
-        witnesses["ii"] = v2.failures[:3]
-
-    v3 = is_quasi_iso(image.inclusion)
-    if v3.failures:
-        witnesses["iii"] = v3.failures[:3]
-
-    fail4 = _exactness_failures(S.complex)
-    if fail4:
-        witnesses["iv"] = fail4[:3]
-
-    fail5 = _exactness_failures(kernel.complex)
-    if fail5:
-        witnesses["v"] = fail5[:3]
-
-    cond6, _deg = _is_zero_or_single_shift(minimal_model(X), parity=1)
-
-    conditions = (bool(v1), bool(v2), bool(v3), not fail4, not fail5, cond6)
-    return VerdictReport(
-        theorem="symm07pp",
-        labels=("i", "ii", "iii", "iv", "v", "vi"),
-        conditions=conditions,
-        equivalent=len(set(conditions)) == 1,
-        holds=conditions[0] if len(set(conditions)) == 1 else None,
-        witnesses=witnesses,
-        backend=str(X.ring),
+    return _equivalence(
+        "symm07pp",
+        X,
+        {
+            "i": is_quasi_iso(S.alpha).failures,
+            "ii": is_quasi_iso(q).failures,
+            "iii": is_quasi_iso(image.inclusion).failures,
+            "iv": _exactness_failures(S.complex),
+            "v": _exactness_failures(kernel.complex),
+            "vi": _is_zero_or_single_shift(minimal_model(X), parity=1)[0],
+        },
     )
 
 
@@ -217,27 +203,19 @@ def check_s2fpd02(X: FreeComplex) -> VerdictReport:
     """
     _require_local_two_unit(X.ring)
     M = minimal_model(X)
-    even_shift, _d = _is_zero_or_single_shift(M, parity=0)
-    cond1 = (even_shift and not M.is_zero()) or _is_two_odd_shifts(M)
-
     SM = minimal_model(sym2(X).complex)
-    even_s, j_even = _is_zero_or_single_shift(SM, parity=0)
-    cond2 = even_s and not SM.is_zero()
-    any_s, j_any = _is_zero_or_single_shift(SM, parity=None)
-    cond3 = any_s and not SM.is_zero()
-
-    conditions = (cond1, cond2, cond3)
-    witnesses = {}
-    if cond3:
-        witnesses["j"] = j_any
-    return VerdictReport(
-        theorem="s2fpd02",
-        labels=("i", "ii", "iii"),
-        conditions=conditions,
-        equivalent=len(set(conditions)) == 1,
-        holds=conditions[0] if len(set(conditions)) == 1 else None,
-        witnesses=witnesses,
-        backend=str(X.ring),
+    even_shift = _is_zero_or_single_shift(M, parity=0)[0]
+    any_shift, j = _is_zero_or_single_shift(SM, parity=None)
+    cond3 = any_shift and not SM.is_zero()
+    return _equivalence(
+        "s2fpd02",
+        X,
+        {
+            "i": (even_shift and not M.is_zero()) or _is_two_odd_shifts(M),
+            "ii": _is_zero_or_single_shift(SM, parity=0)[0] and not SM.is_zero(),
+            "iii": cond3,
+        },
+        {"j": j} if cond3 else None,
     )
 
 

@@ -12,7 +12,9 @@ The stepwise minimalization below is the reference for
 contractible summand at a time, building a new complex and a projection
 chain map per pivot.  `reference_slice_matrix` is the reference for
 `linalg.slice_matrix`: it looks every target row up by its
-(generator, monomial) pair.
+(generator, monomial) pair.  `reference_square` builds the labels, rho,
+sigma and alpha of a symmetric square by separate walks, the reference
+for the single walk of `sym2._walk`.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from math import comb
 from operator import add
 
 from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map, inf_h
-from symchain.complexes import compose
+from symchain.complexes import compose, tensor, tensor_basis
 from symchain.linalg import kernel_basis, qq_rank, rref, slice_basis, slice_matrix, solve_field
 from symchain.sym2 import _pivot_columns
 
@@ -374,3 +376,74 @@ def reference_slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
                     del entries[key]
     mat = SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), entries)
     return mat, tgt_basis, src_basis
+
+
+# -- the symmetric square by separate walks ----------------------------------------
+
+
+def reference_sym_basis(X: FreeComplex, n: int, include_odd_diagonal: bool = False):
+    """The canonical labels of degree n by a nested loop over the degrees
+    p <= q of X: the reference for the label order of `sym2.sym_basis`."""
+    labels = []
+    for p in X.degrees():
+        q = n - p
+        if p > q or X.rank(q) == 0:
+            continue
+        rp, rq = X.rank(p), X.rank(q)
+        if p < q:
+            for i in range(rp):
+                for j in range(rq):
+                    labels.append(((p, i), (q, j)))
+        else:
+            for i in range(rp):
+                for j in range(i, rq):
+                    if i == j and p % 2 == 1 and not include_odd_diagonal:
+                        continue
+                    labels.append(((p, i), (q, j)))
+    return labels
+
+
+def reference_square(X: FreeComplex, keep_odd_diagonal: bool):
+    """(labels, rho, sigma, alpha) of the square of X, built by one walk for
+    the labels, rho and sigma over every degree of [2 lo, 2 hi] and another
+    walk of the tensor basis for alpha, over the degrees of T = X (x) X.
+    The reference for `sym2._walk`."""
+    ring = X.ring
+    ops = ring.ops
+    one = ops.one
+    minus_one = ops.neg(one)
+    labels, rho, sigma, alpha = {}, {}, {}, {}
+    if X.is_zero():
+        return labels, rho, sigma, alpha
+    lo, hi = X.support
+    for n in range(2 * lo, 2 * hi + 1):
+        labs = reference_sym_basis(X, n, keep_odd_diagonal)
+        row_of = {lab: k for k, lab in enumerate(labs)}
+        tbasis = tensor_basis(X, X, n)
+        rho_entries, sigma_entries = {}, {}
+        for col, (a, b) in enumerate(tbasis):
+            if a > b:  # never diagonal, so its swap is a generator
+                sign = minus_one if (a[0] * b[0]) % 2 else one
+                rho_entries[(row_of[(b, a)], col)] = sign
+                continue
+            row = row_of.get((a, b))
+            if row is not None:  # else an odd diagonal square, killed
+                rho_entries[(row, col)] = one
+                sigma_entries[(col, row)] = one
+        labels[n] = labs
+        rho[n] = SparseMatrix._of(ring, len(labs), len(tbasis), rho_entries)
+        sigma[n] = SparseMatrix._of(ring, len(tbasis), len(labs), sigma_entries)
+    for n in tensor(X, X).degrees():
+        tbasis = tensor_basis(X, X, n)
+        index = {lab: k for k, lab in enumerate(tbasis)}
+        entries = {}
+        for col, ((p, i), (q, j)) in enumerate(tbasis):
+            swapped = index[((q, j), (p, i))]
+            v = one if (p * q) % 2 else minus_one
+            if swapped == col:  # a diagonal generator is its own swap: 1 + v is 0 or 2
+                entries[(col, col)] = ops.add(one, v)
+            else:
+                entries[(col, col)] = one
+                entries[(swapped, col)] = v
+        alpha[n] = SparseMatrix._of(ring, len(tbasis), len(tbasis), entries)
+    return labels, rho, sigma, alpha

@@ -35,7 +35,7 @@ from symchain import (
     zero_complex,
     zero_map,
 )
-from symchain.complexes import Homotopy, compose, tensor_basis, tensor_map
+from symchain.complexes import Homotopy, compose, tensor, tensor_basis, tensor_map
 from symchain.errors import (
     RingMismatchError,
     ShapeError,
@@ -43,7 +43,7 @@ from symchain.errors import (
     TwoNotUnitError,
     UnsupportedRingError,
 )
-from symchain.homology import homology_presented, is_exact
+from symchain.homology import homology, homology_presented, is_exact
 from symchain.linalg import (
     image_basis_pid,
     kernel_basis,
@@ -57,13 +57,14 @@ from symchain.sym2 import (
     PresentedComplex,
     _alpha_bases,
     _alpha_summands,
-    _reduction,
     _sym2_map,
+    _walk,
     endo_image_complex,
     endo_kernel_complex,
     sym_basis,
 )
 
+from oracles import reference_square, reference_sym_basis
 from randgen import (
     conjugate,
     contractible_piece,
@@ -267,7 +268,7 @@ def test_sym2_record_labels_section_and_killed_columns(ring):
     for X in _record_inputs(ring, 5):
         S = sym2(X)
         T = S.tensor_square
-        assert set(S.labels) >= set(T.degrees())
+        assert list(S.labels) == T.degrees() == list(S.section)
         for n, labs in S.labels.items():
             assert labs == sym_basis(X, n)
             assert S.complex.rank(n) == len(labs)
@@ -280,7 +281,7 @@ def test_sym2_record_labels_section_and_killed_columns(ring):
 @pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
 def test_weak_reduction_hits_every_tensor_column(ring):
     for X in _record_inputs(ring, 6):
-        labels, rho, sigma = _reduction(X, keep_odd_diagonal=True)
+        _, labels, rho, sigma, _ = _walk(X, keep_odd_diagonal=True)
         for n, labs in labels.items():
             assert labs == sym_basis(X, n, include_odd_diagonal=True)
             assert {c for (_, c) in rho[n].entries} == set(range(rho[n].cols))
@@ -289,6 +290,71 @@ def test_weak_reduction_hits_every_tensor_column(ring):
 
 # the package's `sym2` attribute is the function, so fetch the module by name
 sym2_module = importlib.import_module("symchain.sym2")
+
+
+def _walk_inputs(ring, seed):
+    """The record inputs, then random complexes padded with a contractible
+    piece and, off graded rings, conjugated."""
+    yield from _record_inputs(ring, seed)
+    rng = random.Random(seed)
+    for _ in range(3):
+        if ring.kind == "Poly":
+            X = random_graded_minimal(ring, rng)
+        else:
+            X = random_complex(ring, rng, max_rank=2, max_len=3)
+        padded = direct_sum(X, shift(koszul([ring.one()]), rng.randint(0, 2)))
+        yield padded if ring.kind == "Poly" else conjugate(padded, rng)
+
+
+@pytest.mark.parametrize("keep_odd_diagonal", [False, True])
+@pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
+def test_walk_matches_reference_square(ring, keep_odd_diagonal):
+    """The one walk gives the labels, rho, sigma and alpha of the separate
+    walks, matrix for matrix, on the degrees of T; the reference's other
+    degrees, where T is zero, have no labels."""
+    for X in _walk_inputs(ring, 8):
+        T, labels, rho, sigma, al = _walk(X, keep_odd_diagonal)
+        ref_labels, ref_rho, ref_sigma, ref_alpha = reference_square(X, keep_odd_diagonal)
+        assert list(labels) == list(rho) == list(sigma) == T.degrees() == list(ref_alpha)
+        assert all(not ref_labels[n] for n in set(ref_labels) - set(labels))
+        for n in T.degrees():
+            assert labels[n] == ref_labels[n] == reference_sym_basis(X, n, keep_odd_diagonal)
+            assert labels[n] == sym_basis(X, n, keep_odd_diagonal)
+            assert rho[n] == ref_rho[n]
+            assert sigma[n] == ref_sigma[n]
+            assert al.component(n) == ref_alpha[n]
+
+
+def test_sym2_walks_each_tensor_degree_once(monkeypatch):
+    calls = []
+    real = sym2_module.tensor_basis
+
+    def counted(X, Y, n):
+        calls.append(n)
+        return real(X, Y, n)
+
+    monkeypatch.setattr(sym2_module, "tensor_basis", counted)
+    gapped = direct_sum(unit_complex(ZZ), shift(unit_complex(ZZ), 3))  # T in degrees 0, 3, 6
+    for X in (koszul([X_VAR, Y_VAR]), gapped, shift(unit_complex(QQ), 1), zero_complex(QQ)):
+        for build in (sym2, weak_sym2, alpha):
+            calls.clear()
+            build(X)
+            assert sorted(calls) == tensor(X, X).degrees(), (X, build)
+
+
+@pytest.mark.parametrize("ring", [ZLoc(3), ZLoc(5)], ids=str)
+def test_presented_homology_of_a_free_weak_square(ring):
+    """Where 2 is a unit the weak square is the free symmetric square, and
+    its presented homology is the homology of that complex."""
+    rng = random.Random(40 + ring.p)
+    inputs = [koszul([ring.scalar(3)])]
+    inputs += [random_complex(ring, rng, max_rank=3, max_len=3) for _ in range(8)]
+    for X in inputs:
+        W = weak_sym2(X)
+        assert isinstance(W, FreeComplex)
+        assert homology_presented(W) == homology(sym2(X).complex)
+    with pytest.raises(UnsupportedRingError):
+        homology_presented(weak_sym2(koszul([QQ.scalar(3)])))
 
 
 def _counting_sym2(monkeypatch):

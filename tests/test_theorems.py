@@ -36,6 +36,7 @@ from symchain import (
 )
 from symchain.complexes import compose
 from symchain.errors import TwoNotUnitError, UnsupportedRingError
+from symchain.theorems import _equivalence
 
 from oracles import lowest_square_oracle
 from randgen import (
@@ -411,3 +412,21 @@ def test_symm09_reads_homology_off_the_minimal_model_of_the_square(monkeypatch):
     assert seen and all(any(A == B for B in allowed) for A in seen)
 
 
+
+
+def test_equivalence_report_reads_failure_lists_and_bools():
+    """A failure list holds when empty and gives its first three entries as
+    witnesses; a bool is taken as it is; the given witnesses come first."""
+    X = unit_complex(QQ)
+    r = _equivalence("t", X, {"a": [], "b": True})
+    assert (r.labels, r.conditions) == (("a", "b"), (True, True))
+    assert (r.equivalent, r.holds) == (True, True)
+    assert (r.witnesses, r.backend, r.theorem) == ({}, str(QQ), "t")
+    given = {"j": 0}
+    r = _equivalence("t", X, {"a": [1, 2, 3, 4], "b": False}, given)
+    assert (r.conditions, r.equivalent, r.holds) == ((False, False), True, False)
+    assert list(r.witnesses.items()) == [("j", 0), ("a", [1, 2, 3])]
+    assert given == {"j": 0}
+    r = _equivalence("t", X, {"a": [5], "b": True})
+    assert (r.conditions, r.equivalent, r.holds) == ((False, True), False, None)
+    assert r.witnesses == {"a": [5]}
