@@ -297,27 +297,29 @@ def tensor_basis(X: FreeComplex, Y: FreeComplex, n: int):
 
 def tensor(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
     """Tensor product complex under the global basis convention."""
+    return _tensor_with_bases(X, Y)[0]
+
+
+def _tensor_with_bases(X: FreeComplex, Y: FreeComplex):
+    """(T, bases, index): T = X (x) Y, and per degree of T its tensor_basis
+    and {label: position}.  Bases are built only where T is nonzero."""
     if X.ring != Y.ring:
         raise RingMismatchError(f"cannot tensor complexes over {X.ring} and {Y.ring}")
     ring = X.ring
-    if X.is_zero() or Y.is_zero():
-        return zero_complex(ring)
-    lo = X.support[0] + Y.support[0]
-    hi = X.support[1] + Y.support[1]
-    bases = {n: tensor_basis(X, Y, n) for n in range(lo, hi + 1)}
-    ranks = {n: len(b) for n, b in bases.items()}
+    degrees = sorted({p + q for p in X.degrees() for q in Y.degrees()})
+    bases = {n: tensor_basis(X, Y, n) for n in degrees}
     index = {n: {lab: k for k, lab in enumerate(b)} for n, b in bases.items()}
     dX = {p: _columns(X.diff(p)) for p in X.degrees()}
     dY = {q: _columns(Y.diff(q)) for q in Y.degrees()}
     neg = ring.ops.neg
     diffs = {}
-    for n in range(lo + 1, hi + 1):
-        if ranks.get(n, 0) == 0 or ranks.get(n - 1, 0) == 0:
+    for n in degrees:
+        tgt = index.get(n - 1)
+        if tgt is None:
             continue
         # each target row is hit at most once per column: the X part lands in
         # block p - 1, the Y part in block p
         entries = {}
-        tgt = index[n - 1]
         for col, ((p, i), (q, j)) in enumerate(bases[n]):
             for ii, v in dX[p].get(i, ()):
                 row = tgt.get(((p - 1, ii), (q, j)))
@@ -327,15 +329,15 @@ def tensor(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
                 row = tgt.get(((p, i), (q - 1, ii)))
                 if row is not None:
                     entries[(row, col)] = neg(v) if p % 2 else v
-        diffs[n] = SparseMatrix._of(ring, ranks[n - 1], ranks[n], entries)
+        diffs[n] = SparseMatrix._of(ring, len(tgt), len(bases[n]), entries)
     gdegs = None
     if ring.kind == "Poly":
         gdegs = {
             n: tuple(X.gdeg(p)[i] + Y.gdeg(q)[j] for ((p, i), (q, j)) in bases[n])
             for n in bases
-            if bases[n]
         }
-    return FreeComplex._of(ring, ranks, diffs, gdegs)
+    T = FreeComplex._of(ring, {n: len(b) for n, b in bases.items()}, diffs, gdegs)
+    return T, bases, index
 
 
 class ChainMap:

@@ -12,9 +12,16 @@ Exactness and quasi-isomorphism (exactness of the mapping cone) are exact
 verdicts on every backend.  Over every local backend (QQ, GF(p), ZLoc(p)
 and graded rings) a bounded complex of finite free modules is exact
 exactly when its minimal model is zero (Nakayama; graded Nakayama for
-homogeneous differentials), so the verdict minimizes first, needs no
-degree bound, and computes homology only of the minimal model, for the
-witness degrees.  Over ZZ, which is not local, it reads homology().
+homogeneous differentials), so the verdict minimizes first and needs no
+degree bound.  The witnesses are read off the minimal model M without
+computing its homology.  Over a field d = 0 on M, so every degree of M is
+one.  ZLoc(p) is a discrete valuation ring, and there H_n(M) != 0 exactly
+when d_n has a kernel, that is when the rank of d_n is less than rank M_n:
+ker d_n is a direct summand of M_n, since M_n / ker d_n embeds in the free
+module M_{n-1}, so the image of d_{n+1}, which lies in p M_n, lies in
+p ker d_n, and a nonzero ker d_n survives in H_n by Nakayama (Eisenbud,
+GTM 150, Cor. 4.8).  Over ZZ, which is not local, the verdict reads
+homology().
 """
 
 from __future__ import annotations
@@ -265,8 +272,13 @@ def _exactness_failures(X: FreeComplex) -> list:
     when its minimal model M is zero (Nakayama; graded Nakayama needs the
     homogeneous entries that the FreeComplex constructor checks and every
     library builder keeps).  X is M plus a contractible summand, so
-    H(X) = H(M), and the witnesses are every degree where H(M) is nonzero;
-    the Smith loop or rank then runs on M alone.  Over a graded ring,
+    H(X) = H(M), and the witnesses are every degree where H(M) is nonzero.
+    Over a field or ZLoc(p) those are the degrees n where rank d_n <
+    rank M_n, and only the differentials of M are ranked: over a field
+    d = 0 on M, and over the discrete valuation ring ZLoc(p) the image of
+    d_{n+1} lies in p ker d_n, as ker d_n is a direct summand of M_n, so
+    H_n(M) != 0 exactly when ker d_n != 0 (Nakayama; Eisenbud, GTM 150,
+    Cor. 4.8).  No Smith loop runs.  Over a graded ring,
     with no degree bound, the witness is [(n0, d0)] instead: n0 the lowest
     degree where M is nonzero and d0 the lowest generator degree of
     M_{n0}; H_{n0}(X)_{d0} != 0, since the image of the next differential
@@ -279,7 +291,7 @@ def _exactness_failures(X: FreeComplex) -> list:
     if M.is_zero():
         return []
     if not M.graded:
-        return homology(M).nonzero_degrees()
+        return [n for n in M.degrees() if rank(M.diff(n)) < M.rank(n)]
     n0 = M.degrees()[0]
     return [(n0, min(M.gdeg(n0)))]
 
@@ -290,7 +302,10 @@ def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
     Decided as exactness of the mapping cone (see _exactness_failures): by
     its minimal model over a local backend, by homology() over ZZ.  The
     failures are the cone degrees with nonzero homology, or one (n0, d0)
-    over a graded ring.
+    over a graded ring.  Over a field or ZLoc(p) they are read off the
+    ranks of the minimal model's differentials: a degree fails exactly
+    where d_n has a kernel, by Nakayama over the discrete valuation ring
+    ZLoc(p) (Eisenbud, GTM 150, Cor. 4.8).
     """
     failures = _exactness_failures(mapping_cone(f))
     return QuasiIsoVerdict(not failures, failures=failures)

@@ -16,14 +16,19 @@ on a canonical generator basis:
 
 One involution fixes all of it: the signed swap c = a (x) b ->
 (-1)^{|a||b|} b (x) a.  One walk over the generators of each degree of T
-(_walk) looks up each swap and its sign once and writes, in the same pass,
-the canonical labels, alpha, the reduction rho (tensor coordinates onto
-canonical generators) and the section sigma (each generator as its
-canonical tensor generator).  The induced differentials rho . d . sigma
-reproduce the classical small matrices for Koszul complexes on one and two
-elements exactly.  A Sym2Result keeps each once: rho as the chain map
-`proj`, sigma as `section[n]` and the generators as `labels[n]`, beside
-`complex`, `tensor_square` and `alpha`; alpha(X) is sym2(X).alpha.
+(_walk), on the bases that built T, looks up each swap and its sign once
+and writes, in the same pass, the canonical labels, alpha, the reduction
+rho (tensor coordinates onto canonical generators) and the section sigma
+(each generator as its canonical tensor generator).  The induced
+differentials rho . d . sigma reproduce the classical small matrices for
+Koszul complexes on one and two elements exactly.  They are formed with
+no general product (_pick): each column of rho has at most one entry, so
+sigma picks columns of d and rho sends each row to one generator, with a
+sign.  The same picking forms the summands' L . d . B and corestriction
+L . alpha, the maps S2(f) and the induced homotopy below.  A Sym2Result
+keeps each once: rho as the chain map `proj`, sigma as `section[n]` and
+the generators as `labels[n]`, beside `complex`, `tensor_square` and
+`alpha`; alpha(X) is sym2(X).alpha.
 
 When 2 is a unit, alpha/2 is idempotent, so Im(alpha) and Ker(alpha) =
 Im(2 - alpha) are direct summands of T.  For the alpha of a square both
@@ -45,6 +50,7 @@ from .complexes import (
     FreeComplex,
     Homotopy,
     _tensor_map,
+    _tensor_with_bases,
     direct_sum,
     shift,
     tensor,
@@ -118,11 +124,10 @@ def _walk(X: FreeComplex, keep_odd_diagonal: bool):
     ops = ring.ops
     one, minus_one = ops.one, ops.neg(ops.one)
     two = ops.add(one, one)
-    T = tensor(X, X)
+    T, bases, indices = _tensor_with_bases(X, X)
     labels, rho, sigma, al = {}, {}, {}, {}
-    for n in T.degrees():
-        tbasis = tensor_basis(X, X, n)
-        index = {lab: k for k, lab in enumerate(tbasis)}
+    for n, tbasis in bases.items():
+        index = indices[n]
         labs = sorted(lab for lab in tbasis if _in_square(*lab, keep_odd_diagonal))
         row_of = {lab: k for k, lab in enumerate(labs)}
         rho_entries, sigma_entries, alpha_entries = {}, {}, {}
@@ -144,6 +149,54 @@ def _walk(X: FreeComplex, keep_odd_diagonal: bool):
         sigma[n] = SparseMatrix._of(ring, r, len(labs), sigma_entries)
         al[n] = SparseMatrix._of(ring, r, r, alpha_entries)
     return T, labels, rho, sigma, ChainMap._of(T, T, al)
+
+
+def _pick(L: SparseMatrix, D: SparseMatrix, B: SparseMatrix | None = None) -> SparseMatrix:
+    """L @ D @ B (L @ D without B) for L with at most one entry per column.
+
+    Such an L sends row k of D to one row i of the product, times c: a
+    row map k -> (i, c) read off L.  The walk goes over the columns of B,
+    then over the entries of D in those columns, so only the columns of D
+    that B picks are read.  A coefficient of L or B that is 1 or -1 costs
+    no product, and the two signs make at most one negation; the others
+    (2 and 1/2 in the bases of the square) are multiplied in.
+    """
+    ops = D.ring.ops
+    one, add, mul, neg = ops.one, ops.add, ops.mul, ops.neg
+    # Fraction == int is Fraction's fast path, so fractions meet 1 and -1 as ints
+    plus, minus = (1, -1) if isinstance(one, Fraction) else (one, neg(one))
+
+    def split(c):  # (sign, factor): c = -factor if sign else factor; factor None for 1
+        if c == plus:
+            return False, None
+        if c == minus:
+            return True, None
+        return False, c
+
+    row_map = {k: (i, *split(c)) for (i, k), c in L.entries.items()}
+    d_cols = _columns(D)
+    if B is None:
+        b_cols = {l: ((l, one),) for l in d_cols}
+    else:
+        b_cols = _columns(B)
+    acc = {}
+    for j, b_col in b_cols.items():
+        for l, b in b_col:
+            b_sign, b_factor = split(b)
+            for k, d in d_cols.get(l, ()):
+                target = row_map.get(k)
+                if target is None:
+                    continue
+                i, c_sign, c_factor = target
+                w = d if b_factor is None else mul(b_factor, d)
+                if c_factor is not None:
+                    w = mul(c_factor, w)
+                if b_sign is not c_sign:
+                    w = neg(w)
+                key = (i, j)
+                s = acc.get(key)
+                acc[key] = w if s is None else add(s, w)
+    return SparseMatrix._of(D.ring, L.rows, D.cols if B is None else B.cols, acc)
 
 
 # -- alpha and the symmetric square ---------------------------------------------
@@ -191,7 +244,7 @@ def sym2(X: FreeComplex) -> Sym2Result:
             if labs
         }
     diffs = {
-        n: rho[n - 1] @ T.diff(n) @ section[n]
+        n: _pick(rho[n - 1], T.diff(n), section[n])
         for n in labels
         if ranks[n] and ranks.get(n - 1, 0)
     }
@@ -331,7 +384,7 @@ def weak_sym2(X: FreeComplex):
         entries = {(k, c): two for c, k in enumerate(rel_cols)}
         relations[n] = SparseMatrix._of(ring, len(labs), len(rel_cols), entries)
     diffs = {
-        n: rho[n - 1] @ T.diff(n) @ sigma[n] for n in generators if (n - 1) in generators
+        n: _pick(rho[n - 1], T.diff(n), sigma[n]) for n in generators if (n - 1) in generators
     }
     return PresentedComplex(ring, generators, relations, diffs)  # validated there
 
@@ -349,7 +402,7 @@ def _sym2_map(ff: ChainMap, SX: Sym2Result, SY: Sym2Result) -> ChainMap:
     for n in SX.complex.degrees():
         if SY.complex.rank(n) == 0:
             continue
-        maps[n] = SY.proj.component(n) @ ff.component(n) @ SX.section[n]
+        maps[n] = _pick(SY.proj.component(n), ff.component(n), SX.section[n])
     return ChainMap._of(SX.complex, SY.complex, maps)
 
 
@@ -501,7 +554,7 @@ def _summand(T: FreeComplex, part: dict) -> SubcomplexData:
     its differential is L_{n-1} d_n B_n, as L_{n-1} is a left inverse of B_{n-1}."""
     bases = {n: B for n, (B, _, _) in part.items() if B.cols}
     ranks = {n: B.cols for n, B in bases.items()}
-    diffs = {n: part[n - 1][1] @ T.diff(n) @ bases[n] for n in ranks if ranks.get(n - 1)}
+    diffs = {n: _pick(part[n - 1][1], T.diff(n), bases[n]) for n in ranks if ranks.get(n - 1)}
     gdegs = {n: part[n][2] for n in ranks} if T.ring.kind == "Poly" else None
     sub = FreeComplex._of(T.ring, ranks, diffs, gdegs)
     return SubcomplexData(sub, ChainMap._of(sub, T, bases), bases)
@@ -515,10 +568,8 @@ def _alpha_summands(S: Sym2Result):
     T, al = S.tensor_square, S.alpha
     image_part, kernel_part = _alpha_bases(T, al)
     image = _summand(T, image_part)
-    q = ChainMap._of(
-        T, image.complex, {n: image_part[n][1] @ al.component(n) for n in image.complex.degrees()}
-    )
-    return image, _summand(T, kernel_part), q
+    q = {n: _pick(image_part[n][1], al.component(n)) for n in image.complex.degrees()}
+    return image, _summand(T, kernel_part), ChainMap._of(T, image.complex, q)
 
 
 # -- split decomposition when 2 is a unit ------------------------------------------
@@ -712,7 +763,7 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
         M = sigma_maps.get(n)
         if M is None:
             continue
-        bar = SY.proj.component(n + 1) @ M @ SX.section[n]
+        bar = _pick(SY.proj.component(n + 1), M, SX.section[n])
         if not bar.is_zero():
             bar_maps[n] = bar
     sigma_bar = Homotopy(_sym2_map(ff, SX, SY), _sym2_map(gg, SX, SY), bar_maps)

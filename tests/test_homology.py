@@ -1,6 +1,7 @@
 """Homology over each backend, presented complexes, quasi-isomorphism tests."""
 
 import random
+import sys
 from importlib import import_module
 from math import gcd
 
@@ -70,6 +71,7 @@ X_VAR = POLY.variable("x")
 Y_VAR = POLY.variable("y")
 # the package's `homology` is the function, which shadows the submodule
 homology_module = import_module("symchain.homology")
+linalg_module = import_module("symchain.linalg")
 
 
 def test_homology_of_integer_koszul():
@@ -596,21 +598,91 @@ def test_zloc_exact_verdicts_run_no_smith_loop(monkeypatch):
     assert seen == []
 
 
-def test_zloc_non_exact_verdict_runs_the_smith_loop_on_the_minimal_model(monkeypatch):
+def _count_ranks(monkeypatch):
+    """Record the shape of every matrix the exactness verdict ranks."""
+    seen = []
+    real = homology_module.rank
+
+    def counting(M):
+        seen.append((M.rows, M.cols))
+        return real(M)
+
+    monkeypatch.setattr(homology_module, "rank", counting)
+    return seen
+
+
+def test_zloc_non_exact_verdict_ranks_only_the_minimal_model(monkeypatch):
+    """The witnesses of a non-exact ZLoc(p) verdict are read off the ranks
+    of the minimal model's differentials, with no Smith loop."""
     R = ZLoc(3)
     rng = random.Random(8)
     X = _padded(direct_sum(two_term(R, 1, R.scalar(3)), shift(unit_complex(R), 2)), rng)
     f = zero_map(X, X)
     cone = mapping_cone(f)
     M = minimal_model(cone)
-    seen = _count_invariant_factors(monkeypatch)
+    smith = _count_invariant_factors(monkeypatch)
+    ranked = _count_ranks(monkeypatch)
     verdict = is_quasi_iso(f)
     assert verdict.failures == [0, 1, 2, 3]
+    assert smith == []
     # exactly the differentials of M, which together are smaller than the cone's
-    assert sorted(seen) == sorted((M.rank(n - 1), M.rank(n)) for n in M.degrees())
-    assert sum(r * c for r, c in seen) < sum(
+    assert sorted(ranked) == sorted((M.rank(n - 1), M.rank(n)) for n in M.degrees())
+    assert sum(r * c for r, c in ranked) < sum(
         cone.rank(n - 1) * cone.rank(n) for n in cone.degrees()
     )
+
+
+@pytest.mark.parametrize("ring", [ZLoc(3), ZLoc(5), QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_witnesses_match_homology_of_the_minimal_model(ring, seed):
+    """On a minimal model over a DVR or a field, H_n != 0 exactly where
+    d_n has a kernel: the rank witnesses are the degrees homology() finds."""
+    rng = random.Random(100 * seed + [ZLoc(3), ZLoc(5), QQ, GF(5)].index(ring))
+    complexes = []
+    for _ in range(6):
+        X = random_minimal_complex(ring, rng) if rng.random() < 0.5 else random_complex(ring, rng)
+        X = _padded(X, rng) if rng.random() < 0.5 else X
+        complexes.append(X)
+        Y = random_complex(ring, rng, max_rank=3)
+        complexes.append(mapping_cone(random_chain_map(X, Y, rng)))
+    nonexact = 0
+    for C in complexes:
+        M = minimal_model(C)
+        want = homology(M).nonzero_degrees()
+        assert _exactness_failures(C) == want
+        assert want == homology(C).nonzero_degrees()
+        nonexact += bool(want)
+    assert nonexact
+
+
+@pytest.mark.parametrize("ring", [ZLoc(3), ZLoc(5), QQ, GF(5), POLY], ids=str)
+def test_local_verdicts_run_no_smith_loop(monkeypatch, ring):
+    """is_quasi_iso and is_exact call invariant_factors on no local backend,
+    on exact and on non-exact inputs."""
+    rng = random.Random(31)
+    if ring == POLY:
+        Xs = [koszul([X_VAR, Y_VAR]), sym2(koszul([X_VAR])).complex]
+    else:
+        Xs = [_padded(random_minimal_complex(ring, rng), rng) for _ in range(3)]
+    seen = []
+    real = linalg_module.invariant_factors
+
+    def counting(M):
+        seen.append(M)
+        return real(M)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("symchain")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counting)
+    outcomes = set()
+    for X in Xs:
+        S = sym2(X)
+        outcomes.add(is_exact(X))
+        outcomes.add(bool(is_quasi_iso(S.proj)))
+        outcomes.add(bool(is_quasi_iso(identity_map(X))))
+    assert outcomes == {True, False}
+    assert seen == []
 
 
 def test_graded_quasi_iso_agrees_with_induced_map_oracle_per_slice():

@@ -57,6 +57,7 @@ from symchain.sym2 import (
     PresentedComplex,
     _alpha_bases,
     _alpha_summands,
+    _pick,
     _sym2_map,
     _walk,
     endo_image_complex,
@@ -290,6 +291,7 @@ def test_weak_reduction_hits_every_tensor_column(ring):
 
 # the package's `sym2` attribute is the function, so fetch the module by name
 sym2_module = importlib.import_module("symchain.sym2")
+complexes_module = importlib.import_module("symchain.complexes")
 
 
 def _walk_inputs(ring, seed):
@@ -325,7 +327,77 @@ def test_walk_matches_reference_square(ring, keep_odd_diagonal):
             assert al.component(n) == ref_alpha[n]
 
 
+def _pick_coefficients(ring):
+    """Entries for the pick oracle: 1, -1 and 2, 1/2 where 2 is a unit, and
+    a few others (over the graded ring, non-constant ones too)."""
+    one = ring.one()
+    two = one + one
+    values = [one, -one, two, ring.scalar(3), -two]
+    if ring.two_is_unit():
+        values.append(two.inverse())
+    if ring == POLY:
+        values += [X_VAR, X_VAR * ring.scalar(3) - Y_VAR]
+    return [v for v in values if not v.is_zero()]
+
+
+def _random_matrix(ring, rows, cols, rng, values, per_column=None):
+    """rows x cols with entries drawn from values, each position filled with
+    probability one half, or at most per_column entries in each column."""
+    entries = {}
+    for j in range(cols):
+        picked = [i for i in range(rows) if rng.random() < 0.5]
+        if per_column is not None:
+            picked = rng.sample(picked, min(per_column, len(picked)))
+        for i in picked:
+            entries[(i, j)] = rng.choice(values)
+    return SparseMatrix(ring, rows, cols, entries)
+
+
+@pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
+def test_pick_matches_the_general_product(ring):
+    """_pick(L, D, B) is L @ D @ B, and _pick(L, D) is L @ D, for L with at
+    most one entry per column and any D and B."""
+    rng = random.Random(71 + RECORD_RINGS.index(ring))
+    values = _pick_coefficients(ring)
+    wide = values + [ring.scalar(k) for k in (-4, 5, 7)]
+    for _ in range(60):
+        r, m, p, c = (rng.randint(0, 5) for _ in range(4))
+        L = _random_matrix(ring, r, m, rng, values, per_column=1)
+        D = _random_matrix(ring, m, p, rng, wide)
+        B = _random_matrix(ring, p, c, rng, values)
+        assert _pick(L, D, B) == L @ D @ B
+        assert _pick(L, D) == L @ D
+
+
+def _count_matmul(monkeypatch):
+    calls = []
+    real = SparseMatrix.__matmul__
+
+    def counted(A, B):
+        calls.append((A.rows, A.cols, B.cols))
+        return real(A, B)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [ZLoc(3), POLY], ids=str)
+def test_squares_and_summands_form_no_general_product(monkeypatch, ring):
+    """sym2, weak_sym2 and the summands of alpha pick rows and columns: no
+    SparseMatrix product runs on the way."""
+    rng = random.Random(5)
+    inputs = list(_closed_form_inputs(ring, rng))[:6]
+    calls = _count_matmul(monkeypatch)
+    for X in inputs:
+        S = sym2(X)
+        weak_sym2(X)
+        _alpha_summands(S)
+    assert calls == []
+
+
 def test_sym2_walks_each_tensor_degree_once(monkeypatch):
+    """One tensor_basis per nonzero degree of T, counted through both
+    module bindings: the builder of T hands its bases to the walk."""
     calls = []
     real = sym2_module.tensor_basis
 
@@ -333,7 +405,8 @@ def test_sym2_walks_each_tensor_degree_once(monkeypatch):
         calls.append(n)
         return real(X, Y, n)
 
-    monkeypatch.setattr(sym2_module, "tensor_basis", counted)
+    for module in (sym2_module, complexes_module):
+        monkeypatch.setattr(module, "tensor_basis", counted)
     gapped = direct_sum(unit_complex(ZZ), shift(unit_complex(ZZ), 3))  # T in degrees 0, 3, 6
     for X in (koszul([X_VAR, Y_VAR]), gapped, shift(unit_complex(QQ), 1), zero_complex(QQ)):
         for build in (sym2, weak_sym2, alpha):
