@@ -42,7 +42,7 @@ residue field, so no lattice transform is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import (
@@ -151,7 +151,9 @@ def _walk(X: FreeComplex, keep_odd_diagonal: bool):
     return T, labels, rho, sigma, ChainMap._of(T, T, al)
 
 
-def _pick(L: SparseMatrix, D: SparseMatrix, B: SparseMatrix | None = None) -> SparseMatrix:
+def _pick(
+    L: SparseMatrix, D: SparseMatrix, B: SparseMatrix | None = None, d_cols: dict | None = None
+) -> SparseMatrix:
     """L @ D @ B (L @ D without B) for L with at most one entry per column.
 
     Such an L sends row k of D to one row i of the product, times c: a
@@ -159,7 +161,9 @@ def _pick(L: SparseMatrix, D: SparseMatrix, B: SparseMatrix | None = None) -> Sp
     then over the entries of D in those columns, so only the columns of D
     that B picks are read.  A coefficient of L or B that is 1 or -1 costs
     no product, and the two signs make at most one negation; the others
-    (2 and 1/2 in the bases of the square) are multiplied in.
+    (2 and 1/2 in the bases of the square) are multiplied in.  d_cols,
+    when given, is _columns(D), grouped once by a caller that picks from
+    the same D again.
     """
     ops = D.ring.ops
     one, add, mul, neg = ops.one, ops.add, ops.mul, ops.neg
@@ -174,7 +178,8 @@ def _pick(L: SparseMatrix, D: SparseMatrix, B: SparseMatrix | None = None) -> Sp
         return False, c
 
     row_map = {k: (i, *split(c)) for (i, k), c in L.entries.items()}
-    d_cols = _columns(D)
+    if d_cols is None:
+        d_cols = _columns(D)
     if B is None:
         b_cols = {l: ((l, one),) for l in d_cols}
     else:
@@ -222,6 +227,9 @@ class Sym2Result:
     labels: dict  # degree -> sym_basis(X, n), the generators of S_n
     tensor_square: FreeComplex
     alpha: ChainMap  # endomorphism of tensor_square
+    # degree -> _columns(tensor_square.diff(n)): each differential of T is
+    # grouped by column once, for rho . d . sigma and the summands' L . d . B
+    tensor_columns: dict = field(repr=False, compare=False)
 
 
 def sym2(X: FreeComplex) -> Sym2Result:
@@ -243,13 +251,14 @@ def sym2(X: FreeComplex) -> Sym2Result:
             for n, labs in labels.items()
             if labs
         }
+    tensor_columns = {n: _columns(T.diff(n)) for n in T.degrees() if T.rank(n - 1)}
     diffs = {
-        n: _pick(rho[n - 1], T.diff(n), section[n])
+        n: _pick(rho[n - 1], T.diff(n), section[n], tensor_columns[n])
         for n in labels
         if ranks[n] and ranks.get(n - 1, 0)
     }
     S = FreeComplex._of(ring, ranks, diffs, gdegs)
-    return Sym2Result(S, ChainMap._of(T, S, rho), section, labels, T, al)
+    return Sym2Result(S, ChainMap._of(T, S, rho), section, labels, T, al, tensor_columns)
 
 
 # -- presented complexes (weak square when 2 is not a unit) ----------------------
@@ -502,10 +511,10 @@ def endo_kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
     return _subcomplex_from_bases(T, bases)
 
 
-def _alpha_bases(T: FreeComplex, al: ChainMap):
+def _alpha_bases(T: FreeComplex, alpha_cols: dict):
     """Closed-form bases of Im(alpha) and Ker(alpha) for the alpha of a
-    square, 2 a unit: two dicts, degree -> (B, L, generator degrees), with
-    L @ B = 1.
+    square, 2 a unit, given alpha_cols[n] = _columns(alpha.component(n)):
+    two dicts, degree -> (B, L, generator degrees), with L @ B = 1.
 
     _walk gives alpha(e_c) = e_c + v e_c' for a tensor generator c = a (x) b
     whose swap is c' != c, with v = -(-1)^{|a||b|}, and (1 + v) e_c on the
@@ -525,7 +534,7 @@ def _alpha_bases(T: FreeComplex, al: ChainMap):
     parts = ({}, {})  # image, kernel
     for n in T.degrees():
         r = T.rank(n)
-        cols = _columns(al.component(n))
+        cols = alpha_cols[n]
         vectors = ([], [])  # image, kernel: (index, {row: entry of B}, entry of L)
         for c in range(r):
             col = cols.get(c, ())
@@ -549,12 +558,15 @@ def _alpha_bases(T: FreeComplex, al: ChainMap):
     return parts
 
 
-def _summand(T: FreeComplex, part: dict) -> SubcomplexData:
+def _summand(T: FreeComplex, part: dict, d_cols: dict) -> SubcomplexData:
     """The subcomplex of T on the bases B_n of part[n] = (B_n, L_n, degrees):
-    its differential is L_{n-1} d_n B_n, as L_{n-1} is a left inverse of B_{n-1}."""
+    its differential is L_{n-1} d_n B_n, as L_{n-1} is a left inverse of
+    B_{n-1}.  d_cols[n] is _columns(T.diff(n))."""
     bases = {n: B for n, (B, _, _) in part.items() if B.cols}
     ranks = {n: B.cols for n, B in bases.items()}
-    diffs = {n: _pick(part[n - 1][1], T.diff(n), bases[n]) for n in ranks if ranks.get(n - 1)}
+    diffs = {
+        n: _pick(part[n - 1][1], T.diff(n), bases[n], d_cols[n]) for n in ranks if ranks.get(n - 1)
+    }
     gdegs = {n: part[n][2] for n in ranks} if T.ring.kind == "Poly" else None
     sub = FreeComplex._of(T.ring, ranks, diffs, gdegs)
     return SubcomplexData(sub, ChainMap._of(sub, T, bases), bases)
@@ -566,10 +578,14 @@ def _alpha_summands(S: Sym2Result):
     image, L alpha, all from _alpha_bases with no elimination or solve.
     The library built alpha, so alpha.alpha = 2 alpha is not re-checked."""
     T, al = S.tensor_square, S.alpha
-    image_part, kernel_part = _alpha_bases(T, al)
-    image = _summand(T, image_part)
-    q = {n: _pick(image_part[n][1], al.component(n)) for n in image.complex.degrees()}
-    return image, _summand(T, kernel_part), ChainMap._of(T, image.complex, q)
+    alpha_cols = {n: _columns(al.component(n)) for n in T.degrees()}
+    image_part, kernel_part = _alpha_bases(T, alpha_cols)
+    image = _summand(T, image_part, S.tensor_columns)
+    q = {
+        n: _pick(image_part[n][1], al.component(n), None, alpha_cols[n])
+        for n in image.complex.degrees()
+    }
+    return image, _summand(T, kernel_part, S.tensor_columns), ChainMap._of(T, image.complex, q)
 
 
 # -- split decomposition when 2 is a unit ------------------------------------------

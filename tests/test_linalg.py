@@ -1,8 +1,9 @@
 """Exact matrix operations: products, kernels, Smith normal form, slices."""
 
 import random
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 import pytest
 from sympy import GF as SympyGF
@@ -25,11 +26,15 @@ from symchain import (
     smith_normal_form,
     sym2,
     tensor,
+    weak_sym2,
 )
 from symchain.errors import GradingError, LinearSolveError, ShapeError, UnsupportedRingError
+from symchain.homology import homology_presented
 from symchain.linalg import (
     _echelon,
+    _echelon_minor,
     _int_rows,
+    _markowitz_rank,
     image_basis_pid,
     invariant_factors,
     kernel_pid,
@@ -45,6 +50,7 @@ from symchain.linalg import (
 from oracles import reference_slice_matrix
 
 POLY = graded_poly("x", "y")
+linalg_module = sys.modules["symchain.linalg"]
 
 
 def rows(ring, data):
@@ -270,6 +276,145 @@ def test_invariant_factors_match_snf_and_sympy(ring):
             assert got == want
     # the cross-checks reach a nontrivial factor on every ring
     assert any(d > 1 for A, _ in cases for d in invariant_factors(A))
+
+
+def _chain_without_units(rng, p):
+    """A divisibility chain d_1 | d_2 | ... whose first factor is a product
+    of two or three of the primes 2, 3, 5, 7 (one of them p, when given)."""
+    primes = [2, 3, 5, 7]
+    others = [q for q in primes if q != p]
+    d = prod(([p] if p else []) + rng.sample(others, rng.randint(1, 2) + (not p)))
+    chain = []
+    for _ in range(rng.randint(1, 4)):
+        chain.append(d)
+        for _ in range(rng.randint(0, 2)):
+            d *= rng.choice(primes)
+    if rng.random() < 0.3:
+        chain.append(0)  # rank deficient
+    return chain
+
+
+@pytest.mark.parametrize("ring", [ZZ, ZLoc(3), ZLoc(5)], ids=str)
+def test_invariant_factors_with_no_unit_mod_the_minor(ring):
+    """U . diag . V with every factor a multiple of d_1, which has two or more
+    prime factors: each entry is a multiple of d_1, and so of a prime that
+    divides the first minor's D, so the unit split pivots on nothing and the
+    whole matrix goes to the Smith loop mod the gcd of the two minors."""
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    p = ring.p if ring.kind == "ZLoc" else None
+    rng = random.Random({ZZ: 71, ZLoc(3): 73, ZLoc(5): 79}[ring])
+    for _ in range(25):
+        diag = _chain_without_units(rng, p)
+        n = len(diag)
+        D = SparseMatrix(ring, n, n + 1, {(i, i): d for i, d in enumerate(diag)})
+        A = _unimodular(ring, rng, n) @ D @ _unimodular(ring, rng, n + 1)
+        int_rows, _ = _int_rows(A)
+        modulus = _echelon_minor(int_rows)[0]
+        if p:
+            modulus = p ** _p_valuation(modulus, p)
+        assert all(gcd(v, modulus) > 1 for row in int_rows for v in row.values())
+        residues = [{j: v % modulus for j, v in row.items() if v % modulus} for row in int_rows]
+        assert _markowitz_rank(residues, modulus)[0] == 0
+        want = [d if not p else p ** _p_valuation(d, p) for d in diag if d]
+        got = invariant_factors(A)
+        assert got == want
+        assert got == [int(d.value) for d in smith_normal_form(A).nonzero_diagonal()]
+        assert got == _sympy_invariant_factors(A, normalforms)
+
+
+@pytest.mark.parametrize(
+    "ring, data, modulus, want",
+    [(ZZ, [[1, 2], [3, 0]], 6, [1, 6]), (ZLoc(3), [[1, 3], [3, 0]], 9, [1, 9])],
+    ids=["ZZ mod 6", "ZLoc(3) mod 9"],
+)
+def test_unit_split_update_vanishing_where_the_row_has_no_entry(ring, data, modulus, want):
+    """Mod a composite D, b*v can be 0 with b, v nonzero.  Pivoting on the
+    unit 1 clears row 2 with b = 3, and 3 * 2 = 0 mod 6 (3 * 3 = 0 mod 9)
+    lands in column 1, where row 2 has no entry.  The row empties, so the
+    Smith loop reaches no diagonal position and the last factor reads D."""
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    A = rows(ring, data)
+    int_rows, _ = _int_rows(A)
+    assert gcd(_echelon_minor(int_rows)[0], _echelon_minor(int_rows[::-1])[0]) == modulus
+    assert _markowitz_rank([dict(row) for row in int_rows], modulus) == (1, [])
+    assert invariant_factors(A) == want
+    assert want == [int(d.value) for d in smith_normal_form(A).nonzero_diagonal()]
+    assert want == _sympy_invariant_factors(A, normalforms)
+
+
+def test_smith_loop_receives_no_unit_after_the_split(monkeypatch):
+    """Counting guards for the modulus and the unit split: on ZZ homology of
+    S2 of koszul([2, 3, 5, 7, 11]) and presented homology of the weak square
+    of koszul([2, 9, 25, 49]), every entry the Smith loop receives shares a
+    factor with its modulus, and the loop still runs on some rows.  The
+    moduli, gcds of two minors, have at most 36 and 13 bits; the first
+    minor alone gives up to 147 and 75."""
+    received = []
+    real = linalg_module._snf_loop
+
+    def recording(M, ops, U=None, V=None):
+        received.append((ops["mod"], [v for row in M for v in row if v]))
+        return real(M, ops, U, V)
+
+    monkeypatch.setattr(linalg_module, "_snf_loop", recording)
+    homology(sym2(koszul([ZZ.scalar(v) for v in (2, 3, 5, 7, 11)])).complex)
+    square = received[:]
+    received.clear()
+    homology_presented(weak_sym2(koszul([ZZ.scalar(v) for v in (2, 9, 25, 49)])))
+    for calls, bits in ((square, 36), (received, 13)):
+        assert all(1 < modulus < 2**bits for modulus, _ in calls)
+        assert any(entries for _, entries in calls)
+        assert all(gcd(v, modulus) > 1 for modulus, entries in calls for v in entries)
+
+
+def _sympy_rank_in(M, domain):
+    """Rank of an integer matrix over a sympy field."""
+    data = [[domain(0)] * M.cols for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        data[i][j] = domain(int(v))
+    return DomainMatrix(data, (M.rows, M.cols), domain).rank()
+
+
+def test_zz_homology_of_sym2_koszul_of_pairwise_products_matches_sympy():
+    """S2 of koszul([6, 10, 15, 21, 35]): no element is a unit mod any prime
+    of the input, which took seconds in the Smith loop mod one minor.
+
+    sympy's Smith form runs for minutes on the 60 x 110 differential, so the
+    expected groups come from an isomorphic complex: gcd(6, 10, 15, 21, 35)
+    = 1, so some g in GL_5(ZZ) takes the row (6, 10, 15, 21, 35) to
+    (1, 0, 0, 0, 0), and the exterior power of g is an isomorphism of the two
+    Koszul complexes, hence of their symmetric squares.  sympy takes the
+    invariant factors on the square of koszul([1, 0, 0, 0, 0]), and its ranks
+    over QQ and GF(2), GF(3), GF(5), GF(7) on the square itself agree with
+    those groups by universal coefficients."""
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    elements = (6, 10, 15, 21, 35)
+    X = sym2(koszul([ZZ.scalar(v) for v in elements])).complex
+    Y = sym2(koszul([ZZ.scalar(v) for v in (1, 0, 0, 0, 0)])).complex
+    assert X.ranks == Y.ranks
+
+    def factors(n):
+        M = Y.diff(n)
+        return _sympy_invariant_factors(M, normalforms) if M.rows and M.cols else []
+
+    want = {}
+    for n in Y.degrees():
+        incoming = factors(n + 1)
+        free = Y.rank(n) - len(factors(n)) - len(incoming)
+        torsion = tuple(f for f in incoming if f > 1)
+        if free or torsion:
+            want[n] = (free, torsion)
+    assert want and all(torsion for _, torsion in want.values())
+    h = homology(X)
+    assert {n: (g.rank, tuple(g.factors)) for n, g in h.values.items()} == want
+
+    for domain, p in [(SympyQQ, None)] + [(SympyGF(q), q) for q in (2, 3, 5, 7)]:
+        ranks = {n: _sympy_rank_in(X.diff(n), domain) for n in X.degrees()}
+        for n in X.degrees():
+            free, torsion = want.get(n, (0, ()))
+            below = want.get(n - 1, (0, ()))[1]
+            divisible = sum(1 for f in torsion + below if p and f % p == 0)
+            assert X.rank(n) - ranks[n] - ranks.get(n + 1, 0) == free + divisible
 
 
 def test_invariant_factors_reject_fields():

@@ -45,6 +45,7 @@ from symchain.errors import (
 )
 from symchain.homology import homology, homology_presented, is_exact
 from symchain.linalg import (
+    _columns,
     image_basis_pid,
     kernel_basis,
     kernel_pid,
@@ -395,6 +396,32 @@ def test_squares_and_summands_form_no_general_product(monkeypatch, ring):
     assert calls == []
 
 
+@pytest.mark.parametrize("ring", [ZLoc(3), POLY], ids=str)
+def test_square_and_summands_group_each_matrix_once(monkeypatch, ring):
+    """sym2 groups each differential of T by column once and keeps the
+    groups on the square, for rho . d . sigma and both summands' L . d . B;
+    _alpha_summands groups each component of alpha once, for its bases and
+    for q.  So over sym2 and _alpha_summands no matrix is grouped twice."""
+    rng = random.Random(7)
+    inputs = list(_closed_form_inputs(ring, rng))[:6]
+    grouped = []  # the matrices themselves, so that no id is reused
+    real = sym2_module._columns
+
+    def counted(M):
+        grouped.append(M)
+        return real(M)
+
+    monkeypatch.setattr(sym2_module, "_columns", counted)
+    for X in inputs:
+        grouped.clear()
+        S = sym2(X)
+        _alpha_summands(S)
+        T = S.tensor_square
+        assert len({id(M) for M in grouped}) == len(grouped)
+        stored = [T.diff(n) for n in T.degrees()]  # a zero differential is built per call
+        assert {id(D) for D in stored if not D.is_zero()} <= {id(M) for M in grouped}
+
+
 def test_sym2_walks_each_tensor_degree_once(monkeypatch):
     """One tensor_basis per nonzero degree of T, counted through both
     module bindings: the builder of T hands its bases to the walk."""
@@ -648,7 +675,7 @@ def test_alpha_summands_closed_form_matches_the_checked_rref_path(ring):
                 assert q.component(n) == solve_exact(image.bases[n], al.component(n))
             else:
                 assert q.component(n).is_zero()
-        for part in _alpha_bases(T, al):
+        for part in _alpha_bases(T, {n: _columns(al.component(n)) for n in T.degrees()}):
             for n, (B, L, _) in part.items():
                 assert L @ B == SparseMatrix.identity(ring, B.cols)
 
