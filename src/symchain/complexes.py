@@ -497,11 +497,15 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g on tensor complexes: blockwise Kronecker products, no signs."""
-    return _tensor_map(f, g, tensor(f.source, g.source), tensor(f.target, g.target))
+    src, bases, _ = _tensor_with_bases(f.source, g.source)
+    tgt, _, index = _tensor_with_bases(f.target, g.target)
+    return _tensor_map(f, g, src, tgt, bases, index)
 
 
-def _tensor_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex) -> ChainMap:
-    """tensor_map(f, g) given its source and target tensor complexes."""
+def _tensor_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex, bases, index):
+    """tensor_map(f, g) given its source and target tensor complexes, the
+    source's tensor bases and the indices of the target's, per degree, as
+    _tensor_with_bases returns them."""
     ring = src.ring
     mul = ring.ops.mul
     fc = {p: _columns(M) for p, M in f.maps.items()}
@@ -510,9 +514,9 @@ def _tensor_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex) ->
     for n in src.degrees():
         if tgt.rank(n) == 0:
             continue
-        tgt_index = {lab: k for k, lab in enumerate(tensor_basis(f.target, g.target, n))}
+        tgt_index = index[n]
         entries = {}  # each (row, col) is one pair of entries of f_p and g_q
-        for col, ((p, i), (q, j)) in enumerate(tensor_basis(f.source, g.source, n)):
+        for col, ((p, i), (q, j)) in enumerate(bases[n]):
             gcol = gc.get(q, {}).get(j, ())
             for fi, fv in fc.get(p, {}).get(i, ()):
                 for gi, gv in gcol:

@@ -17,8 +17,8 @@ in every slice of a Koszul complex, takes its numerators without an lcm.
 Graded slices reach about 1000x800 at under 1% density, which is why rows
 stay sparse.  slice_matrix builds each slice from index tables made once
 per call: the monomials of each complementary degree, packed into
-integers, and the row of every target monomial.  There are two kernels on
-the rows:
+integers, and the row of every target monomial.  Two kernels eliminate
+the rows, and the Smith pivot loop below is a third:
 
 - rank, and through it qq_rank, field homology and the independence test
   of presented relations, runs _markowitz_rank: right-looking elimination
@@ -28,8 +28,9 @@ the rows:
   off its unit pivots that way.
 - rref, kernel and solve need canonical pivots, so they run _echelon,
   which pivots on the leading column of each row in row order.
-  invariant_factors takes two nonsingular maximal minors from _echelon,
-  one on the rows in order and one on the rows in reverse order.
+  Fraction-free, it also reads off the pass the determinant of the
+  nonsingular maximal minor its pivots pick; invariant_factors runs it
+  once on the rows in order and once on the rows in reverse order.
 
 Over ZZ and ZLoc(p) no library path builds a lattice transform:
 
@@ -295,12 +296,21 @@ def _echelon(rows, p=None, reduced=False):
     column of each incoming row, taken in row order, which makes the pivots
     canonical (rref) but can fill rows in; rank uses _markowitz_rank
     instead.  Rows are consumed.
-    Returns ({pivot col: row}, {pivot col: index of the input row that
-    became that pivot row}); with reduced=True every pivot column is zero
-    outside its own pivot row.
+    Returns ({pivot col: row}, |det A[I, J]|), where I are the input rows
+    that became pivot rows and J their pivot columns, a nonsingular maximal
+    minor; the determinant is None for p prime.  With reduced=True every
+    pivot column is zero outside its own pivot row.
+
+    The determinant is read off the pass.  Clearing the k-th row of I
+    multiplies it by factors a' = a / gcd(a, b) > 0, of product s, and adds
+    multiples of the pivot rows so far.  Those rows and this one, restricted
+    to J_k (the first k pivot columns), are then triangular with their
+    leading entries on the diagonal, so
+    |det A[I_k, J_k]| = |det A[I_(k-1), J_(k-1)]| * |leading entry| / s.
+    Each division is exact and each value is the determinant of a minor.
     """
 
-    def clear(row, prow, c):  # make row[c] zero using the pivot row prow
+    def clear(row, prow, c):  # make row[c] zero using the pivot row prow; returns a'
         if p is None:
             a, b = prow[c], row[c]
             g = gcd(a, b)
@@ -309,7 +319,7 @@ def _echelon(rows, p=None, reduced=False):
                 for k in row:
                     row[k] *= a
         else:
-            b = row[c]
+            a, b = 1, row[c]
         for k, v in prow.items():
             w = row.get(k, 0) - b * v
             if p is not None:
@@ -318,6 +328,7 @@ def _echelon(rows, p=None, reduced=False):
                 row[k] = w
             else:
                 del row[k]
+        return a
 
     def normalize(row, c):
         if p is None:
@@ -330,15 +341,17 @@ def _echelon(rows, p=None, reduced=False):
             for k, v in row.items():
                 row[k] = v // g if p is None else v * g % p
 
-    pivots, sources = {}, {}
-    for index, row in enumerate(rows):
+    pivots, det = {}, 1
+    for row in rows:
+        s = 1
         while row:
             c = min(row)
             if c not in pivots:
                 break
-            clear(row, pivots[c], c)
+            s *= clear(row, pivots[c], c)
         if not row:
             continue
+        det = det * abs(row[c]) // s
         if reduced:
             for k in [k for k in row if k in pivots]:
                 clear(row, pivots[k], k)
@@ -349,8 +362,7 @@ def _echelon(rows, p=None, reduced=False):
                     clear(prow, row, c)
                     normalize(prow, pc)
         pivots[c] = row
-        sources[c] = index
-    return pivots, sources
+    return pivots, det if p is None else None
 
 
 def _int_rows(A: SparseMatrix):
@@ -612,15 +624,17 @@ def invariant_factors(A: SparseMatrix) -> list:
     """The nonzero Smith diagonal of A over ZZ or ZLoc(p), as ints; no U or V.
 
     With r = rank A, the input rows I that the echelon core turns into
-    pivots and their pivot columns J give a nonsingular r x r minor.
-    d_1...d_r divides every nonzero r x r minor, so it divides the gcd D of
-    |det A[I, J]| and of the minor the core finds on the rows in reverse
-    order (over ZLoc(p), the power of p in that gcd).  The two minors share
-    far fewer factors than either has: on the 32 x 38 differential of the
-    weak square of koszul([2, 9, 25, 49]) they have 71 and 23 bits, their
-    gcd 13.  Each d_i divides D, so A is equivalent over Z/D to diag(d_i),
-    and d_i = gcd(entry, D) on the diagonal of any Smith form mod D
-    (Hafner-McCurley, SIAM J. Comput. 20, 1991; Cohen, GTM 138, 2.4).
+    pivots and their pivot columns J give a nonsingular r x r minor, and
+    the core returns |det A[I, J]| from the same pass, with no second
+    elimination.  d_1...d_r divides every nonzero r x r minor, so it
+    divides the gcd D of that determinant and of the one the core returns
+    on the rows in reverse order (over ZLoc(p), the power of p in that
+    gcd).  The two minors share far fewer factors than either has: on the
+    32 x 38 differential of the weak square of koszul([2, 9, 25, 49]) they
+    have 71 and 23 bits, their gcd 13.  Each d_i divides D, so A is
+    equivalent over Z/D to diag(d_i), and d_i = gcd(entry, D) on the
+    diagonal of any Smith form mod D (Hafner-McCurley, SIAM J. Comput. 20,
+    1991; Cohen, GTM 138, 2.4).
     The rows are reduced mod D, and _markowitz_rank splits off every entry
     that is a unit mod D by sparse elimination, each one an invariant
     factor 1 (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
@@ -632,11 +646,12 @@ def invariant_factors(A: SparseMatrix) -> list:
     if ring.kind not in ("ZZ", "ZLoc"):
         raise UnsupportedRingError(f"invariant factors need ZZ or ZLoc, got {ring}")
     rows, _ = _int_rows(A)
-    D, r = _echelon_minor(rows)
+    echelon, D = _echelon([dict(row) for row in rows])
+    r = len(echelon)
     if ring.kind == "ZLoc":
         D = ring.p ** _valuation(D, ring.p)
     if D > 1:
-        D = gcd(D, _echelon_minor(rows[::-1])[0])
+        D = gcd(D, _echelon([dict(row) for row in reversed(rows)])[1])
     if D == 1:
         return [1] * r
     residues = [{j: w for j, v in row.items() if (w := v % D)} for row in rows]
@@ -646,38 +661,6 @@ def invariant_factors(A: SparseMatrix) -> list:
     _snf_loop(M, _mod_ops(D))
     diagonal = [gcd(M[i][i], D) for i in range(min(len(M), len(cols), r - units))]
     return [1] * units + diagonal + [D] * (r - units - len(diagonal))
-
-
-def _echelon_minor(rows):
-    """(|det| of the nonsingular maximal minor that _echelon finds on rows,
-    taken in their order, and the rank): the minor's rows are the input rows
-    that became pivot rows, its columns their pivot columns."""
-    echelon, sources = _echelon([dict(row) for row in rows])
-    minor = [{j: v for j, v in rows[sources[c]].items() if j in echelon} for c in echelon]
-    return _abs_det(minor), len(echelon)
-
-
-def _abs_det(rows) -> int:
-    """|det| of a nonsingular square integer matrix, by fraction-free Bareiss
-    elimination.  Rows are {col: int} dicts over the same columns; consumed."""
-    prev = 1
-    for k, c in enumerate(sorted({j for row in rows for j in row})):
-        # pivot on the sparsest remaining row with an entry in column c
-        i = min((i for i in range(k, len(rows)) if c in rows[i]), key=lambda i: len(rows[i]))
-        rows[k], rows[i] = rows[i], rows[k]
-        prow = rows[k]
-        a = prow[c]
-        for i in range(k + 1, len(rows)):
-            row = rows[i]
-            b = row.pop(c, 0)
-            new = {j: a * v for j, v in row.items()}
-            if b:
-                for j, v in prow.items():
-                    if j != c:
-                        new[j] = new.get(j, 0) - b * v
-            rows[i] = {j: v // prev for j, v in new.items() if v}
-        prev = a
-    return abs(prev)
 
 
 def _zz_ops():
@@ -919,7 +902,9 @@ def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     Over ZZ and ZLoc(p) A must have independent columns; the unique solution
     over the fraction field must then lie in the ring (denominators 1, or
     prime to p).  Over a polynomial ring A must be constant: it is lifted to
-    QQ and solved against one column per (column of B, monomial) of B.
+    QQ and solved against one column per (column of B, monomial) of B.  For
+    A not constant the LinearSolveError is caused by a GradingError, which
+    tells "cannot solve" apart from "no solution".
     """
     if A.ring.is_field:
         return solve_field(A, B)

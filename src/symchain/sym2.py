@@ -53,7 +53,6 @@ from .complexes import (
     _tensor_with_bases,
     direct_sum,
     shift,
-    tensor,
     tensor_basis,
 )
 from .errors import (
@@ -108,8 +107,9 @@ def sym_basis(X: FreeComplex, n: int, include_odd_diagonal: bool = False):
     return sorted(lab for lab in tensor_basis(X, X, n) if _in_square(*lab, include_odd_diagonal))
 
 
-def _walk(X: FreeComplex, keep_odd_diagonal: bool):
-    """(T, labels, rho, sigma, alpha) from one walk of each degree of T = X (x) X.
+def _walk(T: FreeComplex, bases: dict, indices: dict, keep_odd_diagonal: bool):
+    """(labels, rho, sigma, alpha) from one walk of each degree of T = X (x) X,
+    given T with its tensor bases and their indices (_tensor_with_bases).
 
     Each tensor generator c = a (x) b is visited once, with its swap
     c' = b (x) a and the sign v = (-1)^{|a||b|}.  alpha(e_c) is e_c - v e_c'
@@ -120,11 +120,10 @@ def _walk(X: FreeComplex, keep_odd_diagonal: bool):
     generator as its canonical tensor generator, so rho[n] @ sigma[n] = 1.
     The dicts are keyed by T.degrees(); alpha is a chain map of T.
     """
-    ring = X.ring
+    ring = T.ring
     ops = ring.ops
     one, minus_one = ops.one, ops.neg(ops.one)
     two = ops.add(one, one)
-    T, bases, indices = _tensor_with_bases(X, X)
     labels, rho, sigma, al = {}, {}, {}, {}
     for n, tbasis in bases.items():
         index = indices[n]
@@ -148,7 +147,7 @@ def _walk(X: FreeComplex, keep_odd_diagonal: bool):
         rho[n] = SparseMatrix._of(ring, len(labs), r, rho_entries)
         sigma[n] = SparseMatrix._of(ring, r, len(labs), sigma_entries)
         al[n] = SparseMatrix._of(ring, r, r, alpha_entries)
-    return T, labels, rho, sigma, ChainMap._of(T, T, al)
+    return labels, rho, sigma, ChainMap._of(T, T, al)
 
 
 def _pick(
@@ -219,7 +218,9 @@ class Sym2Result:
 
     section and labels are keyed by T.degrees(): a degree where T is zero
     has no entry, and one where only odd diagonal squares live has an
-    empty list of labels."""
+    empty list of labels.  tensor_bases and tensor_index are the bases T
+    was built on, which the walk, S2 of maps and the induced homotopy read,
+    so each is built once per square."""
 
     complex: FreeComplex
     proj: ChainMap  # rho : X(x)X -> S
@@ -230,6 +231,8 @@ class Sym2Result:
     # degree -> _columns(tensor_square.diff(n)): each differential of T is
     # grouped by column once, for rho . d . sigma and the summands' L . d . B
     tensor_columns: dict = field(repr=False, compare=False)
+    tensor_bases: dict = field(repr=False, compare=False)  # degree -> tensor_basis(X, X, n)
+    tensor_index: dict = field(repr=False, compare=False)  # degree -> {label: position}
 
 
 def sym2(X: FreeComplex) -> Sym2Result:
@@ -242,7 +245,8 @@ def sym2(X: FreeComplex) -> Sym2Result:
     at run time; the tests check it as a property.
     """
     ring = X.ring
-    T, labels, rho, section, al = _walk(X, keep_odd_diagonal=False)
+    T, bases, index = _tensor_with_bases(X, X)
+    labels, rho, section, al = _walk(T, bases, index, keep_odd_diagonal=False)
     ranks = {n: len(labs) for n, labs in labels.items()}
     gdegs = None
     if ring.kind == "Poly":
@@ -258,7 +262,8 @@ def sym2(X: FreeComplex) -> Sym2Result:
         if ranks[n] and ranks.get(n - 1, 0)
     }
     S = FreeComplex._of(ring, ranks, diffs, gdegs)
-    return Sym2Result(S, ChainMap._of(T, S, rho), section, labels, T, al, tensor_columns)
+    proj = ChainMap._of(T, S, rho)
+    return Sym2Result(S, proj, section, labels, T, al, tensor_columns, bases, index)
 
 
 # -- presented complexes (weak square when 2 is not a unit) ----------------------
@@ -302,6 +307,15 @@ class PresentedComplex:
         failure = self._first_failure()
         if failure is not None:
             raise ShapeError(f"presented complex fails relation compatibility: {failure}")
+
+    @classmethod
+    def _of(cls, ring: Ring, generators, relations, diffs) -> "PresentedComplex":
+        """The presented complex of a library result, stored as the public
+        constructor would store it (generators only where nonempty, each
+        matrix at a degree it spans); nothing is validated again."""
+        P = object.__new__(cls)
+        P.ring, P.generators, P.relations, P.diffs = ring, generators, relations, diffs
+        return P
 
     def _check_matrix(self, M, where: str) -> None:
         if M is None:
@@ -347,22 +361,33 @@ class PresentedComplex:
         for n in self.degrees():
             rel = self.relation(n)
             if rel.cols:
-                target = self.diff(n) @ rel
-                if not self._in_span(self.relation(n - 1), target):
+                what = f"the differential at degree {n} carries relations into relations"
+                if not self._in_span(n - 1, self.diff(n) @ rel, what):
                     return f"the differential at degree {n} does not carry relations into relations"
             dd = self.diff(n - 1) @ self.diff(n)
-            if not self._in_span(self.relation(n - 2), dd):
+            if not self._in_span(n - 2, dd, f"d.d at degree {n} lands in the relations"):
                 return f"d.d at degree {n} does not land in the relations"
         return None
 
-    def _in_span(self, A: SparseMatrix, B: SparseMatrix) -> bool:
+    def _in_span(self, m: int, B: SparseMatrix, what: str) -> bool:
+        """Do the columns of B lie in the span of the relations at degree m?
+
+        Only a system with no solution answers no.  Over a polynomial ring
+        solve_exact solves only against constant relations; for others its
+        LinearSolveError is caused by a GradingError, the answer is unknown,
+        and UnsupportedRingError names what could not be decided."""
         if B.is_zero():
             return True
         try:
-            solve_exact(A, B)
-            return True
-        except LinearSolveError:
-            return False
+            solve_exact(self.relation(m), B)
+        except LinearSolveError as exc:
+            if not isinstance(exc.__cause__, GradingError):
+                return False
+            raise UnsupportedRingError(
+                f"cannot decide whether {what}: the relations at degree {m} are not "
+                "constant, and over a polynomial ring only constant relations are solved"
+            ) from None
+        return True
 
     def __repr__(self):
         if not self.generators:
@@ -384,7 +409,8 @@ def weak_sym2(X: FreeComplex):
     if X.ring.two_is_unit():
         return sym2(X).complex
     ring = X.ring
-    T, labels, rho, sigma, _ = _walk(X, keep_odd_diagonal=True)
+    T, bases, index = _tensor_with_bases(X, X)
+    labels, rho, sigma, _ = _walk(T, bases, index, keep_odd_diagonal=True)
     two = ring.raw(2)
     generators = {n: labs for n, labs in labels.items() if labs}
     relations = {}
@@ -395,14 +421,15 @@ def weak_sym2(X: FreeComplex):
     diffs = {
         n: _pick(rho[n - 1], T.diff(n), sigma[n]) for n in generators if (n - 1) in generators
     }
-    return PresentedComplex(ring, generators, relations, diffs)  # validated there
+    return PresentedComplex._of(ring, generators, relations, diffs)
 
 
 def sym2_map(f: ChainMap) -> ChainMap:
     """The induced map on symmetric squares: class(x (x) y) -> class(fx (x) fy)."""
     SX = sym2(f.source)
     SY = SX if f.target == f.source else sym2(f.target)
-    return _sym2_map(_tensor_map(f, f, SX.tensor_square, SY.tensor_square), SX, SY)
+    ff = _tensor_map(f, f, SX.tensor_square, SY.tensor_square, SX.tensor_bases, SY.tensor_index)
+    return _sym2_map(ff, SX, SY)
 
 
 def _sym2_map(ff: ChainMap, SX: Sym2Result, SY: Sym2Result) -> ChainMap:
@@ -664,7 +691,7 @@ def sum_decomposition_iso(X: FreeComplex, Y: FreeComplex):
     SW = sym2(W)
     SX = sym2(X)
     SY = sym2(Y)
-    XY = tensor(X, Y)
+    XY, _, xy_indices = _tensor_with_bases(X, Y)
     target = direct_sum(direct_sum(SX.complex, XY), SY.complex)
     maps = {}
     one = ring.ops.one
@@ -672,7 +699,7 @@ def sum_decomposition_iso(X: FreeComplex, Y: FreeComplex):
         labs = SW.labels[n]
         sx_index = {lab: k for k, lab in enumerate(SX.labels.get(n, ()))}
         sy_index = {lab: k for k, lab in enumerate(SY.labels.get(n, ()))}
-        xy_index = {lab: k for k, lab in enumerate(tensor_basis(X, Y, n))}
+        xy_index = xy_indices.get(n, {})
         off_xy = SX.complex.rank(n)
         off_sy = off_xy + XY.rank(n)
         entries = {}
@@ -736,8 +763,8 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
     for n in TX.degrees():
         if TY.rank(n + 1) == 0:
             continue
-        src = tensor_basis(X, X, n)
-        tgt_index = {lab: k for k, lab in enumerate(tensor_basis(Y, Y, n + 1))}
+        src = SX.tensor_bases[n]
+        tgt_index = SY.tensor_index[n + 1]
         # each (row, col) is one pair of entries: (f+g)_p (x) s_q lands in
         # block p of the target, s_p (x) (f+g)_q in block p + 1
         entries = {}
@@ -756,8 +783,8 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
         M = SparseMatrix._of(ring, TY.rank(n + 1), TX.rank(n), entries)
         if not M.is_zero():
             sigma_maps[n] = M
-    ff = _tensor_map(f, f, TX, TY)
-    gg = _tensor_map(g, g, TX, TY)
+    ff = _tensor_map(f, f, TX, TY, SX.tensor_bases, SY.tensor_index)
+    gg = _tensor_map(g, g, TX, TY, SX.tensor_bases, SY.tensor_index)
     sigma = Homotopy(ff, gg, sigma_maps)
     if not sigma.check():
         raise SymchainError("transported homotopy fails its contract")

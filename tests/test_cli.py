@@ -8,6 +8,8 @@ from symchain import (
     GF,
     QQ,
     ZZ,
+    PresentedComplex,
+    SparseMatrix,
     ZLoc,
     direct_sum,
     graded_poly,
@@ -109,6 +111,15 @@ def test_dependent_relations_are_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "homology", str(path))
     assert code == 2
     assert "relations at degree 2 are not independent" in err
+
+
+def test_undecidable_graded_presentation_is_an_input_error(tmp_path, capsys):
+    x = SparseMatrix.from_rows(POLY, [[X_VAR]])
+    # the constructor cannot decide this one, so the document is written from parts
+    P = PresentedComplex._of(POLY, {0: [0], 1: [0]}, {0: x, 1: x}, {1: x})
+    code, out, err = run(capsys, "homology", write(tmp_path, "graded.json", P))
+    assert code == 2 and out == ""
+    assert "cannot decide whether the differential at degree 1" in err
 
 
 @pytest.mark.parametrize("key", ["differentials", "relations"])

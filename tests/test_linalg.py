@@ -32,7 +32,6 @@ from symchain.errors import GradingError, LinearSolveError, ShapeError, Unsuppor
 from symchain.homology import homology_presented
 from symchain.linalg import (
     _echelon,
-    _echelon_minor,
     _int_rows,
     _markowitz_rank,
     image_basis_pid,
@@ -278,6 +277,62 @@ def test_invariant_factors_match_snf_and_sympy(ring):
     assert any(d > 1 for A, _ in cases for d in invariant_factors(A))
 
 
+def _minor_det(int_rows):
+    """|det| of the maximal minor _echelon finds on the rows, in their order."""
+    return _echelon([dict(row) for row in int_rows])[1]
+
+
+def _sympy_minor(data, pivot_cols):
+    """|det A[I, J]| by sympy's exact DomainMatrix, for dense rows of ints or
+    Fractions: I are the rows that raise the rank of the rows before them
+    (the rows that become pivot rows), the pivot columns of the transpose,
+    and J the given pivot columns; 1 for the empty minor."""
+
+    def matrix(rows_):
+        cells = [[SympyQQ(f.numerator, f.denominator) for f in map(Fraction, r)] for r in rows_]
+        return DomainMatrix(cells, (len(rows_), len(rows_[0]) if rows_ else 0), SympyQQ)
+
+    if not pivot_cols:
+        assert not any(any(row) for row in data)
+        return 1
+    I = list(matrix(data).transpose().rref()[1])
+    assert len(I) == len(pivot_cols)
+    det = matrix([[data[i][j] for j in pivot_cols] for i in I]).det()
+    return abs(Fraction(int(det.numerator), int(det.denominator)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, ZLoc(3)], ids=str)
+def test_echelon_determinant_matches_sympy(ring):
+    """_echelon reads |det A[I, J]| off its fraction-free pass, for either
+    reduced flag, on rows with planted combinations (_rank_case), a zero row
+    and a repeated row, in both orders.  Over ZLoc(3) the rows are the ones
+    _int_rows scales to integers, and their minor has the 3-part of the
+    rational one.  Mod a prime the determinant is None, not a number."""
+    rng = random.Random(83 if ring == ZZ else 89)
+    nontrivial = 0
+    for _ in range(150):
+        A = _rank_case(ring, rng)
+        int_rows, _ = _int_rows(A)
+        if ring.kind == "ZLoc":
+            echelon, det = _echelon([dict(row) for row in int_rows])
+            dense = [[Fraction(v.value) for v in row] for row in A.to_rows()]
+            minor = _sympy_minor([row for row in dense if any(row)], sorted(echelon))
+            assert _p_valuation(det, 3) == _p_valuation(minor.numerator, 3)
+        if int_rows:
+            int_rows.insert(rng.randrange(len(int_rows) + 1), {})
+            int_rows.insert(rng.randrange(len(int_rows) + 1), dict(rng.choice(int_rows)))
+        for ordered in (int_rows, int_rows[::-1]):
+            data = [[row.get(j, 0) for j in range(A.cols)] for row in ordered]
+            echelon, det = _echelon([dict(row) for row in ordered])
+            assert det == _sympy_minor(data, sorted(echelon))
+            reduced, reduced_det = _echelon([dict(row) for row in ordered], reduced=True)
+            assert (sorted(reduced), reduced_det) == (sorted(echelon), det)
+            residues = [{j: v % 5 for j, v in row.items() if v % 5} for row in ordered]
+            assert _echelon(residues, 5)[1] is None
+            nontrivial += det > 1
+    assert nontrivial > 100
+
+
 def _chain_without_units(rng, p):
     """A divisibility chain d_1 | d_2 | ... whose first factor is a product
     of two or three of the primes 2, 3, 5, 7 (one of them p, when given)."""
@@ -309,7 +364,7 @@ def test_invariant_factors_with_no_unit_mod_the_minor(ring):
         D = SparseMatrix(ring, n, n + 1, {(i, i): d for i, d in enumerate(diag)})
         A = _unimodular(ring, rng, n) @ D @ _unimodular(ring, rng, n + 1)
         int_rows, _ = _int_rows(A)
-        modulus = _echelon_minor(int_rows)[0]
+        modulus = _minor_det(int_rows)
         if p:
             modulus = p ** _p_valuation(modulus, p)
         assert all(gcd(v, modulus) > 1 for row in int_rows for v in row.values())
@@ -335,7 +390,7 @@ def test_unit_split_update_vanishing_where_the_row_has_no_entry(ring, data, modu
     normalforms = pytest.importorskip("sympy.matrices.normalforms")
     A = rows(ring, data)
     int_rows, _ = _int_rows(A)
-    assert gcd(_echelon_minor(int_rows)[0], _echelon_minor(int_rows[::-1])[0]) == modulus
+    assert gcd(_minor_det(int_rows), _minor_det(int_rows[::-1])) == modulus
     assert _markowitz_rank([dict(row) for row in int_rows], modulus) == (1, [])
     assert invariant_factors(A) == want
     assert want == [int(d.value) for d in smith_normal_form(A).nonzero_diagonal()]

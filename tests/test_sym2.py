@@ -35,7 +35,14 @@ from symchain import (
     zero_complex,
     zero_map,
 )
-from symchain.complexes import Homotopy, compose, tensor, tensor_basis, tensor_map
+from symchain.complexes import (
+    Homotopy,
+    _tensor_with_bases,
+    compose,
+    tensor,
+    tensor_basis,
+    tensor_map,
+)
 from symchain.errors import (
     RingMismatchError,
     ShapeError,
@@ -216,6 +223,34 @@ def test_presented_complex_is_validated_when_built():
         )
 
 
+def test_graded_presented_complex_says_what_it_cannot_decide():
+    """d1 . r1 = x^2 = x . r0, so d1 carries relations into relations, but
+    over a polynomial ring solve_exact decides a span only against constant
+    relations.  The constructor says so and names the degrees; it used to
+    claim that d1 does not carry relations into relations."""
+    x = X_VAR
+    gens = {0: [0], 1: [1]}
+    relations = {0: SparseMatrix.from_rows(POLY, [[x]]), 1: SparseMatrix.from_rows(POLY, [[x]])}
+    d1 = SparseMatrix.from_rows(POLY, [[x]])
+    message = (
+        "cannot decide whether the differential at degree 1 carries relations into "
+        "relations: the relations at degree 0 are not constant"
+    )
+    with pytest.raises(UnsupportedRingError, match=message):
+        PresentedComplex(POLY, gens, relations, {1: d1})
+    # against constant relations the span is decided, both ways
+    constant = {0: SparseMatrix.from_rows(POLY, [[1]]), 1: relations[1]}
+    assert PresentedComplex(POLY, gens, constant, {1: d1}).validate()
+    two = {0: [0, 1], 1: [0]}
+    with pytest.raises(ShapeError, match="degree 1 does not carry relations into relations"):
+        PresentedComplex(
+            POLY,
+            two,
+            {0: SparseMatrix.from_rows(POLY, [[1], [0]]), 1: relations[1]},
+            {1: SparseMatrix.from_rows(POLY, [[0], [x]])},
+        )
+
+
 def test_weak_square_shape_over_zz():
     """Generator/relation counts of the presentation match the classical
     degreewise decomposition: V free generators plus, in even degrees,
@@ -283,7 +318,7 @@ def test_sym2_record_labels_section_and_killed_columns(ring):
 @pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
 def test_weak_reduction_hits_every_tensor_column(ring):
     for X in _record_inputs(ring, 6):
-        _, labels, rho, sigma, _ = _walk(X, keep_odd_diagonal=True)
+        labels, rho, sigma, _ = _walk(*_tensor_with_bases(X, X), keep_odd_diagonal=True)
         for n, labs in labels.items():
             assert labs == sym_basis(X, n, include_odd_diagonal=True)
             assert {c for (_, c) in rho[n].entries} == set(range(rho[n].cols))
@@ -316,7 +351,8 @@ def test_walk_matches_reference_square(ring, keep_odd_diagonal):
     walks, matrix for matrix, on the degrees of T; the reference's other
     degrees, where T is zero, have no labels."""
     for X in _walk_inputs(ring, 8):
-        T, labels, rho, sigma, al = _walk(X, keep_odd_diagonal)
+        T, bases, index = _tensor_with_bases(X, X)
+        labels, rho, sigma, al = _walk(T, bases, index, keep_odd_diagonal)
         ref_labels, ref_rho, ref_sigma, ref_alpha = reference_square(X, keep_odd_diagonal)
         assert list(labels) == list(rho) == list(sigma) == T.degrees() == list(ref_alpha)
         assert all(not ref_labels[n] for n in set(ref_labels) - set(labels))
@@ -440,6 +476,36 @@ def test_sym2_walks_each_tensor_degree_once(monkeypatch):
             calls.clear()
             build(X)
             assert sorted(calls) == tensor(X, X).degrees(), (X, build)
+
+
+def test_maps_of_squares_read_the_walks_tensor_bases(monkeypatch):
+    """S2 of a map and the induced homotopy take the tensor bases of f (x) f
+    off the square's walk: on koszul([x, y]), whose T lives in degrees 0..4,
+    5 tensor_basis calls in all, where rebuilding them for the map made 15.
+    The sum decomposition of K (+) K builds each of its four tensor products
+    once (25 calls when it rebuilt those of X (x) Y)."""
+    calls = []
+    real = sym2_module.tensor_basis
+
+    def counted(X, Y, n):
+        calls.append(n)
+        return real(X, Y, n)
+
+    for module in (sym2_module, complexes_module):
+        monkeypatch.setattr(module, "tensor_basis", counted)
+    K = koszul([X_VAR, Y_VAR])
+    f = identity_map(K)
+    S2f = sym2_map(f)
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+    calls.clear()
+    sigma, sigma_bar = induced_homotopy(f, f, Homotopy(f, f, {}))
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+    calls.clear()
+    sum_decomposition_iso(K, K)
+    assert sorted(calls) == sorted(4 * [0, 1, 2, 3, 4])
+    monkeypatch.undo()
+    assert S2f == identity_map(sym2(K).complex)
+    assert sigma.f == tensor_map(f, f) and sigma_bar.f == S2f
 
 
 @pytest.mark.parametrize("ring", [ZLoc(3), ZLoc(5)], ids=str)

@@ -1,6 +1,7 @@
-"""Library results are built with FreeComplex._of and ChainMap._of, which
-check nothing; outside values go through the public constructors, which
-check shapes, rings, homogeneity, d.d = 0 and f.d = d.f.  What the trusted
+"""Library results are built with FreeComplex._of, ChainMap._of and
+PresentedComplex._of, which check nothing; outside values go through the
+public constructors, which check shapes, rings, homogeneity, d.d = 0,
+f.d = d.f and, for presentations, that d carries relations into relations.  What the trusted
 builders make must pass those checks, and each check runs where outside
 values enter, not again on the library's own results."""
 
@@ -14,6 +15,7 @@ from symchain import (
     ZZ,
     ChainMap,
     FreeComplex,
+    PresentedComplex,
     ZLoc,
     alpha,
     base_change,
@@ -106,6 +108,7 @@ def _library_results(ring, rng):
         out += [sd.iso, sd.iso_inverse]
     else:
         W = weak_sym2(X)
+        out += [W, weak_sym2(koszul(_koszul_elements(ring)))]
         if ring.kind == "ZZ":
             out.append(_presented_cone(W))
     for target in BASE_CHANGES.get(ring, []):
@@ -117,6 +120,8 @@ def _rebuilt(value):
     """value rebuilt from its parts by the public, checking constructor."""
     if isinstance(value, ChainMap):
         return ChainMap(_rebuilt(value.source), _rebuilt(value.target), value.maps)
+    if isinstance(value, PresentedComplex):
+        return PresentedComplex(value.ring, value.generators, value.relations, value.diffs)
     X = value
     gdegs = {n: X.gdeg(n) for n in X.degrees()} if X.graded else None
     return FreeComplex(X.ring, X.ranks, {n: X.diff(n) for n in X.degrees()}, gdegs)
@@ -129,7 +134,14 @@ def test_public_constructors_accept_what_the_trusted_builders_make(ring, seed):
     results = _library_results(ring, rng)
     assert len(results) >= 20
     for value in results:
-        assert _rebuilt(value) == value, value
+        assert _parts(_rebuilt(value)) == _parts(value), value
+
+
+def _parts(value):
+    """value itself; a presented complex, which defines no ==, as its parts."""
+    if isinstance(value, PresentedComplex):
+        return value.ring, value.generators, value.relations, value.diffs
+    return value
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
