@@ -5,13 +5,13 @@ Run:  python3 demos/04_minimal_complexes.py
 
 from symchain import (
     QQ,
+    check_s2fpd01,
     direct_sum,
     graded_poly,
     is_minimal,
     is_quasi_iso,
     koszul,
     minimize,
-    pd_finite,
     poinc_check,
     rank_series,
     shift,
@@ -41,11 +41,11 @@ print("K(x, y) minimal:", is_minimal(K))
 
 # The square of a complex of finite length again has finite length, and the
 # rank inequality rank(S2(P)_{p+q}) >= r_p r_q couples the two lengths.
-report = pd_finite(K)
+report = check_s2fpd01(K)
 print(
-    "lengths: complex", report.x_length,
-    " square", report.sym2_length,
-    " rank inequality:", report.rank_inequality_holds,
+    "lengths: complex", report.witnesses["minimal_length"],
+    " square", report.witnesses["square_minimal_length"],
+    " rank inequality holds:", report.holds,
 )
 print("rank series of the square:", rank_series(sym2(K).complex))
 

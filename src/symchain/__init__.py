@@ -53,13 +53,13 @@ from .series import (
     is_minimal,
     minimal_model,
     minimize,
-    pd_finite,
     poinc_check,
     rank_series,
     verify_series_identity,
 )
 from .theorems import (
     VerdictReport,
+    check_s2fpd01,
     check_s2fpd02,
     check_symm07,
     check_symm07pp,

@@ -21,11 +21,27 @@ from . import io as docio
 from .complexes import FreeComplex, direct_sum, koszul, shift, tensor
 from .errors import SymchainError
 from .homology import homology, homology_presented, is_quasi_iso
-from .series import minimal_model, pd_finite, poinc_check, rank_series, verify_series_identity
+from .series import minimal_model, poinc_check, rank_series, verify_series_identity
 from .sym2 import PresentedComplex, alpha, sym2, weak_sym2
-from .theorems import check_s2fpd02, check_symm07, check_symm07pp, check_symm09, run_paper_corpus
+from .theorems import (
+    check_s2fpd01,
+    check_s2fpd02,
+    check_symm07,
+    check_symm07pp,
+    check_symm09,
+    run_paper_corpus,
+)
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
+
+# the theorems of `check`; symm09 alone also takes a degree bound
+CHECKERS = {
+    "symm07": check_symm07,
+    "symm07pp": check_symm07pp,
+    "s2fpd01": check_s2fpd01,
+    "s2fpd02": check_s2fpd02,
+    "symm09": check_symm09,
+}
 
 
 def _read(path: str):
@@ -147,6 +163,7 @@ def cmd_quasi_iso(args):
         raise SymchainError("quasi-iso expects a chain-map document")
     verdict = is_quasi_iso(f)
     print(f"quasi-isomorphism: {'true' if verdict.ok else 'false'}")
+    print(f"backend: {f.source.ring}")
     # failures are degrees n (graded: (n, d)) where the mapping cone has
     # homology: H_n(f) is not onto or H_{n-1}(f) is not injective there
     if verdict.failures:
@@ -195,7 +212,7 @@ def _print_verdict(report):
     print(f"theorem: {report.theorem}")
     print(f"backend: {report.backend}")
     if report.bound is not None:
-        print(f"bound: {report.bound}{' (bounded verification)' if report.bounded else ''}")
+        print(f"bound: {report.bound} (bounded verification)")
     conds = " ".join(
         f"{label}={'T' if value else 'F'}" for label, value in zip(report.labels, report.conditions)
     )
@@ -213,21 +230,11 @@ def cmd_check(args):
     if args.bound is not None and args.theorem != "symm09":
         raise SymchainError(f"--bound applies only to symm09; {args.theorem} needs no degree bound")
     X = _read_complex(args.file)
-    if args.theorem == "s2fpd01":
-        report = pd_finite(X)
-        print("theorem: s2fpd01")
-        print(f"finite-pd: {'true' if report.finite_pd else 'false'}")
-        x_len = "none" if report.x_length is None else report.x_length
-        s_len = "none" if report.sym2_length is None else report.sym2_length
-        print(f"minimal-length: {x_len}")
-        print(f"square-minimal-length: {s_len}")
-        print(f"rank-inequality: {'true' if report.rank_inequality_holds else 'false'}")
-        return OK if report.rank_inequality_holds else CHECK_FAILED
+    checker = CHECKERS[args.theorem]
     if args.theorem == "symm09":
-        report = check_symm09(X, bound=_graded_bound(args, X, "symm09"))
+        report = checker(X, bound=_graded_bound(args, X, "symm09"))
     else:
-        checker = {"symm07": check_symm07, "symm07pp": check_symm07pp, "s2fpd02": check_s2fpd02}
-        report = checker[args.theorem](X)
+        report = checker(X)
     _print_verdict(report)
     if report.equivalent is not None:
         return OK if report.equivalent else CHECK_FAILED
@@ -312,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poinc)
 
     p = sub.add_parser("check", help="run a theorem checker")
-    p.add_argument("theorem", choices=["symm07", "symm07pp", "s2fpd01", "s2fpd02", "symm09"])
+    p.add_argument("theorem", choices=list(CHECKERS))
     p.add_argument("file")
     p.add_argument("--bound", type=int, help="internal-degree bound (symm09 only)")
     p.set_defaults(func=cmd_check)

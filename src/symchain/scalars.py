@@ -405,17 +405,6 @@ class Scalar:
         return f"Scalar({self.ring}, {format_scalar(self)})"
 
 
-def arith(op: str, a: Scalar, b: Scalar) -> Scalar:
-    """Named-operation entry point: op in {"add", "mul", "neg"}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise SymchainError(f"unknown operation {op!r}")
-
-
 # -- textual grammar ---------------------------------------------------------
 #
 # integers  -?[0-9]+        fractions  a/b        polynomials  sums of terms

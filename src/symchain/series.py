@@ -11,9 +11,10 @@ which verify_series_identity checks exactly.  Minimalization splits off
 contractible two-term summands at unit differential entries in one
 in-place elimination pass over the differentials; it is the workhorse
 behind the "quasi-isomorphic to a shifted copy of R" decisions of the
-theorem checkers and behind graded exactness.  minimize also tracks the
-projection q onto the minimal complex in the same pass; minimal_model,
-which the checkers and exactness tests call, builds no projection.
+theorem checkers, behind the minimal lengths s2fpd01 compares, and behind
+graded exactness.  minimize also tracks the projection q onto the minimal
+complex in the same pass; minimal_model, which the checkers and exactness
+tests call, builds no projection.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "is_minimal",
     "minimal_model",
     "minimize",
-    "PdReport",
-    "pd_finite",
 ]
 
 
@@ -318,38 +317,3 @@ def minimize(X: FreeComplex):
     _require_local(X)
     return _split_units(X, with_q=True)
 
-
-@dataclass
-class PdReport:
-    """Minimal lengths of X and S2(X), plus the rank inequality check.
-
-    Both lengths are finite for finitely supported complexes, so
-    finite_pd is always True; the inequality
-    rank(S2(P)_{p+q}) >= r_p * r_q for p < q over the minimal complex P is
-    the mechanism that forces the lengths to diverge together.
-    """
-
-    finite_pd: bool
-    x_length: int | None
-    sym2_length: int | None
-    rank_inequality_holds: bool
-
-
-def pd_finite(X: FreeComplex) -> PdReport:
-    _require_local(X)
-    M = minimal_model(X)
-    SM = minimal_model(sym2(X).complex)
-    S_of_minimal = sym2(M).complex
-    ok = True
-    degrees = M.degrees()
-    for a in range(len(degrees)):
-        for b in range(a + 1, len(degrees)):
-            p, q = degrees[a], degrees[b]
-            if S_of_minimal.rank(p + q) < M.rank(p) * M.rank(q):
-                ok = False
-    return PdReport(
-        finite_pd=True,
-        x_length=M.length(),
-        sym2_length=SM.length(),
-        rank_inequality_holds=ok,
-    )

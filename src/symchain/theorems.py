@@ -1,11 +1,14 @@
-"""Independent checkers for the structural equivalence theorems, plus a
-replayable corpus of worked examples with frozen expected values.
+"""Independent checkers for the paper's theorems, plus a replayable corpus
+of worked examples with frozen expected values.
 
-Each checker evaluates every condition of its theorem by a separate
-computation (no condition is derived from another), reports the condition
-vector, and flags whether the vector is constant.  The exactness and
-quasi-isomorphism conditions of symm07, symm07pp and s2fpd02 are exact on
-every backend and take no degree bound.  symm09 reads both infima from
+Each of the five checkers evaluates every condition of its theorem by a
+separate computation (no condition is derived from another) and returns
+a VerdictReport from one builder, _verdict.  The equivalence theorems
+symm07, symm07pp and s2fpd02 report whether their condition vector is
+constant; the implications s2fpd01 and symm09 hold when every condition
+does.  The exactness and quasi-isomorphism conditions are exact on every
+backend and take no degree bound.  s2fpd01 reads the lengths of two
+minimal models and a rank inequality.  symm09 reads both infima from
 minimal models, so they are exact too; on graded polynomial backends only
 its comparison of two Hilbert tables stops at a degree bound, which its
 report carries.
@@ -14,6 +17,7 @@ report carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from .complexes import (
@@ -37,7 +41,7 @@ from .homology import (
 )
 from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
-from .series import minimal_model, rank_series, verify_series_identity
+from .series import _require_local, minimal_model, rank_series, verify_series_identity
 from .sym2 import (
     _alpha_summands,
     alpha,
@@ -50,6 +54,7 @@ __all__ = [
     "VerdictReport",
     "check_symm07",
     "check_symm07pp",
+    "check_s2fpd01",
     "check_s2fpd02",
     "check_symm09",
     "CorpusReport",
@@ -59,7 +64,8 @@ __all__ = [
 
 @dataclass
 class VerdictReport:
-    """Condition vector of one theorem checker on one complex."""
+    """Condition vector of one theorem checker on one complex.  Only graded
+    symm09 carries a degree bound, and a report is bounded when it does."""
 
     theorem: str
     labels: tuple
@@ -68,9 +74,12 @@ class VerdictReport:
     holds: bool | None
     witnesses: dict = field(default_factory=dict)
     backend: str = ""
-    bounded: bool = False
     bound: int | None = None
     note: str | None = None
+
+    @property
+    def bounded(self) -> bool:
+        return self.bound is not None
 
     def as_dict(self):
         return {
@@ -91,10 +100,6 @@ def _require_local_two_unit(ring: Ring):
         raise UnsupportedRingError(f"{ring} is not a local backend")
     if not ring.two_is_unit():
         raise TwoNotUnitError(f"2 is not a unit in {ring}")
-
-
-def _graded(ring: Ring) -> bool:
-    return ring.kind == "Poly"
 
 
 def _is_zero_or_single_shift(M: FreeComplex, parity: int | None):
@@ -121,10 +126,15 @@ def _is_two_odd_shifts(M: FreeComplex) -> bool:
     return all(M.diff(n).is_zero() for n in degs)
 
 
-def _equivalence(theorem: str, X: FreeComplex, conditions: dict, witnesses=None) -> VerdictReport:
-    """The report of an equivalence theorem from its conditions, label ->
-    value in order.  A value is a bool or a failure list, which holds when
-    empty and gives its first three entries as the witnesses of its label."""
+def _verdict(theorem, X, conditions, witnesses=None, *, equivalence=True, bound=None, note=None):
+    """The report of a theorem from its conditions, label -> value in order.
+
+    A value is a bool or a failure list, which holds when empty and gives
+    its first three entries as the witnesses of its label, after the given
+    witnesses.  An equivalence holds or fails when all its conditions
+    agree, and is undecided otherwise; an implication (equivalence=False)
+    holds when every condition does.
+    """
     witnesses = dict(witnesses or {})
     values = []
     for label, value in conditions.items():
@@ -133,15 +143,21 @@ def _equivalence(theorem: str, X: FreeComplex, conditions: dict, witnesses=None)
                 witnesses[label] = value[:3]
             value = not value
         values.append(value)
-    equivalent = len(set(values)) == 1
+    if equivalence:
+        equivalent = len(set(values)) == 1
+        holds = values[0] if equivalent else None
+    else:
+        equivalent, holds = None, all(values)
     return VerdictReport(
         theorem=theorem,
         labels=tuple(conditions),
         conditions=tuple(values),
         equivalent=equivalent,
-        holds=values[0] if equivalent else None,
+        holds=holds,
         witnesses=witnesses,
         backend=str(X.ring),
+        bound=bound,
+        note=note,
     )
 
 
@@ -156,7 +172,7 @@ def check_symm07(X: FreeComplex) -> VerdictReport:
     _require_local_two_unit(X.ring)
     S = sym2(X)
     image, kernel, _q = _alpha_summands(S)
-    return _equivalence(
+    return _verdict(
         "symm07",
         X,
         {
@@ -179,7 +195,7 @@ def check_symm07pp(X: FreeComplex) -> VerdictReport:
     _require_local_two_unit(X.ring)
     S = sym2(X)
     image, kernel, q = _alpha_summands(S)
-    return _equivalence(
+    return _verdict(
         "symm07pp",
         X,
         {
@@ -207,7 +223,7 @@ def check_s2fpd02(X: FreeComplex) -> VerdictReport:
     even_shift = _is_zero_or_single_shift(M, parity=0)[0]
     any_shift, j = _is_zero_or_single_shift(SM, parity=None)
     cond3 = any_shift and not SM.is_zero()
-    return _equivalence(
+    return _verdict(
         "s2fpd02",
         X,
         {
@@ -216,6 +232,32 @@ def check_s2fpd02(X: FreeComplex) -> VerdictReport:
             "iii": cond3,
         },
         {"j": j} if cond3 else None,
+    )
+
+
+def check_s2fpd01(X: FreeComplex) -> VerdictReport:
+    """pd X is finite exactly when pd S2(X) is: the rank inequality.
+
+    Every complex held here is bounded, so both minimal models have finite
+    length; the mechanism that forces the lengths to diverge together is
+    rank S2(M)_{p+q} >= r_p * r_q for p < q over the minimal complex M of
+    X.  The witnesses are the lengths of M and of the minimal model of
+    S2(X).  It needs a local ring, but not that 2 is a unit.
+    """
+    _require_local(X)
+    M = minimal_model(X)
+    SM = minimal_model(sym2(X).complex)
+    S = sym2(M).complex
+    return _verdict(
+        "s2fpd01",
+        X,
+        {
+            "rank_inequality": all(
+                S.rank(p + q) >= M.rank(p) * M.rank(q) for p, q in combinations(M.degrees(), 2)
+            )
+        },
+        {"minimal_length": M.length(), "square_minimal_length": SM.length()},
+        equivalence=False,
     )
 
 
@@ -248,7 +290,7 @@ def _square_presentation(M: FreeComplex, i: int, even: bool) -> FreeComplex:
             w = neg(v) if k > f and not even else v
             entries[(row[(min(k, f), max(k, f))], e * r0 + f)] = w
     gdegs = None
-    if ring.kind == "Poly":
+    if M.graded:
         g0, g1 = M.gdeg(i), M.gdeg(i + 1)
         gdegs = {
             0: tuple(g0[k] + g0[l] for k, l in pairs),
@@ -261,7 +303,7 @@ def _square_presentation(M: FreeComplex, i: int, even: bool) -> FreeComplex:
 def _homology_value(C: FreeComplex, n: int, D: int | None):
     """H_n(C) as symm09 compares it: the Hilbert table up to D on a graded
     ring, (rank, invariant factors) over ZLoc(p), the dimension over a field."""
-    if _graded(C.ring):
+    if C.graded:
         return _graded_table(C, n, D)
     h = homology(C)
     if h.kind == "dimensions":
@@ -283,50 +325,38 @@ def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     Hilbert tables stops at the bound.
     """
     _require_local_two_unit(X.ring)
-    ring = X.ring
     # a bound below X's lowest generator degree is rejected; the graded
     # default is the top generator degree of X (x) X plus the rank of X.
     # Off graded rings nothing reads a bound, so the report carries none.
     check_bound(X, bound)
     D = None
-    if _graded(ring):
+    if X.graded:
         D = 2 * X.max_gdeg() + X.total_rank() + 2 if bound is None else bound
-    report = VerdictReport(
-        theorem="symm09",
-        labels=(),
-        conditions=(),
-        equivalent=None,
-        holds=True,
-        backend=str(ring),
-        bounded=_graded(ring),
-        bound=D,
-    )
     M = minimal_model(X)
     if M.is_zero():
-        report.note = "input complex is exact; nothing to check"
-        return report
+        return _verdict(
+            "symm09", X, {}, equivalence=False, bound=D,
+            note="input complex is exact; nothing to check",
+        )
     i = M.degrees()[0]
     even = i % 2 == 0
     SM = minimal_model(sym2(X).complex)
     s_inf = None if SM.is_zero() else SM.degrees()[0]
-    witnesses = report.witnesses
+    witnesses = {}
     want = _homology_value(_square_presentation(M, i, even), 0, D)
     got = _homology_value(SM, 2 * i, D)  # S2X and its minimal model have one homology
     if want != got:
         witnesses["lowest"] = (want, got)
 
-    labels = ["inf_lower_bound", "lowest_module_matches"]
-    conds = [s_inf is None or s_inf >= 2 * i]
-    if not conds[0]:
+    conditions = {"inf_lower_bound": s_inf is None or s_inf >= 2 * i}
+    if not conditions["inf_lower_bound"]:
         witnesses["inf"] = (i, s_inf)
     if even:
-        labels.insert(1, "inf_equality_even")
-        conds.append(s_inf == 2 * i)
+        conditions["inf_equality_even"] = s_inf == 2 * i
         if s_inf != 2 * i:
             witnesses["inf_equality"] = (i, s_inf)
-    conds.append(want == got)
-    report.labels, report.conditions, report.holds = tuple(labels), tuple(conds), all(conds)
-    return report
+    conditions["lowest_module_matches"] = want == got
+    return _verdict("symm09", X, conditions, witnesses, equivalence=False, bound=D)
 
 
 # -- worked-example corpus -----------------------------------------------------------

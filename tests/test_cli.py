@@ -1,5 +1,6 @@
 """Command-line surface: documents in, documents or reports out, exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -23,7 +24,7 @@ from symchain import (
     unit_complex,
     weak_sym2,
 )
-from symchain.cli import main
+from symchain.cli import build_parser, main
 
 POLY = graded_poly("x", "y")
 X_VAR = POLY.variable("x")
@@ -169,7 +170,11 @@ def test_quasi_iso_command(tmp_path, capsys, monkeypatch):
     mfile = write(tmp_path, "m.json", proj)
     code, out, _ = run(capsys, "quasi-iso", mfile)
     assert code == 1
-    assert out.splitlines() == ["quasi-isomorphism: false", "failures: [(2, 1)]"]
+    assert out.splitlines() == [
+        "quasi-isomorphism: false",
+        f"backend: {POLY}",
+        "failures: [(2, 1)]",
+    ]
     # graded verdicts are exact: a passing one is plain true, with no bound,
     # and the degree-bound variable does not reach it
     from symchain import identity_map
@@ -179,7 +184,7 @@ def test_quasi_iso_command(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "-5")
     code, out, _ = run(capsys, "quasi-iso", ifile)
     assert code == 0
-    assert out.splitlines() == ["quasi-isomorphism: true"]
+    assert out.splitlines() == ["quasi-isomorphism: true", f"backend: {POLY}"]
     # quasi-iso has no --bound option any more
     with pytest.raises(SystemExit) as exc:
         main(["quasi-iso", ifile, "--bound", "5"])
@@ -290,13 +295,51 @@ def test_check_commands(tmp_path, capsys):
 
     code, out, _ = run(capsys, "check", "s2fpd01", kfile)
     assert code == 0
-    assert "minimal-length: 2" in out and "square-minimal-length: 4" in out
+    payload = json.loads(out.split("json: ", 1)[1])
+    assert payload["conditions"] == {"rank_inequality": True} and payload["holds"] is True
+    assert payload["witnesses"] == {"minimal_length": "2", "square_minimal_length": "4"}
+    for ring in (QQ, GF(2), GF(5), ZLoc(2)):
+        code, out, _ = run(capsys, "check", "s2fpd01", write(tmp_path, "u.json", unit_complex(ring)))
+        assert code == 0 and f"backend: {ring}" in out
+    code, _, err = run(capsys, "check", "s2fpd01", write(tmp_path, "z.json", koszul([ZZ.scalar(3)])))
+    assert code == 2 and "local backend" in err
+    code, _, err = run(capsys, "check", "s2fpd01", kfile, "--bound", "5")
+    assert code == 2 and "s2fpd01 needs no degree bound" in err
 
     code, out, _ = run(capsys, "check", "symm09", kfile)
     assert code == 0
 
     code, out, _ = run(capsys, "check", "s2fpd02", even)
     assert code == 0
+
+
+def _check_theorems():
+    """The theorem choices of the `check` subparser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["check"]._actions if a.dest == "theorem").choices
+
+
+def test_check_choices_are_the_five_theorems():
+    assert list(_check_theorems()) == ["symm07", "symm07pp", "s2fpd01", "s2fpd02", "symm09"]
+
+
+@pytest.mark.parametrize("theorem", _check_theorems())
+@pytest.mark.parametrize(
+    "X",
+    [koszul([X_VAR, Y_VAR]), koszul([ZLoc(3).scalar(3), ZLoc(3).scalar(1)])],
+    ids=["koszul(x,y)", "koszul(3,1)/ZLoc(3)"],
+)
+def test_every_check_prints_one_verdict_block(tmp_path, capsys, theorem, X):
+    """Each theorem goes through the one printer: theorem, backend and a
+    json line whose verdict matches the exit code."""
+    code, out, _ = run(capsys, "check", theorem, write(tmp_path, "x.json", X))
+    lines = out.splitlines()
+    assert lines[:2] == [f"theorem: {theorem}", f"backend: {X.ring}"]
+    assert lines[-1].startswith("json: ")
+    payload = json.loads(lines[-1][len("json: "):])
+    assert payload["theorem"] == theorem and payload["backend"] == str(X.ring)
+    verdict = payload["holds"] if payload["equivalent"] is None else payload["equivalent"]
+    assert code == (0 if verdict else 1)
 
 
 def test_corpus_run(capsys):

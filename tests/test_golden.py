@@ -1,9 +1,9 @@
 """Checker reports and serialized squares, byte for byte against recorded files.
 
 tests/golden/<ring>.json holds, for a fixed set of seeded complexes, the
-as_dict() of symm07, symm07pp, s2fpd02 and symm09, and the SHA-256 of the
-serialize() text of the input and of sym2, its proj, alpha and weak_sym2
-(the texts themselves would make the record about 1.7 MB).  The inputs
+as_dict() of symm07, symm07pp, s2fpd01, s2fpd02 and symm09, and the
+SHA-256 of the serialize() text of the input and of sym2, its proj, alpha
+and weak_sym2 (the texts themselves would make the record about 1.7 MB).  The inputs
 are sums of elementary pieces over QQ, GF(5), ZLoc(3) and ZLoc(5), each
 plain, padded with a contractible piece, and padded then conjugated by a
 random basis change; graded sums of Koszul pieces over QQ[x, y], plain
@@ -28,6 +28,7 @@ from symchain import (
     SparseMatrix,
     ZLoc,
     ZZ,
+    check_s2fpd01,
     check_s2fpd02,
     check_symm07,
     check_symm07pp,
@@ -48,6 +49,7 @@ POLY = graded_poly("x", "y")
 CHECKERS = {
     "symm07": check_symm07,
     "symm07pp": check_symm07pp,
+    "s2fpd01": check_s2fpd01,
     "s2fpd02": check_s2fpd02,
     "symm09": check_symm09,
 }

@@ -12,7 +12,7 @@ from symchain.errors import (
     ScalarParseError,
     UnsupportedRingError,
 )
-from symchain.scalars import Scalar, arith, format_scalar, parse_scalar
+from symchain.scalars import Scalar, format_scalar, parse_scalar
 
 POLY = graded_poly("x", "y")
 
@@ -20,20 +20,20 @@ POLY = graded_poly("x", "y")
 def test_fraction_addition():
     a = QQ.scalar(Fraction(1, 2))
     b = QQ.scalar(Fraction(1, 3))
-    assert arith("add", a, b) == QQ.scalar(Fraction(5, 6))
+    assert a + b == QQ.scalar(Fraction(5, 6))
 
 
 def test_poly_product_degree():
     x = POLY.variable("x")
     y = POLY.variable("y")
-    xy = arith("mul", x, y)
+    xy = x * y
     assert xy.homogeneous_degree() == 2
     assert str(xy) == "x*y"
 
 
 def test_gf_multiplication_wraps():
     F5 = GF(5)
-    assert arith("mul", F5.scalar(2), F5.scalar(3)) == F5.scalar(1)
+    assert F5.scalar(2) * F5.scalar(3) == F5.scalar(1)
 
 
 def test_unit_detection():

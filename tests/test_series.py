@@ -19,7 +19,6 @@ from symchain import (
     mapping_cone,
     minimal_model,
     minimize,
-    pd_finite,
     poinc_check,
     rank_series,
     serialize,
@@ -334,19 +333,6 @@ def test_minimal_complexes_unique_up_to_isomorphism():
         M2, _ = minimize(X2)
         assert M1.ranks == M2.ranks
         assert _chain_iso_exists(M1, M2, rng)
-
-
-def test_pd_reports():
-    r = pd_finite(shift(unit_complex(QQ), 2))
-    assert r.finite_pd and r.x_length == 0 and r.sym2_length == 0
-    assert r.rank_inequality_holds
-    r = pd_finite(koszul([X_VAR, Y_VAR]))
-    assert r.x_length == 2 and r.sym2_length == 4
-    assert r.rank_inequality_holds
-    # nonzero ranks in degrees 1 and 3 force rank(S2)_4 >= r1*r3
-    X = FreeComplex(ZLoc(3), {1: 2, 3: 1}, {})
-    S = sym2(X).complex
-    assert S.rank(4) >= X.rank(1) * X.rank(3)
 
 
 def test_rank_series_str_is_canonical():

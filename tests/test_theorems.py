@@ -12,6 +12,7 @@ from symchain import (
     SparseMatrix,
     ZLoc,
     ZZ,
+    check_s2fpd01,
     check_s2fpd02,
     check_symm07,
     check_symm07pp,
@@ -36,7 +37,7 @@ from symchain import (
 )
 from symchain.complexes import compose
 from symchain.errors import TwoNotUnitError, UnsupportedRingError
-from symchain.theorems import _equivalence
+from symchain.theorems import _verdict
 
 from oracles import lowest_square_oracle
 from randgen import (
@@ -138,6 +139,26 @@ def test_s2fpd02_two_odd_shifts():
 def test_s2fpd02_koszul_all_false():
     r = check_s2fpd02(koszul([X_VAR, Y_VAR]))
     assert r.conditions == (False, False, False) and r.equivalent
+
+
+def test_s2fpd01_reports():
+    r = check_s2fpd01(shift(unit_complex(QQ), 2))
+    assert r.witnesses == {"minimal_length": 0, "square_minimal_length": 0}
+    assert r.labels == ("rank_inequality",) and r.conditions == (True,)
+    assert r.holds and r.equivalent is None and not r.bounded
+    r = check_s2fpd01(koszul([X_VAR, Y_VAR]))
+    assert r.witnesses == {"minimal_length": 2, "square_minimal_length": 4}
+    assert r.holds
+    # nonzero ranks in degrees 1 and 3 force rank(S2)_4 >= r1*r3
+    X = FreeComplex(ZLoc(3), {1: 2, 3: 1}, {})
+    S = sym2(X).complex
+    assert S.rank(4) >= X.rank(1) * X.rank(3)
+    # a local ring is needed, but not that 2 is a unit
+    r = check_s2fpd01(koszul([GF(2).scalar(0)]))
+    assert r.holds and r.backend == str(GF(2))
+    assert r.witnesses == {"minimal_length": 1, "square_minimal_length": 1}
+    with pytest.raises(UnsupportedRingError):
+        check_s2fpd01(unit_complex(ZZ))
 
 
 def test_checkers_reject_bad_backends():
@@ -416,17 +437,23 @@ def test_symm09_reads_homology_off_the_minimal_model_of_the_square(monkeypatch):
 
 def test_equivalence_report_reads_failure_lists_and_bools():
     """A failure list holds when empty and gives its first three entries as
-    witnesses; a bool is taken as it is; the given witnesses come first."""
+    witnesses; a bool is taken as it is; the given witnesses come first.
+    An implication report holds when every condition does."""
     X = unit_complex(QQ)
-    r = _equivalence("t", X, {"a": [], "b": True})
+    r = _verdict("t", X, {"a": [], "b": True})
     assert (r.labels, r.conditions) == (("a", "b"), (True, True))
     assert (r.equivalent, r.holds) == (True, True)
     assert (r.witnesses, r.backend, r.theorem) == ({}, str(QQ), "t")
     given = {"j": 0}
-    r = _equivalence("t", X, {"a": [1, 2, 3, 4], "b": False}, given)
+    r = _verdict("t", X, {"a": [1, 2, 3, 4], "b": False}, given)
     assert (r.conditions, r.equivalent, r.holds) == ((False, False), True, False)
     assert list(r.witnesses.items()) == [("j", 0), ("a", [1, 2, 3])]
     assert given == {"j": 0}
-    r = _equivalence("t", X, {"a": [5], "b": True})
+    r = _verdict("t", X, {"a": [5], "b": True})
     assert (r.conditions, r.equivalent, r.holds) == ((False, True), False, None)
     assert r.witnesses == {"a": [5]}
+    r = _verdict("t", X, {"a": [], "b": False}, equivalence=False, bound=3, note="n")
+    assert (r.conditions, r.equivalent, r.holds) == ((True, False), None, False)
+    assert (r.bound, r.bounded, r.note) == (3, True, "n")
+    r = _verdict("t", X, {}, equivalence=False)
+    assert (r.conditions, r.equivalent, r.holds, r.bounded) == ((), None, True, False)
