@@ -3,14 +3,20 @@
 A complex stores positive ranks per homological degree, one differential
 matrix per adjacent pair of nonzero degrees, and (over graded polynomial
 rings only) a tuple of generator internal degrees per homological degree.
-Absent differentials and chain-map components mean zero maps.
+Absent differentials and chain-map components mean zero maps; reading one
+builds a new zero matrix, which SparseMatrix.zero does not validate.
 
 Tensor products follow one global basis convention: in (X (x) Y)_n the
 blocks X_p (x) Y_{n-p} are listed by *decreasing* p, row-major (left factor
 index is the slower one) inside each block, and the differential carries
-the sign (-1)^p on the right factor.  Koszul complexes on one or two
-elements use their classical small presentations; three or more elements
-build the left-associated iterated tensor of the one-element complexes.
+the sign (-1)^p on the right factor.  Every map between tensor products
+is one Kronecker loop (_kronecker) over the source's tensor bases, with a
+degree shift on either factor: f (x) g for chain maps, and the two terms
+of a homotopy transported to a tensor square.  The differential keeps its
+own loop, as a Kronecker product with an identity factor would pay one
+multiplication per entry.  Koszul complexes on one or two elements use
+their classical small presentations; three or more elements build the
+left-associated iterated tensor of the one-element complexes.
 
 Each structural property is checked once, where outside values enter.  The
 public constructors FreeComplex(...) and ChainMap(...) check shapes, rings,
@@ -499,32 +505,37 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g on tensor complexes: blockwise Kronecker products, no signs."""
     src, bases, _ = _tensor_with_bases(f.source, g.source)
     tgt, _, index = _tensor_with_bases(f.target, g.target)
-    return _tensor_map(f, g, src, tgt, bases, index)
+    return ChainMap._of(src, tgt, _kronecker(src.ring, f.maps, g.maps, bases, index))
 
 
-def _tensor_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex, bases, index):
-    """tensor_map(f, g) given its source and target tensor complexes, the
-    source's tensor bases and the indices of the target's, per degree, as
-    _tensor_with_bases returns them."""
-    ring = src.ring
+def _kronecker(ring: Ring, left: dict, right: dict, bases: dict, index: dict, shift=(0, 0)):
+    """{n: left (x) right from degree n}: blockwise Kronecker products, no signs.
+
+    left[p] maps degree p to p + dp and right[q] degree q to q + dq, for
+    (dp, dq) = shift: (0, 0) for chain maps, 1 on a homotopy's side.  bases
+    are the source's tensor bases and index the target's {label: position},
+    per degree, as _tensor_with_bases returns them.  The generator
+    (p, i) (x) (q, j) goes to u w (p + dp, k) (x) (q + dq, l) summed over
+    the entries u at (k, i) of left[p] and w at (l, j) of right[q]; each
+    target is hit once per column.
+    """
+    dp, dq = shift
     mul = ring.ops.mul
-    fc = {p: _columns(M) for p, M in f.maps.items()}
-    gc = {q: _columns(M) for q, M in g.maps.items()}
-    maps = {}
-    for n in src.degrees():
-        if tgt.rank(n) == 0:
+    lc = {p: _columns(M) for p, M in left.items()}
+    rc = {q: _columns(M) for q, M in right.items()}
+    out = {}
+    for n, basis in bases.items():
+        tgt_index = index.get(n + dp + dq)
+        if tgt_index is None:
             continue
-        tgt_index = index[n]
-        entries = {}  # each (row, col) is one pair of entries of f_p and g_q
-        for col, ((p, i), (q, j)) in enumerate(bases[n]):
-            gcol = gc.get(q, {}).get(j, ())
-            for fi, fv in fc.get(p, {}).get(i, ()):
-                for gi, gv in gcol:
-                    row = tgt_index.get(((p, fi), (q, gi)))
-                    if row is not None:
-                        entries[(row, col)] = mul(fv, gv)
-        maps[n] = SparseMatrix._of(ring, tgt.rank(n), src.rank(n), entries)
-    return ChainMap._of(src, tgt, maps)
+        entries = {}
+        for col, ((p, i), (q, j)) in enumerate(basis):
+            rcol = rc.get(q, {}).get(j, ())
+            for li, lv in lc.get(p, {}).get(i, ()):
+                for ri, rv in rcol:
+                    entries[(tgt_index[((p + dp, li), (q + dq, ri))], col)] = mul(lv, rv)
+        out[n] = SparseMatrix._of(ring, len(tgt_index), len(basis), entries)
+    return out
 
 
 class Homotopy:

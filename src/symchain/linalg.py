@@ -125,7 +125,9 @@ class SparseMatrix:
 
     @classmethod
     def zero(cls, ring: Ring, rows: int, cols: int) -> "SparseMatrix":
-        return cls(ring, rows, cols, {})
+        if rows < 0 or cols < 0:
+            raise ShapeError("negative dimensions")
+        return cls._of(ring, rows, cols, {})
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "SparseMatrix":
@@ -691,27 +693,22 @@ def _zloc_ops(p: int):
 
 
 def _mod_ops(D: int):
-    """Residues mod D, where a residue a stands for the ideal gcd(a, D)."""
+    """Residues mod D, where a residue a stands for the ideal gcd(a, D).
+
+    The normalizer is 1: invariant_factors reads only gcd(M[t][t], D) of a
+    pivot, which a unit leaves as it is, and pivot row t, zero off the
+    pivot once the loop scales it, is read by no later step."""
 
     def quot(v, d):  # x with x*d = v mod D, given gcd(d, D) | v
         g = gcd(d, D)
         return v // g * pow(d // g, -1, D // g)
-
-    def normalizer(v):  # unit u mod D with u*v = gcd(v, D) mod D
-        g = gcd(v, D)
-        m = D // g
-        u = pow(v // g, -1, m)
-        c = D  # the largest divisor of D prime to m; u is lifted to 1 mod c
-        while (h := gcd(c, m)) > 1:
-            c //= h
-        return u + m * ((1 - u) * pow(m, -1, c) % c)
 
     return {
         "key": lambda v: gcd(v, D),
         "least": 1,
         "divides": lambda d, v: v % gcd(d, D) == 0,
         "quot": quot,
-        "normalizer": normalizer,
+        "normalizer": lambda v: 1,
         "mod": D,
     }
 
@@ -775,8 +772,8 @@ def _snf_loop(M, ops, U=None, V=None):
         for row in V or ():
             row[j], row[k] = row[k], row[j]
 
-    def scale_row(i, u):
-        M[i] = [u * a for a in M[i]] if mod is None else [u * a % mod for a in M[i]]
+    def scale_row(i, u):  # only the normalizers of ZZ and ZLoc(p) scale
+        M[i] = [u * a for a in M[i]]
         if U is not None:
             U[i] = [u * a for a in U[i]]
 

@@ -24,17 +24,21 @@ differentials rho . d . sigma reproduce the classical small matrices for
 Koszul complexes on one and two elements exactly.  They are formed with
 no general product (_pick): each column of rho has at most one entry, so
 sigma picks columns of d and rho sends each row to one generator, with a
-sign.  The same picking forms the summands' L . d . B and corestriction
-L . alpha, the maps S2(f) and the induced homotopy below.  A Sym2Result
-keeps each once: rho as the chain map `proj`, sigma as `section[n]` and
-the generators as `labels[n]`, beside `complex`, `tensor_square` and
-`alpha`; alpha(X) is sym2(X).alpha.
+sign.  The same picking forms the summands' L . d . B, the maps S2(f) and
+the induced homotopy on S2 below.  f (x) f and the homotopy transported
+to T are the one Kronecker loop of complexes._kronecker on the same
+bases.  A Sym2Result keeps each once: rho as the chain map `proj`, sigma
+as `section[n]` and the generators as `labels[n]`, beside `complex`,
+`tensor_square` and `alpha`, and the tensor bases with their index;
+alpha(X) is sym2(X).alpha.
 
 When 2 is a unit, alpha/2 is idempotent, so Im(alpha) and Ker(alpha) =
-Im(2 - alpha) are direct summands of T.  For the alpha of a square both
-have closed forms read off the pairs {c, c'} of swapped tensor generators:
-no elimination, no solve and no check of alpha.alpha = 2 alpha, since the
-library built alpha itself (_alpha_summands).  endo_image_complex and
+Im(2 - alpha) are direct summands of T.  For the alpha of a square both,
+and the corestriction q = L alpha, have closed forms read off the pairs
+{c, c'} of swapped tensor generators, on the tensor bases and their index
+as the walk reads them: no elimination, no solve, no product with alpha
+and no check of alpha.alpha = 2 alpha, since the library built alpha
+itself (_alpha_summands).  endo_image_complex and
 endo_kernel_complex take any endomorphism f with f.f = 2f; they check that
 and take as bases the columns of f and 2 - f at their pivots over the
 residue field, so no lattice transform is built.
@@ -49,7 +53,7 @@ from .complexes import (
     ChainMap,
     FreeComplex,
     Homotopy,
-    _tensor_map,
+    _kronecker,
     _tensor_with_bases,
     direct_sum,
     shift,
@@ -219,8 +223,8 @@ class Sym2Result:
     section and labels are keyed by T.degrees(): a degree where T is zero
     has no entry, and one where only odd diagonal squares live has an
     empty list of labels.  tensor_bases and tensor_index are the bases T
-    was built on, which the walk, S2 of maps and the induced homotopy read,
-    so each is built once per square."""
+    was built on, which the walk, the summands of alpha, S2 of maps and the
+    induced homotopy read, so each is built once per square."""
 
     complex: FreeComplex
     proj: ChainMap  # rho : X(x)X -> S
@@ -428,8 +432,13 @@ def sym2_map(f: ChainMap) -> ChainMap:
     """The induced map on symmetric squares: class(x (x) y) -> class(fx (x) fy)."""
     SX = sym2(f.source)
     SY = SX if f.target == f.source else sym2(f.target)
-    ff = _tensor_map(f, f, SX.tensor_square, SY.tensor_square, SX.tensor_bases, SY.tensor_index)
-    return _sym2_map(ff, SX, SY)
+    return _sym2_map(_square_map(f, SX, SY), SX, SY)
+
+
+def _square_map(f: ChainMap, SX: Sym2Result, SY: Sym2Result) -> ChainMap:
+    """f (x) f on the tensor squares of SX and SY, on the bases they keep."""
+    maps = _kronecker(f.source.ring, f.maps, f.maps, SX.tensor_bases, SY.tensor_index)
+    return ChainMap._of(SX.tensor_square, SY.tensor_square, maps)
 
 
 def _sym2_map(ff: ChainMap, SX: Sym2Result, SY: Sym2Result) -> ChainMap:
@@ -538,42 +547,43 @@ def endo_kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
     return _subcomplex_from_bases(T, bases)
 
 
-def _alpha_bases(T: FreeComplex, alpha_cols: dict):
+def _alpha_bases(T: FreeComplex, bases: dict, index: dict):
     """Closed-form bases of Im(alpha) and Ker(alpha) for the alpha of a
-    square, 2 a unit, given alpha_cols[n] = _columns(alpha.component(n)):
-    two dicts, degree -> (B, L, generator degrees), with L @ B = 1.
+    square, 2 a unit, and the corestriction q = L alpha, read off the
+    square's tensor bases and their indices: (image, kernel, q), where
+    image and kernel map each degree to (B, L, generator degrees), with
+    L @ B = 1, and q maps each degree to its matrix.
 
     _walk gives alpha(e_c) = e_c + v e_c' for a tensor generator c = a (x) b
-    whose swap is c' != c, with v = -(-1)^{|a||b|}, and (1 + v) e_c on the
-    diagonal: 2 on odd diagonals, 0 on even ones.  So Im(alpha) has the
-    basis e_c + v e_c' at the lower index of each pair plus 2 e_c at each
-    odd diagonal, and Ker(alpha) = Im(2 - alpha) has e_c - v e_c' per pair
-    plus 2 e_c at each even diagonal, in increasing index order: the
-    columns endo_image_complex and endo_kernel_complex pick.  L is the rows
-    at those indices, with the diagonal rows halved.  Each basis vector has
-    the generator degree of the tensor generator at its index.
+    whose swap c' = b (x) a is another generator, with v = -(-1)^{|a||b|},
+    and (1 + v) e_c on the diagonal: 2 on odd diagonals, 0 on even ones.
+    So Im(alpha) has the basis e_c + v e_c' at the lower index of each pair
+    plus 2 e_c at each odd diagonal, and Ker(alpha) = Im(2 - alpha) has
+    e_c - v e_c' per pair plus 2 e_c at each even diagonal, in increasing
+    index order: the columns endo_image_complex and endo_kernel_complex
+    pick.  L is the rows at those indices, with the diagonal rows halved.
+    Row c of alpha is e_c + v e_c' at a pair and 2 e_c at an odd diagonal,
+    so row k of q is the transpose of the image's B_k times L's entry at k.
+    Each basis vector has the generator degree of the tensor generator at
+    its index.
     """
     ring = T.ring
     ops = ring.ops
-    one = ops.one
+    one, minus_one = ops.one, ops.neg(ops.one)
     two = ops.add(one, one)
     half = ops.inverse(two)
-    parts = ({}, {})  # image, kernel
-    for n in T.degrees():
-        r = T.rank(n)
-        cols = alpha_cols[n]
+    image, kernel, q = {}, {}, {}
+    for n, basis in bases.items():
+        r = len(basis)
         vectors = ([], [])  # image, kernel: (index, {row: entry of B}, entry of L)
-        for c in range(r):
-            col = cols.get(c, ())
-            pair = [(i, v) for i, v in col if i != c]
-            if pair:
-                c2, v = pair[0]
-                if c < c2:
-                    vectors[0].append((c, {c: one, c2: v}, one))
-                    vectors[1].append((c, {c: one, c2: ops.neg(v)}, one))
-            else:  # alpha is 2 on an odd diagonal and 0 on an even one
-                vectors[0 if col else 1].append((c, {c: two}, half))
-        for part, vs in zip(parts, vectors):
+        for c, (a, b) in enumerate(basis):
+            if a == b:  # alpha is 2 on an odd diagonal and 0 on an even one
+                vectors[0 if a[0] % 2 else 1].append((c, {c: two}, half))
+            elif c < (c2 := index[n][(b, a)]):
+                v, w = (one, minus_one) if (a[0] * b[0]) % 2 else (minus_one, one)
+                vectors[0].append((c, {c: one, c2: v}, one))
+                vectors[1].append((c, {c: one, c2: w}, one))
+        for part, vs in zip((image, kernel), vectors):
             B = {(i, k): w for k, (_, vector, _) in enumerate(vs) for i, w in vector.items()}
             L = {(k, c): w for k, (c, _, w) in enumerate(vs)}
             gd = tuple(T.gdeg(n)[c] for c, _, _ in vs) if ring.kind == "Poly" else None
@@ -582,7 +592,11 @@ def _alpha_bases(T: FreeComplex, alpha_cols: dict):
                 SparseMatrix._of(ring, len(vs), r, L),
                 gd,
             )
-    return parts
+        q_rows = {
+            (k, i): ops.mul(l, w) for k, (_, v, l) in enumerate(vectors[0]) for i, w in v.items()
+        }
+        q[n] = SparseMatrix._of(ring, len(vectors[0]), r, q_rows)
+    return image, kernel, q
 
 
 def _summand(T: FreeComplex, part: dict, d_cols: dict) -> SubcomplexData:
@@ -602,16 +616,12 @@ def _summand(T: FreeComplex, part: dict, d_cols: dict) -> SubcomplexData:
 def _alpha_summands(S: Sym2Result):
     """(image, kernel, q): Im(alpha) and Ker(alpha) of the square S as
     subcomplexes of its tensor square, and alpha corestricted onto its
-    image, L alpha, all from _alpha_bases with no elimination or solve.
-    The library built alpha, so alpha.alpha = 2 alpha is not re-checked."""
-    T, al = S.tensor_square, S.alpha
-    alpha_cols = {n: _columns(al.component(n)) for n in T.degrees()}
-    image_part, kernel_part = _alpha_bases(T, alpha_cols)
+    image, L alpha, all from _alpha_bases on the pairs of swapped tensor
+    generators, with no elimination, solve or product with alpha.  The
+    library built alpha, so alpha.alpha = 2 alpha is not re-checked."""
+    T = S.tensor_square
+    image_part, kernel_part, q = _alpha_bases(T, S.tensor_bases, S.tensor_index)
     image = _summand(T, image_part, S.tensor_columns)
-    q = {
-        n: _pick(image_part[n][1], al.component(n), None, alpha_cols[n])
-        for n in image.complex.degrees()
-    }
     return image, _summand(T, kernel_part, S.tensor_columns), ChainMap._of(T, image.complex, q)
 
 
@@ -752,58 +762,28 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
     X, Y = f.source, f.target
     SX = sym2(X)
     SY = SX if Y == X else sym2(Y)
-    TX = SX.tensor_square
-    TY = SY.tensor_square
-    ops = ring.ops
-    half = ops.inverse(ring.raw(2))
-    fg = {n: _columns(f.component(n) + g.component(n)) for n in set(f.maps) | set(g.maps)}
-    sc = {n: _columns(M) for n, M in s.maps.items()}
-
-    sigma_maps = {}
-    for n in TX.degrees():
-        if TY.rank(n + 1) == 0:
-            continue
-        src = SX.tensor_bases[n]
-        tgt_index = SY.tensor_index[n + 1]
-        # each (row, col) is one pair of entries: (f+g)_p (x) s_q lands in
-        # block p of the target, s_p (x) (f+g)_q in block p + 1
-        entries = {}
-        for col, ((p, i), (q, j)) in enumerate(src):
-            for ai, av in fg.get(p, {}).get(i, ()):
-                for bi, bv in sc.get(q, {}).get(j, ()):
-                    row = tgt_index.get(((p, ai), (q + 1, bi)))
-                    if row is not None:
-                        v = ops.mul(half, ops.mul(av, bv))
-                        entries[(row, col)] = ops.neg(v) if p % 2 else v
-            for ai, av in sc.get(p, {}).get(i, ()):
-                for bi, bv in fg.get(q, {}).get(j, ()):
-                    row = tgt_index.get(((p + 1, ai), (q, bi)))
-                    if row is not None:
-                        entries[(row, col)] = ops.mul(half, ops.mul(av, bv))
-        M = SparseMatrix._of(ring, TY.rank(n + 1), TX.rank(n), entries)
-        if not M.is_zero():
-            sigma_maps[n] = M
-    ff = _tensor_map(f, f, TX, TY, SX.tensor_bases, SY.tensor_index)
-    gg = _tensor_map(g, g, TX, TY, SX.tensor_bases, SY.tensor_index)
+    half = ring.ops.inverse(ring.raw(2))
+    fg = {n: f.component(n) + g.component(n) for n in set(f.maps) | set(g.maps)}
+    # (1/2)[((-1)^p (f+g)_p) (x) s_q + s_p (x) (f+g)_q]; the two terms land in
+    # the blocks p and p + 1 of the target
+    signed = {p: -M if p % 2 else M for p, M in fg.items()}
+    bases, index = SX.tensor_bases, SY.tensor_index
+    left = _kronecker(ring, signed, s.maps, bases, index, (0, 1))
+    right = _kronecker(ring, s.maps, fg, bases, index, (1, 0))
+    sigma_maps = {n: (M + right[n]).scale(half) for n, M in left.items()}
+    ff, gg = _square_map(f, SX, SY), _square_map(g, SX, SY)
     sigma = Homotopy(ff, gg, sigma_maps)
     if not sigma.check():
         raise SymchainError("transported homotopy fails its contract")
-    alX = SX.alpha
-    alY = SY.alpha
-    for n in TX.degrees():
-        def sig(k):
-            M = sigma_maps.get(k)
-            if M is None:
-                return SparseMatrix.zero(ring, TY.rank(k + 1), TX.rank(k))
-            return M
-
-        if sig(n) @ alX.component(n) != alY.component(n + 1) @ sig(n):
+    for n in SX.tensor_square.degrees():
+        M = sigma.component(n)
+        if M @ SX.alpha.component(n) != SY.alpha.component(n + 1) @ M:
             raise SymchainError("transported homotopy does not commute with alpha")
     bar_maps = {}
     for n in SX.complex.degrees():
         if SY.complex.rank(n + 1) == 0:
             continue
-        M = sigma_maps.get(n)
+        M = sigma.maps.get(n)
         if M is None:
             continue
         bar = _pick(SY.proj.component(n + 1), M, SX.section[n])

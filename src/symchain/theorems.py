@@ -243,6 +243,10 @@ def check_s2fpd01(X: FreeComplex) -> VerdictReport:
     rank S2(M)_{p+q} >= r_p * r_q for p < q over the minimal complex M of
     X.  The witnesses are the lengths of M and of the minimal model of
     S2(X).  It needs a local ring, but not that 2 is a unit.
+
+    S2(M)_{p+q} contains M_p (x) M_q by construction, so the inequality
+    holds on every bounded complex: the report always holds, `check
+    s2fpd01` exits only 0 or 2, and what it shows is the two lengths.
     """
     _require_local(X)
     M = minimal_model(X)

@@ -14,7 +14,9 @@ chain map per pivot.  `reference_slice_matrix` is the reference for
 `linalg.slice_matrix`: it looks every target row up by its
 (generator, monomial) pair.  `reference_square` builds the labels, rho,
 sigma and alpha of a symmetric square by separate walks, the reference
-for the single walk of `sym2._walk`.
+for the single walk of `sym2._walk`.  `reference_induced_sigma` writes
+the transported homotopy of `sym2.induced_homotopy` entry by entry from
+the tensor basis labels, the reference for its Kronecker products.
 """
 
 from fractions import Fraction
@@ -447,3 +449,39 @@ def reference_square(X: FreeComplex, keep_odd_diagonal: bool):
                 entries[(swapped, col)] = v
         alpha[n] = SparseMatrix._of(ring, len(tbasis), len(tbasis), entries)
     return labels, rho, sigma, alpha
+
+
+# -- the transported homotopy entry by entry -----------------------------------------
+
+
+def reference_induced_sigma(f: ChainMap, g: ChainMap, s) -> dict:
+    """{n: sigma_n} for the homotopy s from f to g, nonzero degrees only:
+    on x (x) x' with x = (p, i) and x' = (q, j), sigma is
+    (1/2)[(-1)^p (f+g)(x) (x) s(x') + s(x) (x) (f+g)(x')].  Each entry of
+    each sigma_n is read off one pair of tensor basis labels, one source
+    and one target, with Scalar arithmetic.  The reference for
+    `sym2.induced_homotopy`."""
+    X, Y = f.source, f.target
+    ring = X.ring
+    half = ring.scalar(2).inverse()
+
+    def fg(n, row, col):
+        return f.component(n).entry(row, col) + g.component(n).entry(row, col)
+
+    out = {}
+    for n in tensor(X, X).degrees():
+        source, target = tensor_basis(X, X, n), tensor_basis(Y, Y, n + 1)
+        entries = {}
+        for col, ((p, i), (q, j)) in enumerate(source):
+            for row, ((a, k), (b, l)) in enumerate(target):
+                v = ring.zero()
+                if (a, b) == (p, q + 1):
+                    term = fg(p, k, i) * s.component(q).entry(l, j)
+                    v = v + (-term if p % 2 else term)
+                if (a, b) == (p + 1, q):
+                    v = v + s.component(p).entry(k, i) * fg(q, l, j)
+                if not v.is_zero():
+                    entries[(row, col)] = half * v
+        if entries:
+            out[n] = SparseMatrix(ring, len(target), len(source), entries)
+    return out

@@ -52,7 +52,6 @@ from symchain.errors import (
 )
 from symchain.homology import homology, homology_presented, is_exact
 from symchain.linalg import (
-    _columns,
     image_basis_pid,
     kernel_basis,
     kernel_pid,
@@ -73,7 +72,7 @@ from symchain.sym2 import (
     sym_basis,
 )
 
-from oracles import reference_square, reference_sym_basis
+from oracles import reference_induced_sigma, reference_square, reference_sym_basis
 from randgen import (
     conjugate,
     contractible_piece,
@@ -436,8 +435,9 @@ def test_squares_and_summands_form_no_general_product(monkeypatch, ring):
 def test_square_and_summands_group_each_matrix_once(monkeypatch, ring):
     """sym2 groups each differential of T by column once and keeps the
     groups on the square, for rho . d . sigma and both summands' L . d . B;
-    _alpha_summands groups each component of alpha once, for its bases and
-    for q.  So over sym2 and _alpha_summands no matrix is grouped twice."""
+    _alpha_summands reads its bases and q off the swap pairs, so it groups
+    no component of alpha at all.  So over sym2 and _alpha_summands no
+    matrix is grouped twice, and alpha is never grouped."""
     rng = random.Random(7)
     inputs = list(_closed_form_inputs(ring, rng))[:6]
     grouped = []  # the matrices themselves, so that no id is reused
@@ -456,6 +456,7 @@ def test_square_and_summands_group_each_matrix_once(monkeypatch, ring):
         assert len({id(M) for M in grouped}) == len(grouped)
         stored = [T.diff(n) for n in T.degrees()]  # a zero differential is built per call
         assert {id(D) for D in stored if not D.is_zero()} <= {id(M) for M in grouped}
+        assert not {id(M) for M in S.alpha.maps.values()} & {id(M) for M in grouped}
 
 
 def test_sym2_walks_each_tensor_degree_once(monkeypatch):
@@ -741,7 +742,8 @@ def test_alpha_summands_closed_form_matches_the_checked_rref_path(ring):
                 assert q.component(n) == solve_exact(image.bases[n], al.component(n))
             else:
                 assert q.component(n).is_zero()
-        for part in _alpha_bases(T, {n: _columns(al.component(n)) for n in T.degrees()}):
+        image_part, kernel_part, _ = _alpha_bases(T, S.tensor_bases, S.tensor_index)
+        for part in (image_part, kernel_part):
             for n, (B, L, _) in part.items():
                 assert L @ B == SparseMatrix.identity(ring, B.cols)
 
@@ -831,6 +833,29 @@ def test_induced_homotopy_random_pairs_gf7():
         sigma, sigma_bar = induced_homotopy(f, g, s)
         assert sigma.check()
         assert sigma_bar.check()
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZLoc(3), POLY], ids=str)
+def test_induced_homotopy_matches_the_entrywise_oracle(ring):
+    """sigma of induced_homotopy, from two shifted Kronecker products, is
+    the sigma written entry by entry from the tensor basis labels.  Random
+    homotopies are often zero, so pairs are drawn until six sigmas are not."""
+    rng = random.Random(71 + [QQ, GF(7), ZLoc(3), POLY].index(ring))
+    nonzero = 0
+    for _ in range(60):
+        if ring == POLY:
+            X = random_graded_minimal(POLY, rng, max_pieces=3)
+            Y = random_graded_minimal(POLY, rng, max_pieces=3)
+        else:
+            X = random_complex(ring, rng, max_rank=3, max_len=3)
+            Y = random_complex(ring, rng, max_rank=3, max_len=3)
+        f, g, s = random_homotopic_pair(X, rng.choice([X, Y]), rng)
+        sigma, _ = induced_homotopy(f, g, s)
+        assert sigma.maps == reference_induced_sigma(f, g, s)
+        nonzero += bool(sigma.maps)
+        if nonzero == 6:
+            break
+    assert nonzero == 6
 
 
 def test_induced_homotopy_needs_two_invertible():

@@ -161,6 +161,25 @@ def test_s2fpd01_reports():
         check_s2fpd01(unit_complex(ZZ))
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(5), ZLoc(2), ZLoc(3), POLY], ids=str)
+def test_s2fpd01_holds_on_every_bounded_complex(ring):
+    """S2(M)_{p+q} contains M_p (x) M_q by construction, so rank_inequality
+    holds on every bounded complex and the report's content is its two
+    witnesses: the lengths of the minimal models of X and of S2(X)."""
+    rng = random.Random(83)
+    for _ in range(8):
+        if ring == POLY:
+            X = random_graded_minimal(POLY, rng, max_pieces=3)
+        else:
+            X = random_complex(ring, rng, max_rank=3, max_len=3)
+        r = check_s2fpd01(X)
+        assert r.holds is True and r.conditions == (True,)
+        assert r.witnesses == {
+            "minimal_length": minimal_model(X).length(),
+            "square_minimal_length": minimal_model(sym2(X).complex).length(),
+        }
+
+
 def test_checkers_reject_bad_backends():
     with pytest.raises(UnsupportedRingError):
         check_symm07(unit_complex(ZZ))

@@ -16,6 +16,7 @@ from symchain import (
     ChainMap,
     FreeComplex,
     PresentedComplex,
+    SparseMatrix,
     ZLoc,
     alpha,
     base_change,
@@ -42,7 +43,8 @@ from symchain import (
     zero_map,
 )
 from symchain import complexes
-from symchain.complexes import compose, tensor_basis
+from symchain.complexes import Homotopy, compose, tensor_basis
+from symchain.errors import ShapeError
 from symchain.homology import _presented_cone
 from symchain.sym2 import endo_image_complex, endo_kernel_complex, shift_iso
 from symchain.theorems import _square_presentation, check_symm07pp
@@ -212,3 +214,30 @@ def test_parse_checks_each_complex_and_the_map_once(monkeypatch):
     assert isinstance(f, ChainMap)
     # source and target once each; the map once, in its constructor
     assert counter.calls == {"validate": 2, "is_chain_map": 0, "_first_noncommuting": 1}
+
+
+def test_absent_degrees_read_as_zero_without_validation(monkeypatch):
+    """A degree with no stored matrix reads as a zero built by the trusted
+    builder: FreeComplex.diff, ChainMap.component, Homotopy.component and
+    PresentedComplex.diff and .relation run no SparseMatrix constructor.
+    The public zero still refuses negative dimensions."""
+    X = koszul([QQ.scalar(2)])
+    f = zero_map(X, X)
+    s = Homotopy(f, f, {})
+    P = weak_sym2(koszul([ZZ.scalar(3)]))
+    checked = []
+    real = SparseMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        checked.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", counted)
+    zeros = [X.diff(5), f.component(0), s.component(0), P.diff(9), P.relation(9)]
+    assert checked == []
+    assert [(Z.rows, Z.cols, Z.entries) for Z in zeros] == [
+        (0, 0, {}), (1, 1, {}), (1, 1, {}), (0, 0, {}), (0, 0, {}),
+    ]
+    for rows, cols in ((-1, 0), (0, -1)):
+        with pytest.raises(ShapeError, match="negative dimensions"):
+            SparseMatrix.zero(QQ, rows, cols)
