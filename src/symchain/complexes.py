@@ -472,6 +472,20 @@ def is_chain_map(f: ChainMap) -> bool:
     return f.is_chain_map()
 
 
+def _cone_entries(f: ChainMap, neg=None):
+    """(ranks, {n: {(i, j): raw value}}) of cone(f) as mapping_cone lays it
+    out, the block -d^X written through neg, or as d^X when neg is None."""
+    X, Y = f.source, f.target
+    ranks = {n: X.rank(n - 1) + Y.rank(n) for n in sorted({n + 1 for n in X.degrees()} | set(Y.degrees()))}
+    entries = {n: {} for n in ranks}
+    for n, E in entries.items():
+        for M, dr, dc, g in ((X._diffs.get(n - 1), 0, 0, neg), (f.maps.get(n - 1), X.rank(n - 2), 0, None),
+                             (Y._diffs.get(n), X.rank(n - 2), X.rank(n - 1), None)):
+            for (i, j), v in M.entries.items() if M is not None else ():
+                E[(i + dr, j + dc)] = g(v) if g else v
+    return ranks, entries
+
+
 def mapping_cone(f: ChainMap) -> FreeComplex:
     """cone(f)_n = X_{n-1} (+) Y_n with d(x, y) = (-dX(x), f(x) + dY(y)).
 
@@ -480,25 +494,11 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
     cone is exact exactly when f is a quasi-isomorphism (Weibel, An
     Introduction to Homological Algebra, Cor. 1.5.4).
     """
-    X, Y = f.source, f.target
-    degrees = sorted({n + 1 for n in X.degrees()} | set(Y.degrees()))
-    ranks = {n: X.rank(n - 1) + Y.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        rows = X.rank(n - 2) + Y.rank(n - 1)
-        if rows == 0:
-            continue
-        neg = X.ring.ops.neg
-        entries = {(i, j): neg(v) for (i, j), v in X.diff(n - 1).entries.items()}
-        for (i, j), v in f.component(n - 1).entries.items():
-            entries[(i + X.rank(n - 2), j)] = v
-        for (i, j), v in Y.diff(n).entries.items():
-            entries[(i + X.rank(n - 2), j + X.rank(n - 1))] = v
-        diffs[n] = SparseMatrix._of(X.ring, rows, ranks[n], entries)
-    gdegs = None
-    if X.ring.kind == "Poly":
-        gdegs = {n: X.gdeg(n - 1) + Y.gdeg(n) for n in degrees}
-    return FreeComplex._of(X.ring, ranks, diffs, gdegs)
+    X, Y, ring = f.source, f.target, f.source.ring
+    ranks, entries = _cone_entries(f, ring.ops.neg)
+    diffs = {n: SparseMatrix._of(ring, ranks.get(n - 1, 0), ranks[n], E) for n, E in entries.items()}
+    gdegs = {n: X.gdeg(n - 1) + Y.gdeg(n) for n in ranks} if ring.kind == "Poly" else None
+    return FreeComplex._of(ring, ranks, diffs, gdegs)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:

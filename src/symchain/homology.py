@@ -4,34 +4,29 @@ Over ZZ and ZLoc(p) homology groups are reported as invariant factors,
 the Smith diagonal computed modulo a determinant without transforms; over
 QQ and GF(p) as dimensions; over graded polynomial rings as Hilbert tables
 (dimension of each internal-degree slice over QQ) up to a degree bound,
-which every such report carries.  Presented homology over ZZ and
-ZLoc(p) is the homology of a free complex, a twisted cone of the
-relations, so it builds no lattice bases and no transforms.
+which every such report carries.  Presented homology is read off ranks
+over a field, and over ZZ and ZLoc(p) is the homology of a free complex,
+a twisted cone of the relations: no lattice bases, no transforms.
 
 Exactness and quasi-isomorphism (exactness of the mapping cone) are exact
 verdicts on every backend.  Over every local backend (QQ, GF(p), ZLoc(p)
 and graded rings) a bounded complex of finite free modules is exact
 exactly when its minimal model is zero (Nakayama; graded Nakayama for
-homogeneous differentials), so the verdict minimizes first and needs no
-degree bound.  The witnesses are read off the minimal model M without
-computing its homology.  Over a field d = 0 on M, so every degree of M is
-one.  ZLoc(p) is a discrete valuation ring, and there H_n(M) != 0 exactly
-when d_n has a kernel, that is when the rank of d_n is less than rank M_n:
-ker d_n is a direct summand of M_n, since M_n / ker d_n embeds in the free
-module M_{n-1}, so the image of d_{n+1}, which lies in p M_n, lies in
-p ker d_n, and a nonzero ker d_n survives in H_n by Nakayama (Eisenbud,
-GTM 150, Cor. 4.8).  Over ZZ, which is not local, the verdict reads
-homology().
+homogeneous differentials), so the verdict runs the unit split of
+series._split_units, needs no degree bound, and reads its witnesses off
+the rows the split leaves (see _exactness_failures): it builds no minimal
+complex and, for a chain map, no cone.  Over ZZ, which is not local, the
+verdict reads homology().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import ChainMap, FreeComplex, mapping_cone
+from .complexes import ChainMap, FreeComplex, _cone_entries, mapping_cone
 from .errors import GradingError, SymchainError, UnsupportedRingError
-from .linalg import invariant_factors, qq_rank, rank, slice_matrix, solve_exact
-from .series import minimal_model
+from .linalg import _markowitz_rank, invariant_factors, qq_rank, rank, slice_matrix, solve_exact
+from .series import _split_units
 from .sym2 import PresentedComplex
 
 __all__ = [
@@ -210,17 +205,24 @@ def _graded_table(X: FreeComplex, n: int, D: int, slices=None) -> dict:
 
 
 def homology_presented(P: PresentedComplex | FreeComplex) -> HomologyReport:
-    """Homology of a complex of finitely presented modules over ZZ or ZLoc(p).
+    """Homology of a complex of finitely presented modules.
 
-    Fields and graded rings are refused: the cone needs injective relations,
-    and there a weak square's relation columns can be zero (2 = 0 in GF(2)).
-    A free complex, which weak_sym2 returns when 2 is a unit, has no
-    relations, and its homology is homology(P).
+    A free complex, which weak_sym2 returns when 2 is a unit, goes to
+    homology(); over ZZ and ZLoc(p) P goes to its twisted cone.  Over a
+    field Q_n = F_n / im r_n, for the free cover F_n and relations r_n, has
+    dim H_n = rank F_n - rank r_n - rank dbar_n - rank dbar_{n+1}, where
+    rank dbar_n = rank [d_n | r_{n-1}] - rank r_{n-1}: ranks alone, so zero
+    relation columns (2 = 0 in GF(2)) do no harm.  Graded rings are refused.
     """
-    if P.ring.kind not in ("ZZ", "ZLoc"):
-        raise UnsupportedRingError("presented homology is implemented over ZZ and ZLoc(p)")
     if isinstance(P, FreeComplex):
         return homology(P)
+    if P.ring.is_field:
+        rel = {n: rank(P.relation(n)) for n in P.degrees()}
+        dbar = {n: rank(P.diff(n).hstack(P.relation(n - 1))) - rel.get(n - 1, 0) for n in [*rel, *(n + 1 for n in rel)]}
+        return HomologyReport("dimensions", P.ring, {
+            n: h for n in rel if (h := P.rank_free_cover(n) - rel[n] - dbar[n] - dbar[n + 1])})
+    if P.ring.kind not in ("ZZ", "ZLoc"):
+        raise UnsupportedRingError("presented homology is implemented over ZZ, ZLoc(p) and fields")
     return homology(_presented_cone(P))
 
 
@@ -265,6 +267,18 @@ class QuasiIsoVerdict:
         return self.ok
 
 
+def _local_failures(ring, ranks: dict, entries: dict, gdeg) -> list:
+    """_exactness_failures' witnesses, read off the rows _split_units leaves."""
+    alive, d, _, _ = _split_units(ring, ranks, entries)
+    live = [n for n in sorted(alive) if alive[n]]
+    if gdeg and live:
+        return [(live[0], min(gdeg(live[0])[k] for k in alive[live[0]]))]
+    if ring.kind != "ZLoc":
+        return live
+    return [n for n in live if _markowitz_rank(
+        [{c: v for c, v in row.items() if c in alive[n]} for row in d[n].values()])[0] < len(alive[n])]
+
+
 def _exactness_failures(X: FreeComplex) -> list:
     """Witnesses that X is not exact; empty exactly when X is exact.
 
@@ -272,42 +286,40 @@ def _exactness_failures(X: FreeComplex) -> list:
     when its minimal model M is zero (Nakayama; graded Nakayama needs the
     homogeneous entries that the FreeComplex constructor checks and every
     library builder keeps).  X is M plus a contractible summand, so
-    H(X) = H(M), and the witnesses are every degree where H(M) is nonzero.
-    Over a field or ZLoc(p) those are the degrees n where rank d_n <
-    rank M_n, and only the differentials of M are ranked: over a field
-    d = 0 on M, and over the discrete valuation ring ZLoc(p) the image of
+    H(X) = H(M), and the witnesses are every degree where H(M) is nonzero,
+    read off the rows series._split_units leaves: M is never built.  Over a
+    field d = 0 on M, so every degree with a live generator is one.  Over
+    the discrete valuation ring ZLoc(p), degree n is one when the live rows
+    of d_n, on the live columns, have rank below rank M_n: the image of
     d_{n+1} lies in p ker d_n, as ker d_n is a direct summand of M_n, so
     H_n(M) != 0 exactly when ker d_n != 0 (Nakayama; Eisenbud, GTM 150,
-    Cor. 4.8).  No Smith loop runs.  Over a graded ring,
-    with no degree bound, the witness is [(n0, d0)] instead: n0 the lowest
-    degree where M is nonzero and d0 the lowest generator degree of
-    M_{n0}; H_{n0}(X)_{d0} != 0, since the image of the next differential
-    lies in the maximal ideal times M_{n0}.  Over ZZ, which is not local:
-    every degree where homology(X) is nonzero.
+    Cor. 4.8).  No Smith loop runs.  Over a graded ring, with no degree
+    bound, the witness is [(n0, d0)]: n0 the lowest degree where M is
+    nonzero and d0 the lowest generator degree of M_{n0}; H_{n0}(X)_{d0}
+    != 0, since the image of the next differential lies in the maximal
+    ideal times M_{n0}.  Over ZZ, which is not local: every degree where
+    homology(X) is nonzero.
     """
     if not X.ring.is_local:
         return homology(X).nonzero_degrees()
-    M = minimal_model(X)
-    if M.is_zero():
-        return []
-    if not M.graded:
-        return [n for n in M.degrees() if rank(M.diff(n)) < M.rank(n)]
-    n0 = M.degrees()[0]
-    return [(n0, min(M.gdeg(n0)))]
+    return _local_failures(X.ring, X.ranks, {n: D.entries for n, D in X._diffs.items()}, X.graded and X.gdeg)
 
 
 def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
     """Does f induce bijections on all homology?
 
-    Decided as exactness of the mapping cone (see _exactness_failures): by
-    its minimal model over a local backend, by homology() over ZZ.  The
+    Decided as exactness of the mapping cone (see _exactness_failures); the
     failures are the cone degrees with nonzero homology, or one (n0, d0)
-    over a graded ring.  Over a field or ZLoc(p) they are read off the
-    ranks of the minimal model's differentials: a degree fails exactly
-    where d_n has a kernel, by Nakayama over the discrete valuation ring
-    ZLoc(p) (Eisenbud, GTM 150, Cor. 4.8).
+    over a graded ring.  Over ZZ that reads homology(mapping_cone(f)).  On
+    a local backend no cone is built: the blocks of f and of the stored
+    differentials go straight into the unit split as the entries of
+    cone(f)_n = X_{n-1} (+) Y_n, with d^X in place of -d^X, a unit scaling
+    of rows that keeps every pivot, every rank and so every witness.
     """
-    failures = _exactness_failures(mapping_cone(f))
+    X, Y = f.source, f.target
+    gdeg = X.graded and (lambda n: X.gdeg(n - 1) + Y.gdeg(n))
+    failures = (_local_failures(X.ring, *_cone_entries(f), gdeg) if X.ring.is_local
+                else homology(mapping_cone(f)).nonzero_degrees())
     return QuasiIsoVerdict(not failures, failures=failures)
 
 

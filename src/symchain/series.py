@@ -9,12 +9,12 @@ square satisfies
 
 which verify_series_identity checks exactly.  Minimalization splits off
 contractible two-term summands at unit differential entries in one
-in-place elimination pass over the differentials; it is the workhorse
-behind the "quasi-isomorphic to a shifted copy of R" decisions of the
-theorem checkers, behind the minimal lengths s2fpd01 compares, and behind
-graded exactness.  minimize also tracks the projection q onto the minimal
-complex in the same pass; minimal_model, which the checkers and exactness
-tests call, builds no projection.
+in-place pass over the rows of the differentials, held as integers over
+QQ and ZLoc(p); it is the workhorse behind the "quasi-isomorphic to a
+shifted copy of R" decisions of the theorem checkers, the minimal lengths
+s2fpd01 compares, and exactness on every local backend, which reads the
+rows the pass leaves.  minimize also tracks the projection q onto the
+minimal complex; minimal_model, which the checkers call, builds none.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .complexes import ChainMap, FreeComplex
 from .errors import SymchainError, UnsupportedRingError
@@ -206,55 +207,69 @@ def _add_scaled(target: dict, s, source: dict, ops) -> None:
             target.pop(c, None)
 
 
-def _split_units(X: FreeComplex, with_q: bool):
+def _split_units(ring, ranks: dict, entries: dict, with_q: bool = False):
     """Split off the contractible summand at every unit entry, in one pass.
 
-    Each d_n is held as {row: {col: raw value}} on the indices of X.
-    Degrees are walked ascending, and while d_n has a unit, its least unit
-    (i, j) is the pivot: d_n gets the Schur update D - v u^{-1} w, row j of
-    d_{n+1} and column i of d_{n-1} go.  That gives no lower degree a unit,
-    so these are the pivots of eliminating the first unit of the whole
-    complex each time.  A min-heap holds the unit positions of d_n, and an
-    entry that changed or left since it was pushed is skipped when popped;
-    a column -> rows index finds the rows the Schur update touches, and
-    the columns of d_{n-1} that went are dropped when M is assembled.
-    With q, the rows of the projection X -> M follow:
-    q_{n-1} gets row_r += -v_r u^{-1} row_i and loses row i, q_n loses
-    row j.  Returns (M, q or None); M is X when X is minimal.
+    d_n = entries[n], {(row, col): raw value}, is held as {row: {col:
+    value}}.  Degrees go ascending; while d_n has a unit, its least unit
+    u = w[j], w = row i, is the pivot: row i, row j of d_{n+1} and column
+    i of d_{n-1} go, and each row with v = row[j] != 0 gets row - v u^{-1} w.
+    No lower degree gains a unit, so these are the pivots of splitting the
+    first unit of the whole complex each time.  A min-heap holds the unit
+    positions (stale ones are skipped), a column -> rows index the rows an
+    update touches.  Over QQ and ZLoc(p) row r holds integers, lam[n][r]
+    (a unit) times the exact row: scaled by the lcm of its denominators,
+    updated fraction-free as row <- (u/g) row - (v/g) w, g = gcd(u, v)
+    (Bareiss, Math. Comp. 22, 1968), then divided by its unit content (the
+    gcd over QQ, its part prime to p over ZLoc(p)).  Unit scalings keep
+    each entry's unit status, so the pivots are those of the exact rows.
+    GF(p) keeps residues, graded rings polynomials.  With q, q_{n-1} gets
+    row_r += s row_i, s = -v lam_i / (u lam_r), and loses row i; q_n loses
+    row j.  Returns (alive, d, lam or False off QQ and ZLoc, q or None),
+    alive the generators left.
     """
-    ring, ops = X.ring, X.ring.ops
-    is_unit = ops.is_unit
-    degrees = X.degrees()
+    ops, is_unit, p = ring.ops, ring.ops.is_unit, ring.p
+    integral = ring.kind in ("QQ", "ZLoc")
+    degrees = sorted(ranks)
     d = {n: {} for n in degrees}
-    for n in degrees:
-        for (r, c), v in X.diff(n).entries.items():
+    for n, E in entries.items():
+        for (r, c), v in E.items():
             d[n].setdefault(r, {})[c] = v
-    alive = {n: set(range(X.rank(n))) for n in degrees}
+    alive = {n: set(range(ranks[n])) for n in degrees}
     q = {n: {r: {r: ops.one} for r in alive[n]} for n in degrees} if with_q else None
-    split = False
+    lam = {n: {} for n in degrees}
     for n in degrees:
-        D = d[n]
-        units = [(r, c) for r, row in D.items() for c, v in row.items() if is_unit(v)]
-        heapify(units)
-        col_rows = {}
+        D, L, units, col_rows = d[n], lam[n], [], {}
         for r, row in D.items():
-            for c in row:
+            if integral:
+                m = L[r] = lcm(*[v.denominator for v in row.values()])
+                row = D[r] = {c: v.numerator * (m // v.denominator) for c, v in row.items()}
+            for c, v in row.items():
+                if is_unit(v):
+                    units.append((r, c))
                 col_rows.setdefault(c, set()).add(r)
+        heapify(units)
         while units:
             i, j = heappop(units)
             w = D.get(i)
             if w is None or j not in w or not is_unit(w[j]):
                 continue  # stale: the entry changed or left since it was pushed
-            split = True
             del D[i]
             for c in w:
                 col_rows[c].discard(i)
-            u_inv = ops.inverse(w.pop(j))
+            u = w.pop(j) if integral else ops.inverse(w.pop(j))
             for r in col_rows.pop(j):
                 row = D[r]
-                s = ops.neg(ops.mul(row.pop(j), u_inv))
+                if integral:  # row <- a row + b w
+                    g = gcd(u, row[j])
+                    a, b = u // g, -row.pop(j) // g
+                    if a != 1:
+                        for c in row:
+                            row[c] *= a
+                else:
+                    a, b = 1, ops.neg(ops.mul(row.pop(j), u))
                 for c, v in w.items():
-                    t = ops.add(row[c], ops.mul(s, v)) if c in row else ops.mul(s, v)
+                    t = ops.add(row[c], ops.mul(b, v)) if c in row else ops.mul(b, v)
                     if t:
                         if c not in row:
                             col_rows[c].add(r)
@@ -265,34 +280,47 @@ def _split_units(X: FreeComplex, with_q: bool):
                         del row[c]
                         col_rows[c].discard(r)
                 if with_q:
-                    _add_scaled(q[n - 1][r], s, q[n - 1][i], ops)
+                    _add_scaled(q[n - 1][r], Fraction(b * L[i], a * L[r]) if integral else b, q[n - 1][i], ops)
                 if not row:
                     del D[r]
+                elif integral:  # divide by the unit content h
+                    h = gcd(*row.values())
+                    while p and h % p == 0:
+                        h //= p
+                    if h != 1:
+                        D[r] = {c: x // h for c, x in row.items()}
+                    if h != 1 or a != 1:
+                        L[r] = Fraction(L[r] * a, h)
             d.get(n + 1, {}).pop(j, None)
             alive[n - 1].discard(i)
             alive[n].discard(j)
             if with_q:
                 del q[n - 1][i], q[n][j]
-    pos = {n: {k: p for p, k in enumerate(sorted(alive[n]))} for n in degrees}
+    return alive, d, integral and lam, q
+
+
+def _minimal(X: FreeComplex, with_q: bool):
+    """(M, q or None): M is X, or d / lam on the generators _split_units leaves."""
+    alive, d, lam, q = _split_units(X.ring, X.ranks, {n: D.entries for n, D in X._diffs.items()}, with_q)
+    pos = {n: {k: p for p, k in enumerate(sorted(alive[n]))} for n in alive}
     M = X
-    if split:
-        # column i of d_{n-1} goes with each pivot (i, j) of d_n: skipped here
+    if sum(map(len, alive.values())) < X.total_rank():
         diffs = {
-            n: SparseMatrix._of(ring, len(pos[n - 1]), len(pos[n]), {
-                (pos[n - 1][r], pos[n][c]): v
+            n: SparseMatrix._of(X.ring, len(pos[n - 1]), len(pos[n]), {
+                (pos[n - 1][r], pos[n][c]): Fraction(v, lam[n][r]) if lam else v
                 for r, row in d[n].items() for c, v in row.items() if c in pos[n]
             })
-            for n in degrees if n - 1 in pos
+            for n in pos if n - 1 in pos
         }
-        gdegs = {n: tuple(X.gdeg(n)[k] for k in pos[n]) for n in degrees} if X.graded else None
-        M = FreeComplex._of(ring, {n: len(pos[n]) for n in degrees}, diffs, gdegs)
+        gdegs = {n: tuple(X.gdeg(n)[k] for k in pos[n]) for n in pos} if X.graded else None
+        M = FreeComplex._of(X.ring, {n: len(pos[n]) for n in pos}, diffs, gdegs)
     if not with_q:
         return M, None
     maps = {
-        n: SparseMatrix._of(ring, len(pos[n]), X.rank(n), {
+        n: SparseMatrix._of(X.ring, len(pos[n]), X.rank(n), {
             (pos[n][r], c): v for r, row in q[n].items() for c, v in row.items()
         })
-        for n in degrees if pos[n]
+        for n in pos if pos[n]
     }
     return M, ChainMap._of(X, M, maps)
 
@@ -305,7 +333,7 @@ def minimal_model(X: FreeComplex) -> FreeComplex:
     graded Nakayama (Eisenbud, Commutative Algebra, GTM 150, sections 19-20).
     """
     _require_local(X)
-    return _split_units(X, with_q=False)[0]
+    return _minimal(X, with_q=False)[0]
 
 
 def minimize(X: FreeComplex):
@@ -315,5 +343,5 @@ def minimize(X: FreeComplex):
     quasi-isomorphism (each pivot splits off a contractible summand).
     """
     _require_local(X)
-    return _split_units(X, with_q=True)
+    return _minimal(X, with_q=True)
 

@@ -10,7 +10,12 @@ modules; over a field a binomial coefficient.
 The stepwise minimalization below is the reference for
 `series.minimal_model` and `series.minimize`: it splits off one
 contractible summand at a time, building a new complex and a projection
-chain map per pivot.  `reference_slice_matrix` is the reference for
+chain map per pivot.  `reference_split_units` is the same one-pass split
+as `series._split_units`, with every Schur update in exact field
+arithmetic (`Fraction` over QQ and ZLoc(p)) in place of integer rows.
+`reference_quotient_complex` writes a presented complex over a field as
+the free complex of its quotients F_n / im r_n on explicit complement
+bases, the reference for the rank formula of `homology_presented`.  `reference_slice_matrix` is the reference for
 `linalg.slice_matrix`: it looks every target row up by its
 (generator, monomial) pair.  `reference_square` builds the labels, rho,
 sigma and alpha of a symmetric square by separate walks, the reference
@@ -345,6 +350,90 @@ def stepwise_minimize(X: FreeComplex):
         q = compose(_projection(X, smaller, *pivot), q)
         X = smaller
     return X, q
+
+
+def reference_split_units(X: FreeComplex, with_q: bool):
+    """(M, q or None) by the one-pass unit split on exact values: degrees
+    ascending, the least unit (i, j) of d_n first, each row r of d_n
+    updated to row_r - v_r u^{-1} row_i, row j of d_{n+1} and column i of
+    d_{n-1} dropped; q_{n-1} gets row_r += -v_r u^{-1} row_i."""
+    ring, ops = X.ring, X.ring.ops
+    degrees = X.degrees()
+    d = {n: {} for n in degrees}
+    for n in degrees:
+        for (r, c), v in X.diff(n).entries.items():
+            d[n].setdefault(r, {})[c] = v
+    alive = {n: set(range(X.rank(n))) for n in degrees}
+    q = {n: {r: {r: ops.one} for r in alive[n]} for n in degrees}
+    for n in degrees:
+        D = d[n]
+        while units := [(r, c) for r, row in D.items() for c, v in row.items() if ops.is_unit(v)]:
+            i, j = min(units)
+            w = D.pop(i)
+            u_inv = ops.inverse(w.pop(j))
+            for r in [r for r, row in D.items() if j in row]:
+                row = D[r]
+                s = ops.neg(ops.mul(row.pop(j), u_inv))
+                for target, source in ((row, w), (q[n - 1][r], q[n - 1][i])):
+                    for c, v in source.items():
+                        t = ops.add(target[c], ops.mul(s, v)) if c in target else ops.mul(s, v)
+                        if t:
+                            target[c] = t
+                        else:
+                            target.pop(c, None)
+                if not row:
+                    del D[r]
+            d.get(n + 1, {}).pop(j, None)
+            alive[n - 1].discard(i)
+            alive[n].discard(j)
+            del q[n - 1][i], q[n][j]
+    pos = {n: {k: p for p, k in enumerate(sorted(alive[n]))} for n in degrees}
+    diffs = {
+        n: SparseMatrix._of(ring, len(pos[n - 1]), len(pos[n]), {
+            (pos[n - 1][r], pos[n][c]): v
+            for r, row in d[n].items() for c, v in row.items() if c in pos[n]
+        })
+        for n in degrees if n - 1 in pos
+    }
+    gdegs = {n: tuple(X.gdeg(n)[k] for k in pos[n]) for n in degrees} if X.graded else None
+    M = FreeComplex._of(ring, {n: len(pos[n]) for n in degrees}, diffs, gdegs)
+    if not with_q:
+        return M, None
+    maps = {
+        n: SparseMatrix._of(ring, len(pos[n]), X.rank(n), {
+            (pos[n][r], c): v for r, row in q[n].items() for c, v in row.items()
+        })
+        for n in degrees if pos[n]
+    }
+    return M, ChainMap._of(X, M, maps)
+
+
+def reference_quotient_complex(P) -> FreeComplex:
+    """The quotient complex Q_n = F_n / im r_n of a presented complex P over
+    a field.  rref of [r_n | I] picks independent relation columns and the
+    standard vectors that complete them to a basis of F_n; Q_n gets those
+    standard vectors as its basis, and dbar_n maps each to the complement
+    coordinates of its image under d_n in that basis of F_{n-1}."""
+    ring = P.ring
+    bases, comp = {}, {}
+    for n in P.degrees():
+        R, F = P.relation(n), P.rank_free_cover(n)
+        eye = SparseMatrix.identity(ring, F)
+        _, pivots = rref(R.hstack(eye))
+        comp[n] = [c - R.cols for _, c in pivots if c >= R.cols]
+        kept = R.submatrix_columns([c for _, c in pivots if c < R.cols])
+        bases[n] = kept.hstack(eye.submatrix_columns(comp[n]))
+        assert bases[n].cols == F
+    diffs = {}
+    for n in P.degrees():
+        if n - 1 not in comp or not comp[n] or not comp[n - 1]:
+            continue
+        coords = solve_field(bases[n - 1], P.diff(n).submatrix_columns(comp[n]))
+        skip = bases[n - 1].cols - len(comp[n - 1])
+        diffs[n] = SparseMatrix(ring, len(comp[n - 1]), len(comp[n]), {
+            (i - skip, j): coords.entry(i, j) for (i, j) in coords.entries if i >= skip
+        })
+    return FreeComplex(ring, {n: len(c) for n, c in comp.items()}, diffs)
 
 
 # -- degree slices by (generator, monomial) lookup ------------------------------

@@ -147,6 +147,27 @@ def random_graded_minimal(ring: Ring, rng, max_pieces=2) -> FreeComplex:
     return out
 
 
+def random_split_pair(ring: Ring, rng):
+    """(X, Y) over a local backend, with unit entries to split off: random
+    complexes, which over QQ and ZLoc(p) carry denominators from the basis
+    change, or minimal complexes padded by a contractible piece and
+    conjugated, so that rows divisible by p meet unit pivots over ZLoc(p);
+    over a graded ring, graded minimal complexes padded by R(-1) -> R(-1)."""
+    if ring.kind != "Poly":
+        def one(max_rank):
+            if rng.random() < 0.5:
+                return random_complex(ring, rng, max_rank=max_rank, max_len=3)
+            X = random_minimal_complex(ring, rng, max_rank=max_rank - 1, max_len=3)
+            return conjugate(direct_sum(X, contractible_piece(ring, rng.randint(1, 3))), rng)
+
+        return one(4), one(3)
+    pad = FreeComplex(ring, {0: 1, 1: 1}, {1: SparseMatrix.identity(ring, 1)}, {0: (1,), 1: (1,)})
+    return (
+        direct_sum(random_graded_minimal(ring, rng), shift(pad, rng.randint(0, 2))),
+        direct_sum(shift(pad, rng.randint(0, 2)), random_graded_minimal(ring, rng)),
+    )
+
+
 def random_degreewise_map(X: FreeComplex, Y: FreeComplex, rng, degree_shift=0, density=0.5):
     """Arbitrary degreewise maps X_n -> Y_{n+degree_shift} (no chain condition).
 
@@ -206,9 +227,26 @@ def random_chain_map(X: FreeComplex, Y: FreeComplex, rng) -> ChainMap:
 
 
 def random_homotopic_pair(X: FreeComplex, Y: FreeComplex, rng):
-    """(f, g, s) with s a verified homotopy from f to g."""
+    """(f, g, s) with s a verified homotopy from f to g.
+
+    s is nonzero in some degree whenever X and Y allow it, that is when
+    some X_n and Y_{n+1} are both nonzero (over a graded ring, with a
+    generator of Y_{n+1} of degree at most that of one of X_n): when the
+    random degreewise draw comes out zero, one entry is set to a unit
+    times a monomial of the right degree.
+    """
     f = random_chain_map(X, Y, rng)
     s_maps = random_degreewise_map(X, Y, rng, degree_shift=1)
+    slots = [
+        (n, i, j) for n in X.degrees() for i in range(Y.rank(n + 1)) for j in range(X.rank(n))
+        if not X.graded or X.gdeg(n)[j] >= Y.gdeg(n + 1)[i]
+    ]
+    if not s_maps and slots:
+        n, i, j = rng.choice(slots)
+        v = unit_scalar(X.ring, rng)
+        for _ in range(X.gdeg(n)[j] - Y.gdeg(n + 1)[i] if X.graded else 0):
+            v = v * rng.choice(X.ring.generators())
+        s_maps = {n: SparseMatrix(X.ring, Y.rank(n + 1), X.rank(n), {(i, j): v})}
 
     def s_at(n):
         M = s_maps.get(n)

@@ -484,6 +484,18 @@ def test_presented_homology_over_zloc(tmp_path, capsys):
     ]
 
 
+def test_presented_homology_over_gf2(tmp_path, capsys):
+    from symchain import GF
+
+    R = GF(2)
+    # over GF(2) the weak square of this exact complex is not exact; its
+    # relations in degree 2 are zero columns
+    P = weak_sym2(koszul([R.scalar(1), R.scalar(1)]))
+    code, out, _ = run(capsys, "homology", write(tmp_path, "p.json", P))
+    assert code == 0
+    assert out.splitlines() == ["backend: GF(2)", "kind: dimensions", "H[2]: 1", "H[4]: 1", "inf: 2"]
+
+
 def test_non_chain_map_document_exits_2_naming_degree_and_entry(tmp_path, capsys):
     from symchain import identity_map
 

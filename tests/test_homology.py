@@ -2,10 +2,14 @@
 
 import random
 import sys
+from fractions import Fraction
 from importlib import import_module
 from math import gcd
 
 import pytest
+from sympy import GF as SympyGF
+from sympy import QQ as SympyQQ
+from sympy.polys.matrices import DomainMatrix
 
 from symchain import (
     ChainMap,
@@ -44,6 +48,7 @@ from symchain.linalg import (
     image_basis_pid,
     kernel_basis,
     kernel_pid,
+    rank,
     rref,
     slice_matrix,
     smith_normal_form,
@@ -53,7 +58,7 @@ from symchain.linalg import (
 from symchain.sym2 import PresentedComplex
 from symchain.sym2 import _pivot_columns
 
-from oracles import homology_representatives
+from oracles import homology_representatives, reference_quotient_complex, reference_split_units
 from randgen import (
     conjugate,
     contractible_piece,
@@ -61,6 +66,7 @@ from randgen import (
     random_complex,
     random_graded_minimal,
     random_minimal_complex,
+    random_split_pair,
     summand_inclusion,
     summand_projection,
     two_term,
@@ -141,15 +147,84 @@ def test_homology_presented_examples():
     assert str(h2.group(2)) == "Z/2"
 
 
-def test_homology_presented_requires_zz():
-    P = PresentedComplex(QQ, {0: [0]}, {}, {})
-    with pytest.raises(UnsupportedRingError):
-        homology_presented(P)
-    # a GF(2) weak square has zero relation columns, so its cone is no complex
-    with pytest.raises(UnsupportedRingError):
-        homology_presented(weak_sym2(shift(unit_complex(GF(2)), 1)))
+def test_homology_presented_refuses_graded_rings():
     with pytest.raises(UnsupportedRingError):
         homology_presented(PresentedComplex(POLY, {0: [0]}, {}, {}))
+
+
+def _presented_over(P, ring):
+    """A presented complex over ZZ with its entries read in ring."""
+    def base(M):
+        return SparseMatrix(ring, M.rows, M.cols, {k: ring.scalar(int(v)) for k, v in M.entries.items()})
+
+    return PresentedComplex(ring, P.generators, {n: base(M) for n, M in P.relations.items()},
+                            {n: base(M) for n, M in P.diffs.items()})
+
+
+def _random_field_presentations(ring, rng, count):
+    """Presented complexes over a field: X / im g for random chain maps
+    g: Z -> X (relations may be dependent or zero), and weak squares of
+    integer complexes read in ring, whose relation columns are 2 times a
+    generator (zero over GF(2))."""
+    for _ in range(count):
+        X = random_complex(ring, rng, max_rank=3, max_len=3)
+        g = random_chain_map(random_complex(ring, rng, max_rank=3, max_len=3), X, rng)
+        yield PresentedComplex(
+            ring, {n: list(range(X.rank(n))) for n in X.degrees()},
+            {n: g.component(n) for n in X.degrees()},
+            {n: X.diff(n) for n in X.degrees() if X.rank(n - 1)},
+        )
+        yield _presented_over(weak_sym2(random_complex(ZZ, rng, max_rank=3, max_len=3)), ring)
+
+
+def _sympy_field_rank(M):
+    K = SympyGF(M.ring.p) if M.ring.kind == "GF" else SympyQQ
+    data = [[K(0)] * M.cols for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        v = Fraction(v)
+        data[i][j] = K(v.numerator) / K(v.denominator)
+    return DomainMatrix(data, (M.rows, M.cols), K).rank()
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), QQ], ids=str)
+def test_presented_homology_over_a_field_matches_the_quotient_complex(ring):
+    """Over a field the dimensions come from ranks alone; they are those of
+    the quotient complex on complement bases, and of sympy's ranks."""
+    rng = random.Random(232 + [GF(2), GF(3), GF(5), QQ].index(ring))
+    nonzero = relations = 0
+    for P in _random_field_presentations(ring, rng, 15):
+        h = homology_presented(P)
+        assert h.kind == "dimensions"
+        assert h.values == homology(reference_quotient_complex(P)).values
+        rel = {n: _sympy_field_rank(P.relation(n)) for n in P.degrees()}
+        want = {}
+        for n in P.degrees():
+            dbar = [_sympy_field_rank(P.diff(m).hstack(P.relation(m - 1))) - rel.get(m - 1, 0)
+                    for m in (n, n + 1)]
+            if dim := P.rank_free_cover(n) - rel[n] - sum(dbar):
+                want[n] = dim
+        assert h.values == want
+        nonzero += bool(h.values)
+        relations += any(P.relation(n).cols for n in P.degrees())
+    assert nonzero > 5 and relations > 10
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), QQ], ids=str)
+def test_presented_homology_of_the_weak_square_of_koszul_one_one(ring):
+    """The weak square of koszul([1, 1]): over GF(2) a presented complex
+    whose degree-2 relations are a zero 4 x 2 matrix, over GF(3) and QQ
+    the free square.  The square of an exact complex is exact when 2 is a
+    unit; over GF(2) the kept diagonal squares of the degree-1 generators
+    carry homology."""
+    K = koszul([ring.scalar(1), ring.scalar(1)])
+    W = weak_sym2(K)
+    h = homology_presented(W)
+    assert h.values == homology(reference_quotient_complex(W) if ring == GF(2) else W).values
+    if ring == GF(2):
+        assert W.relation(2).cols == 2 and W.relation(2).is_zero()
+        assert h.values
+    else:
+        assert h.values == {}
 
 
 def _cokernel_invariants(A):
@@ -598,22 +673,29 @@ def test_zloc_exact_verdicts_run_no_smith_loop(monkeypatch):
     assert seen == []
 
 
-def _count_ranks(monkeypatch):
-    """Record the shape of every matrix the exactness verdict ranks."""
-    seen = []
-    real = homology_module.rank
+def _count_markowitz_ranks(monkeypatch):
+    """Record the (rows, columns) of every row set the exactness verdict
+    hands to _markowitz_rank, and each mapping_cone it builds."""
+    seen, cones = [], []
+    real_rank, real_cone = homology_module._markowitz_rank, homology_module.mapping_cone
 
-    def counting(M):
-        seen.append((M.rows, M.cols))
-        return real(M)
+    def counting(rows, p=None):
+        seen.append((len([r for r in rows if r]), len({c for r in rows for c in r})))
+        return real_rank(rows, p)
 
-    monkeypatch.setattr(homology_module, "rank", counting)
-    return seen
+    def cone(f):
+        cones.append(f)
+        return real_cone(f)
+
+    monkeypatch.setattr(homology_module, "_markowitz_rank", counting)
+    monkeypatch.setattr(homology_module, "mapping_cone", cone)
+    return seen, cones
 
 
 def test_zloc_non_exact_verdict_ranks_only_the_minimal_model(monkeypatch):
     """The witnesses of a non-exact ZLoc(p) verdict are read off the ranks
-    of the minimal model's differentials, with no Smith loop."""
+    of the rows the unit split leaves, which have the shapes of the minimal
+    model's differentials, with no Smith loop and no cone built."""
     R = ZLoc(3)
     rng = random.Random(8)
     X = _padded(direct_sum(two_term(R, 1, R.scalar(3)), shift(unit_complex(R), 2)), rng)
@@ -621,15 +703,70 @@ def test_zloc_non_exact_verdict_ranks_only_the_minimal_model(monkeypatch):
     cone = mapping_cone(f)
     M = minimal_model(cone)
     smith = _count_invariant_factors(monkeypatch)
-    ranked = _count_ranks(monkeypatch)
+    ranked, cones = _count_markowitz_ranks(monkeypatch)
     verdict = is_quasi_iso(f)
     assert verdict.failures == [0, 1, 2, 3]
-    assert smith == []
-    # exactly the differentials of M, which together are smaller than the cone's
-    assert sorted(ranked) == sorted((M.rank(n - 1), M.rank(n)) for n in M.degrees())
+    assert smith == [] and cones == []
+    # one row set per degree of M, no larger than M's differential there
+    # (zero rows and columns are not handed over), and together smaller
+    # than the cone's differentials
+    assert len(ranked) == len(M.degrees())
+    for (rows, cols), n in zip(ranked, M.degrees()):
+        D = M.diff(n)
+        assert (rows, cols) == (len({i for i, _ in D.entries}), len({j for _, j in D.entries}))
+        assert rows <= M.rank(n - 1) and cols <= M.rank(n)
     assert sum(r * c for r, c in ranked) < sum(
         cone.rank(n - 1) * cone.rank(n) for n in cone.degrees()
     )
+
+
+def _minimal_model_route(C):
+    """Exactness witnesses as they were read before the split rows were:
+    the fraction-kernel minimal model of C, each differential ranked."""
+    M = reference_split_units(C, with_q=False)[0]
+    if M.is_zero():
+        return []
+    if M.graded:
+        n0 = M.degrees()[0]
+        return [(n0, min(M.gdeg(n0)))]
+    return [n for n in M.degrees() if rank(M.diff(n)) < M.rank(n)]
+
+
+def _counting_complexes(monkeypatch):
+    """Record every complex built through FreeComplex._of."""
+    built = []
+    original = FreeComplex._of.__func__
+
+    def counting(cls, *args):
+        built.append(original(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(FreeComplex, "_of", classmethod(counting))
+    return built
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(5), ZLoc(2), ZLoc(3), POLY], ids=str)
+def test_verdicts_off_the_split_rows_match_the_minimal_model_route(monkeypatch, ring):
+    """is_quasi_iso, which writes f's cone straight into the unit split, and
+    _exactness_failures give the witnesses of the old route: the oracle
+    split of mapping_cone(f) or X, then the ranks of M.  Neither builds a
+    complex, so neither a cone nor a minimal model."""
+    rng = random.Random(231 + [QQ, GF(2), GF(5), ZLoc(2), ZLoc(3), POLY].index(ring))
+    outcomes = []
+    for k in range(12):
+        X, Y = random_split_pair(ring, rng)
+        maps = [random_chain_map(X, rng.choice([X, Y]), rng), zero_map(X, Y)]
+        if k < 3:
+            maps.append(sym2(X).proj)
+        wants = [_minimal_model_route(mapping_cone(f)) for f in maps]
+        exact_wants = [_minimal_model_route(C) for C in (X, Y)]
+        built = _counting_complexes(monkeypatch)
+        assert [is_quasi_iso(f).failures for f in maps] == wants
+        assert [_exactness_failures(C) for C in (X, Y)] == exact_wants
+        assert built == []
+        monkeypatch.undo()
+        outcomes += [not want for want in wants]
+    assert True in outcomes and False in outcomes
 
 
 @pytest.mark.parametrize("ring", [ZLoc(3), ZLoc(5), QQ, GF(5)], ids=str)

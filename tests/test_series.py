@@ -34,13 +34,15 @@ from symchain.linalg import SparseMatrix, kernel_basis
 from symchain.series import RankSeries
 from symchain.sym2 import alpha
 
-from oracles import stepwise_minimize
+from oracles import reference_split_units, stepwise_minimize
 from randgen import (
     contractible_piece,
     conjugate,
     random_complex,
     random_graded_minimal,
+    random_chain_map,
     random_minimal_complex,
+    random_split_pair,
 )
 
 POLY = graded_poly("x", "y")
@@ -207,6 +209,38 @@ def test_minimal_model_matches_stepwise_oracle():
         assert serialize(got_q) == expected_q
         split += M.total_rank() < X.total_rank()
     assert split >= 100
+
+
+LOCAL_RINGS = [QQ, GF(2), GF(5), ZLoc(2), ZLoc(3), POLY]
+
+
+def local_split_inputs(ring, rng, count=12):
+    """Seeded complexes over a local backend with units to split: those of
+    random_split_pair, the cones of random chain maps between them, and a
+    few symmetric squares."""
+    for k in range(count):
+        X, Y = random_split_pair(ring, rng)
+        yield X
+        yield mapping_cone(random_chain_map(X, rng.choice([X, Y]), rng))
+        if k < 3:
+            yield sym2(X).complex
+
+
+@pytest.mark.parametrize("ring", LOCAL_RINGS, ids=str)
+def test_integer_row_split_matches_the_fraction_kernel(ring):
+    """minimal_model and minimize, whose split holds rows as integers over
+    QQ and ZLoc(p), give the complex and projection of the split on exact
+    values, entry for entry and in the same raw form."""
+    rng = random.Random(230 + LOCAL_RINGS.index(ring))
+    split = 0
+    for X in local_split_inputs(ring, rng):
+        M, q = reference_split_units(X, with_q=True)
+        assert serialize(minimal_model(X)) == serialize(M)
+        got_M, got_q = minimize(X)
+        assert got_M == M and got_q == q
+        assert serialize(got_M) == serialize(M) and serialize(got_q) == serialize(q)
+        split += M.total_rank() < X.total_rank()
+    assert split >= 8
 
 
 def test_minimal_model_checks_homogeneity_once_per_result_differential(monkeypatch):

@@ -520,8 +520,10 @@ def test_presented_homology_of_a_free_weak_square(ring):
         W = weak_sym2(X)
         assert isinstance(W, FreeComplex)
         assert homology_presented(W) == homology(sym2(X).complex)
-    with pytest.raises(UnsupportedRingError):
-        homology_presented(weak_sym2(koszul([QQ.scalar(3)])))
+    # a free weak square goes to homology() on every backend, fields too
+    for field in (QQ, GF(3)):
+        K = koszul([field.scalar(3), field.scalar(2)])
+        assert homology_presented(weak_sym2(K)) == homology(sym2(K).complex)
 
 
 def _counting_sym2(monkeypatch):
@@ -826,23 +828,27 @@ def test_induced_homotopy_contracts_unit_koszul_square():
 
 def test_induced_homotopy_random_pairs_gf7():
     rng = random.Random(19)
+    nonzero = 0
     for _ in range(10):
         X = random_complex(GF(7), rng, max_rank=3, max_len=3)
         Y = random_complex(GF(7), rng, max_rank=3, max_len=3)
         f, g, s = random_homotopic_pair(X, Y, rng)
+        # s is nonzero exactly when some X_n and Y_{n+1} are both nonzero
+        assert bool(s.maps) == any(Y.rank(n + 1) for n in X.degrees())
         sigma, sigma_bar = induced_homotopy(f, g, s)
         assert sigma.check()
         assert sigma_bar.check()
+        nonzero += bool(sigma.maps)
+    assert nonzero > 5
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(7), ZLoc(3), POLY], ids=str)
 def test_induced_homotopy_matches_the_entrywise_oracle(ring):
     """sigma of induced_homotopy, from two shifted Kronecker products, is
-    the sigma written entry by entry from the tensor basis labels.  Random
-    homotopies are often zero, so pairs are drawn until six sigmas are not."""
+    the sigma written entry by entry from the tensor basis labels."""
     rng = random.Random(71 + [QQ, GF(7), ZLoc(3), POLY].index(ring))
     nonzero = 0
-    for _ in range(60):
+    for _ in range(12):
         if ring == POLY:
             X = random_graded_minimal(POLY, rng, max_pieces=3)
             Y = random_graded_minimal(POLY, rng, max_pieces=3)
@@ -853,9 +859,7 @@ def test_induced_homotopy_matches_the_entrywise_oracle(ring):
         sigma, _ = induced_homotopy(f, g, s)
         assert sigma.maps == reference_induced_sigma(f, g, s)
         nonzero += bool(sigma.maps)
-        if nonzero == 6:
-            break
-    assert nonzero == 6
+    assert nonzero >= 6
 
 
 def test_induced_homotopy_needs_two_invertible():
