@@ -4,9 +4,12 @@ Over ZZ and ZLoc(p) homology groups are reported as invariant factors,
 the Smith diagonal computed modulo a determinant without transforms; over
 QQ and GF(p) as dimensions; over graded polynomial rings as Hilbert tables
 (dimension of each internal-degree slice over QQ) up to a degree bound,
-which every such report carries.  Presented homology is read off ranks
-over a field, and over ZZ and ZLoc(p) is the homology of a free complex,
-a twisted cone of the relations: no lattice bases, no transforms.
+which every such report carries.  Each internal degree is one pass up the
+slices of d_n, and each slice is ranked without the rows at the pivot
+columns of the slice below it (see _graded_tables).  Presented homology
+is read off ranks over a field, and over ZZ and ZLoc(p) is the homology
+of a free complex, a twisted cone of the relations: no lattice bases, no
+transforms.
 
 Exactness and quasi-isomorphism (exactness of the mapping cone) are exact
 verdicts on every backend.  Over every local backend (QQ, GF(p), ZLoc(p)
@@ -143,8 +146,13 @@ def default_bound(X: FreeComplex) -> int:
 
 
 def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
-    """Exact homology per backend; graded complexes honor the degree bound,
-    and one below the lowest generator degree raises GradingError."""
+    """Exact homology per backend.
+
+    A graded complex gets Hilbert tables up to the bound (default_bound
+    when None; one below the lowest generator degree raises GradingError):
+    for each internal degree d, one pass up n ranks the slice of d_n on
+    the rows the slice of d_{n-1} left unpivoted (_graded_tables).
+    """
     ring = X.ring
     if ring.kind in ("ZZ", "ZLoc"):
         values = {}
@@ -170,38 +178,37 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
             raise GradingError("graded homology needs generator degrees")
         check_bound(X, bound)
         D = default_bound(X) if bound is None else bound
-        slices = {}
-        values = {n: t for n in X.degrees() if (t := _graded_table(X, n, D, slices))}
+        values = _graded_tables(X, *X.support, D) if X.support else {}
         return HomologyReport("hilbert", ring, values, bound=D)
     raise UnsupportedRingError(f"homology unsupported over {ring}")
 
 
-def _slice_rank(X: FreeComplex, n: int, d: int, slices: dict):
-    """(dimension of X_n in internal degree d, rank of d_n there), built once.
+def _graded_tables(X: FreeComplex, lo: int, hi: int, D: int) -> dict:
+    """{n: {d: dim H_n(X)_d}} for lo <= n <= hi and d <= D, nonzero only.
 
-    slices holds the pairs already computed, keyed by (n, d); H_n and
-    H_{n+1} both need the slice of d_{n+1}.
+    Each internal degree d is one pass up n = lo..hi + 1 over the slices
+    of d_n.  The pivot columns J of d_n's slice carry a nonsingular minor,
+    so rank d_{n+1} is the rank of the rows of its slice off J (see
+    qq_rank), and the slice of d_{n+1} is ranked on dim X_{n,d} - rank d_n
+    rows.  dim H_n(X)_d = dim X_{n,d} - rank d_n - rank d_{n+1}.
     """
-    if (n, d) not in slices:
-        dn, _, src = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)
-        slices[(n, d)] = (len(src), qq_rank(dn))
-    return slices[(n, d)]
-
-
-def _graded_slice_dim(X: FreeComplex, n: int, d: int, slices: dict) -> int:
-    size, r = _slice_rank(X, n, d, slices)
-    return size - r - _slice_rank(X, n + 1, d, slices)[1]
-
-
-def _graded_table(X: FreeComplex, n: int, D: int, slices=None) -> dict:
-    """{d: dim H_n(X)_d} for d <= D; slices may carry ranks shared between calls."""
-    slices = {} if slices is None else slices
-    table = {}
+    tables = {}
     for d in range(X.min_gdeg(), D + 1):
-        h = _graded_slice_dim(X, n, d, slices)
-        if h:
-            table[d] = h
-    return table
+        sizes, ranks, pivots = [], [], ()
+        for n in range(lo, hi + 2):
+            dn, _, _ = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)
+            r, pivots = qq_rank(dn, pivots)
+            sizes.append(dn.cols)
+            ranks.append(r)
+        for k, n in enumerate(range(lo, hi + 1)):
+            if h := sizes[k] - ranks[k] - ranks[k + 1]:
+                tables.setdefault(n, {})[d] = h
+    return {n: tables[n] for n in sorted(tables)}
+
+
+def _graded_table(X: FreeComplex, n: int, D: int) -> dict:
+    """{d: dim H_n(X)_d} for d <= D: the pass of _graded_tables on d_n and d_{n+1}."""
+    return _graded_tables(X, n, n, D).get(n, {})
 
 
 def homology_presented(P: PresentedComplex | FreeComplex) -> HomologyReport:

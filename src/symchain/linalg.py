@@ -17,15 +17,20 @@ in every slice of a Koszul complex, takes its numerators without an lcm.
 Graded slices reach about 1000x800 at under 1% density, which is why rows
 stay sparse.  slice_matrix builds each slice from index tables made once
 per call: the monomials of each complementary degree, packed into
-integers, and the row of every target monomial.  Two kernels eliminate
-the rows, and the Smith pivot loop below is a third:
+integers, and the row of every target monomial; it returns the matrix
+and where each generator's block of rows and columns starts, and builds
+no basis list (slice_basis lists a basis).  Two kernels eliminate the
+rows, and the Smith pivot loop below is a third:
 
-- rank, and through it qq_rank, field homology and the independence test
-  of presented relations, runs _markowitz_rank: right-looking elimination
-  that pivots on the sparsest live row and, within it, the sparsest
-  column, which keeps fill-in low.  Mod a composite D it pivots only on
-  units and returns the rows it could not pivot; invariant_factors splits
-  off its unit pivots that way.
+- rank, qq_rank, field homology and the independence test of presented
+  relations run _markowitz_rank: right-looking elimination that pivots
+  on the sparsest live row and, within it, the sparsest column, which
+  keeps fill-in low.  Mod a composite D it pivots only on units and
+  returns the rows it could not pivot; invariant_factors splits off its
+  unit pivots that way.  It can also report the column of each pivot:
+  qq_rank(A, drop) ranks the rows of A outside drop and returns the
+  pivot columns, which graded homology drops from the rows of the next
+  slice.
 - rref, kernel and solve need canonical pivots, so they run _echelon,
   which pivots on the leading column of each row in row order.
   Fraction-free, it also reads off the pass the determinant of the
@@ -367,8 +372,9 @@ def _echelon(rows, p=None, reduced=False):
     return pivots, det if p is None else None
 
 
-def _int_rows(A: SparseMatrix):
-    """Nonzero rows of A as {col: int} dicts, and the prime to work mod.
+def _int_rows(A: SparseMatrix, drop=()):
+    """Nonzero rows of A outside drop as {col: int} dicts, and the prime to
+    work mod.
 
     Rational rows (QQ, ZLoc) are scaled by the lcm of their denominators,
     which leaves row spaces unchanged; a row whose entries are all integral
@@ -378,7 +384,8 @@ def _int_rows(A: SparseMatrix):
     for (i, j), v in A.entries.items():
         row = by_row.get(i)
         if row is None:
-            by_row[i] = {j: v}
+            if i not in drop:
+                by_row[i] = {j: v}
         else:
             row[j] = v
     rows = [by_row[i] for i in sorted(by_row)]
@@ -417,10 +424,11 @@ def rref(A: SparseMatrix):
     return SparseMatrix._of(A.ring, A.rows, A.cols, entries), pivots
 
 
-def _markowitz_rank(rows, p=None):
+def _markowitz_rank(rows, p=None, pivots=None):
     """Rank of integer rows given as {col: int} dicts, by right-looking sparse
     elimination with Markowitz-style pivots, and the rows left unpivoted.
-    Rows are consumed.
+    Rows are consumed; a set passed as pivots receives the column of each
+    pivot.
 
     The next pivot row is the live row with the fewest entries (ties to the
     least index), and its pivot column the one of its columns with the fewest
@@ -475,6 +483,8 @@ def _markowitz_rank(rows, p=None):
             continue
         del live[i]
         r += 1
+        if pivots is not None:
+            pivots.add(c)
         a = prow.pop(c)
         if p is not None:
             a = pow(a, -1, p)
@@ -528,9 +538,20 @@ def rank(A: SparseMatrix) -> int:
     return _markowitz_rank(*_int_rows(A))[0]
 
 
-def qq_rank(A: SparseMatrix) -> int:
-    """Rank of a rational matrix; the name graded homology calls."""
-    return rank(A)
+def qq_rank(A: SparseMatrix, drop=()):
+    """(rank, pivot columns) of the rows of a rational matrix outside drop.
+
+    Graded homology ranks the slice of d_{n+1} with drop the pivot columns
+    of d_n's slice.  Those columns carry a nonsingular minor, so ker d_n
+    maps injectively onto the coordinates off them, and im d_{n+1}, which
+    lies in ker d_n, keeps its rank on the rows off them (Kaczynski,
+    Mrozek and Slusarek, Comput. Math. Appl. 35, 1998).  The pivot columns
+    returned carry a nonsingular minor of A, as the rows kept are rows of
+    A, so they can be dropped from the next slice in turn.
+    """
+    pivots = set()
+    rows, p = _int_rows(A, drop)
+    return _markowitz_rank(rows, p, pivots)[0], pivots
 
 
 def kernel_basis(A: SparseMatrix) -> SparseMatrix:
@@ -978,17 +999,19 @@ def slice_basis(nvars: int, gen_degrees, d: int):
 def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
     """QQ matrix of the degree-d slice of a graded map between free modules.
 
-    Returns (matrix over QQ, target_basis, source_basis), the bases ordered
-    as slice_basis orders them.  Per call, the monomials of each
-    complementary degree are listed once and the target ones indexed once,
-    so the row of the term x^e of entry (i, j) on the source monomial m is
-    offset[i] + index[d - tgt_degrees[i]][e + m].  Monomials are packed into
-    integers in base B, one more than the largest complementary degree
-    (Kronecker substitution): e + m is one integer addition whose digits
-    never carry.  Distinct terms of a column land in distinct rows, so each
-    cell is written once.  A term of entry (i, j) whose degree is not
-    src_degrees[j] - tgt_degrees[i] would leave the target slice; it raises
-    GradingError naming (i, j).  No state outlives the call.
+    Returns (matrix over QQ, target_offsets, source_offsets): rows and
+    columns are ordered as slice_basis orders the bases, and the offsets
+    are where each generator's block of monomials starts.  Per call, the
+    monomials of each complementary degree are listed once and the target
+    ones indexed once, so the row of the term x^e of entry (i, j) on the
+    source monomial m is target_offsets[i] + index[d - tgt_degrees[i]][e + m].
+    Monomials are packed into integers in base B, one more than the largest
+    complementary degree (Kronecker substitution): e + m is one integer
+    addition whose digits never carry.  Distinct terms of a column land in
+    distinct rows, so each cell is written once.  A term of entry (i, j)
+    whose degree is not src_degrees[j] - tgt_degrees[i] would leave the
+    target slice; it raises GradingError naming (i, j).  No state outlives
+    the call.
     """
     ring = M.ring
     if ring.kind != "Poly":
@@ -996,18 +1019,18 @@ def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
     nvars = len(ring.variables)
     monos = {}  # complementary degree -> its monomials, descending lex
 
-    def layout(degrees):  # (basis, offset of each generator's block)
-        basis, offsets = [], []
-        for j, a in enumerate(degrees):
+    def offsets(degrees):  # (start of each generator's block, total size)
+        starts, size = [], 0
+        for a in degrees:
             block = monos.get(d - a)
             if block is None:
                 block = monos[d - a] = monomials_of_degree(nvars, d - a)
-            offsets.append(len(basis))
-            basis += [(j, mono) for mono in block]
-        return basis, offsets
+            starts.append(size)
+            size += len(block)
+        return starts, size
 
-    src_basis, src_offsets = layout(src_degrees)
-    tgt_basis, tgt_offsets = layout(tgt_degrees)
+    src_offsets, cols = offsets(src_degrees)
+    tgt_offsets, rows = offsets(tgt_degrees)
     weights = [(max([0, *monos]) + 1) ** k for k in range(nvars)]
 
     def code(exp):
@@ -1036,6 +1059,6 @@ def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
             e = code(exp)
             for c, s in enumerate(sources, src_offsets[j]):
                 entries[(r0 + index[e + s], c)] = coeff
-    mat = SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), {})
+    mat = SparseMatrix._of(QQ, rows, cols, {})
     mat.entries = entries  # nonzero coefficients, each cell written once
-    return mat, tgt_basis, src_basis
+    return mat, tgt_offsets, src_offsets

@@ -15,9 +15,12 @@ as `series._split_units`, with every Schur update in exact field
 arithmetic (`Fraction` over QQ and ZLoc(p)) in place of integer rows.
 `reference_quotient_complex` writes a presented complex over a field as
 the free complex of its quotients F_n / im r_n on explicit complement
-bases, the reference for the rank formula of `homology_presented`.  `reference_slice_matrix` is the reference for
-`linalg.slice_matrix`: it looks every target row up by its
-(generator, monomial) pair.  `reference_square` builds the labels, rho,
+bases, the reference for the rank formula of `homology_presented`.
+`reference_slice_matrix` is the reference for `linalg.slice_matrix`: it
+looks every target row up by its (generator, monomial) pair.
+`reference_graded_table` ranks the whole slices of d_n and d_{n+1}, the
+reference for the graded tables of `homology()`, which drop the rows of
+each slice at the previous slice's pivot columns.  `reference_square` builds the labels, rho,
 sigma and alpha of a symmetric square by separate walks, the reference
 for the single walk of `sym2._walk`.  `reference_induced_sigma` writes
 the transported homotopy of `sym2.induced_homotopy` entry by entry from
@@ -30,7 +33,7 @@ from operator import add
 
 from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map, inf_h
 from symchain.complexes import compose, tensor, tensor_basis
-from symchain.linalg import kernel_basis, qq_rank, rref, slice_basis, slice_matrix, solve_field
+from symchain.linalg import kernel_basis, rank, rref, slice_basis, slice_matrix, solve_field
 from symchain.sym2 import _pivot_columns
 
 
@@ -53,8 +56,9 @@ def graded_homology_module(X, n: int, D: int):
     reps = {}
     basis_data = {}
     for d in range(dmin, D + 2):
-        dn, _, src = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)
-        dn1, _, _ = slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)
+        dn = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
+        dn1 = slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
+        src = slice_basis(nvars, X.gdeg(n), d)
         Z = kernel_basis(dn)
         R = homology_representatives(dn1, Z)
         B = _pivot_columns(dn1)
@@ -156,7 +160,7 @@ def module_pair_table(dimsA, multsA, dimsB, multsB, nvars, dminA, dminB, D, sign
                 if val:
                     entries[(r, c)] = val
         rel = SparseMatrix._of(QQ, total, len(rel_cols), entries)
-        dim = total - qq_rank(rel)
+        dim = total - rank(rel)
         if dim:
             table[e] = dim
     return table
@@ -437,6 +441,18 @@ def reference_quotient_complex(P) -> FreeComplex:
 
 
 # -- degree slices by (generator, monomial) lookup ------------------------------
+
+
+def reference_graded_table(X: FreeComplex, n: int, D: int) -> dict:
+    """{d: dim H_n(X)_d} for d <= D, nonzero only, from the whole slices of
+    d_n and d_{n+1}, each ranked in full with linalg.rank."""
+    table = {}
+    for d in range(X.min_gdeg(), D + 1):
+        dn = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
+        dn1 = slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
+        if h := dn.cols - rank(dn) - rank(dn1):
+            table[d] = h
+    return table
 
 
 def reference_slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):

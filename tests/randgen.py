@@ -4,7 +4,8 @@ Complexes with d.d = 0 are built as direct sums of elementary pieces
 (shifted copies of R and two-term complexes) conjugated by random
 invertible basis changes; chain maps as structural maps plus
 null-homotopic perturbations d.t + t.d, which are chain maps for any
-degreewise t.
+degreewise t, or over a field as maps through the cycles of the target
+in one degree (cycle_map).
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from symchain import (
     unit_complex,
     zero_complex,
 )
-from symchain.linalg import solve_exact
+from symchain.linalg import kernel_basis, solve_exact
 from symchain.scalars import Ring
 
 
@@ -226,8 +227,28 @@ def random_chain_map(X: FreeComplex, Y: FreeComplex, rng) -> ChainMap:
     return f
 
 
-def random_homotopic_pair(X: FreeComplex, Y: FreeComplex, rng):
-    """(f, g, s) with s a verified homotopy from f to g.
+def cycle_map(X: FreeComplex, Y: FreeComplex, rng):
+    """A nonzero chain map X -> Y over a field, nonzero in one degree n, or
+    None when no degree allows one.  f_n = K.Phi.L, where the columns of K
+    span ker d^Y_n and the rows of L span the row vectors that vanish on
+    im d^X_{n+1}; K has independent columns and L independent rows, so f_n
+    is nonzero for any nonzero Phi.  Such maps need not be null-homotopic,
+    as every map random_chain_map draws between two different complexes is.
+    """
+    shared = [n for n in X.degrees() if Y.rank(n)]
+    for n in rng.sample(shared, len(shared)):
+        K = kernel_basis(Y.diff(n))
+        L = kernel_basis(X.diff(n + 1).transpose()).transpose()
+        if K.cols and L.rows:
+            i, j = rng.randrange(K.cols), rng.randrange(L.rows)
+            Phi = SparseMatrix(X.ring, K.cols, L.rows, {(i, j): unit_scalar(X.ring, rng)})
+            return ChainMap(X, Y, {n: K @ Phi @ L})
+    return None
+
+
+def random_homotopic_pair(X: FreeComplex, Y: FreeComplex, rng, f=None):
+    """(f, g, s) with s a verified homotopy from f to g; f is drawn by
+    random_chain_map unless it is given.
 
     s is nonzero in some degree whenever X and Y allow it, that is when
     some X_n and Y_{n+1} are both nonzero (over a graded ring, with a
@@ -235,7 +256,8 @@ def random_homotopic_pair(X: FreeComplex, Y: FreeComplex, rng):
     random degreewise draw comes out zero, one entry is set to a unit
     times a monomial of the right degree.
     """
-    f = random_chain_map(X, Y, rng)
+    if f is None:
+        f = random_chain_map(X, Y, rng)
     s_maps = random_degreewise_map(X, Y, rng, degree_shift=1)
     slots = [
         (n, i, j) for n in X.degrees() for i in range(Y.rank(n + 1)) for j in range(X.rank(n))

@@ -41,7 +41,7 @@ from symchain import (
     weak_sym2,
     zero_map,
 )
-from symchain.complexes import compose
+from symchain.complexes import compose, zero_complex
 from symchain.errors import GradingError, ShapeError, SymchainError, UnsupportedRingError
 from symchain.homology import _exactness_failures, _presented_cone
 from symchain.linalg import (
@@ -50,6 +50,7 @@ from symchain.linalg import (
     kernel_pid,
     rank,
     rref,
+    slice_basis,
     slice_matrix,
     smith_normal_form,
     solve_field,
@@ -58,7 +59,12 @@ from symchain.linalg import (
 from symchain.sym2 import PresentedComplex
 from symchain.sym2 import _pivot_columns
 
-from oracles import homology_representatives, reference_quotient_complex, reference_split_units
+from oracles import (
+    homology_representatives,
+    reference_graded_table,
+    reference_quotient_complex,
+    reference_split_units,
+)
 from randgen import (
     conjugate,
     contractible_piece,
@@ -121,6 +127,92 @@ def test_graded_homology_builds_each_slice_once(monkeypatch):
     lo, hi = cone.support
     assert homology(cone, bound=6).is_exact()
     assert len(built) == (hi - lo + 2) * (6 - cone.min_gdeg() + 1)
+
+
+def _reference_tables(X, D):
+    return {n: t for n in X.degrees() if (t := reference_graded_table(X, n, D))}
+
+
+def _graded_table_inputs(rng):
+    """(complex, bound) pairs: random minimal and padded graded complexes,
+    cones of random graded maps, S2 of Koszul complexes on two and three
+    variables and on three linear forms, a complex with a gap in its
+    degrees, and the zero complex."""
+    R = graded_poly("x0", "x1", "x2")
+    v = R.generators()
+    forms = [v[0] + v[1], v[0] - v[2], v[1] + R.scalar(2) * v[2]]
+    inputs = []
+    for _ in range(10):
+        inputs.append((random_graded_minimal(POLY, rng), None))
+        inputs.extend((X, None) for X in random_split_pair(POLY, rng))
+        inputs.append((mapping_cone(_random_graded_map(rng)), None))
+    inputs += [
+        (sym2(koszul([X_VAR, Y_VAR])).complex, None),
+        (sym2(koszul([X_VAR * X_VAR, Y_VAR])).complex, None),
+        (sym2(koszul(list(v))).complex, 10),
+        (sym2(koszul(forms)).complex, 8),
+        (direct_sum(koszul([X_VAR]), shift(koszul([Y_VAR]), 3)), None),
+        (zero_complex(POLY), None),
+    ]
+    return inputs
+
+
+def test_graded_tables_match_the_whole_slice_oracle():
+    """homology() drops each slice's rows at the previous slice's pivot
+    columns; the oracle ranks every whole slice."""
+    rng = random.Random(241)
+    nonminimal = 0
+    for X, bound in _graded_table_inputs(rng):
+        h = homology(X, bound=bound)
+        assert h.values == _reference_tables(X, h.bound), X.ranks
+        nonminimal += minimal_model(X).total_rank() < X.total_rank()
+    assert nonminimal >= 10
+
+
+def test_graded_tables_of_a_gap_and_of_the_zero_complex():
+    gap = direct_sum(koszul([X_VAR]), shift(koszul([Y_VAR]), 3))
+    assert gap.degrees() == [0, 1, 3, 4]
+    row = {d: 1 for d in range(8)}  # R/(x) and R/(y) have one monomial per degree
+    assert homology(gap).values == {0: row, 3: row}
+    h = homology(zero_complex(POLY))
+    assert (h.kind, h.values, h.bound) == ("hilbert", {}, 2)
+    assert homology(zero_complex(POLY), bound=5).values == {}
+
+
+def test_graded_tables_rank_each_slice_off_the_previous_pivots(monkeypatch):
+    """Each internal degree is one pass up n: the slice of d_{n+1} is ranked
+    on dim X_{n,d} - rank d_n rows, the rest dropped at d_n's pivots."""
+    calls = []
+    real = homology_module.qq_rank
+
+    def recording(A, drop=()):
+        r, pivots = real(A, drop)
+        calls.append((A, set(drop), r, set(pivots)))
+        return r, pivots
+
+    monkeypatch.setattr(homology_module, "qq_rank", recording)
+    R = graded_poly("x0", "x1", "x2")
+    S = sym2(koszul(list(R.generators()))).complex
+    D = 8
+    homology(S, bound=D)
+    lo, hi = S.support
+    width = hi - lo + 2
+    assert len(calls) == width * (D - S.min_gdeg() + 1)
+    kept = dropped = 0
+    for k, d in enumerate(range(S.min_gdeg(), D + 1)):
+        previous = set()
+        for n, (A, drop, r, pivots) in zip(range(lo, hi + 2), calls[k * width:(k + 1) * width]):
+            full = slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
+            r_below = rank(slice_matrix(S.diff(n - 1), S.gdeg(n - 1), S.gdeg(n - 2), d)[0])
+            assert A == full and r == rank(full) == len(pivots)
+            assert drop == previous and len(drop) == r_below
+            assert A.rows - len(drop) == len(slice_basis(3, S.gdeg(n - 1), d)) - r_below
+            # the pivot columns carry a nonsingular minor of the whole slice
+            assert rank(full.submatrix_columns(sorted(pivots))) == r
+            kept += A.rows - len(drop)
+            dropped += len(drop)
+            previous = pivots
+    assert dropped > 0.4 * (dropped + kept)  # about half the rows of this sweep
 
 
 def test_graded_homology_needs_grading_info():
@@ -881,7 +973,24 @@ def test_graded_quasi_iso_by_minimal_model_matches_bounded_cone_oracle():
             [(n0, d0)] = verdict.failures
             assert oracle.table(n0).get(d0, 0) > 0
             assert oracle.nonzero_degrees()[0] == n0
+            assert min(oracle.table(n0)) == d0
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def test_graded_witness_is_the_lowest_internal_degree_of_the_lowest_live_degree():
+    """M_{n0} has generators in internal degrees 2 and 1, in that order;
+    H_{n0} first shows in degree 1, below which M_{n0} has no generator."""
+    one = POLY.scalar(1)
+    # degree 0: generators of internal degree 0, 2, 1; degree 1: 0 and 2.
+    # Entry (0, 0) is a unit that splits off; entry (2, 1) is x.
+    d1 = SparseMatrix(POLY, 3, 2, {(0, 0): one, (2, 1): X_VAR})
+    X = FreeComplex(POLY, {0: 3, 1: 2}, {1: d1}, {0: (0, 2, 1), 1: (0, 2)})
+    assert minimal_model(X).gdeg(0) == (2, 1)
+    assert _exactness_failures(X) == [(0, 1)]
+    # the cone of X -> 0 is X shifted up by one
+    assert is_quasi_iso(zero_map(X, zero_complex(POLY))).failures == [(1, 1)]
+    h = homology(X)
+    assert h.nonzero_degrees() == [0] and min(h.table(0)) == 1
 
 
 def test_graded_exactness_needs_homogeneous_differentials():

@@ -40,6 +40,7 @@ from symchain.linalg import (
     monomials_of_degree,
     rank,
     rref,
+    slice_basis,
     slice_matrix,
     solve_exact,
     solve_field,
@@ -602,8 +603,9 @@ def test_degree_slice_kernel_matches_dense_oracle():
     M = rows(POLY, [[x, y], [x, y]])
     # source generators in internal degree 1, targets in degree 0; the
     # coordinates of a kernel vector then live in internal degree 1
-    sliced, tgt_basis, src_basis = slice_matrix(M, [1, 1], [0, 0], 2)
-    assert len(src_basis) == 4 and len(tgt_basis) == 6
+    sliced, _, _ = slice_matrix(M, [1, 1], [0, 0], 2)
+    src_basis, tgt_basis = slice_basis(2, [1, 1], 2), slice_basis(2, [0, 0], 2)
+    assert (sliced.cols, sliced.rows) == (len(src_basis), len(tgt_basis)) == (4, 6)
     K = kernel_basis(sliced)
     assert K.cols == 1
     # oracle: brute-force dense elimination on the same slice
@@ -635,6 +637,23 @@ def _slice_sequences(rng):
     return out
 
 
+def _block_starts(basis, ngens):
+    """Where each generator's block starts in a slice_basis list."""
+    return [sum(1 for g, _ in basis if g < j) for j in range(ngens)]
+
+
+def _slice_matching_reference(M, src_degrees, tgt_degrees, d):
+    """slice_matrix, checked against the oracle: the same matrix, and block
+    offsets where slice_basis starts each generator's monomials."""
+    got, tgt_offsets, src_offsets = slice_matrix(M, src_degrees, tgt_degrees, d)
+    want, tgt_basis, src_basis = reference_slice_matrix(M, src_degrees, tgt_degrees, d)
+    assert got == want
+    assert tgt_offsets == _block_starts(tgt_basis, len(tgt_degrees))
+    assert src_offsets == _block_starts(src_basis, len(src_degrees))
+    assert all(got.entries.values())
+    return got
+
+
 def _assert_slices_match_reference(X, top=8) -> int:
     """Compare every slice of every differential of X up to internal degree
     top with the reference; returns the number of nonzero cells seen."""
@@ -642,11 +661,7 @@ def _assert_slices_match_reference(X, top=8) -> int:
     for n in range(X.support[0], X.support[1] + 2):
         M = X.diff(n)
         for d in range(X.min_gdeg() - 1, top + 1):
-            got = slice_matrix(M, X.gdeg(n), X.gdeg(n - 1), d)
-            want = reference_slice_matrix(M, X.gdeg(n), X.gdeg(n - 1), d)
-            assert got == want, (n, d)
-            assert all(got[0].entries.values())
-            nnz += len(got[0].entries)
+            nnz += len(_slice_matching_reference(M, X.gdeg(n), X.gdeg(n - 1), d).entries)
     return nnz
 
 
@@ -670,9 +685,7 @@ def test_slice_matrix_of_a_matrix_whose_terms_cancel():
     M = A @ B + rows(POLY, [[0, (x + y) * (x - y) + y * y], [x * y, 0]])
     assert (0, 0) not in M.entries
     for d in range(-1, 6):
-        got = slice_matrix(M, [2, 2], [0, 0], d)
-        assert got == reference_slice_matrix(M, [2, 2], [0, 0], d)
-        assert all(got[0].entries.values())
+        _slice_matching_reference(M, [2, 2], [0, 0], d)
 
 
 def test_slice_matrix_rejects_a_term_outside_the_slice():
@@ -683,8 +696,8 @@ def test_slice_matrix_rejects_a_term_outside_the_slice():
         with pytest.raises(GradingError, match=r"entry \(1,0\)"):
             slice_matrix(M, [2, 2], [0, 0], d)
     # below degree 2 the source slice is empty, so no term lands anywhere
-    sliced, _, src_basis = slice_matrix(M, [2, 2], [0, 0], 1)
-    assert src_basis == [] and sliced.is_zero()
+    sliced, _, src_offsets = slice_matrix(M, [2, 2], [0, 0], 1)
+    assert src_offsets == [0, 0] and sliced.cols == 0 and sliced.is_zero()
     # a term of the right degree whose target lies below degree 0
     N = rows(POLY, [[x * x, y]])
     with pytest.raises(GradingError, match=r"entry \(0,1\)"):
@@ -703,7 +716,33 @@ def test_qq_rank_matches_rref_rank():
                 if rng.random() < 0.6:
                     entries[(i, j)] = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
         A = SparseMatrix(QQ, m, n, entries)
-        assert qq_rank(A) == len(rref(A)[1]) == _sympy_matrix(A).rank()
+        r, pivots = qq_rank(A)
+        assert r == len(pivots) == len(rref(A)[1]) == _sympy_matrix(A).rank()
+
+
+def test_qq_rank_ranks_the_rows_outside_drop():
+    """qq_rank(A, drop) is the rank of A's other rows, and its pivot columns
+    carry a nonsingular minor of those rows."""
+    from symchain.linalg import qq_rank
+
+    rng = random.Random(47)
+    dropped_rank = 0
+    for _ in range(60):
+        m, n = rng.randint(0, 6), rng.randint(0, 5)
+        entries = {
+            (i, j): Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+            for i in range(m) for j in range(n) if rng.random() < 0.6
+        }
+        A = SparseMatrix(QQ, m, n, {k: v for k, v in entries.items() if v})
+        drop = {i for i in range(m) if rng.random() < 0.4}
+        kept = [i for i in range(m) if i not in drop]
+        B = SparseMatrix(QQ, len(kept), n, {
+            (kept.index(i), j): v for (i, j), v in A.entries.items() if i not in drop})
+        r, pivots = qq_rank(A, drop)
+        assert r == len(pivots) == _sympy_matrix(B).rank()
+        assert rank(B.submatrix_columns(sorted(pivots))) == r
+        dropped_rank += rank(A) > r
+    assert dropped_rank > 10
 
 
 def test_rank_of_integer_lift():
@@ -955,7 +994,7 @@ def test_rank_of_every_sym2_koszul_slice_matches_sympy():
         if n - 1 not in S.degrees():
             continue
         for d in range(9):
-            A, _, _ = slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)
-            assert qq_rank(A) == rank(A) == _echelon_rank(A) == _sympy_rank(A)
+            A = slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
+            assert qq_rank(A)[0] == rank(A) == _echelon_rank(A) == _sympy_rank(A)
             checked += A.rows * A.cols > 0
     assert checked >= 30

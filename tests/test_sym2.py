@@ -76,6 +76,7 @@ from oracles import reference_induced_sigma, reference_square, reference_sym_bas
 from randgen import (
     conjugate,
     contractible_piece,
+    cycle_map,
     random_chain_map,
     random_complex,
     random_graded_minimal,
@@ -827,19 +828,30 @@ def test_induced_homotopy_contracts_unit_koszul_square():
 
 
 def test_induced_homotopy_random_pairs_gf7():
+    """sigma is built from s and f + g, so each pair is drawn with a nonzero
+    f and room for a nonzero s (some X_n and Y_{n+1} both nonzero).  Between
+    two different complexes random_chain_map draws only null-homotopic
+    maps, which are often zero; cycle_map then gives one that need not be."""
     rng = random.Random(19)
     nonzero = 0
     for _ in range(10):
-        X = random_complex(GF(7), rng, max_rank=3, max_len=3)
-        Y = random_complex(GF(7), rng, max_rank=3, max_len=3)
-        f, g, s = random_homotopic_pair(X, Y, rng)
+        while True:
+            X = random_complex(GF(7), rng, max_rank=3, max_len=3)
+            Y = random_complex(GF(7), rng, max_rank=3, max_len=3)
+            f = random_chain_map(X, Y, rng)
+            f = f if f.maps else cycle_map(X, Y, rng)
+            if f is not None and any(Y.rank(n + 1) for n in X.degrees()):
+                break
+        f, g, s = random_homotopic_pair(X, Y, rng, f)
         # s is nonzero exactly when some X_n and Y_{n+1} are both nonzero
-        assert bool(s.maps) == any(Y.rank(n + 1) for n in X.degrees())
+        assert f.maps and s.maps
         sigma, sigma_bar = induced_homotopy(f, g, s)
         assert sigma.check()
         assert sigma_bar.check()
         nonzero += bool(sigma.maps)
-    assert nonzero > 5
+    assert nonzero >= 8
+    X, Y = shift(unit_complex(GF(7)), 2), unit_complex(GF(7))
+    assert not random_homotopic_pair(X, Y, rng)[2].maps
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(7), ZLoc(3), POLY], ids=str)
