@@ -4,9 +4,10 @@ Over ZZ and ZLoc(p) homology groups are reported as invariant factors,
 the Smith diagonal computed modulo a determinant without transforms; over
 QQ and GF(p) as dimensions; over graded polynomial rings as Hilbert tables
 (dimension of each internal-degree slice over QQ) up to a degree bound,
-which every such report carries.  Each internal degree is one pass up the
-slices of d_n, and each slice is ranked without the rows at the pivot
-columns of the slice below it (see _graded_tables).  Presented homology
+which every such report carries.  Each differential is prepared once per
+table, each internal degree is one pass up the slices of d_n, and each
+slice is written as integer rows without the rows at the pivot columns
+of the slice below it (see _graded_tables).  Presented homology
 is read off ranks over a field, and over ZZ and ZLoc(p) is the homology
 of a free complex, a twisted cone of the relations: no lattice bases, no
 transforms.
@@ -28,7 +29,15 @@ from dataclasses import dataclass, field
 
 from .complexes import ChainMap, FreeComplex, _cone_entries, mapping_cone
 from .errors import GradingError, SymchainError, UnsupportedRingError
-from .linalg import _markowitz_rank, invariant_factors, qq_rank, rank, slice_matrix, solve_exact
+from .linalg import (
+    SliceTable,
+    _markowitz_rank,
+    invariant_factors,
+    qq_rank,
+    rank,
+    slice_matrix,
+    solve_exact,
+)
 from .series import _split_units
 from .sym2 import PresentedComplex
 
@@ -186,18 +195,24 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
 def _graded_tables(X: FreeComplex, lo: int, hi: int, D: int) -> dict:
     """{n: {d: dim H_n(X)_d}} for lo <= n <= hi and d <= D, nonzero only.
 
-    Each internal degree d is one pass up n = lo..hi + 1 over the slices
-    of d_n.  The pivot columns J of d_n's slice carry a nonsingular minor,
-    so rank d_{n+1} is the rank of the rows of its slice off J (see
-    qq_rank), and the slice of d_{n+1} is ranked on dim X_{n,d} - rank d_n
-    rows.  dim H_n(X)_d = dim X_{n,d} - rank d_n - rank d_{n+1}.
+    Each differential d_n, n = lo..hi + 1, is prepared once per table
+    (SliceTable.prepare: grading checked, rows scaled to integers, terms
+    packed into codes), and the monomials of each complementary degree are
+    listed once.  Each internal degree d is then one pass up n over the
+    slices of d_n, written straight into integer rows.  The pivot columns
+    J of d_n's slice carry a nonsingular minor, so rank d_{n+1} is the rank
+    of the rows of its slice off J (see qq_rank), and the slice of d_{n+1}
+    is written and ranked on dim X_{n,d} - rank d_n rows.
+    dim H_n(X)_d = dim X_{n,d} - rank d_n - rank d_{n+1}.
     """
+    slices = SliceTable(len(X.ring.variables), D - X.min_gdeg())
+    maps = [slices.prepare(X.diff(n), X.gdeg(n), X.gdeg(n - 1)) for n in range(lo, hi + 2)]
     tables = {}
     for d in range(X.min_gdeg(), D + 1):
         sizes, ranks, pivots = [], [], ()
-        for n in range(lo, hi + 2):
-            dn, _, _ = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)
-            r, pivots = qq_rank(dn, pivots)
+        for G in maps:
+            dn, _, _ = slice_matrix(G, d, pivots)
+            r, pivots = qq_rank(dn)
             sizes.append(dn.cols)
             ranks.append(r)
         for k, n in enumerate(range(lo, hi + 1)):

@@ -12,15 +12,17 @@ Scalars only at the API edge: entry(), to_rows() and column_vector().
 Elimination runs on rows of raw Python ints: residues mod p for GF(p),
 fraction-free integers for QQ (and for ZZ and ZLoc(p) matrices over their
 fraction field), and constant polynomial matrices through their QQ lift.
-_int_rows makes them; a rational row whose entries are all integral, as
-in every slice of a Koszul complex, takes its numerators without an lcm.
-Graded slices reach about 1000x800 at under 1% density, which is why rows
-stay sparse.  slice_matrix builds each slice from index tables made once
-per call: the monomials of each complementary degree, packed into
-integers, and the row of every target monomial; it returns the matrix
-and where each generator's block of rows and columns starts, and builds
-no basis list (slice_basis lists a basis).  Two kernels eliminate the
-rows, and the Smith pivot loop below is a third:
+_int_rows makes them from a SparseMatrix; a rational row whose entries
+are all integral takes its numerators without an lcm.  Graded slices
+never become a SparseMatrix: SliceTable lists the monomials of each
+complementary degree once per Hilbert table, packed into integers, and
+prepares each differential once (grading checked, each row scaled to
+integers by the lcm of its denominators, terms packed); slice_matrix
+then writes a slice straight into integer rows, skipping the rows it is
+told to drop, and returns it with where each generator's block of rows
+and columns starts (slice_basis lists a basis).  Graded slices reach
+about 1000x800 at under 1% density, which is why rows stay sparse.  Two
+kernels eliminate the rows, and the Smith pivot loop below is a third:
 
 - rank, qq_rank, field homology and the independence test of presented
   relations run _markowitz_rank: right-looking elimination that pivots
@@ -28,9 +30,8 @@ rows, and the Smith pivot loop below is a third:
   keeps fill-in low.  Mod a composite D it pivots only on units and
   returns the rows it could not pivot; invariant_factors splits off its
   unit pivots that way.  It can also report the column of each pivot:
-  qq_rank(A, drop) ranks the rows of A outside drop and returns the
-  pivot columns, which graded homology drops from the rows of the next
-  slice.
+  qq_rank ranks the rows of a slice and returns the pivot columns,
+  which graded homology drops from the rows of the next slice.
 - rref, kernel and solve need canonical pivots, so they run _echelon,
   which pivots on the leading column of each row in row order.
   Fraction-free, it also reads off the pass the determinant of the
@@ -57,9 +58,12 @@ compare the library against them, and no library function calls them.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import mul
 
@@ -87,6 +91,7 @@ __all__ = [
     "solve_pid",
     "solve_exact",
     "monomials_of_degree",
+    "SliceTable",
     "slice_matrix",
 ]
 
@@ -372,9 +377,8 @@ def _echelon(rows, p=None, reduced=False):
     return pivots, det if p is None else None
 
 
-def _int_rows(A: SparseMatrix, drop=()):
-    """Nonzero rows of A outside drop as {col: int} dicts, and the prime to
-    work mod.
+def _int_rows(A: SparseMatrix):
+    """Nonzero rows of A as {col: int} dicts, and the prime to work mod.
 
     Rational rows (QQ, ZLoc) are scaled by the lcm of their denominators,
     which leaves row spaces unchanged; a row whose entries are all integral
@@ -384,8 +388,7 @@ def _int_rows(A: SparseMatrix, drop=()):
     for (i, j), v in A.entries.items():
         row = by_row.get(i)
         if row is None:
-            if i not in drop:
-                by_row[i] = {j: v}
+            by_row[i] = {j: v}
         else:
             row[j] = v
     rows = [by_row[i] for i in sorted(by_row)]
@@ -538,20 +541,22 @@ def rank(A: SparseMatrix) -> int:
     return _markowitz_rank(*_int_rows(A))[0]
 
 
-def qq_rank(A: SparseMatrix, drop=()):
-    """(rank, pivot columns) of the rows of a rational matrix outside drop.
+def qq_rank(S: "IntSlice"):
+    """(rank, pivot columns) of the integer rows of a graded slice.
 
-    Graded homology ranks the slice of d_{n+1} with drop the pivot columns
-    of d_n's slice.  Those columns carry a nonsingular minor, so ker d_n
-    maps injectively onto the coordinates off them, and im d_{n+1}, which
-    lies in ker d_n, keeps its rank on the rows off them (Kaczynski,
-    Mrozek and Slusarek, Comput. Math. Appl. 35, 1998).  The pivot columns
-    returned carry a nonsingular minor of A, as the rows kept are rows of
-    A, so they can be dropped from the next slice in turn.
+    Graded homology ranks the slice of d_{n+1} with its rows at the pivot
+    columns of d_n's slice dropped (slice_matrix's drop).  Those columns
+    carry a nonsingular minor, so ker d_n maps injectively onto the
+    coordinates off them, and im d_{n+1}, which lies in ker d_n, keeps its
+    rank on the rows off them (Kaczynski, Mrozek and Slusarek, Comput.
+    Math. Appl. 35, 1998).  The pivot columns returned carry a nonsingular
+    minor of the whole slice, as the rows kept are its rows up to positive
+    factors, so they can be dropped from the next slice in turn.  The rows
+    of S are consumed.
     """
     pivots = set()
-    rows, p = _int_rows(A, drop)
-    return _markowitz_rank(rows, p, pivots)[0], pivots
+    kept = S.kept
+    return _markowitz_rank([kept[i] for i in sorted(kept)], None, pivots)[0], pivots
 
 
 def kernel_basis(A: SparseMatrix) -> SparseMatrix:
@@ -970,15 +975,20 @@ def _poly_to_qq(M: SparseMatrix) -> SparseMatrix:
 
 
 def monomials_of_degree(nvars: int, d: int):
-    """All exponent vectors of total degree d, in descending lex order."""
+    """All exponent vectors of total degree d, in descending lex order.
+
+    A sorted d-tuple of variable indices is a monomial, and lex order on
+    the tuples that combinations_with_replacement yields is descending lex
+    order on the exponent vectors.
+    """
     if d < 0:
         return []
-    if nvars == 1:
-        return [(d,)]
     out = []
-    for e in range(d, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, d - e):
-            out.append((e,) + rest)
+    for combo in combinations_with_replacement(range(nvars), d):
+        exp = [0] * nvars
+        for k in combo:
+            exp[k] += 1
+        out.append(tuple(exp))
     return out
 
 
@@ -996,69 +1006,166 @@ def slice_basis(nvars: int, gen_degrees, d: int):
     return basis
 
 
-def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
-    """QQ matrix of the degree-d slice of a graded map between free modules.
+class SliceTable:
+    """Monomial tables shared by every slice of one Hilbert table.
 
-    Returns (matrix over QQ, target_offsets, source_offsets): rows and
-    columns are ordered as slice_basis orders the bases, and the offsets
-    are where each generator's block of monomials starts.  Per call, the
-    monomials of each complementary degree are listed once and the target
-    ones indexed once, so the row of the term x^e of entry (i, j) on the
-    source monomial m is target_offsets[i] + index[d - tgt_degrees[i]][e + m].
-    Monomials are packed into integers in base B, one more than the largest
-    complementary degree (Kronecker substitution): e + m is one integer
-    addition whose digits never carry.  Distinct terms of a column land in
-    distinct rows, so each cell is written once.  A term of entry (i, j)
-    whose degree is not src_degrees[j] - tgt_degrees[i] would leave the
-    target slice; it raises GradingError naming (i, j).  No state outlives
-    the call.
+    The monomials of each degree 0..top in nvars variables are listed once,
+    in descending lex order (the order of slice_basis), and packed into
+    integers in base top + 1 (Kronecker substitution): the product of two
+    monomials is the sum of their codes, whose digits never carry while its
+    degree is at most top.  Nothing outlives the table.
     """
-    ring = M.ring
-    if ring.kind != "Poly":
-        raise UnsupportedRingError("slice_matrix needs a graded polynomial ring")
-    nvars = len(ring.variables)
-    monos = {}  # complementary degree -> its monomials, descending lex
 
-    def offsets(degrees):  # (start of each generator's block, total size)
+    __slots__ = ("nvars", "top", "weights", "_codes", "_index")
+
+    def __init__(self, nvars: int, top: int):
+        self.nvars = nvars
+        self.top = top
+        self.weights = [(top + 1) ** k for k in range(nvars)]
+        self._codes = {}
+        self._index = {}
+
+    def codes(self, k: int) -> list:
+        """Codes of the degree-k monomials, in descending lex order."""
+        block = self._codes.get(k)
+        if block is None:
+            if k > self.top:
+                raise GradingError(f"monomials of degree {k} lie above the table's top degree {self.top}")
+            w = self.weights.__getitem__
+            combos = combinations_with_replacement(range(self.nvars), k) if k >= 0 else ()
+            block = self._codes[k] = [sum(map(w, combo)) for combo in combos]
+        return block
+
+    def index(self, k: int) -> dict:
+        """{code: position} over the degree-k monomials."""
+        index = self._index.get(k)
+        if index is None:
+            index = self._index[k] = {c: r for r, c in enumerate(self.codes(k))}
+        return index
+
+    def offsets(self, degrees, d: int):
+        """(start of each generator's block in the degree-d slice, its size)."""
         starts, size = [], 0
         for a in degrees:
-            block = monos.get(d - a)
-            if block is None:
-                block = monos[d - a] = monomials_of_degree(nvars, d - a)
             starts.append(size)
-            size += len(block)
+            size += len(self.codes(d - a))
         return starts, size
 
-    src_offsets, cols = offsets(src_degrees)
-    tgt_offsets, rows = offsets(tgt_degrees)
-    weights = [(max([0, *monos]) + 1) ** k for k in range(nvars)]
+    def prepare(self, M: SparseMatrix, src_degrees, tgt_degrees) -> "GradedMap":
+        """M, a map from generators of degrees src_degrees to generators of
+        degrees tgt_degrees, ready to be sliced in any degree of the table.
 
-    def code(exp):
-        return sum(map(mul, exp, weights))
+        A term of entry (i, j) whose degree is not src_degrees[j] -
+        tgt_degrees[i] would leave every slice; it raises GradingError naming
+        (i, j).  Row i of M is scaled by factors[i], the lcm of the
+        denominators of its coefficients, which keeps the rank of every set
+        of rows and of columns; each term is kept as (code, integer).
+        """
+        if M.ring.kind != "Poly":
+            raise UnsupportedRingError("slice_matrix needs a graded polynomial ring")
+        factors = [1] * len(tgt_degrees)
+        for (i, j), value in M.entries.items():
+            need = src_degrees[j] - tgt_degrees[i]
+            for exp, coeff in value.items():
+                if sum(exp) != need:
+                    raise GradingError(
+                        f"entry ({i},{j}) has a term of degree {sum(exp)}, which leaves "
+                        f"every slice: it needs degree {src_degrees[j]} - {tgt_degrees[i]} = {need}"
+                    )
+                if coeff.denominator != 1:
+                    factors[i] = lcm(factors[i], coeff.denominator)
+        weights = self.weights
+        columns = {}
+        for (i, j), value in M.entries.items():
+            f = factors[i]
+            terms = [
+                (sum(map(mul, exp, weights)), coeff.numerator * (f // coeff.denominator))
+                for exp, coeff in value.items()
+            ]
+            columns.setdefault(j, []).append((i, terms))
+        return GradedMap(self, tuple(src_degrees), tuple(tgt_degrees), list(columns.items()), tuple(factors))
 
-    src_codes = {}  # source degree -> codes of its block's monomials
-    tgt_index = {}  # target degree -> {code of monomial: position in its block}
-    entries = {}
-    for (i, j), value in M.entries.items():
-        a, b = src_degrees[j], tgt_degrees[i]
-        sources = src_codes.get(a)
-        if sources is None:
-            sources = src_codes[a] = [code(mono) for mono in monos[d - a]]
+
+@dataclass(frozen=True)
+class GradedMap:
+    """A map of graded free modules prepared by SliceTable.prepare: its
+    entries grouped by column j as (j, [(i, [(code, int)])]), with row i
+    scaled by the positive integer factors[i]."""
+
+    table: SliceTable
+    src_degrees: tuple
+    tgt_degrees: tuple
+    columns: list
+    factors: tuple
+
+
+class _Cells(Mapping):
+    """(row, col) -> int over the rows of a slice, without copying them."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __getitem__(self, key):
+        i, j = key
+        return self._rows[i][j]
+
+    def __iter__(self):
+        return ((i, j) for i, row in self._rows.items() for j in row)
+
+    def __len__(self):
+        return sum(map(len, self._rows.values()))
+
+
+class IntSlice:
+    """A degree slice written as integer rows.
+
+    rows x cols is the shape of the whole slice; kept maps each nonzero row
+    outside the slice's drop set to {col: int}, the row of the QQ slice
+    times the factor of its target generator.  entries views the same
+    cells by (row, col).
+    """
+
+    __slots__ = ("rows", "cols", "kept")
+
+    def __init__(self, rows: int, cols: int, kept: dict):
+        self.rows = rows
+        self.cols = cols
+        self.kept = kept
+
+    @property
+    def entries(self):
+        return _Cells(self.kept)
+
+
+def slice_matrix(G: GradedMap, d: int, drop=()):
+    """The degree-d slice of a prepared map, as integer rows outside drop.
+
+    Returns (IntSlice, target_offsets, source_offsets): rows and columns are
+    ordered as slice_basis orders the bases, and the offsets are where each
+    generator's block of monomials starts.  The row of the term x^e of
+    entry (i, j) on the source monomial m is
+    target_offsets[i] + index[d - tgt_degrees[i]][e + m], one integer
+    addition of codes (see SliceTable).  Distinct terms of a column land in
+    distinct rows, so each cell is written once; a row in drop is never
+    written.
+    """
+    table = G.table
+    src_offsets, cols = table.offsets(G.src_degrees, d)
+    tgt_offsets, rows = table.offsets(G.tgt_degrees, d)
+    kept = defaultdict(dict)
+    for j, column in G.columns:
+        sources = table.codes(d - G.src_degrees[j])
         if not sources:
             continue
-        index = tgt_index.get(b)
-        if index is None:
-            index = tgt_index[b] = {code(mono): r for r, mono in enumerate(monos[d - b])}
-        r0 = tgt_offsets[i]
-        for exp, coeff in value.items():
-            if sum(exp) != a - b:
-                raise GradingError(
-                    f"entry ({i},{j}) has a term of degree {sum(exp)}, which leaves "
-                    f"the degree-{d} slice: it needs degree {a} - {b} = {a - b}"
-                )
-            e = code(exp)
-            for c, s in enumerate(sources, src_offsets[j]):
-                entries[(r0 + index[e + s], c)] = coeff
-    mat = SparseMatrix._of(QQ, rows, cols, {})
-    mat.entries = entries  # nonzero coefficients, each cell written once
-    return mat, tgt_offsets, src_offsets
+        c0 = src_offsets[j]
+        for i, terms in column:
+            index = table.index(d - G.tgt_degrees[i])
+            r0 = tgt_offsets[i]
+            for e, v in terms:
+                for c, s in enumerate(sources, c0):
+                    r = r0 + index[e + s]
+                    if r not in drop:
+                        kept[r][c] = v
+    return IntSlice(rows, cols, dict(kept)), tgt_offsets, src_offsets

@@ -330,7 +330,7 @@ def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
     """
     _require_local_two_unit(X.ring)
     # a bound below X's lowest generator degree is rejected; the graded
-    # default is the top generator degree of X (x) X plus the rank of X.
+    # default is the top generator degree of X (x) X plus the rank of X plus 2.
     # Off graded rings nothing reads a bound, so the report carries none.
     check_bound(X, bound)
     D = None

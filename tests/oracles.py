@@ -16,9 +16,12 @@ arithmetic (`Fraction` over QQ and ZLoc(p)) in place of integer rows.
 `reference_quotient_complex` writes a presented complex over a field as
 the free complex of its quotients F_n / im r_n on explicit complement
 bases, the reference for the rank formula of `homology_presented`.
-`reference_slice_matrix` is the reference for `linalg.slice_matrix`: it
-looks every target row up by its (generator, monomial) pair.
-`reference_graded_table` ranks the whole slices of d_n and d_{n+1}, the
+`reference_slice_matrix` writes a degree slice as a QQ matrix of
+`Fraction`s, looking every target row up by its (generator, monomial)
+pair: the reference for `linalg.slice_matrix`, which writes integer rows
+scaled by positive factors, and the slice every graded oracle here ranks
+or reduces with the field kernels of `linalg`.  `reference_graded_table`
+ranks its whole slices of d_n and d_{n+1} with `linalg.rank`, the
 reference for the graded tables of `homology()`, which drop the rows of
 each slice at the previous slice's pivot columns.  `reference_square` builds the labels, rho,
 sigma and alpha of a symmetric square by separate walks, the reference
@@ -27,13 +30,14 @@ the transported homotopy of `sym2.induced_homotopy` entry by entry from
 the tensor basis labels, the reference for its Kronecker products.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 from operator import add
 
 from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map, inf_h
 from symchain.complexes import compose, tensor, tensor_basis
-from symchain.linalg import kernel_basis, rank, rref, slice_basis, slice_matrix, solve_field
+from symchain.linalg import kernel_basis, rank, rref, slice_basis, solve_field
 from symchain.sym2 import _pivot_columns
 
 
@@ -56,8 +60,8 @@ def graded_homology_module(X, n: int, D: int):
     reps = {}
     basis_data = {}
     for d in range(dmin, D + 2):
-        dn = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
-        dn1 = slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
+        dn = reference_slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
+        dn1 = reference_slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
         src = slice_basis(nvars, X.gdeg(n), d)
         Z = kernel_basis(dn)
         R = homology_representatives(dn1, Z)
@@ -445,11 +449,12 @@ def reference_quotient_complex(P) -> FreeComplex:
 
 def reference_graded_table(X: FreeComplex, n: int, D: int) -> dict:
     """{d: dim H_n(X)_d} for d <= D, nonzero only, from the whole slices of
-    d_n and d_{n+1}, each ranked in full with linalg.rank."""
+    d_n and d_{n+1} from reference_slice_matrix, each ranked in full with
+    linalg.rank."""
     table = {}
     for d in range(X.min_gdeg(), D + 1):
-        dn = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
-        dn1 = slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
+        dn = reference_slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
+        dn1 = reference_slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
         if h := dn.cols - rank(dn) - rank(dn1):
             table[d] = h
     return table
@@ -483,6 +488,17 @@ def reference_slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
                     del entries[key]
     mat = SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), entries)
     return mat, tgt_basis, src_basis
+
+
+def scaled_reference_rows(ref: SparseMatrix, tgt_offsets, factors, drop=()) -> dict:
+    """{row: {col: value}} over the nonzero rows of the reference slice ref
+    outside drop, each row times factors[i] for the target generator i
+    whose block (starting at tgt_offsets[i]) holds it."""
+    rows = {}
+    for (r, c), v in ref.entries.items():
+        if r not in drop:
+            rows.setdefault(r, {})[c] = v * factors[bisect_right(tgt_offsets, r) - 1]
+    return rows
 
 
 # -- the symmetric square by separate walks ----------------------------------------

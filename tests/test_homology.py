@@ -63,7 +63,9 @@ from oracles import (
     homology_representatives,
     reference_graded_table,
     reference_quotient_complex,
+    reference_slice_matrix,
     reference_split_units,
+    scaled_reference_rows,
 )
 from randgen import (
     conjugate,
@@ -111,17 +113,20 @@ def test_graded_homology_of_koszul_square():
 
 
 def test_graded_homology_builds_each_slice_once(monkeypatch):
-    built = []
+    built, prepared = [], set()
 
-    def counting_slice_matrix(M, src, tgt, d):
-        built.append((tuple(src), tuple(tgt), d))
-        return slice_matrix(M, src, tgt, d)
+    def counting_slice_matrix(G, d, drop=()):
+        built.append((G.src_degrees, G.tgt_degrees, d))
+        prepared.add(id(G))
+        return slice_matrix(G, d, drop)
 
     monkeypatch.setattr(homology_module, "slice_matrix", counting_slice_matrix)
     S = sym2(koszul([X_VAR, Y_VAR])).complex
     assert homology(S, bound=6).table(2) == {2: 1}
     # one slice of d_n per (n, d): n runs over the degrees of S and one above
     assert len(built) == len(set(built)) == (len(S.degrees()) + 1) * 7
+    # each d_n is prepared once per table and sliced in every internal degree
+    assert len(prepared) == len(S.degrees()) + 1
     built.clear()
     cone = mapping_cone(identity_map(S))  # exact, so every slice is scanned
     lo, hi = cone.support
@@ -183,14 +188,21 @@ def test_graded_tables_rank_each_slice_off_the_previous_pivots(monkeypatch):
     """Each internal degree is one pass up n: the slice of d_{n+1} is ranked
     on dim X_{n,d} - rank d_n rows, the rest dropped at d_n's pivots."""
     calls = []
-    real = homology_module.qq_rank
+    real_slice, real_rank = homology_module.slice_matrix, homology_module.qq_rank
 
-    def recording(A, drop=()):
-        r, pivots = real(A, drop)
-        calls.append((A, set(drop), r, set(pivots)))
+    def recording_slice(G, d, drop=()):
+        A, tgt_offsets, src_offsets = real_slice(G, d, drop)
+        calls.append([A.rows, A.cols, {r: dict(row) for r, row in A.kept.items()},
+                      tgt_offsets, G.factors, set(drop)])
+        return A, tgt_offsets, src_offsets
+
+    def recording_rank(A):
+        r, pivots = real_rank(A)
+        calls[-1] += [r, set(pivots)]
         return r, pivots
 
-    monkeypatch.setattr(homology_module, "qq_rank", recording)
+    monkeypatch.setattr(homology_module, "slice_matrix", recording_slice)
+    monkeypatch.setattr(homology_module, "qq_rank", recording_rank)
     R = graded_poly("x0", "x1", "x2")
     S = sym2(koszul(list(R.generators()))).complex
     D = 8
@@ -198,18 +210,24 @@ def test_graded_tables_rank_each_slice_off_the_previous_pivots(monkeypatch):
     lo, hi = S.support
     width = hi - lo + 2
     assert len(calls) == width * (D - S.min_gdeg() + 1)
+    assert all(len(call) == 8 for call in calls)  # qq_rank once per slice
     kept = dropped = 0
     for k, d in enumerate(range(S.min_gdeg(), D + 1)):
         previous = set()
-        for n, (A, drop, r, pivots) in zip(range(lo, hi + 2), calls[k * width:(k + 1) * width]):
-            full = slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
-            r_below = rank(slice_matrix(S.diff(n - 1), S.gdeg(n - 1), S.gdeg(n - 2), d)[0])
-            assert A == full and r == rank(full) == len(pivots)
+        for n, call in zip(range(lo, hi + 2), calls[k * width:(k + 1) * width]):
+            rows, cols, written, tgt_offsets, factors, drop, r, pivots = call
+            full = reference_slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
+            r_below = rank(reference_slice_matrix(S.diff(n - 1), S.gdeg(n - 1), S.gdeg(n - 2), d)[0])
+            # the rows written are the whole slice's rows off drop, each
+            # times a positive integer factor
+            assert (rows, cols) == (full.rows, full.cols)
+            assert written == scaled_reference_rows(full, tgt_offsets, factors, drop)
+            assert r == rank(full) == len(pivots)
             assert drop == previous and len(drop) == r_below
-            assert A.rows - len(drop) == len(slice_basis(3, S.gdeg(n - 1), d)) - r_below
+            assert rows - len(drop) == len(slice_basis(3, S.gdeg(n - 1), d)) - r_below
             # the pivot columns carry a nonsingular minor of the whole slice
             assert rank(full.submatrix_columns(sorted(pivots))) == r
-            kept += A.rows - len(drop)
+            kept += rows - len(drop)
             dropped += len(drop)
             previous = pivots
     assert dropped > 0.4 * (dropped + kept)  # about half the rows of this sweep
@@ -677,7 +695,7 @@ def _graded_slice_oracle(f, n: int, d: int) -> bool:
     X, Y = f.source, f.target
 
     def sl(M, src, tgt):
-        return slice_matrix(M, src, tgt, d)[0]
+        return reference_slice_matrix(M, src, tgt, d)[0]
 
     return _field_induced_bijective(
         sl(X.diff(n), X.gdeg(n), X.gdeg(n - 1)),

@@ -31,6 +31,7 @@ from symchain import (
 from symchain.errors import GradingError, LinearSolveError, ShapeError, UnsupportedRingError
 from symchain.homology import homology_presented
 from symchain.linalg import (
+    SliceTable,
     _echelon,
     _int_rows,
     _markowitz_rank,
@@ -47,7 +48,7 @@ from symchain.linalg import (
     solve_pid,
 )
 
-from oracles import reference_slice_matrix
+from oracles import reference_slice_matrix, scaled_reference_rows
 
 POLY = graded_poly("x", "y")
 linalg_module = sys.modules["symchain.linalg"]
@@ -603,7 +604,9 @@ def test_degree_slice_kernel_matches_dense_oracle():
     M = rows(POLY, [[x, y], [x, y]])
     # source generators in internal degree 1, targets in degree 0; the
     # coordinates of a kernel vector then live in internal degree 1
-    sliced, _, _ = slice_matrix(M, [1, 1], [0, 0], 2)
+    written, _, _ = slice_matrix(SliceTable(2, 2).prepare(M, [1, 1], [0, 0]), 2)
+    # rows scaled by positive factors keep the kernel
+    sliced = SparseMatrix(QQ, written.rows, written.cols, dict(written.entries))
     src_basis, tgt_basis = slice_basis(2, [1, 1], 2), slice_basis(2, [0, 0], 2)
     assert (sliced.cols, sliced.rows) == (len(src_basis), len(tgt_basis)) == (4, 6)
     K = kernel_basis(sliced)
@@ -642,26 +645,35 @@ def _block_starts(basis, ngens):
     return [sum(1 for g, _ in basis if g < j) for j in range(ngens)]
 
 
-def _slice_matching_reference(M, src_degrees, tgt_degrees, d):
-    """slice_matrix, checked against the oracle: the same matrix, and block
-    offsets where slice_basis starts each generator's monomials."""
-    got, tgt_offsets, src_offsets = slice_matrix(M, src_degrees, tgt_degrees, d)
+def _slice_matching_reference(G, M, d, drop=()):
+    """slice_matrix of the prepared map G of M, checked against the oracle:
+    each row written is the reference row times the positive integer factor
+    of its target generator, the rows in drop are not written, and the
+    block offsets are where slice_basis starts each generator's monomials."""
+    src_degrees, tgt_degrees = G.src_degrees, G.tgt_degrees
+    got, tgt_offsets, src_offsets = slice_matrix(G, d, drop)
     want, tgt_basis, src_basis = reference_slice_matrix(M, src_degrees, tgt_degrees, d)
-    assert got == want
+    assert all(type(f) is int and f > 0 for f in G.factors)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.kept == scaled_reference_rows(want, tgt_offsets, G.factors, drop)
+    assert all(type(v) is int and v for row in got.kept.values() for v in row.values())
+    assert len(got.entries) == sum(map(len, got.kept.values()))
     assert tgt_offsets == _block_starts(tgt_basis, len(tgt_degrees))
     assert src_offsets == _block_starts(src_basis, len(src_degrees))
-    assert all(got.entries.values())
     return got
 
 
 def _assert_slices_match_reference(X, top=8) -> int:
     """Compare every slice of every differential of X up to internal degree
-    top with the reference; returns the number of nonzero cells seen."""
+    top with the reference, each differential prepared once on one table;
+    returns the number of nonzero cells seen."""
     nnz = 0
+    table = SliceTable(len(X.ring.variables), top - X.min_gdeg() + 1)
     for n in range(X.support[0], X.support[1] + 2):
         M = X.diff(n)
+        G = table.prepare(M, X.gdeg(n), X.gdeg(n - 1))
         for d in range(X.min_gdeg() - 1, top + 1):
-            nnz += len(_slice_matching_reference(M, X.gdeg(n), X.gdeg(n - 1), d).entries)
+            nnz += len(_slice_matching_reference(G, M, d).entries)
     return nnz
 
 
@@ -684,24 +696,92 @@ def test_slice_matrix_of_a_matrix_whose_terms_cancel():
     B = rows(POLY, [[y, x], [-x, y]])
     M = A @ B + rows(POLY, [[0, (x + y) * (x - y) + y * y], [x * y, 0]])
     assert (0, 0) not in M.entries
+    G = SliceTable(2, 5).prepare(M, [2, 2], [0, 0])
     for d in range(-1, 6):
-        _slice_matching_reference(M, [2, 2], [0, 0], d)
+        _slice_matching_reference(G, M, d)
 
 
 def test_slice_matrix_rejects_a_term_outside_the_slice():
     x, y = POLY.variable("x"), POLY.variable("y")
-    # entry (1, 0) must have degree 2 - 0 = 2; its term x has degree 1
+    table = SliceTable(2, 5)
+    # entry (1, 0) must have degree 2 - 0 = 2; its term x has degree 1.  The
+    # map is refused when it is prepared, before any slice, even one whose
+    # source is empty (below degree 2) and where no term lands anywhere
     M = rows(POLY, [[x * x, y * y], [x + y * y, x * y]])
-    for d in (2, 3, 5):
-        with pytest.raises(GradingError, match=r"entry \(1,0\)"):
-            slice_matrix(M, [2, 2], [0, 0], d)
-    # below degree 2 the source slice is empty, so no term lands anywhere
-    sliced, _, src_offsets = slice_matrix(M, [2, 2], [0, 0], 1)
-    assert src_offsets == [0, 0] and sliced.cols == 0 and sliced.is_zero()
-    # a term of the right degree whose target lies below degree 0
+    with pytest.raises(GradingError, match=r"entry \(1,0\)"):
+        table.prepare(M, [2, 2], [0, 0])
+    # a term of degree 1 where the generator degrees need 2
     N = rows(POLY, [[x * x, y]])
     with pytest.raises(GradingError, match=r"entry \(0,1\)"):
-        slice_matrix(N, [2, 2], [0], 2)
+        table.prepare(N, [2, 2], [0])
+    # the homogeneous part slices as the reference does
+    H = rows(POLY, [[x * x, y * y], [y * y, x * y]])
+    G = table.prepare(H, [2, 2], [0, 0])
+    sliced, _, src_offsets = slice_matrix(G, 1)
+    assert src_offsets == [0, 0] and sliced.cols == 0 and not sliced.kept
+    # a slice needing monomials above the table's top degree is refused
+    with pytest.raises(GradingError, match="top degree 5"):
+        slice_matrix(G, 6)
+
+
+def _random_homogeneous(R, src_degrees, tgt_degrees, rng, coeffs):
+    """A random homogeneous matrix from generators of degrees src_degrees
+    to generators of degrees tgt_degrees over R, about half its entries
+    nonzero."""
+    nvars = len(R.variables)
+    entries = {}
+    for i, b in enumerate(tgt_degrees):
+        for j, a in enumerate(src_degrees):
+            monos = monomials_of_degree(nvars, a - b)
+            if monos and rng.random() < 0.5:
+                value = {m: Fraction(rng.choice(coeffs)) for m in rng.sample(monos, min(2, len(monos)))}
+                entries[(i, j)] = value
+    return SparseMatrix._of(R, len(tgt_degrees), len(src_degrees), entries)
+
+
+def test_slice_rows_are_reference_rows_times_their_factors():
+    """Each row slice_matrix writes is the Fraction row of the reference
+    slice times the stated positive integer factor of its target generator:
+    rational coefficients, negative generator degrees, one variable, rows
+    dropped; a term of the wrong degree names its entry."""
+    x, y = POLY.variable("x"), POLY.variable("y")
+    half, two_thirds = POLY.scalar(Fraction(1, 2)), POLY.scalar(Fraction(2, 3))
+    M = rows(POLY, [[half * x, two_thirds * y], [y, -x], [0, half * y - two_thirds * x]])
+    G = SliceTable(2, 4).prepare(M, [1, 1], [0, 0, 0])
+    assert G.factors == (6, 1, 6)
+    for d in range(0, 5):
+        _slice_matching_reference(G, M, d)
+        _slice_matching_reference(G, M, d, drop={0, 2, 3})
+    rng = random.Random(97)
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(5, 6)]
+    seen = fractional = dropped = 0
+    for R in (graded_poly("t"), POLY, graded_poly("x0", "x1", "x2")):
+        for _ in range(8):
+            tgt = [rng.randint(-3, 1) for _ in range(rng.randint(1, 4))]
+            src = [rng.randint(-2, 3) for _ in range(rng.randint(1, 4))]
+            M = _random_homogeneous(R, src, tgt, rng, coeffs)
+            table = SliceTable(len(R.variables), 5 - min(tgt + src))
+            G = table.prepare(M, src, tgt)
+            fractional += any(f > 1 for f in G.factors)
+            for d in range(min(tgt + src) - 1, 6):
+                full = len(slice_basis(len(R.variables), tgt, d))
+                drop = {r for r in range(full) if rng.random() < 0.3}
+                got = _slice_matching_reference(G, M, d, drop)
+                seen += len(got.entries)
+                dropped += len(drop)
+        bad = SparseMatrix._of(R, 1, 2, {(0, 1): {(1,) + (0,) * (len(R.variables) - 1): Fraction(1, 2),
+                                                   (0,) * len(R.variables): Fraction(1)}})
+        with pytest.raises(GradingError, match=r"entry \(0,1\)"):
+            SliceTable(len(R.variables), 4).prepare(bad, [-1, 0], [-1])
+    assert seen > 1000 and fractional > 10 and dropped > 100
+
+
+def _constant_slice(A, drop=()):
+    """The degree-0 slice of A lifted to a constant matrix between degree-0
+    generators over POLY: A's rows outside drop, as integer rows."""
+    lift = SparseMatrix._of(POLY, A.rows, A.cols, {k: {(0, 0): v} for k, v in A.entries.items()})
+    G = SliceTable(2, 0).prepare(lift, [0] * A.cols, [0] * A.rows)
+    return slice_matrix(G, 0, drop)[0]
 
 
 def test_qq_rank_matches_rref_rank():
@@ -716,13 +796,14 @@ def test_qq_rank_matches_rref_rank():
                 if rng.random() < 0.6:
                     entries[(i, j)] = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
         A = SparseMatrix(QQ, m, n, entries)
-        r, pivots = qq_rank(A)
+        r, pivots = qq_rank(_constant_slice(A))
         assert r == len(pivots) == len(rref(A)[1]) == _sympy_matrix(A).rank()
 
 
 def test_qq_rank_ranks_the_rows_outside_drop():
-    """qq_rank(A, drop) is the rank of A's other rows, and its pivot columns
-    carry a nonsingular minor of those rows."""
+    """qq_rank of a slice written without the rows in drop is the rank of
+    A's other rows, and its pivot columns carry a nonsingular minor of
+    those rows."""
     from symchain.linalg import qq_rank
 
     rng = random.Random(47)
@@ -738,7 +819,7 @@ def test_qq_rank_ranks_the_rows_outside_drop():
         kept = [i for i in range(m) if i not in drop]
         B = SparseMatrix(QQ, len(kept), n, {
             (kept.index(i), j): v for (i, j), v in A.entries.items() if i not in drop})
-        r, pivots = qq_rank(A, drop)
+        r, pivots = qq_rank(_constant_slice(A, drop))
         assert r == len(pivots) == _sympy_matrix(B).rank()
         assert rank(B.submatrix_columns(sorted(pivots))) == r
         dropped_rank += rank(A) > r
@@ -989,12 +1070,14 @@ def test_rank_of_every_sym2_koszul_slice_matches_sympy():
 
     R = graded_poly("x0", "x1", "x2")
     S = sym2(koszul(list(R.generators()))).complex
+    table = SliceTable(3, 8 - S.min_gdeg())
     checked = 0
     for n in S.degrees():
         if n - 1 not in S.degrees():
             continue
+        G = table.prepare(S.diff(n), S.gdeg(n), S.gdeg(n - 1))
         for d in range(9):
-            A = slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
-            assert qq_rank(A)[0] == rank(A) == _echelon_rank(A) == _sympy_rank(A)
+            A = reference_slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
+            assert qq_rank(slice_matrix(G, d)[0])[0] == rank(A) == _echelon_rank(A) == _sympy_rank(A)
             checked += A.rows * A.cols > 0
     assert checked >= 30

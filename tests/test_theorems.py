@@ -357,6 +357,17 @@ def test_symm09_reports_no_bound_off_graded_rings():
     assert graded.bounded and graded.bound == 5
 
 
+def test_default_graded_bounds_counted_by_hand():
+    # koszul([x, y^2]) has generators of internal degree 0 in X_0, 1 and 2
+    # in X_1 and 3 in X_2: top generator degree 3, total rank 4
+    K = koszul([X_VAR, Y_VAR * Y_VAR])
+    assert [K.gdeg(n) for n in (0, 1, 2)] == [(0,), (1, 2), (3,)]
+    # homology(): the top generator degree plus the total rank plus 2
+    assert homology(K).bound == 3 + 4 + 2
+    # symm09: the top generator degree of X (x) X, 2 * 3, plus 4 plus 2
+    assert check_symm09(K).bound == 2 * 3 + 4 + 2
+
+
 def test_square_preserves_quasi_isos_over_qq():
     """Quasi-isomorphisms built from minimal cores and contractible padding."""
     rng = random.Random(37)
