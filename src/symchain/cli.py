@@ -3,11 +3,11 @@
 Every subcommand is a thin wrapper over the library: it reads documents,
 writes documents or line-oriented reports, and encodes verdicts in the
 exit code: 0 success, 1 mathematical-check failure, 2 input error.
-Only graded Hilbert tables (homology) and symm09 on graded complexes take
-an internal-degree bound; the environment variable SYMCHAIN_DEGREE_BOUND
-overrides their default bound when --bound is not given.  On any other
-input --bound is an input error and the variable is not read.  Exactness
-and quasi-isomorphism verdicts need no bound.
+Only graded Hilbert tables (homology) take an internal-degree bound; the
+environment variable SYMCHAIN_DEGREE_BOUND overrides their default bound
+when --bound is not given.  On any other input --bound is an input error
+and the variable is not read.  Exactness and quasi-isomorphism verdicts,
+and so every theorem checker, need no bound.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .theorems import (
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
-# the theorems of `check`; symm09 alone also takes a degree bound
 CHECKERS = {
     "symm07": check_symm07,
     "symm07pp": check_symm07pp,
@@ -59,9 +58,9 @@ def _read_complex(path: str) -> FreeComplex:
     return value
 
 
-def _graded_bound(args, value, command: str) -> int | None:
-    """The internal-degree bound of a graded complex: --bound, else
-    SYMCHAIN_DEGREE_BOUND, else None (the command's default).
+def _graded_bound(args, value) -> int | None:
+    """The internal-degree bound of a graded homology table: --bound, else
+    SYMCHAIN_DEGREE_BOUND, else None (homology's default).
 
     Off graded complexes nothing reads a bound: --bound is an input error
     and the variable, a graded default, is not read at all.
@@ -70,7 +69,7 @@ def _graded_bound(args, value, command: str) -> int | None:
     if args.bound is not None:
         if not graded:
             raise SymchainError(
-                f"--bound applies only to graded complexes; {command} over {value.ring} "
+                f"--bound applies only to graded complexes; homology over {value.ring} "
                 "needs no degree bound"
             )
         return args.bound
@@ -148,7 +147,7 @@ def cmd_homology(args):
     value = _read(args.file)
     if not isinstance(value, (FreeComplex, PresentedComplex)):
         raise SymchainError("homology expects a complex or presented-complex document")
-    bound = _graded_bound(args, value, "homology")
+    bound = _graded_bound(args, value)
     if isinstance(value, PresentedComplex):
         report = homology_presented(value)
     else:
@@ -211,8 +210,6 @@ def cmd_poinc(args):
 def _print_verdict(report):
     print(f"theorem: {report.theorem}")
     print(f"backend: {report.backend}")
-    if report.bound is not None:
-        print(f"bound: {report.bound} (bounded verification)")
     conds = " ".join(
         f"{label}={'T' if value else 'F'}" for label, value in zip(report.labels, report.conditions)
     )
@@ -227,14 +224,7 @@ def _print_verdict(report):
 
 
 def cmd_check(args):
-    if args.bound is not None and args.theorem != "symm09":
-        raise SymchainError(f"--bound applies only to symm09; {args.theorem} needs no degree bound")
-    X = _read_complex(args.file)
-    checker = CHECKERS[args.theorem]
-    if args.theorem == "symm09":
-        report = checker(X, bound=_graded_bound(args, X, "symm09"))
-    else:
-        report = checker(X)
+    report = CHECKERS[args.theorem](_read_complex(args.file))
     _print_verdict(report)
     if report.equivalent is not None:
         return OK if report.equivalent else CHECK_FAILED
@@ -321,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a theorem checker")
     p.add_argument("theorem", choices=list(CHECKERS))
     p.add_argument("file")
-    p.add_argument("--bound", type=int, help="internal-degree bound (symm09 only)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("corpus", help="replay the worked-example corpus")

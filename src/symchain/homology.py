@@ -221,11 +221,6 @@ def _graded_tables(X: FreeComplex, lo: int, hi: int, D: int) -> dict:
     return {n: tables[n] for n in sorted(tables)}
 
 
-def _graded_table(X: FreeComplex, n: int, D: int) -> dict:
-    """{d: dim H_n(X)_d} for d <= D: the pass of _graded_tables on d_n and d_{n+1}."""
-    return _graded_tables(X, n, n, D).get(n, {})
-
-
 def homology_presented(P: PresentedComplex | FreeComplex) -> HomologyReport:
     """Homology of a complex of finitely presented modules.
 

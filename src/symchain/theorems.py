@@ -6,12 +6,12 @@ separate computation (no condition is derived from another) and returns
 a VerdictReport from one builder, _verdict.  The equivalence theorems
 symm07, symm07pp and s2fpd02 report whether their condition vector is
 constant; the implications s2fpd01 and symm09 hold when every condition
-does.  The exactness and quasi-isomorphism conditions are exact on every
-backend and take no degree bound.  s2fpd01 reads the lengths of two
-minimal models and a rank inequality.  symm09 reads both infima from
-minimal models, so they are exact too; on graded polynomial backends only
-its comparison of two Hilbert tables stops at a degree bound, which its
-report carries.
+does.  Every condition is exact on every backend, and no checker takes a
+degree bound.  s2fpd01 reads the lengths of two minimal models and a rank
+inequality.  symm09 reads both infima from minimal models, and checks the
+lowest module of the square through the natural map S2(q) to the square
+of the minimal model, whose lowest differential it compares entry for
+entry with a presentation of S2 or Lambda2 of the lowest homology.
 """
 
 from __future__ import annotations
@@ -31,24 +31,12 @@ from .complexes import (
     zero_map,
 )
 from .errors import SymchainError, TwoNotUnitError, UnsupportedRingError
-from .homology import (
-    _exactness_failures,
-    _graded_table,
-    check_bound,
-    homology,
-    homology_presented,
-    is_quasi_iso,
-)
+from .homology import _exactness_failures, homology, homology_presented, is_quasi_iso
 from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
-from .series import _require_local, minimal_model, rank_series, verify_series_identity
-from .sym2 import (
-    _alpha_summands,
-    alpha,
-    sym2,
-    sym2_map,
-    weak_sym2,
-)
+from .series import _require_local, minimal_model, minimize, rank_series, verify_series_identity
+from .sym2 import Sym2Result, _alpha_summands, _square_map, _sym2_map
+from .sym2 import alpha, sym2, sym2_map, weak_sym2
 
 __all__ = [
     "VerdictReport",
@@ -64,8 +52,8 @@ __all__ = [
 
 @dataclass
 class VerdictReport:
-    """Condition vector of one theorem checker on one complex.  Only graded
-    symm09 carries a degree bound, and a report is bounded when it does."""
+    """Condition vector of one theorem checker on one complex.  Every
+    condition is an exact verdict: no report carries a degree bound."""
 
     theorem: str
     labels: tuple
@@ -74,12 +62,7 @@ class VerdictReport:
     holds: bool | None
     witnesses: dict = field(default_factory=dict)
     backend: str = ""
-    bound: int | None = None
     note: str | None = None
-
-    @property
-    def bounded(self) -> bool:
-        return self.bound is not None
 
     def as_dict(self):
         return {
@@ -89,8 +72,6 @@ class VerdictReport:
             "holds": self.holds,
             "witnesses": {k: str(v) for k, v in self.witnesses.items()},
             "backend": self.backend,
-            "bounded": self.bounded,
-            "bound": self.bound,
             "note": self.note,
         }
 
@@ -126,7 +107,7 @@ def _is_two_odd_shifts(M: FreeComplex) -> bool:
     return all(M.diff(n).is_zero() for n in degs)
 
 
-def _verdict(theorem, X, conditions, witnesses=None, *, equivalence=True, bound=None, note=None):
+def _verdict(theorem, X, conditions, witnesses=None, *, equivalence=True, note=None):
     """The report of a theorem from its conditions, label -> value in order.
 
     A value is a bool or a failure list, which holds when empty and gives
@@ -156,7 +137,6 @@ def _verdict(theorem, X, conditions, witnesses=None, *, equivalence=True, bound=
         holds=holds,
         witnesses=witnesses,
         backend=str(X.ring),
-        bound=bound,
         note=note,
     )
 
@@ -268,6 +248,12 @@ def check_s2fpd01(X: FreeComplex) -> VerdictReport:
 # -- lowest homology of the symmetric square ---------------------------------------
 
 
+def _square_pairs(r: int, even: bool) -> list:
+    """The (k, l) of the f_k f_l in S2(R^r), k <= l, or of the f_k ^ f_l
+    in Lambda2(R^r), k < l, in lexicographic order."""
+    return [(k, l) for k in range(r) for l in range(k if even else k + 1, r)]
+
+
 def _square_presentation(M: FreeComplex, i: int, even: bool) -> FreeComplex:
     """A two-term complex whose H_0 is S2 (even) or Lambda2 (odd) of the
     cokernel of d = d_{i+1} : G = M_{i+1} -> F = M_i.
@@ -276,13 +262,13 @@ def _square_presentation(M: FreeComplex, i: int, even: bool) -> FreeComplex:
     is Lambda2(F) modulo the d(e)^f, for generators e of G and f of F
     (Eisenbud, Commutative Algebra, GTM 150, Appendix A2).  Degree 1 is
     G (x) F, generator (e, f) at e * rank F + f; degree 0 is S2(F) on the
-    f_k f_l with k <= l, or Lambda2(F) on the f_k ^ f_l with k < l, where
-    f_l ^ f_k = -f_k ^ f_l and f_k ^ f_k = 0.  It is written from the
-    entries of d, not through sym2, which it checks.
+    f_k f_l with k <= l, or Lambda2(F) on the f_k ^ f_l with k < l
+    (_square_pairs), where f_l ^ f_k = -f_k ^ f_l and f_k ^ f_k = 0.  It is
+    written from the entries of d, not through sym2, which it checks.
     """
     ring = M.ring
     r0, r1 = M.rank(i), M.rank(i + 1)
-    pairs = [(k, l) for k in range(r0) for l in range(k if even else k + 1, r0)]
+    pairs = _square_pairs(r0, even)
     row = {kl: r for r, kl in enumerate(pairs)}
     neg = ring.ops.neg
     entries = {}
@@ -304,53 +290,76 @@ def _square_presentation(M: FreeComplex, i: int, even: bool) -> FreeComplex:
     return FreeComplex._of(ring, {0: len(pairs), 1: r1 * r0}, {1: d}, gdegs)
 
 
-def _homology_value(C: FreeComplex, n: int, D: int | None):
-    """H_n(C) as symm09 compares it: the Hilbert table up to D on a graded
-    ring, (rank, invariant factors) over ZLoc(p), the dimension over a field."""
-    if C.graded:
-        return _graded_table(C, n, D)
-    h = homology(C)
-    if h.kind == "dimensions":
-        return h.dimension(n)
-    g = h.group(n)
-    return g.rank, g.factors
+def _lowest_mismatch(M: FreeComplex, i: int, even: bool, SM: Sym2Result, P: SparseMatrix):
+    """Where d_{2i+1} of SM = sym2(M) differs from P, the matrix of
+    _square_presentation(M, i, even): None when they are equal, else
+    ("entry", row label, column label, entry of P, entry of SM), or
+    ("generators", SM's labels in degrees 2i and 2i+1) if those are not
+    the ((i,k),(i,l)) of P's rows (k,l) and the ((i,f),(i+1,e)) of P's
+    columns e * rank M_i + f.
+    """
+    r0, r1 = M.rank(i), M.rank(i + 1)
+    rows = [((i, k), (i, l)) for k, l in _square_pairs(r0, even)]
+    cols = [((i, f), (i + 1, e)) for f in range(r0) for e in range(r1)]
+    labels = SM.labels.get(2 * i, []), SM.labels.get(2 * i + 1, [])
+    if labels != (rows, cols):
+        return ("generators", *labels)
+    D = SM.complex.diff(2 * i + 1)
+    # P's column e * r0 + f is cols[f * r1 + e]
+    moved = {(r, c % r0 * r1 + c // r0): v for (r, c), v in P.entries.items()}
+    W = SparseMatrix._of(D.ring, D.rows, D.cols, moved)
+    if W == D:
+        return None
+    r, c = min(k for k in moved.keys() | D.entries.keys() if moved.get(k) != D.entries.get(k))
+    return ("entry", rows[r], cols[c], W.entry(r, c), D.entry(r, c))
 
 
-def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
+def check_symm09(X: FreeComplex) -> VerdictReport:
     """Lower bound and lowest-degree formula for homology of the square.
 
     Checks inf H(S2 X) >= 2i for i = inf H(X); equality when i is even; and
     that H_2i(S2 X) is S2(H_i X) (even i) or Lambda2(H_i X) (odd i).  Over a
-    local ring the minimal model M of X starts in degree i (Nakayama), so
-    H_i X = coker(M_{i+1} -> M_i), and the prediction is the homology of
-    one free presentation built from M (_square_presentation), compared
-    with H_2i of the minimal model of S2 X.  Both infima come from minimal
-    models and are exact; on a graded ring only the comparison of the two
-    Hilbert tables stops at the bound.
+    local ring minimize(X) gives the minimal model M, which starts in
+    degree i (Nakayama), and a homotopy equivalence q : X -> M.  Both
+    infima are read off minimal models.
+
+    The lowest module is checked exactly, with no degree bound.  As 2 is a
+    unit, S2(q) is a homotopy equivalence too (induced_homotopy); the
+    exact verdict that it is a quasi-isomorphism gives H(S2 X) = H(S2 M).
+    S2 M starts in degree 2i, so H_2i(S2 M) is the cokernel of its
+    d_{2i+1} : M_i (x) M_{i+1} -> S2(M_i), or Lambda2(M_i) for odd i.  That
+    matrix must equal, entry for entry (_lowest_mismatch), the presentation
+    of S2 or Lambda2 of H_i X = coker d_{i+1} (_square_presentation), whose
+    rows carry the same internal degrees: equal presentations give
+    isomorphic modules, not only equal Hilbert functions.
+
+    No column needs a sign.  d(f (x) e) = (-1)^i sum_k d[k,e] f (x) f_k for
+    f in M_i and e in M_{i+1}, as d f = 0; rho sends f (x) f_k to f f_k when
+    f <= k, to (-1)^{i*i} f_k f when f > k, and kills f (x) f for odd i.
+    Even i: every sign is +1, giving the products d(e).f.  Odd i: the entry
+    at f ^ f_k (f < k) is -d[k,e] and at f_k ^ f (k < f) it is
+    (-1)(-1) d[k,e], the terms of d(e) ^ f with f_k ^ f = -f ^ f_k.
+
+    A failure is the witness "lowest": S2(q)'s failures, or the first
+    entry that differs, with its labels.
     """
     _require_local_two_unit(X.ring)
-    # a bound below X's lowest generator degree is rejected; the graded
-    # default is the top generator degree of X (x) X plus the rank of X plus 2.
-    # Off graded rings nothing reads a bound, so the report carries none.
-    check_bound(X, bound)
-    D = None
-    if X.graded:
-        D = 2 * X.max_gdeg() + X.total_rank() + 2 if bound is None else bound
-    M = minimal_model(X)
+    M, q = minimize(X)
     if M.is_zero():
         return _verdict(
-            "symm09", X, {}, equivalence=False, bound=D,
-            note="input complex is exact; nothing to check",
+            "symm09", X, {}, equivalence=False, note="input complex is exact; nothing to check"
         )
     i = M.degrees()[0]
     even = i % 2 == 0
-    SM = minimal_model(sym2(X).complex)
-    s_inf = None if SM.is_zero() else SM.degrees()[0]
+    SX, SM = sym2(X), sym2(M)
+    S_min = minimal_model(SX.complex)
+    s_inf = None if S_min.is_zero() else S_min.degrees()[0]
     witnesses = {}
-    want = _homology_value(_square_presentation(M, i, even), 0, D)
-    got = _homology_value(SM, 2 * i, D)  # S2X and its minimal model have one homology
-    if want != got:
-        witnesses["lowest"] = (want, got)
+    failures = is_quasi_iso(_sym2_map(_square_map(q, SX, SM), SX, SM)).failures
+    if failures:
+        witnesses["lowest"] = ("S2(q) is not a quasi-isomorphism", failures[:3])
+    elif mismatch := _lowest_mismatch(M, i, even, SM, _square_presentation(M, i, even).diff(1)):
+        witnesses["lowest"] = mismatch
 
     conditions = {"inf_lower_bound": s_inf is None or s_inf >= 2 * i}
     if not conditions["inf_lower_bound"]:
@@ -359,8 +368,8 @@ def check_symm09(X: FreeComplex, bound: int | None = None) -> VerdictReport:
         conditions["inf_equality_even"] = s_inf == 2 * i
         if s_inf != 2 * i:
             witnesses["inf_equality"] = (i, s_inf)
-    conditions["lowest_module_matches"] = want == got
-    return _verdict("symm09", X, conditions, witnesses, equivalence=False, bound=D)
+    conditions["lowest_module_matches"] = "lowest" not in witnesses
+    return _verdict("symm09", X, conditions, witnesses, equivalence=False)
 
 
 # -- worked-example corpus -----------------------------------------------------------

@@ -43,6 +43,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def no_bound(out):
+    """A verdict block with no bound line and no bound key in its json."""
+    report = json.loads(out.split("json: ", 1)[1])
+    return "bound:" not in out and not {"bound", "bounded"} & report.keys()
+
+
 def test_koszul_and_sym2_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "koszul", "--ring", "GradedPoly(x,y)", "--elements", "x,y")
     assert code == 0
@@ -198,34 +204,40 @@ def test_repeated_main_calls_agree(tmp_path, capsys):
     mfile = write(tmp_path, "m.json", sym2(koszul([X_VAR, Y_VAR])).proj)
     for argv in (
         ["check", "symm07pp", kfile],
-        ["check", "symm09", kfile, "--bound", "5"],
-        ["check", "symm07", kfile, "--bound", "5"],
+        ["check", "symm09", kfile],
+        ["homology", kfile, "--bound", "5"],
         ["quasi-iso", mfile],
         ["homology", kfile],
     ):
         first = run(capsys, *argv)
         for _ in range(3):
             assert run(capsys, *argv) == first
-    assert run(capsys, "check", "symm07", kfile, "--bound", "5")[0] == 2
-    assert "bound: 5 (bounded verification)" in run(capsys, "check", "symm09", kfile, "--bound", "5")[1]
-    # the bound of an earlier call does not stick: the default is 2*2 + 4 + 2
+    assert "bound: 5" in run(capsys, "homology", kfile, "--bound", "5")[1]
+    # the bound of an earlier call does not stick: the default is 2 + 4 + 2
+    code, out, _ = run(capsys, "homology", kfile)
+    assert code == 0 and "bound: 8" in out
     code, out, _ = run(capsys, "check", "symm09", kfile)
-    assert code == 0 and "bound: 10 (bounded verification)" in out
+    assert code == 0 and no_bound(out)
 
 
 def test_symm09_prints_no_bound_off_graded_rings(tmp_path, capsys, monkeypatch):
     zfile = write(tmp_path, "z.json", koszul([ZLoc(3).scalar(3)]))
-    # an explicit bound off graded rings is an input error, as for homology
-    for bound in ("5", "-5"):
-        code, out, err = run(capsys, "check", "symm09", zfile, "--bound", bound)
-        assert code == 2 and out == ""
-        assert "--bound applies only to graded complexes" in err and "Traceback" not in err
     code, out, _ = run(capsys, "check", "symm09", zfile)
-    assert code == 0 and "holds: true" in out and "bound:" not in out
+    assert code == 0 and "holds: true" in out and no_bound(out)
     monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "5")
-    code, out, _ = run(capsys, "check", "symm09", zfile)
-    assert code == 0 and "bound:" not in out
-    assert json.loads(out.split("json: ", 1)[1])["bound"] is None
+    assert run(capsys, "check", "symm09", zfile) == (code, out, "")
+
+
+@pytest.mark.parametrize("theorem", ["symm07", "symm07pp", "s2fpd01", "s2fpd02", "symm09"])
+def test_check_takes_no_bound(tmp_path, capsys, theorem):
+    # no checker reads a degree bound, so `check` has no --bound option
+    for value in (koszul([X_VAR, Y_VAR]), koszul([ZLoc(3).scalar(3)])):
+        path = write(tmp_path, "x.json", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", theorem, path, "--bound", "5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --bound 5" in err
 
 
 @pytest.mark.parametrize(
@@ -303,8 +315,6 @@ def test_check_commands(tmp_path, capsys):
         assert code == 0 and f"backend: {ring}" in out
     code, _, err = run(capsys, "check", "s2fpd01", write(tmp_path, "z.json", koszul([ZZ.scalar(3)])))
     assert code == 2 and "local backend" in err
-    code, _, err = run(capsys, "check", "s2fpd01", kfile, "--bound", "5")
-    assert code == 2 and "s2fpd01 needs no degree bound" in err
 
     code, out, _ = run(capsys, "check", "symm09", kfile)
     assert code == 0
@@ -396,9 +406,14 @@ def test_degree_bound_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "abc")
     code, _, err = run(capsys, "homology", sfile)
     assert code == 2 and "SYMCHAIN_DEGREE_BOUND" in err
+    # check symm09 reads no bound, so the variable is not read at all
     kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
-    code, out, err = run(capsys, "check", "symm09", kfile)
-    assert code == 2 and out == "" and "SYMCHAIN_DEGREE_BOUND must be an integer" in err
+    monkeypatch.delenv("SYMCHAIN_DEGREE_BOUND")
+    expected = run(capsys, "check", "symm09", kfile)
+    assert expected[0] == 0 and "holds: true" in expected[1]
+    for env in ("abc", "-1"):
+        monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", env)
+        assert run(capsys, "check", "symm09", kfile) == expected
 
 
 def test_degree_bound_env_is_not_read_off_graded_complexes(tmp_path, capsys, monkeypatch):
@@ -433,23 +448,25 @@ def test_bad_matrix_rows_exit_2_with_position(tmp_path, capsys):
 def test_bound_below_lowest_generator_degree_exits_2(tmp_path, capsys, monkeypatch):
     kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
     # every slice below degree 0 is empty, which once read as equivalent: false
-    code, out, err = run(capsys, "check", "symm09", kfile, "--bound", "-1")
-    assert code == 2
-    assert "holds" not in out and "lowest generator degree 0" in err
     code, out, err = run(capsys, "homology", kfile, "--bound", "-1")
-    assert code == 2 and "lowest generator degree" in err
-    # symm07pp needs no bound: any explicit one is an input error naming it
-    for bound in ("-1", "0", "12"):
-        code, out, err = run(capsys, "check", "symm07pp", kfile, "--bound", bound)
-        assert code == 2 and out == ""
-        assert "symm07pp needs no degree bound" in err and "Traceback" not in err
-    code, out, _ = run(capsys, "check", "symm07pp", kfile)
-    assert code == 0 and "equivalent: true" in out and "bound" not in out.split("json:")[0]
-    # the degree-bound variable reaches only homology and symm09
+    assert code == 2 and out == "" and "lowest generator degree 0" in err
+    # no checker takes a bound: any explicit one is an unrecognized argument
+    for theorem in ("symm07pp", "symm09"):
+        for bound in ("-1", "0", "12"):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", theorem, kfile, "--bound", bound])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"unrecognized arguments: --bound {bound}" in err
+    expected = {theorem: run(capsys, "check", theorem, kfile) for theorem in ("symm07pp", "symm09")}
+    assert expected["symm07pp"][0] == 0 and "equivalent: true" in expected["symm07pp"][1]
+    assert expected["symm09"][0] == 0 and "holds: true" in expected["symm09"][1]
+    assert all(no_bound(out) for _, out, _ in expected.values())
+    # the degree-bound variable reaches only homology
     monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "-1")
-    code, out, _ = run(capsys, "check", "symm07pp", kfile)
-    assert code == 0 and "equivalent: true" in out
-    code, out, err = run(capsys, "check", "symm09", kfile)
+    for theorem, result in expected.items():
+        assert run(capsys, "check", theorem, kfile) == result
+    code, out, err = run(capsys, "homology", kfile)
     assert code == 2 and "lowest generator degree 0" in err
 
 

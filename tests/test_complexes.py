@@ -281,7 +281,6 @@ def test_lowest_homology_of_tensor_is_additive_over_graded():
     """Graded analog, verified to a degree bound: the infima add under
     tensor, and the lowest Hilbert table equals that of the module tensor
     product, computed independently from the slice data of each factor."""
-    from symchain.homology import _graded_table
     from oracles import graded_homology_module, module_pair_table
     from randgen import random_graded_minimal
 
@@ -297,7 +296,7 @@ def test_lowest_homology_of_tensor_is_additive_over_graded():
         dimsP, multsP, dminP = graded_homology_module(P, iP, D)
         dimsQ, multsQ, dminQ = graded_homology_module(Q, iQ, D)
         want = module_pair_table(dimsP, multsP, dimsQ, multsQ, 2, dminP, dminQ, D)
-        got = _graded_table(T, iP + iQ, D)
+        got = homology(T, bound=D).table(iP + iQ)
         assert want == got, (P.ranks, Q.ranks, want, got)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from symchain import (
     GF,
+    ChainMap,
+    FpAbelianGroup,
     FreeComplex,
     QQ,
     SparseMatrix,
@@ -79,9 +81,9 @@ def test_symm07_koszul_all_false_graded():
     report = check_symm07(koszul([X_VAR, Y_VAR]))
     assert report.conditions == (False, False, False, False)
     assert report.equivalent and report.holds is False
-    # exact verdicts over the graded ring: no bound, and none reported
-    assert not report.bounded and report.bound is None
-    assert report.as_dict()["bounded"] is False and report.as_dict()["bound"] is None
+    # exact verdicts over the graded ring: no report carries a bound
+    assert not hasattr(report, "bound") and not hasattr(report, "bounded")
+    assert "bound" not in report.as_dict() and "bounded" not in report.as_dict()
 
 
 def test_three_variable_koszul_verdicts_need_no_bound():
@@ -94,7 +96,7 @@ def test_three_variable_koszul_verdicts_need_no_bound():
     assert r07.conditions == (False,) * 4 and r07.equivalent
     r07pp = check_symm07pp(K)
     assert r07pp.conditions == (False,) * 6 and r07pp.equivalent
-    assert not r07.bounded and not r07pp.bounded and r07.bound is r07pp.bound is None
+    assert not any(hasattr(r, "bound") for r in (r07, r07pp))
     S = sym2(K)
     for f, witness in ((S.proj, (2, 1)), (S.alpha, (0, 0))):
         verdict = is_quasi_iso(f)
@@ -145,7 +147,7 @@ def test_s2fpd01_reports():
     r = check_s2fpd01(shift(unit_complex(QQ), 2))
     assert r.witnesses == {"minimal_length": 0, "square_minimal_length": 0}
     assert r.labels == ("rank_inequality",) and r.conditions == (True,)
-    assert r.holds and r.equivalent is None and not r.bounded
+    assert r.holds and r.equivalent is None and "bound" not in r.as_dict()
     r = check_s2fpd01(koszul([X_VAR, Y_VAR]))
     assert r.witnesses == {"minimal_length": 2, "square_minimal_length": 4}
     assert r.holds
@@ -280,10 +282,25 @@ def _symm09_inputs():
             yield pick(R, rng, max_rank=3, max_len=3)
 
 
+def _presentation_h0(P, D):
+    """H_0 of a square presentation in the form of lowest_square_oracle:
+    the Hilbert table up to D on a graded ring, (rank, invariant factors)
+    over ZLoc(p), the dimension over a field."""
+    if P.graded:
+        return homology(P, bound=D).table(0)
+    h = homology(P)
+    if h.kind == "dimensions":
+        return h.dimension(0)
+    return h.group(0).rank, h.group(0).factors
+
+
 def test_symm09_prediction_matches_oracles(monkeypatch):
-    """The presentation built from the minimal model against the slow
-    oracles: module tables from slice data (graded), S2/Lambda2 of a sum of
-    cyclic groups (ZLoc), a binomial coefficient (fields)."""
+    """The presentation that check_symm09 compares with the square of the
+    minimal model, against the slow oracles: module tables from slice data
+    up to a degree bound (graded), S2/Lambda2 of a sum of cyclic groups
+    (ZLoc), a binomial coefficient (fields).  The checker takes no bound;
+    the graded comparison here reads the tables up to the top generator
+    degree of X (x) X plus the rank of X plus 2."""
     theorems = importlib.import_module("symchain.theorems")
     built = []
     square_presentation = theorems._square_presentation
@@ -299,14 +316,15 @@ def test_symm09_prediction_matches_oracles(monkeypatch):
         built.clear()
         report = check_symm09(X)
         assert report.holds, (X, report.witnesses)
-        oracle = lowest_square_oracle(X, report.bound)
+        D = 2 * X.max_gdeg() + X.total_rank() + 2 if X.graded else None
+        oracle = lowest_square_oracle(X, D)
         if oracle is None:
             assert report.note and not built
             continue
         [(i, even, P)] = built
         oi, want = oracle
         assert (i, even) == (oi, oi % 2 == 0), X
-        assert theorems._homology_value(P, 0, report.bound) == want, (X, i)
+        assert _presentation_h0(P, D) == want, (X, i)
         cases += 1
         kind = X.ring.kind
         parities.add((kind, even))
@@ -326,35 +344,35 @@ def test_symm09_lowest_module_by_hand_over_zloc():
     theorems = importlib.import_module("symchain.theorems")
     R = ZLoc(3)
     X = _dense_column(R, [3, 3, 3])
-    for s, want in ((0, (3, (3, 3, 3))), (1, (1, (3, 3)))):
+    for s, (rank, factors) in ((0, (3, (3, 3, 3))), (1, (1, (3, 3)))):
         P = theorems._square_presentation(shift(X, s), s, s % 2 == 0)
-        assert theorems._homology_value(P, 0, None) == want
+        assert homology(P).group(0) == FpAbelianGroup(rank, factors)
         assert check_symm09(shift(X, s)).holds
 
 
 def test_symm09_infimum_is_not_read_to_the_bound():
-    # R(-3) (+) (R --1--> R): H_0 = R(-3) lives above the bound 1, which
-    # once made the report say "input complex is exact"
+    # R(-3) (+) (R --1--> R): H_0 = R(-3) lives above the degree 1, which
+    # once made the report say "input complex is exact" when it was read to
+    # a bound of 1
     X = FreeComplex(
         POLY, {0: 2, 1: 1},
         {1: SparseMatrix.from_rows(POLY, [[0], [1]])},
         {0: (3, 0), 1: (0,)},
     )
     assert not is_exact(X)
-    report = check_symm09(X, bound=1)
+    report = check_symm09(X)
     assert report.labels == ("inf_lower_bound", "inf_equality_even", "lowest_module_matches")
     assert report.conditions == (True, True, True)
-    assert report.note is None and report.bound == 1 and report.bounded
+    assert report.note is None
 
 
-def test_symm09_reports_no_bound_off_graded_rings():
-    # only graded Hilbert tables stop at a bound; elsewhere the report says none
-    X = koszul([ZLoc(3).scalar(3)])
-    for bound in (None, 5):
-        report = check_symm09(X, bound=bound)
-        assert report.holds and not report.bounded and report.bound is None
-    graded = check_symm09(koszul([X_VAR, Y_VAR]), bound=5)
-    assert graded.bounded and graded.bound == 5
+def test_symm09_reports_no_bound_on_any_ring():
+    # the lowest module is compared exactly: no ring takes or reports a bound
+    for X in (koszul([ZLoc(3).scalar(3)]), koszul([X_VAR, Y_VAR])):
+        report = check_symm09(X)
+        assert report.holds and "bound" not in report.as_dict() and "bounded" not in report.as_dict()
+        with pytest.raises(TypeError):
+            check_symm09(X, bound=5)
 
 
 def test_default_graded_bounds_counted_by_hand():
@@ -364,8 +382,6 @@ def test_default_graded_bounds_counted_by_hand():
     assert [K.gdeg(n) for n in (0, 1, 2)] == [(0,), (1, 2), (3,)]
     # homology(): the top generator degree plus the total rank plus 2
     assert homology(K).bound == 3 + 4 + 2
-    # symm09: the top generator degree of X (x) X, 2 * 3, plus 4 plus 2
-    assert check_symm09(K).bound == 2 * 3 + 4 + 2
 
 
 def test_square_preserves_quasi_isos_over_qq():
@@ -434,35 +450,102 @@ def test_checkers_trust_alpha_and_endo_functions_check_once(monkeypatch):
             assert calls == {"_check_twice_idempotent": 1, "_pivot_columns": len(T.degrees())}
 
 
-def test_symm09_reads_homology_off_the_minimal_model_of_the_square(monkeypatch):
-    """Over ZLoc(p) the Smith loop sees only the differentials of the
-    minimal model of S2X and of the square presentation, never those of
-    the unreduced S2X."""
+def test_symm09_runs_no_smith_loop_over_zloc(monkeypatch):
+    """Over ZLoc(p) check_symm09 reads no homology: S2(q) is an exactness
+    verdict and the lowest module an entrywise comparison, so neither
+    invariant_factors nor the Smith loop runs, even on an input that is
+    not minimal."""
     homology_module = importlib.import_module("symchain.homology")
-    theorems = importlib.import_module("symchain.theorems")
-    seen = []
-    invariant_factors = homology_module.invariant_factors
+    linalg_module = importlib.import_module("symchain.linalg")
+    calls = []
 
-    def recording(M):
-        seen.append(M)
-        return invariant_factors(M)
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(homology_module, "invariant_factors", recording)
+        return wrapper
+
+    for module, name in (
+        (homology_module, "invariant_factors"),
+        (linalg_module, "invariant_factors"),
+        (linalg_module, "_snf_loop"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     R = ZLoc(3)
     rng = random.Random(37)
     pieces = direct_sum(contractible_piece(R, 1), contractible_piece(R, 2))
     X = conjugate(direct_sum(two_term(R, 1, R.scalar(3)), pieces), rng)
+    assert minimal_model(X).total_rank() < X.total_rank()
+    for Y in (X, shift(_dense_column(R, [3, 3, 3]), 1)):
+        report = check_symm09(Y)
+        assert report.holds and report.conditions[-1]
+    assert calls == []
+
+
+def test_symm09_catches_a_sign_flipped_in_the_odd_presentation(monkeypatch):
+    """Mutation: one entry of the odd (Lambda2) presentation negated.  The
+    cokernel of (3, 3, 3)^T shifted to degree 1 has a Lambda2 that the
+    sign decides, and the comparison names the entry."""
+    theorems = importlib.import_module("symchain.theorems")
+    square_presentation = theorems._square_presentation
+
+    def flipped(M, i, even):
+        P = square_presentation(M, i, even)
+        if even:
+            return P
+        d = P.diff(1)
+        key = min(d.entries)
+        entries = {**d.entries, key: M.ring.ops.neg(d.entries[key])}
+        return FreeComplex(M.ring, P.ranks, {1: SparseMatrix(M.ring, d.rows, d.cols, entries)})
+
+    X = shift(_dense_column(ZLoc(3), [3, 3, 3]), 1)
+    assert check_symm09(X).holds
+    monkeypatch.setattr(theorems, "_square_presentation", flipped)
     report = check_symm09(X)
-    assert report.holds
-    S = sym2(X).complex
-    SM = minimal_model(S)
-    M = minimal_model(X)
-    P = theorems._square_presentation(M, M.degrees()[0], M.degrees()[0] % 2 == 0)
-    allowed = [C.diff(n) for C in (SM, P) for n in C.degrees()]
-    assert SM.total_rank() < S.total_rank()
-    assert seen and all(any(A == B for B in allowed) for A in seen)
+    assert dict(zip(report.labels, report.conditions))["lowest_module_matches"] is False
+    assert report.holds is False
+    kind, row, col, want, got = report.witnesses["lowest"]
+    # the shift negates d, so d(e) ^ f_0 = -3 f_1 ^ f_0 - 3 f_2 ^ f_0
+    # = 3 f_0 ^ f_1 + 3 f_0 ^ f_2: the first entry, at f_0 ^ f_1, is 3
+    assert (kind, row, col) == ("entry", ((1, 0), (1, 1)), ((1, 0), (2, 0)))
+    assert (str(want), str(got)) == ("-3", "3")
+    assert "entry" in report.as_dict()["witnesses"]["lowest"]
 
 
+def test_symm09_catches_a_square_of_q_that_drops_a_component(monkeypatch):
+    """Mutation: S2(q) with one component zeroed is no quasi-isomorphism,
+    and the witness names its failures."""
+    theorems = importlib.import_module("symchain.theorems")
+    sym2_map_of = theorems._sym2_map
+
+    def dropping(ff, SX, SY):
+        f = sym2_map_of(ff, SX, SY)
+        n = min(f.maps)
+        return ChainMap._of(f.source, f.target, {k: C for k, C in f.maps.items() if k != n})
+
+    X = koszul([X_VAR, Y_VAR])
+    assert check_symm09(X).holds
+    monkeypatch.setattr(theorems, "_sym2_map", dropping)
+    report = check_symm09(X)
+    assert dict(zip(report.labels, report.conditions))["lowest_module_matches"] is False
+    assert report.holds is False
+    what, failures = report.witnesses["lowest"]
+    assert what == "S2(q) is not a quasi-isomorphism" and failures
+    assert "quasi-isomorphism" in report.as_dict()["witnesses"]["lowest"]
+
+
+def test_symm09_holds_on_the_five_variable_koszul_complex():
+    """The Koszul complex on five variables, where the lowest module was
+    once compared through Hilbert tables to a degree bound of 44."""
+    R = graded_poly("a", "b", "c", "d", "e")
+    report = check_symm09(koszul(list(R.generators())))
+    assert report.holds and report.witnesses == {}
+    assert dict(zip(report.labels, report.conditions)) == {
+        "inf_lower_bound": True,
+        "inf_equality_even": True,
+        "lowest_module_matches": True,
+    }
 
 
 def test_equivalence_report_reads_failure_lists_and_bools():
@@ -482,8 +565,7 @@ def test_equivalence_report_reads_failure_lists_and_bools():
     r = _verdict("t", X, {"a": [5], "b": True})
     assert (r.conditions, r.equivalent, r.holds) == ((False, True), False, None)
     assert r.witnesses == {"a": [5]}
-    r = _verdict("t", X, {"a": [], "b": False}, equivalence=False, bound=3, note="n")
-    assert (r.conditions, r.equivalent, r.holds) == ((True, False), None, False)
-    assert (r.bound, r.bounded, r.note) == (3, True, "n")
+    r = _verdict("t", X, {"a": [], "b": False}, equivalence=False, note="n")
+    assert (r.conditions, r.equivalent, r.holds, r.note) == ((True, False), None, False, "n")
     r = _verdict("t", X, {}, equivalence=False)
-    assert (r.conditions, r.equivalent, r.holds, r.bounded) == ((), None, True, False)
+    assert (r.conditions, r.equivalent, r.holds, r.note) == ((), None, True, None)
