@@ -3,18 +3,15 @@
 Every subcommand is a thin wrapper over the library: it reads documents,
 writes documents or line-oriented reports, and encodes verdicts in the
 exit code: 0 success, 1 mathematical-check failure, 2 input error.
-Only graded Hilbert tables (homology) take an internal-degree bound; the
-environment variable SYMCHAIN_DEGREE_BOUND overrides their default bound
-when --bound is not given.  On any other input --bound is an input error
-and the variable is not read.  Exactness and quasi-isomorphism verdicts,
-and so every theorem checker, need no bound.
+Only graded Hilbert tables (homology) take an internal-degree bound; on
+any other input --bound is an input error.  Exactness and
+quasi-isomorphism verdicts, and so every theorem checker, need no bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import io as docio
@@ -56,30 +53,6 @@ def _read_complex(path: str) -> FreeComplex:
     if not isinstance(value, FreeComplex):
         raise SymchainError(f"{path} does not contain a complex document")
     return value
-
-
-def _graded_bound(args, value) -> int | None:
-    """The internal-degree bound of a graded homology table: --bound, else
-    SYMCHAIN_DEGREE_BOUND, else None (homology's default).
-
-    Off graded complexes nothing reads a bound: --bound is an input error
-    and the variable, a graded default, is not read at all.
-    """
-    graded = isinstance(value, FreeComplex) and value.graded
-    if args.bound is not None:
-        if not graded:
-            raise SymchainError(
-                f"--bound applies only to graded complexes; homology over {value.ring} "
-                "needs no degree bound"
-            )
-        return args.bound
-    env = os.environ.get("SYMCHAIN_DEGREE_BOUND") if graded else None
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise SymchainError(f"SYMCHAIN_DEGREE_BOUND must be an integer, got {env!r}") from None
 
 
 def _emit(value):
@@ -147,11 +120,15 @@ def cmd_homology(args):
     value = _read(args.file)
     if not isinstance(value, (FreeComplex, PresentedComplex)):
         raise SymchainError("homology expects a complex or presented-complex document")
-    bound = _graded_bound(args, value)
+    if args.bound is not None and not (isinstance(value, FreeComplex) and value.graded):
+        raise SymchainError(
+            f"--bound applies only to graded complexes; homology over {value.ring} "
+            "needs no degree bound"
+        )
     if isinstance(value, PresentedComplex):
         report = homology_presented(value)
     else:
-        report = homology(value, bound=bound)
+        report = homology(value, bound=args.bound)
     _print_homology(report)
     return OK
 

@@ -69,7 +69,7 @@ class FreeComplex:
             if r < 0:
                 raise ShapeError(f"negative rank at degree {n}")
         self._ranks = {n: r for n, r in ranks.items() if r > 0}
-        if ring.kind == "Poly":
+        if ring.graded:
             if gdegs is None:
                 raise GradingError(f"complexes over {ring} need generator degrees")
             self._gdegs = {}
@@ -119,7 +119,7 @@ class FreeComplex:
         X.ring = ring
         X._ranks = {n: r for n, r in ranks.items() if r > 0}
         X._diffs = {n: M for n, M in diffs.items() if not M.is_zero()}
-        X._gdegs = {n: tuple(gdegs[n]) for n in X._ranks} if ring.kind == "Poly" else None
+        X._gdegs = {n: tuple(gdegs[n]) for n in X._ranks} if ring.graded else None
         return X
 
     # -- shape ---------------------------------------------------------------
@@ -250,7 +250,7 @@ def zero_complex(ring: Ring) -> FreeComplex:
 
 def unit_complex(ring: Ring) -> FreeComplex:
     """The ring itself, concentrated in degree 0."""
-    gdegs = {0: (0,)} if ring.kind == "Poly" else None
+    gdegs = {0: (0,)} if ring.graded else None
     return FreeComplex._of(ring, {0: 1}, {}, gdegs)
 
 
@@ -280,7 +280,7 @@ def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
             entries[(i + X.rank(n - 1), j + X.rank(n))] = v
         diffs[n] = SparseMatrix._of(X.ring, rows, ranks[n], entries)
     gdegs = None
-    if X.ring.kind == "Poly":
+    if X.graded:
         gdegs = {n: tuple(X.gdeg(n)) + tuple(Y.gdeg(n)) for n in degrees}
     return FreeComplex._of(X.ring, ranks, diffs, gdegs)
 
@@ -337,7 +337,7 @@ def _tensor_with_bases(X: FreeComplex, Y: FreeComplex):
                     entries[(row, col)] = neg(v) if p % 2 else v
         diffs[n] = SparseMatrix._of(ring, len(tgt), len(bases[n]), entries)
     gdegs = None
-    if ring.kind == "Poly":
+    if X.graded:
         gdegs = {
             n: tuple(X.gdeg(p)[i] + Y.gdeg(q)[j] for ((p, i), (q, j)) in bases[n])
             for n in bases
@@ -497,7 +497,7 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
     X, Y, ring = f.source, f.target, f.source.ring
     ranks, entries = _cone_entries(f, ring.ops.neg)
     diffs = {n: SparseMatrix._of(ring, ranks.get(n - 1, 0), ranks[n], E) for n, E in entries.items()}
-    gdegs = {n: X.gdeg(n - 1) + Y.gdeg(n) for n in ranks} if ring.kind == "Poly" else None
+    gdegs = {n: X.gdeg(n - 1) + Y.gdeg(n) for n in ranks} if X.graded else None
     return FreeComplex._of(ring, ranks, diffs, gdegs)
 
 
@@ -600,14 +600,14 @@ def koszul(elements) -> FreeComplex:
     if ring is None:
         raise SymchainError("koszul elements must be Scalars")
     elements = [ring.scalar(e) for e in elements]
-    if ring.kind == "Poly":
+    if ring.graded:
         for e in elements:
             if e.homogeneous_degree() is None:
                 raise GradingError(f"koszul element {e} is not homogeneous")
 
     def one_element(x: Scalar) -> FreeComplex:
         gdegs = None
-        if ring.kind == "Poly":
+        if ring.graded:
             gdegs = {0: (0,), 1: (x.homogeneous_degree(),)}
         return FreeComplex._of(
             ring,
@@ -621,7 +621,7 @@ def koszul(elements) -> FreeComplex:
     if len(elements) == 2:
         x, y = elements
         gdegs = None
-        if ring.kind == "Poly":
+        if ring.graded:
             dx = x.homogeneous_degree()
             dy = y.homogeneous_degree()
             gdegs = {0: (0,), 1: (dx, dy), 2: (dx + dy,)}

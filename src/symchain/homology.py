@@ -163,7 +163,7 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
     the rows the slice of d_{n-1} left unpivoted (_graded_tables).
     """
     ring = X.ring
-    if ring.kind in ("ZZ", "ZLoc"):
+    if ring.proper_subring_of_qq:
         values = {}
         diag = {n: invariant_factors(X.diff(n)) for n in X.degrees()}
         for n in X.degrees():
@@ -182,9 +182,7 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
             if h:
                 values[n] = h
         return HomologyReport("dimensions", ring, values)
-    if ring.kind == "Poly":
-        if not X.graded:
-            raise GradingError("graded homology needs generator degrees")
+    if X.graded:
         check_bound(X, bound)
         D = default_bound(X) if bound is None else bound
         values = _graded_tables(X, *X.support, D) if X.support else {}
@@ -238,9 +236,9 @@ def homology_presented(P: PresentedComplex | FreeComplex) -> HomologyReport:
         dbar = {n: rank(P.diff(n).hstack(P.relation(n - 1))) - rel.get(n - 1, 0) for n in [*rel, *(n + 1 for n in rel)]}
         return HomologyReport("dimensions", P.ring, {
             n: h for n in rel if (h := P.rank_free_cover(n) - rel[n] - dbar[n] - dbar[n + 1])})
-    if P.ring.kind not in ("ZZ", "ZLoc"):
-        raise UnsupportedRingError("presented homology is implemented over ZZ, ZLoc(p) and fields")
-    return homology(_presented_cone(P))
+    if P.ring.proper_subring_of_qq:
+        return homology(_presented_cone(P))
+    raise UnsupportedRingError("presented homology is implemented over ZZ, ZLoc(p) and fields")
 
 
 def _presented_cone(P: PresentedComplex) -> FreeComplex:
@@ -288,12 +286,14 @@ def _local_failures(ring, ranks: dict, entries: dict, gdeg) -> list:
     """_exactness_failures' witnesses, read off the rows _split_units leaves."""
     alive, d, _, _ = _split_units(ring, ranks, entries)
     live = [n for n in sorted(alive) if alive[n]]
-    if gdeg and live:
-        return [(live[0], min(gdeg(live[0])[k] for k in alive[live[0]]))]
-    if ring.kind != "ZLoc":
+    if gdeg:
+        return live and [(live[0], min(gdeg(live[0])[k] for k in alive[live[0]]))]
+    if ring.is_field:
         return live
-    return [n for n in live if _markowitz_rank(
-        [{c: v for c, v in row.items() if c in alive[n]} for row in d[n].values()])[0] < len(alive[n])]
+    if ring.is_dvr:
+        return [n for n in live if _markowitz_rank(
+            [{c: v for c, v in row.items() if c in alive[n]} for row in d[n].values()])[0] < len(alive[n])]
+    raise UnsupportedRingError(f"no exactness rule over {ring}")
 
 
 def _exactness_failures(X: FreeComplex) -> list:

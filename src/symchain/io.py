@@ -18,7 +18,7 @@ import json
 from .complexes import ChainMap, FreeComplex
 from .errors import DocumentError, ShapeError, SymchainError
 from .linalg import SparseMatrix
-from .scalars import GF, QQ, Ring, ZLoc, ZZ, graded_poly
+from .scalars import GF, QQ, Ring, ZLoc, ZZ, graded_poly, parse_ring_string
 from .sym2 import PresentedComplex
 
 __all__ = [
@@ -63,27 +63,6 @@ def ring_from_obj(obj) -> Ring:
     except (KeyError, TypeError, SymchainError) as exc:
         raise DocumentError(f"bad ring descriptor {obj!r}: {exc}") from exc
     raise DocumentError(f"unknown ring kind {kind!r}")
-
-
-def parse_ring_string(text: str) -> Ring:
-    """Ring grammar for the command line: ZZ, QQ, GF(p), ZLoc(p),
-    GradedPoly(x,y)."""
-    text = text.strip()
-    if text == "ZZ":
-        return ZZ
-    if text == "QQ":
-        return QQ
-    try:
-        if text.startswith("GF(") and text.endswith(")"):
-            return GF(int(text[3:-1]))
-        if text.startswith("ZLoc(") and text.endswith(")"):
-            return ZLoc(int(text[5:-1]))
-    except ValueError as exc:
-        raise DocumentError(f"cannot parse ring {text!r}: the prime is not an integer") from exc
-    if text.startswith("GradedPoly(") and text.endswith(")"):
-        names = [v.strip() for v in text[11:-1].split(",") if v.strip()]
-        return graded_poly(*names)
-    raise DocumentError(f"cannot parse ring {text!r}")
 
 
 def _int(value, where: str) -> int:
@@ -165,14 +144,14 @@ def _complex_from_obj(obj) -> FreeComplex:
     ring = ring_from_obj(obj.get("ring"))
     support = _support(obj)
     if support is None:
-        return FreeComplex(ring, {}, {}, {} if ring.kind == "Poly" else None)
+        return FreeComplex(ring, {}, {}, {} if ring.graded else None)
     lo, hi = support
     ranks_list = obj.get("ranks")
     if not isinstance(ranks_list, list) or len(ranks_list) != hi - lo + 1:
         raise DocumentError("ranks do not match the support interval")
     ranks = {lo + k: _count(r, f"ranks[{k}]") for k, r in enumerate(ranks_list)}
     gdegs = None
-    if ring.kind == "Poly":
+    if ring.graded:
         degrees = obj.get("degrees")
         if not isinstance(degrees, list) or len(degrees) != hi - lo + 1:
             raise DocumentError("graded documents need a degrees list matching the support")

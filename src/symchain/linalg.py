@@ -2,19 +2,23 @@
 
 Matrices are immutable-by-convention sparse maps (row, col) -> nonzero
 raw value over a single ring, in the canonical forms the scalars module
-names: int for ZZ and GF(p), Fraction for QQ and ZLoc(p), and a monomial
-dict for polynomials.  Products, sums and stacking run on those values
+names: a Fraction where ring.fraction_values (QQ, ZLoc(p)), a monomial
+dict where ring.graded, else an int (ZZ, GF(p)).  Branches ask the ring
+for these properties, and for is_field and proper_subring_of_qq, never
+for its kind.  Products, sums and stacking run on those values
 through the ring's ops table.  Outside values are coerced and validated by
 the public constructor, from_rows and column; results of ring operations
 go through SparseMatrix._of, which only drops zeros.  Values become
 Scalars only at the API edge: entry(), to_rows() and column_vector().
 
-Elimination runs on rows of raw Python ints: residues mod p for GF(p),
-fraction-free integers for QQ (and for ZZ and ZLoc(p) matrices over their
-fraction field), and constant polynomial matrices through their QQ lift.
-_int_rows makes them from a SparseMatrix; a rational row whose entries
-are all integral takes its numerators without an lcm.  Graded slices
-never become a SparseMatrix: SliceTable lists the monomials of each
+Elimination runs on rows of raw Python ints: residues mod p over a
+finite field, fraction-free integers over QQ (and over its proper
+subrings ZZ and ZLoc(p), working in QQ), and constant polynomial matrices
+through their QQ lift.  _int_rows makes them from a SparseMatrix, and
+_integer_row, which also scales the rows of series._split_units, turns
+a Fraction row into ints: times the lcm of its denominators, or, when
+that is 1, by taking the numerators.  Graded slices never
+become a SparseMatrix: SliceTable lists the monomials of each
 complementary degree once per Hilbert table, packed into integers, and
 prepares each differential once (grading checked, each row scaled to
 integers by the lcm of its denominators, terms packed); slice_matrix
@@ -38,7 +42,8 @@ kernels eliminate the rows, and the Smith pivot loop below is a third:
   nonsingular maximal minor its pivots pick; invariant_factors runs it
   once on the rows in order and once on the rows in reverse order.
 
-Over ZZ and ZLoc(p) no library path builds a lattice transform:
+Over the proper subrings of QQ, ZZ and ZLoc(p), no library path builds
+a lattice transform:
 
 - solve_exact needs A to have independent columns, solves once over the
   fraction field on _echelon, and accepts the solution only when
@@ -276,7 +281,7 @@ class SparseMatrix:
 
     def __hash__(self):
         items = self.entries.items()
-        if self.ring.kind == "Poly":  # dict values are unhashable
+        if self.ring.graded:  # dict values are unhashable
             items = ((k, frozenset(v.items())) for k, v in items)
         return hash((self.ring, self.rows, self.cols, frozenset(items)))
 
@@ -380,10 +385,12 @@ def _echelon(rows, p=None, reduced=False):
 def _int_rows(A: SparseMatrix):
     """Nonzero rows of A as {col: int} dicts, and the prime to work mod.
 
-    Rational rows (QQ, ZLoc) are scaled by the lcm of their denominators,
-    which leaves row spaces unchanged; a row whose entries are all integral
-    just takes their numerators.  The prime is None outside GF(p).
+    Over fraction-valued rings (QQ, ZLoc) each row is scaled by
+    _integer_row, which leaves row spaces unchanged.  The prime is the
+    characteristic of a finite field, else None.
     """
+    if A.ring.graded:
+        raise UnsupportedRingError(f"no elimination over {A.ring}")
     by_row = {}
     for (i, j), v in A.entries.items():
         row = by_row.get(i)
@@ -392,20 +399,18 @@ def _int_rows(A: SparseMatrix):
         else:
             row[j] = v
     rows = [by_row[i] for i in sorted(by_row)]
-    if A.ring.kind in ("QQ", "ZLoc"):
-        for row in rows:
-            for f in row.values():
-                if f.denominator != 1:
-                    m = lcm(*(f.denominator for f in row.values()))
-                    for j, f in row.items():
-                        row[j] = f.numerator * (m // f.denominator)
-                    break
-            else:
-                for j, f in row.items():
-                    row[j] = f.numerator
-    elif A.ring.kind not in ("ZZ", "GF"):
-        raise UnsupportedRingError(f"no elimination over {A.ring}")
-    return rows, A.ring.p if A.ring.kind == "GF" else None
+    if A.ring.fraction_values:
+        rows = [_integer_row(row)[1] for row in rows]
+    return rows, A.ring.p if A.ring.is_field else None
+
+
+def _integer_row(row: dict):
+    """(m, m * row) for a row {col: Fraction}: m is the lcm of its
+    denominators, and an integral row just takes its numerators."""
+    m = lcm(*[f.denominator for f in row.values()])
+    if m == 1:
+        return 1, {j: f.numerator for j, f in row.items()}
+    return m, {j: f.numerator * (m // f.denominator) for j, f in row.items()}
 
 
 def rref(A: SparseMatrix):
@@ -641,11 +646,9 @@ def _valuation(f: Fraction, p: int) -> int:
 def smith_normal_form(A: SparseMatrix) -> SNFResult:
     """Smith normal form over ZZ or ZLoc(p), convention D = U*A*V."""
     ring = A.ring
-    if ring.kind == "ZZ":
-        return _snf(A, _zz_ops())
-    if ring.kind == "ZLoc":
-        return _snf(A, _zloc_ops(ring.p))
-    raise UnsupportedRingError(f"Smith normal form needs ZZ or ZLoc, got {ring}")
+    if not ring.proper_subring_of_qq:
+        raise UnsupportedRingError(f"Smith normal form needs ZZ or ZLoc, got {ring}")
+    return _snf(A, _zloc_ops(ring.p) if ring.p else _zz_ops())
 
 
 def invariant_factors(A: SparseMatrix) -> list:
@@ -671,12 +674,12 @@ def invariant_factors(A: SparseMatrix) -> list:
     vanishes mod D, reads as D.
     """
     ring = A.ring
-    if ring.kind not in ("ZZ", "ZLoc"):
+    if not ring.proper_subring_of_qq:
         raise UnsupportedRingError(f"invariant factors need ZZ or ZLoc, got {ring}")
     rows, _ = _int_rows(A)
     echelon, D = _echelon([dict(row) for row in rows])
     r = len(echelon)
-    if ring.kind == "ZLoc":
+    if ring.p:
         D = ring.p ** _valuation(D, ring.p)
     if D > 1:
         D = gcd(D, _echelon([dict(row) for row in reversed(rows)])[1])
@@ -932,16 +935,18 @@ def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     if A.ring.is_field:
         return solve_field(A, B)
     A._check_ring(B)
-    if A.ring.kind in ("ZZ", "ZLoc"):
+    if A.ring.proper_subring_of_qq:
         entries, r = _solve_echelon(A, B)
         if r < A.cols:
             raise LinearSolveError("the columns of A are not independent")
-        p = A.ring.p if A.ring.kind == "ZLoc" else None
+        p = A.ring.p
         if any(f.denominator % p == 0 if p else f.denominator != 1 for f in entries.values()):
             raise LinearSolveError("no solution over the ring")
         if not p:
             entries = {k: f.numerator for k, f in entries.items()}
         return _verified(A, SparseMatrix._of(A.ring, A.cols, B.cols, entries), B)
+    if not A.ring.graded:
+        raise UnsupportedRingError(f"no exact solve over {A.ring}")
     try:
         A_qq = _poly_to_qq(A)
     except GradingError as exc:
@@ -1061,7 +1066,7 @@ class SliceTable:
         denominators of its coefficients, which keeps the rank of every set
         of rows and of columns; each term is kept as (code, integer).
         """
-        if M.ring.kind != "Poly":
+        if not M.ring.graded:
             raise UnsupportedRingError("slice_matrix needs a graded polynomial ring")
         factors = [1] * len(tgt_degrees)
         for (i, j), value in M.entries.items():

@@ -28,10 +28,11 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from .errors import (
+    DocumentError,
     NonUnitError,
     RingMismatchError,
     ScalarParseError,
@@ -47,6 +48,7 @@ __all__ = [
     "GF",
     "ZLoc",
     "graded_poly",
+    "parse_ring_string",
     "two_is_unit",
     "is_prime",
 ]
@@ -69,7 +71,19 @@ class Ring:
     """Descriptor of a supported coefficient ring.
 
     kind is one of "ZZ", "QQ", "GF", "ZLoc", "Poly".  GF/ZLoc carry the
-    prime p; Poly carries the ordered variable names.
+    prime p; Poly carries the ordered variable names.  Only this module
+    reads kind; the library asks a ring for the property a branch relies on:
+
+      kind  is_field  is_local       graded  residue_field  raw value
+      ZZ    no        no             no      None           int
+      QQ    yes       yes            no      QQ             Fraction
+      GF    yes       yes            no      GF(p)          int in [0, p)
+      ZLoc  no        yes, a DVR     no      GF(p)          Fraction
+      Poly  no        graded-local   yes     QQ             monomial dict
+
+    is_dvr holds for ZLoc(p) only; proper_subring_of_qq for ZZ and ZLoc(p),
+    the rings where Smith forms run; fraction_values for QQ and ZLoc(p).
+    They are plain attributes, set once.
     """
 
     kind: str
@@ -94,6 +108,14 @@ class Ring:
                 raise UnsupportedRingError("variable names must be distinct")
         elif self.variables:
             raise UnsupportedRingError(f"ring kind {self.kind} takes no variables")
+        kind, set_ = self.kind, partial(object.__setattr__, self)
+        set_("is_field", kind in ("QQ", "GF"))
+        # ZLoc is local at (p), Poly graded-local at the irrelevant ideal
+        set_("is_local", kind != "ZZ")
+        set_("is_dvr", kind == "ZLoc")
+        set_("graded", kind == "Poly")
+        set_("proper_subring_of_qq", kind in ("ZZ", "ZLoc"))
+        set_("fraction_values", kind in ("QQ", "ZLoc"))
 
     # -- constructors -----------------------------------------------------
 
@@ -123,8 +145,33 @@ class Ring:
     def ops(self) -> "RingOps":
         return _ring_ops(self)
 
+    @cached_property
+    def residue_field(self) -> "Ring | None":
+        """R/m for the maximal (graded: irrelevant) ideal m, the target of
+        ops.residue; None over ZZ, which is not local."""
+        if self.is_field:
+            return self
+        if self.graded:
+            return QQ
+        return GF(self.p) if self.is_dvr else None
+
+    def map_to(self, target: "Ring"):
+        """The coefficient map self -> target on raw values: the identity,
+        ZZ into QQ, ZLoc(q) and GF(q), ZLoc(p) into QQ and onto its residue
+        field.  Raises UnsupportedRingError for any other pair."""
+        if self == target:
+            return lambda v: v
+        if self.is_dvr and target == self.residue_field:
+            return self.ops.residue
+        if self.kind == "ZZ" and target.kind == "GF":
+            p = target.p
+            return lambda v: v % p
+        if self.kind == "ZZ" and target.fraction_values or self.is_dvr and target == QQ:
+            return Fraction  # ints become fractions, fractions stay
+        raise UnsupportedRingError(f"no supported map {self} -> {target}")
+
     def variable(self, name: str) -> "Scalar":
-        if self.kind != "Poly":
+        if not self.graded:
             raise UnsupportedRingError("variables only exist in polynomial rings")
         i = self.variables.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(self.variables)))
@@ -133,33 +180,35 @@ class Ring:
     def generators(self) -> tuple["Scalar", ...]:
         return tuple(self.variable(v) for v in self.variables)
 
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def is_field(self) -> bool:
-        return self.kind in ("QQ", "GF")
-
-    @property
-    def is_local(self) -> bool:
-        # Fields are local with maximal ideal 0; ZLoc at (p); Poly is
-        # graded-local at the irrelevant ideal.  ZZ is not local.
-        return self.kind in ("QQ", "GF", "ZLoc", "Poly")
-
     def two_is_unit(self) -> bool:
-        if self.kind == "ZZ":
-            return False
-        if self.kind in ("GF", "ZLoc"):
-            return self.p != 2
-        return True
+        return self.kind != "ZZ" and self.p != 2
 
     def __str__(self):
-        if self.kind == "GF":
-            return f"GF({self.p})"
-        if self.kind == "ZLoc":
-            return f"ZLoc({self.p})"
-        if self.kind == "Poly":
+        """The ring grammar parse_ring_string reads: ZZ, QQ, GF(p), ZLoc(p),
+        GradedPoly(x,y)."""
+        if self.kind in ("GF", "ZLoc"):
+            return f"{self.kind}({self.p})"
+        if self.graded:
             return f"GradedPoly({','.join(self.variables)})"
         return self.kind
+
+
+def parse_ring_string(text: str) -> Ring:
+    """The ring str() prints, read back; raises DocumentError."""
+    text = text.strip()
+    if text in ("ZZ", "QQ"):
+        return Ring(text)
+    try:
+        if text.startswith("GF(") and text.endswith(")"):
+            return GF(int(text[3:-1]))
+        if text.startswith("ZLoc(") and text.endswith(")"):
+            return ZLoc(int(text[5:-1]))
+    except ValueError as exc:
+        raise DocumentError(f"cannot parse ring {text!r}: the prime is not an integer") from exc
+    if text.startswith("GradedPoly(") and text.endswith(")"):
+        names = [v.strip() for v in text[11:-1].split(",") if v.strip()]
+        return graded_poly(*names)
+    raise DocumentError(f"cannot parse ring {text!r}")
 
 
 ZZ = Ring("ZZ")
@@ -184,7 +233,7 @@ def two_is_unit(ring: Ring) -> bool:
 
 def _canon_fraction(ring: Ring, value) -> Fraction:
     f = Fraction(value)
-    if ring.kind in ("ZLoc", "GF") and f.denominator % ring.p == 0:
+    if ring.p and f.denominator % ring.p == 0:
         raise UnsupportedRingError(
             f"denominator {f.denominator} not invertible in {ring}"
         )
@@ -211,23 +260,26 @@ def _canon_poly(ring: Ring, value) -> dict:
     return out
 
 
+def _mod_p(f: Fraction, p: int) -> int:
+    """The residue in GF(p) of a fraction whose denominator is prime to p."""
+    return f.numerator * pow(f.denominator, -1, p) % p
+
+
 def _canon(ring: Ring, value):
     """Validate an int, Fraction or monomial dict and return its raw value."""
     if isinstance(value, float):
         raise ScalarParseError(f"float {value!r} is not an exact scalar of {ring}")
-    kind = ring.kind
-    if kind == "ZZ":
+    if ring.kind == "ZZ":
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise SymchainError(f"{value} is not an integer")
             value = value.numerator
         return int(value)
-    if kind in ("QQ", "ZLoc"):
+    if ring.fraction_values:
         return _canon_fraction(ring, value)
-    if kind == "GF":
+    if ring.is_field:  # GF(p)
         if isinstance(value, Fraction):
-            value = _canon_fraction(ring, value)
-            value = value.numerator * pow(value.denominator, -1, ring.p)
+            return _mod_p(_canon_fraction(ring, value), ring.p)
         return int(value) % ring.p
     return _canon_poly(ring, value)
 
@@ -238,8 +290,12 @@ def _canon(ring: Ring, value):
 class RingOps(NamedTuple):
     """Arithmetic on one ring's canonical raw values; results are canonical.
 
-    inverse takes a unit.  Polynomial values are never mutated in place, so
-    matrices and Scalars may share them.
+    inverse takes a unit.  residue maps a raw value to its image in
+    ring.residue_field (None over ZZ): the identity on fields, num * den^-1
+    mod p on ZLoc(p), the constant term on graded rings.  is_unit(a) is
+    residue(a) != 0 only on homogeneous values (1 + x is no unit).
+    Polynomial values are never mutated in place, so matrices and Scalars
+    may share them.
     """
 
     zero: object
@@ -249,6 +305,7 @@ class RingOps(NamedTuple):
     neg: Callable
     is_unit: Callable
     inverse: Callable
+    residue: Callable | None
 
 
 def _poly_add(a: dict, b: dict) -> dict:
@@ -279,20 +336,22 @@ def _ring_ops(ring: Ring) -> RingOps:
     kind, p = ring.kind, ring.p
     if kind == "ZZ":
         return RingOps(0, 1, operator.add, operator.mul, operator.neg,
-                       lambda a: a in (1, -1), lambda a: a)
+                       lambda a: a in (1, -1), lambda a: a, None)
     if kind == "GF":
         return RingOps(0, 1, lambda a, b: (a + b) % p, lambda a, b: a * b % p,
-                       lambda a: -a % p, bool, lambda a: pow(a, -1, p))
+                       lambda a: -a % p, bool, lambda a: pow(a, -1, p), lambda a: a)
     if kind in ("QQ", "ZLoc"):
         is_unit = bool if kind == "QQ" else (lambda a: a.numerator % p != 0)
+        residue = (lambda a: a) if kind == "QQ" else (lambda a: _mod_p(a, p))
         return RingOps(Fraction(0), Fraction(1), operator.add, operator.mul, operator.neg,
-                       is_unit, lambda a: 1 / a)
+                       is_unit, lambda a: 1 / a, residue)
     const = (0,) * len(ring.variables)
     return RingOps(
         {}, {const: Fraction(1)}, _poly_add, _poly_mul,
         lambda a: {e: -c for e, c in a.items()},
         lambda a: len(a) == 1 and const in a,
         lambda a: {const: 1 / a[const]},
+        lambda a: a.get(const, Fraction(0)),
     )
 
 
@@ -353,14 +412,13 @@ class Scalar:
     def divide_exact(self, other: "Scalar") -> "Scalar":
         """Exact division; raises unless other divides self in the ring."""
         other = self._check(other)
-        kind = self.ring.kind
         if other.is_unit():
             return self * other.inverse()
-        if kind == "ZZ":
+        if self.ring.kind == "ZZ":
             if other.value == 0 or self.value % other.value != 0:
                 raise SymchainError(f"{other} does not divide {self} in ZZ")
             return Scalar(self.ring, self.value // other.value)
-        if kind == "ZLoc":
+        if self.ring.is_dvr:
             if other.value == 0:
                 raise SymchainError("division by zero")
             q = self.value / other.value
@@ -375,7 +433,7 @@ class Scalar:
         Zero is homogeneous of every degree and reports None.  Non-Poly
         scalars report 0.
         """
-        if self.ring.kind != "Poly":
+        if not self.ring.graded:
             return 0
         degrees = {sum(e) for e in self.value}
         if not degrees:
@@ -394,7 +452,7 @@ class Scalar:
         )
 
     def __hash__(self):
-        if self.ring.kind == "Poly":
+        if self.ring.graded:
             return hash((self.ring, frozenset(self.value.items())))
         return hash((self.ring, self.value))
 
@@ -431,10 +489,7 @@ def _format_monomial(ring: Ring, exp, coeff: Fraction) -> str:
 
 
 def format_scalar(a: Scalar) -> str:
-    kind = a.ring.kind
-    if kind in ("ZZ", "GF"):
-        return str(a.value)
-    if kind in ("QQ", "ZLoc"):
+    if not a.ring.graded:
         return str(a.value)
     if not a.value:
         return "0"
@@ -477,9 +532,9 @@ def parse_scalar(ring: Ring, text: str) -> Scalar:
     if not tokens:
         raise ScalarParseError("empty scalar", text, 0)
 
-    if ring.kind != "Poly":
-        return _parse_numeric(ring, tokens, text)
-    return _parse_poly(ring, tokens, text)
+    if ring.graded:
+        return _parse_poly(ring, tokens, text)
+    return _parse_numeric(ring, tokens, text)
 
 
 def _parse_numeric(ring: Ring, tokens, text) -> Scalar:
@@ -500,7 +555,7 @@ def _parse_numeric(ring: Ring, tokens, text) -> Scalar:
             raise ScalarParseError("expected a denominator", text, tokens[pos - 1][2])
         den = tokens[pos][1]
         pos += 1
-        if ring.kind not in ("QQ", "ZLoc", "GF"):
+        if ring.kind == "ZZ":
             raise ScalarParseError(f"fractions are not elements of {ring}", text, 0)
         if den == 0:
             raise ScalarParseError("zero denominator", text, tokens[pos - 1][2])

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .complexes import ChainMap, FreeComplex
 from .errors import SymchainError, UnsupportedRingError
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _integer_row
 from .sym2 import sym2
 
 __all__ = [
@@ -218,7 +218,7 @@ def _split_units(ring, ranks: dict, entries: dict, with_q: bool = False):
     first unit of the whole complex each time.  A min-heap holds the unit
     positions (stale ones are skipped), a column -> rows index the rows an
     update touches.  Over QQ and ZLoc(p) row r holds integers, lam[n][r]
-    (a unit) times the exact row: scaled by the lcm of its denominators,
+    (a unit) times the exact row: scaled to integers by _integer_row,
     updated fraction-free as row <- (u/g) row - (v/g) w, g = gcd(u, v)
     (Bareiss, Math. Comp. 22, 1968), then divided by its unit content (the
     gcd over QQ, its part prime to p over ZLoc(p)).  Unit scalings keep
@@ -229,7 +229,7 @@ def _split_units(ring, ranks: dict, entries: dict, with_q: bool = False):
     alive the generators left.
     """
     ops, is_unit, p = ring.ops, ring.ops.is_unit, ring.p
-    integral = ring.kind in ("QQ", "ZLoc")
+    integral = ring.fraction_values
     degrees = sorted(ranks)
     d = {n: {} for n in degrees}
     for n, E in entries.items():
@@ -242,8 +242,8 @@ def _split_units(ring, ranks: dict, entries: dict, with_q: bool = False):
         D, L, units, col_rows = d[n], lam[n], [], {}
         for r, row in D.items():
             if integral:
-                m = L[r] = lcm(*[v.denominator for v in row.values()])
-                row = D[r] = {c: v.numerator * (m // v.denominator) for c, v in row.items()}
+                L[r], row = _integer_row(row)
+                D[r] = row
             for c, v in row.items():
                 if is_unit(v):
                     units.append((r, c))

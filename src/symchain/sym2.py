@@ -69,7 +69,7 @@ from .errors import (
     UnsupportedRingError,
 )
 from .linalg import SparseMatrix, _columns, _poly_to_qq, rank, rref, solve_exact
-from .scalars import GF, Ring
+from .scalars import Ring
 
 __all__ = [
     "Sym2Result",
@@ -253,7 +253,7 @@ def sym2(X: FreeComplex) -> Sym2Result:
     labels, rho, section, al = _walk(T, bases, index, keep_odd_diagonal=False)
     ranks = {n: len(labs) for n, labs in labels.items()}
     gdegs = None
-    if ring.kind == "Poly":
+    if X.graded:
         gdegs = {
             n: tuple(X.gdeg(p)[i] + X.gdeg(q)[j] for ((p, i), (q, j)) in labs)
             for n, labs in labels.items()
@@ -295,7 +295,7 @@ class PresentedComplex:
             self._check_matrix(M, f"relation matrix at degree {n}")
             if M.rows != len(self.generators[n]):
                 raise ShapeError(f"relation matrix at degree {n} has wrong height")
-            if ring.kind in ("ZZ", "ZLoc") and rank(M) < M.cols:
+            if ring.proper_subring_of_qq and rank(M) < M.cols:
                 raise ShapeError(f"relations at degree {n} are not independent")
             self.relations[n] = M
         for n, M in diffs.items():
@@ -464,20 +464,13 @@ class SubcomplexData:
 
 
 def _pivot_columns(M: SparseMatrix) -> SparseMatrix:
-    """The columns of M at its pivot columns over the residue field: QQ for
-    QQ and constant Poly matrices, GF(p) for GF(p) and ZLoc(p).  They are a
-    basis of the column space, and over ZLoc(p) of a column lattice that is
-    a direct summand, since by Nakayama lifts of a basis mod p generate it."""
-    ring = M.ring
-    if ring.kind == "Poly":
-        residue = _poly_to_qq(M)
-    elif ring.kind == "ZLoc":
-        residue = base_change_matrix(M, GF(ring.p))
-    elif ring.is_field:
-        residue = M
-    else:
-        raise UnsupportedRingError(f"no residue field for {ring}")
-    _, pivots = rref(residue)
+    """The columns of M at its pivot columns over the residue field (M
+    constant over a graded ring).  They are a basis of the column space,
+    and over ZLoc(p) of a column lattice that is a direct summand, since by
+    Nakayama lifts of a basis mod p generate it."""
+    if M.ring.residue_field is None:
+        raise UnsupportedRingError(f"no residue field for {M.ring}")
+    _, pivots = rref(_mapped(M, M.ring.residue_field, M.ring.ops.residue))
     return M.submatrix_columns([c for _, c in pivots])
 
 
@@ -501,7 +494,7 @@ def _subcomplex_from_bases(T: FreeComplex, bases: dict) -> SubcomplexData:
             rhs = T.diff(n) @ bases[n]
             diffs[n] = solve_exact(bases[n - 1], rhs)
     gdegs = None
-    if ring.kind == "Poly":
+    if T.graded:
         gdegs = {n: _basis_gdegs(T, n, bases[n]) for n in ranks}
     sub = FreeComplex._of(ring, ranks, diffs, gdegs)
     inclusion = ChainMap._of(sub, T, {n: bases[n] for n in ranks})
@@ -514,7 +507,7 @@ def _check_twice_idempotent(T: FreeComplex, f: ChainMap) -> None:
         raise TwoNotUnitError(f"2 is not a unit in {T.ring}")
     for n in T.degrees():
         F = f.component(n)
-        if F.ring.kind == "Poly":
+        if T.graded:
             F = _poly_to_qq(F)  # exact for the constant matrices taken here, and cheaper
         if F @ F != F + F:
             raise SymchainError(f"f.f != 2f in degree {n}")
@@ -586,7 +579,7 @@ def _alpha_bases(T: FreeComplex, bases: dict, index: dict):
         for part, vs in zip((image, kernel), vectors):
             B = {(i, k): w for k, (_, vector, _) in enumerate(vs) for i, w in vector.items()}
             L = {(k, c): w for k, (c, _, w) in enumerate(vs)}
-            gd = tuple(T.gdeg(n)[c] for c, _, _ in vs) if ring.kind == "Poly" else None
+            gd = tuple(T.gdeg(n)[c] for c, _, _ in vs) if T.graded else None
             part[n] = (
                 SparseMatrix._of(ring, r, len(vs), B),
                 SparseMatrix._of(ring, len(vs), r, L),
@@ -608,7 +601,7 @@ def _summand(T: FreeComplex, part: dict, d_cols: dict) -> SubcomplexData:
     diffs = {
         n: _pick(part[n - 1][1], T.diff(n), bases[n], d_cols[n]) for n in ranks if ranks.get(n - 1)
     }
-    gdegs = {n: part[n][2] for n in ranks} if T.ring.kind == "Poly" else None
+    gdegs = {n: part[n][2] for n in ranks} if T.graded else None
     sub = FreeComplex._of(T.ring, ranks, diffs, gdegs)
     return SubcomplexData(sub, ChainMap._of(sub, T, bases), bases)
 
@@ -798,35 +791,17 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
 # -- base change --------------------------------------------------------------------
 
 
-def _base_change_raw(src: Ring, target: Ring):
-    """The coefficient map src -> target on raw values; raises
-    UnsupportedRingError unless the pair is supported."""
-    if src == target:
-        return lambda v: v
-    pair = (src.kind, target.kind)
-    if pair == ("ZZ", "GF"):
-        p = target.p
-        return lambda v: v % p
-    if pair == ("ZLoc", "GF") and src.p == target.p:
-        p = target.p
-        # the denominator of a canonical fraction is prime to p
-        return lambda v: v.numerator * pow(v.denominator, -1, p) % p
-    if pair in (("ZZ", "QQ"), ("ZZ", "ZLoc"), ("ZLoc", "QQ")):
-        return Fraction  # ints become fractions, fractions stay
-    raise UnsupportedRingError(f"no supported map {src} -> {target}")
-
-
 def _mapped(M: SparseMatrix, target: Ring, f) -> SparseMatrix:
     return SparseMatrix._of(target, M.rows, M.cols, {k: f(v) for k, v in M.entries.items()})
 
 
 def base_change_matrix(M: SparseMatrix, target: Ring) -> SparseMatrix:
-    return _mapped(M, target, _base_change_raw(M.ring, target))
+    return _mapped(M, target, M.ring.map_to(target))
 
 
 def base_change(X: FreeComplex, target: Ring) -> FreeComplex:
     """Entrywise image of the complex under a supported coefficient map."""
-    f = _base_change_raw(X.ring, target)
+    f = X.ring.map_to(target)
     if X.ring == target:
         return X
     diffs = {n: _mapped(X.diff(n), target, f) for n in X.degrees()}

@@ -45,6 +45,35 @@ def small_scalar(ring: Ring, rng):
     return ring.scalar(rng.randint(-2, 2))
 
 
+def random_scalar(ring: Ring, rng):
+    """A random element; over a graded ring, a sum of up to 3 random terms
+    with exponents up to 2, so mostly inhomogeneous."""
+    if ring.kind == "ZZ":
+        return ring.scalar(rng.randint(-9, 9))
+    if ring.kind == "QQ":
+        return ring.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    if ring.kind == "GF":
+        return ring.scalar(rng.randint(0, ring.p - 1))
+    if ring.kind == "ZLoc":
+        den = rng.choice([d for d in range(1, 10) if d % ring.p])
+        return ring.scalar(Fraction(rng.randint(-9, 9), den))
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        exp = tuple(rng.randint(0, 2) for _ in ring.variables)
+        terms[exp] = Fraction(rng.randint(-3, 3))
+    return ring.scalar(terms)
+
+
+def random_homogeneous(ring: Ring, degree: int, rng):
+    """A nonzero homogeneous element of the given degree over a graded ring
+    in two variables."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = rng.randint(0, degree)
+        terms[(e, degree - e)] = terms.get((e, degree - e), Fraction(0)) + rng.randint(1, 3)
+    return ring.scalar(terms)
+
+
 def random_invertible(ring: Ring, n: int, rng) -> SparseMatrix:
     """Product of elementary row operations; determinant is a unit."""
     M = SparseMatrix.identity(ring, n)

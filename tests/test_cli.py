@@ -164,13 +164,6 @@ def test_homology_graded_with_bound(tmp_path, capsys):
     assert "inf: 0" in out
 
 
-def test_degree_bound_env_override(tmp_path, capsys, monkeypatch):
-    sfile = write(tmp_path, "s.json", sym2(koszul([X_VAR, Y_VAR])).complex)
-    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "4")
-    code, out, _ = run(capsys, "homology", sfile)
-    assert code == 0 and "bound: 4" in out
-
-
 def test_quasi_iso_command(tmp_path, capsys, monkeypatch):
     proj = sym2(koszul([X_VAR, Y_VAR])).proj
     mfile = write(tmp_path, "m.json", proj)
@@ -401,19 +394,26 @@ def test_non_integer_fields_exit_2(tmp_path, capsys):
     assert code == 2 and "GF(x)" in err
 
 
-def test_degree_bound_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
+def test_degree_bound_env_is_not_read(tmp_path, capsys, monkeypatch):
+    # only --bound sets a degree bound; SYMCHAIN_DEGREE_BOUND is not read
     sfile = write(tmp_path, "s.json", sym2(koszul([X_VAR, Y_VAR])).complex)
-    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "abc")
-    code, _, err = run(capsys, "homology", sfile)
-    assert code == 2 and "SYMCHAIN_DEGREE_BOUND" in err
-    # check symm09 reads no bound, so the variable is not read at all
     kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
-    monkeypatch.delenv("SYMCHAIN_DEGREE_BOUND")
-    expected = run(capsys, "check", "symm09", kfile)
-    assert expected[0] == 0 and "holds: true" in expected[1]
-    for env in ("abc", "-1"):
+    mfile = write(tmp_path, "m.json", sym2(koszul([X_VAR, Y_VAR])).proj)
+    commands = [
+        ["homology", sfile],
+        ["homology", kfile],
+        ["check", "symm09", kfile],
+        ["check", "symm07pp", kfile],
+        ["quasi-iso", mfile],
+    ]
+    monkeypatch.delenv("SYMCHAIN_DEGREE_BOUND", raising=False)
+    expected = [run(capsys, *argv) for argv in commands]
+    assert expected[0][0] == 0 and "bound: 14" in expected[0][1]
+    assert expected[2][0] == 0 and "holds: true" in expected[2][1]
+    assert expected[4][0] == 1
+    for env in ("4", "abc", "-1"):
         monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", env)
-        assert run(capsys, "check", "symm09", kfile) == expected
+        assert [run(capsys, *argv) for argv in commands] == expected, env
 
 
 def test_degree_bound_env_is_not_read_off_graded_complexes(tmp_path, capsys, monkeypatch):
@@ -462,12 +462,12 @@ def test_bound_below_lowest_generator_degree_exits_2(tmp_path, capsys, monkeypat
     assert expected["symm07pp"][0] == 0 and "equivalent: true" in expected["symm07pp"][1]
     assert expected["symm09"][0] == 0 and "holds: true" in expected["symm09"][1]
     assert all(no_bound(out) for _, out, _ in expected.values())
-    # the degree-bound variable reaches only homology
+    # the degree-bound variable is read by no command
+    expected["homology"] = run(capsys, "homology", kfile)
     monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "-1")
-    for theorem, result in expected.items():
-        assert run(capsys, "check", theorem, kfile) == result
-    code, out, err = run(capsys, "homology", kfile)
-    assert code == 2 and "lowest generator degree 0" in err
+    for theorem in ("symm07pp", "symm09"):
+        assert run(capsys, "check", theorem, kfile) == expected[theorem]
+    assert run(capsys, "homology", kfile) == expected["homology"]
 
 
 def test_inhomogeneous_map_document_exits_2_naming_the_map(tmp_path, capsys):

@@ -12,7 +12,10 @@ from symchain.errors import (
     ScalarParseError,
     UnsupportedRingError,
 )
-from symchain.scalars import Scalar, format_scalar, parse_scalar
+from symchain.io import parse_ring_string as io_parse_ring_string
+from symchain.scalars import Scalar, format_scalar, parse_ring_string, parse_scalar
+
+from randgen import random_homogeneous, random_scalar, unit_scalar
 
 POLY = graded_poly("x", "y")
 
@@ -102,28 +105,11 @@ def test_floats_are_rejected(ring):
             ring.scalar({(1, 0): 0.5})
 
 
-def _random_scalar(ring, rng):
-    if ring.kind == "ZZ":
-        return ring.scalar(rng.randint(-9, 9))
-    if ring.kind == "QQ":
-        return ring.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-    if ring.kind == "GF":
-        return ring.scalar(rng.randint(0, ring.p - 1))
-    if ring.kind == "ZLoc":
-        den = rng.choice([d for d in range(1, 10) if d % ring.p])
-        return ring.scalar(Fraction(rng.randint(-9, 9), den))
-    terms = {}
-    for _ in range(rng.randint(0, 3)):
-        exp = (rng.randint(0, 2), rng.randint(0, 2))
-        terms[exp] = Fraction(rng.randint(-3, 3))
-    return ring.scalar(terms)
-
-
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5), ZLoc(3), POLY])
 def test_ring_axioms_on_random_triples(ring):
     rng = random.Random(7)
     for _ in range(60):
-        a, b, c = (_random_scalar(ring, rng) for _ in range(3))
+        a, b, c = (random_scalar(ring, rng) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
@@ -136,25 +122,17 @@ def test_ring_axioms_on_random_triples(ring):
 def test_canonical_form_idempotent(ring):
     rng = random.Random(11)
     for _ in range(40):
-        a = _random_scalar(ring, rng)
+        a = random_scalar(ring, rng)
         assert Scalar(ring, a.value) == a
         assert parse_scalar(ring, format_scalar(a)) == a
-
-
-def _random_homogeneous(ring, degree, rng):
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        e = rng.randint(0, degree)
-        terms[(e, degree - e)] = terms.get((e, degree - e), Fraction(0)) + rng.randint(1, 3)
-    return ring.scalar(terms)
 
 
 def test_homogeneous_products():
     rng = random.Random(3)
     for _ in range(30):
         d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
-        a = _random_homogeneous(POLY, d1, rng)
-        b = _random_homogeneous(POLY, d2, rng)
+        a = random_homogeneous(POLY, d1, rng)
+        b = random_homogeneous(POLY, d2, rng)
         assert a.homogeneous_degree() == d1
         assert (a * b).homogeneous_degree() == d1 + d2
 
@@ -185,3 +163,65 @@ def test_monomial_serialization_order():
     # descending total degree, then descending exponent vector in variable order
     s = POLY.scalar({(0, 3): -1, (2, 1): 3, (1, 0): -1})
     assert str(s) == "3*x^2*y - y^3 - x"
+
+
+def test_ring_properties_by_kind():
+    # is_field, is_local, is_dvr, graded, proper_subring_of_qq, fraction_values, residue_field
+    expected = {
+        ZZ: (False, False, False, False, True, False, None),
+        QQ: (True, True, False, False, False, True, QQ),
+        GF(5): (True, True, False, False, False, False, GF(5)),
+        ZLoc(3): (False, True, True, False, True, True, GF(3)),
+        POLY: (False, True, False, True, False, False, QQ),
+    }
+    for ring, props in expected.items():
+        assert (
+            ring.is_field, ring.is_local, ring.is_dvr, ring.graded,
+            ring.proper_subring_of_qq, ring.fraction_values, ring.residue_field,
+        ) == props, ring
+
+
+@pytest.mark.parametrize(
+    "ring", [ZZ, QQ, GF(2), GF(7), ZLoc(3), graded_poly("x"), POLY, graded_poly("a", "b", "c")], ids=str
+)
+def test_ring_string_round_trip(ring):
+    assert parse_ring_string(str(ring)) == ring
+    assert io_parse_ring_string is parse_ring_string
+
+
+RESIDUE_RINGS = [GF(2), GF(5), QQ, ZLoc(2), ZLoc(3), POLY]
+
+
+@pytest.mark.parametrize("ring", RESIDUE_RINGS, ids=str)
+def test_residue_is_a_ring_map_onto_the_residue_field(ring):
+    rng = random.Random(5)
+    k, residue = ring.residue_field, ring.ops.residue
+    assert residue(ring.one().value) == k.ops.one and residue(ring.zero().value) == k.ops.zero
+    for _ in range(80):
+        a, b = random_scalar(ring, rng), rng.choice([random_scalar, unit_scalar])(ring, rng)
+        ra, rb = residue(a.value), residue(b.value)
+        assert Scalar(k, ra).value == ra  # canonical in the residue field
+        assert residue((a + b).value) == k.ops.add(ra, rb)
+        assert residue((a * b).value) == k.ops.mul(ra, rb)
+
+
+@pytest.mark.parametrize("ring", RESIDUE_RINGS, ids=str)
+def test_units_are_the_homogeneous_values_with_nonzero_residue(ring):
+    rng = random.Random(9)
+    values = [ring.zero()]
+    for _ in range(80):
+        if ring.graded:
+            values.append(random_homogeneous(ring, rng.randint(0, 2), rng))
+        else:
+            values += [random_scalar(ring, rng), unit_scalar(ring, rng)]
+    assert any(a.is_unit() for a in values) and not all(a.is_unit() for a in values)
+    for a in values:
+        assert a.is_unit() == (ring.ops.residue(a.value) != 0), a
+    if ring.graded:  # off homogeneous values the rule fails: 1 + x has residue 1
+        a = ring.one() + ring.variable("x")
+        assert ring.ops.residue(a.value) == 1 and not a.is_unit()
+
+
+def test_zz_has_no_residue_field():
+    assert not ZZ.is_local
+    assert ZZ.residue_field is None and ZZ.ops.residue is None
