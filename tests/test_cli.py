@@ -394,24 +394,43 @@ def test_non_integer_fields_exit_2(tmp_path, capsys):
     assert code == 2 and "GF(x)" in err
 
 
-def test_degree_bound_env_is_not_read(tmp_path, capsys, monkeypatch):
-    # only --bound sets a degree bound; SYMCHAIN_DEGREE_BOUND is not read
+def _env_bound_commands(tmp_path):
     sfile = write(tmp_path, "s.json", sym2(koszul([X_VAR, Y_VAR])).complex)
     kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
     mfile = write(tmp_path, "m.json", sym2(koszul([X_VAR, Y_VAR])).proj)
-    commands = [
+    return [
         ["homology", sfile],
         ["homology", kfile],
         ["check", "symm09", kfile],
         ["check", "symm07pp", kfile],
         ["quasi-iso", mfile],
     ]
+
+
+def _run_unset(capsys, monkeypatch, commands):
     monkeypatch.delenv("SYMCHAIN_DEGREE_BOUND", raising=False)
     expected = [run(capsys, *argv) for argv in commands]
     assert expected[0][0] == 0 and "bound: 14" in expected[0][1]
     assert expected[2][0] == 0 and "holds: true" in expected[2][1]
     assert expected[4][0] == 1
-    for env in ("4", "abc", "-1"):
+    return expected
+
+
+def test_degree_bound_env_override(tmp_path, capsys, monkeypatch):
+    # only --bound sets a degree bound; SYMCHAIN_DEGREE_BOUND overrides nothing
+    commands = _env_bound_commands(tmp_path)
+    expected = _run_unset(capsys, monkeypatch, commands)
+    monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", "4")
+    assert [run(capsys, *argv) for argv in commands] == expected
+    code, out, _ = run(capsys, "homology", commands[0][1], "--bound", "4")
+    assert code == 0 and "bound: 4" in out
+
+
+def test_degree_bound_env_not_an_integer_is_not_read(tmp_path, capsys, monkeypatch):
+    # a value that is no integer, or is below every degree, is no error
+    commands = _env_bound_commands(tmp_path)
+    expected = _run_unset(capsys, monkeypatch, commands)
+    for env in ("abc", "-1"):
         monkeypatch.setenv("SYMCHAIN_DEGREE_BOUND", env)
         assert [run(capsys, *argv) for argv in commands] == expected, env
 
