@@ -4,8 +4,9 @@ Every subcommand is a thin wrapper over the library: it reads documents,
 writes documents or line-oriented reports, and encodes verdicts in the
 exit code: 0 success, 1 mathematical-check failure, 2 input error.
 Only graded Hilbert tables (homology) take an internal-degree bound; on
-any other input --bound is an input error.  Exactness and
-quasi-isomorphism verdicts, and so every theorem checker, need no bound.
+any other input --bound is an input error.  The inf: line homology
+prints, exactness and quasi-isomorphism verdicts, and so every theorem
+checker, need no bound.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from . import io as docio
 from .complexes import FreeComplex, direct_sum, koszul, shift, tensor
 from .errors import SymchainError
-from .homology import homology, homology_presented, is_quasi_iso
+from .homology import homology, homology_presented, inf_h, is_quasi_iso
 from .series import minimal_model, poinc_check, rank_series, verify_series_identity
 from .sym2 import PresentedComplex, alpha, sym2, weak_sym2
 from .theorems import (
@@ -102,7 +103,7 @@ def cmd_weak_sym2(args):
     return OK
 
 
-def _print_homology(report):
+def _print_homology(report, inf):
     print(f"backend: {report.ring}")
     print(f"kind: {report.kind}")
     if report.bound is not None:
@@ -112,7 +113,6 @@ def _print_homology(report):
         if report.kind == "hilbert":
             v = " ".join(f"{d}:{c}" for d, c in sorted(v.items()))
         print(f"H[{n}]: {v}")
-    inf = report.inf
     print(f"inf: {'+infinity' if inf is None else inf}")
 
 
@@ -129,7 +129,8 @@ def cmd_homology(args):
         report = homology_presented(value)
     else:
         report = homology(value, bound=args.bound)
-    _print_homology(report)
+    # the table stops at the bound; the infimum of a graded complex is exact
+    _print_homology(report, inf_h(value) if report.kind == "hilbert" else report.inf)
     return OK
 
 

@@ -16,11 +16,16 @@ Exactness and quasi-isomorphism (exactness of the mapping cone) are exact
 verdicts on every backend.  Over every local backend (QQ, GF(p), ZLoc(p)
 and graded rings) a bounded complex of finite free modules is exact
 exactly when its minimal model is zero (Nakayama; graded Nakayama for
-homogeneous differentials), so the verdict runs the unit split of
-series._split_units, needs no degree bound, and reads its witnesses off
-the rows the split leaves (see _exactness_failures): it builds no minimal
-complex and, for a chain map, no cone.  Over ZZ, which is not local, the
-verdict reads homology().
+homogeneous differentials), so the verdict runs a unit split, needs no
+degree bound, and builds no minimal complex and, for a chain map, no cone
+(see _exactness_failures).  Over QQ, GF(p) and graded rings that is
+series._survivors, the split of X (x) k over the residue field k (over a
+graded ring, the QQ split of the constant terms), and the witnesses are
+read off the generators it leaves.  Over ZLoc(p) it is series._split_units
+on X itself, whose rows the witnesses need.  inf_h is the lowest degree of
+the minimal model, from series._minimal_ranks, with no bound; the Hilbert
+tables of homology() are the only bounded answer.  Over ZZ, which is not
+local, the verdicts and inf_h read homology().
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .linalg import (
     slice_matrix,
     solve_exact,
 )
-from .series import _split_units
+from .series import _minimal_ranks, _split_units, _survivors
 from .sym2 import PresentedComplex
 
 __all__ = [
@@ -283,17 +288,20 @@ class QuasiIsoVerdict:
 
 
 def _local_failures(ring, ranks: dict, entries: dict, gdeg) -> list:
-    """_exactness_failures' witnesses, read off the rows _split_units leaves."""
-    alive, d, _, _ = _split_units(ring, ranks, entries)
+    """_exactness_failures' witnesses: over ZLoc(p) read off the rows
+    _split_units leaves, over a field or a graded ring off the generators
+    _survivors leaves."""
+    if ring.is_dvr:
+        alive, d, _, _ = _split_units(ring, ranks, entries)
+        return [n for n in sorted(alive) if alive[n] and _markowitz_rank(
+            [{c: v for c, v in row.items() if c in alive[n]} for row in d[n].values()])[0] < len(alive[n])]
+    if not (ring.is_field or gdeg):
+        raise UnsupportedRingError(f"no exactness rule over {ring}")
+    alive = _survivors(ring, ranks, entries)
     live = [n for n in sorted(alive) if alive[n]]
     if gdeg:
         return live and [(live[0], min(gdeg(live[0])[k] for k in alive[live[0]]))]
-    if ring.is_field:
-        return live
-    if ring.is_dvr:
-        return [n for n in live if _markowitz_rank(
-            [{c: v for c, v in row.items() if c in alive[n]} for row in d[n].values()])[0] < len(alive[n])]
-    raise UnsupportedRingError(f"no exactness rule over {ring}")
+    return live
 
 
 def _exactness_failures(X: FreeComplex) -> list:
@@ -303,15 +311,17 @@ def _exactness_failures(X: FreeComplex) -> list:
     when its minimal model M is zero (Nakayama; graded Nakayama needs the
     homogeneous entries that the FreeComplex constructor checks and every
     library builder keeps).  X is M plus a contractible summand, so
-    H(X) = H(M), and the witnesses are every degree where H(M) is nonzero,
-    read off the rows series._split_units leaves: M is never built.  Over a
-    field d = 0 on M, so every degree with a live generator is one.  Over
-    the discrete valuation ring ZLoc(p), degree n is one when the live rows
-    of d_n, on the live columns, have rank below rank M_n: the image of
-    d_{n+1} lies in p ker d_n, as ker d_n is a direct summand of M_n, so
-    H_n(M) != 0 exactly when ker d_n != 0 (Nakayama; Eisenbud, GTM 150,
-    Cor. 4.8).  No Smith loop runs.  Over a graded ring, with no degree
-    bound, the witness is [(n0, d0)]: n0 the lowest degree where M is
+    H(X) = H(M), and the witnesses are every degree where H(M) is nonzero:
+    M is never built.  Over a field d = 0 on M, so every degree with a
+    generator that series._survivors leaves is one.  Over the discrete
+    valuation ring ZLoc(p) the split is series._split_units on X itself,
+    and degree n is one when the live rows it leaves of d_n, on the live
+    columns, have rank below rank M_n: the image of d_{n+1} lies in
+    p ker d_n, as ker d_n is a direct summand of M_n, so H_n(M) != 0
+    exactly when ker d_n != 0 (Nakayama; Eisenbud, GTM 150, Cor. 4.8).  No
+    Smith loop runs.  Over a graded ring, with no degree bound, the witness
+    is [(n0, d0)], read off series._survivors, the QQ split of the constant
+    terms, which multiplies no polynomial: n0 the lowest degree where M is
     nonzero and d0 the lowest generator degree of M_{n0}; H_{n0}(X)_{d0}
     != 0, since the image of the next differential lies in the maximal
     ideal times M_{n0}.  Over ZZ, which is not local: every degree where
@@ -345,6 +355,13 @@ def is_exact(X: FreeComplex) -> bool:
     return not _exactness_failures(X)
 
 
-def inf_h(X: FreeComplex, bound: int | None = None):
-    """Least degree with nonzero homology; None when acyclic (within bound)."""
-    return homology(X, bound=bound).inf
+def inf_h(X: FreeComplex):
+    """Least degree with nonzero homology; None when X is exact.
+
+    Exact on every backend, with no bound.  Over a local ring it is the
+    lowest degree of the minimal model M (_minimal_ranks): there d = 0 on
+    M and the image of the next differential lies in the maximal ideal
+    times M, so H is nonzero by Nakayama (graded Nakayama over a graded
+    ring).  Over ZZ it is homology(X).inf.
+    """
+    return min(_minimal_ranks(X), default=None) if X.ring.is_local else homology(X).inf

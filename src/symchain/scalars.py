@@ -141,6 +141,10 @@ class Ring:
             return self.scalar(value).value
         return _canon(self, value)
 
+    def __reduce__(self):
+        # rebuilt from its fields: the cached ops hold local lambdas
+        return Ring, (self.kind, self.p, self.variables)
+
     @cached_property
     def ops(self) -> "RingOps":
         return _ring_ops(self)
@@ -374,6 +378,9 @@ class Scalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        return Scalar, (self.ring, self.value)
 
     # -- ring operations ----------------------------------------------------
 

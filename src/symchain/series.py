@@ -10,11 +10,15 @@ square satisfies
 which verify_series_identity checks exactly.  Minimalization splits off
 contractible two-term summands at unit differential entries in one
 in-place pass over the rows of the differentials, held as integers over
-QQ and ZLoc(p); it is the workhorse behind the "quasi-isomorphic to a
-shifted copy of R" decisions of the theorem checkers, the minimal lengths
-s2fpd01 compares, and exactness on every local backend, which reads the
-rows the pass leaves.  minimize also tracks the projection q onto the
-minimal complex; minimal_model, which the checkers call, builds none.
+QQ and ZLoc(p) (_split_units).  minimize, the one builder of minimal
+complexes, runs it on X itself, with the projection q onto the minimal
+complex; minimal_model is minimize(X)[0].  Every question that needs only
+which generators survive (the ranks of the minimal complex: the theorem
+checkers' shift conditions and infima, inf_h, and exactness over fields
+and graded rings) is answered by _survivors, which runs the same split
+without q on X (x) k for the residue field k: on X over QQ and GF(p), on
+its GF(p) reduction over ZLoc(p), on its QQ constant terms over a graded
+ring, where no polynomial is multiplied.
 """
 
 from __future__ import annotations
@@ -299,9 +303,53 @@ def _split_units(ring, ranks: dict, entries: dict, with_q: bool = False):
     return alive, d, integral and lam, q
 
 
-def _minimal(X: FreeComplex, with_q: bool):
-    """(M, q or None): M is X, or d / lam on the generators _split_units leaves."""
-    alive, d, lam, q = _split_units(X.ring, X.ranks, {n: D.entries for n, D in X._diffs.items()}, with_q)
+def _survivors(ring, ranks: dict, entries: dict) -> dict:
+    """{n: generators of degree n that survive the unit split}: the ranks
+    of the minimal complex, from the split of X (x) k without q.
+
+    k = ring.residue_field, and entries go through ring.ops.residue unless
+    the ring is a field.  The survivors are those of the split of X: a
+    unit of a local ring is an entry whose residue is nonzero (always over
+    ZLoc(p); over a graded ring on homogeneous entries, which the public
+    constructors enforce and every Schur update keeps), and the residue
+    map is a ring map, so the residue of each Schur update is the update
+    of the residues.  Each step therefore sees the same units and takes
+    the same pivot, in the same order.  Over a graded ring this is the QQ
+    integer-row split of the constant terms: no polynomial is multiplied.
+    """
+    if not ring.is_field:
+        entries = {n: {rc: r for rc, v in E.items() if (r := ring.ops.residue(v))} for n, E in entries.items()}
+    return _split_units(ring.residue_field, ranks, entries)[0]
+
+
+def _minimal_ranks(X: FreeComplex) -> dict:
+    """{n: rank M_n} over the degrees where the minimal complex M of X is
+    nonzero, without building M (see _survivors); X is over a local ring."""
+    alive = _survivors(X.ring, X.ranks, {n: D.entries for n, D in X._diffs.items()})
+    return {n: len(a) for n, a in alive.items() if a}
+
+
+def minimal_model(X: FreeComplex) -> FreeComplex:
+    """The minimal complex of X: minimize(X)[0].
+
+    X is exact exactly when this is zero: over a field, over ZLoc(p) by
+    Nakayama, and over a graded ring, for homogeneous differentials, by
+    graded Nakayama (Eisenbud, Commutative Algebra, GTM 150, sections 19-20).
+    Its ranks alone are _minimal_ranks(X), which builds nothing.
+    """
+    return minimize(X)[0]
+
+
+def minimize(X: FreeComplex):
+    """Gaussian-eliminate unit pivots until minimal.
+
+    Returns (M, q) with M minimal and q : X -> M the projection, a
+    quasi-isomorphism (each pivot splits off a contractible summand).  M is
+    X when nothing splits, else d / lam on the generators _split_units
+    leaves.
+    """
+    _require_local(X)
+    alive, d, lam, q = _split_units(X.ring, X.ranks, {n: D.entries for n, D in X._diffs.items()}, with_q=True)
     pos = {n: {k: p for p, k in enumerate(sorted(alive[n]))} for n in alive}
     M = X
     if sum(map(len, alive.values())) < X.total_rank():
@@ -314,8 +362,6 @@ def _minimal(X: FreeComplex, with_q: bool):
         }
         gdegs = {n: tuple(X.gdeg(n)[k] for k in pos[n]) for n in pos} if X.graded else None
         M = FreeComplex._of(X.ring, {n: len(pos[n]) for n in pos}, diffs, gdegs)
-    if not with_q:
-        return M, None
     maps = {
         n: SparseMatrix._of(X.ring, len(pos[n]), X.rank(n), {
             (pos[n][r], c): v for r, row in q[n].items() for c, v in row.items()
@@ -323,25 +369,3 @@ def _minimal(X: FreeComplex, with_q: bool):
         for n in pos if pos[n]
     }
     return M, ChainMap._of(X, M, maps)
-
-
-def minimal_model(X: FreeComplex) -> FreeComplex:
-    """The minimal complex of minimize(X), without building its projection.
-
-    X is exact exactly when this is zero: over a field, over ZLoc(p) by
-    Nakayama, and over a graded ring, for homogeneous differentials, by
-    graded Nakayama (Eisenbud, Commutative Algebra, GTM 150, sections 19-20).
-    """
-    _require_local(X)
-    return _minimal(X, with_q=False)[0]
-
-
-def minimize(X: FreeComplex):
-    """Gaussian-eliminate unit pivots until minimal.
-
-    Returns (M, q) with M minimal and q : X -> M the projection, a
-    quasi-isomorphism (each pivot splits off a contractible summand).
-    """
-    _require_local(X)
-    return _minimal(X, with_q=True)
-

@@ -7,8 +7,11 @@ a VerdictReport from one builder, _verdict.  The equivalence theorems
 symm07, symm07pp and s2fpd02 report whether their condition vector is
 constant; the implications s2fpd01 and symm09 hold when every condition
 does.  Every condition is exact on every backend, and no checker takes a
-degree bound.  s2fpd01 reads the lengths of two minimal models and a rank
-inequality.  symm09 reads both infima from minimal models, and checks the
+degree bound.  A condition on a minimal complex that reads only its ranks
+takes them from series._minimal_ranks, which builds no complex; only
+s2fpd01 (for the square of M) and symm09 (for q) build one, by minimize.
+s2fpd01 reads the lengths of two minimal models and a rank inequality.
+symm09 reads both infima from minimal models, and checks the
 lowest module of the square through the natural map S2(q) to the square
 of the minimal model, whose lowest differential it compares entry for
 entry with a presentation of S2 or Lambda2 of the lowest homology.
@@ -34,7 +37,7 @@ from .errors import SymchainError, TwoNotUnitError, UnsupportedRingError
 from .homology import _exactness_failures, homology, homology_presented, is_quasi_iso
 from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
-from .series import _require_local, minimal_model, minimize, rank_series, verify_series_identity
+from .series import _minimal_ranks, _require_local, minimal_model, minimize, rank_series, verify_series_identity
 from .sym2 import Sym2Result, _alpha_summands, _square_map, _sym2_map
 from .sym2 import alpha, sym2, sym2_map, weak_sym2
 
@@ -83,28 +86,24 @@ def _require_local_two_unit(ring: Ring):
         raise TwoNotUnitError(f"2 is not a unit in {ring}")
 
 
-def _is_zero_or_single_shift(M: FreeComplex, parity: int | None):
-    """Is the minimal complex zero, or a single rank-1 module in a degree of
-    the given parity (None for any parity)?  Returns (bool, degree|None)."""
-    if M.is_zero():
+def _is_zero_or_single_shift(ranks: dict, parity: int | None):
+    """Is the minimal complex, given by its ranks {n: rank M_n > 0}, zero,
+    or a single rank-1 module in a degree of the given parity (None for any
+    parity)?  Returns (bool, degree|None)."""
+    if not ranks:
         return True, None
-    degs = M.degrees()
-    if len(degs) != 1 or M.rank(degs[0]) != 1:
+    if list(ranks.values()) != [1]:
         return False, None
-    if parity is not None and degs[0] % 2 != parity:
+    [n] = ranks
+    if parity is not None and n % 2 != parity:
         return False, None
-    return True, degs[0]
+    return True, n
 
 
-def _is_two_odd_shifts(M: FreeComplex) -> bool:
-    degs = M.degrees()
-    if any(d % 2 == 0 for d in degs):
-        return False
-    total = sum(M.rank(d) for d in degs)
-    if total != 2 or len(degs) not in (1, 2):
-        return False
-    # odd degrees are never adjacent, so no differential can survive
-    return all(M.diff(n).is_zero() for n in degs)
+def _is_two_odd_shifts(ranks: dict) -> bool:
+    """Total rank 2, all in odd degrees: as odd degrees are never adjacent,
+    no differential of the minimal complex can be nonzero."""
+    return sum(ranks.values()) == 2 and all(n % 2 for n in ranks)
 
 
 def _verdict(theorem, X, conditions, witnesses=None, *, equivalence=True, note=None):
@@ -159,7 +158,7 @@ def check_symm07(X: FreeComplex) -> VerdictReport:
             "i": is_quasi_iso(S.proj).failures,
             "ii": _exactness_failures(image.complex),
             "iii": is_quasi_iso(kernel.inclusion).failures,
-            "iv": _is_zero_or_single_shift(minimal_model(X), parity=0)[0],
+            "iv": _is_zero_or_single_shift(_minimal_ranks(X), parity=0)[0],
         },
     )
 
@@ -184,7 +183,7 @@ def check_symm07pp(X: FreeComplex) -> VerdictReport:
             "iii": is_quasi_iso(image.inclusion).failures,
             "iv": _exactness_failures(S.complex),
             "v": _exactness_failures(kernel.complex),
-            "vi": _is_zero_or_single_shift(minimal_model(X), parity=1)[0],
+            "vi": _is_zero_or_single_shift(_minimal_ranks(X), parity=1)[0],
         },
     )
 
@@ -198,17 +197,17 @@ def check_s2fpd02(X: FreeComplex) -> VerdictReport:
     Reports the shift degree j when the conditions hold.
     """
     _require_local_two_unit(X.ring)
-    M = minimal_model(X)
-    SM = minimal_model(sym2(X).complex)
+    M = _minimal_ranks(X)
+    SM = _minimal_ranks(sym2(X).complex)
     even_shift = _is_zero_or_single_shift(M, parity=0)[0]
     any_shift, j = _is_zero_or_single_shift(SM, parity=None)
-    cond3 = any_shift and not SM.is_zero()
+    cond3 = any_shift and bool(SM)
     return _verdict(
         "s2fpd02",
         X,
         {
-            "i": (even_shift and not M.is_zero()) or _is_two_odd_shifts(M),
-            "ii": _is_zero_or_single_shift(SM, parity=0)[0] and not SM.is_zero(),
+            "i": (even_shift and bool(M)) or _is_two_odd_shifts(M),
+            "ii": _is_zero_or_single_shift(SM, parity=0)[0] and bool(SM),
             "iii": cond3,
         },
         {"j": j} if cond3 else None,
@@ -230,7 +229,7 @@ def check_s2fpd01(X: FreeComplex) -> VerdictReport:
     """
     _require_local(X)
     M = minimal_model(X)
-    SM = minimal_model(sym2(X).complex)
+    SM = _minimal_ranks(sym2(X).complex)
     S = sym2(M).complex
     return _verdict(
         "s2fpd01",
@@ -240,7 +239,7 @@ def check_s2fpd01(X: FreeComplex) -> VerdictReport:
                 S.rank(p + q) >= M.rank(p) * M.rank(q) for p, q in combinations(M.degrees(), 2)
             )
         },
-        {"minimal_length": M.length(), "square_minimal_length": SM.length()},
+        {"minimal_length": M.length(), "square_minimal_length": max(SM) - min(SM) if SM else None},
         equivalence=False,
     )
 
@@ -321,7 +320,8 @@ def check_symm09(X: FreeComplex) -> VerdictReport:
     that H_2i(S2 X) is S2(H_i X) (even i) or Lambda2(H_i X) (odd i).  Over a
     local ring minimize(X) gives the minimal model M, which starts in
     degree i (Nakayama), and a homotopy equivalence q : X -> M.  Both
-    infima are read off minimal models.
+    infima are read off minimal models: that of S2 X is the lowest degree
+    of _minimal_ranks, and no minimal complex of S2 X is built.
 
     The lowest module is checked exactly, with no degree bound.  As 2 is a
     unit, S2(q) is a homotopy equivalence too (induced_homotopy); the
@@ -352,8 +352,7 @@ def check_symm09(X: FreeComplex) -> VerdictReport:
     i = M.degrees()[0]
     even = i % 2 == 0
     SX, SM = sym2(X), sym2(M)
-    S_min = minimal_model(SX.complex)
-    s_inf = None if S_min.is_zero() else S_min.degrees()[0]
+    s_inf = min(_minimal_ranks(SX.complex), default=None)
     witnesses = {}
     failures = is_quasi_iso(_sym2_map(_square_map(q, SX, SM), SX, SM)).failures
     if failures:

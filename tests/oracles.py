@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map, inf_h
+from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map
 from symchain.complexes import compose, tensor, tensor_basis
 from symchain.linalg import kernel_basis, rank, rref, slice_basis, solve_field
 from symchain.sym2 import _pivot_columns
@@ -213,10 +213,11 @@ def lowest_square_oracle(X, D=None):
 
     The prediction has the form check_symm09 compares: a Hilbert table up
     to D on a graded ring, (rank, factors) over ZLoc(p), a dimension over a
-    field.  Graded infima are read to the bound D.
+    field.  Graded infima are read off the Hilbert tables to the bound D,
+    independently of the minimal model the checker reads.
     """
     if X.ring.kind == "Poly":
-        i = inf_h(X, D)
+        i = homology(X, bound=D).inf
         if i is None:
             return None
         dims, mults, dmin = graded_homology_module(X, i, D)

@@ -9,6 +9,7 @@ from symchain import (
     GF,
     QQ,
     ZZ,
+    FreeComplex,
     PresentedComplex,
     SparseMatrix,
     ZLoc,
@@ -162,6 +163,18 @@ def test_homology_graded_with_bound(tmp_path, capsys):
     assert "bound: 6" in out
     assert "H[0]: 0:1" in out and "H[2]: 2:1" in out
     assert "inf: 0" in out
+
+
+def test_homology_prints_the_exact_infimum_past_the_bound(tmp_path, capsys):
+    # R(-5) (+) (R --1--> R): H_0 = R(-5) lies above the bound of the table
+    R = graded_poly("x")
+    X = FreeComplex(R, {0: 2, 1: 1}, {1: SparseMatrix.from_rows(R, [[0], [1]])}, {0: (5, 0), 1: (0,)})
+    xfile = write(tmp_path, "x.json", X)
+    code, out, _ = run(capsys, "homology", xfile, "--bound", "3")
+    assert code == 0
+    assert out.splitlines() == [f"backend: {R}", "kind: hilbert", "bound: 3", "inf: 0"]
+    code, out, _ = run(capsys, "homology", xfile, "--bound", "5")
+    assert out.splitlines() == [f"backend: {R}", "kind: hilbert", "bound: 5", "H[0]: 5:1", "inf: 0"]
 
 
 def test_quasi_iso_command(tmp_path, capsys, monkeypatch):

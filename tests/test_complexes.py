@@ -289,10 +289,10 @@ def test_lowest_homology_of_tensor_is_additive_over_graded():
         P = random_graded_minimal(POLY, rng, max_pieces=1)
         Q = random_graded_minimal(POLY, rng, max_pieces=1)
         D = 2 * (P.max_gdeg() + Q.max_gdeg()) + P.total_rank() + Q.total_rank() + 2
-        iP = inf_h(P, D)
-        iQ = inf_h(Q, D)
+        iP, iQ = inf_h(P), inf_h(Q)
+        assert (iP, iQ) == (homology(P, bound=D).inf, homology(Q, bound=D).inf)
         T = tensor(P, Q)
-        assert inf_h(T, D) == iP + iQ
+        assert inf_h(T) == iP + iQ == homology(T, bound=D).inf
         dimsP, multsP, dminP = graded_homology_module(P, iP, D)
         dimsQ, multsQ, dminQ = graded_homology_module(Q, iQ, D)
         want = module_pair_table(dimsP, multsP, dimsQ, multsQ, 2, dminP, dminQ, D)

@@ -1058,6 +1058,64 @@ def test_graded_homology_rejects_a_bound_below_the_lowest_generator_degree():
     message = "degree bound -1 is below the lowest generator degree 0"
     with pytest.raises(GradingError, match=message):
         homology(S, bound=-1)
-    with pytest.raises(GradingError, match=message):
-        inf_h(S, bound=-1)
-    assert inf_h(S, bound=0) == 0
+    assert inf_h(S) == homology(S, bound=0).inf == 0
+
+
+LOCAL_RINGS = [QQ, GF(2), GF(5), ZLoc(2), ZLoc(3), POLY]
+series_module = import_module("symchain.series")
+
+
+def _rank_inputs(ring, rng):
+    """Complexes with units to split on a local backend: randgen complexes,
+    split pairs, cones of random maps between them, and exact cones."""
+    for k in range(8):
+        X, Y = random_split_pair(ring, rng)
+        yield X
+        yield mapping_cone(random_chain_map(X, rng.choice([X, Y]), rng))
+        yield mapping_cone(identity_map(Y))
+        if ring.graded:
+            yield random_graded_minimal(ring, rng)
+        else:
+            yield random_complex(ring, rng, max_rank=3, max_len=3)
+            yield random_minimal_complex(ring, rng, max_rank=3, max_len=3)
+
+
+@pytest.mark.parametrize("ring", LOCAL_RINGS, ids=str)
+def test_minimal_ranks_are_the_ranks_of_the_minimal_model(ring):
+    """_minimal_ranks splits X (x) k over the residue field k; minimize
+    splits X itself.  The survivors agree, so the ranks do."""
+    rng = random.Random(311 + LOCAL_RINGS.index(ring))
+    exact, split = set(), 0
+    for X in _rank_inputs(ring, rng):
+        M = minimal_model(X)
+        assert series_module._minimal_ranks(X) == M.ranks, X.ranks
+        exact.add(M.is_zero())
+        split += M.total_rank() < X.total_rank()
+    assert exact == {True, False} and split >= 8
+
+
+def _high_generator():
+    """R(-5) (+) (R --1--> R) over QQ[x]: H_0 = R(-5), zero below degree 5."""
+    R = graded_poly("x")
+    d1 = SparseMatrix.from_rows(R, [[0], [1]])
+    return FreeComplex(R, {0: 2, 1: 1}, {1: d1}, {0: (5, 0), 1: (0,)})
+
+
+def test_inf_h_needs_no_bound():
+    """inf_h against the bounded oracle: homology() to its default bound,
+    past the lowest generator degree of every module, on graded inputs,
+    and homology().inf on every other backend.  A bound below the
+    homology misses it; inf_h does not."""
+    X = _high_generator()
+    assert homology(X, bound=3).inf is None
+    assert inf_h(X) == homology(X, bound=5).inf == 0
+    assert not is_exact(X)
+    seen = {}
+    for ring in [ZZ, *LOCAL_RINGS]:
+        rng = random.Random(337 + [ZZ, *LOCAL_RINGS].index(ring))
+        inputs = (random_complex(ZZ, rng) for _ in range(12)) if ring == ZZ else _rank_inputs(ring, rng)
+        for C in inputs:
+            want = homology(C).inf
+            assert inf_h(C) == want, (ring, C.ranks)
+            seen.setdefault(ring, set()).add(want)
+    assert all(None in s and len(s) > 2 for s in seen.values()), seen

@@ -1,11 +1,12 @@
 """Scalar arithmetic, unit detection, and the textual grammar."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from symchain import GF, QQ, ZLoc, ZZ, graded_poly, two_is_unit
+from symchain import GF, QQ, ZLoc, ZZ, graded_poly, koszul, sym2, two_is_unit
 from symchain.errors import (
     NonUnitError,
     RingMismatchError,
@@ -225,3 +226,16 @@ def test_units_are_the_homogeneous_values_with_nonzero_residue(ring):
 def test_zz_has_no_residue_field():
     assert not ZZ.is_local
     assert ZZ.residue_field is None and ZZ.ops.residue is None
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5), ZLoc(3), graded_poly("x", "y")], ids=str)
+def test_rings_scalars_and_complexes_pickle_after_arithmetic(ring):
+    """Ring.ops is cached and holds local functions; a pickled ring is
+    rebuilt from its fields, so it pickles after arithmetic has run."""
+    two = ring.one() + ring.one()
+    copy = pickle.loads(pickle.dumps(ring))
+    assert copy == ring and copy.ops.add(copy.ops.one, copy.ops.one) == two.value
+    assert pickle.loads(pickle.dumps(two)) == two
+    elements = ring.generators() if ring.graded else (ring.scalar(3), two)
+    S = sym2(koszul(list(elements))).complex
+    assert pickle.loads(pickle.dumps(S)) == S

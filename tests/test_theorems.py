@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from symchain import (
     direct_sum,
     graded_poly,
     homology,
+    inf_h,
     is_exact,
     is_quasi_iso,
     koszul,
@@ -569,3 +571,44 @@ def test_equivalence_report_reads_failure_lists_and_bools():
     assert (r.conditions, r.equivalent, r.holds, r.note) == ((True, False), None, False, "n")
     r = _verdict("t", X, {}, equivalence=False)
     assert (r.conditions, r.equivalent, r.holds, r.note) == ((), None, True, None)
+
+
+def test_graded_verdicts_multiply_no_polynomial(monkeypatch):
+    """Every _split_units call on a graded ring, through every binding of
+    the name: the verdicts, inf_h and the checkers that read only ranks
+    make none, since they split the constant terms over QQ; s2fpd01 and
+    symm09 make exactly one, with q, which is minimize."""
+    real = importlib.import_module("symchain.series")._split_units
+    graded_calls = []
+
+    def counting(ring, ranks, entries, with_q=False):
+        if ring.graded:
+            graded_calls.append(with_q)
+        return real(ring, ranks, entries, with_q)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("symchain")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counting)
+    pad = FreeComplex(POLY, {0: 1, 1: 1}, {1: SparseMatrix.identity(POLY, 1)}, {0: (1,), 1: (1,)})
+    K = koszul([X_VAR, Y_VAR])
+    other = random_graded_minimal(POLY, random.Random(3))
+    for X in (K, direct_sum(K, shift(pad, 1)), direct_sum(shift(pad, 2), other)):
+        S = sym2(X)
+        for run, args in (
+            (is_exact, (X,)),
+            (is_exact, (S.complex,)),
+            (is_quasi_iso, (S.proj,)),
+            (is_quasi_iso, (S.alpha,)),
+            (inf_h, (X,)),
+            (check_symm07, (X,)),
+            (check_symm07pp, (X,)),
+            (check_s2fpd02, (X,)),
+        ):
+            graded_calls.clear()
+            run(*args)
+            assert graded_calls == [], run.__name__
+        for run in (check_s2fpd01, check_symm09):
+            graded_calls.clear()
+            run(X)
+            assert graded_calls == [True], run.__name__
