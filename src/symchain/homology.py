@@ -2,7 +2,8 @@
 
 Over ZZ and ZLoc(p) homology groups are reported as invariant factors,
 the Smith diagonal computed modulo a determinant without transforms; over
-QQ and GF(p) as dimensions; over graded polynomial rings as Hilbert tables
+QQ and GF(p) as dimensions, the ranks of the minimal complex (d = 0 there)
+from series._minimal_ranks; over graded polynomial rings as Hilbert tables
 (dimension of each internal-degree slice over QQ) up to a degree bound,
 which every such report carries.  Each differential is prepared once per
 table, each internal degree is one pass up the slices of d_n, and each
@@ -162,10 +163,13 @@ def default_bound(X: FreeComplex) -> int:
 def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
     """Exact homology per backend.
 
-    A graded complex gets Hilbert tables up to the bound (default_bound
-    when None; one below the lowest generator degree raises GradingError):
-    for each internal degree d, one pass up n ranks the slice of d_n on
-    the rows the slice of d_{n-1} left unpivoted (_graded_tables).
+    Over a field dim H_n(X) is the rank of M_n for the minimal complex M
+    of X, as d = 0 on M: series._minimal_ranks, with no differential
+    ranked and no M built.  A graded complex gets Hilbert tables up to
+    the bound (default_bound when None; one below the lowest generator
+    degree raises GradingError): for each internal degree d, one pass up
+    n ranks the slice of d_n on the rows the slice of d_{n-1} left
+    unpivoted (_graded_tables).
     """
     ring = X.ring
     if ring.proper_subring_of_qq:
@@ -180,13 +184,7 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
                 values[n] = g
         return HomologyReport("invariant_factors", ring, values)
     if ring.is_field:
-        values = {}
-        ranks = {n: rank(X.diff(n)) for n in X.degrees()}
-        for n in X.degrees():
-            h = X.rank(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-            if h:
-                values[n] = h
-        return HomologyReport("dimensions", ring, values)
+        return HomologyReport("dimensions", ring, _minimal_ranks(X))
     if X.graded:
         check_bound(X, bound)
         D = default_bound(X) if bound is None else bound

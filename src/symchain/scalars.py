@@ -349,13 +349,13 @@ def _ring_ops(ring: Ring) -> RingOps:
         residue = (lambda a: a) if kind == "QQ" else (lambda a: _mod_p(a, p))
         return RingOps(Fraction(0), Fraction(1), operator.add, operator.mul, operator.neg,
                        is_unit, lambda a: 1 / a, residue)
-    const = (0,) * len(ring.variables)
+    const, zero = (0,) * len(ring.variables), Fraction(0)
     return RingOps(
         {}, {const: Fraction(1)}, _poly_add, _poly_mul,
         lambda a: {e: -c for e, c in a.items()},
         lambda a: len(a) == 1 and const in a,
         lambda a: {const: 1 / a[const]},
-        lambda a: a.get(const, Fraction(0)),
+        lambda a: a.get(const, zero),
     )
 
 

@@ -7,15 +7,20 @@ square satisfies
 
     P_{S2(X)}(t) = (1/2) * [P_X(t)^2 + P_X(-t^2)]
 
-which verify_series_identity checks exactly.  Minimalization splits off
-contractible two-term summands at unit differential entries in one
-in-place pass over the rows of the differentials, held as integers over
-QQ and ZLoc(p) (_split_units).  minimize, the one builder of minimal
+and _square_ranks, the one expansion of the right side, computes it in
+integers from the ranks alone.  verify_series_identity compares it with
+the ranks of the built square, poinc_check reads twice its truncation
+(with either sign of P(-t^2)), and s2fpd01 reads the ranks of the square
+of the minimal complex from it, without building either.  Minimalization
+splits off contractible two-term summands at unit differential entries in
+one in-place pass over the rows of the differentials, held as integers
+over QQ and ZLoc(p) (_split_units).  minimize, the one builder of minimal
 complexes, runs it on X itself, with the projection q onto the minimal
 complex; minimal_model is minimize(X)[0].  Every question that needs only
 which generators survive (the ranks of the minimal complex: the theorem
-checkers' shift conditions and infima, inf_h, and exactness over fields
-and graded rings) is answered by _survivors, which runs the same split
+checkers' shift conditions, lengths and infima, inf_h, exactness over
+fields and graded rings, and homology over fields, where d = 0 on the
+minimal complex) is answered by _survivors, which runs the same split
 without q on X (x) k for the residue field k: on X over QQ and GF(p), on
 its GF(p) reduction over ZLoc(p), on its QQ constant terms over a graded
 ring, where no polynomial is multiplied.
@@ -88,30 +93,30 @@ def rank_series(X: FreeComplex) -> RankSeries:
     return RankSeries.from_dict(X.ranks)
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+def _square_ranks(ranks: dict, sign: int = 1) -> dict:
+    """{n: c} for the nonzero coefficients c of (P(t)^2 + sign P(-t^2))/2,
+    P the Laurent polynomial sum r_n t^n of ranks {n: r_n}.  With sign 1
+    and the ranks of X these are the ranks of S2(X).  Both signs give
+    integers: the t^n coefficient is the sum of r_p r_q over p < q with
+    p + q = n, plus, when n = 2p, r_p (r_p + sign (-1)^p) / 2, and
+    r (r +- 1) is even.  This is the one place the identity is expanded.
+    """
+    out, degrees = {}, sorted(ranks)
+    for k, p in enumerate(degrees):
+        r = ranks[p]
+        out[2 * p] = out.get(2 * p, 0) + (r * r + (-sign if p % 2 else sign) * r) // 2
+        for q in degrees[k + 1:]:
+            out[p + q] = out.get(p + q, 0) + r * ranks[q]
+    return {n: c for n, c in sorted(out.items()) if c}
 
 
 def verify_series_identity(X: FreeComplex) -> bool:
-    """Exact comparison of the rank series of S2(X) with (P^2 + P(-t^2))/2.
+    """Exact comparison of the ranks of S2(X) with (P^2 + P(-t^2))/2.
 
     The left side is read from the constructed symmetric square; the right
-    side is a Laurent-polynomial computation from the ranks of X alone.
+    side is _square_ranks, a computation from the ranks of X alone.
     """
-    left = rank_series(sym2(X).complex).as_dict()
-    P = {e: Fraction(c) for e, c in rank_series(X).as_dict().items()}
-    square = _poly_mul(P, P)
-    sub = {2 * e: (-c if e % 2 else c) for e, c in P.items()}
-    right = {}
-    for e in set(square) | set(sub):
-        v = Fraction(square.get(e, 0) + sub.get(e, 0), 2)
-        if v:
-            right[e] = v
-    return {e: Fraction(c) for e, c in left.items()} == right
+    return sym2(X).complex.ranks == _square_ranks(X.ranks)
 
 
 @dataclass
@@ -145,16 +150,9 @@ def poinc_check(coeffs, sign: str, order: int) -> PoincReport:
         raise SymchainError("the constant coefficient must be positive")
     if any(c < 0 for c in r):
         raise SymchainError("coefficients must be nonnegative")
-    r = r + [0] * (order + 1 - len(r))
     r = r[: order + 1]
-    combo = [0] * (order + 1)
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            combo[i + j] += r[i] * r[j]
-    for i in range(order + 1):
-        if 2 * i <= order:
-            term = r[i] * (-1) ** i
-            combo[2 * i] += term if sign == "+" else -term
+    square = _square_ranks(dict(enumerate(r)), 1 if sign == "+" else -1)
+    combo = [2 * square.get(i, 0) for i in range(order + 1)]
     constant = all(c == 0 for c in combo[1:])
     value = combo[0] if constant else None
     case = None

@@ -9,8 +9,10 @@ constant; the implications s2fpd01 and symm09 hold when every condition
 does.  Every condition is exact on every backend, and no checker takes a
 degree bound.  A condition on a minimal complex that reads only its ranks
 takes them from series._minimal_ranks, which builds no complex; only
-s2fpd01 (for the square of M) and symm09 (for q) build one, by minimize.
-s2fpd01 reads the lengths of two minimal models and a rank inequality.
+symm09, which needs q and the differentials of M, builds one, by
+minimize.  s2fpd01 reads the lengths of two minimal models and a rank
+inequality whose ranks of S2(M) come from the rank identity
+(series._square_ranks), with no square of M built.
 symm09 reads both infima from minimal models, and checks the
 lowest module of the square through the natural map S2(q) to the square
 of the minimal model, whose lowest differential it compares entry for
@@ -37,7 +39,7 @@ from .errors import SymchainError, TwoNotUnitError, UnsupportedRingError
 from .homology import _exactness_failures, homology, homology_presented, is_quasi_iso
 from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
-from .series import _minimal_ranks, _require_local, minimal_model, minimize, rank_series, verify_series_identity
+from .series import _minimal_ranks, _require_local, _square_ranks, minimize, rank_series, verify_series_identity
 from .sym2 import Sym2Result, _alpha_summands, _square_map, _sym2_map
 from .sym2 import alpha, sym2, sym2_map, weak_sym2
 
@@ -223,23 +225,25 @@ def check_s2fpd01(X: FreeComplex) -> VerdictReport:
     X.  The witnesses are the lengths of M and of the minimal model of
     S2(X).  It needs a local ring, but not that 2 is a unit.
 
-    S2(M)_{p+q} contains M_p (x) M_q by construction, so the inequality
-    holds on every bounded complex: the report always holds, `check
-    s2fpd01` exits only 0 or 2, and what it shows is the two lengths.
+    Everything is read off ranks, and neither M nor S2(M) is built: the
+    ranks r of M and of the minimal model of S2(X) are _minimal_ranks,
+    and those of S2(M) are _square_ranks(r), the rank identity.  S2(M)_{p+q}
+    contains M_p (x) M_q by construction, so the inequality holds on every
+    bounded complex: the report always holds, `check s2fpd01` exits only 0
+    or 2, and what it shows is the two lengths.
     """
     _require_local(X)
-    M = minimal_model(X)
+    M = _minimal_ranks(X)
+    S = _square_ranks(M)
     SM = _minimal_ranks(sym2(X).complex)
-    S = sym2(M).complex
     return _verdict(
         "s2fpd01",
         X,
+        {"rank_inequality": all(S.get(p + q, 0) >= M[p] * M[q] for p, q in combinations(M, 2))},
         {
-            "rank_inequality": all(
-                S.rank(p + q) >= M.rank(p) * M.rank(q) for p, q in combinations(M.degrees(), 2)
-            )
+            "minimal_length": max(M) - min(M) if M else None,
+            "square_minimal_length": max(SM) - min(SM) if SM else None,
         },
-        {"minimal_length": M.length(), "square_minimal_length": max(SM) - min(SM) if SM else None},
         equivalence=False,
     )
 
@@ -351,7 +355,8 @@ def check_symm09(X: FreeComplex) -> VerdictReport:
         )
     i = M.degrees()[0]
     even = i % 2 == 0
-    SX, SM = sym2(X), sym2(M)
+    SX = sym2(X)
+    SM = SX if M is X else sym2(M)
     s_inf = min(_minimal_ranks(SX.complex), default=None)
     witnesses = {}
     failures = is_quasi_iso(_sym2_map(_square_map(q, SX, SM), SX, SM)).failures

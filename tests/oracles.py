@@ -13,7 +13,9 @@ contractible summand at a time, building a new complex and a projection
 chain map per pivot.  `reference_split_units` is the same one-pass split
 as `series._split_units`, with every Schur update in exact field
 arithmetic (`Fraction` over QQ and ZLoc(p)) in place of integer rows.
-`reference_quotient_complex` writes a presented complex over a field as
+`reference_field_homology` ranks each differential over a field, the
+reference for `homology()` there, which reads the ranks of the minimal
+complex.  `reference_quotient_complex` writes a presented complex over a field as
 the free complex of its quotients F_n / im r_n on explicit complement
 bases, the reference for the rank formula of `homology_presented`.
 `reference_slice_matrix` writes a degree slice as a QQ matrix of
@@ -415,6 +417,13 @@ def reference_split_units(X: FreeComplex, with_q: bool):
         for n in degrees if pos[n]
     }
     return M, ChainMap._of(X, M, maps)
+
+
+def reference_field_homology(X: FreeComplex) -> dict:
+    """{n: dim H_n(X)}, nonzero only, over a field: dim X_n - rank d_n -
+    rank d_{n+1}, with each differential ranked by `linalg.rank`."""
+    ranks = {n: rank(X.diff(n)) for n in X.degrees()}
+    return {n: h for n in X.degrees() if (h := X.rank(n) - ranks.get(n, 0) - ranks.get(n + 1, 0))}
 
 
 def reference_quotient_complex(P) -> FreeComplex:

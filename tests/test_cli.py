@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -277,6 +278,19 @@ def test_series_verify(tmp_path, capsys):
     code, out, _ = run(capsys, "series", "--verify", kfile)
     assert code == 0
     assert "identity holds: 1 + 2*t + 2*t^2 + 2*t^3 + t^4" in out
+
+
+def test_series_verify_builds_one_square(tmp_path, capsys, monkeypatch):
+    """Every binding of sym2 in the symchain modules counts its calls."""
+    real, squares = sym2, []
+    for module in [m for name, m in sys.modules.items() if name.startswith("symchain")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, lambda X: squares.append(X) or real(X))
+    kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
+    code, out, _ = run(capsys, "series", "--verify", kfile)
+    assert code == 0 and out == "identity holds: 1 + 2*t + 2*t^2 + 2*t^3 + t^4\n"
+    assert len(squares) == 1
 
 
 def test_minimize_command(tmp_path, capsys):

@@ -61,6 +61,7 @@ from symchain.sym2 import _pivot_columns
 
 from oracles import (
     homology_representatives,
+    reference_field_homology,
     reference_graded_table,
     reference_quotient_complex,
     reference_slice_matrix,
@@ -294,6 +295,23 @@ def _sympy_field_rank(M):
         v = Fraction(v)
         data[i][j] = K(v.numerator) / K(v.denominator)
     return DomainMatrix(data, (M.rows, M.cols), K).rank()
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_field_homology_matches_the_rank_of_each_differential(ring):
+    """homology() over a field reads the ranks of the minimal complex; the
+    oracle ranks every differential of X."""
+    rng = random.Random(61)
+    for _ in range(10):
+        X, Y = random_split_pair(ring, rng)
+        for Z in (X, Y, random_minimal_complex(ring, rng), sym2(X).complex):
+            h = homology(Z)
+            assert h.kind == "dimensions" and h.ring == ring
+            assert h.values == reference_field_homology(Z)
+    # the square of a contractible complex is exact exactly when 2 is a unit
+    S = sym2(koszul([ring.one()] * 4)).complex
+    assert homology(S).values == reference_field_homology(S)
+    assert homology(S).is_exact() == ring.two_is_unit()
 
 
 @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), QQ], ids=str)

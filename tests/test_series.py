@@ -31,7 +31,7 @@ from symchain import (
 )
 from symchain.errors import SymchainError, UnsupportedRingError
 from symchain.linalg import SparseMatrix, kernel_basis
-from symchain.series import RankSeries
+from symchain.series import RankSeries, _square_ranks
 from symchain.sym2 import alpha
 
 from oracles import reference_split_units, stepwise_minimize
@@ -83,6 +83,41 @@ def test_series_identity_in_negative_degrees():
     for shift_by in (-5, -3, -2, -1):
         X = shift(random_complex(ZZ, rng, max_rank=3, max_len=3), shift_by)
         assert verify_series_identity(X)
+
+
+def test_square_ranks_by_hand():
+    # P = 2t^-1 + 1 + 3t^2: cross terms 2 t^-1, 6 t, 3 t^2; the diagonal
+    # r(r + sign (-1)^p)/2 gives 1 or 3 at t^-2, 1 or 0 at 1, 6 or 3 at t^4
+    ranks = {-1: 2, 0: 1, 2: 3}
+    assert _square_ranks(ranks) == {-2: 1, -1: 2, 0: 1, 1: 6, 2: 3, 4: 6}
+    assert _square_ranks(ranks, -1) == {-2: 3, -1: 2, 1: 6, 2: 3, 4: 3}
+    assert _square_ranks({}) == {} and _square_ranks({1: 1}) == {}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), GF(5), ZLoc(2), ZLoc(3), POLY], ids=str)
+def test_square_ranks_are_the_ranks_of_the_built_square(ring):
+    """On randgen complexes shifted into negative degrees and with a gap
+    of at least one zero degree before an added shift of R."""
+    rng = random.Random(41)
+    for _ in range(6):
+        if ring == POLY:
+            X = random_graded_minimal(POLY, rng, max_pieces=3)
+        else:
+            X = random_complex(ring, rng, max_rank=3, max_len=3)
+        X = shift(X, rng.randint(-4, 1))
+        X = direct_sum(X, shift(unit_complex(ring), X.support[1] + rng.randint(2, 3)))
+        assert _square_ranks(X.ranks) == sym2(X).complex.ranks
+
+
+def test_square_ranks_with_either_sign_double_to_the_brute_force_combination():
+    for r0 in (1, 2, 3):
+        for tail in itertools.product((0, 1, 2), repeat=4):
+            r = [r0, *tail]
+            order = 2 * (len(r) - 1)
+            for sign, s in (("+", 1), ("-", -1)):
+                square = _square_ranks(dict(enumerate(r)), s)
+                assert [2 * square.get(i, 0) for i in range(order + 1)] == _brute_force_combo(r, sign, order)
+                assert max(square, default=0) <= order
 
 
 def test_poinc_dichotomy_cases():

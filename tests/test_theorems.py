@@ -575,9 +575,9 @@ def test_equivalence_report_reads_failure_lists_and_bools():
 
 def test_graded_verdicts_multiply_no_polynomial(monkeypatch):
     """Every _split_units call on a graded ring, through every binding of
-    the name: the verdicts, inf_h and the checkers that read only ranks
-    make none, since they split the constant terms over QQ; s2fpd01 and
-    symm09 make exactly one, with q, which is minimize."""
+    the name: the verdicts, inf_h and the checkers that read only ranks,
+    s2fpd01 among them, make none, since they split the constant terms
+    over QQ; symm09 makes exactly one, with q, which is minimize."""
     real = importlib.import_module("symchain.series")._split_units
     graded_calls = []
 
@@ -604,11 +604,57 @@ def test_graded_verdicts_multiply_no_polynomial(monkeypatch):
             (check_symm07, (X,)),
             (check_symm07pp, (X,)),
             (check_s2fpd02, (X,)),
+            (check_s2fpd01, (X,)),
         ):
             graded_calls.clear()
             run(*args)
             assert graded_calls == [], run.__name__
-        for run in (check_s2fpd01, check_symm09):
-            graded_calls.clear()
-            run(X)
-            assert graded_calls == [True], run.__name__
+        graded_calls.clear()
+        check_symm09(X)
+        assert graded_calls == [True], check_symm09.__name__
+
+
+def _record_calls(monkeypatch, real) -> list:
+    """Rebind every binding of `real` in the symchain modules to a wrapper
+    that records the first argument of each call; returns the record."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("symchain")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, recording)
+    return calls
+
+
+def test_s2fpd01_builds_one_square_and_no_minimal_complex(monkeypatch):
+    """s2fpd01 squares X once, for the minimal model of S2(X), and reads
+    the ranks of M and of S2(M) by counting: no minimize, no sym2(M)."""
+    squares = _record_calls(monkeypatch, sym2)
+    minimized = _record_calls(monkeypatch, minimize)
+    pad = FreeComplex(POLY, {0: 1, 1: 1}, {1: SparseMatrix.identity(POLY, 1)}, {0: (1,), 1: (1,)})
+    rng = random.Random(17)
+    padded_zloc = direct_sum(random_minimal_complex(ZLoc(3), rng), contractible_piece(ZLoc(3), 2))
+    for X in (koszul([X_VAR, Y_VAR]), direct_sum(koszul([X_VAR, Y_VAR]), shift(pad, 1)), padded_zloc):
+        squares.clear()
+        report = check_s2fpd01(X)
+        assert report.holds
+        assert len(squares) == 1 and squares[0] is X
+        assert minimized == []
+
+
+def test_symm09_squares_x_once_when_x_is_minimal(monkeypatch):
+    """minimize returns X itself when nothing splits, and symm09 then uses
+    S2(X) as the square of the minimal model; a padded X needs both."""
+    squares = _record_calls(monkeypatch, sym2)
+    pad = FreeComplex(POLY, {0: 1, 1: 1}, {1: SparseMatrix.identity(POLY, 1)}, {0: (1,), 1: (1,)})
+    K = koszul([X_VAR, Y_VAR])
+    assert check_symm09(K).holds
+    assert len(squares) == 1 and squares[0] is K
+    squares.clear()
+    padded = direct_sum(K, shift(pad, 1))
+    assert check_symm09(padded).holds
+    assert len(squares) == 2 and squares[0] is padded and squares[1] == K
