@@ -19,11 +19,15 @@ their classical small presentations; three or more elements build the
 left-associated iterated tensor of the one-element complexes.
 
 Each structural property is checked once, where outside values enter.  The
-public constructors FreeComplex(...) and ChainMap(...) check shapes, rings,
-homogeneity of graded entries, d.d = 0 and f.d = d.f, and raise naming the
-degree and the lowest bad entry.  Library results are built with
-FreeComplex._of and ChainMap._of, which drop zero ranks and zero matrices
-and check nothing, like SparseMatrix._of.
+public constructors FreeComplex(...), ChainMap(...), Homotopy(...) and
+sym2.PresentedComplex(...) check each family of matrices indexed by degree
+through one validator (_checked_family): a missing matrix, the ring, the
+shape, a nonzero matrix at a zero module and, over graded rings, the
+homogeneity of each entry, each raised naming the family and the degree;
+zero matrices are dropped.  FreeComplex and ChainMap then check d.d = 0 and
+f.d = d.f, naming the degree and the lowest bad entry.  Library results are
+built with FreeComplex._of and ChainMap._of, which drop zero ranks and zero
+matrices and check nothing, like SparseMatrix._of.
 """
 
 from __future__ import annotations
@@ -81,29 +85,13 @@ class FreeComplex:
             if gdegs:
                 raise GradingError(f"generator degrees are only for graded rings, not {ring}")
             self._gdegs = None
-        self._diffs = {}
-        for n, M in (diffs or {}).items():
-            n = int(n)
-            if self.rank(n) == 0 or self.rank(n - 1) == 0:
-                if M is not None and not M.is_zero():
-                    raise ShapeError(f"differential at degree {n} maps to/from a zero module")
-                continue
-            if M is None:
-                raise ShapeError(f"differential at degree {n} is missing")
-            if M.ring != ring:
-                raise RingMismatchError("differential over the wrong ring")
-            if (M.rows, M.cols) != (self.rank(n - 1), self.rank(n)):
-                raise ShapeError(
-                    f"differential at degree {n} is {M.rows}x{M.cols}, expected "
-                    f"{self.rank(n - 1)}x{self.rank(n)}"
-                )
-            if not M.is_zero():
-                self._diffs[n] = M
-        if self._gdegs is not None:
-            for n in sorted(self._diffs):
-                _check_homogeneous(
-                    self._diffs[n], self.gdeg(n), self.gdeg(n - 1), f"differential at degree {n}"
-                )
+        self._diffs = _checked_family(
+            ring,
+            diffs or {},
+            lambda n: (self.rank(n - 1), self.rank(n)),
+            "differential",
+            (lambda n: (self.gdeg(n), self.gdeg(n - 1))) if self.graded else None,
+        )
         report = validate(self)
         if not report:
             raise ShapeError(
@@ -227,6 +215,39 @@ def _check_homogeneous(M: SparseMatrix, src, tgt, where: str) -> None:
         )
 
 
+def _checked_family(ring: Ring, maps, shape, what: str, gdeg=None) -> dict:
+    """{n: M} of the nonzero matrices of a degree-indexed family of outside
+    matrices, checked degree by degree from the lowest.
+
+    shape(n) is the (rows, cols) the matrix at degree n must have; where
+    either is 0 the matrix must be zero or None.  Raises ShapeError for a
+    missing or misshapen matrix and RingMismatchError for one over another
+    ring, and, when gdeg(n) gives the (source, target) generator degrees,
+    GradingError for an entry that is not homogeneous.  Each message names
+    what and the degree.
+    """
+    out = {}
+    for n, M in sorted(dict(maps).items(), key=lambda item: int(item[0])):
+        n = int(n)
+        where = f"{what} at degree {n}"
+        rows, cols = shape(n)
+        if rows == 0 or cols == 0:
+            if M is not None and not M.is_zero():
+                raise ShapeError(f"{where} maps to/from a zero module")
+            continue
+        if M is None:
+            raise ShapeError(f"{where} is missing")
+        if M.ring != ring:
+            raise RingMismatchError(f"{where} is over {M.ring}, not {ring}")
+        if (M.rows, M.cols) != (rows, cols):
+            raise ShapeError(f"{where} is {M.rows}x{M.cols}, expected {rows}x{cols}")
+        if not M.is_zero():
+            if gdeg is not None:
+                _check_homogeneous(M, *gdeg(n), where)
+            out[n] = M
+    return out
+
+
 def validate(X: FreeComplex) -> ValidationReport:
     """Check d(d(x)) = 0; the FreeComplex constructor runs this on its input."""
     failures = []
@@ -317,7 +338,9 @@ def _tensor_with_bases(X: FreeComplex, Y: FreeComplex):
     index = {n: {lab: k for k, lab in enumerate(b)} for n, b in bases.items()}
     dX = {p: _columns(X.diff(p)) for p in X.degrees()}
     dY = {q: _columns(Y.diff(q)) for q in Y.degrees()}
+    # the Koszul sign (-1)^p on d^Y: each column negated once, read for odd p
     neg = ring.ops.neg
+    negY = {q: {j: [(ii, neg(v)) for ii, v in c] for j, c in cs.items()} for q, cs in dY.items()}
     diffs = {}
     for n in degrees:
         tgt = index.get(n - 1)
@@ -331,10 +354,10 @@ def _tensor_with_bases(X: FreeComplex, Y: FreeComplex):
                 row = tgt.get(((p - 1, ii), (q, j)))
                 if row is not None:
                     entries[(row, col)] = v
-            for ii, v in dY[q].get(j, ()):
+            for ii, v in (negY if p % 2 else dY)[q].get(j, ()):
                 row = tgt.get(((p, i), (q - 1, ii)))
                 if row is not None:
-                    entries[(row, col)] = neg(v) if p % 2 else v
+                    entries[(row, col)] = v
         diffs[n] = SparseMatrix._of(ring, len(tgt), len(bases[n]), entries)
     gdegs = None
     if X.graded:
@@ -356,29 +379,13 @@ class ChainMap:
             raise RingMismatchError("chain map between complexes over different rings")
         self.source = source
         self.target = target
-        self.maps = {}
-        for n, M in dict(maps).items():
-            n = int(n)
-            if source.rank(n) == 0 or target.rank(n) == 0:
-                if M is not None and not M.is_zero():
-                    raise ShapeError(f"map at degree {n} to/from a zero module")
-                continue
-            if M is None:
-                raise ShapeError(f"map at degree {n} is missing")
-            if (M.rows, M.cols) != (target.rank(n), source.rank(n)):
-                raise ShapeError(
-                    f"map at degree {n} is {M.rows}x{M.cols}, expected "
-                    f"{target.rank(n)}x{source.rank(n)}"
-                )
-            if M.ring != source.ring:
-                raise RingMismatchError("chain map matrix over the wrong ring")
-            if not M.is_zero():
-                self.maps[n] = M
-        if source.graded:
-            for n in sorted(self.maps):
-                _check_homogeneous(
-                    self.maps[n], source.gdeg(n), target.gdeg(n), f"map at degree {n}"
-                )
+        self.maps = _checked_family(
+            source.ring,
+            maps,
+            lambda n: (target.rank(n), source.rank(n)),
+            "map",
+            (lambda n: (source.gdeg(n), target.gdeg(n))) if source.graded else None,
+        )
         bad = self._first_noncommuting()
         if bad is not None:
             n, (i, j) = bad
@@ -548,17 +555,14 @@ class Homotopy:
             raise ShapeError("homotopy endpoints do not match")
         self.f = f
         self.g = g
-        self.maps = {}
-        for n, M in dict(maps).items():
-            n = int(n)
-            if f.source.rank(n) == 0 or f.target.rank(n + 1) == 0:
-                if M is not None and not M.is_zero():
-                    raise ShapeError(f"homotopy component at degree {n} to/from zero module")
-                continue
-            if (M.rows, M.cols) != (f.target.rank(n + 1), f.source.rank(n)):
-                raise ShapeError(f"homotopy component at degree {n} has wrong shape")
-            if not M.is_zero():
-                self.maps[n] = M
+        X, Y = f.source, f.target
+        self.maps = _checked_family(
+            X.ring,
+            maps,
+            lambda n: (Y.rank(n + 1), X.rank(n)),
+            "homotopy component",
+            (lambda n: (X.gdeg(n), Y.gdeg(n + 1))) if X.graded else None,
+        )
 
     def component(self, n: int) -> SparseMatrix:
         M = self.maps.get(n)

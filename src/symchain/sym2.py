@@ -53,6 +53,7 @@ from .complexes import (
     ChainMap,
     FreeComplex,
     Homotopy,
+    _checked_family,
     _kronecker,
     _tensor_with_bases,
     direct_sum,
@@ -285,29 +286,28 @@ class PresentedComplex:
         self.ring = ring
         self.generators = {int(n): list(g) for n, g in generators.items() if g}
         self.relations = {}
-        self.diffs = {}
         for n, M in relations.items():
             n = int(n)
             if n not in self.generators:
                 if M is not None and M.cols:
                     raise ShapeError(f"relations at empty degree {n}")
                 continue
-            self._check_matrix(M, f"relation matrix at degree {n}")
+            where = f"relation matrix at degree {n}"
+            if M is None:
+                raise ShapeError(f"{where} is missing")
+            if M.ring != ring:
+                raise RingMismatchError(f"{where} is over {M.ring}, not {ring}")
             if M.rows != len(self.generators[n]):
-                raise ShapeError(f"relation matrix at degree {n} has wrong height")
+                raise ShapeError(f"{where} has wrong height")
             if ring.proper_subring_of_qq and rank(M) < M.cols:
                 raise ShapeError(f"relations at degree {n} are not independent")
             self.relations[n] = M
-        for n, M in diffs.items():
-            n = int(n)
-            if n not in self.generators or (n - 1) not in self.generators:
-                if M is not None and not M.is_zero():
-                    raise ShapeError(f"differential at degree {n} to/from empty degree")
-                continue
-            self._check_matrix(M, f"presented differential at degree {n}")
-            if (M.rows, M.cols) != (len(self.generators[n - 1]), len(self.generators[n])):
-                raise ShapeError(f"presented differential at degree {n} has wrong shape")
-            self.diffs[n] = M
+        self.diffs = _checked_family(
+            ring,
+            diffs,
+            lambda n: (len(self.gens(n - 1)), len(self.gens(n))),
+            "presented differential",
+        )
         failure = self._first_failure()
         if failure is not None:
             raise ShapeError(f"presented complex fails relation compatibility: {failure}")
@@ -315,17 +315,13 @@ class PresentedComplex:
     @classmethod
     def _of(cls, ring: Ring, generators, relations, diffs) -> "PresentedComplex":
         """The presented complex of a library result, stored as the public
-        constructor would store it (generators only where nonempty, each
-        matrix at a degree it spans); nothing is validated again."""
+        constructor would store it: generators only where nonempty, a
+        relation matrix at each of their degrees, even one with no columns,
+        and only the nonzero differentials, each at a degree it spans.
+        Nothing is validated again."""
         P = object.__new__(cls)
         P.ring, P.generators, P.relations, P.diffs = ring, generators, relations, diffs
         return P
-
-    def _check_matrix(self, M, where: str) -> None:
-        if M is None:
-            raise ShapeError(f"{where} is missing")
-        if M.ring != self.ring:
-            raise RingMismatchError(f"{where} is over {M.ring}, not {self.ring}")
 
     def gens(self, n: int):
         return self.generators.get(n, [])
@@ -425,6 +421,7 @@ def weak_sym2(X: FreeComplex):
     diffs = {
         n: _pick(rho[n - 1], T.diff(n), sigma[n]) for n in generators if (n - 1) in generators
     }
+    diffs = {n: M for n, M in diffs.items() if not M.is_zero()}
     return PresentedComplex._of(ring, generators, relations, diffs)
 
 

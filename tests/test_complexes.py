@@ -1,13 +1,16 @@
 """Complexes, chain maps, homotopies, tensor products, Koszul complexes."""
 
 import random
+import re
 
 import pytest
 
 from symchain import (
+    GF,
     ChainMap,
     FreeComplex,
     Homotopy,
+    PresentedComplex,
     SparseMatrix,
     ZLoc,
     ZZ,
@@ -66,6 +69,70 @@ def test_free_complex_rejects_missing_differential():
 def test_chain_map_rejects_missing_component():
     with pytest.raises(ShapeError, match="map at degree 0 is missing"):
         ChainMap(unit_complex(ZZ), unit_complex(ZZ), {0: None})
+
+
+def _one_element_koszul(ring):
+    """0 -> R -(a)-> R -> 0, with a = x over POLY and a = 2 otherwise."""
+    return koszul([X_VAR if ring.graded else ring.scalar(2)])
+
+
+def _gdegs(K):
+    return {n: K.gdeg(n) for n in K.degrees()} if K.graded else None
+
+
+# name: (family built on K from {degree: matrix}, what its messages call a
+# matrix, a degree where the matrix is 1x1, a degree with a zero module)
+FAMILIES = {
+    "FreeComplex": (
+        lambda K, maps: FreeComplex(K.ring, K.ranks, maps, _gdegs(K)), "differential", 1, 2
+    ),
+    "ChainMap": (lambda K, maps: ChainMap(K, K, maps), "map", 1, 2),
+    "Homotopy": (
+        lambda K, maps: Homotopy(zero_map(K, K), zero_map(K, K), maps), "homotopy component", 0, 1
+    ),
+    "PresentedComplex": (
+        lambda K, maps: PresentedComplex(
+            K.ring, {n: list(range(K.rank(n))) for n in K.degrees()}, {}, maps
+        ),
+        "presented differential",
+        1,
+        2,
+    ),
+}
+# name: (error, the malformed matrix over ring, the message after the degree)
+MALFORMED = {
+    "missing": (ShapeError, lambda ring: None, " is missing"),
+    "wrong ring": (RingMismatchError, lambda ring: rows(GF(3), [[1]]), " is over GF(3), not"),
+    "wrong shape": (ShapeError, lambda ring: rows(ring, [[1], [1]]), " is 2x1, expected 1x1"),
+    "zero module": (ShapeError, lambda ring: rows(ring, [[1]]), " maps to/from a zero module"),
+    "not homogeneous": (
+        GradingError,
+        lambda ring: rows(ring, [[ring.scalar("x^2 + 1")]]),
+        ": entry (0,0) is not homogeneous",
+    ),
+}
+# presented complexes carry no generator degrees to check homogeneity against
+MALFORMED_FAMILIES = [
+    pytest.param(ring, family, case, id=f"{ring}-{family}-{case}")
+    for ring in (QQ, POLY)
+    for family in FAMILIES
+    for case in MALFORMED
+    if case != "not homogeneous" or (ring.graded and family != "PresentedComplex")
+]
+
+
+@pytest.mark.parametrize("ring, family, case", MALFORMED_FAMILIES)
+def test_every_family_from_outside_is_checked_naming_the_degree(ring, family, case):
+    """One validator checks the differentials of a FreeComplex and of a
+    PresentedComplex and the components of a ChainMap and of a Homotopy:
+    each malformed matrix raises its own error, naming the family and the
+    degree."""
+    build, what, n, zero_n = FAMILIES[family]
+    error, matrix, rest = MALFORMED[case]
+    if case == "zero module":
+        n = zero_n
+    with pytest.raises(error, match="^" + re.escape(f"{what} at degree {n}{rest}")):
+        build(_one_element_koszul(ring), {n: matrix(ring)})
 
 
 def test_validate_empty_complex():

@@ -212,6 +212,15 @@ def test_presented_complex_rejects_wrong_ring_and_missing_matrices():
         PresentedComplex(ZZ, gens, {}, {1: None})
 
 
+def test_presented_complex_stores_no_zero_differential():
+    """Like FreeComplex and ChainMap, the constructor drops a zero matrix,
+    and the differential reads as zero there."""
+    zero = SparseMatrix.zero(ZZ, 1, 1)
+    P = PresentedComplex(ZZ, {0: [0], 1: [0]}, {}, {1: zero})
+    assert P.diffs == {}
+    assert P.diff(1) == zero
+
+
 def test_presented_complex_is_validated_when_built():
     # d carries the relation 2 of degree 1 to 2, outside the span of 4 in degree 0
     with pytest.raises(ShapeError, match="degree 1"):

@@ -3,7 +3,9 @@ PresentedComplex._of, which check nothing; outside values go through the
 public constructors, which check shapes, rings, homogeneity, d.d = 0,
 f.d = d.f and, for presentations, that d carries relations into relations.  What the trusted
 builders make must pass those checks, and each check runs where outside
-values enter, not again on the library's own results."""
+values enter, not again on the library's own results.  The homotopies the
+library builds go through the public Homotopy constructor, and must pass
+its checks too."""
 
 import random
 
@@ -23,6 +25,7 @@ from symchain import (
     direct_sum,
     graded_poly,
     identity_map,
+    induced_homotopy,
     koszul,
     mapping_cone,
     minimal_model,
@@ -49,7 +52,7 @@ from symchain.homology import _presented_cone
 from symchain.sym2 import endo_image_complex, endo_kernel_complex, shift_iso
 from symchain.theorems import _square_presentation, check_symm07pp
 
-from randgen import random_chain_map, random_complex, random_graded_minimal
+from randgen import random_chain_map, random_complex, random_graded_minimal, random_homotopic_pair
 
 POLY = graded_poly("x", "y")
 RINGS = [ZZ, QQ, GF(2), GF(5), ZLoc(3), POLY]
@@ -66,6 +69,15 @@ def _koszul_elements(ring):
     if ring.kind == "Poly":
         return list(ring.generators())
     return [ring.scalar(v) for v in (2, 3, 1)]
+
+
+def _with_contractible_summand(X):
+    """X (+) (R -1-> R), both generators in internal degree 1 over a graded
+    ring: a nonzero homotopy exists on it whatever X is."""
+    ring = X.ring
+    gdegs = {0: (1,), 1: (1,)} if ring.graded else None
+    pad = FreeComplex(ring, {0: 1, 1: 1}, {1: SparseMatrix.identity(ring, 1)}, gdegs)
+    return direct_sum(X, pad)
 
 
 def _library_results(ring, rng):
@@ -108,6 +120,8 @@ def _library_results(ring, rng):
         sd = split_decomposition(X)
         out += [sd.idempotent, sd.im_alpha, sd.ker_alpha, sd.iota, sd.q, sd.j]
         out += [sd.iso, sd.iso_inverse]
+        P = _with_contractible_summand(X)
+        out += list(induced_homotopy(*random_homotopic_pair(P, P, rng)))
     else:
         W = weak_sym2(X)
         out += [W, weak_sym2(koszul(_koszul_elements(ring)))]
@@ -122,6 +136,8 @@ def _rebuilt(value):
     """value rebuilt from its parts by the public, checking constructor."""
     if isinstance(value, ChainMap):
         return ChainMap(_rebuilt(value.source), _rebuilt(value.target), value.maps)
+    if isinstance(value, Homotopy):
+        return Homotopy(_rebuilt(value.f), _rebuilt(value.g), value.maps)
     if isinstance(value, PresentedComplex):
         return PresentedComplex(value.ring, value.generators, value.relations, value.diffs)
     X = value
@@ -140,9 +156,12 @@ def test_public_constructors_accept_what_the_trusted_builders_make(ring, seed):
 
 
 def _parts(value):
-    """value itself; a presented complex, which defines no ==, as its parts."""
+    """value itself; a presented complex or a homotopy, which define no ==,
+    as its parts."""
     if isinstance(value, PresentedComplex):
         return value.ring, value.generators, value.relations, value.diffs
+    if isinstance(value, Homotopy):
+        return value.f, value.g, value.maps
     return value
 
 
