@@ -28,14 +28,16 @@ and columns starts (slice_basis lists a basis).  Graded slices reach
 about 1000x800 at under 1% density, which is why rows stay sparse.  Two
 kernels eliminate the rows, and the Smith pivot loop below is a third:
 
-- rank, qq_rank, field homology and the independence test of presented
-  relations run _markowitz_rank: right-looking elimination that pivots
-  on the sparsest live row and, within it, the sparsest column, which
-  keeps fill-in low.  Mod a composite D it pivots only on units and
-  returns the rows it could not pivot; invariant_factors splits off its
-  unit pivots that way.  It can also report the column of each pivot:
-  qq_rank ranks the rows of a slice and returns the pivot columns,
-  which graded homology drops from the rows of the next slice.
+- rank, qq_rank, the independence test of presented relations and the
+  ZLoc(p) witness rule of homology._local_failures run _markowitz_rank:
+  right-looking elimination that pivots on the sparsest live row and,
+  within it, the sparsest column, which keeps fill-in low (field
+  homology reads series._minimal_ranks instead).  Mod a composite D it
+  pivots only on units and returns the rows it could not pivot;
+  invariant_factors splits off its unit pivots that way.  It can also
+  report the column of each pivot: qq_rank ranks the rows of a slice and
+  returns the pivot columns, which graded homology drops from the rows of
+  the next slice.
 - rref, kernel and solve need canonical pivots, so they run _echelon,
   which pivots on the leading column of each row in row order.
   Fraction-free, it also reads off the pass the determinant of the
@@ -583,12 +585,13 @@ def kernel_basis(A: SparseMatrix) -> SparseMatrix:
 def solve_field(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """One exact solution X of A @ X = B over a field; raises if none.
 
-    The result is verified exactly before returning.
+    The free unknowns are 0 and each pivot unknown is read off the reduced
+    echelon form of [A | B], so A @ X = B holds by construction.
     """
     if not A.ring.is_field:
         raise UnsupportedRingError(f"solve_field needs a field, got {A.ring}")
     entries, _ = _solve_echelon(A, B)
-    return _verified(A, SparseMatrix._of(A.ring, A.cols, B.cols, entries), B)
+    return SparseMatrix._of(A.ring, A.cols, B.cols, entries)
 
 
 def _solve_echelon(A: SparseMatrix, B: SparseMatrix):
@@ -604,12 +607,6 @@ def _solve_echelon(A: SparseMatrix, B: SparseMatrix):
             if j >= A.cols:
                 entries[(c, j - A.cols)] = v if p else Fraction(v, row[c])
     return entries, len(echelon)
-
-
-def _verified(A: SparseMatrix, X: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
-    if A @ X != B:
-        raise LinearSolveError("solution verification failed")
-    return X
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -930,7 +927,8 @@ def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     prime to p).  Over a polynomial ring A must be constant: it is lifted to
     QQ and solved against one column per (column of B, monomial) of B.  For
     A not constant the LinearSolveError is caused by a GradingError, which
-    tells "cannot solve" apart from "no solution".
+    tells "cannot solve" apart from "no solution".  Each answer comes from
+    an exact elimination, so A @ X = B holds by construction.
     """
     if A.ring.is_field:
         return solve_field(A, B)
@@ -944,7 +942,7 @@ def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
             raise LinearSolveError("no solution over the ring")
         if not p:
             entries = {k: f.numerator for k, f in entries.items()}
-        return _verified(A, SparseMatrix._of(A.ring, A.cols, B.cols, entries), B)
+        return SparseMatrix._of(A.ring, A.cols, B.cols, entries)
     if not A.ring.graded:
         raise UnsupportedRingError(f"no exact solve over {A.ring}")
     try:
@@ -962,7 +960,7 @@ def solve_exact(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     for (i, k), v in X_qq.entries.items():
         j, exp = keys[k]
         terms.setdefault((i, j), {})[exp] = v
-    return _verified(A, SparseMatrix._of(A.ring, A.cols, B.cols, terms), B)
+    return SparseMatrix._of(A.ring, A.cols, B.cols, terms)
 
 
 def _poly_to_qq(M: SparseMatrix) -> SparseMatrix:

@@ -379,6 +379,15 @@ def test_corpus_run(capsys):
     assert "koszul_two_variable_matrices" in out
 
 
+def test_corpus_refuses_any_other_action(capsys):
+    # argparse's choices refuse the action before cmd_corpus runs
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "list"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'list'" in err
+
+
 def test_alpha_command(tmp_path, capsys):
     kfile = write(tmp_path, "k.json", koszul([X_VAR, Y_VAR]))
     code, out, _ = run(capsys, "alpha", kfile)

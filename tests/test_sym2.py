@@ -81,6 +81,7 @@ from randgen import (
     random_complex,
     random_graded_minimal,
     random_homotopic_pair,
+    random_split_pair,
 )
 
 POLY = graded_poly("x", "y")
@@ -836,30 +837,50 @@ def test_induced_homotopy_contracts_unit_koszul_square():
     assert is_exact(sym2(K).complex)
 
 
-def test_induced_homotopy_random_pairs_gf7():
+def _room_for_homotopy(X, Y):
+    """Some X_n and Y_{n+1} are both nonzero (over a graded ring, with a
+    generator of Y_{n+1} of degree at most that of one of X_n), so that
+    random_homotopic_pair draws a nonzero s."""
+    return any(
+        Y.rank(n + 1) and (not X.graded or min(Y.gdeg(n + 1)) <= max(X.gdeg(n)))
+        for n in X.degrees()
+    )
+
+
+@pytest.mark.parametrize("ring", [GF(7), ZLoc(3), POLY], ids=str)
+def test_induced_homotopy_random_pairs(ring):
     """sigma is built from s and f + g, so each pair is drawn with a nonzero
-    f and room for a nonzero s (some X_n and Y_{n+1} both nonzero).  Between
-    two different complexes random_chain_map draws only null-homotopic
-    maps, which are often zero; cycle_map then gives one that need not be."""
-    rng = random.Random(19)
+    f and room for a nonzero s.  Between two different complexes
+    random_chain_map draws only null-homotopic maps, which are often zero;
+    over GF(7) cycle_map then gives one that need not be.  cycle_map needs a
+    field, so over ZLoc(3) and the graded ring the pair is drawn from
+    random_split_pair, whose contractible pieces leave room for s, and f
+    maps X to itself half the time, where random_chain_map adds the
+    identity half the time."""
+    rng = random.Random(19 + [GF(7), ZLoc(3), POLY].index(ring))
     nonzero = 0
     for _ in range(10):
         while True:
-            X = random_complex(GF(7), rng, max_rank=3, max_len=3)
-            Y = random_complex(GF(7), rng, max_rank=3, max_len=3)
-            f = random_chain_map(X, Y, rng)
-            f = f if f.maps else cycle_map(X, Y, rng)
-            if f is not None and any(Y.rank(n + 1) for n in X.degrees()):
+            if ring.is_field:
+                X = random_complex(ring, rng, max_rank=3, max_len=3)
+                Y = random_complex(ring, rng, max_rank=3, max_len=3)
+                f = random_chain_map(X, Y, rng)
+                f = f if f.maps else cycle_map(X, Y, rng)
+            else:
+                X, Y = random_split_pair(ring, rng)
+                Y = rng.choice([X, Y])
+                f = random_chain_map(X, Y, rng)
+            if f is not None and f.maps and _room_for_homotopy(X, Y):
                 break
         f, g, s = random_homotopic_pair(X, Y, rng, f)
-        # s is nonzero exactly when some X_n and Y_{n+1} are both nonzero
         assert f.maps and s.maps
         sigma, sigma_bar = induced_homotopy(f, g, s)
         assert sigma.check()
         assert sigma_bar.check()
         nonzero += bool(sigma.maps)
     assert nonzero >= 8
-    X, Y = shift(unit_complex(GF(7)), 2), unit_complex(GF(7))
+    X, Y = shift(unit_complex(ring), 2), unit_complex(ring)
+    assert not _room_for_homotopy(X, Y)
     assert not random_homotopic_pair(X, Y, rng)[2].maps
 
 
@@ -881,6 +902,22 @@ def test_induced_homotopy_matches_the_entrywise_oracle(ring):
         assert sigma.maps == reference_induced_sigma(f, g, s)
         nonzero += bool(sigma.maps)
     assert nonzero >= 6
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZLoc(3), POLY], ids=str)
+def test_induced_homotopy_refuses_an_s_that_is_not_a_homotopy(ring):
+    """s = 1 on R -1-> R contracts it: 1 - 0 = ds + sd.  Twice that, or
+    that s offered between 1 and 1, is not a homotopy from f to g."""
+    gdegs = {0: (1,), 1: (1,)} if ring.graded else None
+    K = FreeComplex(ring, {0: 1, 1: 1}, {1: SparseMatrix.identity(ring, 1)}, gdegs)
+    ident, z = identity_map(K), zero_map(K, K)
+    one = SparseMatrix.identity(ring, 1)
+    induced_homotopy(ident, z, Homotopy(ident, z, {0: one}))
+    for f, g, s_maps in ((ident, z, {0: one + one}), (ident, ident, {0: one})):
+        with pytest.raises(SymchainError, match="s is not a homotopy between f and g"):
+            induced_homotopy(f, g, Homotopy(f, g, s_maps))
+    with pytest.raises(SymchainError, match="s is not a homotopy between f and g"):
+        induced_homotopy(ident, ident, Homotopy(ident, z, {0: one}))
 
 
 def test_induced_homotopy_needs_two_invertible():

@@ -165,6 +165,54 @@ def _parts(value):
     return value
 
 
+@pytest.mark.parametrize("ring", [r for r in RINGS if r.two_is_unit()], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_folklore_builders_keep_their_contracts(ring, seed):
+    """What induced_homotopy and split_decomposition no longer check at run
+    time, as properties of what they build: sigma and sigma_bar are
+    homotopies from f(x)f to g(x)g and from S2 f to S2 g, sigma commutes
+    with alpha, the ranks of Im(alpha) and S2(X) add up to those of
+    X (x) X, and iso_inverse and iso are inverse in every degree."""
+    rng = random.Random(3000 * seed + RINGS.index(ring))
+    P = _with_contractible_summand(_random(ring, rng))
+    Q = _with_contractible_summand(_random(ring, rng))
+    nonzero = 0
+    # random_chain_map often draws 0, and then sigma is 0 too; f = 1 is not
+    for Y, f in ((P, identity_map(P)), (Q, None)):
+        f, g, s = random_homotopic_pair(P, Y, rng, f)
+        sigma, sigma_bar = induced_homotopy(f, g, s)
+        assert sigma.check() and sigma_bar.check()
+        al_x, al_y = alpha(P), alpha(Y)
+        for n in sigma.f.source.degrees():
+            M = sigma.component(n)
+            assert M @ al_x.component(n) == al_y.component(n + 1) @ M
+        nonzero += bool(sigma.maps)
+    assert nonzero
+    for X in (P, Q, koszul(_koszul_elements(ring))):
+        d = split_decomposition(X)
+        T = d.iota.target
+        for n in T.degrees():
+            assert d.im_alpha.rank(n) + d.sym2_result.complex.rank(n) == T.rank(n)
+            ident = SparseMatrix.identity(ring, T.rank(n))
+            assert d.iso_inverse.component(n) @ d.iso.component(n) == ident
+            assert d.iso.component(n) @ d.iso_inverse.component(n) == ident
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_natural_isos_map_a_complex_to_itself(ring, seed):
+    """What shift_iso and sym2_base_change_iso no longer compare at run
+    time: S2 of an even shift is the shifted S2, and S2 of a base change is
+    the base change of S2, as complexes, so each identity map is a chain
+    isomorphism."""
+    rng = random.Random(4000 * seed + RINGS.index(ring))
+    X = _random(ring, rng)
+    isos = [shift_iso(X, n) for n in (-1, 0, 1, 2)]
+    isos += [sym2_base_change_iso(X, target) for target in BASE_CHANGES.get(ring, [])]
+    for F in isos:
+        assert F.source == F.target
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_sym2_reduction_kills_alpha_and_odd_squares(ring, seed):
