@@ -14,23 +14,31 @@ on a canonical generator basis:
   * rewriting a tensor generator to canonical form contributes the sign
     (-1)^{pq} when the two factors must be swapped.
 
-One involution fixes all of it: the signed swap c = a (x) b ->
-(-1)^{|a||b|} b (x) a.  One walk over the generators of each degree of T
-(_walk), on the bases that built T, looks up each swap and its sign once
-and writes, in the same pass, the canonical labels, alpha, the reduction
-rho (tensor coordinates onto canonical generators) and the section sigma
-(each generator as its canonical tensor generator).  The induced
-differentials rho . d . sigma reproduce the classical small matrices for
-Koszul complexes on one and two elements exactly.  They are formed with
-no general product (_pick): each column of rho has at most one entry, so
-sigma picks columns of d and rho sends each row to one generator, with a
-sign.  The same picking forms the summands' L . d . B, the maps S2(f) and
-the induced homotopy on S2 below.  f (x) f and the homotopy transported
-to T are the one Kronecker loop of complexes._kronecker on the same
-bases.  A Sym2Result keeps each once: rho as the chain map `proj`, sigma
-as `section[n]` and the generators as `labels[n]`, beside `complex`,
-`tensor_square` and `alpha`, and the tensor bases with their index;
-alpha(X) is sym2(X).alpha.
+The square is computed from X alone.  On the canonical generators its
+differential is d(a.b) = da.b + (-1)^{|a|} a.db, so one walk over the
+pairs (a, b) of generators of X in each degree (_square) reads the
+columns a and b of the differentials of X and writes each term on its
+canonical label, with its swap sign, for the symmetric square and the
+weak square's presentation alike.  That is rho . d . sigma for the
+reduction rho and the section sigma of T below, which the tests check
+with the general product, and it reproduces the classical small matrices
+for Koszul complexes on one and two elements exactly; no tensor square
+is built for it.
+
+The tensor side is built on first use.  One involution fixes it: the
+signed swap c = a (x) b -> (-1)^{|a||b|} b (x) a.  One walk over the
+generators of each degree of T (_walk), on the bases that built T, looks
+up each swap and its sign once and writes alpha, rho (tensor coordinates
+onto canonical generators) and sigma (each generator as its canonical
+tensor generator).  A Sym2Result keeps the complex and the labels of the
+square, and builds rho as the chain map `proj`, sigma as `section[n]`,
+`tensor_square`, `alpha` and the tensor bases with their index when the
+first of them is read; alpha(X) is sym2(X).alpha.  Each column of rho has
+at most one entry, so products with rho are formed with no general
+product (_pick): rho sends each row to one generator, with a sign.  The
+same picking forms the summands' L . d . B, the maps S2(f) and the
+induced homotopy on S2 below.  f (x) f and the homotopy transported to T are the
+one Kronecker loop of complexes._kronecker on the same bases.
 
 When 2 is a unit, alpha/2 is idempotent, so Im(alpha) and Ker(alpha) =
 Im(2 - alpha) are direct summands of T.  For the alpha of a square both,
@@ -46,8 +54,10 @@ residue field, so no lattice transform is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import (
     ChainMap,
@@ -59,7 +69,6 @@ from .complexes import (
     direct_sum,
     is_homotopy,
     shift,
-    tensor_basis,
 )
 from .errors import (
     GradingError,
@@ -98,9 +107,25 @@ __all__ = [
 # -- canonical bases -----------------------------------------------------------
 
 
-def _in_square(a, b, keep_odd_diagonal: bool) -> bool:
-    """Is the tensor generator a (x) b a canonical generator of the square?"""
-    return a < b or (a == b and (a[0] % 2 == 0 or keep_odd_diagonal))
+def _blocks(X: FreeComplex, n: int, keep_odd_diagonal: bool):
+    """The canonical generators of degree n by block: [(p, q, labels)] for
+    the degrees p <= q = n - p of X, ascending in p, each block's labels
+    ((p, i), (q, j)) row-major.  On the diagonal block p = q they have
+    i <= j, and i < j when p is odd and its squares are dropped."""
+    blocks = []
+    for p in X.degrees():
+        q = n - p
+        if p > q:
+            break
+        if not X.rank(q):
+            continue
+        if p < q:
+            labs = [((p, i), (q, j)) for i in range(X.rank(p)) for j in range(X.rank(q))]
+        else:
+            skip = 1 if p % 2 and not keep_odd_diagonal else 0
+            labs = [((p, i), (p, j)) for i in range(X.rank(p)) for j in range(i + skip, X.rank(p))]
+        blocks.append((p, q, labs))
+    return blocks
 
 
 def sym_basis(X: FreeComplex, n: int, include_odd_diagonal: bool = False):
@@ -110,30 +135,92 @@ def sym_basis(X: FreeComplex, n: int, include_odd_diagonal: bool = False):
     lexicographic order.  Diagonal labels with p odd appear only when
     include_odd_diagonal is set (the weak-square presentation basis).
     """
-    return sorted(lab for lab in tensor_basis(X, X, n) if _in_square(*lab, include_odd_diagonal))
+    return [lab for _, _, labs in _blocks(X, n, include_odd_diagonal) for lab in labs]
 
 
-def _walk(T: FreeComplex, bases: dict, indices: dict, keep_odd_diagonal: bool):
-    """(labels, rho, sigma, alpha) from one walk of each degree of T = X (x) X,
-    given T with its tensor bases and their indices (_tensor_with_bases).
+def _square(X: FreeComplex, keep_odd_diagonal: bool):
+    """(labels, ranks, diffs, gdegs) of the symmetric square of X, or of the
+    weak square's presentation with keep_odd_diagonal, from one walk over
+    the canonical generators a.b of each degree, reading only X.
+
+    labels[n] is sym_basis(X, n, keep_odd_diagonal), for every degree n of
+    T = X (x) X, empty where only odd diagonal squares live.  The column
+    of a.b, with a = (p, i) <= b = (q, j), is d(a.b) = da.b + (-1)^p a.db:
+    each term x.y is written on its canonical label, times the swap sign
+    (-1)^{|x||y|} when y < x, and the killed odd diagonal squares are
+    dropped.  Terms meet only on a diagonal generator, where da.a and
+    (-1)^p a.da add up to 2 da.a for even p and to 0 for odd p.  Columns
+    are walked block by block by decreasing p, as T lists its tensor
+    generators, so each matrix holds its entries in the order rho . d . sigma
+    wrote them.  diffs holds the nonzero differentials only.
+    """
+    ring = X.ring
+    add, neg = ring.ops.add, ring.ops.neg
+    d_cols = {p: _columns(X.diff(p)) for p in X.degrees()}
+    degrees = sorted({p + q for p in X.degrees() for q in X.degrees()})
+    blocks = {n: _blocks(X, n, keep_odd_diagonal) for n in degrees}
+    labels = {n: [lab for _, _, labs in bs for lab in labs] for n, bs in blocks.items()}
+    ranks = {n: len(labs) for n, labs in labels.items()}
+    diffs = {}
+    for n in degrees:
+        if not ranks[n] or not ranks.get(n - 1):
+            continue
+        row_of = {lab: k for k, lab in enumerate(labels[n - 1])}
+        entries = {}
+        col = ranks[n]
+        for p, q, labs in reversed(blocks[n]):
+            col -= len(labs)
+            for c, ((_, i), (_, j)) in enumerate(labs, col):
+                if p == q and i == j:
+                    if p % 2 == 0:
+                        for k, v in d_cols[p].get(i, ()):
+                            entries[(row_of[((p - 1, k), (p, i))], c)] = add(v, v)
+                    continue
+                for k, v in d_cols[p].get(i, ()):
+                    entries[(row_of[((p - 1, k), (q, j))], c)] = v
+                for l, v in d_cols[q].get(j, ()):
+                    a, b = (p, i), (q - 1, l)
+                    odd = p % 2
+                    if b < a:  # (-1)^p times the swap sign (-1)^{p(q-1)}
+                        a, b, odd = b, a, (p * q) % 2
+                    row = row_of.get((a, b))
+                    if row is not None:  # else an odd diagonal square, killed
+                        entries[(row, c)] = neg(v) if odd else v
+        D = SparseMatrix._of(ring, ranks[n - 1], ranks[n], entries)
+        if D.entries:  # 2 da.a is 0 in characteristic 2
+            diffs[n] = D
+    gdegs = None
+    if X.graded:
+        gdegs = {
+            n: tuple(X.gdeg(p)[i] + X.gdeg(q)[j] for ((p, i), (q, j)) in labs)
+            for n, labs in labels.items()
+            if labs
+        }
+    return labels, ranks, diffs, gdegs
+
+
+def _walk(T: FreeComplex, bases: dict, indices: dict, labels: dict):
+    """(rho, sigma, alpha) from one walk of each degree of T = X (x) X,
+    given T with its tensor bases and their indices (_tensor_with_bases)
+    and the labels of the symmetric square (_square).
 
     Each tensor generator c = a (x) b is visited once, with its swap
     c' = b (x) a and the sign v = (-1)^{|a||b|}.  alpha(e_c) is e_c - v e_c'
     off the diagonal and (1 - v) e_c on it: 2 e_c for odd |a|, 0 for even.
-    labels[n] is sym_basis(X, n, keep_odd_diagonal); rho[n] sends e_c to its
-    canonical generator, times v when c is the swapped one (a > b), and
-    kills the odd diagonal squares that are not kept; sigma[n] embeds each
-    generator as its canonical tensor generator, so rho[n] @ sigma[n] = 1.
-    The dicts are keyed by T.degrees(); alpha is a chain map of T.
+    rho[n] sends e_c to its canonical generator, times v when c is the
+    swapped one (a > b), and kills the odd diagonal squares; sigma[n]
+    embeds each generator as its canonical tensor generator, so
+    rho[n] @ sigma[n] = 1.  The dicts are keyed by T.degrees(); alpha is a
+    chain map of T.
     """
     ring = T.ring
     ops = ring.ops
     one, minus_one = ops.one, ops.neg(ops.one)
     two = ops.add(one, one)
-    labels, rho, sigma, al = {}, {}, {}, {}
+    rho, sigma, al = {}, {}, {}
     for n, tbasis in bases.items():
         index = indices[n]
-        labs = sorted(lab for lab in tbasis if _in_square(*lab, keep_odd_diagonal))
+        labs = labels[n]
         row_of = {lab: k for k, lab in enumerate(labs)}
         rho_entries, sigma_entries, alpha_entries = {}, {}, {}
         for col, (a, b) in enumerate(tbasis):
@@ -149,11 +236,10 @@ def _walk(T: FreeComplex, bases: dict, indices: dict, keep_odd_diagonal: bool):
                 rho_entries[(row, col)] = one
                 sigma_entries[(col, row)] = one
         r = len(tbasis)
-        labels[n] = labs
         rho[n] = SparseMatrix._of(ring, len(labs), r, rho_entries)
         sigma[n] = SparseMatrix._of(ring, r, len(labs), sigma_entries)
         al[n] = SparseMatrix._of(ring, r, r, alpha_entries)
-    return labels, rho, sigma, ChainMap._of(T, T, al)
+    return rho, sigma, ChainMap._of(T, T, al)
 
 
 def _pick(
@@ -217,59 +303,83 @@ def alpha(X: FreeComplex) -> ChainMap:
     return sym2(X).alpha
 
 
-@dataclass
-class Sym2Result:
-    """The symmetric square S of X with the data that present it as a
-    quotient of T = X (x) X: rho once, as proj.
+class _TensorSide(NamedTuple):
+    """What presents a symmetric square as a quotient of T = X (x) X."""
 
-    section and labels are keyed by T.degrees(): a degree where T is zero
-    has no entry, and one where only odd diagonal squares live has an
-    empty list of labels.  tensor_bases and tensor_index are the bases T
-    was built on, which the walk, the summands of alpha, S2 of maps and the
-    induced homotopy read, so each is built once per square."""
-
-    complex: FreeComplex
-    proj: ChainMap  # rho : X(x)X -> S
-    section: dict  # degree -> sigma_n, with proj.component(n) @ section[n] = 1
-    labels: dict  # degree -> sym_basis(X, n), the generators of S_n
     tensor_square: FreeComplex
+    tensor_bases: dict  # degree -> tensor_basis(X, X, n)
+    tensor_index: dict  # degree -> {label: position}
+    proj: ChainMap  # rho : T -> S
+    section: dict  # degree -> sigma_n, with proj.component(n) @ section[n] = 1
     alpha: ChainMap  # endomorphism of tensor_square
     # degree -> _columns(tensor_square.diff(n)): each differential of T is
-    # grouped by column once, for rho . d . sigma and the summands' L . d . B
-    tensor_columns: dict = field(repr=False, compare=False)
-    tensor_bases: dict = field(repr=False, compare=False)  # degree -> tensor_basis(X, X, n)
-    tensor_index: dict = field(repr=False, compare=False)  # degree -> {label: position}
+    # grouped by column once, for the summands' L . d . B
+    tensor_columns: dict
+
+
+class Sym2Result:
+    """The symmetric square S of X, and on first use the data that present
+    it as a quotient of T = X (x) X.
+
+    complex and labels come from the walk of X (_square); the tensor side
+    (tensor_square, tensor_bases, tensor_index, proj, section, alpha and
+    tensor_columns) is built on first access to any of them, from one
+    _tensor_with_bases and one _walk, and kept.  section and labels are
+    keyed by T.degrees(): a degree where T is zero has no entry, and one
+    where only odd diagonal squares live has an empty list of labels.
+    tensor_bases and tensor_index are the bases T was built on, which the
+    summands of alpha, S2 of maps and the induced homotopy read, so each is
+    built once per square.  Two results are equal when their complexes,
+    labels, sections, proj, tensor squares and alphas are."""
+
+    _COMPARED = ("complex", "labels", "section", "proj", "tensor_square", "alpha")
+    __hash__ = None
+
+    def __init__(self, source: FreeComplex, complex: FreeComplex, labels: dict):
+        self.source = source  # X
+        self.complex = complex
+        self.labels = labels  # degree -> sym_basis(X, n), the generators of S_n
+
+    @cached_property
+    def _tensor_side(self) -> _TensorSide:
+        X = self.source
+        T, bases, index = _tensor_with_bases(X, X)
+        rho, section, al = _walk(T, bases, index, self.labels)
+        columns = {n: _columns(T.diff(n)) for n in T.degrees() if T.rank(n - 1)}
+        proj = ChainMap._of(T, self.complex, rho)
+        return _TensorSide(T, bases, index, proj, section, al, columns)
+
+    tensor_square = property(lambda self: self._tensor_side.tensor_square)
+    tensor_bases = property(lambda self: self._tensor_side.tensor_bases)
+    tensor_index = property(lambda self: self._tensor_side.tensor_index)
+    proj = property(lambda self: self._tensor_side.proj)
+    section = property(lambda self: self._tensor_side.section)
+    alpha = property(lambda self: self._tensor_side.alpha)
+    tensor_columns = property(lambda self: self._tensor_side.tensor_columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sym2Result):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._COMPARED)
+
+    def __repr__(self):
+        return f"Sym2Result({self.complex!r})"
 
 
 def sym2(X: FreeComplex) -> Sym2Result:
     """The symmetric square complex on the canonical generator basis.
 
-    The differential is rho . d^{X(x)X} . sigma.  It does not depend on the
-    section, as rho . d kills Im(alpha) (rho . alpha = 0 and alpha is a
-    chain map) and the odd diagonal squares (d(x (x) x) = alpha(dx (x) x)
-    for x of odd degree).  That holds by construction, so it is not checked
-    at run time; the tests check it as a property.
+    Its differential is d(a.b) = da.b + (-1)^{|a|} a.db on the canonical
+    generators, written by one walk of X (_square).  That is rho .
+    d^{X(x)X} . sigma for any section sigma, as rho . d kills Im(alpha)
+    (rho . alpha = 0 and alpha is a chain map) and the odd diagonal squares
+    (d(x (x) x) = alpha(dx (x) x) for x of odd degree).  That holds by
+    construction, so it is not checked at run time; the tests check it
+    against the product as a property.  The tensor side of the result is
+    built only when it is read.
     """
-    ring = X.ring
-    T, bases, index = _tensor_with_bases(X, X)
-    labels, rho, section, al = _walk(T, bases, index, keep_odd_diagonal=False)
-    ranks = {n: len(labs) for n, labs in labels.items()}
-    gdegs = None
-    if X.graded:
-        gdegs = {
-            n: tuple(X.gdeg(p)[i] + X.gdeg(q)[j] for ((p, i), (q, j)) in labs)
-            for n, labs in labels.items()
-            if labs
-        }
-    tensor_columns = {n: _columns(T.diff(n)) for n in T.degrees() if T.rank(n - 1)}
-    diffs = {
-        n: _pick(rho[n - 1], T.diff(n), section[n], tensor_columns[n])
-        for n in labels
-        if ranks[n] and ranks.get(n - 1, 0)
-    }
-    S = FreeComplex._of(ring, ranks, diffs, gdegs)
-    proj = ChainMap._of(T, S, rho)
-    return Sym2Result(S, proj, section, labels, T, al, tensor_columns, bases, index)
+    labels, ranks, diffs, gdegs = _square(X, keep_odd_diagonal=False)
+    return Sym2Result(X, FreeComplex._of(X.ring, ranks, diffs, gdegs), labels)
 
 
 # -- presented complexes (weak square when 2 is not a unit) ----------------------
@@ -410,8 +520,7 @@ def weak_sym2(X: FreeComplex):
     if X.ring.two_is_unit():
         return sym2(X).complex
     ring = X.ring
-    T, bases, index = _tensor_with_bases(X, X)
-    labels, rho, sigma, _ = _walk(T, bases, index, keep_odd_diagonal=True)
+    labels, _, diffs, _ = _square(X, keep_odd_diagonal=True)
     two = ring.raw(2)
     generators = {n: labs for n, labs in labels.items() if labs}
     relations = {}
@@ -419,10 +528,6 @@ def weak_sym2(X: FreeComplex):
         rel_cols = [k for k, (a, b) in enumerate(labs) if a == b and a[0] % 2]
         entries = {(k, c): two for c, k in enumerate(rel_cols)}
         relations[n] = SparseMatrix._of(ring, len(labs), len(rel_cols), entries)
-    diffs = {
-        n: _pick(rho[n - 1], T.diff(n), sigma[n]) for n in generators if (n - 1) in generators
-    }
-    diffs = {n: M for n, M in diffs.items() if not M.is_zero()}
     return PresentedComplex._of(ring, generators, relations, diffs)
 
 
@@ -809,7 +914,8 @@ def sym2_base_change_iso(X: FreeComplex, target: Ring) -> ChainMap:
     """Identity-permutation isomorphism S2 of the pushed complex vs pushed S2.
 
     The two sides are one complex by construction: base change applies a
-    ring map entrywise, and rho . d . sigma only picks and sums entries.
+    ring map entrywise, and the walk of X only picks, negates and doubles
+    entries.
     """
     left = sym2(base_change(X, target)).complex
     right = base_change(sym2(X).complex, target)

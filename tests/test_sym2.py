@@ -1,6 +1,7 @@
 """The symmetric square construction and its natural maps."""
 
 import importlib
+import pickle
 import random
 from math import comb
 
@@ -65,12 +66,14 @@ from symchain.sym2 import (
     _alpha_bases,
     _alpha_summands,
     _pick,
+    _square,
     _sym2_map,
     _walk,
     endo_image_complex,
     endo_kernel_complex,
     sym_basis,
 )
+from symchain.theorems import check_s2fpd01, check_s2fpd02
 
 from oracles import reference_induced_sigma, reference_square, reference_sym_basis
 from randgen import (
@@ -310,10 +313,12 @@ def _odd_diagonal_columns(X, n):
 
 @pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
 def test_sym2_record_labels_section_and_killed_columns(ring):
-    """labels[n] is sym_basis(X, n), proj_n . section[n] = 1, and the tensor
-    columns that proj_n does not hit are exactly the odd diagonal squares."""
+    """labels[n] is sym_basis(X, n), keyed by the degrees of T before T is
+    built, proj_n . section[n] = 1, and the tensor columns that proj_n does
+    not hit are exactly the odd diagonal squares."""
     for X in _record_inputs(ring, 5):
         S = sym2(X)
+        assert list(S.labels) == tensor(X, X).degrees()
         T = S.tensor_square
         assert list(S.labels) == T.degrees() == list(S.section)
         for n, labs in S.labels.items():
@@ -327,8 +332,12 @@ def test_sym2_record_labels_section_and_killed_columns(ring):
 
 @pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
 def test_weak_reduction_hits_every_tensor_column(ring):
+    """The weak square's generators are sym_basis(X, n, True), and the
+    reference reduction onto them, which the weak square's differential is
+    checked against, hits every tensor column and has sigma as a section."""
     for X in _record_inputs(ring, 6):
-        labels, rho, sigma, _ = _walk(*_tensor_with_bases(X, X), keep_odd_diagonal=True)
+        labels = _square(X, keep_odd_diagonal=True)[0]
+        _, rho, sigma, _ = reference_square(X, keep_odd_diagonal=True)
         for n, labs in labels.items():
             assert labs == sym_basis(X, n, include_odd_diagonal=True)
             assert {c for (_, c) in rho[n].entries} == set(range(rho[n].cols))
@@ -354,24 +363,73 @@ def _walk_inputs(ring, seed):
         yield padded if ring.kind == "Poly" else conjugate(padded, rng)
 
 
-@pytest.mark.parametrize("keep_odd_diagonal", [False, True])
 @pytest.mark.parametrize("ring", RECORD_RINGS, ids=str)
-def test_walk_matches_reference_square(ring, keep_odd_diagonal):
-    """The one walk gives the labels, rho, sigma and alpha of the separate
-    walks, matrix for matrix, on the degrees of T; the reference's other
-    degrees, where T is zero, have no labels."""
+def test_walk_matches_reference_square(ring):
+    """The one walk of T, on the square's labels, gives the rho, sigma and
+    alpha of the separate walks, matrix for matrix, on the degrees of T;
+    the reference's other degrees, where T is zero, have no labels."""
     for X in _walk_inputs(ring, 8):
         T, bases, index = _tensor_with_bases(X, X)
-        labels, rho, sigma, al = _walk(T, bases, index, keep_odd_diagonal)
-        ref_labels, ref_rho, ref_sigma, ref_alpha = reference_square(X, keep_odd_diagonal)
+        labels = _square(X, keep_odd_diagonal=False)[0]
+        rho, sigma, al = _walk(T, bases, index, labels)
+        ref_labels, ref_rho, ref_sigma, ref_alpha = reference_square(X, keep_odd_diagonal=False)
         assert list(labels) == list(rho) == list(sigma) == T.degrees() == list(ref_alpha)
         assert all(not ref_labels[n] for n in set(ref_labels) - set(labels))
         for n in T.degrees():
-            assert labels[n] == ref_labels[n] == reference_sym_basis(X, n, keep_odd_diagonal)
-            assert labels[n] == sym_basis(X, n, keep_odd_diagonal)
+            assert labels[n] == ref_labels[n] == reference_sym_basis(X, n)
+            assert labels[n] == sym_basis(X, n)
             assert rho[n] == ref_rho[n]
             assert sigma[n] == ref_sigma[n]
             assert al.component(n) == ref_alpha[n]
+
+
+SQUARE_RINGS = [ZZ, QQ, GF(2), GF(3), ZLoc(2), ZLoc(3), POLY]
+
+
+def _square_inputs(ring, seed):
+    """The zero complex, a gapped one (degrees 0 and 3), then the walk's
+    inputs: random complexes, an odd shift of R and padded complexes."""
+    yield zero_complex(ring)
+    yield direct_sum(unit_complex(ring), shift(unit_complex(ring), 3))
+    yield from _walk_inputs(ring, seed)
+
+
+@pytest.mark.parametrize("keep_odd_diagonal", [False, True])
+@pytest.mark.parametrize("ring", SQUARE_RINGS, ids=str)
+def test_square_is_the_reference_product(ring, keep_odd_diagonal):
+    """The walk of X writes rho . d_T . sigma, formed by the general product
+    on the reference rho and sigma: labels, ranks, generator degrees and
+    every nonzero differential.  Where 2 is not a unit, weak_sym2 presents
+    the same differentials on the generators with odd diagonal squares
+    kept, each with the relation 2 e."""
+    for X in _square_inputs(ring, 31 + SQUARE_RINGS.index(ring)):
+        labels, ranks, diffs, gdegs = _square(X, keep_odd_diagonal)
+        ref_labels, rho, sigma, _ = reference_square(X, keep_odd_diagonal)
+        T = tensor(X, X)
+        assert list(labels) == T.degrees()
+        assert all(labels[n] == ref_labels[n] for n in labels)
+        assert ranks == {n: len(labs) for n, labs in labels.items()}
+        products = {
+            n: rho[n - 1] @ T.diff(n) @ sigma[n] for n in labels if ranks[n] and ranks.get(n - 1)
+        }
+        nonzero = {n: M for n, M in products.items() if not M.is_zero()}
+        assert diffs == nonzero
+        if X.graded:
+            assert gdegs == {
+                n: tuple(X.gdeg(p)[i] + X.gdeg(q)[j] for ((p, i), (q, j)) in labs)
+                for n, labs in labels.items()
+                if labs
+            }
+        else:
+            assert gdegs is None
+        if keep_odd_diagonal and not ring.two_is_unit():
+            W = weak_sym2(X)
+            assert W.generators == {n: labs for n, labs in labels.items() if labs}
+            assert W.diffs == nonzero
+            for n, labs in W.generators.items():
+                odd = [k for k, (a, b) in enumerate(labs) if a == b and a[0] % 2]
+                two = {(k, c): ring.scalar(2) for c, k in enumerate(odd)}
+                assert W.relation(n) == SparseMatrix(ring, len(labs), len(odd), two)
 
 
 def _pick_coefficients(ring):
@@ -444,8 +502,8 @@ def test_squares_and_summands_form_no_general_product(monkeypatch, ring):
 
 @pytest.mark.parametrize("ring", [ZLoc(3), POLY], ids=str)
 def test_square_and_summands_group_each_matrix_once(monkeypatch, ring):
-    """sym2 groups each differential of T by column once and keeps the
-    groups on the square, for rho . d . sigma and both summands' L . d . B;
+    """sym2's tensor side groups each differential of T by column once and
+    keeps the groups on the square, for both summands' L . d . B;
     _alpha_summands reads its bases and q off the swap pairs, so it groups
     no component of alpha at all.  So over sym2 and _alpha_summands no
     matrix is grouped twice, and alpha is never grouped."""
@@ -470,41 +528,55 @@ def test_square_and_summands_group_each_matrix_once(monkeypatch, ring):
         assert not {id(M) for M in S.alpha.maps.values()} & {id(M) for M in grouped}
 
 
-def test_sym2_walks_each_tensor_degree_once(monkeypatch):
-    """One tensor_basis per nonzero degree of T, counted through both
-    module bindings: the builder of T hands its bases to the walk."""
+def _count_tensor_bases(monkeypatch):
+    """The degrees of every tensor_basis call, counted through both module
+    bindings (sym2 imports none now; raising=False covers one it may gain)."""
     calls = []
-    real = sym2_module.tensor_basis
+    real = complexes_module.tensor_basis
 
     def counted(X, Y, n):
         calls.append(n)
         return real(X, Y, n)
 
     for module in (sym2_module, complexes_module):
-        monkeypatch.setattr(module, "tensor_basis", counted)
+        monkeypatch.setattr(module, "tensor_basis", counted, raising=False)
+    return calls
+
+
+def _read_tensor_side(S):
+    return S.tensor_square, S.tensor_bases, S.tensor_index, S.proj, S.section, S.alpha
+
+
+def test_sym2_walks_each_tensor_degree_once(monkeypatch):
+    """sym2 and weak_sym2 walk X and build no tensor basis; reading the
+    tensor side of a square builds one tensor_basis per nonzero degree of
+    T, once, and so does alpha: no tensor degree is built twice per
+    square."""
+    calls = _count_tensor_bases(monkeypatch)
     gapped = direct_sum(unit_complex(ZZ), shift(unit_complex(ZZ), 3))  # T in degrees 0, 3, 6
     for X in (koszul([X_VAR, Y_VAR]), gapped, shift(unit_complex(QQ), 1), zero_complex(QQ)):
-        for build in (sym2, weak_sym2, alpha):
-            calls.clear()
-            build(X)
-            assert sorted(calls) == tensor(X, X).degrees(), (X, build)
+        degrees = tensor(X, X).degrees()
+        calls.clear()
+        S = sym2(X)
+        weak_sym2(X)
+        assert calls == [], X
+        _read_tensor_side(S)
+        _read_tensor_side(S)
+        assert sorted(calls) == degrees, X
+        calls.clear()
+        alpha(X)
+        assert sorted(calls) == degrees, X
 
 
 def test_maps_of_squares_read_the_walks_tensor_bases(monkeypatch):
     """S2 of a map and the induced homotopy take the tensor bases of f (x) f
-    off the square's walk: on koszul([x, y]), whose T lives in degrees 0..4,
-    5 tensor_basis calls in all, where rebuilding them for the map made 15.
-    The sum decomposition of K (+) K builds each of its four tensor products
-    once (25 calls when it rebuilt those of X (x) Y)."""
-    calls = []
-    real = sym2_module.tensor_basis
-
-    def counted(X, Y, n):
-        calls.append(n)
-        return real(X, Y, n)
-
-    for module in (sym2_module, complexes_module):
-        monkeypatch.setattr(module, "tensor_basis", counted)
+    off the square's tensor side: on koszul([x, y]), whose T lives in
+    degrees 0..4, 5 tensor_basis calls in all, where rebuilding them for
+    the map made 15.  The sum decomposition of K (+) K reads only the
+    labels of its three squares, so it builds X (x) Y alone: 5 calls (20
+    when each square built its tensor square, 25 when X (x) Y was built
+    twice)."""
+    calls = _count_tensor_bases(monkeypatch)
     K = koszul([X_VAR, Y_VAR])
     f = identity_map(K)
     S2f = sym2_map(f)
@@ -514,10 +586,57 @@ def test_maps_of_squares_read_the_walks_tensor_bases(monkeypatch):
     assert sorted(calls) == [0, 1, 2, 3, 4]
     calls.clear()
     sum_decomposition_iso(K, K)
-    assert sorted(calls) == sorted(4 * [0, 1, 2, 3, 4])
+    assert sorted(calls) == [0, 1, 2, 3, 4]
     monkeypatch.undo()
     assert S2f == identity_map(sym2(K).complex)
     assert sigma.f == tensor_map(f, f) and sigma_bar.f == S2f
+
+
+def test_squares_build_no_tensor_square_until_read(monkeypatch):
+    """S2(X), the weak square, check_s2fpd02, check_s2fpd01 and the homology
+    of S2(X) build no tensor square, counted through both bindings of
+    _tensor_with_bases.  The first read of a tensor-side field builds T
+    once, for all of them, and proj lands on the square's own complex.
+    Equality and a pickle round trip hold before and after that build."""
+    calls = []
+    real = complexes_module._tensor_with_bases
+
+    def counted(X, Y):
+        calls.append((X, Y))
+        return real(X, Y)
+
+    for module in (sym2_module, complexes_module):
+        monkeypatch.setattr(module, "_tensor_with_bases", counted)
+    R3 = ZLoc(3)
+    local = koszul([R3.scalar(3), R3.scalar(6)])
+    inputs = (koszul([X_VAR, Y_VAR]), local, koszul([ZZ.scalar(2), ZZ.scalar(3)]))
+    for X in inputs:
+        sym2(X).complex
+        weak_sym2(X)
+        homology(sym2(X).complex)
+        if X.ring.is_local and X.ring.two_is_unit():
+            check_s2fpd02(X)
+            check_s2fpd01(X)
+    assert calls == []
+    for X in inputs:
+        S = sym2(X)
+        unbuilt = pickle.loads(pickle.dumps(S))
+        assert "_tensor_side" not in vars(unbuilt)
+        calls.clear()
+        T = S.tensor_square
+        assert calls == [(X, X)]
+        _read_tensor_side(S)
+        S.tensor_columns
+        assert S.proj.source is T and S.proj.target is S.complex
+        assert S.alpha.source is T and S.alpha.target is T
+        built = pickle.loads(pickle.dumps(S))
+        assert calls == [(X, X)]
+        assert built.proj.target is built.complex
+        assert sym2(X) == sym2(X)  # neither side built before the comparison
+        assert unbuilt == S == built
+        assert sym2(X) != sym2(shift(X, 2))
+    monkeypatch.undo()
+    assert all(sym2(X).tensor_square == tensor(X, X) for X in inputs)
 
 
 @pytest.mark.parametrize("ring", [ZLoc(3), ZLoc(5)], ids=str)
