@@ -9,6 +9,12 @@ PresentedComplex constructors; their failures carry the offending degree,
 and for complexes and maps the entry.  Integers must be JSON integers and
 matrix rows JSON lists; every malformed field raises DocumentError naming
 it.
+
+What a cell costs: the reader passes a "0" cell after one comparison and
+reads each distinct other string once per matrix (Ring.raw), so a document
+parses in time proportional to its cells plus its distinct values, not to
+its cells times the grammar.  The writer writes "0" into every cell and
+formats only the stored entries.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 from .complexes import ChainMap, FreeComplex
 from .errors import DocumentError, ShapeError, SymchainError
 from .linalg import SparseMatrix
-from .scalars import GF, QQ, Ring, ZLoc, ZZ, graded_poly, parse_ring_string
+from .scalars import GF, QQ, Ring, ZLoc, ZZ, format_raw, graded_poly, parse_ring_string
 from .sym2 import PresentedComplex
 
 __all__ = [
@@ -97,7 +103,17 @@ def _support(obj):
 
 
 def _matrix_to_rows(M: SparseMatrix):
-    return [[str(v) for v in row] for row in M.to_rows()]
+    rows = [["0"] * M.cols for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        rows[i][j] = format_raw(M.ring, v)
+    return rows
+
+
+def _cell(ring: Ring, text, where: str, i: int, j: int):
+    try:
+        return ring.raw(text)
+    except SymchainError as exc:
+        raise DocumentError(f"{where}: entry ({i},{j}): {exc}") from exc
 
 
 def _matrix_from_rows(ring: Ring, rows, nrows: int, ncols: int, where: str) -> SparseMatrix:
@@ -110,16 +126,22 @@ def _matrix_from_rows(ring: Ring, rows, nrows: int, ncols: int, where: str) -> S
             f"{len(rows)}x{len(rows[0]) if rows else 0}"
         )
     entries = {}
+    read = {}  # each distinct string's raw value; keyed by str only, as True == 1
     for i, row in enumerate(rows):
         for j, text in enumerate(row):
-            if isinstance(text, bool) or not isinstance(text, (str, int)):
+            if text == "0":
+                continue
+            if isinstance(text, str):
+                value = read.get(text)
+                if value is None:
+                    value = read[text] = _cell(ring, text, where, i, j)
+            elif isinstance(text, int) and not isinstance(text, bool):
+                value = _cell(ring, text, where, i, j)
+            else:
                 raise DocumentError(
                     f"{where}: entry ({i},{j}): expected a scalar string, got {json.dumps(text)}"
                 )
-            try:
-                entries[(i, j)] = ring.raw(text)
-            except SymchainError as exc:
-                raise DocumentError(f"{where}: entry ({i},{j}): {exc}") from exc
+            entries[(i, j)] = value
     return SparseMatrix._of(ring, nrows, ncols, entries)
 
 

@@ -136,8 +136,13 @@ class Ring:
         return Scalar(self, value)
 
     def raw(self, value):
-        """The canonical raw value of what scalar() accepts, validated alike."""
-        if isinstance(value, (Scalar, str)):
+        """The canonical raw value of what scalar() accepts, validated alike.
+
+        A string is read once into its raw value (see _read): one pass of
+        the tokenizer, one _canon for a number, and no Scalar built."""
+        if isinstance(value, str):
+            return _read(self, value)
+        if isinstance(value, Scalar):
             return self.scalar(value).value
         return _canon(self, value)
 
@@ -148,6 +153,11 @@ class Ring:
     @cached_property
     def ops(self) -> "RingOps":
         return _ring_ops(self)
+
+    @cached_property
+    def var_index(self) -> dict:
+        """The position of each variable name in variables."""
+        return {name: i for i, name in enumerate(self.variables)}
 
     @cached_property
     def residue_field(self) -> "Ring | None":
@@ -496,14 +506,19 @@ def _format_monomial(ring: Ring, exp, coeff: Fraction) -> str:
 
 
 def format_scalar(a: Scalar) -> str:
-    if not a.ring.graded:
-        return str(a.value)
-    if not a.value:
+    return format_raw(a.ring, a.value)
+
+
+def format_raw(ring: Ring, value) -> str:
+    """The grammar's text of a canonical raw value of ring."""
+    if not ring.graded:
+        return str(value)
+    if not value:
         return "0"
     out = []
-    for exp in sorted(a.value, key=_sort_key):
-        coeff = a.value[exp]
-        term = _format_monomial(a.ring, exp, abs(coeff))
+    for exp in sorted(value, key=_sort_key):
+        coeff = value[exp]
+        term = _format_monomial(ring, exp, abs(coeff))
         if not out:
             out.append(term if coeff > 0 else f"-{term}")
         else:
@@ -534,17 +549,29 @@ def _tokenize(text: str):
 
 
 def parse_scalar(ring: Ring, text: str) -> Scalar:
-    """Parse a scalar string in the textual grammar for the given ring."""
+    """Parse a scalar string in the textual grammar for the given ring.
+
+    Costs what Ring.raw does on a string: one pass of the tokenizer and one
+    reading of its tokens into the canonical raw value, which is wrapped
+    without a second canonicalisation."""
+    return Scalar._wrap(ring, _read(ring, text))
+
+
+def _read(ring: Ring, text: str):
+    """The canonical raw value of a scalar string; the one reader of the
+    grammar.  Numbers are validated by _canon (integrality over ZZ,
+    denominators over ZLoc(p), residues over GF(p)); polynomial terms are
+    summed with zero terms dropped.  Raises ScalarParseError with the
+    offending position, or the ring's error from _canon."""
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarParseError("empty scalar", text, 0)
-
     if ring.graded:
-        return _parse_poly(ring, tokens, text)
-    return _parse_numeric(ring, tokens, text)
+        return _read_poly(ring, tokens, text)
+    return _read_numeric(ring, tokens, text)
 
 
-def _parse_numeric(ring: Ring, tokens, text) -> Scalar:
+def _read_numeric(ring: Ring, tokens, text):
     pos = 0
     sign = 1
     while pos < len(tokens) and tokens[pos][:2] in (("op", "-"), ("op", "+")):
@@ -571,12 +598,11 @@ def _parse_numeric(ring: Ring, tokens, text) -> Scalar:
         value = sign * num
     if pos != len(tokens):
         raise ScalarParseError("trailing input", text, tokens[pos][2])
-    return Scalar(ring, value)
+    return _canon(ring, value)
 
 
-def _parse_poly(ring: Ring, tokens, text) -> Scalar:
-    nvars = len(ring.variables)
-    var_index = {name: i for i, name in enumerate(ring.variables)}
+def _read_poly(ring: Ring, tokens, text) -> dict:
+    var_index = ring.var_index
     terms: dict = {}
     pos = 0
     first = True
@@ -591,15 +617,15 @@ def _parse_poly(ring: Ring, tokens, text) -> Scalar:
         if not first and not saw_sign:
             raise ScalarParseError("expected + or - between terms", text, tokens[pos][2])
         first = False
-        coeff = Fraction(1)
-        exp = [0] * nvars
+        coeff = 1  # an int until a factor has a denominator
+        exp = [0] * len(var_index)
         saw_factor = False
         while True:
             if pos >= len(tokens):
                 break
             kind, val, where = tokens[pos]
             if kind == "num":
-                c = Fraction(val)
+                c = val
                 pos += 1
                 if pos < len(tokens) and tokens[pos][:2] == ("op", "/"):
                     pos += 1
@@ -607,7 +633,7 @@ def _parse_poly(ring: Ring, tokens, text) -> Scalar:
                         raise ScalarParseError("expected a denominator", text, where)
                     if tokens[pos][1] == 0:
                         raise ScalarParseError("zero denominator", text, tokens[pos][2])
-                    c /= tokens[pos][1]
+                    c = Fraction(val, tokens[pos][1])
                     pos += 1
                 coeff *= c
             elif kind == "name":
@@ -633,5 +659,5 @@ def _parse_poly(ring: Ring, tokens, text) -> Scalar:
             where = tokens[pos][2] if pos < len(tokens) else len(text)
             raise ScalarParseError("empty term", text, where)
         key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    return Scalar(ring, terms)
+        terms[key] = terms.get(key, 0) + sign * coeff
+    return {exp: Fraction(c) for exp, c in terms.items() if c}

@@ -37,6 +37,7 @@ from .complexes import (
 )
 from .errors import SymchainError, TwoNotUnitError, UnsupportedRingError
 from .homology import _exactness_failures, homology, homology_presented, is_quasi_iso
+from .io import _matrix_to_rows
 from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
 from .series import _minimal_ranks, _require_local, _square_ranks, minimize, rank_series, verify_series_identity
@@ -394,10 +395,6 @@ class CorpusReport:
         return "\n".join(lines)
 
 
-def _matrix_strings(M: SparseMatrix):
-    return [[str(v) for v in row] for row in M.to_rows()]
-
-
 _KOSZUL2_FROZEN = {
     "k_d2": [["y"], ["-x"]],
     "k_d1": [["x", "y"]],
@@ -454,21 +451,21 @@ def _fixture_koszul_two_variable_matrices():
     al = alpha(K)
     S = sym2(K).complex
     got = {
-        "k_d2": _matrix_strings(K.diff(2)),
-        "k_d1": _matrix_strings(K.diff(1)),
-        "t_d4": _matrix_strings(T.diff(4)),
-        "t_d3": _matrix_strings(T.diff(3)),
-        "t_d2": _matrix_strings(T.diff(2)),
-        "t_d1": _matrix_strings(T.diff(1)),
-        "a_4": _matrix_strings(al.component(4)),
-        "a_3": _matrix_strings(al.component(3)),
-        "a_2": _matrix_strings(al.component(2)),
-        "a_1": _matrix_strings(al.component(1)),
-        "a_0": _matrix_strings(al.component(0)),
-        "s_d4": _matrix_strings(S.diff(4)),
-        "s_d3": _matrix_strings(S.diff(3)),
-        "s_d2": _matrix_strings(S.diff(2)),
-        "s_d1": _matrix_strings(S.diff(1)),
+        "k_d2": _matrix_to_rows(K.diff(2)),
+        "k_d1": _matrix_to_rows(K.diff(1)),
+        "t_d4": _matrix_to_rows(T.diff(4)),
+        "t_d3": _matrix_to_rows(T.diff(3)),
+        "t_d2": _matrix_to_rows(T.diff(2)),
+        "t_d1": _matrix_to_rows(T.diff(1)),
+        "a_4": _matrix_to_rows(al.component(4)),
+        "a_3": _matrix_to_rows(al.component(3)),
+        "a_2": _matrix_to_rows(al.component(2)),
+        "a_1": _matrix_to_rows(al.component(1)),
+        "a_0": _matrix_to_rows(al.component(0)),
+        "s_d4": _matrix_to_rows(S.diff(4)),
+        "s_d3": _matrix_to_rows(S.diff(3)),
+        "s_d2": _matrix_to_rows(S.diff(2)),
+        "s_d1": _matrix_to_rows(S.diff(1)),
     }
     bad = [k for k in _KOSZUL2_FROZEN if got[k] != _KOSZUL2_FROZEN[k]]
     if bad:
@@ -485,7 +482,7 @@ def _fixture_koszul_one_variable_torsion():
     if got != want:
         return False, f"weak square homology {got} != {want}"
     S = sym2(K).complex
-    if S.ranks != {0: 1, 1: 1} or _matrix_strings(S.diff(1)) != [["3"]]:
+    if S.ranks != {0: 1, 1: 1} or _matrix_to_rows(S.diff(1)) != [["3"]]:
         return False, "symmetric square of a one-element Koszul complex is wrong"
     hs = homology(S)
     if str(hs.group(0)) != "Z/3" or not hs.is_zero_at(1):

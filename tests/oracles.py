@@ -30,6 +30,9 @@ sigma and alpha of a symmetric square by separate walks, the reference
 for the single walk of `sym2._walk`.  `reference_induced_sigma` writes
 the transported homotopy of `sym2.induced_homotopy` entry by entry from
 the tensor basis labels, the reference for its Kronecker products.
+`reference_matrix_rows` writes a document matrix densely, one Scalar
+formatted per cell, the reference for `io._matrix_to_rows`, which
+formats only the stored entries.
 """
 
 from bisect import bisect_right
@@ -41,6 +44,11 @@ from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity
 from symchain.complexes import compose, tensor, tensor_basis
 from symchain.linalg import kernel_basis, rank, rref, slice_basis, solve_field
 from symchain.sym2 import _pivot_columns
+
+
+def reference_matrix_rows(M: SparseMatrix) -> list:
+    """The dense rows of a document matrix: every cell formatted as a Scalar."""
+    return [[str(v) for v in row] for row in M.to_rows()]
 
 
 def homology_representatives(boundaries, cycles) -> SparseMatrix:

@@ -1,6 +1,7 @@
 """Document serialization: canonical form, round trips, error reporting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from symchain import (
     FreeComplex,
     GF,
+    PresentedComplex,
     QQ,
     SparseMatrix,
     ZLoc,
     ZZ,
+    direct_sum,
     graded_poly,
     koszul,
     parse,
@@ -24,9 +27,10 @@ from symchain import (
     zero_complex,
 )
 from symchain.errors import DocumentError, ShapeError
-from symchain.io import parse_ring_string, ring_from_obj, ring_to_obj
+from symchain.io import _matrix_to_rows, parse_ring_string, ring_from_obj, ring_to_obj
 
-from randgen import random_chain_map, random_complex, random_graded_minimal
+from oracles import reference_matrix_rows
+from randgen import random_chain_map, random_complex, random_graded_minimal, random_homogeneous
 
 POLY = graded_poly("x", "y")
 X_VAR = POLY.variable("x")
@@ -142,8 +146,18 @@ def test_matrix_rows_must_be_lists_of_scalars():
     import json
 
     doc = json.loads(serialize(koszul([ZZ.scalar(3)])))
-    for rows, where in (["12"], "row 0"), ([[True]], "entry (0,0)"), ([[None]], "entry (0,0)"):
-        doc["differentials"] = [rows]
+    cases = [
+        ([1, 1], ["12"], "row 0"),
+        ([1, 1], [[True]], "entry (0,0)"),
+        ([1, 1], [[None]], "entry (0,0)"),
+        # true equals 1, so a cell read before it must not answer for it
+        ([1, 2], [[1, True]], "entry (0,1)"),
+        ([1, 2], [["1", True]], "entry (0,1)"),
+        # a malformed string is reported where it first appears
+        ([2, 2], [["1", "2/"], ["2/", "2/"]], "entry (0,1)"),
+    ]
+    for ranks, rows, where in cases:
+        doc["ranks"], doc["differentials"] = ranks, [rows]
         with pytest.raises(DocumentError) as err:
             parse(json.dumps(doc))
         assert "differential at degree 1" in str(err.value) and where in str(err.value)
@@ -177,3 +191,72 @@ def test_parse_inverts_serialize_on_random_complexes(ring, seed):
     back = parse(serialize(X))
     assert back == X
     assert all(back.diff(n).entries == X.diff(n).entries for n in X.degrees())
+
+
+def test_parse_reads_each_distinct_nonzero_string_once_per_matrix(monkeypatch):
+    import json
+
+    from symchain import scalars
+
+    text = serialize(sym2(koszul([ZZ.scalar(p) for p in (2, 3, 5)])).complex)
+    matrices = json.loads(text)["differentials"]
+    cells = [t for rows in matrices for row in rows for t in row]
+    assert cells.count("0") > len(cells) // 2  # a dense document, mostly zeros
+    calls = []
+    tokenize = scalars._tokenize
+
+    def counting_tokenize(s):
+        calls.append(s)
+        return tokenize(s)
+
+    monkeypatch.setattr(scalars, "_tokenize", counting_tokenize)
+    parse(text)
+    expected = [sorted({t for row in rows for t in row} - {"0"}) for rows in matrices]
+    assert "0" not in calls
+    assert sorted(calls) == sorted(t for distinct in expected for t in distinct)
+
+
+WRITER_RINGS = [ZZ, QQ, GF(2), GF(3), ZLoc(2), ZLoc(3), POLY]
+
+
+def _written_matrices(ring, rng):
+    """Every matrix the writers write for a randgen complex X over ring,
+    chain maps out of X, and X presented modulo c times each generator."""
+    if ring.graded:
+        forms = [random_homogeneous(ring, rng.randint(1, 2), rng) for _ in range(2)]
+        forms[0] = forms[0] * ring.scalar(Fraction(1, 2))
+        X = direct_sum(random_graded_minimal(ring, rng), koszul(forms))
+        maps = [sym2(X).proj, sym2(X).alpha]
+    else:
+        X = random_complex(ring, rng)
+        maps = [random_chain_map(X, X, rng)]
+    c = ring.scalar(rng.choice([-1, 2, 3]))
+    presented = [
+        PresentedComplex(
+            ring,
+            {n: list(range(X.rank(n))) for n in X.degrees()},
+            {n: SparseMatrix.identity(ring, X.rank(n)).scale(c) for n in X.degrees()},
+            {n: X.diff(n) for n in X.degrees() if X.rank(n - 1)},
+        )
+    ]
+    if not ring.two_is_unit():
+        presented.append(weak_sym2(X))
+    yield from (X.diff(n) for n in X.degrees())
+    for f in maps:
+        yield from (f.component(n) for n in sorted(f.maps))
+    for P in presented:
+        yield from (P.relation(n) for n in P.degrees())
+        yield from (P.diff(n) for n in P.degrees())
+
+
+@pytest.mark.parametrize("ring", WRITER_RINGS, ids=str)
+def test_writer_matches_the_dense_reference(ring):
+    """The writer formats only stored entries and writes "0" elsewhere; its
+    rows equal the dense form formatted cell by cell."""
+    rng = random.Random(33 + WRITER_RINGS.index(ring))
+    written = 0
+    for _ in range(6):
+        for M in _written_matrices(ring, rng):
+            assert _matrix_to_rows(M) == reference_matrix_rows(M)
+            written += bool(M.entries)
+    assert written

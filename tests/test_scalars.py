@@ -14,7 +14,7 @@ from symchain.errors import (
     UnsupportedRingError,
 )
 from symchain.io import parse_ring_string as io_parse_ring_string
-from symchain.scalars import Scalar, format_scalar, parse_ring_string, parse_scalar
+from symchain.scalars import Scalar, _canon, format_scalar, parse_ring_string, parse_scalar
 
 from randgen import random_homogeneous, random_scalar, unit_scalar
 
@@ -119,13 +119,20 @@ def test_ring_axioms_on_random_triples(ring):
             assert a * a.inverse() == ring.one()
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5), ZLoc(3), POLY])
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), GF(5), ZLoc(2), ZLoc(3), POLY])
 def test_canonical_form_idempotent(ring):
+    """Formatting and reading back gives the same Scalar, and the reader's
+    raw value is canonical already: _canon leaves it as it is."""
     rng = random.Random(11)
     for _ in range(40):
         a = random_scalar(ring, rng)
         assert Scalar(ring, a.value) == a
         assert parse_scalar(ring, format_scalar(a)) == a
+        raw = ring.raw(format_scalar(a))
+        assert raw == a.value and _canon(ring, raw) == raw
+        assert type(raw) is type(a.value)
+        if ring.graded:
+            assert all(type(c) is Fraction and c for c in raw.values())
 
 
 def test_homogeneous_products():
@@ -147,6 +154,19 @@ def test_grammar_round_trip_examples():
         {(1, 0): Fraction(1, 2), (0, 1): 1}
     )
     assert str(parse_scalar(POLY, "y + x")) == "x + y"
+    # spellings that are not canonical read as the constructor's value
+    for text, value in [
+        ("x*y*x", {(2, 1): 1}),
+        (" 2 * x ", {(1, 0): 2}),
+        ("x - x", {}),
+        ("1/2*x + 1/2*x", {(1, 0): 1}),
+        ("-0", 0),
+    ]:
+        assert POLY.raw(text) == Scalar(POLY, value).value
+        assert parse_scalar(POLY, text) == POLY.scalar(value)
+    for ring in (ZZ, QQ, GF(2), GF(3), ZLoc(2), ZLoc(3)):
+        assert ring.raw("-0") == Scalar(ring, 0).value
+        assert parse_scalar(ring, " - 4 ") == ring.scalar(-4)
 
 
 def test_grammar_errors_carry_position():
