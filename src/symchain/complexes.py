@@ -10,7 +10,7 @@ Tensor products follow one global basis convention: in (X (x) Y)_n the
 blocks X_p (x) Y_{n-p} are listed by *decreasing* p, row-major (left factor
 index is the slower one) inside each block, and the differential carries
 the sign (-1)^p on the right factor.  Every map between tensor products
-is one Kronecker loop (_kronecker) over the source's tensor bases, with a
+is one Kronecker loop (_kronecker) over the source's tensor basis, with a
 degree shift on either factor: f (x) g for chain maps, and the two terms
 of a homotopy transported to a tensor square.  The differential keeps its
 own loop, as a Kronecker product with an identity factor would pay one
@@ -328,14 +328,14 @@ def tensor(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
 
 
 def _tensor_with_bases(X: FreeComplex, Y: FreeComplex):
-    """(T, bases, index): T = X (x) Y, and per degree of T its tensor_basis
-    and {label: position}.  Bases are built only where T is nonzero."""
+    """(T, index): T = X (x) Y, and per degree of T the {label: position}
+    of its tensor_basis, whose keys list that basis in order.  Indices are
+    built only where T is nonzero."""
     if X.ring != Y.ring:
         raise RingMismatchError(f"cannot tensor complexes over {X.ring} and {Y.ring}")
     ring = X.ring
     degrees = sorted({p + q for p in X.degrees() for q in Y.degrees()})
-    bases = {n: tensor_basis(X, Y, n) for n in degrees}
-    index = {n: {lab: k for k, lab in enumerate(b)} for n, b in bases.items()}
+    index = {n: {lab: k for k, lab in enumerate(tensor_basis(X, Y, n))} for n in degrees}
     dX = {p: _columns(X.diff(p)) for p in X.degrees()}
     dY = {q: _columns(Y.diff(q)) for q in Y.degrees()}
     # the Koszul sign (-1)^p on d^Y: each column negated once, read for odd p
@@ -349,7 +349,7 @@ def _tensor_with_bases(X: FreeComplex, Y: FreeComplex):
         # each target row is hit at most once per column: the X part lands in
         # block p - 1, the Y part in block p
         entries = {}
-        for col, ((p, i), (q, j)) in enumerate(bases[n]):
+        for col, ((p, i), (q, j)) in enumerate(index[n]):
             for ii, v in dX[p].get(i, ()):
                 row = tgt.get(((p - 1, ii), (q, j)))
                 if row is not None:
@@ -358,15 +358,15 @@ def _tensor_with_bases(X: FreeComplex, Y: FreeComplex):
                 row = tgt.get(((p, i), (q - 1, ii)))
                 if row is not None:
                     entries[(row, col)] = v
-        diffs[n] = SparseMatrix._of(ring, len(tgt), len(bases[n]), entries)
+        diffs[n] = SparseMatrix._of(ring, len(tgt), len(index[n]), entries)
     gdegs = None
     if X.graded:
         gdegs = {
-            n: tuple(X.gdeg(p)[i] + Y.gdeg(q)[j] for ((p, i), (q, j)) in bases[n])
-            for n in bases
+            n: tuple(X.gdeg(p)[i] + Y.gdeg(q)[j] for ((p, i), (q, j)) in labs)
+            for n, labs in index.items()
         }
-    T = FreeComplex._of(ring, {n: len(b) for n, b in bases.items()}, diffs, gdegs)
-    return T, bases, index
+    T = FreeComplex._of(ring, {n: len(labs) for n, labs in index.items()}, diffs, gdegs)
+    return T, index
 
 
 class ChainMap:
@@ -510,38 +510,39 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g on tensor complexes: blockwise Kronecker products, no signs."""
-    src, bases, _ = _tensor_with_bases(f.source, g.source)
-    tgt, _, index = _tensor_with_bases(f.target, g.target)
-    return ChainMap._of(src, tgt, _kronecker(src.ring, f.maps, g.maps, bases, index))
+    src, src_index = _tensor_with_bases(f.source, g.source)
+    tgt, tgt_index = _tensor_with_bases(f.target, g.target)
+    return ChainMap._of(src, tgt, _kronecker(src.ring, f.maps, g.maps, src_index, tgt_index))
 
 
-def _kronecker(ring: Ring, left: dict, right: dict, bases: dict, index: dict, shift=(0, 0)):
+def _kronecker(ring: Ring, left: dict, right: dict, src_index: dict, tgt_index: dict, shift=(0, 0)):
     """{n: left (x) right from degree n}: blockwise Kronecker products, no signs.
 
     left[p] maps degree p to p + dp and right[q] degree q to q + dq, for
-    (dp, dq) = shift: (0, 0) for chain maps, 1 on a homotopy's side.  bases
-    are the source's tensor bases and index the target's {label: position},
-    per degree, as _tensor_with_bases returns them.  The generator
-    (p, i) (x) (q, j) goes to u w (p + dp, k) (x) (q + dq, l) summed over
-    the entries u at (k, i) of left[p] and w at (l, j) of right[q]; each
-    target is hit once per column.
+    (dp, dq) = shift: (0, 0) for chain maps, 1 on a homotopy's side.
+    src_index and tgt_index are the source's and the target's
+    {label: position} per degree, as _tensor_with_bases returns them; the
+    source's keys are walked in order.  The generator (p, i) (x) (q, j)
+    goes to u w (p + dp, k) (x) (q + dq, l) summed over the entries u at
+    (k, i) of left[p] and w at (l, j) of right[q]; each target is hit once
+    per column.
     """
     dp, dq = shift
     mul = ring.ops.mul
     lc = {p: _columns(M) for p, M in left.items()}
     rc = {q: _columns(M) for q, M in right.items()}
     out = {}
-    for n, basis in bases.items():
-        tgt_index = index.get(n + dp + dq)
-        if tgt_index is None:
+    for n, basis in src_index.items():
+        tgt = tgt_index.get(n + dp + dq)
+        if tgt is None:
             continue
         entries = {}
         for col, ((p, i), (q, j)) in enumerate(basis):
             rcol = rc.get(q, {}).get(j, ())
             for li, lv in lc.get(p, {}).get(i, ()):
                 for ri, rv in rcol:
-                    entries[(tgt_index[((p + dp, li), (q + dq, ri))], col)] = mul(lv, rv)
-        out[n] = SparseMatrix._of(ring, len(tgt_index), len(basis), entries)
+                    entries[(tgt[((p + dp, li), (q + dq, ri))], col)] = mul(lv, rv)
+        out[n] = SparseMatrix._of(ring, len(tgt), len(basis), entries)
     return out
 
 

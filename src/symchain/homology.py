@@ -1,7 +1,8 @@
 """Exact homology of free and presented complexes, per coefficient backend.
 
 Over ZZ and ZLoc(p) homology groups are reported as invariant factors,
-the Smith diagonal computed modulo a determinant without transforms; over
+the Smith diagonal computed modulo a determinant without transforms, by
+one helper (_groups) on the differentials of the complex; over
 QQ and GF(p) as dimensions, the ranks of the minimal complex (d = 0 there)
 from series._minimal_ranks; over graded polynomial rings as Hilbert tables
 (dimension of each internal-degree slice over QQ) up to a degree bound,
@@ -26,17 +27,21 @@ read off the generators it leaves.  Over ZLoc(p) it is series._split_units
 on X itself, whose rows the witnesses need.  inf_h is the lowest degree of
 the minimal model, from series._minimal_ranks, with no bound; the Hilbert
 tables of homology() are the only bounded answer.  Over ZZ, which is not
-local, the verdicts and inf_h read homology().
+local, the verdicts read the groups of _groups: off the complex's own
+differentials, or for a chain map off the cone's entries that
+_cone_entries writes, wrapped as matrices, so no verdict builds a
+mapping cone or a HomologyReport.  inf_h reads homology() there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import ChainMap, FreeComplex, _cone_entries, mapping_cone
+from .complexes import ChainMap, FreeComplex, _cone_entries
 from .errors import GradingError, SymchainError, UnsupportedRingError
 from .linalg import (
     SliceTable,
+    SparseMatrix,
     _markowitz_rank,
     invariant_factors,
     qq_rank,
@@ -173,16 +178,7 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
     """
     ring = X.ring
     if ring.proper_subring_of_qq:
-        values = {}
-        diag = {n: invariant_factors(X.diff(n)) for n in X.degrees()}
-        for n in X.degrees():
-            z = X.rank(n) - len(diag.get(n, []))
-            incoming = diag.get(n + 1, [])
-            torsion = tuple(d for d in incoming if d > 1)
-            g = FpAbelianGroup(z - len(incoming), torsion)
-            if not g.is_zero():
-                values[n] = g
-        return HomologyReport("invariant_factors", ring, values)
+        return HomologyReport("invariant_factors", ring, _groups(X.ranks, X._diffs))
     if ring.is_field:
         return HomologyReport("dimensions", ring, _minimal_ranks(X))
     if X.graded:
@@ -191,6 +187,22 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
         values = _graded_tables(X, *X.support, D) if X.support else {}
         return HomologyReport("hilbert", ring, values, bound=D)
     raise UnsupportedRingError(f"homology unsupported over {ring}")
+
+
+def _groups(ranks: dict, diffs: dict) -> dict:
+    """{n: H_n} over ZZ or ZLoc(p), nonzero groups only, ascending in n, for
+    the complex with the given positive ranks and differentials {n: d_n}
+    (absent degrees are zero maps): H_n has rank ranks[n] - rank d_n -
+    rank d_{n+1} and the invariant factors of d_{n+1} above 1 as torsion."""
+    diag = {n: invariant_factors(D) for n, D in diffs.items() if D.entries}
+    groups = {}
+    for n in sorted(ranks):
+        incoming = diag.get(n + 1, [])
+        g = FpAbelianGroup(ranks[n] - len(diag.get(n, [])) - len(incoming),
+                           tuple(d for d in incoming if d > 1))
+        if not g.is_zero():
+            groups[n] = g
+    return groups
 
 
 def _graded_tables(X: FreeComplex, lo: int, hi: int, D: int) -> dict:
@@ -285,10 +297,16 @@ class QuasiIsoVerdict:
         return self.ok
 
 
-def _local_failures(ring, ranks: dict, entries: dict, gdeg) -> list:
-    """_exactness_failures' witnesses: over ZLoc(p) read off the rows
-    _split_units leaves, over a field or a graded ring off the generators
-    _survivors leaves."""
+def _failures(ring, ranks: dict, entries: dict, gdeg) -> list:
+    """_exactness_failures' witnesses for the complex with the given ranks
+    and entries of its differentials: over ZZ the degrees of its nonzero
+    groups (_groups, on the entries wrapped as matrices; only a cone's
+    entries come here, as _exactness_failures hands X's differentials to
+    _groups itself), over ZLoc(p) read off the rows _split_units leaves,
+    over a field or a graded ring off the generators _survivors leaves."""
+    if not ring.is_local:
+        return list(_groups(ranks, {n: SparseMatrix._of(ring, ranks.get(n - 1, 0), ranks[n], E)
+                                    for n, E in entries.items()}))
     if ring.is_dvr:
         alive, d, _, _ = _split_units(ring, ranks, entries)
         return [n for n in sorted(alive) if alive[n] and _markowitz_rank(
@@ -323,11 +341,13 @@ def _exactness_failures(X: FreeComplex) -> list:
     nonzero and d0 the lowest generator degree of M_{n0}; H_{n0}(X)_{d0}
     != 0, since the image of the next differential lies in the maximal
     ideal times M_{n0}.  Over ZZ, which is not local: every degree where
-    homology(X) is nonzero.
+    the groups that _groups reads off the differentials of X are nonzero,
+    with no HomologyReport built.
     """
     if not X.ring.is_local:
-        return homology(X).nonzero_degrees()
-    return _local_failures(X.ring, X.ranks, {n: D.entries for n, D in X._diffs.items()}, X.graded and X.gdeg)
+        return list(_groups(X.ranks, X._diffs))
+    entries = {n: D.entries for n, D in X._diffs.items()}
+    return _failures(X.ring, X.ranks, entries, X.graded and X.gdeg)
 
 
 def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
@@ -335,16 +355,17 @@ def is_quasi_iso(f: ChainMap) -> QuasiIsoVerdict:
 
     Decided as exactness of the mapping cone (see _exactness_failures); the
     failures are the cone degrees with nonzero homology, or one (n0, d0)
-    over a graded ring.  Over ZZ that reads homology(mapping_cone(f)).  On
-    a local backend no cone is built: the blocks of f and of the stored
-    differentials go straight into the unit split as the entries of
-    cone(f)_n = X_{n-1} (+) Y_n, with d^X in place of -d^X, a unit scaling
-    of rows that keeps every pivot, every rank and so every witness.
+    over a graded ring.  No cone is built on any backend: the blocks of f
+    and of the stored differentials go straight into the verdict as the
+    entries of cone(f)_n = X_{n-1} (+) Y_n (_cone_entries), with d^X in
+    place of -d^X.  That is a unit scaling of rows, which keeps every
+    pivot, every rank and every invariant factor, and so every witness:
+    over ZZ the degrees of the cone's nonzero groups (_groups), on a local
+    backend the unit split.
     """
     X, Y = f.source, f.target
     gdeg = X.graded and (lambda n: X.gdeg(n - 1) + Y.gdeg(n))
-    failures = (_local_failures(X.ring, *_cone_entries(f), gdeg) if X.ring.is_local
-                else homology(mapping_cone(f)).nonzero_degrees())
+    failures = _failures(X.ring, *_cone_entries(f), gdeg)
     return QuasiIsoVerdict(not failures, failures=failures)
 
 

@@ -117,14 +117,11 @@ def _cell(ring: Ring, text, where: str, i: int, j: int):
 
 
 def _matrix_from_rows(ring: Ring, rows, nrows: int, ncols: int, where: str) -> SparseMatrix:
-    _list(rows, where)
+    if len(_list(rows, where)) != nrows:
+        raise DocumentError(f"{where}: expected a {nrows}x{ncols} matrix, got {len(rows)} rows")
     for i, row in enumerate(rows):
-        _list(row, f"{where}: row {i}")
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
-        raise DocumentError(
-            f"{where}: expected a {nrows}x{ncols} matrix, got "
-            f"{len(rows)}x{len(rows[0]) if rows else 0}"
-        )
+        if len(_list(row, f"{where}: row {i}")) != ncols:
+            raise DocumentError(f"{where}: row {i} has {len(row)} entries, expected {ncols}")
     entries = {}
     read = {}  # each distinct string's raw value; keyed by str only, as True == 1
     for i, row in enumerate(rows):

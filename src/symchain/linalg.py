@@ -29,7 +29,7 @@ about 1000x800 at under 1% density, which is why rows stay sparse.  Two
 kernels eliminate the rows, and the Smith pivot loop below is a third:
 
 - rank, qq_rank, the independence test of presented relations and the
-  ZLoc(p) witness rule of homology._local_failures run _markowitz_rank:
+  ZLoc(p) witness rule of homology._failures run _markowitz_rank:
   right-looking elimination that pivots on the sparsest live row and,
   within it, the sparsest column, which keeps fill-in low (field
   homology reads series._minimal_ranks instead).  Mod a composite D it

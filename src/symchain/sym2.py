@@ -27,26 +27,29 @@ is built for it.
 
 The tensor side is built on first use.  One involution fixes it: the
 signed swap c = a (x) b -> (-1)^{|a||b|} b (x) a.  One walk over the
-generators of each degree of T (_walk), on the bases that built T, looks
+generators of each degree of T (_walk), on the index that built T, looks
 up each swap and its sign once and writes alpha, rho (tensor coordinates
 onto canonical generators) and sigma (each generator as its canonical
 tensor generator).  A Sym2Result keeps the complex and the labels of the
-square, and builds rho as the chain map `proj`, sigma as `section[n]`,
-`tensor_square`, `alpha` and the tensor bases with their index when the
-first of them is read; alpha(X) is sym2(X).alpha.  Each column of rho has
-at most one entry, so products with rho are formed with no general
-product (_pick): rho sends each row to one generator, with a sign.  The
-same picking forms the summands' L . d . B, the maps S2(f) and the
-induced homotopy on S2 below.  f (x) f and the homotopy transported to T are the
-one Kronecker loop of complexes._kronecker on the same bases.
+square, and keeps five fields of the tensor side, built together when the
+first of them is read: `tensor_square`, `tensor_index` (per degree an
+ordered {label: position}, whose keys are the tensor basis), rho as the
+chain map `proj`, sigma as `section[n]` and `alpha`; alpha(X) is
+sym2(X).alpha.  Each column of rho has at most one entry, so products
+with rho are formed with no general product (_pick): rho sends each row
+to one generator, with a sign.  The same picking forms the summands'
+L . d . B, the maps S2(f) and the induced homotopy on S2 below.  f (x) f
+and the homotopy transported to T are the one Kronecker loop of
+complexes._kronecker on the same index.
 
 When 2 is a unit, alpha/2 is idempotent, so Im(alpha) and Ker(alpha) =
 Im(2 - alpha) are direct summands of T.  For the alpha of a square both,
-and the corestriction q = L alpha, have closed forms read off the pairs
-{c, c'} of swapped tensor generators, on the tensor bases and their index
-as the walk reads them: no elimination, no solve, no product with alpha
-and no check of alpha.alpha = 2 alpha, since the library built alpha
-itself (_alpha_summands).  endo_image_complex and
+and the corestriction q = L alpha, are read off the columns of alpha by
+position (_alpha_bases): a column with two entries is a pair {c, c'} of
+swapped tensor generators, one with one entry an odd diagonal and an
+empty one an even diagonal.  No elimination, no solve, no product with
+alpha and no check of alpha.alpha = 2 alpha runs, since the library
+built alpha itself (_alpha_summands).  endo_image_complex and
 endo_kernel_complex take any endomorphism f with f.f = 2f; they check that
 and take as bases the columns of f and 2 - f at their pivots over the
 residue field, so no lattice transform is built.
@@ -67,6 +70,7 @@ from .complexes import (
     _kronecker,
     _tensor_with_bases,
     direct_sum,
+    identity_map,
     is_homotopy,
     shift,
 )
@@ -199,10 +203,10 @@ def _square(X: FreeComplex, keep_odd_diagonal: bool):
     return labels, ranks, diffs, gdegs
 
 
-def _walk(T: FreeComplex, bases: dict, indices: dict, labels: dict):
+def _walk(T: FreeComplex, index: dict, labels: dict):
     """(rho, sigma, alpha) from one walk of each degree of T = X (x) X,
-    given T with its tensor bases and their indices (_tensor_with_bases)
-    and the labels of the symmetric square (_square).
+    given T with the index of its tensor bases (_tensor_with_bases) and the
+    labels of the symmetric square (_square).
 
     Each tensor generator c = a (x) b is visited once, with its swap
     c' = b (x) a and the sign v = (-1)^{|a||b|}.  alpha(e_c) is e_c - v e_c'
@@ -218,16 +222,15 @@ def _walk(T: FreeComplex, bases: dict, indices: dict, labels: dict):
     one, minus_one = ops.one, ops.neg(ops.one)
     two = ops.add(one, one)
     rho, sigma, al = {}, {}, {}
-    for n, tbasis in bases.items():
-        index = indices[n]
+    for n, tindex in index.items():
         labs = labels[n]
         row_of = {lab: k for k, lab in enumerate(labs)}
         rho_entries, sigma_entries, alpha_entries = {}, {}, {}
-        for col, (a, b) in enumerate(tbasis):
+        for col, (a, b) in enumerate(tindex):
             odd = (a[0] * b[0]) % 2
             if a != b:
                 alpha_entries[(col, col)] = one
-                alpha_entries[(index[(b, a)], col)] = one if odd else minus_one
+                alpha_entries[(tindex[(b, a)], col)] = one if odd else minus_one
             elif odd:
                 alpha_entries[(col, col)] = two
             if a > b:
@@ -235,7 +238,7 @@ def _walk(T: FreeComplex, bases: dict, indices: dict, labels: dict):
             elif (row := row_of.get((a, b))) is not None:  # else an odd diagonal square, killed
                 rho_entries[(row, col)] = one
                 sigma_entries[(col, row)] = one
-        r = len(tbasis)
+        r = len(tindex)
         rho[n] = SparseMatrix._of(ring, len(labs), r, rho_entries)
         sigma[n] = SparseMatrix._of(ring, r, len(labs), sigma_entries)
         al[n] = SparseMatrix._of(ring, r, r, alpha_entries)
@@ -243,9 +246,9 @@ def _walk(T: FreeComplex, bases: dict, indices: dict, labels: dict):
 
 
 def _pick(
-    L: SparseMatrix, D: SparseMatrix, B: SparseMatrix | None = None, d_cols: dict | None = None
+    L: SparseMatrix, D: SparseMatrix, B: SparseMatrix, d_cols: dict | None = None
 ) -> SparseMatrix:
-    """L @ D @ B (L @ D without B) for L with at most one entry per column.
+    """L @ D @ B for L with at most one entry per column.
 
     Such an L sends row k of D to one row i of the product, times c: a
     row map k -> (i, c) read off L.  The walk goes over the columns of B,
@@ -271,12 +274,8 @@ def _pick(
     row_map = {k: (i, *split(c)) for (i, k), c in L.entries.items()}
     if d_cols is None:
         d_cols = _columns(D)
-    if B is None:
-        b_cols = {l: ((l, one),) for l in d_cols}
-    else:
-        b_cols = _columns(B)
     acc = {}
-    for j, b_col in b_cols.items():
+    for j, b_col in _columns(B).items():
         for l, b in b_col:
             b_sign, b_factor = split(b)
             for k, d in d_cols.get(l, ()):
@@ -292,7 +291,7 @@ def _pick(
                 key = (i, j)
                 s = acc.get(key)
                 acc[key] = w if s is None else add(s, w)
-    return SparseMatrix._of(D.ring, L.rows, D.cols if B is None else B.cols, acc)
+    return SparseMatrix._of(D.ring, L.rows, B.cols, acc)
 
 
 # -- alpha and the symmetric square ---------------------------------------------
@@ -304,33 +303,32 @@ def alpha(X: FreeComplex) -> ChainMap:
 
 
 class _TensorSide(NamedTuple):
-    """What presents a symmetric square as a quotient of T = X (x) X."""
+    """What presents a symmetric square as a quotient of T = X (x) X, in
+    five fields: T, the index T was built on, and what _walk writes on it."""
 
     tensor_square: FreeComplex
-    tensor_bases: dict  # degree -> tensor_basis(X, X, n)
-    tensor_index: dict  # degree -> {label: position}
+    tensor_index: dict  # degree -> {label: position}, keys in tensor_basis(X, X, n) order
     proj: ChainMap  # rho : T -> S
     section: dict  # degree -> sigma_n, with proj.component(n) @ section[n] = 1
     alpha: ChainMap  # endomorphism of tensor_square
-    # degree -> _columns(tensor_square.diff(n)): each differential of T is
-    # grouped by column once, for the summands' L . d . B
-    tensor_columns: dict
 
 
 class Sym2Result:
     """The symmetric square S of X, and on first use the data that present
     it as a quotient of T = X (x) X.
 
-    complex and labels come from the walk of X (_square); the tensor side
-    (tensor_square, tensor_bases, tensor_index, proj, section, alpha and
-    tensor_columns) is built on first access to any of them, from one
-    _tensor_with_bases and one _walk, and kept.  section and labels are
-    keyed by T.degrees(): a degree where T is zero has no entry, and one
-    where only odd diagonal squares live has an empty list of labels.
-    tensor_bases and tensor_index are the bases T was built on, which the
-    summands of alpha, S2 of maps and the induced homotopy read, so each is
-    built once per square.  Two results are equal when their complexes,
-    labels, sections, proj, tensor squares and alphas are."""
+    complex and labels come from the walk of X (_square); the tensor side,
+    five fields (tensor_square, tensor_index, proj, section and alpha), is
+    built on first access to any of them, from one _tensor_with_bases and
+    one _walk, and kept.  tensor_index, section and labels are keyed by
+    T.degrees(): a degree where T is zero has no entry, and one where only
+    odd diagonal squares live has an empty list of labels.  tensor_index
+    is the index T was built on, its keys the tensor basis in order
+    (list(S.tensor_index[n]) is tensor_basis(X, X, n)); S2 of maps and the
+    induced homotopy read it, so each basis is built once per square, and
+    the summands of alpha are read off alpha itself.  Two results are equal
+    when their complexes, labels, sections, proj, tensor squares and alphas
+    are."""
 
     _COMPARED = ("complex", "labels", "section", "proj", "tensor_square", "alpha")
     __hash__ = None
@@ -343,19 +341,15 @@ class Sym2Result:
     @cached_property
     def _tensor_side(self) -> _TensorSide:
         X = self.source
-        T, bases, index = _tensor_with_bases(X, X)
-        rho, section, al = _walk(T, bases, index, self.labels)
-        columns = {n: _columns(T.diff(n)) for n in T.degrees() if T.rank(n - 1)}
-        proj = ChainMap._of(T, self.complex, rho)
-        return _TensorSide(T, bases, index, proj, section, al, columns)
+        T, index = _tensor_with_bases(X, X)
+        rho, section, al = _walk(T, index, self.labels)
+        return _TensorSide(T, index, ChainMap._of(T, self.complex, rho), section, al)
 
     tensor_square = property(lambda self: self._tensor_side.tensor_square)
-    tensor_bases = property(lambda self: self._tensor_side.tensor_bases)
     tensor_index = property(lambda self: self._tensor_side.tensor_index)
     proj = property(lambda self: self._tensor_side.proj)
     section = property(lambda self: self._tensor_side.section)
     alpha = property(lambda self: self._tensor_side.alpha)
-    tensor_columns = property(lambda self: self._tensor_side.tensor_columns)
 
     def __eq__(self, other):
         if not isinstance(other, Sym2Result):
@@ -539,8 +533,8 @@ def sym2_map(f: ChainMap) -> ChainMap:
 
 
 def _square_map(f: ChainMap, SX: Sym2Result, SY: Sym2Result) -> ChainMap:
-    """f (x) f on the tensor squares of SX and SY, on the bases they keep."""
-    maps = _kronecker(f.source.ring, f.maps, f.maps, SX.tensor_bases, SY.tensor_index)
+    """f (x) f on the tensor squares of SX and SY, on the indices they keep."""
+    maps = _kronecker(f.source.ring, f.maps, f.maps, SX.tensor_index, SY.tensor_index)
     return ChainMap._of(SX.tensor_square, SY.tensor_square, maps)
 
 
@@ -643,25 +637,27 @@ def endo_kernel_complex(T: FreeComplex, f: ChainMap) -> SubcomplexData:
     return _subcomplex_from_bases(T, bases)
 
 
-def _alpha_bases(T: FreeComplex, bases: dict, index: dict):
-    """Closed-form bases of Im(alpha) and Ker(alpha) for the alpha of a
-    square, 2 a unit, and the corestriction q = L alpha, read off the
-    square's tensor bases and their indices: (image, kernel, q), where
-    image and kernel map each degree to (B, L, generator degrees), with
-    L @ B = 1, and q maps each degree to its matrix.
+def _alpha_bases(T: FreeComplex, alpha: ChainMap):
+    """Bases of Im(alpha) and Ker(alpha) for the alpha of a square, 2 a
+    unit, and the corestriction q = L alpha, read off the columns of alpha
+    by position: (image, kernel, q), where image and kernel map each degree
+    to (B, L, generator degrees), with L @ B = 1, and q maps each degree to
+    its matrix.
 
-    _walk gives alpha(e_c) = e_c + v e_c' for a tensor generator c = a (x) b
-    whose swap c' = b (x) a is another generator, with v = -(-1)^{|a||b|},
-    and (1 + v) e_c on the diagonal: 2 on odd diagonals, 0 on even ones.
-    So Im(alpha) has the basis e_c + v e_c' at the lower index of each pair
-    plus 2 e_c at each odd diagonal, and Ker(alpha) = Im(2 - alpha) has
-    e_c - v e_c' per pair plus 2 e_c at each even diagonal, in increasing
-    index order: the columns endo_image_complex and endo_kernel_complex
-    pick.  L is the rows at those indices, with the diagonal rows halved.
-    Row c of alpha is e_c + v e_c' at a pair and 2 e_c at an odd diagonal,
-    so row k of q is the transpose of the image's B_k times L's entry at k.
-    Each basis vector has the generator degree of the tensor generator at
-    its index.
+    _walk writes alpha(e_c) = e_c + v e_c' for a tensor generator c whose
+    swap c' is another generator, v = -(-1)^{|a||b|} for c = a (x) b, and
+    (1 + v) e_c on the diagonal: 2 e_c on odd diagonals, 0 on even ones.
+    So a column with two entries is a pair {c, c'}, one with one entry an
+    odd diagonal and an empty one an even diagonal, whatever the values
+    (over GF(3), 2 = -1).  Im(alpha) has as basis the columns of alpha at
+    the lower index of each pair and at each odd diagonal, and Ker(alpha) =
+    Im(2 - alpha) the columns e_c - v e_c' of 2 - alpha at the same lower
+    indices and 2 e_c at each even diagonal, in increasing index order:
+    the columns endo_image_complex and endo_kernel_complex pick.  L is the
+    rows at those indices, with the diagonal rows halved.  Row c of alpha
+    is e_c + v e_c' at a pair and 2 e_c at an odd diagonal, so row k of q
+    is the transpose of the image's B_k times L's entry at k.  Each basis
+    vector has the generator degree of the tensor generator at its index.
     """
     ring = T.ring
     ops = ring.ops
@@ -669,16 +665,21 @@ def _alpha_bases(T: FreeComplex, bases: dict, index: dict):
     two = ops.add(one, one)
     half = ops.inverse(two)
     image, kernel, q = {}, {}, {}
-    for n, basis in bases.items():
-        r = len(basis)
+    for n in T.degrees():
+        r = T.rank(n)
+        A = alpha.maps[n].entries if n in alpha.maps else {}
+        partner = {c: i for i, c in A if i != c}  # the row of the off-diagonal entry of column c
         vectors = ([], [])  # image, kernel: (index, {row: entry of B}, entry of L)
-        for c, (a, b) in enumerate(basis):
-            if a == b:  # alpha is 2 on an odd diagonal and 0 on an even one
-                vectors[0 if a[0] % 2 else 1].append((c, {c: two}, half))
-            elif c < (c2 := index[n][(b, a)]):
-                v, w = (one, minus_one) if (a[0] * b[0]) % 2 else (minus_one, one)
-                vectors[0].append((c, {c: one, c2: v}, one))
-                vectors[1].append((c, {c: one, c2: w}, one))
+        for c in range(r):
+            if (c2 := partner.get(c)) is not None:  # {c, c'}: alpha(e_c) = e_c + v e_c'
+                if c < c2:
+                    v = A[(c2, c)]
+                    vectors[0].append((c, {c: one, c2: v}, one))
+                    vectors[1].append((c, {c: one, c2: minus_one if v == one else one}, one))
+            elif (c, c) in A:  # an odd diagonal: alpha(e_c) = 2 e_c
+                vectors[0].append((c, {c: two}, half))
+            else:  # an even diagonal: (2 - alpha)(e_c) = 2 e_c
+                vectors[1].append((c, {c: two}, half))
         for part, vs in zip((image, kernel), vectors):
             B = {(i, k): w for k, (_, vector, _) in enumerate(vs) for i, w in vector.items()}
             L = {(k, c): w for k, (c, _, w) in enumerate(vs)}
@@ -712,13 +713,15 @@ def _summand(T: FreeComplex, part: dict, d_cols: dict) -> SubcomplexData:
 def _alpha_summands(S: Sym2Result):
     """(image, kernel, q): Im(alpha) and Ker(alpha) of the square S as
     subcomplexes of its tensor square, and alpha corestricted onto its
-    image, L alpha, all from _alpha_bases on the pairs of swapped tensor
-    generators, with no elimination, solve or product with alpha.  The
-    library built alpha, so alpha.alpha = 2 alpha is not re-checked."""
+    image, L alpha, all read off the columns of alpha (_alpha_bases), with
+    no elimination, solve or product with alpha.  Each differential of T is
+    grouped by column once, for both summands' L . d . B.  The library
+    built alpha, so alpha.alpha = 2 alpha is not re-checked."""
     T = S.tensor_square
-    image_part, kernel_part, q = _alpha_bases(T, S.tensor_bases, S.tensor_index)
-    image = _summand(T, image_part, S.tensor_columns)
-    return image, _summand(T, kernel_part, S.tensor_columns), ChainMap._of(T, image.complex, q)
+    image_part, kernel_part, q = _alpha_bases(T, S.alpha)
+    d_cols = {n: _columns(T.diff(n)) for n in T.degrees() if T.rank(n - 1)}
+    image = _summand(T, image_part, d_cols)
+    return image, _summand(T, kernel_part, d_cols), ChainMap._of(T, image.complex, q)
 
 
 # -- split decomposition when 2 is a unit ------------------------------------------
@@ -799,7 +802,7 @@ def sum_decomposition_iso(X: FreeComplex, Y: FreeComplex):
     SW = sym2(W)
     SX = sym2(X)
     SY = sym2(Y)
-    XY, _, xy_indices = _tensor_with_bases(X, Y)
+    XY, xy_indices = _tensor_with_bases(X, Y)
     target = direct_sum(direct_sum(SX.complex, XY), SY.complex)
     maps = {}
     one = ring.ops.one
@@ -838,13 +841,10 @@ def shift_iso(X: FreeComplex, n: int) -> ChainMap:
     """Identity-matrix isomorphism S2(shift(X, 2n)) -> shift(S2(X), 4n).
 
     The two sides are one complex by construction: an even shift leaves
-    every sign (-1)^{pq} and every differential unchanged.
+    every sign (-1)^{pq} and every differential unchanged, so one square,
+    shifted, is both.
     """
-    left = sym2(shift(X, 2 * n)).complex
-    right = shift(sym2(X).complex, 4 * n)
-    return ChainMap._of(
-        left, right, {k: SparseMatrix.identity(X.ring, left.rank(k)) for k in left.degrees()}
-    )
+    return identity_map(shift(sym2(X).complex, 4 * n))
 
 
 def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
@@ -870,9 +870,9 @@ def induced_homotopy(f: ChainMap, g: ChainMap, s: Homotopy):
     # (1/2)[((-1)^p (f+g)_p) (x) s_q + s_p (x) (f+g)_q]; the two terms land in
     # the blocks p and p + 1 of the target
     signed = {p: -M if p % 2 else M for p, M in fg.items()}
-    bases, index = SX.tensor_bases, SY.tensor_index
-    left = _kronecker(ring, signed, s.maps, bases, index, (0, 1))
-    right = _kronecker(ring, s.maps, fg, bases, index, (1, 0))
+    src, tgt = SX.tensor_index, SY.tensor_index
+    left = _kronecker(ring, signed, s.maps, src, tgt, (0, 1))
+    right = _kronecker(ring, s.maps, fg, src, tgt, (1, 0))
     sigma_maps = {n: (M + right[n]).scale(half) for n, M in left.items()}
     ff, gg = _square_map(f, SX, SY), _square_map(g, SX, SY)
     sigma = Homotopy(ff, gg, sigma_maps)
@@ -915,10 +915,6 @@ def sym2_base_change_iso(X: FreeComplex, target: Ring) -> ChainMap:
 
     The two sides are one complex by construction: base change applies a
     ring map entrywise, and the walk of X only picks, negates and doubles
-    entries.
+    entries, so one square, pushed, is both.
     """
-    left = sym2(base_change(X, target)).complex
-    right = base_change(sym2(X).complex, target)
-    return ChainMap._of(
-        left, right, {n: SparseMatrix.identity(target, left.rank(n)) for n in left.degrees()}
-    )
+    return identity_map(base_change(sym2(X).complex, target))

@@ -144,6 +144,18 @@ def test_presented_lists_of_the_wrong_length_are_input_errors(tmp_path, capsys, 
     assert f"{key}: expected" in err
 
 
+def test_ragged_differential_names_its_short_row(tmp_path, capsys):
+    doc = json.loads(serialize(koszul([ZZ.scalar(3)])))
+    doc["ranks"] = [2, 3]
+    doc["differentials"] = [[["1", "0", "0"], ["0", "1"]]]
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "homology", str(path))
+    assert code == 2 and out == ""
+    assert "differential at degree 1: row 1 has 2 entries, expected 3" in err
+    assert "got 2x3" not in err
+
+
 def test_presented_entries_at_empty_degrees_are_checked(tmp_path, capsys):
     doc = json.loads(serialize(weak_sym2(shift(unit_complex(ZZ), 1))))
     doc["support"] = [1, 2]

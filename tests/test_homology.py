@@ -71,6 +71,7 @@ from oracles import (
 from randgen import (
     conjugate,
     contractible_piece,
+    null_homotopic_map,
     random_chain_map,
     random_complex,
     random_graded_minimal,
@@ -779,6 +780,49 @@ def test_local_exactness_witnesses_match_homology_of_the_unreduced_complex():
         assert True in outcomes and False in outcomes, ring
 
 
+def _zz_verdict_inputs(rng):
+    """(maps, complexes) over ZZ: random and null-homotopic chain maps,
+    summand inclusions and projections, and the identities of padded,
+    conjugated complexes; the complexes are their sources and targets."""
+    X = random_complex(ZZ, rng, max_rank=3, max_len=3)
+    Y = X if rng.random() < 0.5 else random_complex(ZZ, rng, max_rank=3, max_len=3)
+    C = contractible_piece(ZZ, rng.randint(1, 3))
+    padded = conjugate(direct_sum(X, C), rng)
+    which = rng.randint(0, 1)
+    maps = [
+        random_chain_map(X, Y, rng),
+        null_homotopic_map(X, Y, rng),
+        summand_inclusion(X, rng.choice([C, Y]), 0),
+        summand_projection(rng.choice([C, Y]), X, 1),
+        summand_inclusion(X, Y, which),
+        summand_projection(X, Y, which),
+        identity_map(padded),
+    ]
+    return maps, [X, Y, padded, direct_sum(X, Y)]
+
+
+def test_zz_verdicts_match_the_mapping_cone_oracle():
+    """Over ZZ is_quasi_iso reads the groups off the cone's entries (d^X
+    in place of -d^X) and is_exact off the complex's own differentials;
+    mapping_cone and homology() stay the oracle.  The failures are the
+    degrees where homology(mapping_cone(f)) is nonzero, and is_exact(X) is
+    homology(X).is_exact(), on both outcomes."""
+    rng = random.Random(34)
+    maps_seen, exact_seen = set(), set()
+    for _ in range(25):
+        maps, complexes = _zz_verdict_inputs(rng)
+        for f in maps:
+            cone = mapping_cone(f)
+            want = homology(cone).nonzero_degrees()
+            assert is_quasi_iso(f).failures == want
+            assert _exactness_failures(cone) == want
+            maps_seen.add(not want)
+        for Z in complexes + [mapping_cone(f) for f in maps]:
+            assert is_exact(Z) == homology(Z).is_exact()
+            exact_seen.add(is_exact(Z))
+    assert maps_seen == exact_seen == {True, False}
+
+
 def _count_invariant_factors(monkeypatch):
     """Record the shape of every matrix homology() hands to the Smith loop."""
     seen = []
@@ -803,27 +847,23 @@ def test_zloc_exact_verdicts_run_no_smith_loop(monkeypatch):
 
 def _count_markowitz_ranks(monkeypatch):
     """Record the (rows, columns) of every row set the exactness verdict
-    hands to _markowitz_rank, and each mapping_cone it builds."""
-    seen, cones = [], []
-    real_rank, real_cone = homology_module._markowitz_rank, homology_module.mapping_cone
+    hands to _markowitz_rank."""
+    seen = []
+    real_rank = homology_module._markowitz_rank
 
     def counting(rows, p=None):
         seen.append((len([r for r in rows if r]), len({c for r in rows for c in r})))
         return real_rank(rows, p)
 
-    def cone(f):
-        cones.append(f)
-        return real_cone(f)
-
     monkeypatch.setattr(homology_module, "_markowitz_rank", counting)
-    monkeypatch.setattr(homology_module, "mapping_cone", cone)
-    return seen, cones
+    return seen
 
 
 def test_zloc_non_exact_verdict_ranks_only_the_minimal_model(monkeypatch):
     """The witnesses of a non-exact ZLoc(p) verdict are read off the ranks
     of the rows the unit split leaves, which have the shapes of the minimal
-    model's differentials, with no Smith loop and no cone built."""
+    model's differentials, with no Smith loop and no cone built: the
+    homology module does not even import mapping_cone."""
     R = ZLoc(3)
     rng = random.Random(8)
     X = _padded(direct_sum(two_term(R, 1, R.scalar(3)), shift(unit_complex(R), 2)), rng)
@@ -831,10 +871,10 @@ def test_zloc_non_exact_verdict_ranks_only_the_minimal_model(monkeypatch):
     cone = mapping_cone(f)
     M = minimal_model(cone)
     smith = _count_invariant_factors(monkeypatch)
-    ranked, cones = _count_markowitz_ranks(monkeypatch)
+    ranked = _count_markowitz_ranks(monkeypatch)
     verdict = is_quasi_iso(f)
     assert verdict.failures == [0, 1, 2, 3]
-    assert smith == [] and cones == []
+    assert smith == [] and not hasattr(homology_module, "mapping_cone")
     # one row set per degree of M, no larger than M's differential there
     # (zero rows and columns are not handed over), and together smaller
     # than the cone's differentials

@@ -163,6 +163,41 @@ def test_matrix_rows_must_be_lists_of_scalars():
         assert "differential at degree 1" in str(err.value) and where in str(err.value)
 
 
+def test_ragged_matrix_names_the_row_off_the_width():
+    """A matrix whose rows differ in length is refused naming the first row
+    whose length is not the expected width, in a differential, a map
+    component and a relation matrix alike; a matrix with the wrong number
+    of rows names the expected shape and the rows it has."""
+    import json
+
+    doc = json.loads(serialize(koszul([ZZ.scalar(3)])))
+    doc["ranks"] = [2, 3]
+    cases = [
+        ([["1", "0", "0"], ["0", "1"]], "row 1 has 2 entries, expected 3"),
+        ([["1", "0"], ["0", "1", "0"]], "row 0 has 2 entries, expected 3"),
+        ([["1", "0"], ["0", "1"]], "row 0 has 2 entries, expected 3"),
+        ([["1", "0", "0"]] * 3, "expected a 2x3 matrix, got 3 rows"),
+    ]
+    for rows, message in cases:
+        doc["differentials"] = [rows]
+        with pytest.raises(DocumentError) as err:
+            parse(json.dumps(doc))
+        assert str(err.value) == f"differential at degree 1: {message}"
+
+    K = koszul([ZZ.scalar(3), ZZ.scalar(5)])
+    f = json.loads(serialize(random_chain_map(K, K, random.Random(1))))
+    f["maps"]["1"] = [["1", "0"], ["0"]]
+    with pytest.raises(DocumentError) as err:
+        parse(json.dumps(f))
+    assert str(err.value) == "map at degree 1: row 1 has 1 entries, expected 2"
+
+    P = json.loads(serialize(weak_sym2(koszul([ZZ.scalar(3)]))))
+    P.update(support=[0, 0], generators=[2], relations=[[["2", "0"], ["0"]]], differentials=[])
+    with pytest.raises(DocumentError) as err:
+        parse(json.dumps(P))
+    assert str(err.value) == "relations at degree 0: row 1 has 1 entries, expected 2"
+
+
 def test_negative_rank_rejected():
     import json
 

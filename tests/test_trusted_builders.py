@@ -202,15 +202,19 @@ def test_folklore_builders_keep_their_contracts(ring, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_natural_isos_map_a_complex_to_itself(ring, seed):
     """What shift_iso and sym2_base_change_iso no longer compare at run
-    time: S2 of an even shift is the shifted S2, and S2 of a base change is
-    the base change of S2, as complexes, so each identity map is a chain
-    isomorphism."""
+    time, with both sides built here: S2 of an even shift is the shifted
+    S2, and S2 of a base change is the base change of S2, as complexes, so
+    each identity map is a chain isomorphism from the one to the other."""
     rng = random.Random(4000 * seed + RINGS.index(ring))
     X = _random(ring, rng)
-    isos = [shift_iso(X, n) for n in (-1, 0, 1, 2)]
-    isos += [sym2_base_change_iso(X, target) for target in BASE_CHANGES.get(ring, [])]
-    for F in isos:
-        assert F.source == F.target
+    for n in (-1, 0, 1, 2):
+        F = shift_iso(X, n)
+        assert F == identity_map(sym2(shift(X, 2 * n)).complex)
+        assert F.target == shift(sym2(X).complex, 4 * n)
+    for target in BASE_CHANGES.get(ring, []):
+        F = sym2_base_change_iso(X, target)
+        assert F == identity_map(sym2(base_change(X, target)).complex)
+        assert F.target == base_change(sym2(X).complex, target)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
