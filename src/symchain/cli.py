@@ -18,7 +18,7 @@ import sys
 from . import io as docio
 from .complexes import FreeComplex, direct_sum, koszul, shift, tensor
 from .errors import SymchainError
-from .homology import homology, homology_presented, inf_h, is_quasi_iso
+from .homology import homology_presented, inf_h, is_quasi_iso
 from .series import _square_ranks, minimal_model, poinc_check, rank_series
 from .sym2 import PresentedComplex, alpha, sym2, weak_sym2
 from .theorems import (
@@ -120,15 +120,7 @@ def cmd_homology(args):
     value = _read(args.file)
     if not isinstance(value, (FreeComplex, PresentedComplex)):
         raise SymchainError("homology expects a complex or presented-complex document")
-    if args.bound is not None and not (isinstance(value, FreeComplex) and value.graded):
-        raise SymchainError(
-            f"--bound applies only to graded complexes; homology over {value.ring} "
-            "needs no degree bound"
-        )
-    if isinstance(value, PresentedComplex):
-        report = homology_presented(value)
-    else:
-        report = homology(value, bound=args.bound)
+    report = homology_presented(value, bound=args.bound)
     # the table stops at the bound; the infimum of a graded complex is exact
     _print_homology(report, inf_h(value) if report.kind == "hilbert" else report.inf)
     return OK

@@ -5,11 +5,14 @@ the Smith diagonal computed modulo a determinant without transforms, by
 one helper (_groups) on the differentials of the complex; over
 QQ and GF(p) as dimensions, the ranks of the minimal complex (d = 0 there)
 from series._minimal_ranks; over graded polynomial rings as Hilbert tables
-(dimension of each internal-degree slice over QQ) up to a degree bound,
-which every such report carries.  Each differential is prepared once per
-table, each internal degree is one pass up the slices of d_n, and each
-slice is written as integer rows without the rows at the pivot columns
-of the slice below it (see _graded_tables).  Presented homology
+(the dimension over QQ of each internal degree) up to a degree bound,
+which every such report carries.  The tables are read off the exact
+Hilbert series of the cokernel of each differential: the initial module
+of its columns (linalg._initial_module, Buchberger over QQ) and the
+Hilbert numerator of each monomial quotient (series._hilbert_numerator),
+expanded up to the bound (see _graded_tables); no degree slice is
+written or ranked.  A bound on a complex that is not graded is refused.
+Presented homology
 is read off ranks over a field, and over ZZ and ZLoc(p) is the homology
 of a free complex, a twisted cone of the relations: no lattice bases, no
 transforms.
@@ -36,20 +39,19 @@ mapping cone or a HomologyReport.  inf_h reads homology() there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .complexes import ChainMap, FreeComplex, _cone_entries
 from .errors import GradingError, SymchainError, UnsupportedRingError
 from .linalg import (
-    SliceTable,
     SparseMatrix,
+    _initial_module,
     _markowitz_rank,
     invariant_factors,
-    qq_rank,
     rank,
-    slice_matrix,
     solve_exact,
 )
-from .series import _minimal_ranks, _split_units, _survivors
+from .series import _hilbert_numerator, _minimal_ranks, _split_units, _survivors
 from .sym2 import PresentedComplex
 
 __all__ = [
@@ -168,15 +170,20 @@ def default_bound(X: FreeComplex) -> int:
 def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
     """Exact homology per backend.
 
-    Over a field dim H_n(X) is the rank of M_n for the minimal complex M
-    of X, as d = 0 on M: series._minimal_ranks, with no differential
-    ranked and no M built.  A graded complex gets Hilbert tables up to
-    the bound (default_bound when None; one below the lowest generator
-    degree raises GradingError): for each internal degree d, one pass up
-    n ranks the slice of d_n on the rows the slice of d_{n-1} left
-    unpivoted (_graded_tables).
+    Over ZZ and ZLoc(p) the groups come from the invariant factors of the
+    differentials (_groups).  Over a field dim H_n(X) is the rank of M_n
+    for the minimal complex M of X, as d = 0 on M: series._minimal_ranks,
+    with no differential ranked and no M built.  A graded complex gets
+    Hilbert tables up to the bound (default_bound when None; one below the
+    lowest generator degree raises GradingError), expanded from the exact
+    Hilbert series of the cokernel of each differential (_graded_tables):
+    the bound only says how far the series is written out.  A bound on a
+    complex that is not graded raises GradingError, as nothing there is
+    bounded.
     """
     ring = X.ring
+    if not X.graded:
+        _refuse_bound(ring, bound)
     if ring.proper_subring_of_qq:
         return HomologyReport("invariant_factors", ring, _groups(X.ranks, X._diffs))
     if ring.is_field:
@@ -187,6 +194,16 @@ def homology(X: FreeComplex, bound: int | None = None) -> HomologyReport:
         values = _graded_tables(X, *X.support, D) if X.support else {}
         return HomologyReport("hilbert", ring, values, bound=D)
     raise UnsupportedRingError(f"homology unsupported over {ring}")
+
+
+def _refuse_bound(ring, bound: int | None) -> None:
+    """Raise GradingError for a degree bound off graded complexes, whose
+    homology is exact and unbounded."""
+    if bound is not None:
+        raise GradingError(
+            f"a degree bound applies only to graded complexes; homology over {ring} "
+            "needs no degree bound"
+        )
 
 
 def _groups(ranks: dict, diffs: dict) -> dict:
@@ -206,46 +223,56 @@ def _groups(ranks: dict, diffs: dict) -> dict:
 
 
 def _graded_tables(X: FreeComplex, lo: int, hi: int, D: int) -> dict:
-    """{n: {d: dim H_n(X)_d}} for lo <= n <= hi and d <= D, nonzero only.
+    """{n: {d: dim H_n(X)_d}} for lo <= n <= hi and X.min_gdeg() <= d <= D,
+    nonzero only, read off the exact Hilbert series of each cokernel.
 
-    Each differential d_n, n = lo..hi + 1, is prepared once per table
-    (SliceTable.prepare: grading checked, rows scaled to integers, terms
-    packed into codes), and the monomials of each complementary degree are
-    listed once.  Each internal degree d is then one pass up n over the
-    slices of d_n, written straight into integer rows.  The pivot columns
-    J of d_n's slice carry a nonsingular minor, so rank d_{n+1} is the rank
-    of the rows of its slice off J (see qq_rank), and the slice of d_{n+1}
-    is written and ranked on dim X_{n,d} - rank d_n rows.
-    dim H_n(X)_d = dim X_{n,d} - rank d_n - rank d_{n+1}.
+    For d_n : X_n -> X_(n-1), dim H_n = dim X_n - rank d_n - rank d_(n+1)
+    and rank d_n = dim X_(n-1) - dim coker d_n in each internal degree, so
+    HS(H_n) = HS(coker d_(n+1)) - HS(X_(n-1)) + HS(coker d_n).  coker d_n
+    has the Hilbert function of F / in(N), for F = (+)_i R(-g_i) the
+    target of d_n and N its column module, and in(N) = (+)_i I_i e_i
+    (linalg._initial_module, once per differential), so its series is
+    sum_i t^(g_i) N(I_i) / (1 - t)^v (series._hilbert_numerator, memoised
+    across the table).  The t^d coefficient of Q(t) / (1 - t)^v is
+    sum_k Q_k C(d - k + v - 1, v - 1) over k <= d.
     """
-    slices = SliceTable(len(X.ring.variables), D - X.min_gdeg())
-    maps = [slices.prepare(X.diff(n), X.gdeg(n), X.gdeg(n - 1)) for n in range(lo, hi + 2)]
+    v = len(X.ring.variables)
+    memo = {}
+    coker = {}
+    for n in range(lo, hi + 2):
+        P = coker[n] = {}
+        tgt = X.gdeg(n - 1)
+        for g, gens in zip(tgt, _initial_module(X.diff(n), tgt)):
+            for k, c in enumerate(_hilbert_numerator(gens, memo), g):
+                P[k] = P.get(k, 0) + c
     tables = {}
-    for d in range(X.min_gdeg(), D + 1):
-        sizes, ranks, pivots = [], [], ()
-        for G in maps:
-            dn, _, _ = slice_matrix(G, d, pivots)
-            r, pivots = qq_rank(dn)
-            sizes.append(dn.cols)
-            ranks.append(r)
-        for k, n in enumerate(range(lo, hi + 1)):
-            if h := sizes[k] - ranks[k] - ranks[k + 1]:
+    for n in range(lo, hi + 1):
+        Q = dict(coker[n + 1])
+        for k, c in coker[n].items():
+            Q[k] = Q.get(k, 0) + c
+        for g in X.gdeg(n - 1):
+            Q[g] = Q.get(g, 0) - 1
+        Q = [(k, c) for k, c in sorted(Q.items()) if c]
+        for d in range(X.min_gdeg(), D + 1):
+            if h := sum(c * comb(d - k + v - 1, v - 1) for k, c in Q if k <= d):
                 tables.setdefault(n, {})[d] = h
-    return {n: tables[n] for n in sorted(tables)}
+    return tables
 
 
-def homology_presented(P: PresentedComplex | FreeComplex) -> HomologyReport:
+def homology_presented(P: PresentedComplex | FreeComplex, bound: int | None = None) -> HomologyReport:
     """Homology of a complex of finitely presented modules.
 
     A free complex, which weak_sym2 returns when 2 is a unit, goes to
-    homology(); over ZZ and ZLoc(p) P goes to its twisted cone.  Over a
+    homology() with the bound; a presented complex is never graded and
+    takes no bound.  Over ZZ and ZLoc(p) P goes to its twisted cone.  Over a
     field Q_n = F_n / im r_n, for the free cover F_n and relations r_n, has
     dim H_n = rank F_n - rank r_n - rank dbar_n - rank dbar_{n+1}, where
     rank dbar_n = rank [d_n | r_{n-1}] - rank r_{n-1}: ranks alone, so zero
     relation columns (2 = 0 in GF(2)) do no harm.  Graded rings are refused.
     """
     if isinstance(P, FreeComplex):
-        return homology(P)
+        return homology(P, bound)
+    _refuse_bound(P.ring, bound)
     if P.ring.is_field:
         rel = {n: rank(P.relation(n)) for n in P.degrees()}
         dbar = {n: rank(P.diff(n).hstack(P.relation(n - 1))) - rel.get(n - 1, 0) for n in [*rel, *(n + 1 for n in rel)]}

@@ -17,27 +17,17 @@ subrings ZZ and ZLoc(p), working in QQ), and constant polynomial matrices
 through their QQ lift.  _int_rows makes them from a SparseMatrix, and
 _integer_row, which also scales the rows of series._split_units, turns
 a Fraction row into ints: times the lcm of its denominators, or, when
-that is 1, by taking the numerators.  Graded slices never
-become a SparseMatrix: SliceTable lists the monomials of each
-complementary degree once per Hilbert table, packed into integers, and
-prepares each differential once (grading checked, each row scaled to
-integers by the lcm of its denominators, terms packed); slice_matrix
-then writes a slice straight into integer rows, skipping the rows it is
-told to drop, and returns it with where each generator's block of rows
-and columns starts (slice_basis lists a basis).  Graded slices reach
-about 1000x800 at under 1% density, which is why rows stay sparse.  Two
-kernels eliminate the rows, and the Smith pivot loop below is a third:
+that is 1, by taking the numerators.  Two kernels eliminate the rows,
+and the Smith pivot loop below is a third:
 
-- rank, qq_rank, the independence test of presented relations and the
-  ZLoc(p) witness rule of homology._failures run _markowitz_rank:
-  right-looking elimination that pivots on the sparsest live row and,
-  within it, the sparsest column, which keeps fill-in low (field
-  homology reads series._minimal_ranks instead).  Mod a composite D it
-  pivots only on units and returns the rows it could not pivot;
-  invariant_factors splits off its unit pivots that way.  It can also
-  report the column of each pivot: qq_rank ranks the rows of a slice and
-  returns the pivot columns, which graded homology drops from the rows of
-  the next slice.
+- rank, the independence test of presented relations and the ZLoc(p)
+  witness rule of homology._failures run _markowitz_rank: right-looking
+  elimination that pivots on the sparsest live row and, within it, the
+  sparsest column, which keeps fill-in low (field homology reads
+  series._minimal_ranks instead).  Mod a composite D it pivots only on
+  units and returns the rows it could not pivot; invariant_factors splits
+  off its unit pivots that way.  It can also report the column of each
+  pivot, for qq_rank.
 - rref, kernel and solve need canonical pivots, so they run _echelon,
   which pivots on the leading column of each row in row order.
   Fraction-free, it also reads off the pass the determinant of the
@@ -61,6 +51,22 @@ diagonal that is nonnegative (ZZ) or powers of p (ZLoc) in a divisibility
 chain.  It and the lattice utilities built on it, kernel_pid,
 image_basis_pid and solve_pid, are reference implementations: tests
 compare the library against them, and no library function calls them.
+
+Over a graded polynomial ring, _initial_module runs Buchberger's
+algorithm over QQ on the columns of a map, on fraction-free integer
+polynomials, and returns the minimal generators of their initial
+module: the graded Hilbert tables of homology() read the Hilbert series
+of each differential's cokernel off it.  The degree slices below
+(SliceTable, GradedMap, IntSlice, _Cells, slice_matrix, and qq_rank
+above) are on no library path.  SliceTable lists the monomials of each
+complementary degree once per table, packed into integers, and prepares
+each map once (grading checked, each row scaled to integers by the lcm
+of its denominators, terms packed); slice_matrix writes a slice straight
+into integer rows, skipping the rows it is told to drop, and qq_rank
+ranks them and returns the pivot columns.  They stay for the slice
+oracle of the tests (tests/oracles.py::reference_sliced_tables), which
+they keep as fast as it was, and for the spans the benchmark's trace
+records by name.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import gcd, lcm
-from operator import mul
+from operator import add, ge, mul, sub
 
 from .errors import (
     GradingError,
@@ -551,8 +557,9 @@ def rank(A: SparseMatrix) -> int:
 def qq_rank(S: "IntSlice"):
     """(rank, pivot columns) of the integer rows of a graded slice.
 
-    Graded homology ranks the slice of d_{n+1} with its rows at the pivot
-    columns of d_n's slice dropped (slice_matrix's drop).  Those columns
+    The slice oracle tests/oracles.py::reference_sliced_tables ranks the
+    slice of d_{n+1} with its rows at the pivot columns of d_n's slice
+    dropped (slice_matrix's drop).  Those columns
     carry a nonsingular minor, so ker d_n maps injectively onto the
     coordinates off them, and im d_{n+1}, which lies in ker d_n, keeps its
     rank on the rows off them (Kaczynski, Mrozek and Slusarek, Comput.
@@ -972,6 +979,134 @@ def _poly_to_qq(M: SparseMatrix) -> SparseMatrix:
             raise GradingError("expected a constant matrix over the polynomial ring")
         entries[key] = v[const]
     return SparseMatrix._of(QQ, M.rows, M.cols, entries)
+
+
+# -- initial modules: Buchberger over QQ on the columns of a graded map ------------
+
+
+def _initial_module(M: SparseMatrix, tgt_degrees) -> list:
+    """Minimal generators of the initial module of the columns of M.
+
+    M is a homogeneous map of free modules over R = QQ[x_1..x_v]; its
+    columns span a submodule N of F = (+)_i R(-tgt_degrees[i]).  Returns,
+    for each target generator i, the sorted exponent vectors of the minimal
+    generators of the monomial ideal I_i with in(N) = (+)_i I_i e_i, so
+    that F / N and F / in(N) have one Hilbert function (Macaulay; Eisenbud,
+    GTM 150, Thm. 15.3).
+
+    The order compares the terms x^a e_i of one homogeneous element (all of
+    degree |a| + tgt_degrees[i]) by degrevlex on a, then by position, the
+    lower i greater.  Each term is held as the key (|a|, -a_v, .., -a_1,
+    -i), so the order is the order of the keys, multiplying by a monomial
+    adds a fixed vector to each key, and x^a e_i divides x^b e_i exactly
+    when the middle entries of a's key are at least those of b's.  Elements
+    are {key: int}, each column scaled to integers and every element
+    divided by its content, with a positive leading coefficient; reduction
+    is fraction-free.
+
+    Buchberger's algorithm with the normal strategy: the columns and the
+    S-pairs wait in one queue by degree, lowest first, so each element
+    added is top-reduced against every element of its degree or below and
+    no lead term ever divides another.  S-pairs are formed only between
+    elements whose leads share a component.  Pairs are dropped by
+    Gebauer and Moeller's chain criteria (J. Symbolic Comput. 6, 1988) and
+    never by the product criterion, which holds for ideals only: the
+    columns x e_1 and y e_1 + z e_2 of [[x, y], [0, z]] have the coprime
+    leads x e_1 and y e_1, but their S-pair y (x e_1) - x (y e_1 + z e_2)
+    = -xz e_2 is a new lead.
+    """
+    if not M.ring.graded:
+        raise UnsupportedRingError(f"initial modules need a graded polynomial ring, not {M.ring}")
+    polys, leads = [], []      # the basis so far, and the key of each lead
+    basis = defaultdict(list)  # -i -> the elements whose lead lies on e_i
+    pairs = defaultdict(dict)  # -i -> {(g, h): key of lcm}, pairs not yet reduced
+    queue, order = [], 0       # (degree, order, element or None, pair or None)
+
+    def middle(K):  # the -exponents of a key
+        return K[1:-1]
+
+    def lcm_key(K, L):
+        m = tuple(map(min, middle(K), middle(L)))
+        return (-sum(m), *m, K[-1])
+
+    def divides(K, L):  # x^a e_i | x^b e_i for keys K, L on one e_i
+        return all(map(ge, middle(K), middle(L)))
+
+    def weight(K):
+        return tgt_degrees[-K[-1]] + K[0]
+
+    def add_multiple(f, b, shift, g):  # f -= b * x^shift * g
+        for k, v in g.items():
+            k = tuple(map(add, k, shift))
+            w = f.get(k, 0) - b * v
+            if w:
+                f[k] = w
+            else:
+                del f[k]
+
+    def reduce(f):  # top-reduce f by the basis, then divide by the content
+        while f:
+            K = max(f)
+            g = next((g for g in basis[K[-1]] if divides(leads[g], K)), None)
+            if g is None:
+                c = gcd(*f.values())
+                c = -c if f[K] < 0 else c
+                return {k: v // c for k, v in f.items()} if c != 1 else f
+            a, b = polys[g][leads[g]], f[K]
+            c = gcd(a, b)
+            if a != c:
+                a //= c
+                for k in f:
+                    f[k] *= a
+            add_multiple(f, b // c, tuple(map(sub, K, leads[g])), polys[g])
+        return f
+
+    def insert(f):  # add f to the basis and queue its S-pairs
+        nonlocal order
+        h, K = len(polys), max(f)
+        polys.append(f)
+        leads.append(K)
+        on = basis[K[-1]]
+        lcms = {g: lcm_key(leads[g], K) for g in on}
+        waiting = pairs[K[-1]]
+        for (g1, g2), L in list(waiting.items()):
+            if divides(K, L) and lcms[g1] != L and lcms[g2] != L:
+                del waiting[(g1, g2)]
+        for g, L in lcms.items():
+            if any(divides(L2, L) and (L2 != L or g2 < g) for g2, L2 in lcms.items() if g2 != g):
+                continue
+            waiting[(g, h)] = L
+            heappush(queue, (weight(L), order, None, (g, h)))
+            order += 1
+        on.append(h)
+
+    for col in _columns(M).values():
+        f = {}
+        for i, value in col:
+            for exp, coeff in value.items():
+                f[(sum(exp), *(-e for e in reversed(exp)), -i)] = coeff
+        queue.append((weight(max(f)), order, _integer_row(f)[1], None))
+        order += 1
+    heapify(queue)
+    while queue:
+        _, _, f, pair = heappop(queue)
+        if pair is not None:
+            g, h = pair
+            L = pairs[leads[g][-1]].pop(pair, None)
+            if L is None:
+                continue  # dropped by the chain criterion after it was queued
+            a, b = polys[g][leads[g]], polys[h][leads[h]]
+            c = gcd(a, b)
+            shift = tuple(map(sub, L, leads[g]))
+            f = {tuple(map(add, k, shift)): v * (b // c) for k, v in polys[g].items()}
+            add_multiple(f, a // c, tuple(map(sub, L, leads[h])), polys[h])
+        f = reduce(f)
+        if f:
+            insert(f)
+    gens = [[] for _ in range(M.rows)]
+    for K in leads:
+        gens[-K[-1]].append(tuple(-e for e in reversed(middle(K))))
+    return [tuple(sorted(g)) for g in gens]
 
 
 # -- graded degree slices ---------------------------------------------------------

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import le
 
 from .complexes import ChainMap, FreeComplex
 from .errors import SymchainError, UnsupportedRingError
@@ -180,6 +181,59 @@ def poinc_check(coeffs, sign: str, order: int) -> PoincReport:
         forced_value_holds=forced,
         tail_zero=tail_zero,
     )
+
+
+# -- Hilbert series of monomial quotients -------------------------------------
+
+
+def _minimal_monomials(gens) -> tuple:
+    """The minimal generators among the exponent vectors gens, sorted."""
+    kept = []
+    for m in sorted(set(gens), key=sum):
+        if not any(all(map(le, k, m)) for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
+def _hilbert_numerator(gens, memo=None) -> tuple:
+    """(c_0, c_1, ...): the numerator N(I) = sum_k c_k t^k of the Hilbert
+    series HS(R/I) = N(I) / (1 - t)^v of R = QQ[x_1..x_v] modulo the
+    monomial ideal I spanned by the exponent vectors gens.
+
+    With I = I' + (m), multiplication by m gives the exact sequence
+    0 -> R/(I' : m)(-deg m) -> R/I' -> R/I -> 0, so N(I) = N(I') -
+    t^(deg m) N(I' : m) (Bayer and Stillman, J. Symbolic Comput. 14, 1992).
+    Adding the minimal generators m_1, .., m_r of I one at a time from
+    N(0) = 1 gives N(I) = 1 - sum_j t^(deg m_j) N((m_1, .., m_(j-1)) : m_j),
+    and the colon ideals are spanned by the monomials m_k / gcd(m_k, m_j).
+    When no variable divides two generators, N(I) is the product of the
+    1 - t^(deg m).  Results are memoised in memo (a dict, fresh when None)
+    on the minimal generators.
+    """
+    gens = _minimal_monomials(gens)
+    memo = {} if memo is None else memo
+    N = memo.get(gens)
+    if N is None:
+        N = [1]
+        if all(sum(map(bool, powers)) <= 1 for powers in zip(*gens)):
+            for m in gens:
+                N = _sub_shifted(N, N, sum(m))
+        else:
+            for j, m in enumerate(gens):
+                colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens[:j]]
+                N = _sub_shifted(N, _hilbert_numerator(colon, memo), sum(m))
+        memo[gens] = N = tuple(N)
+    return N
+
+
+def _sub_shifted(N, P, e: int) -> list:
+    """The coefficients of N(t) - t^e P(t), trailing zeros dropped."""
+    out = list(N) + [0] * max(0, e + len(P) - len(N))
+    for k, c in enumerate(P, e):
+        out[k] -= c
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
 
 
 # -- minimality ---------------------------------------------------------------

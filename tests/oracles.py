@@ -23,9 +23,11 @@ bases, the reference for the rank formula of `homology_presented`.
 pair: the reference for `linalg.slice_matrix`, which writes integer rows
 scaled by positive factors, and the slice every graded oracle here ranks
 or reduces with the field kernels of `linalg`.  `reference_graded_table`
-ranks its whole slices of d_n and d_{n+1} with `linalg.rank`, the
-reference for the graded tables of `homology()`, which drop the rows of
-each slice at the previous slice's pivot columns.  `reference_square` builds the labels, rho,
+ranks its whole slices of d_n and d_{n+1} with `linalg.rank`.
+`reference_sliced_tables` makes each internal degree one pass up the
+slices of `linalg.slice_matrix`, each ranked by `linalg.qq_rank` without
+the rows at the previous slice's pivot columns.  Both are references for
+the graded tables of `homology()`, which it reads off Hilbert series.  `reference_square` builds the labels, rho,
 sigma and alpha of a symmetric square by separate walks, the reference
 for the single walk of `sym2._walk`.  `reference_induced_sigma` writes
 the transported homotopy of `sym2.induced_homotopy` entry by entry from
@@ -42,7 +44,7 @@ from operator import add
 
 from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map
 from symchain.complexes import compose, tensor, tensor_basis
-from symchain.linalg import kernel_basis, rank, rref, slice_basis, solve_field
+from symchain.linalg import SliceTable, kernel_basis, qq_rank, rank, rref, slice_basis, slice_matrix, solve_field
 from symchain.sym2 import _pivot_columns
 
 
@@ -476,6 +478,36 @@ def reference_graded_table(X: FreeComplex, n: int, D: int) -> dict:
         if h := dn.cols - rank(dn) - rank(dn1):
             table[d] = h
     return table
+
+
+def reference_sliced_tables(X: FreeComplex, lo: int, hi: int, D: int) -> dict:
+    """{n: {d: dim H_n(X)_d}} for lo <= n <= hi and d <= D, nonzero only,
+    ranked slice by slice.
+
+    Each differential d_n, n = lo..hi + 1, is prepared once per table
+    (SliceTable.prepare: grading checked, rows scaled to integers, terms
+    packed into codes), and the monomials of each complementary degree are
+    listed once.  Each internal degree d is then one pass up n over the
+    slices of d_n, written straight into integer rows.  The pivot columns
+    J of d_n's slice carry a nonsingular minor, so rank d_{n+1} is the rank
+    of the rows of its slice off J (see qq_rank), and the slice of d_{n+1}
+    is written and ranked on dim X_{n,d} - rank d_n rows.
+    dim H_n(X)_d = dim X_{n,d} - rank d_n - rank d_{n+1}.
+    """
+    slices = SliceTable(len(X.ring.variables), D - X.min_gdeg())
+    maps = [slices.prepare(X.diff(n), X.gdeg(n), X.gdeg(n - 1)) for n in range(lo, hi + 2)]
+    tables = {}
+    for d in range(X.min_gdeg(), D + 1):
+        sizes, ranks, pivots = [], [], ()
+        for G in maps:
+            dn, _, _ = slice_matrix(G, d, pivots)
+            r, pivots = qq_rank(dn)
+            sizes.append(dn.cols)
+            ranks.append(r)
+        for k, n in enumerate(range(lo, hi + 1)):
+            if h := sizes[k] - ranks[k] - ranks[k + 1]:
+                tables.setdefault(n, {})[d] = h
+    return {n: tables[n] for n in sorted(tables)}
 
 
 def reference_slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):

@@ -275,7 +275,8 @@ def test_homology_bound_off_graded_complexes_exits_2(tmp_path, capsys, monkeypat
     for bound in ("-5", "0", "7"):
         code, out, err = run(capsys, "homology", path, "--bound", bound)
         assert code == 2 and out == ""
-        assert "--bound applies only to graded complexes" in err and "Traceback" not in err
+        assert "a degree bound applies only to graded complexes" in err and "Traceback" not in err
+        assert f"homology over {value.ring} needs no degree bound" in err
     code, out, _ = run(capsys, "homology", path)
     assert code == 0 and "bound:" not in out
     # the degree-bound variable is a graded default, not an error elsewhere

@@ -1,10 +1,11 @@
 """Homology over each backend, presented complexes, quasi-isomorphism tests."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 from importlib import import_module
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from sympy import GF as SympyGF
@@ -59,12 +60,14 @@ from symchain.linalg import (
 from symchain.sym2 import PresentedComplex
 from symchain.sym2 import _pivot_columns
 
+import oracles
 from oracles import (
     homology_representatives,
     reference_field_homology,
     reference_graded_table,
     reference_quotient_complex,
     reference_slice_matrix,
+    reference_sliced_tables,
     reference_split_units,
     scaled_reference_rows,
 )
@@ -114,7 +117,7 @@ def test_graded_homology_of_koszul_square():
     assert h.inf == 0
 
 
-def test_graded_homology_builds_each_slice_once(monkeypatch):
+def test_slice_oracle_builds_each_slice_once(monkeypatch):
     built, prepared = [], set()
 
     def counting_slice_matrix(G, d, drop=()):
@@ -122,9 +125,9 @@ def test_graded_homology_builds_each_slice_once(monkeypatch):
         prepared.add(id(G))
         return slice_matrix(G, d, drop)
 
-    monkeypatch.setattr(homology_module, "slice_matrix", counting_slice_matrix)
+    monkeypatch.setattr(oracles, "slice_matrix", counting_slice_matrix)
     S = sym2(koszul([X_VAR, Y_VAR])).complex
-    assert homology(S, bound=6).table(2) == {2: 1}
+    assert reference_sliced_tables(S, *S.support, 6)[2] == {2: 1}
     # one slice of d_n per (n, d): n runs over the degrees of S and one above
     assert len(built) == len(set(built)) == (len(S.degrees()) + 1) * 7
     # each d_n is prepared once per table and sliced in every internal degree
@@ -132,8 +135,31 @@ def test_graded_homology_builds_each_slice_once(monkeypatch):
     built.clear()
     cone = mapping_cone(identity_map(S))  # exact, so every slice is scanned
     lo, hi = cone.support
-    assert homology(cone, bound=6).is_exact()
+    assert reference_sliced_tables(cone, lo, hi, 6) == {}
     assert len(built) == (hi - lo + 2) * (6 - cone.min_gdeg() + 1)
+
+
+def test_graded_homology_ranks_no_slice(monkeypatch):
+    """homology() reads its graded tables off Hilbert series: no slice is
+    written or ranked, and each differential's initial module is computed
+    once per table."""
+    def refuse(*args):
+        raise AssertionError("a slice was written or ranked")
+
+    for name in ("slice_matrix", "qq_rank", "SliceTable"):
+        monkeypatch.setattr(linalg_module, name, refuse)
+    built = []
+    real = homology_module._initial_module
+
+    def counting(M, tgt_degrees):
+        built.append(M)
+        return real(M, tgt_degrees)
+
+    monkeypatch.setattr(homology_module, "_initial_module", counting)
+    S = sym2(koszul([X_VAR, Y_VAR])).complex
+    assert homology(S, bound=6).table(2) == {2: 1}
+    assert len(built) == len(S.degrees()) + 1
+    assert not any(hasattr(homology_module, name) for name in ("slice_matrix", "qq_rank", "SliceTable"))
 
 
 def _reference_tables(X, D):
@@ -165,8 +191,8 @@ def _graded_table_inputs(rng):
 
 
 def test_graded_tables_match_the_whole_slice_oracle():
-    """homology() drops each slice's rows at the previous slice's pivot
-    columns; the oracle ranks every whole slice."""
+    """homology() reads its tables off the Hilbert series of the cokernels;
+    the oracle ranks every whole slice."""
     rng = random.Random(241)
     nonminimal = 0
     for X, bound in _graded_table_inputs(rng):
@@ -186,11 +212,105 @@ def test_graded_tables_of_a_gap_and_of_the_zero_complex():
     assert homology(zero_complex(POLY), bound=5).values == {}
 
 
-def test_graded_tables_rank_each_slice_off_the_previous_pivots(monkeypatch):
+def _raise_internal_degrees(X, t):
+    """X with every internal degree raised by t (lowered when t < 0)."""
+    gdegs = {n: tuple(d + t for d in X.gdeg(n)) for n in X.degrees()}
+    return FreeComplex(X.ring, X.ranks, {n: X.diff(n) for n in X.degrees()}, gdegs)
+
+
+def _graded_sweep(rng):
+    """Random graded complexes over two and three variables: minimal ones
+    (random_graded_minimal), both of random_split_pair's padded ones, the
+    symmetric and tensor square of each minimal one, and each minimal one
+    shifted down in homological degree with its internal degrees lowered
+    below zero; then cones of random graded maps and the zero complex."""
+    R3 = graded_poly("x0", "x1", "x2")
+    inputs = []
+    for R in (POLY, R3):
+        for _ in range(12):
+            X = random_graded_minimal(R, rng)
+            inputs += [X, *random_split_pair(R, rng), sym2(X).complex, tensor(X, X),
+                       shift(_raise_internal_degrees(X, -rng.randint(1, 3)), -1)]
+    inputs += [mapping_cone(_random_graded_map(rng)) for _ in range(8)]
+    inputs.append(zero_complex(R3))
+    return inputs
+
+
+def test_graded_tables_match_the_slice_oracle_on_a_randgen_sweep():
+    """The series path against the slice path it replaced, to each
+    complex's default bound, from its lowest internal degree."""
+    inputs = _graded_sweep(random.Random(35))
+    assert len(inputs) >= 150
+    assert any(X.min_gdeg() < 0 for X in inputs)
+    nonzero = 0
+    for X in inputs:
+        h = homology(X)
+        assert h.bound == X.max_gdeg() + X.total_rank() + 2
+        want = reference_sliced_tables(X, *X.support, h.bound) if X.support else {}
+        assert h.values == want, (X.ranks, {n: X.gdeg(n) for n in X.degrees()})
+        nonzero += bool(want)
+    assert nonzero > 100
+
+
+def test_graded_tables_keep_the_euler_characteristic():
+    """sum_n (-1)^n dim H_n(X)_d = sum_n (-1)^n dim X_{n,d} in every internal
+    degree d up to the bound, with dim R(-g)_d = C(d - g + v - 1, v - 1)."""
+    R3 = graded_poly("x0", "x1", "x2")
+    v = R3.generators()
+    forms = [v[0] + v[1], v[0] - v[2], v[1] + R3.scalar(Fraction(1, 2)) * v[2]]
+    inputs = _graded_sweep(random.Random(36)) + [
+        sym2(koszul(forms)).complex,
+        tensor(koszul(forms[:2]), koszul([v[2] * v[2], v[0]])),
+        sym2(koszul([v[0] * v[1], v[1] * v[2], v[0] * v[2]])).complex,
+    ]
+    for X in inputs:
+        h = homology(X)
+        nvars = len(X.ring.variables)
+        for d in range(X.min_gdeg(), h.bound + 1):
+            chain = sum((-1) ** n * comb(d - g + nvars - 1, nvars - 1)
+                        for n in X.degrees() for g in X.gdeg(n) if g <= d)
+            assert sum((-1) ** n * t.get(d, 0) for n, t in h.values.items()) == chain
+
+
+def test_cokernel_whose_columns_have_coprime_leads():
+    """coker [[x, y], [0, z]] over QQ[x, y, z], generated in degree 0: the
+    columns x e_1 and y e_1 + z e_2 have coprime leads on e_1, and their
+    S-pair gives the lead xz e_2, which a kernel using the product criterion
+    misses (it reads 7 in degree 2)."""
+    R3 = graded_poly("x", "y", "z")
+    x, y, z = R3.generators()
+    d1 = SparseMatrix.from_rows(R3, [[x, y], [R3.zero(), z]])
+    X = FreeComplex(R3, {0: 2, 1: 2}, {1: d1}, {0: (0, 0), 1: (1, 1)})
+    want = {0: {0: 2, 1: 4, 2: 6, 3: 8, 4: 10}}
+    assert homology(X, bound=4).values == want
+    assert reference_sliced_tables(X, 0, 1, 4) == want
+    for d, dim in want[0].items():  # dim coker = dim X_{0,d} - rank, by sympy
+        A = reference_slice_matrix(d1, (1, 1), (0, 0), d)[0]
+        assert A.rows - _sympy_field_rank(A) == dim
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5), ZLoc(3)], ids=str)
+def test_homology_refuses_a_bound_off_graded_complexes(ring):
+    X = koszul([ring.scalar(2)])
+    for bound in (-5, 0, 7):
+        with pytest.raises(GradingError, match=re.escape(f"applies only to graded complexes; homology over {ring} ")):
+            homology(X, bound=bound)
+    assert homology(X, bound=None) == homology(X)
+    P = weak_sym2(koszul([ring.scalar(3), ring.scalar(3)]))
+    if not isinstance(P, FreeComplex):
+        with pytest.raises(GradingError, match=re.escape(f"homology over {ring} ")):
+            homology_presented(P, bound=3)
+    with pytest.raises(GradingError, match=re.escape(f"homology over {ring} ")):
+        homology_presented(X, bound=3)
+    S = sym2(koszul([X_VAR, Y_VAR])).complex
+    assert homology_presented(S, bound=3) == homology(S, bound=3)
+
+
+def test_slice_oracle_ranks_each_slice_off_the_previous_pivots(monkeypatch):
     """Each internal degree is one pass up n: the slice of d_{n+1} is ranked
     on dim X_{n,d} - rank d_n rows, the rest dropped at d_n's pivots."""
     calls = []
-    real_slice, real_rank = homology_module.slice_matrix, homology_module.qq_rank
+    real_slice, real_rank = oracles.slice_matrix, oracles.qq_rank
 
     def recording_slice(G, d, drop=()):
         A, tgt_offsets, src_offsets = real_slice(G, d, drop)
@@ -203,13 +323,13 @@ def test_graded_tables_rank_each_slice_off_the_previous_pivots(monkeypatch):
         calls[-1] += [r, set(pivots)]
         return r, pivots
 
-    monkeypatch.setattr(homology_module, "slice_matrix", recording_slice)
-    monkeypatch.setattr(homology_module, "qq_rank", recording_rank)
+    monkeypatch.setattr(oracles, "slice_matrix", recording_slice)
+    monkeypatch.setattr(oracles, "qq_rank", recording_rank)
     R = graded_poly("x0", "x1", "x2")
     S = sym2(koszul(list(R.generators()))).complex
     D = 8
-    homology(S, bound=D)
     lo, hi = S.support
+    assert reference_sliced_tables(S, lo, hi, D) == homology(S, bound=D).values
     width = hi - lo + 2
     assert len(calls) == width * (D - S.min_gdeg() + 1)
     assert all(len(call) == 8 for call in calls)  # qq_rank once per slice

@@ -33,6 +33,7 @@ from symchain.homology import homology_presented
 from symchain.linalg import (
     SliceTable,
     _echelon,
+    _initial_module,
     _int_rows,
     _markowitz_rank,
     image_basis_pid,
@@ -1081,3 +1082,89 @@ def test_rank_of_every_sym2_koszul_slice_matches_sympy():
             assert qq_rank(slice_matrix(G, d)[0])[0] == rank(A) == _echelon_rank(A) == _sympy_rank(A)
             checked += A.rows * A.cols > 0
     assert checked >= 30
+
+
+# -- initial modules ------------------------------------------------------------
+
+R3 = graded_poly("x0", "x1", "x2")
+
+
+def _sympy_leading_monomials(gens, order="grevlex"):
+    """Leading exponents of sympy's reduced Groebner basis of the ideal
+    spanned by gens, which are minimal generators of the initial ideal."""
+    import sympy
+
+    xs = sympy.symbols("x0 x1 x2")
+    exprs = [
+        sum(Rational(c.numerator, c.denominator) * prod(x**e for x, e in zip(xs, exp)) for exp, c in g.value.items())
+        for g in gens
+    ]
+    G = sympy.groebner(exprs, *xs, order=order)
+    return tuple(sorted(sympy.Poly(g, *xs).monoms(order=order)[0] for g in G.exprs))
+
+
+def _random_form(rng, degree):
+    """A homogeneous form of the given degree in x0, x1, x2: one to three
+    distinct monomials with coefficients in +-1, +-2."""
+    monomials = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    picked = rng.sample(monomials, min(len(monomials), rng.randint(1, 3)))
+    return R3.scalar({m: Fraction(rng.choice((-2, -1, 1, 2))) for m in picked})
+
+
+def test_initial_module_of_an_ideal_matches_sympy_groebner():
+    """A one-row matrix spans an ideal; its initial module is the initial
+    ideal, whose minimal generators are the leading monomials of the
+    reduced degrevlex Groebner basis."""
+    x0, x1, x2 = R3.generators()
+    two = R3.scalar(2)
+    ideals = [
+        [x0 + x1],
+        [x0 * x2 - x1 * x1],
+        [x0 + x1, x0 * x2 - x1 * x1],
+        [x0 * x2 - x1 * x1, x0 * x1 - x2 * x2, x1 * x2 - x0 * x0],
+        [x0 * x0, x1 * x1, x0 * x1 + x2 * x2],
+        [x0 * x1, x1 * x2, x0 * x2],
+        [x0 * x0 * x0 - x1 * x1 * x1, x1 * x1 * x2 - x0 * x2 * x2, x0 + x1 - x2],
+        # a kernel that drops every new pair whose lcm another new pair shares fails here
+        [x0 * x0 * x1 + x0 * x1 * x1 + two * x1 * x1 * x1, two * x0 * x0 * x2 - x1 * x1 * x1 + two * x2 * x2 * x2,
+         two * x0 * x0 * x2 - two * x0 * x1 * x2 - x1 * x2 * x2],
+        # and one that drops an old pair whose lcm the new lead divides, even
+        # when the new lead's lcm with one of its two elements is that lcm, here
+        [x0 * x0 * x2 - two * x0 * x1 * x1, x0 * x2 - two * x0 * x0 - two * x1 * x1, two * x2 * x2 - x0 * x2 - x1 * x2],
+    ]
+    rng = random.Random(35)
+    for _ in range(150):
+        ideals.append([_random_form(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))])
+    nonmonomial = 0
+    for gens in ideals:
+        M = SparseMatrix(R3, 1, len(gens), {(0, j): g for j, g in enumerate(gens)})
+        got = _initial_module(M, (0,))
+        assert got == [_sympy_leading_monomials(gens)], gens
+        nonmonomial += any(len(g.value) > 1 for g in gens)
+    assert nonmonomial > 100
+
+
+def test_initial_module_pairs_leads_that_are_coprime():
+    """The columns x e_1 and y e_1 + z e_2 of [[x, y], [0, z]] have coprime
+    leads on e_1; their S-pair -xz e_2 is a new lead, which the product
+    criterion would skip."""
+    x, y, z = R3.generators()
+    M = rows(R3, [[x, y], [R3.zero(), z]])
+    assert _initial_module(M, (0, 0)) == [((0, 1, 0), (1, 0, 0)), ((1, 0, 1),)]
+    # the same columns in the other order of the targets: z e_1 + y e_2 and x e_2
+    M = rows(R3, [[R3.zero(), z], [x, y]])
+    assert _initial_module(M, (0, 0)) == [((1, 0, 1),), ((0, 1, 0), (1, 0, 0))]
+
+
+def test_initial_module_of_constant_zero_and_empty_maps():
+    x0, x1, x2 = R3.generators()
+    unit = rows(R3, [[R3.one(), x0], [R3.zero(), x1]])  # a unit entry: in(N)_1 = R
+    assert _initial_module(unit, (0, 0)) == [((0, 0, 0),), ((0, 1, 0),)]
+    assert _initial_module(SparseMatrix.zero(R3, 2, 3), (0, 4)) == [(), ()]
+    assert _initial_module(SparseMatrix.zero(R3, 0, 3), ()) == []
+    # negative target degrees: only differences of degrees matter
+    M = rows(R3, [[x0 * x0, x1 * x1 + x0 * x2]])
+    assert _initial_module(M, (-5,)) == _initial_module(M, (0,))
+    with pytest.raises(UnsupportedRingError):
+        _initial_module(rows(QQ, [[1, 2]]), (0,))
+

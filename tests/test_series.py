@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -31,7 +32,7 @@ from symchain import (
 )
 from symchain.errors import SymchainError, UnsupportedRingError
 from symchain.linalg import SparseMatrix, kernel_basis
-from symchain.series import RankSeries, _square_ranks
+from symchain.series import RankSeries, _hilbert_numerator, _square_ranks
 from symchain.sym2 import alpha
 
 from oracles import reference_split_units, stepwise_minimize
@@ -408,3 +409,52 @@ def test_rank_series_str_is_canonical():
     s = RankSeries.from_dict({0: 1, 2: 0, 5: 3})
     assert str(s) == "1 + 3*t^5"
     assert RankSeries.from_dict({}) == RankSeries(())
+
+
+# -- Hilbert numerators of monomial quotients ------------------------------------
+
+
+def _standard_monomials(gens, nvars, d):
+    """How many monomials of degree d no generator divides, by listing them."""
+    count = 0
+    for combo in itertools.combinations_with_replacement(range(nvars), d):
+        exp = [0] * nvars
+        for k in combo:
+            exp[k] += 1
+        count += not any(all(a <= b for a, b in zip(g, exp)) for g in gens)
+    return count
+
+
+def _series_coefficient(N, nvars, d):
+    return sum(c * comb(d - k + nvars - 1, nvars - 1) for k, c in enumerate(N) if k <= d)
+
+
+def test_hilbert_numerator_examples():
+    assert _hilbert_numerator([]) == (1,)
+    assert _hilbert_numerator([(0, 0)]) == (0,)  # the unit ideal
+    assert _hilbert_numerator([(1, 0), (0, 1)]) == (1, -2, 1)
+    assert _hilbert_numerator([(2, 0, 0)]) == (1, 0, -1)
+    # (xy, x^2, y^3): R/I has the basis 1, x, y, y^2, so N = (1 + 2t + t^2)(1 - t)^2
+    assert _hilbert_numerator([(1, 1), (2, 0), (0, 3), (2, 1)]) == (1, 0, -2, 0, 1)
+
+
+def test_hilbert_numerator_counts_standard_monomials():
+    """N(I) / (1 - t)^v against a count of the monomials outside I, on random
+    monomial ideals in one to four variables, generators not minimal."""
+    rng = random.Random(35)
+    for _ in range(150):
+        nvars = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(0, 6))]
+        N = _hilbert_numerator(gens)
+        for d in range(9):
+            assert _series_coefficient(N, nvars, d) == _standard_monomials(gens, nvars, d), (gens, d)
+
+
+def test_hilbert_numerator_memoises_on_minimal_generators():
+    memo = {}
+    first = _hilbert_numerator([(2, 1), (1, 1), (0, 2), (1, 2)], memo)
+    assert ((0, 2), (1, 1)) in memo  # (2, 1) and (1, 2) are not minimal
+    assert all(key == tuple(sorted(key)) for key in memo)
+    assert _hilbert_numerator([(0, 2), (1, 1)], memo) is first
+    assert _hilbert_numerator([(1, 1), (0, 2)]) == first
+
