@@ -206,22 +206,17 @@ def _hilbert_numerator(gens, memo=None) -> tuple:
     Adding the minimal generators m_1, .., m_r of I one at a time from
     N(0) = 1 gives N(I) = 1 - sum_j t^(deg m_j) N((m_1, .., m_(j-1)) : m_j),
     and the colon ideals are spanned by the monomials m_k / gcd(m_k, m_j).
-    When no variable divides two generators, N(I) is the product of the
-    1 - t^(deg m).  Results are memoised in memo (a dict, fresh when None)
-    on the minimal generators.
+    Results are memoised in memo (a dict, fresh when None) on the minimal
+    generators.
     """
     gens = _minimal_monomials(gens)
     memo = {} if memo is None else memo
     N = memo.get(gens)
     if N is None:
         N = [1]
-        if all(sum(map(bool, powers)) <= 1 for powers in zip(*gens)):
-            for m in gens:
-                N = _sub_shifted(N, N, sum(m))
-        else:
-            for j, m in enumerate(gens):
-                colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens[:j]]
-                N = _sub_shifted(N, _hilbert_numerator(colon, memo), sum(m))
+        for j, m in enumerate(gens):
+            colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens[:j]]
+            N = _sub_shifted(N, _hilbert_numerator(colon, memo), sum(m))
         memo[gens] = N = tuple(N)
     return N
 
