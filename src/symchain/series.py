@@ -23,7 +23,8 @@ fields and graded rings, and homology over fields, where d = 0 on the
 minimal complex) is answered by _survivors, which runs the same split
 without q on X (x) k for the residue field k: on X over QQ and GF(p), on
 its GF(p) reduction over ZLoc(p), on its QQ constant terms over a graded
-ring, where no polynomial is multiplied.
+ring, where no polynomial is multiplied.  For the same reason the graded
+theorem checkers build on _degree_zero_part(X), the constant entries of X.
 """
 
 from __future__ import annotations
@@ -367,6 +368,35 @@ def _survivors(ring, ranks: dict, entries: dict) -> dict:
     if not ring.is_field:
         entries = {n: {rc: r for rc, v in E.items() if (r := ring.ops.residue(v))} for n, E in entries.items()}
     return _split_units(ring.residue_field, ranks, entries)[0]
+
+
+def _degree_zero_part(X: FreeComplex) -> FreeComplex:
+    """X with the same ranks and generator degrees, each differential
+    keeping only its entries of internal degree 0 (the constants); X
+    itself off graded rings.
+
+    The graded checkers run on it, and their reports are those of X:
+    - every entry of a homogeneous differential has degree gdeg(col) -
+      gdeg(row) >= 0, so the product of the degree-0 parts d0_n d0_{n+1}
+      is the degree-0 part of d_n d_{n+1} = 0: d0 is a differential on the
+      same generator degrees;
+    - each builder the checkers call (sym2._square, complexes.
+      _tensor_with_bases, sym2._walk, the _pick of sym2._alpha_summands and
+      complexes._cone_entries) writes each entry as a sum of constants
+      times entries of X, all of one internal degree, so each commutes
+      with taking the degree-0 part;
+    - _survivors reads only constant terms, and the graded witness (n0, d0)
+      only generator degrees, so every condition and every witness is that
+      of X.
+    """
+    if not X.graded:
+        return X
+    residue = X.ring.ops.residue
+    diffs = {
+        n: SparseMatrix._of(X.ring, D.rows, D.cols, {rc: v for rc, v in D.entries.items() if residue(v)})
+        for n, D in X._diffs.items()
+    }
+    return FreeComplex._of(X.ring, X._ranks, diffs, X._gdegs)
 
 
 def _minimal_ranks(X: FreeComplex) -> dict:

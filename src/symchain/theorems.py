@@ -10,7 +10,12 @@ does.  Every condition is exact on every backend, and no checker takes a
 degree bound.  A condition on a minimal complex that reads only its ranks
 takes them from series._minimal_ranks, which builds no complex; only
 symm09, which needs q and the differentials of M, builds one, by
-minimize.  s2fpd01 reads the lengths of two minimal models and a rank
+minimize.  Over a graded ring symm07, symm07pp, s2fpd01 and s2fpd02 build
+T, alpha, S2, the summands of alpha and every cone on
+series._degree_zero_part(X), the constant entries of X.  No report
+changes: every builder they call commutes with taking the degree-0 part,
+and each verdict reads only constant terms and generator degrees (graded
+Nakayama).  s2fpd01 reads the lengths of two minimal models and a rank
 inequality whose ranks of S2(M) come from the rank identity
 (series._square_ranks), with no square of M built.
 symm09 reads both infima from minimal models, and checks the
@@ -40,7 +45,15 @@ from .homology import _exactness_failures, homology, homology_presented, is_quas
 from .io import _matrix_to_rows
 from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
-from .series import _minimal_ranks, _require_local, _square_ranks, minimize, rank_series, verify_series_identity
+from .series import (
+    _degree_zero_part,
+    _minimal_ranks,
+    _require_local,
+    _square_ranks,
+    minimize,
+    rank_series,
+    verify_series_identity,
+)
 from .sym2 import Sym2Result, _alpha_summands, _square_map, _sym2_map
 from .sym2 import alpha, sym2, sym2_map, weak_sym2
 
@@ -150,8 +163,11 @@ def check_symm07(X: FreeComplex) -> VerdictReport:
     quasi-isomorphism; (ii) the image of the alternation is exact;
     (iii) the kernel inclusion into the tensor square is a quasi-isomorphism;
     (iv) the minimal complex is zero or a single rank-1 module in even degree.
+    Over a graded ring it builds on the degree-zero part of X, which gives
+    the same report (series._degree_zero_part).
     """
     _require_local_two_unit(X.ring)
+    X = _degree_zero_part(X)
     S = sym2(X)
     image, kernel, _q = _alpha_summands(S)
     return _verdict(
@@ -173,8 +189,11 @@ def check_symm07pp(X: FreeComplex) -> VerdictReport:
     its image is one; (iii) the image inclusion is one; (iv) the symmetric
     square is exact; (v) the kernel of the alternation is exact; (vi) the
     minimal complex is zero or a single rank-1 module in odd degree.
+    Over a graded ring it builds on the degree-zero part of X, which gives
+    the same report (series._degree_zero_part).
     """
     _require_local_two_unit(X.ring)
+    X = _degree_zero_part(X)
     S = sym2(X)
     image, kernel, q = _alpha_summands(S)
     return _verdict(
@@ -197,9 +216,12 @@ def check_s2fpd02(X: FreeComplex) -> VerdictReport:
     (i) the minimal complex of X is a single even shift of R, or a sum of
     two odd shifts; (ii) the minimal complex of S2(X) is a single rank-1
     module in even degree; (iii) same with the parity unconstrained.
-    Reports the shift degree j when the conditions hold.
+    Reports the shift degree j when the conditions hold.  Over a graded
+    ring it squares the degree-zero part of X, which gives the same report
+    (series._degree_zero_part).
     """
     _require_local_two_unit(X.ring)
+    X = _degree_zero_part(X)
     M = _minimal_ranks(X)
     SM = _minimal_ranks(sym2(X).complex)
     even_shift = _is_zero_or_single_shift(M, parity=0)[0]
@@ -231,9 +253,12 @@ def check_s2fpd01(X: FreeComplex) -> VerdictReport:
     and those of S2(M) are _square_ranks(r), the rank identity.  S2(M)_{p+q}
     contains M_p (x) M_q by construction, so the inequality holds on every
     bounded complex: the report always holds, `check s2fpd01` exits only 0
-    or 2, and what it shows is the two lengths.
+    or 2, and what it shows is the two lengths.  Over a graded ring it
+    squares the degree-zero part of X, whose minimal ranks, and those of
+    its square, are those of X (series._degree_zero_part).
     """
     _require_local(X)
+    X = _degree_zero_part(X)
     M = _minimal_ranks(X)
     S = _square_ranks(M)
     SM = _minimal_ranks(sym2(X).complex)

@@ -32,6 +32,10 @@ sigma and alpha of a symmetric square by separate walks, the reference
 for the single walk of `sym2._walk`.  `reference_induced_sigma` writes
 the transported homotopy of `sym2.induced_homotopy` entry by entry from
 the tensor basis labels, the reference for its Kronecker products.
+`reference_local_checkers` runs the bodies of `check_symm07`,
+`check_symm07pp`, `check_s2fpd01` and `check_s2fpd02` on X itself, the
+reference for the checkers, which build on the degree-zero part of a
+graded X (`series._degree_zero_part`).
 `reference_matrix_rows` writes a document matrix densely, one Scalar
 formatted per cell, the reference for `io._matrix_to_rows`, which
 formats only the stored entries.
@@ -39,13 +43,17 @@ formats only the stored entries.
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from operator import add
 
-from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map
+from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map, is_quasi_iso, sym2
 from symchain.complexes import compose, tensor, tensor_basis
+from symchain.homology import _exactness_failures
 from symchain.linalg import SliceTable, kernel_basis, qq_rank, rank, rref, slice_basis, slice_matrix, solve_field
-from symchain.sym2 import _pivot_columns
+from symchain.series import _minimal_ranks, _square_ranks
+from symchain.sym2 import _alpha_summands, _pivot_columns
+from symchain.theorems import _is_two_odd_shifts, _is_zero_or_single_shift, _verdict
 
 
 def reference_matrix_rows(M: SparseMatrix) -> list:
@@ -656,3 +664,52 @@ def reference_induced_sigma(f: ChainMap, g: ChainMap, s) -> dict:
         if entries:
             out[n] = SparseMatrix(ring, len(target), len(source), entries)
     return out
+
+
+def reference_local_checkers(X: FreeComplex) -> dict:
+    """{theorem: report} of check_symm07, check_symm07pp, check_s2fpd01 and
+    check_s2fpd02, each body run on X itself, with its full entries, from
+    one square of X.  X is over a local ring where 2 is a unit."""
+    S = sym2(X)
+    image, kernel, q = _alpha_summands(S)
+    M = _minimal_ranks(X)
+    SM = _minimal_ranks(S.complex)
+    any_shift, j = _is_zero_or_single_shift(SM, parity=None)
+    cond3 = any_shift and bool(SM)
+    squares = _square_ranks(M)
+    return {
+        "symm07": _verdict("symm07", X, {
+            "i": is_quasi_iso(S.proj).failures,
+            "ii": _exactness_failures(image.complex),
+            "iii": is_quasi_iso(kernel.inclusion).failures,
+            "iv": _is_zero_or_single_shift(M, parity=0)[0],
+        }),
+        "symm07pp": _verdict("symm07pp", X, {
+            "i": is_quasi_iso(S.alpha).failures,
+            "ii": is_quasi_iso(q).failures,
+            "iii": is_quasi_iso(image.inclusion).failures,
+            "iv": _exactness_failures(S.complex),
+            "v": _exactness_failures(kernel.complex),
+            "vi": _is_zero_or_single_shift(M, parity=1)[0],
+        }),
+        "s2fpd01": _verdict(
+            "s2fpd01",
+            X,
+            {"rank_inequality": all(squares.get(p + r, 0) >= M[p] * M[r] for p, r in combinations(M, 2))},
+            {
+                "minimal_length": max(M) - min(M) if M else None,
+                "square_minimal_length": max(SM) - min(SM) if SM else None,
+            },
+            equivalence=False,
+        ),
+        "s2fpd02": _verdict(
+            "s2fpd02",
+            X,
+            {
+                "i": (_is_zero_or_single_shift(M, parity=0)[0] and bool(M)) or _is_two_odd_shifts(M),
+                "ii": _is_zero_or_single_shift(SM, parity=0)[0] and bool(SM),
+                "iii": cond3,
+            },
+            {"j": j} if cond3 else None,
+        ),
+    }

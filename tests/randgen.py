@@ -100,12 +100,51 @@ def random_invertible(ring: Ring, n: int, rng) -> SparseMatrix:
     return M
 
 
+def random_monomial_term(ring: Ring, degree: int, rng):
+    """A nonzero constant times a random monomial of the given degree in
+    all the variables of a graded ring."""
+    exp = [0] * len(ring.variables)
+    for _ in range(degree):
+        exp[rng.randrange(len(exp))] += 1
+    return ring.scalar({tuple(exp): Fraction(rng.choice([1, -1, 2]))})
+
+
+def random_graded_automorphism(ring: Ring, gdegs, rng):
+    """(P, P^-1) for a random automorphism of degree 0 of the graded free
+    module on generators of internal degrees gdegs: a product of unit
+    scalings and of elementary matrices 1 + c E_ij, c homogeneous of degree
+    gdegs[j] - gdegs[i] >= 0, so each entry P[i, j] has that degree."""
+    n = len(gdegs)
+    P = P_inv = SparseMatrix.identity(ring, n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 and rng.random() < 0.75 else (rng.randrange(n),) * 2
+        if gdegs[j] < gdegs[i]:
+            i, j = j, i
+        if i == j:
+            u = unit_scalar(ring, rng)
+            E = SparseMatrix(ring, n, n, {(k, k): u if k == i else ring.one() for k in range(n)})
+            E_inv = SparseMatrix(ring, n, n, {(k, k): u.inverse() if k == i else ring.one() for k in range(n)})
+        else:
+            c = random_monomial_term(ring, gdegs[j] - gdegs[i], rng)
+            ident = {(k, k): ring.one() for k in range(n)}
+            E = SparseMatrix(ring, n, n, ident | {(i, j): c})
+            E_inv = SparseMatrix(ring, n, n, ident | {(i, j): -c})
+        P, P_inv = E @ P, P_inv @ E_inv
+    return P, P_inv
+
+
 def conjugate(X: FreeComplex, rng) -> FreeComplex:
-    """Apply a random basis change in each degree (graded complexes excluded)."""
-    P = {n: random_invertible(X.ring, X.rank(n), rng) for n in X.degrees()}
-    P_inv = {n: solve_exact(P[n], SparseMatrix.identity(X.ring, X.rank(n))) for n in P}
+    """Apply a random basis change in each degree; over a graded ring one
+    of degree 0 (random_graded_automorphism), so entries stay homogeneous."""
+    if X.graded:
+        P, P_inv = {}, {}
+        for n in X.degrees():
+            P[n], P_inv[n] = random_graded_automorphism(X.ring, X.gdeg(n), rng)
+    else:
+        P = {n: random_invertible(X.ring, X.rank(n), rng) for n in X.degrees()}
+        P_inv = {n: solve_exact(P[n], SparseMatrix.identity(X.ring, X.rank(n))) for n in P}
     diffs = {n: P[n - 1] @ X.diff(n) @ P_inv[n] for n in X.degrees() if X.rank(n - 1)}
-    return FreeComplex(X.ring, X.ranks, diffs)
+    return FreeComplex(X.ring, X.ranks, diffs, {n: X.gdeg(n) for n in X.degrees()} if X.graded else None)
 
 
 def two_term(ring: Ring, degree: int, entry) -> FreeComplex:
@@ -177,6 +216,23 @@ def random_graded_minimal(ring: Ring, rng, max_pieces=2) -> FreeComplex:
     return out
 
 
+def graded_contractible_piece(ring: Ring, degree: int, gdeg: int) -> FreeComplex:
+    """R(-gdeg) -> R(-gdeg) by the identity, in homological degrees degree
+    and degree - 1."""
+    piece = FreeComplex(ring, {0: 1, 1: 1}, {1: SparseMatrix.identity(ring, 1)}, {0: (gdeg,), 1: (gdeg,)})
+    return shift(piece, degree - 1)
+
+
+def random_padded_graded(ring: Ring, rng) -> FreeComplex:
+    """A graded complex with constant entries: random_graded_minimal plus
+    one or two contractible pieces, conjugated by automorphisms of degree
+    0, which mix the constants into the entries of positive degree."""
+    X = random_graded_minimal(ring, rng)
+    for _ in range(rng.randint(1, 2)):
+        X = direct_sum(X, graded_contractible_piece(ring, rng.randint(0, 3), rng.randint(0, 2)))
+    return conjugate(X, rng)
+
+
 def random_split_pair(ring: Ring, rng):
     """(X, Y) over a local backend, with unit entries to split off: random
     complexes, which over QQ and ZLoc(p) carry denominators from the basis
@@ -191,10 +247,9 @@ def random_split_pair(ring: Ring, rng):
             return conjugate(direct_sum(X, contractible_piece(ring, rng.randint(1, 3))), rng)
 
         return one(4), one(3)
-    pad = FreeComplex(ring, {0: 1, 1: 1}, {1: SparseMatrix.identity(ring, 1)}, {0: (1,), 1: (1,)})
     return (
-        direct_sum(random_graded_minimal(ring, rng), shift(pad, rng.randint(0, 2))),
-        direct_sum(shift(pad, rng.randint(0, 2)), random_graded_minimal(ring, rng)),
+        direct_sum(random_graded_minimal(ring, rng), graded_contractible_piece(ring, rng.randint(1, 3), 1)),
+        direct_sum(graded_contractible_piece(ring, rng.randint(1, 3), 1), random_graded_minimal(ring, rng)),
     )
 
 

@@ -32,7 +32,7 @@ from symchain import (
 )
 from symchain.errors import SymchainError, UnsupportedRingError
 from symchain.linalg import SparseMatrix, kernel_basis
-from symchain.series import RankSeries, _hilbert_numerator, _square_ranks
+from symchain.series import RankSeries, _degree_zero_part, _hilbert_numerator, _minimal_ranks, _square_ranks
 from symchain.sym2 import alpha
 
 from oracles import reference_split_units, stepwise_minimize
@@ -43,6 +43,7 @@ from randgen import (
     random_graded_minimal,
     random_chain_map,
     random_minimal_complex,
+    random_padded_graded,
     random_split_pair,
 )
 
@@ -176,6 +177,28 @@ def test_minimize_drops_contractible_summand_exactly():
     M, q = minimize(bigger)
     assert M == X
     assert is_quasi_iso(q)
+
+
+def test_degree_zero_part_is_a_complex_with_the_same_minimal_ranks():
+    """The constant entries of a graded complex form a differential on the
+    same generator degrees, which the validating constructor accepts, and
+    its unit split leaves what that of X leaves; off graded rings the
+    helper returns X itself."""
+    rng = random.Random(47)
+    for R in (POLY, graded_poly("a", "b", "c")):
+        for _ in range(6):
+            X = random_padded_graded(R, rng)
+            X0 = _degree_zero_part(X)
+            gdegs = {n: X0.gdeg(n) for n in X0.degrees()}
+            assert FreeComplex(R, X0.ranks, {n: X0.diff(n) for n in X0.degrees()}, gdegs) == X0
+            assert X0.ranks == X.ranks and gdegs == {n: X.gdeg(n) for n in X.degrees()}
+            for n in X.degrees():
+                D, D0 = X.diff(n), X0.diff(n)
+                assert D0.entries == {rc: v for rc, v in D.entries.items() if D.entry(*rc).is_unit()}
+            assert _minimal_ranks(X0) == _minimal_ranks(X)
+    for ring in (QQ, GF(5), ZLoc(3)):
+        X = random_complex(ring, rng)
+        assert _degree_zero_part(X) is X
 
 
 def test_koszul_is_minimal_over_graded():

@@ -41,16 +41,19 @@ from symchain import (
 )
 from symchain.complexes import compose
 from symchain.errors import TwoNotUnitError, UnsupportedRingError
+from symchain.series import _degree_zero_part
 from symchain.theorems import _verdict
 
-from oracles import lowest_square_oracle
+from oracles import lowest_square_oracle, reference_local_checkers
 from randgen import (
     conjugate,
     contractible_piece,
+    graded_contractible_piece,
     null_homotopic_map,
     random_complex,
     random_graded_minimal,
     random_minimal_complex,
+    random_padded_graded,
     summand_inclusion,
     summand_projection,
     two_term,
@@ -210,6 +213,36 @@ def test_equivalence_on_random_minimal_zloc():
             assert report.equivalent, (
                 f"{report.theorem} non-constant on {X!r}: {report.conditions}"
             )
+
+
+def _checker_oracle_inputs():
+    """Graded complexes with and without constant entries: Koszul complexes
+    in 2-4 variables, the padded two-variable one, and random minimal
+    graded complexes plus contractible pieces, conjugated."""
+    rings = [graded_poly(*"abcd"[:v]) for v in (2, 3, 4)]
+    rng = random.Random(43)
+    return [
+        *(koszul(list(R.generators())) for R in rings),
+        direct_sum(koszul([X_VAR, Y_VAR]), graded_contractible_piece(POLY, 2, 1)),
+        *(random_padded_graded(POLY, rng) for _ in range(8)),
+        *(random_padded_graded(rings[1], rng) for _ in range(4)),
+    ]
+
+
+def test_graded_checkers_report_what_the_full_entries_give():
+    """Each checker builds on the degree-zero part of X, and its report,
+    witnesses included, is that of its body run on X itself."""
+    inputs = _checker_oracle_inputs()
+    # the Koszul complexes have no constant entry, every padded input has one
+    constants = [
+        any(X.diff(n).entry(*rc).is_unit() for n in X.degrees() for rc in X.diff(n).entries) for X in inputs
+    ]
+    assert constants == [False] * 3 + [True] * 13
+    for X in inputs:
+        want = reference_local_checkers(X)
+        for checker in (check_symm07, check_symm07pp, check_s2fpd01, check_s2fpd02):
+            got = checker(X)
+            assert got.as_dict() == want[got.theorem].as_dict(), (X, got.theorem)
 
 
 def test_symm09_koszul_graded():
@@ -632,7 +665,9 @@ def _record_calls(monkeypatch, real) -> list:
 
 def test_s2fpd01_builds_one_square_and_no_minimal_complex(monkeypatch):
     """s2fpd01 squares X once, for the minimal model of S2(X), and reads
-    the ranks of M and of S2(M) by counting: no minimize, no sym2(M)."""
+    the ranks of M and of S2(M) by counting: no minimize, no sym2(M).  The
+    square is of the degree-zero part of a graded X, of X itself over
+    ZLoc(p)."""
     squares = _record_calls(monkeypatch, sym2)
     minimized = _record_calls(monkeypatch, minimize)
     pad = FreeComplex(POLY, {0: 1, 1: 1}, {1: SparseMatrix.identity(POLY, 1)}, {0: (1,), 1: (1,)})
@@ -642,7 +677,8 @@ def test_s2fpd01_builds_one_square_and_no_minimal_complex(monkeypatch):
         squares.clear()
         report = check_s2fpd01(X)
         assert report.holds
-        assert len(squares) == 1 and squares[0] is X
+        assert len(squares) == 1
+        assert squares[0] == _degree_zero_part(X) if X.graded else squares[0] is X
         assert minimized == []
 
 
