@@ -326,11 +326,10 @@ class QuasiIsoVerdict:
 
 def _failures(ring, ranks: dict, entries: dict, gdeg) -> list:
     """_exactness_failures' witnesses for the complex with the given ranks
-    and entries of its differentials: over ZZ the degrees of its nonzero
-    groups (_groups, on the entries wrapped as matrices; only a cone's
-    entries come here, as _exactness_failures hands X's differentials to
-    _groups itself), over ZLoc(p) read off the rows _split_units leaves,
-    over a field or a graded ring off the generators _survivors leaves."""
+    and entries of its differentials (X's or a cone's): over ZZ the degrees
+    of its nonzero groups (_groups, on the entries wrapped as matrices),
+    over ZLoc(p) read off the rows _split_units leaves, over a field or a
+    graded ring off the generators _survivors leaves."""
     if not ring.is_local:
         return list(_groups(ranks, {n: SparseMatrix._of(ring, ranks.get(n - 1, 0), ranks[n], E)
                                     for n, E in entries.items()}))
@@ -371,8 +370,6 @@ def _exactness_failures(X: FreeComplex) -> list:
     the groups that _groups reads off the differentials of X are nonzero,
     with no HomologyReport built.
     """
-    if not X.ring.is_local:
-        return list(_groups(X.ranks, X._diffs))
     entries = {n: D.entries for n, D in X._diffs.items()}
     return _failures(X.ring, X.ranks, entries, X.graded and X.gdeg)
 

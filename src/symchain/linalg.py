@@ -26,8 +26,7 @@ and the Smith pivot loop below is a third:
   sparsest column, which keeps fill-in low (field homology reads
   series._minimal_ranks instead).  Mod a composite D it pivots only on
   units and returns the rows it could not pivot; invariant_factors splits
-  off its unit pivots that way.  It can also report the column of each
-  pivot, for qq_rank.
+  off its unit pivots that way.
 - rref, kernel and solve need canonical pivots, so they run _echelon,
   which pivots on the leading column of each row in row order.
   Fraction-free, it also reads off the pass the determinant of the
@@ -56,29 +55,22 @@ Over a graded polynomial ring, _initial_module runs Buchberger's
 algorithm over QQ on the columns of a map, on fraction-free integer
 polynomials, and returns the minimal generators of their initial
 module: the graded Hilbert tables of homology() read the Hilbert series
-of each differential's cokernel off it.  The degree slices below
-(SliceTable, GradedMap, IntSlice, _Cells, slice_matrix, and qq_rank
-above) are on no library path.  SliceTable lists the monomials of each
-complementary degree once per table, packed into integers, and prepares
-each map once (grading checked, each row scaled to integers by the lcm
-of its denominators, terms packed); slice_matrix writes a slice straight
-into integer rows, skipping the rows it is told to drop, and qq_rank
-ranks them and returns the pivot columns.  They stay for the slice
-oracle of the tests (tests/oracles.py::reference_sliced_tables), which
-they keep as fast as it was, and for the spans the benchmark's trace
-records by name.
+of each differential's cokernel off it.  The degree slices below are on
+no library path; they are the slices the tests' graded oracles rank.
+slice_matrix is the one slice writer: it writes the degree-d slice of a
+map as a QQ matrix on the bases slice_basis lists, each term's row found
+by its (generator, monomial) pair.  qq_rank is rank under the name the
+benchmark's trace records.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement
 from math import gcd, lcm
-from operator import add, ge, mul, sub
+from operator import add, ge, sub
 
 from .errors import (
     GradingError,
@@ -104,7 +96,6 @@ __all__ = [
     "solve_pid",
     "solve_exact",
     "monomials_of_degree",
-    "SliceTable",
     "slice_matrix",
 ]
 
@@ -440,11 +431,10 @@ def rref(A: SparseMatrix):
     return SparseMatrix._of(A.ring, A.rows, A.cols, entries), pivots
 
 
-def _markowitz_rank(rows, p=None, pivots=None):
+def _markowitz_rank(rows, p=None):
     """Rank of integer rows given as {col: int} dicts, by right-looking sparse
     elimination with Markowitz-style pivots, and the rows left unpivoted.
-    Rows are consumed; a set passed as pivots receives the column of each
-    pivot.
+    Rows are consumed.
 
     The next pivot row is the live row with the fewest entries (ties to the
     least index), and its pivot column the one of its columns with the fewest
@@ -499,8 +489,6 @@ def _markowitz_rank(rows, p=None, pivots=None):
             continue
         del live[i]
         r += 1
-        if pivots is not None:
-            pivots.add(c)
         a = prow.pop(c)
         if p is not None:
             a = pow(a, -1, p)
@@ -552,25 +540,6 @@ def _markowitz_rank(rows, p=None, pivots=None):
 def rank(A: SparseMatrix) -> int:
     """Rank over the fraction field (exact for ZZ/ZLoc/QQ; GF(p) as itself)."""
     return _markowitz_rank(*_int_rows(A))[0]
-
-
-def qq_rank(S: "IntSlice"):
-    """(rank, pivot columns) of the integer rows of a graded slice.
-
-    The slice oracle tests/oracles.py::reference_sliced_tables ranks the
-    slice of d_{n+1} with its rows at the pivot columns of d_n's slice
-    dropped (slice_matrix's drop).  Those columns
-    carry a nonsingular minor, so ker d_n maps injectively onto the
-    coordinates off them, and im d_{n+1}, which lies in ker d_n, keeps its
-    rank on the rows off them (Kaczynski, Mrozek and Slusarek, Comput.
-    Math. Appl. 35, 1998).  The pivot columns returned carry a nonsingular
-    minor of the whole slice, as the rows kept are its rows up to positive
-    factors, so they can be dropped from the next slice in turn.  The rows
-    of S are consumed.
-    """
-    pivots = set()
-    kept = S.kept
-    return _markowitz_rank([kept[i] for i in sorted(kept)], None, pivots)[0], pivots
 
 
 def kernel_basis(A: SparseMatrix) -> SparseMatrix:
@@ -1113,197 +1082,71 @@ def _initial_module(M: SparseMatrix, tgt_degrees) -> list:
 
 
 def monomials_of_degree(nvars: int, d: int):
-    """All exponent vectors of total degree d, in descending lex order.
-
-    A sorted d-tuple of variable indices is a monomial, and lex order on
-    the tuples that combinations_with_replacement yields is descending lex
-    order on the exponent vectors.
-    """
+    """All exponent vectors of total degree d in nvars >= 1 variables, in
+    descending lex order: the first exponent e from d down to 0, each
+    followed by the vectors of degree d - e in the other variables."""
     if d < 0:
         return []
-    out = []
-    for combo in combinations_with_replacement(range(nvars), d):
-        exp = [0] * nvars
-        for k in combo:
-            exp[k] += 1
-        out.append(tuple(exp))
-    return out
+    if nvars == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d, -1, -1) for rest in monomials_of_degree(nvars - 1, d - e)]
 
 
 def slice_basis(nvars: int, gen_degrees, d: int):
     """Ordered QQ-basis of the degree-d slice of a graded free module.
 
     Generators are listed in order; within a generator, monomials of the
-    complementary degree in descending lex order.  Returns a list of
-    (generator_index, exponent_vector) pairs.
+    complementary degree in descending lex order, each degree's monomials
+    listed once per call.  Returns a list of (generator_index,
+    exponent_vector) pairs.
     """
+    monos = {}
     basis = []
     for j, a in enumerate(gen_degrees):
-        for mono in monomials_of_degree(nvars, d - a):
-            basis.append((j, mono))
+        if a not in monos:
+            monos[a] = monomials_of_degree(nvars, d - a)
+        basis += [(j, mono) for mono in monos[a]]
     return basis
 
 
-class SliceTable:
-    """Monomial tables shared by every slice of one Hilbert table.
+def slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
+    """(QQ matrix, target_basis, source_basis) of the degree-d slice of M, a
+    map from generators of degrees src_degrees to generators of degrees
+    tgt_degrees over a graded ring.
 
-    The monomials of each degree 0..top in nvars variables are listed once,
-    in descending lex order (the order of slice_basis), and packed into
-    integers in base top + 1 (Kronecker substitution): the product of two
-    monomials is the sum of their codes, whose digits never carry while its
-    degree is at most top.  Nothing outlives the table.
+    Both bases come from slice_basis.  Each term x^e of entry (i, j) takes
+    the source basis element (j, m) to the target row (i, e + m), found in
+    a {(generator, monomial): row} dictionary.  A term whose degree is not
+    src_degrees[j] - tgt_degrees[i] would leave every slice; it raises
+    GradingError naming (i, j), whatever d.  Distinct terms of a column
+    land in distinct rows, so each cell is written once.
     """
-
-    __slots__ = ("nvars", "top", "weights", "_codes", "_index")
-
-    def __init__(self, nvars: int, top: int):
-        self.nvars = nvars
-        self.top = top
-        self.weights = [(top + 1) ** k for k in range(nvars)]
-        self._codes = {}
-        self._index = {}
-
-    def codes(self, k: int) -> list:
-        """Codes of the degree-k monomials, in descending lex order."""
-        block = self._codes.get(k)
-        if block is None:
-            if k > self.top:
-                raise GradingError(f"monomials of degree {k} lie above the table's top degree {self.top}")
-            w = self.weights.__getitem__
-            combos = combinations_with_replacement(range(self.nvars), k) if k >= 0 else ()
-            block = self._codes[k] = [sum(map(w, combo)) for combo in combos]
-        return block
-
-    def index(self, k: int) -> dict:
-        """{code: position} over the degree-k monomials."""
-        index = self._index.get(k)
-        if index is None:
-            index = self._index[k] = {c: r for r, c in enumerate(self.codes(k))}
-        return index
-
-    def offsets(self, degrees, d: int):
-        """(start of each generator's block in the degree-d slice, its size)."""
-        starts, size = [], 0
-        for a in degrees:
-            starts.append(size)
-            size += len(self.codes(d - a))
-        return starts, size
-
-    def prepare(self, M: SparseMatrix, src_degrees, tgt_degrees) -> "GradedMap":
-        """M, a map from generators of degrees src_degrees to generators of
-        degrees tgt_degrees, ready to be sliced in any degree of the table.
-
-        A term of entry (i, j) whose degree is not src_degrees[j] -
-        tgt_degrees[i] would leave every slice; it raises GradingError naming
-        (i, j).  Row i of M is scaled by factors[i], the lcm of the
-        denominators of its coefficients, which keeps the rank of every set
-        of rows and of columns; each term is kept as (code, integer).
-        """
-        if not M.ring.graded:
-            raise UnsupportedRingError("slice_matrix needs a graded polynomial ring")
-        factors = [1] * len(tgt_degrees)
-        for (i, j), value in M.entries.items():
-            need = src_degrees[j] - tgt_degrees[i]
+    if not M.ring.graded:
+        raise UnsupportedRingError("slice_matrix needs a graded polynomial ring")
+    by_col = {}
+    for (i, j), v in M.entries.items():
+        need = src_degrees[j] - tgt_degrees[i]
+        if any(sum(exp) != need for exp in v):
+            raise GradingError(f"entry ({i},{j}) has a term that leaves every slice: "
+                               f"it needs degree {src_degrees[j]} - {tgt_degrees[i]} = {need}")
+        by_col.setdefault(j, []).append((i, v))
+    nvars = len(M.ring.variables)
+    src_basis = slice_basis(nvars, src_degrees, d)
+    tgt_basis = slice_basis(nvars, tgt_degrees, d)
+    tgt_index = {key: r for r, key in enumerate(tgt_basis)}
+    entries = {}
+    for c, (j, mono) in enumerate(src_basis):
+        for i, value in by_col.get(j, ()):
             for exp, coeff in value.items():
-                if sum(exp) != need:
-                    raise GradingError(
-                        f"entry ({i},{j}) has a term of degree {sum(exp)}, which leaves "
-                        f"every slice: it needs degree {src_degrees[j]} - {tgt_degrees[i]} = {need}"
-                    )
-                if coeff.denominator != 1:
-                    factors[i] = lcm(factors[i], coeff.denominator)
-        weights = self.weights
-        columns = {}
-        for (i, j), value in M.entries.items():
-            f = factors[i]
-            terms = [
-                (sum(map(mul, exp, weights)), coeff.numerator * (f // coeff.denominator))
-                for exp, coeff in value.items()
-            ]
-            columns.setdefault(j, []).append((i, terms))
-        return GradedMap(self, tuple(src_degrees), tuple(tgt_degrees), list(columns.items()), tuple(factors))
+                entries[(tgt_index[(i, tuple(map(add, exp, mono)))], c)] = coeff
+    return SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), entries), tgt_basis, src_basis
 
 
-@dataclass(frozen=True)
-class GradedMap:
-    """A map of graded free modules prepared by SliceTable.prepare: its
-    entries grouped by column j as (j, [(i, [(code, int)])]), with row i
-    scaled by the positive integer factors[i]."""
+def qq_rank(S: SparseMatrix) -> int:
+    """rank(S) of a degree slice written by slice_matrix.
 
-    table: SliceTable
-    src_degrees: tuple
-    tgt_degrees: tuple
-    columns: list
-    factors: tuple
-
-
-class _Cells(Mapping):
-    """(row, col) -> int over the rows of a slice, without copying them."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __getitem__(self, key):
-        i, j = key
-        return self._rows[i][j]
-
-    def __iter__(self):
-        return ((i, j) for i, row in self._rows.items() for j in row)
-
-    def __len__(self):
-        return sum(map(len, self._rows.values()))
-
-
-class IntSlice:
-    """A degree slice written as integer rows.
-
-    rows x cols is the shape of the whole slice; kept maps each nonzero row
-    outside the slice's drop set to {col: int}, the row of the QQ slice
-    times the factor of its target generator.  entries views the same
-    cells by (row, col).
+    No library path calls it.  It stays as a name: the benchmark's trace
+    (perfbench/spans.py) wraps it as a boundary, and the benchmark's test of
+    a traced run asserts that no boundary is absent.
     """
-
-    __slots__ = ("rows", "cols", "kept")
-
-    def __init__(self, rows: int, cols: int, kept: dict):
-        self.rows = rows
-        self.cols = cols
-        self.kept = kept
-
-    @property
-    def entries(self):
-        return _Cells(self.kept)
-
-
-def slice_matrix(G: GradedMap, d: int, drop=()):
-    """The degree-d slice of a prepared map, as integer rows outside drop.
-
-    Returns (IntSlice, target_offsets, source_offsets): rows and columns are
-    ordered as slice_basis orders the bases, and the offsets are where each
-    generator's block of monomials starts.  The row of the term x^e of
-    entry (i, j) on the source monomial m is
-    target_offsets[i] + index[d - tgt_degrees[i]][e + m], one integer
-    addition of codes (see SliceTable).  Distinct terms of a column land in
-    distinct rows, so each cell is written once; a row in drop is never
-    written.
-    """
-    table = G.table
-    src_offsets, cols = table.offsets(G.src_degrees, d)
-    tgt_offsets, rows = table.offsets(G.tgt_degrees, d)
-    kept = defaultdict(dict)
-    for j, column in G.columns:
-        sources = table.codes(d - G.src_degrees[j])
-        if not sources:
-            continue
-        c0 = src_offsets[j]
-        for i, terms in column:
-            index = table.index(d - G.tgt_degrees[i])
-            r0 = tgt_offsets[i]
-            for e, v in terms:
-                for c, s in enumerate(sources, c0):
-                    r = r0 + index[e + s]
-                    if r not in drop:
-                        kept[r][c] = v
-    return IntSlice(rows, cols, dict(kept)), tgt_offsets, src_offsets
+    return rank(S)

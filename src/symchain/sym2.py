@@ -656,12 +656,13 @@ def _alpha_bases(T: FreeComplex, alpha: ChainMap):
     the columns endo_image_complex and endo_kernel_complex pick.  L is the
     rows at those indices, with the diagonal rows halved.  Row c of alpha
     is e_c + v e_c' at a pair and 2 e_c at an odd diagonal, so row k of q
-    is the transpose of the image's B_k times L's entry at k.  Each basis
-    vector has the generator degree of the tensor generator at its index.
+    is the image's B_k at a pair and e_c (1/2 times 2) at an odd diagonal,
+    written by position.  Each basis vector has the generator degree of
+    the tensor generator at its index.
     """
     ring = T.ring
     ops = ring.ops
-    one, minus_one = ops.one, ops.neg(ops.one)
+    one = ops.one
     two = ops.add(one, one)
     half = ops.inverse(two)
     image, kernel, q = {}, {}, {}
@@ -670,14 +671,18 @@ def _alpha_bases(T: FreeComplex, alpha: ChainMap):
         A = alpha.maps[n].entries if n in alpha.maps else {}
         partner = {c: i for i, c in A if i != c}  # the row of the off-diagonal entry of column c
         vectors = ([], [])  # image, kernel: (index, {row: entry of B}, entry of L)
+        q_rows = []  # row k of q, as {col: entry}
         for c in range(r):
             if (c2 := partner.get(c)) is not None:  # {c, c'}: alpha(e_c) = e_c + v e_c'
                 if c < c2:
                     v = A[(c2, c)]
-                    vectors[0].append((c, {c: one, c2: v}, one))
-                    vectors[1].append((c, {c: one, c2: minus_one if v == one else one}, one))
+                    pair = {c: one, c2: v}
+                    vectors[0].append((c, pair, one))
+                    vectors[1].append((c, {c: one, c2: ops.neg(v)}, one))
+                    q_rows.append(pair)
             elif (c, c) in A:  # an odd diagonal: alpha(e_c) = 2 e_c
                 vectors[0].append((c, {c: two}, half))
+                q_rows.append({c: one})
             else:  # an even diagonal: (2 - alpha)(e_c) = 2 e_c
                 vectors[1].append((c, {c: two}, half))
         for part, vs in zip((image, kernel), vectors):
@@ -689,10 +694,8 @@ def _alpha_bases(T: FreeComplex, alpha: ChainMap):
                 SparseMatrix._of(ring, len(vs), r, L),
                 gd,
             )
-        q_rows = {
-            (k, i): ops.mul(l, w) for k, (_, v, l) in enumerate(vectors[0]) for i, w in v.items()
-        }
-        q[n] = SparseMatrix._of(ring, len(vectors[0]), r, q_rows)
+        q_entries = {(k, i): w for k, row in enumerate(q_rows) for i, w in row.items()}
+        q[n] = SparseMatrix._of(ring, len(q_rows), r, q_entries)
     return image, kernel, q
 
 

@@ -18,19 +18,15 @@ reference for `homology()` there, which reads the ranks of the minimal
 complex.  `reference_quotient_complex` writes a presented complex over a field as
 the free complex of its quotients F_n / im r_n on explicit complement
 bases, the reference for the rank formula of `homology_presented`.
-`reference_slice_matrix` writes a degree slice as a QQ matrix of
-`Fraction`s, looking every target row up by its (generator, monomial)
-pair: the reference for `linalg.slice_matrix`, which writes integer rows
-scaled by positive factors, and the slice every graded oracle here ranks
-or reduces with the field kernels of `linalg`.  `reference_graded_table`
-ranks its whole slices of d_n and d_{n+1} with `linalg.rank`.
-`reference_sliced_tables` makes each internal degree one pass up the
-slices of `linalg.slice_matrix`, each ranked by `linalg.qq_rank` without
-the rows at the previous slice's pivot columns.  Both are references for
-the graded tables of `homology()`, which it reads off Hilbert series.  `reference_square` builds the labels, rho,
-sigma and alpha of a symmetric square by separate walks, the reference
-for the single walk of `sym2._walk`.  `reference_induced_sigma` writes
-the transported homotopy of `sym2.induced_homotopy` entry by entry from
+`reference_graded_tables` writes the slice of each differential in each
+internal degree once with `linalg.slice_matrix`, the one slice writer,
+and ranks it whole with `linalg.qq_rank`: the reference for the graded
+tables of `homology()`, which it reads off Hilbert series.  The slices
+of the graded module oracles above come from the same writer.
+`reference_square` builds the labels, rho, sigma and alpha of a
+symmetric square by separate walks, the reference for the single walk
+of `sym2._walk`.  `reference_induced_sigma` writes the transported
+homotopy of `sym2.induced_homotopy` entry by entry from
 the tensor basis labels, the reference for its Kronecker products.
 `reference_local_checkers` runs the bodies of `check_symm07`,
 `check_symm07pp`, `check_s2fpd01` and `check_s2fpd02` on X itself, the
@@ -41,16 +37,14 @@ formatted per cell, the reference for `io._matrix_to_rows`, which
 formats only the stored entries.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add
 
 from symchain import QQ, ChainMap, FreeComplex, SparseMatrix, homology, identity_map, is_quasi_iso, sym2
 from symchain.complexes import compose, tensor, tensor_basis
 from symchain.homology import _exactness_failures
-from symchain.linalg import SliceTable, kernel_basis, qq_rank, rank, rref, slice_basis, slice_matrix, solve_field
+from symchain.linalg import kernel_basis, qq_rank, rank, rref, slice_matrix, solve_field
 from symchain.series import _minimal_ranks, _square_ranks
 from symchain.sym2 import _alpha_summands, _pivot_columns
 from symchain.theorems import _is_two_odd_shifts, _is_zero_or_single_shift, _verdict
@@ -80,9 +74,8 @@ def graded_homology_module(X, n: int, D: int):
     reps = {}
     basis_data = {}
     for d in range(dmin, D + 2):
-        dn = reference_slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
-        dn1 = reference_slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
-        src = slice_basis(nvars, X.gdeg(n), d)
+        dn, _, src = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)
+        dn1 = slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
         Z = kernel_basis(dn)
         R = homology_representatives(dn1, Z)
         B = _pivot_columns(dn1)
@@ -472,91 +465,26 @@ def reference_quotient_complex(P) -> FreeComplex:
     return FreeComplex(ring, {n: len(c) for n, c in comp.items()}, diffs)
 
 
-# -- degree slices by (generator, monomial) lookup ------------------------------
+# -- graded tables from whole degree slices --------------------------------------
 
 
-def reference_graded_table(X: FreeComplex, n: int, D: int) -> dict:
-    """{d: dim H_n(X)_d} for d <= D, nonzero only, from the whole slices of
-    d_n and d_{n+1} from reference_slice_matrix, each ranked in full with
-    linalg.rank."""
-    table = {}
-    for d in range(X.min_gdeg(), D + 1):
-        dn = reference_slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
-        dn1 = reference_slice_matrix(X.diff(n + 1), X.gdeg(n + 1), X.gdeg(n), d)[0]
-        if h := dn.cols - rank(dn) - rank(dn1):
-            table[d] = h
-    return table
-
-
-def reference_sliced_tables(X: FreeComplex, lo: int, hi: int, D: int) -> dict:
-    """{n: {d: dim H_n(X)_d}} for lo <= n <= hi and d <= D, nonzero only,
-    ranked slice by slice.
-
-    Each differential d_n, n = lo..hi + 1, is prepared once per table
-    (SliceTable.prepare: grading checked, rows scaled to integers, terms
-    packed into codes), and the monomials of each complementary degree are
-    listed once.  Each internal degree d is then one pass up n over the
-    slices of d_n, written straight into integer rows.  The pivot columns
-    J of d_n's slice carry a nonsingular minor, so rank d_{n+1} is the rank
-    of the rows of its slice off J (see qq_rank), and the slice of d_{n+1}
-    is written and ranked on dim X_{n,d} - rank d_n rows.
-    dim H_n(X)_d = dim X_{n,d} - rank d_n - rank d_{n+1}.
-    """
-    slices = SliceTable(len(X.ring.variables), D - X.min_gdeg())
-    maps = [slices.prepare(X.diff(n), X.gdeg(n), X.gdeg(n - 1)) for n in range(lo, hi + 2)]
+def reference_graded_tables(X: FreeComplex, lo: int, hi: int, D: int) -> dict:
+    """{n: {d: dim H_n(X)_d}} for lo <= n <= hi and X.min_gdeg() <= d <= D,
+    nonzero only.  For each internal degree d, the slice of each d_n,
+    n = lo..hi + 1, is written once with linalg.slice_matrix and ranked
+    once, whole, with linalg.qq_rank;
+    dim H_n(X)_d = dim X_{n,d} - rank d_n - rank d_{n+1}."""
     tables = {}
     for d in range(X.min_gdeg(), D + 1):
-        sizes, ranks, pivots = [], [], ()
-        for G in maps:
-            dn, _, _ = slice_matrix(G, d, pivots)
-            r, pivots = qq_rank(dn)
+        sizes, ranks = [], []
+        for n in range(lo, hi + 2):
+            dn = slice_matrix(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)[0]
             sizes.append(dn.cols)
-            ranks.append(r)
+            ranks.append(qq_rank(dn))
         for k, n in enumerate(range(lo, hi + 1)):
             if h := sizes[k] - ranks[k] - ranks[k + 1]:
                 tables.setdefault(n, {})[d] = h
     return {n: tables[n] for n in sorted(tables)}
-
-
-def reference_slice_matrix(M: SparseMatrix, src_degrees, tgt_degrees, d: int):
-    """(QQ matrix, target_basis, source_basis) of the degree-d slice of M,
-    with both bases from slice_basis and each term's row found in a
-    {(generator, monomial): row} dictionary; terms whose monomial is not in
-    the target slice are dropped."""
-    nvars = len(M.ring.variables)
-    src_basis = slice_basis(nvars, src_degrees, d)
-    tgt_basis = slice_basis(nvars, tgt_degrees, d)
-    tgt_index = {key: r for r, key in enumerate(tgt_basis)}
-    by_col = {}
-    for (i, j), v in M.entries.items():
-        by_col.setdefault(j, []).append((i, v))
-    entries = {}
-    for c, (j, mono) in enumerate(src_basis):
-        for i, value in by_col.get(j, ()):
-            for exp, coeff in value.items():
-                r = tgt_index.get((i, tuple(map(add, exp, mono))))
-                if r is None:
-                    continue
-                key = (r, c)
-                prev = entries.get(key)
-                val = coeff if prev is None else prev + coeff
-                if val:
-                    entries[key] = val
-                else:
-                    del entries[key]
-    mat = SparseMatrix._of(QQ, len(tgt_basis), len(src_basis), entries)
-    return mat, tgt_basis, src_basis
-
-
-def scaled_reference_rows(ref: SparseMatrix, tgt_offsets, factors, drop=()) -> dict:
-    """{row: {col: value}} over the nonzero rows of the reference slice ref
-    outside drop, each row times factors[i] for the target generator i
-    whose block (starting at tgt_offsets[i]) holds it."""
-    rows = {}
-    for (r, c), v in ref.entries.items():
-        if r not in drop:
-            rows.setdefault(r, {})[c] = v * factors[bisect_right(tgt_offsets, r) - 1]
-    return rows
 
 
 # -- the symmetric square by separate walks ----------------------------------------

@@ -49,9 +49,9 @@ from symchain.linalg import (
     image_basis_pid,
     kernel_basis,
     kernel_pid,
+    qq_rank,
     rank,
     rref,
-    slice_basis,
     slice_matrix,
     smith_normal_form,
     solve_field,
@@ -64,12 +64,9 @@ import oracles
 from oracles import (
     homology_representatives,
     reference_field_homology,
-    reference_graded_table,
+    reference_graded_tables,
     reference_quotient_complex,
-    reference_slice_matrix,
-    reference_sliced_tables,
     reference_split_units,
-    scaled_reference_rows,
 )
 from randgen import (
     conjugate,
@@ -118,24 +115,29 @@ def test_graded_homology_of_koszul_square():
 
 
 def test_slice_oracle_builds_each_slice_once(monkeypatch):
-    built, prepared = [], set()
+    built, ranked = [], []
 
-    def counting_slice_matrix(G, d, drop=()):
-        built.append((G.src_degrees, G.tgt_degrees, d))
-        prepared.add(id(G))
-        return slice_matrix(G, d, drop)
+    def counting_slice_matrix(M, src_degrees, tgt_degrees, d):
+        written = slice_matrix(M, src_degrees, tgt_degrees, d)
+        built.append(((tuple(src_degrees), tuple(tgt_degrees), d), written[0]))
+        return written
+
+    def counting_qq_rank(A):
+        ranked.append(A)
+        return qq_rank(A)
 
     monkeypatch.setattr(oracles, "slice_matrix", counting_slice_matrix)
+    monkeypatch.setattr(oracles, "qq_rank", counting_qq_rank)
     S = sym2(koszul([X_VAR, Y_VAR])).complex
-    assert reference_sliced_tables(S, *S.support, 6)[2] == {2: 1}
+    assert reference_graded_tables(S, *S.support, 6)[2] == {2: 1}
     # one slice of d_n per (n, d): n runs over the degrees of S and one above
-    assert len(built) == len(set(built)) == (len(S.degrees()) + 1) * 7
-    # each d_n is prepared once per table and sliced in every internal degree
-    assert len(prepared) == len(S.degrees()) + 1
+    assert len(built) == len({key for key, _ in built}) == (len(S.degrees()) + 1) * 7
+    # each slice is ranked once, right after it is written
+    assert len(ranked) == len(built) and all(A is B for A, (_, B) in zip(ranked, built))
     built.clear()
     cone = mapping_cone(identity_map(S))  # exact, so every slice is scanned
     lo, hi = cone.support
-    assert reference_sliced_tables(cone, lo, hi, 6) == {}
+    assert reference_graded_tables(cone, lo, hi, 6) == {}
     assert len(built) == (hi - lo + 2) * (6 - cone.min_gdeg() + 1)
 
 
@@ -146,7 +148,7 @@ def test_graded_homology_ranks_no_slice(monkeypatch):
     def refuse(*args):
         raise AssertionError("a slice was written or ranked")
 
-    for name in ("slice_matrix", "qq_rank", "SliceTable"):
+    for name in ("slice_matrix", "qq_rank"):
         monkeypatch.setattr(linalg_module, name, refuse)
     built = []
     real = homology_module._initial_module
@@ -159,11 +161,11 @@ def test_graded_homology_ranks_no_slice(monkeypatch):
     S = sym2(koszul([X_VAR, Y_VAR])).complex
     assert homology(S, bound=6).table(2) == {2: 1}
     assert len(built) == len(S.degrees()) + 1
-    assert not any(hasattr(homology_module, name) for name in ("slice_matrix", "qq_rank", "SliceTable"))
+    assert not any(hasattr(homology_module, name) for name in ("slice_matrix", "qq_rank"))
 
 
 def _reference_tables(X, D):
-    return {n: t for n in X.degrees() if (t := reference_graded_table(X, n, D))}
+    return reference_graded_tables(X, *X.support, D) if X.support else {}
 
 
 def _graded_table_inputs(rng):
@@ -246,7 +248,7 @@ def test_graded_tables_match_the_slice_oracle_on_a_randgen_sweep():
     for X in inputs:
         h = homology(X)
         assert h.bound == X.max_gdeg() + X.total_rank() + 2
-        want = reference_sliced_tables(X, *X.support, h.bound) if X.support else {}
+        want = _reference_tables(X, h.bound)
         assert h.values == want, (X.ranks, {n: X.gdeg(n) for n in X.degrees()})
         nonzero += bool(want)
     assert nonzero > 100
@@ -283,9 +285,9 @@ def test_cokernel_whose_columns_have_coprime_leads():
     X = FreeComplex(R3, {0: 2, 1: 2}, {1: d1}, {0: (0, 0), 1: (1, 1)})
     want = {0: {0: 2, 1: 4, 2: 6, 3: 8, 4: 10}}
     assert homology(X, bound=4).values == want
-    assert reference_sliced_tables(X, 0, 1, 4) == want
+    assert reference_graded_tables(X, 0, 1, 4) == want
     for d, dim in want[0].items():  # dim coker = dim X_{0,d} - rank, by sympy
-        A = reference_slice_matrix(d1, (1, 1), (0, 0), d)[0]
+        A = slice_matrix(d1, (1, 1), (0, 0), d)[0]
         assert A.rows - _sympy_field_rank(A) == dim
 
 
@@ -304,55 +306,6 @@ def test_homology_refuses_a_bound_off_graded_complexes(ring):
         homology_presented(X, bound=3)
     S = sym2(koszul([X_VAR, Y_VAR])).complex
     assert homology_presented(S, bound=3) == homology(S, bound=3)
-
-
-def test_slice_oracle_ranks_each_slice_off_the_previous_pivots(monkeypatch):
-    """Each internal degree is one pass up n: the slice of d_{n+1} is ranked
-    on dim X_{n,d} - rank d_n rows, the rest dropped at d_n's pivots."""
-    calls = []
-    real_slice, real_rank = oracles.slice_matrix, oracles.qq_rank
-
-    def recording_slice(G, d, drop=()):
-        A, tgt_offsets, src_offsets = real_slice(G, d, drop)
-        calls.append([A.rows, A.cols, {r: dict(row) for r, row in A.kept.items()},
-                      tgt_offsets, G.factors, set(drop)])
-        return A, tgt_offsets, src_offsets
-
-    def recording_rank(A):
-        r, pivots = real_rank(A)
-        calls[-1] += [r, set(pivots)]
-        return r, pivots
-
-    monkeypatch.setattr(oracles, "slice_matrix", recording_slice)
-    monkeypatch.setattr(oracles, "qq_rank", recording_rank)
-    R = graded_poly("x0", "x1", "x2")
-    S = sym2(koszul(list(R.generators()))).complex
-    D = 8
-    lo, hi = S.support
-    assert reference_sliced_tables(S, lo, hi, D) == homology(S, bound=D).values
-    width = hi - lo + 2
-    assert len(calls) == width * (D - S.min_gdeg() + 1)
-    assert all(len(call) == 8 for call in calls)  # qq_rank once per slice
-    kept = dropped = 0
-    for k, d in enumerate(range(S.min_gdeg(), D + 1)):
-        previous = set()
-        for n, call in zip(range(lo, hi + 2), calls[k * width:(k + 1) * width]):
-            rows, cols, written, tgt_offsets, factors, drop, r, pivots = call
-            full = reference_slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
-            r_below = rank(reference_slice_matrix(S.diff(n - 1), S.gdeg(n - 1), S.gdeg(n - 2), d)[0])
-            # the rows written are the whole slice's rows off drop, each
-            # times a positive integer factor
-            assert (rows, cols) == (full.rows, full.cols)
-            assert written == scaled_reference_rows(full, tgt_offsets, factors, drop)
-            assert r == rank(full) == len(pivots)
-            assert drop == previous and len(drop) == r_below
-            assert rows - len(drop) == len(slice_basis(3, S.gdeg(n - 1), d)) - r_below
-            # the pivot columns carry a nonsingular minor of the whole slice
-            assert rank(full.submatrix_columns(sorted(pivots))) == r
-            kept += rows - len(drop)
-            dropped += len(drop)
-            previous = pivots
-    assert dropped > 0.4 * (dropped + kept)  # about half the rows of this sweep
 
 
 def test_graded_homology_needs_grading_info():
@@ -834,7 +787,7 @@ def _graded_slice_oracle(f, n: int, d: int) -> bool:
     X, Y = f.source, f.target
 
     def sl(M, src, tgt):
-        return reference_slice_matrix(M, src, tgt, d)[0]
+        return slice_matrix(M, src, tgt, d)[0]
 
     return _field_induced_bijective(
         sl(X.diff(n), X.gdeg(n), X.gdeg(n - 1)),
@@ -941,6 +894,27 @@ def test_zz_verdicts_match_the_mapping_cone_oracle():
             assert is_exact(Z) == homology(Z).is_exact()
             exact_seen.add(is_exact(Z))
     assert maps_seen == exact_seen == {True, False}
+
+
+def test_zz_exactness_witnesses_of_a_complex_are_its_nonzero_groups():
+    """Over ZZ, _exactness_failures hands X's own entries to _failures, as
+    it does a cone's: the witnesses are exactly the degrees where
+    homology(X) is nonzero, degrees whose group is only torsion among
+    them."""
+    rng = random.Random(53)
+    complexes = [koszul([ZZ.scalar(2)]), sym2(koszul([ZZ.scalar(2), ZZ.scalar(3)])).complex,
+                 sym2(koszul([ZZ.scalar(4)])).complex, zero_complex(ZZ)]
+    for _ in range(12):
+        complexes += _zz_verdict_inputs(rng)[1]
+    complexes.append(sym2(complexes[-4]).complex)
+    outcomes, torsion_only = set(), 0
+    for Z in complexes:
+        h = homology(Z)
+        want = h.nonzero_degrees()
+        assert _exactness_failures(Z) == want
+        outcomes.add(not want)
+        torsion_only += sum(h.group(n).rank == 0 for n in want)
+    assert outcomes == {True, False} and torsion_only > 0
 
 
 def _count_invariant_factors(monkeypatch):

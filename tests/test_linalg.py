@@ -3,7 +3,8 @@
 import random
 import sys
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import combinations_with_replacement
+from math import comb, gcd, lcm, prod
 
 import pytest
 from sympy import GF as SympyGF
@@ -31,7 +32,6 @@ from symchain import (
 from symchain.errors import GradingError, LinearSolveError, ShapeError, UnsupportedRingError
 from symchain.homology import homology_presented
 from symchain.linalg import (
-    SliceTable,
     _echelon,
     _initial_module,
     _int_rows,
@@ -40,6 +40,7 @@ from symchain.linalg import (
     invariant_factors,
     kernel_pid,
     monomials_of_degree,
+    qq_rank,
     rank,
     rref,
     slice_basis,
@@ -48,8 +49,6 @@ from symchain.linalg import (
     solve_field,
     solve_pid,
 )
-
-from oracles import reference_slice_matrix, scaled_reference_rows
 
 POLY = graded_poly("x", "y")
 linalg_module = sys.modules["symchain.linalg"]
@@ -605,10 +604,8 @@ def test_degree_slice_kernel_matches_dense_oracle():
     M = rows(POLY, [[x, y], [x, y]])
     # source generators in internal degree 1, targets in degree 0; the
     # coordinates of a kernel vector then live in internal degree 1
-    written, _, _ = slice_matrix(SliceTable(2, 2).prepare(M, [1, 1], [0, 0]), 2)
-    # rows scaled by positive factors keep the kernel
-    sliced = SparseMatrix(QQ, written.rows, written.cols, dict(written.entries))
-    src_basis, tgt_basis = slice_basis(2, [1, 1], 2), slice_basis(2, [0, 0], 2)
+    sliced, tgt_basis, src_basis = slice_matrix(M, [1, 1], [0, 0], 2)
+    assert (src_basis, tgt_basis) == (slice_basis(2, [1, 1], 2), slice_basis(2, [0, 0], 2))
     assert (sliced.cols, sliced.rows) == (len(src_basis), len(tgt_basis)) == (4, 6)
     K = kernel_basis(sliced)
     assert K.cols == 1
@@ -641,50 +638,61 @@ def _slice_sequences(rng):
     return out
 
 
-def _block_starts(basis, ngens):
-    """Where each generator's block starts in a slice_basis list."""
-    return [sum(1 for g, _ in basis if g < j) for j in range(ngens)]
+def _sympy_slice(M, src_degrees, tgt_degrees, d):
+    """sympy's degree-d slice of M, on the slice_basis orders: the cell at
+    target (i, e) and source (j, m) is the coefficient of x^e in the product
+    x^m * M[i, j] in sympy's polynomial ring over QQ.  Returns its nonzero
+    cells as {(row, col): sympy QQ value}."""
+    import sympy
+
+    R = sympy.ring(",".join(M.ring.variables), SympyQQ)[0]
+    entries = {k: R.from_dict({e: SympyQQ(c.numerator, c.denominator) for e, c in v.items()})
+               for k, v in M.entries.items()}
+    tgt_rows = {}
+    for r, (i, e) in enumerate(slice_basis(R.ngens, tgt_degrees, d)):
+        tgt_rows.setdefault(i, []).append((r, e))
+    cells = {}
+    for c, (j, m) in enumerate(slice_basis(R.ngens, src_degrees, d)):
+        x_m = R.from_dict({m: SympyQQ(1)})
+        for i, targets in tgt_rows.items():
+            if (i, j) in entries:
+                product = entries[(i, j)] * x_m
+                cells.update({(r, c): product[e] for r, e in targets if e in product})
+    return cells
 
 
-def _slice_matching_reference(G, M, d, drop=()):
-    """slice_matrix of the prepared map G of M, checked against the oracle:
-    each row written is the reference row times the positive integer factor
-    of its target generator, the rows in drop are not written, and the
-    block offsets are where slice_basis starts each generator's monomials."""
-    src_degrees, tgt_degrees = G.src_degrees, G.tgt_degrees
-    got, tgt_offsets, src_offsets = slice_matrix(G, d, drop)
-    want, tgt_basis, src_basis = reference_slice_matrix(M, src_degrees, tgt_degrees, d)
-    assert all(type(f) is int and f > 0 for f in G.factors)
-    assert (got.rows, got.cols) == (want.rows, want.cols)
-    assert got.kept == scaled_reference_rows(want, tgt_offsets, G.factors, drop)
-    assert all(type(v) is int and v for row in got.kept.values() for v in row.values())
-    assert len(got.entries) == sum(map(len, got.kept.values()))
-    assert tgt_offsets == _block_starts(tgt_basis, len(tgt_degrees))
-    assert src_offsets == _block_starts(src_basis, len(src_degrees))
-    return got
+def _assert_slice_matches_sympy(M, src_degrees, tgt_degrees, d) -> int:
+    """The slice slice_matrix writes against sympy's: its shape is the
+    length of its two slice_basis lists, its cells are sympy's, and its
+    qq_rank is sympy's rank of sympy's slice.  Returns its number of
+    nonzero cells."""
+    nvars = len(M.ring.variables)
+    A, tgt_basis, src_basis = slice_matrix(M, src_degrees, tgt_degrees, d)
+    assert (tgt_basis, src_basis) == (slice_basis(nvars, tgt_degrees, d), slice_basis(nvars, src_degrees, d))
+    assert (A.rows, A.cols) == (len(tgt_basis), len(src_basis))
+    want = _sympy_slice(M, src_degrees, tgt_degrees, d)
+    assert {k: SympyQQ(v.numerator, v.denominator) for k, v in A.entries.items()} == want
+    data = {}
+    for (i, j), v in want.items():
+        data.setdefault(i, {})[j] = v
+    # sympy's sparse Gauss-Jordan, much faster here than its default rank
+    assert qq_rank(A) == len(DomainMatrix(data, (A.rows, A.cols), SympyQQ).rref(method="GJ")[1])
+    return len(A.entries)
 
 
-def _assert_slices_match_reference(X, top=8) -> int:
-    """Compare every slice of every differential of X up to internal degree
-    top with the reference, each differential prepared once on one table;
-    returns the number of nonzero cells seen."""
-    nnz = 0
-    table = SliceTable(len(X.ring.variables), top - X.min_gdeg() + 1)
-    for n in range(X.support[0], X.support[1] + 2):
-        M = X.diff(n)
-        G = table.prepare(M, X.gdeg(n), X.gdeg(n - 1))
-        for d in range(X.min_gdeg() - 1, top + 1):
-            nnz += len(_slice_matching_reference(G, M, d).entries)
-    return nnz
-
-
-def test_slice_matrix_matches_reference_oracle():
+def test_slice_matrix_matches_sympy():
+    """Every slice of every differential of the Koszul complex, its S2 and
+    its tensor square, in 2 and 3 variables with rational coefficients, up
+    to internal degree 8, against sympy."""
     rng = random.Random(83)
     seen = {}
     for kind, elements in _slice_sequences(rng):
         K = koszul(elements)
         for X in (K, sym2(K).complex, tensor(K, K)):
-            seen[kind] = seen.get(kind, 0) + _assert_slices_match_reference(X)
+            for n in range(X.support[0], X.support[1] + 2):
+                for d in range(X.min_gdeg() - 1, 9):
+                    nnz = _assert_slice_matches_sympy(X.diff(n), X.gdeg(n), X.gdeg(n - 1), d)
+                    seen[kind] = seen.get(kind, 0) + nnz
     assert all(nnz > 5000 for nnz in seen.values()), seen
 
 
@@ -697,32 +705,33 @@ def test_slice_matrix_of_a_matrix_whose_terms_cancel():
     B = rows(POLY, [[y, x], [-x, y]])
     M = A @ B + rows(POLY, [[0, (x + y) * (x - y) + y * y], [x * y, 0]])
     assert (0, 0) not in M.entries
-    G = SliceTable(2, 5).prepare(M, [2, 2], [0, 0])
     for d in range(-1, 6):
-        _slice_matching_reference(G, M, d)
+        _assert_slice_matches_sympy(M, [2, 2], [0, 0], d)
 
 
 def test_slice_matrix_rejects_a_term_outside_the_slice():
     x, y = POLY.variable("x"), POLY.variable("y")
-    table = SliceTable(2, 5)
     # entry (1, 0) must have degree 2 - 0 = 2; its term x has degree 1.  The
-    # map is refused when it is prepared, before any slice, even one whose
-    # source is empty (below degree 2) and where no term lands anywhere
+    # map is refused in every slice, even one whose source is empty (below
+    # degree 2) and where no term lands anywhere
     M = rows(POLY, [[x * x, y * y], [x + y * y, x * y]])
-    with pytest.raises(GradingError, match=r"entry \(1,0\)"):
-        table.prepare(M, [2, 2], [0, 0])
+    for d in (1, 2, 4):
+        with pytest.raises(GradingError, match=r"entry \(1,0\)"):
+            slice_matrix(M, [2, 2], [0, 0], d)
     # a term of degree 1 where the generator degrees need 2
     N = rows(POLY, [[x * x, y]])
     with pytest.raises(GradingError, match=r"entry \(0,1\)"):
-        table.prepare(N, [2, 2], [0])
-    # the homogeneous part slices as the reference does
+        slice_matrix(N, [2, 2], [0], 3)
+    # the homogeneous part slices as sympy does, and below the source
+    # degrees it has no columns
     H = rows(POLY, [[x * x, y * y], [y * y, x * y]])
-    G = table.prepare(H, [2, 2], [0, 0])
-    sliced, _, src_offsets = slice_matrix(G, 1)
-    assert src_offsets == [0, 0] and sliced.cols == 0 and not sliced.kept
-    # a slice needing monomials above the table's top degree is refused
-    with pytest.raises(GradingError, match="top degree 5"):
-        slice_matrix(G, 6)
+    sliced, tgt_basis, src_basis = slice_matrix(H, [2, 2], [0, 0], 1)
+    assert src_basis == [] and sliced.cols == 0 and not sliced.entries and len(tgt_basis) == 4
+    for d in range(0, 5):
+        _assert_slice_matches_sympy(H, [2, 2], [0, 0], d)
+    # a map over a ring that is not graded has no slices
+    with pytest.raises(UnsupportedRingError):
+        slice_matrix(rows(QQ, [[1]]), [0], [0], 0)
 
 
 def _random_homogeneous(R, src_degrees, tgt_degrees, rng, coeffs):
@@ -740,54 +749,67 @@ def _random_homogeneous(R, src_degrees, tgt_degrees, rng, coeffs):
     return SparseMatrix._of(R, len(tgt_degrees), len(src_degrees), entries)
 
 
-def test_slice_rows_are_reference_rows_times_their_factors():
-    """Each row slice_matrix writes is the Fraction row of the reference
-    slice times the stated positive integer factor of its target generator:
-    rational coefficients, negative generator degrees, one variable, rows
-    dropped; a term of the wrong degree names its entry."""
-    x, y = POLY.variable("x"), POLY.variable("y")
-    half, two_thirds = POLY.scalar(Fraction(1, 2)), POLY.scalar(Fraction(2, 3))
-    M = rows(POLY, [[half * x, two_thirds * y], [y, -x], [0, half * y - two_thirds * x]])
-    G = SliceTable(2, 4).prepare(M, [1, 1], [0, 0, 0])
-    assert G.factors == (6, 1, 6)
-    for d in range(0, 5):
-        _slice_matching_reference(G, M, d)
-        _slice_matching_reference(G, M, d, drop={0, 2, 3})
+def test_slice_matrix_matches_sympy_on_random_homogeneous_maps():
+    """Random homogeneous maps with rational coefficients and negative
+    generator degrees, in one, two and three variables: every slice from
+    below the least degree up to 5 against sympy, and a term of the wrong
+    degree names its entry."""
     rng = random.Random(97)
     coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(5, 6)]
-    seen = fractional = dropped = 0
+    seen = fractional = 0
     for R in (graded_poly("t"), POLY, graded_poly("x0", "x1", "x2")):
         for _ in range(8):
             tgt = [rng.randint(-3, 1) for _ in range(rng.randint(1, 4))]
             src = [rng.randint(-2, 3) for _ in range(rng.randint(1, 4))]
             M = _random_homogeneous(R, src, tgt, rng, coeffs)
-            table = SliceTable(len(R.variables), 5 - min(tgt + src))
-            G = table.prepare(M, src, tgt)
-            fractional += any(f > 1 for f in G.factors)
+            fractional += any(c.denominator > 1 for v in M.entries.values() for c in v.values())
             for d in range(min(tgt + src) - 1, 6):
-                full = len(slice_basis(len(R.variables), tgt, d))
-                drop = {r for r in range(full) if rng.random() < 0.3}
-                got = _slice_matching_reference(G, M, d, drop)
-                seen += len(got.entries)
-                dropped += len(drop)
+                seen += _assert_slice_matches_sympy(M, src, tgt, d)
         bad = SparseMatrix._of(R, 1, 2, {(0, 1): {(1,) + (0,) * (len(R.variables) - 1): Fraction(1, 2),
                                                    (0,) * len(R.variables): Fraction(1)}})
         with pytest.raises(GradingError, match=r"entry \(0,1\)"):
-            SliceTable(len(R.variables), 4).prepare(bad, [-1, 0], [-1])
-    assert seen > 1000 and fractional > 10 and dropped > 100
+            slice_matrix(bad, [-1, 0], [-1], 0)
+    assert seen > 1000 and fractional > 10
 
 
-def _constant_slice(A, drop=()):
+def test_monomials_of_degree_lists_each_monomial_once_in_descending_lex_order():
+    """Against sorted d-tuples of variable indices (combinations with
+    replacement), whose lex order is descending lex order on exponents."""
+    for nvars in range(1, 5):
+        for d in range(-2, 7):
+            got = monomials_of_degree(nvars, d)
+            want = []
+            for combo in combinations_with_replacement(range(nvars), d) if d >= 0 else ():
+                exp = [0] * nvars
+                for k in combo:
+                    exp[k] += 1
+                want.append(tuple(exp))
+            assert got == want
+            assert got == sorted(set(got), reverse=True)
+            assert len(got) == (comb(d + nvars - 1, d) if d >= 0 else 0)
+            assert all(len(e) == nvars and sum(e) == d and min(e) >= 0 for e in got)
+
+
+def test_slice_basis_lists_each_generators_monomials_in_order():
+    """Generator by generator, the monomials of the complementary degree;
+    generators above d, and repeated or negative degrees, included."""
+    for nvars in (1, 2, 3):
+        for degrees in ([], [0], [1, 1], [2, -1, 0, 2], [-3, 4, -3]):
+            for d in range(-4, 5):
+                want = [(j, m) for j, a in enumerate(degrees) for m in monomials_of_degree(nvars, d - a)]
+                assert slice_basis(nvars, degrees, d) == want
+    # X_1 = R(-1)^2 of the Koszul complex on x, y, in degree 2
+    assert slice_basis(2, [1, 1], 2) == [(0, (1, 0)), (0, (0, 1)), (1, (1, 0)), (1, (0, 1))]
+
+
+def _constant_slice(A):
     """The degree-0 slice of A lifted to a constant matrix between degree-0
-    generators over POLY: A's rows outside drop, as integer rows."""
+    generators over POLY."""
     lift = SparseMatrix._of(POLY, A.rows, A.cols, {k: {(0, 0): v} for k, v in A.entries.items()})
-    G = SliceTable(2, 0).prepare(lift, [0] * A.cols, [0] * A.rows)
-    return slice_matrix(G, 0, drop)[0]
+    return slice_matrix(lift, [0] * A.cols, [0] * A.rows, 0)[0]
 
 
 def test_qq_rank_matches_rref_rank():
-    from symchain.linalg import qq_rank
-
     rng = random.Random(43)
     for _ in range(40):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
@@ -797,34 +819,9 @@ def test_qq_rank_matches_rref_rank():
                 if rng.random() < 0.6:
                     entries[(i, j)] = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
         A = SparseMatrix(QQ, m, n, entries)
-        r, pivots = qq_rank(_constant_slice(A))
-        assert r == len(pivots) == len(rref(A)[1]) == _sympy_matrix(A).rank()
-
-
-def test_qq_rank_ranks_the_rows_outside_drop():
-    """qq_rank of a slice written without the rows in drop is the rank of
-    A's other rows, and its pivot columns carry a nonsingular minor of
-    those rows."""
-    from symchain.linalg import qq_rank
-
-    rng = random.Random(47)
-    dropped_rank = 0
-    for _ in range(60):
-        m, n = rng.randint(0, 6), rng.randint(0, 5)
-        entries = {
-            (i, j): Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-            for i in range(m) for j in range(n) if rng.random() < 0.6
-        }
-        A = SparseMatrix(QQ, m, n, {k: v for k, v in entries.items() if v})
-        drop = {i for i in range(m) if rng.random() < 0.4}
-        kept = [i for i in range(m) if i not in drop]
-        B = SparseMatrix(QQ, len(kept), n, {
-            (kept.index(i), j): v for (i, j), v in A.entries.items() if i not in drop})
-        r, pivots = qq_rank(_constant_slice(A, drop))
-        assert r == len(pivots) == _sympy_matrix(B).rank()
-        assert rank(B.submatrix_columns(sorted(pivots))) == r
-        dropped_rank += rank(A) > r
-    assert dropped_rank > 10
+        S = _constant_slice(A)
+        assert S == A
+        assert qq_rank(S) == len(rref(A)[1]) == _sympy_matrix(A).rank()
 
 
 def test_rank_of_integer_lift():
@@ -1067,19 +1064,15 @@ def test_rank_fast_paths_match_echelon_and_sympy(ring, kind):
 
 
 def test_rank_of_every_sym2_koszul_slice_matches_sympy():
-    from symchain.linalg import qq_rank
-
     R = graded_poly("x0", "x1", "x2")
     S = sym2(koszul(list(R.generators()))).complex
-    table = SliceTable(3, 8 - S.min_gdeg())
     checked = 0
     for n in S.degrees():
         if n - 1 not in S.degrees():
             continue
-        G = table.prepare(S.diff(n), S.gdeg(n), S.gdeg(n - 1))
         for d in range(9):
-            A = reference_slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
-            assert qq_rank(slice_matrix(G, d)[0])[0] == rank(A) == _echelon_rank(A) == _sympy_rank(A)
+            A = slice_matrix(S.diff(n), S.gdeg(n), S.gdeg(n - 1), d)[0]
+            assert qq_rank(A) == rank(A) == _echelon_rank(A) == _sympy_rank(A)
             checked += A.rows * A.cols > 0
     assert checked >= 30
 
