@@ -23,8 +23,13 @@ fields and graded rings, and homology over fields, where d = 0 on the
 minimal complex) is answered by _survivors, which runs the same split
 without q on X (x) k for the residue field k: on X over QQ and GF(p), on
 its GF(p) reduction over ZLoc(p), on its QQ constant terms over a graded
-ring, where no polynomial is multiplied.  For the same reason the graded
-theorem checkers build on _degree_zero_part(X), the constant entries of X.
+ring, where no polynomial is multiplied.  _write_minimal, the one writer
+of a minimal complex, turns a split into M, for minimize and for
+_minimal_part, the minimal complex without q that the theorem checkers
+which need 2 to be a unit build on: over ZLoc(p) the split of X itself,
+over a field or a graded ring the generators _survivors leaves, with no
+differential.  s2fpd01 builds on _degree_zero_part(X), the constant
+entries of a graded X.
 """
 
 from __future__ import annotations
@@ -375,7 +380,8 @@ def _degree_zero_part(X: FreeComplex) -> FreeComplex:
     keeping only its entries of internal degree 0 (the constants); X
     itself off graded rings.
 
-    The graded checkers run on it, and their reports are those of X:
+    s2fpd01 runs on it, _minimal_part splits it, and what they read is
+    that of X:
     - every entry of a homogeneous differential has degree gdeg(col) -
       gdeg(row) >= 0, so the product of the degree-0 parts d0_n d0_{n+1}
       is the degree-0 part of d_n d_{n+1} = 0: d0 is a differential on the
@@ -397,6 +403,56 @@ def _degree_zero_part(X: FreeComplex) -> FreeComplex:
         for n, D in X._diffs.items()
     }
     return FreeComplex._of(X.ring, X._ranks, diffs, X._gdegs)
+
+
+def _write_minimal(X: FreeComplex, alive: dict, d: dict, lam):
+    """(M, pos) from a split (alive, d, lam) of X, as _split_units returns
+    it: M is X when nothing splits, else the entries d / lam (lam False off
+    QQ and ZLoc(p)) on the generators alive leaves, with their generator
+    degrees; pos[n] sends each of those generators to its index in M_n."""
+    pos = {n: {k: i for i, k in enumerate(sorted(alive[n]))} for n in alive}
+    if sum(map(len, alive.values())) == X.total_rank():
+        return X, pos
+    diffs = {
+        n: SparseMatrix._of(X.ring, len(pos[n - 1]), len(pos[n]), {
+            (pos[n - 1][r], pos[n][c]): Fraction(v, lam[n][r]) if lam else v
+            for r, row in d.get(n, {}).items() for c, v in row.items() if c in pos[n]
+        })
+        for n in pos if n - 1 in pos
+    }
+    gdegs = {n: tuple(X.gdeg(n)[k] for k in pos[n]) for n in pos} if X.graded else None
+    return FreeComplex._of(X.ring, {n: len(pos[n]) for n in pos}, diffs, gdegs), pos
+
+
+def _minimal_part(X: FreeComplex) -> FreeComplex:
+    """The minimal complex M of X, built without q: X = M (+) C with C
+    contractible (Eisenbud, GTM 150, sections 19-20).
+
+    Over ZLoc(p) it is minimize(X)[0], X itself when X is minimal, from
+    _split_units without q.  Over a field d = 0 on M, and over a graded
+    ring M is the minimal complex of _degree_zero_part(X), whose surviving
+    entries are constants and not units, so zero: both are the generators
+    _survivors leaves, with their generator degrees and no differential.
+    That is X over a field when d = 0 on X, and the degree-zero part when
+    X has no constant entry, as for every Koszul complex.
+
+    The checkers that need 2 to be a unit build on it, and their reports
+    are those of X: a constant (over a graded ring degree-0) change of
+    basis takes X to M (+) C, every builder they call is natural in X,
+    and once 2 is a unit the cross terms M (x) C, C (x) M and S2(C), a
+    summand of C (x) C, are contractible.  So every cone a checker reads
+    has the homology, and the witnesses, of the cone built on M.  s2fpd01
+    does not need 2 to be a unit, and over GF(2) or ZLoc(2) S2(C) need
+    not be contractible, so it keeps the degree-zero part.
+    """
+    if X.graded:
+        X = _degree_zero_part(X)
+        if not X._diffs:  # no constant entry: nothing splits
+            return X
+    entries = {n: D.entries for n, D in X._diffs.items()}
+    if X.graded:
+        return _write_minimal(X, _survivors(X.ring, X.ranks, entries), {}, False)[0]
+    return _write_minimal(X, *_split_units(X.ring, X.ranks, entries)[:3])[0]
 
 
 def _minimal_ranks(X: FreeComplex) -> dict:
@@ -422,23 +478,12 @@ def minimize(X: FreeComplex):
 
     Returns (M, q) with M minimal and q : X -> M the projection, a
     quasi-isomorphism (each pivot splits off a contractible summand).  M is
-    X when nothing splits, else d / lam on the generators _split_units
-    leaves.
+    what _write_minimal makes of the split: X when nothing splits, else
+    d / lam on the generators _split_units leaves.
     """
     _require_local(X)
     alive, d, lam, q = _split_units(X.ring, X.ranks, {n: D.entries for n, D in X._diffs.items()}, with_q=True)
-    pos = {n: {k: p for p, k in enumerate(sorted(alive[n]))} for n in alive}
-    M = X
-    if sum(map(len, alive.values())) < X.total_rank():
-        diffs = {
-            n: SparseMatrix._of(X.ring, len(pos[n - 1]), len(pos[n]), {
-                (pos[n - 1][r], pos[n][c]): Fraction(v, lam[n][r]) if lam else v
-                for r, row in d[n].items() for c, v in row.items() if c in pos[n]
-            })
-            for n in pos if n - 1 in pos
-        }
-        gdegs = {n: tuple(X.gdeg(n)[k] for k in pos[n]) for n in pos} if X.graded else None
-        M = FreeComplex._of(X.ring, {n: len(pos[n]) for n in pos}, diffs, gdegs)
+    M, pos = _write_minimal(X, alive, d, lam)
     maps = {
         n: SparseMatrix._of(X.ring, len(pos[n]), X.rank(n), {
             (pos[n][r], c): v for r, row in q[n].items() for c, v in row.items()

@@ -8,15 +8,17 @@ symm07, symm07pp and s2fpd02 report whether their condition vector is
 constant; the implications s2fpd01 and symm09 hold when every condition
 does.  Every condition is exact on every backend, and no checker takes a
 degree bound.  A condition on a minimal complex that reads only its ranks
-takes them from series._minimal_ranks, which builds no complex; only
-symm09, which needs q and the differentials of M, builds one, by
-minimize.  Over a graded ring symm07, symm07pp, s2fpd01 and s2fpd02 build
-T, alpha, S2, the summands of alpha and every cone on
-series._degree_zero_part(X), the constant entries of X.  No report
-changes: every builder they call commutes with taking the degree-0 part,
-and each verdict reads only constant terms and generator degrees (graded
-Nakayama).  s2fpd01 reads the lengths of two minimal models and a rank
-inequality whose ranks of S2(M) come from the rank identity
+takes them from series._minimal_ranks, which builds no complex; symm09,
+which needs q, builds the minimal model by minimize.  symm07, symm07pp
+and s2fpd02, which need 2 to be a unit, build T, alpha, S2, the summands
+of alpha and every cone on series._minimal_part(X), the minimal complex M
+of X built without q, on every local backend: X = M (+) C with C
+contractible, and once 2 is a unit every cross term and S2(C) is
+contractible, so no report changes.  s2fpd01 does not need 2 to be a
+unit, and builds on series._degree_zero_part(X), the constant entries of
+a graded X (X itself elsewhere), whose minimal ranks and those of its
+square are those of X.  It reads the lengths of two minimal models and a
+rank inequality whose ranks of S2(M) come from the rank identity
 (series._square_ranks), with no square of M built.
 symm09 reads both infima from minimal models, and checks the
 lowest module of the square through the natural map S2(q) to the square
@@ -47,6 +49,7 @@ from .linalg import SparseMatrix
 from .scalars import QQ, Ring, ZZ, graded_poly
 from .series import (
     _degree_zero_part,
+    _minimal_part,
     _minimal_ranks,
     _require_local,
     _square_ranks,
@@ -163,11 +166,11 @@ def check_symm07(X: FreeComplex) -> VerdictReport:
     quasi-isomorphism; (ii) the image of the alternation is exact;
     (iii) the kernel inclusion into the tensor square is a quasi-isomorphism;
     (iv) the minimal complex is zero or a single rank-1 module in even degree.
-    Over a graded ring it builds on the degree-zero part of X, which gives
-    the same report (series._degree_zero_part).
+    It builds on the minimal complex of X, which gives the same report
+    (series._minimal_part).
     """
     _require_local_two_unit(X.ring)
-    X = _degree_zero_part(X)
+    X = _minimal_part(X)
     S = sym2(X)
     image, kernel, _q = _alpha_summands(S)
     return _verdict(
@@ -189,11 +192,11 @@ def check_symm07pp(X: FreeComplex) -> VerdictReport:
     its image is one; (iii) the image inclusion is one; (iv) the symmetric
     square is exact; (v) the kernel of the alternation is exact; (vi) the
     minimal complex is zero or a single rank-1 module in odd degree.
-    Over a graded ring it builds on the degree-zero part of X, which gives
-    the same report (series._degree_zero_part).
+    It builds on the minimal complex of X, which gives the same report
+    (series._minimal_part).
     """
     _require_local_two_unit(X.ring)
-    X = _degree_zero_part(X)
+    X = _minimal_part(X)
     S = sym2(X)
     image, kernel, q = _alpha_summands(S)
     return _verdict(
@@ -216,12 +219,12 @@ def check_s2fpd02(X: FreeComplex) -> VerdictReport:
     (i) the minimal complex of X is a single even shift of R, or a sum of
     two odd shifts; (ii) the minimal complex of S2(X) is a single rank-1
     module in even degree; (iii) same with the parity unconstrained.
-    Reports the shift degree j when the conditions hold.  Over a graded
-    ring it squares the degree-zero part of X, which gives the same report
-    (series._degree_zero_part).
+    Reports the shift degree j when the conditions hold.  It squares the
+    minimal complex of X, which gives the same report
+    (series._minimal_part).
     """
     _require_local_two_unit(X.ring)
-    X = _degree_zero_part(X)
+    X = _minimal_part(X)
     M = _minimal_ranks(X)
     SM = _minimal_ranks(sym2(X).complex)
     even_shift = _is_zero_or_single_shift(M, parity=0)[0]
@@ -255,7 +258,10 @@ def check_s2fpd01(X: FreeComplex) -> VerdictReport:
     bounded complex: the report always holds, `check s2fpd01` exits only 0
     or 2, and what it shows is the two lengths.  Over a graded ring it
     squares the degree-zero part of X, whose minimal ranks, and those of
-    its square, are those of X (series._degree_zero_part).
+    its square, are those of X (series._degree_zero_part).  Not the
+    minimal complex: where 2 is not a unit S2 of a contractible complex
+    need not be contractible, and for X = R (+) Sigma(R --1--> R) over GF(2)
+    or ZLoc(2) the minimal model of S2(X) has length 4, that of S2(R) 0.
     """
     _require_local(X)
     X = _degree_zero_part(X)

@@ -30,8 +30,10 @@ homotopy of `sym2.induced_homotopy` entry by entry from
 the tensor basis labels, the reference for its Kronecker products.
 `reference_local_checkers` runs the bodies of `check_symm07`,
 `check_symm07pp`, `check_s2fpd01` and `check_s2fpd02` on X itself, the
-reference for the checkers, which build on the degree-zero part of a
-graded X (`series._degree_zero_part`).
+reference for the checkers: symm07, symm07pp and s2fpd02 build on the
+minimal complex of X (`series._minimal_part`) on every local backend,
+s2fpd01 on the degree-zero part of a graded X
+(`series._degree_zero_part`).
 `reference_matrix_rows` writes a document matrix densely, one Scalar
 formatted per cell, the reference for `io._matrix_to_rows`, which
 formats only the stored entries.

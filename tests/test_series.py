@@ -32,7 +32,14 @@ from symchain import (
 )
 from symchain.errors import SymchainError, UnsupportedRingError
 from symchain.linalg import SparseMatrix, kernel_basis
-from symchain.series import RankSeries, _degree_zero_part, _hilbert_numerator, _minimal_ranks, _square_ranks
+from symchain.series import (
+    RankSeries,
+    _degree_zero_part,
+    _hilbert_numerator,
+    _minimal_part,
+    _minimal_ranks,
+    _square_ranks,
+)
 from symchain.sym2 import alpha
 
 from oracles import reference_split_units, stepwise_minimize
@@ -199,6 +206,47 @@ def test_degree_zero_part_is_a_complex_with_the_same_minimal_ranks():
     for ring in (QQ, GF(5), ZLoc(3)):
         X = random_complex(ring, rng)
         assert _degree_zero_part(X) is X
+
+
+def _minimal_part_inputs(rng):
+    """Complexes over every local backend: minimal ones, and the same
+    padded by contractible pieces and conjugated."""
+    inputs = []
+    for ring in (QQ, GF(3), ZLoc(3), ZLoc(5)):
+        for _ in range(8):
+            X = Y = random_minimal_complex(ring, rng)
+            for _ in range(rng.randint(1, 2)):
+                X = direct_sum(X, contractible_piece(ring, rng.randint(0, 4)))
+            inputs += [Y, conjugate(X, rng)]
+    for R in (POLY, graded_poly("a", "b", "c")):
+        inputs.append(koszul(list(R.generators())))
+        inputs += [random_padded_graded(R, rng) for _ in range(6)]
+    return inputs
+
+
+def test_minimal_part_is_the_minimal_complex():
+    """_minimal_part(X) is a valid minimal complex with the minimal ranks
+    and the generator degrees of the minimal model of X.  Off graded rings
+    it is minimize(X)[0], X itself exactly when X is minimal; over a graded
+    ring it has no differential, and it is the degree-zero part when
+    nothing splits, as on a Koszul complex."""
+    rng = random.Random(53)
+    splits = []
+    for X in _minimal_part_inputs(rng):
+        M, model = _minimal_part(X), minimal_model(X)
+        splits.append(M.total_rank() < X.total_rank())
+        gdegs = {n: M.gdeg(n) for n in M.degrees()} if M.graded else None
+        assert FreeComplex(X.ring, M.ranks, {n: M.diff(n) for n in M.degrees()}, gdegs) == M
+        assert is_minimal(M)
+        assert M.ranks == _minimal_ranks(M) == _minimal_ranks(X)
+        if X.graded:
+            assert gdegs == {n: model.gdeg(n) for n in model.degrees()}
+            assert all(M.diff(n).is_zero() for n in M.degrees())
+            assert (M == _degree_zero_part(X)) == (M.total_rank() == X.total_rank())
+        else:
+            assert M == model
+            assert (M is X) == is_minimal(X)
+    assert splits.count(True) > 20 and splits.count(False) > 20
 
 
 def test_koszul_is_minimal_over_graded():

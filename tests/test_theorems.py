@@ -41,7 +41,7 @@ from symchain import (
 )
 from symchain.complexes import compose
 from symchain.errors import TwoNotUnitError, UnsupportedRingError
-from symchain.series import _degree_zero_part
+from symchain.series import _degree_zero_part, _minimal_part, _minimal_ranks
 from symchain.theorems import _verdict
 
 from oracles import lowest_square_oracle, reference_local_checkers
@@ -230,8 +230,9 @@ def _checker_oracle_inputs():
 
 
 def test_graded_checkers_report_what_the_full_entries_give():
-    """Each checker builds on the degree-zero part of X, and its report,
-    witnesses included, is that of its body run on X itself."""
+    """symm07, symm07pp and s2fpd02 build on the minimal part of X,
+    s2fpd01 on its degree-zero part, and each report, witnesses included,
+    is that of the checker's body run on X itself."""
     inputs = _checker_oracle_inputs()
     # the Koszul complexes have no constant entry, every padded input has one
     constants = [
@@ -243,6 +244,76 @@ def test_graded_checkers_report_what_the_full_entries_give():
         for checker in (check_symm07, check_symm07pp, check_s2fpd01, check_s2fpd02):
             got = checker(X)
             assert got.as_dict() == want[got.theorem].as_dict(), (X, got.theorem)
+
+
+def _local_oracle_inputs(ring, rng) -> list:
+    """40 complexes over a local ring: random_minimal_complex plus 0-2
+    contractible pieces, conjugated."""
+    inputs = []
+    for _ in range(40):
+        X = random_minimal_complex(ring, rng)
+        for _ in range(rng.randint(0, 2)):
+            X = direct_sum(X, contractible_piece(ring, rng.randint(0, 4)))
+        inputs.append(conjugate(X, rng))
+    return inputs
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), GF(5), ZLoc(3), ZLoc(5)], ids=str)
+def test_local_checkers_report_what_the_full_complex_gives(ring):
+    """Off graded rings too, each checker's report, witnesses included, is
+    that of its body run on X itself, padded or not."""
+    rng = random.Random(59)
+    witnessed = padded = 0
+    for X in _local_oracle_inputs(ring, rng):
+        padded += _minimal_part(X).total_rank() < X.total_rank()
+        want = reference_local_checkers(X)
+        for checker in (check_symm07, check_symm07pp, check_s2fpd01, check_s2fpd02):
+            got = checker(X).as_dict()
+            assert got == want[got["theorem"]].as_dict(), (X, got["theorem"])
+            witnessed += bool(got["witnesses"])
+    assert padded > 20 and witnessed > 100
+
+
+def test_checkers_that_need_two_square_the_minimal_part_once(monkeypatch):
+    """symm07, symm07pp and s2fpd02 each square _minimal_part(X) once, X
+    itself when X is minimal off graded rings, and call no minimize."""
+    squares = _record_calls(monkeypatch, sym2)
+    minimized = _record_calls(monkeypatch, minimize)
+    rng = random.Random(61)
+    K = koszul([X_VAR, Y_VAR])
+    minimal_zloc = random_minimal_complex(ZLoc(3), rng)
+    inputs = [
+        K,
+        direct_sum(K, graded_contractible_piece(POLY, 2, 1)),
+        minimal_zloc,
+        conjugate(direct_sum(minimal_zloc, contractible_piece(ZLoc(3), 2)), rng),
+        conjugate(direct_sum(shift(unit_complex(QQ), 1), contractible_piece(QQ, 1)), rng),
+    ]
+    for X in inputs:
+        M = _minimal_part(X)
+        for checker in (check_symm07, check_symm07pp, check_s2fpd02):
+            squares.clear()
+            checker(X)
+            assert squares == [M], checker.__name__
+            if X is minimal_zloc:
+                assert squares[0] is X
+    assert minimized == []
+
+
+def test_s2fpd01_keeps_the_degree_zero_part_where_two_is_not_a_unit():
+    """Over GF(2) and ZLoc(2) the square of a contractible piece need not
+    be contractible: X = R (+) Sigma(R --1--> R) has a minimal model of S2(X)
+    of length 4, while S2 of its minimal complex R is R.  s2fpd01, which
+    does not need 2 to be a unit, squares X and reports 4."""
+    for ring in (GF(2), ZLoc(2)):
+        X = direct_sum(unit_complex(ring), contractible_piece(ring, 2))
+        assert _minimal_ranks(sym2(X).complex) == {0: 1, 3: 1, 4: 1}
+        assert _minimal_ranks(sym2(_minimal_part(X)).complex) == {0: 1}
+        report = check_s2fpd01(X)
+        assert report.holds
+        assert report.as_dict()["witnesses"] == {"minimal_length": "0", "square_minimal_length": "4"}
+        with pytest.raises(TwoNotUnitError):
+            check_s2fpd02(X)
 
 
 def test_symm09_koszul_graded():
